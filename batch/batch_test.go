@@ -290,9 +290,53 @@ func TestDistanceBoundedContract(t *testing.T) {
 	}
 }
 
-// TestTopKAcrossMatchesPerTree checks that the cutoff-shrinking
-// multi-tree top-k returns exactly the merge of per-tree exact top-k
-// runs, and that the shrinking cutoff actually pruned DP work.
+// perTreeTopK is the reference for TopKAcross: exact per-tree top-k runs,
+// merged and re-sorted under the (Dist, Tree, Root) order.
+func perTreeTopK(e *batch.Engine, q *batch.PreparedTree, ps []*batch.PreparedTree, k int) []batch.CrossMatch {
+	var want []batch.CrossMatch
+	for di, p := range ps {
+		ms, _ := e.TopKSubtrees(q, p, k)
+		for _, m := range ms {
+			want = append(want, batch.CrossMatch{Tree: di, Root: m.Root, Dist: m.Dist})
+		}
+	}
+	sort.Slice(want, func(i, j int) bool {
+		a, b := want[i], want[j]
+		if a.Dist != b.Dist {
+			return a.Dist < b.Dist
+		}
+		if a.Tree != b.Tree {
+			return a.Tree < b.Tree
+		}
+		return a.Root < b.Root
+	})
+	if len(want) > k {
+		want = want[:k]
+	}
+	return want
+}
+
+// checkTopKAcross runs TopKAcross and fails unless it equals the
+// per-tree merge exactly.
+func checkTopKAcross(t *testing.T, e *batch.Engine, q *batch.PreparedTree, ps []*batch.PreparedTree, k int) batch.Stats {
+	t.Helper()
+	want := perTreeTopK(e, q, ps, k)
+	got, st := e.TopKAcross(q, ps, k)
+	if len(got) != len(want) {
+		t.Fatalf("k=%d: %d matches, want %d", k, len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("k=%d match %d: got %+v want %+v", k, i, got[i], want[i])
+		}
+	}
+	return st
+}
+
+// TestTopKAcrossMatchesPerTree checks that the bound-ordered,
+// cutoff-shrinking multi-tree top-k returns exactly the merge of
+// per-tree exact top-k runs, and that the shrinking cutoff actually
+// pruned DP work.
 func TestTopKAcrossMatchesPerTree(t *testing.T) {
 	query := gen.Random(90, gen.RandomSpec{Size: 12, MaxDepth: 5, MaxFanout: 3, Labels: 3})
 	var data []*ted.Tree
@@ -306,38 +350,77 @@ func TestTopKAcrossMatchesPerTree(t *testing.T) {
 	q := e.Prepare(query)
 	ps := e.PrepareAll(data)
 	for _, k := range []int{1, 5, 17} {
-		// Reference: exact per-tree top-k, merged and re-sorted.
-		var want []batch.CrossMatch
-		for di, p := range ps {
-			ms, _ := e.TopKSubtrees(q, p, k)
-			for _, m := range ms {
-				want = append(want, batch.CrossMatch{Tree: di, Root: m.Root, Dist: m.Dist})
-			}
-		}
-		sort.Slice(want, func(i, j int) bool {
-			a, b := want[i], want[j]
-			if a.Dist != b.Dist {
-				return a.Dist < b.Dist
-			}
-			if a.Tree != b.Tree {
-				return a.Tree < b.Tree
-			}
-			return a.Root < b.Root
-		})
-		if len(want) > k {
-			want = want[:k]
-		}
-		got, st := e.TopKAcross(q, ps, k)
-		if len(got) != len(want) {
-			t.Fatalf("k=%d: %d matches, want %d", k, len(got), len(want))
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("k=%d match %d: got %+v want %+v", k, i, got[i], want[i])
-			}
-		}
+		st := checkTopKAcross(t, e, q, ps, k)
 		if k == 1 && st.PrunedSubproblems == 0 {
 			t.Fatal("k=1 across 12 trees pruned nothing — the shrinking cutoff is not reaching GTED")
+		}
+	}
+
+	// A corpus over several alphabets: parse-tree, XML-record and random
+	// labels, each tree also stored twice (and the query once verbatim),
+	// so distances and subtree bounds tie across trees and the
+	// (Tree, Root) tie-break decides the result.
+	var mixed []*ted.Tree
+	for i := 0; i < 6; i++ {
+		mixed = append(mixed,
+			gen.TreeBankLike(rng.Int63(), 8+rng.Intn(25)),
+			gen.SwissProtLike(rng.Int63(), 8+rng.Intn(25)),
+			gen.Random(rng.Int63(), gen.RandomSpec{Size: 5 + rng.Intn(25), MaxDepth: 6, MaxFanout: 4, Labels: 4}))
+	}
+	mixed = append(mixed, mixed[4], mixed[0], mixed[7], mixed[4])
+	queries := []*ted.Tree{
+		gen.RenameSome(mixed[0], 2, 92),
+		gen.RenameSome(mixed[1], 1, 93),
+		mixed[2],
+		gen.TreeBankLike(94, 6),
+	}
+	mixed = append(mixed, queries[2])
+	all := 0
+	for _, d := range mixed {
+		all += d.Len()
+	}
+	for _, eng := range []*batch.Engine{batch.New(), batch.New(batch.WithWorkers(1))} {
+		ps := eng.PrepareAll(mixed)
+		for _, qt := range queries {
+			q := eng.Prepare(qt)
+			for _, k := range []int{1, 5, 17, all + 1} {
+				checkTopKAcross(t, eng, q, ps, k)
+			}
+		}
+	}
+
+	// The stop must be strict. Tree 1 is the query (bound 0) and fills
+	// the top 2 with its root at 0 and its leaf b at 1. Tree 0, visited
+	// next, has bound 1 — equal to the 2nd best — and its root at
+	// distance 1 wins the tie on the smaller tree index.
+	tie := e.PrepareAll([]*ted.Tree{ted.MustParse("{a{c}}"), ted.MustParse("{a{b}}")})
+	checkTopKAcross(t, e, e.Prepare(ted.MustParse("{a{b}}")), tie, 2)
+}
+
+// TestTopKAcrossStopsAtBound pins the early stop: next to one renamed
+// copy of the query, trees over a disjoint alphabet have a subtree bound
+// of |Q| — beyond any k-th best the copy supplies — so the scan visits
+// the copy first, wherever it sits, and runs no DP on anything else.
+func TestTopKAcrossStopsAtBound(t *testing.T) {
+	query := gen.TreeBankLike(95, 20)
+	cp := gen.RenameSome(query, 1, 96)
+	rng := rand.New(rand.NewSource(97))
+	var data []*ted.Tree
+	for i := 0; i < 8; i++ {
+		data = append(data,
+			gen.Random(rng.Int63(), gen.RandomSpec{Size: 10 + rng.Intn(40), MaxDepth: 8, MaxFanout: 4, Labels: 5}),
+			gen.SwissProtLike(rng.Int63(), 10+rng.Intn(40)))
+	}
+	data = append(data[:5], append([]*ted.Tree{cp}, data[5:]...)...)
+	e := batch.New()
+	q := e.Prepare(query)
+	ps := e.PrepareAll(data)
+	for _, k := range []int{1, 3} {
+		st := checkTopKAcross(t, e, q, ps, k)
+		_, alone := e.TopKSubtrees(q, ps[5], k)
+		if st.Subproblems != alone.Subproblems {
+			t.Fatalf("k=%d: scan evaluated %d subproblems, the copy alone %d — trees past the bound ran DP",
+				k, st.Subproblems, alone.Subproblems)
 		}
 	}
 }

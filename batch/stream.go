@@ -225,15 +225,16 @@ func (e *Engine) evalPairsStream(ctx context.Context, trees []*PreparedTree, pai
 }
 
 // TopKAcrossStream is TopKAcross with cancellation: the scan over data
-// trees checks ctx between trees and returns ctx's error once
-// cancelled, with the matches and stats of the work done so far (the
-// partial matches are NOT the true top k of the full collection — a
-// cancelled call is an abandoned one, not an approximate answer).
+// trees checks ctx between trees. A cancelled call returns ctx's error
+// and the stats of the work done so far; when the cancellation cut the
+// scan short the matches are nil, because the partial heap is not the
+// top k of the collection — a cancelled call is an abandoned one, not
+// an approximate answer.
 //
-// Top-k results are only final once every data tree has been scanned,
-// so unlike JoinStream there is nothing sound to emit early; the
-// streaming transport value is in the NDJSON framing and in
-// cancellation, not in early partial answers.
+// Top-k results are only final once the scan stops, so unlike
+// JoinStream there is nothing sound to emit early; the streaming
+// transport value is in the NDJSON framing and in cancellation, not in
+// early partial answers.
 func (e *Engine) TopKAcrossStream(ctx context.Context, query *PreparedTree, data []*PreparedTree, k int) ([]CrossMatch, Stats, error) {
 	var st Stats
 	if k <= 0 || len(data) == 0 {
@@ -247,7 +248,7 @@ func (e *Engine) TopKAcrossStream(ctx context.Context, query *PreparedTree, data
 	q := query.t.Root()
 	h := &crossHeap{}
 	heap.Init(h)
-	for di, d := range data {
+	for _, v := range e.topKOrder(query, data) {
 		if ctx.Err() != nil {
 			return nil, st, ctx.Err()
 		}
@@ -255,11 +256,14 @@ func (e *Engine) TopKAcrossStream(ctx context.Context, query *PreparedTree, data
 		if h.Len() == k {
 			tau = h.items[0].Dist
 		}
-		// Every subtree of d has at most d.Len() nodes, so every distance
-		// to the query is at least |query| − |d| insertions-or-more.
-		if e.unit && float64(query.Len()-d.Len()) > tau {
-			continue
+		// Bounds ascend along the visit order, so once one passes the
+		// k-th best every later tree's does too. Strictly greater: a
+		// subtree at exactly the k-th best distance may still win its
+		// (Tree, Root) tie.
+		if v.lb > tau {
+			break
 		}
+		di, d := v.pos, data[v.pos]
 		r := e.pairRunner(ws, query, d)
 		r.SetCutoff(tau, false)
 		r.Run()
@@ -281,4 +285,40 @@ func (e *Engine) TopKAcrossStream(ctx context.Context, query *PreparedTree, data
 	out := append([]CrossMatch(nil), h.items...)
 	sort.Slice(out, func(i, j int) bool { return crossLess(out[i], out[j]) })
 	return out, st, ctx.Err()
+}
+
+// topKVisit is one data tree in TopKAcrossStream's visit order: its
+// position in the collection and a lower bound on the distance from the
+// query to each of its subtrees.
+type topKVisit struct {
+	pos int
+	lb  float64
+}
+
+// topKOrder returns the order TopKAcrossStream visits data in. Under the
+// unit cost model each tree carries bounds.SubtreeLowerProfiled and the
+// trees ascend by (bound, position), so the trees most likely to hold
+// close subtrees shrink the cutoff first and the scan can stop at the
+// first bound beyond it. The bound only holds for unit costs; other
+// models visit in position order with a zero bound, which never stops
+// the scan.
+func (e *Engine) topKOrder(query *PreparedTree, data []*PreparedTree) []topKVisit {
+	vs := make([]topKVisit, len(data))
+	for i := range vs {
+		vs[i].pos = i
+	}
+	if !e.unit {
+		return vs
+	}
+	qp := query.profile()
+	for i, d := range data {
+		vs[i].lb = bounds.SubtreeLowerProfiled(qp, d.profile())
+	}
+	sort.Slice(vs, func(a, b int) bool {
+		if vs[a].lb != vs[b].lb {
+			return vs[a].lb < vs[b].lb
+		}
+		return vs[a].pos < vs[b].pos
+	})
+	return vs
 }

@@ -71,17 +71,22 @@ func crossLess(a, b CrossMatch) bool {
 }
 
 // TopKAcross finds the k subtrees closest to the query across a whole
-// collection of data trees. Data trees are processed in order, and the
-// cutoff of each GTED run is the current k-th best distance: once the
-// result heap is full, DP cells that provably cannot beat it are skipped
-// and saturated (gted.SetCutoff), so the per-tree cost shrinks as the
-// results improve — the bounded-TED analogue of TASM's pruning. The
-// result is identical to running TopKSubtrees per tree and merging: ties
-// break toward smaller (Tree, Root); results are sorted by distance.
+// collection of data trees. The cutoff of each GTED run is the current
+// k-th best distance: once the result heap is full, DP cells that
+// provably cannot beat it are skipped and saturated (gted.SetCutoff), so
+// the per-tree cost shrinks as the results improve — the bounded-TED
+// analogue of TASM's pruning. The result is identical to running
+// TopKSubtrees per tree and merging: ties break toward smaller
+// (Tree, Root); results are sorted by distance.
 //
-// Under the unit cost model a data tree whose size alone puts every one
-// of its subtrees beyond the current k-th best is skipped without running
-// any DP.
+// Under the unit cost model the scan first bounds, for every data tree,
+// the distance from the query to any of its subtrees by the label
+// multisets (bounds.SubtreeLowerProfiled), visits the trees in ascending
+// (bound, position) order, and stops at the first tree whose bound
+// exceeds the current k-th best: no remaining tree can place a subtree
+// in the result. Other cost models visit every tree in position order.
+// The visit order cannot change the answer, because the heap order
+// (Dist, Tree, Root) is total.
 func (e *Engine) TopKAcross(query *PreparedTree, data []*PreparedTree, k int) ([]CrossMatch, Stats) {
 	ms, st, _ := e.TopKAcrossStream(context.Background(), query, data, k)
 	return ms, st

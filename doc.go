@@ -89,8 +89,10 @@
 //	└── "which subtrees of the data are closest?"
 //	      ├── one data tree  → TopKSubtrees(query, data, k)
 //	      └── a collection   → TopKSubtreesAcross(query, data, k) —
-//	                            the cutoff shrinks to the running
-//	                            k-th best as trees stream through
+//	                            trees visited by a label bound, the
+//	                            cutoff shrinking to the running k-th
+//	                            best, the scan stopping once the
+//	                            bound passes it
 //
 // Join always returns exactly the pairs with distance below the
 // threshold; the options only change how much work that takes.

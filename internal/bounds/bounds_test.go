@@ -9,6 +9,7 @@ import (
 	"repro/internal/naive"
 	"repro/internal/tree"
 	"repro/internal/treegen"
+	"repro/internal/zs"
 )
 
 func randTree(rng *rand.Rand, maxSize int) *tree.Tree {
@@ -37,6 +38,33 @@ func TestBoundsSandwich(t *testing.T) {
 		}
 		if ub := Constrained(f, g); ub < exact-1e-9 {
 			t.Fatalf("constrained %v below exact %v\nF=%s\nG=%s", ub, exact, f, g)
+		}
+	}
+}
+
+// TestSubtreeLowerSandwich: the subtree bound is at most the unit
+// distance from the query to every subtree of the data tree (the
+// Zhang–Shasha subtree-distance matrix is the oracle), and at least the
+// size bound |Q| − |d| it subsumes. Small alphabets make labels overlap,
+// so the bound lands anywhere between 0 and |Q|.
+func TestSubtreeLowerSandwich(t *testing.T) {
+	rng := rand.New(rand.NewSource(33))
+	for iter := 0; iter < 300; iter++ {
+		spec := func(maxSize int) treegen.RandomSpec {
+			return treegen.RandomSpec{Size: 1 + rng.Intn(maxSize), MaxDepth: 6, MaxFanout: 4, Labels: 1 + rng.Intn(4)}
+		}
+		q, d := treegen.Random(rng, spec(12)), treegen.Random(rng, spec(30))
+		lb := SubtreeLowerProfiled(NewProfile(q), NewProfile(d))
+		if size := float64(q.Len() - d.Len()); lb < size {
+			t.Fatalf("subtree bound %v below the size bound %v\nQ=%s\nD=%s", lb, size, q, d)
+		}
+		dists := zs.TreeDists(q, d, cost.Unit{})
+		row := dists[q.Root()*d.Len():]
+		for w := 0; w < d.Len(); w++ {
+			if lb > row[w]+1e-9 {
+				t.Fatalf("subtree bound %v exceeds the distance %v to subtree %s\nQ=%s\nD=%s",
+					lb, row[w], d.SubtreeString(w), q, d)
+			}
 		}
 	}
 }

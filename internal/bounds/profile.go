@@ -70,7 +70,27 @@ func LowerCheapProfiled(a, b *Profile) float64 {
 	return lb
 }
 
+// SubtreeLowerProfiled returns a lower bound on the unit-cost distance
+// from the query q to every subtree of d at once:
+// |Q| − |labels(Q) ∩ labels(d)| (multiset intersection). A subtree's
+// labels are a sub-multiset of d's, so at most that many query nodes
+// can map to a subtree node without a rename; every other query node
+// costs at least one edit. The bound is never below |Q| − |d|, the
+// size bound of the largest subtree.
+func SubtreeLowerProfiled(q, d *Profile) float64 {
+	return float64(q.t.Len() - commonLabels(q, d))
+}
+
 func labelHistogramProfiled(a, b *Profile) float64 {
+	m := a.t.Len()
+	if b.t.Len() > m {
+		m = b.t.Len()
+	}
+	return float64(m - commonLabels(a, b))
+}
+
+// commonLabels returns the size of the label multiset intersection.
+func commonLabels(a, b *Profile) int {
 	// Iterate the smaller histogram; the intersection is symmetric.
 	ha, hb := a.labels, b.labels
 	if len(hb) < len(ha) {
@@ -84,11 +104,7 @@ func labelHistogramProfiled(a, b *Profile) float64 {
 			common += ca
 		}
 	}
-	m := a.t.Len()
-	if b.t.Len() > m {
-		m = b.t.Len()
-	}
-	return float64(m - common)
+	return common
 }
 
 func binaryBranchProfiled(a, b *Profile) float64 {

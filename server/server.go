@@ -526,7 +526,15 @@ func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	} else {
-		ms, st = s.c.TopKAcross(s.e, q, req.K)
+		// The request context stops the scan when the client hangs up;
+		// there is then no one to answer and no complete stats to count.
+		var err error
+		st, err = s.c.TopKAcrossStream(r.Context(), s.e, q, req.K, func(m corpus.CrossMatch) {
+			ms = append(ms, m)
+		})
+		if err != nil {
+			return
+		}
 	}
 	// The scan's pruning feeds the same cumulative counters joins feed;
 	// before this, top-k work was invisible in /v1/stats.

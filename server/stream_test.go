@@ -236,6 +236,79 @@ func TestJoinStreamClientCancel(t *testing.T) {
 	}
 }
 
+// TestTopKClientCancel: buffered /v1/topk writes nothing until its scan
+// ends, so a client that hangs up first must stop the scan through the
+// request context instead of leaving a core busy. The admit hook holds
+// the request until the server has seen the client go; the scan then
+// starts on a cancelled context, stops before its first tree, and
+// releases the slot without adding to the cumulative pruning counters —
+// a scan that ran anyway would have: the query is stored twice, so the
+// second copy runs its DP at cutoff 0 and prunes.
+func TestTopKClientCancel(t *testing.T) {
+	c := corpus.New()
+	spec := gen.RandomSpec{Size: 40, MaxDepth: 8, MaxFanout: 4, Labels: 6}
+	for i := 0; i < 40; i++ {
+		c.Add(gen.Random(int64(i), spec))
+	}
+	query := gen.Random(3, spec)
+	c.Add(query)
+	reqCtx := make(chan context.Context, 1)
+	admitted := make(chan struct{})
+	s := server.New(c, server.WithAdmitHook(func() {
+		ctx := <-reqCtx
+		close(admitted)
+		select {
+		case <-ctx.Done():
+		case <-time.After(5 * time.Second):
+			t.Error("the server never saw the client hang up")
+		}
+	}))
+	s.Warm()
+	hts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		reqCtx <- r.Context()
+		s.ServeHTTP(w, r)
+	}))
+	t.Cleanup(hts.Close)
+	ts := hts.URL
+	before := s.Stats()
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	req, err := http.NewRequestWithContext(ctx, "POST", ts+"/v1/topk",
+		strings.NewReader(`{"query":{"tree":"`+query.String()+`"},"k":1}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set("Content-Type", "application/json")
+	errc := make(chan error, 1)
+	go func() {
+		resp, err := http.DefaultClient.Do(req)
+		if err == nil {
+			resp.Body.Close()
+		}
+		errc <- err
+	}()
+	<-admitted
+	cancel()
+	if err := <-errc; err == nil {
+		t.Fatal("cancelled top-k reported success")
+	}
+
+	deadline := time.Now().Add(5 * time.Second)
+	for s.Stats().InFlight != 0 {
+		if time.Now().After(deadline) {
+			t.Fatalf("in-flight slot not released after client cancel: %d held", s.Stats().InFlight)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	after := s.Stats()
+	if after.PrunedSubproblems != before.PrunedSubproblems || after.BandSkippedCells != before.BandSkippedCells ||
+		after.PrunedKeyroots != before.PrunedKeyroots {
+		t.Fatalf("cancelled top-k still ran its scan: pruned %d → %d, band cells %d → %d",
+			before.PrunedSubproblems, after.PrunedSubproblems, before.BandSkippedCells, after.BandSkippedCells)
+	}
+}
+
 // newTestServer mounts s and returns its base URL (newFixture builds
 // its own corpus; this variant serves a caller-built one).
 func newTestServer(t *testing.T, s *server.Server) string {

@@ -62,8 +62,10 @@ type CrossSubtreeMatch struct {
 // whole collection of data trees — the result of running TopKSubtrees on
 // every tree and merging, computed far cheaper: data trees stream through
 // the batch engine and each GTED run is bounded by the current k-th best
-// distance, so DP work shrinks as the results improve (and whole trees
-// are skipped once their size alone rules them out, under UnitCost).
+// distance, so DP work shrinks as the results improve. Under UnitCost the
+// trees are visited in ascending order of a label-multiset lower bound on
+// their subtrees' distances to the query, and the scan stops once that
+// bound exceeds the k-th best, so the remaining trees run no DP at all.
 // Ties break toward smaller (Tree, Root); results are sorted by distance.
 //
 // The collection runs through the corpus layer (package corpus), so

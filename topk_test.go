@@ -76,6 +76,32 @@ func TestTopKEdgeCases(t *testing.T) {
 	}
 }
 
+// perTreeMerge is the definition TopKSubtreesAcross must meet: the
+// per-tree TopKSubtrees results, merged and cut to k under the
+// (Dist, Tree, Root) order.
+func perTreeMerge(query *ted.Tree, data []*ted.Tree, k int) []ted.CrossSubtreeMatch {
+	var want []ted.CrossSubtreeMatch
+	for di, d := range data {
+		for _, m := range ted.TopKSubtrees(query, d, k) {
+			want = append(want, ted.CrossSubtreeMatch{Tree: di, Root: m.Root, Dist: m.Dist})
+		}
+	}
+	sort.Slice(want, func(i, j int) bool {
+		a, b := want[i], want[j]
+		if a.Dist != b.Dist {
+			return a.Dist < b.Dist
+		}
+		if a.Tree != b.Tree {
+			return a.Tree < b.Tree
+		}
+		return a.Root < b.Root
+	})
+	if len(want) > k {
+		want = want[:k]
+	}
+	return want
+}
+
 // TestTopKSubtreesAcross cross-checks the multi-tree, cutoff-shrinking
 // top-k against per-tree TopKSubtrees merged by brute force.
 func TestTopKSubtreesAcross(t *testing.T) {
@@ -88,25 +114,7 @@ func TestTopKSubtreesAcross(t *testing.T) {
 		}))
 	}
 	for _, k := range []int{1, 4, 9} {
-		var want []ted.CrossSubtreeMatch
-		for di, d := range data {
-			for _, m := range ted.TopKSubtrees(query, d, k) {
-				want = append(want, ted.CrossSubtreeMatch{Tree: di, Root: m.Root, Dist: m.Dist})
-			}
-		}
-		sort.Slice(want, func(i, j int) bool {
-			a, b := want[i], want[j]
-			if a.Dist != b.Dist {
-				return a.Dist < b.Dist
-			}
-			if a.Tree != b.Tree {
-				return a.Tree < b.Tree
-			}
-			return a.Root < b.Root
-		})
-		if len(want) > k {
-			want = want[:k]
-		}
+		want := perTreeMerge(query, data, k)
 		var st ted.Stats
 		got := ted.TopKSubtreesAcross(query, data, k, ted.WithStats(&st))
 		if len(got) != len(want) {
