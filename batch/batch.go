@@ -166,11 +166,13 @@ func (e *Engine) FixedStrategy() bool { return e.strat != nil }
 
 // workspace is the per-worker reusable memory: a GTED arena for the DP
 // tables, the OptStrategy scratch (which owns the strategy array the
-// runner consumes), and the rename-cost memo of non-unit models. Exactly
-// one goroutine uses a workspace at a time.
+// runner consumes), the join filter's constrained-distance scratch, and
+// the rename-cost memo of non-unit models. Exactly one goroutine uses a
+// workspace at a time.
 type workspace struct {
-	arena *gted.Arena
-	opt   strategy.OptScratch
+	arena       *gted.Arena
+	opt         strategy.OptScratch
+	constrained bounds.ConstrainedScratch
 
 	// memo caches rename costs by interned label-id pair. Label ids and
 	// models are per-engine, so the memo records which engine's ids it
@@ -197,7 +199,16 @@ func (e *Engine) getWS() *workspace {
 	return ws
 }
 
-func (e *Engine) putWS(w *workspace) { wsPool.Put(w) }
+// maxPooledConstrainedCells caps the constrained-distance scratch a
+// pooled workspace keeps (256 Ki cells, 2 MiB): enough for every pair of
+// a few hundred nodes, while one 4096-node pair (~268 MB at +Inf) is
+// released instead of pinned in the pool.
+const maxPooledConstrainedCells = 1 << 18
+
+func (e *Engine) putWS(w *workspace) {
+	w.constrained.Shrink(maxPooledConstrainedCells)
+	wsPool.Put(w)
+}
 
 // Stats reports GTED instrumentation aggregated over the exact distance
 // computations of one batch call.

@@ -153,7 +153,39 @@ type joinOutcome struct {
 	kroots int64
 	crows  int64
 	rcells int64
-	kind   uint8 // 0 exact, 1 lower-pruned, 2 upper-accepted
+	kind   pairKind
+}
+
+// pairKind is how the join pipeline resolved a pair.
+type pairKind uint8
+
+const (
+	pairExact         pairKind = iota // GTED ran
+	pairLowerPruned                   // a lower bound reached tau
+	pairUpperAccepted                 // the constrained distance stayed below tau
+)
+
+// tally folds one pair's outcome into s and reports whether the pair
+// matches.
+func (s *JoinStats) tally(o joinOutcome, tau float64, filtered bool) bool {
+	switch o.kind {
+	case pairLowerPruned:
+		s.LowerPruned++
+		return false
+	case pairUpperAccepted:
+		s.UpperAccepted++
+		return true
+	}
+	if filtered {
+		s.ExactComputed++
+	}
+	s.Subproblems += o.subs
+	s.PrunedSubproblems += o.pruned
+	s.BandSkippedCells += o.band
+	s.PrunedKeyroots += o.kroots
+	s.CompressedRows += o.crows
+	s.RowCells += o.rcells
+	return o.dist < tau
 }
 
 // ij names one candidate pair by collection indices, i < j. lb carries
@@ -168,12 +200,13 @@ type ij struct {
 // with edit distance below tau. Pairs are evaluated on the worker pool;
 // the result is deterministic and ordered by (I, J).
 //
-// With filtered set, each pair first runs the lower-bound pipeline (a
-// pair whose lower bound reaches tau cannot match) and the constrained
-// upper bound (a pair whose upper bound stays below tau must match, and
-// is reported with that bound as its distance); only the undecided
-// middle runs the exact algorithm. The match set is identical to the
-// unfiltered join's. Filtering requires the unit cost model.
+// With filtered set, each pair runs the bound filters in cost order (see
+// filterPair): the size bound rejects, then the constrained upper bound,
+// banded by tau, accepts a pair whose bound stays below tau (reported
+// with that bound as its distance), then the profiled lower bounds
+// reject; only the undecided middle runs the exact algorithm. The match
+// set is identical to the unfiltered join's. Filtering requires the unit
+// cost model.
 //
 // Join visits every pair. For large corpora with selective thresholds,
 // JoinIndexed generates candidate pairs from an inverted index instead.
@@ -200,9 +233,11 @@ func (e *Engine) Join(trees []*PreparedTree, tau float64, filtered bool) ([]Matc
 // Join — the match set is provably identical — but generates candidate
 // pairs from an inverted index over the corpus instead of enumerating
 // all O(n²) pairs. Candidates then flow through the existing pipeline:
-// the index's own lower bound has already pruned them once, the profiled
-// lower bounds and the constrained upper bound decide most of the rest,
-// and only the undecided middle runs exact GTED on the worker pool.
+// the index's own lower bound has already pruned them once and is
+// carried into the filters; the size bound, the tau-banded constrained
+// upper bound and — for pairs it leaves undecided — the profiled lower
+// bounds decide most of the rest, and only the undecided middle runs
+// exact GTED on the worker pool.
 //
 // JoinIndexed requires the unit cost model (the model of every published
 // bound). Results are deterministic and ordered by (I, J).
@@ -246,11 +281,11 @@ type CandidatePair struct {
 // the caller generated — a corpus probing its own persistent sharded
 // indexes, or a distributed driver that owns a shard of the pair space —
 // instead of pairs this engine enumerated or indexed itself. Candidates
-// flow through the same filters as JoinIndexed (the carried LB, the
-// profiled lower bounds, the constrained upper bound, cutoff-seeded
-// exact GTED), so the matches among the candidates are exactly the
-// candidates at distance < tau. Requires the unit cost model. Results
-// are deterministic and ordered by (I, J).
+// flow through the same filters as JoinIndexed (the carried LB with the
+// size bound, the tau-banded constrained upper bound, the profiled lower
+// bounds, cutoff-seeded exact GTED), so the matches among the candidates
+// are exactly the candidates at distance < tau. Requires the unit cost
+// model. Results are deterministic and ordered by (I, J).
 func (e *Engine) JoinCandidates(trees []*PreparedTree, cands []CandidatePair, tau float64) ([]Match, JoinStats) {
 	e.check(trees...)
 	if !e.unit {
@@ -344,9 +379,58 @@ func generate(trees []*PreparedTree, tau float64, mode IndexMode, opts JoinOptio
 	return pairs, time.Since(start)
 }
 
-// evalPairs runs the per-pair join pipeline — bound filters when
-// filtered, exact GTED otherwise or for the undecided middle — over the
-// worker pool and aggregates the outcomes deterministically.
+// filterPair resolves one pair of a join: exact GTED when unfiltered;
+// otherwise the filter stages in cost order, each run only when the
+// cheaper ones left the pair undecided:
+//
+//  1. the candidate's carried lower bound and the size bound, O(1);
+//  2. the constrained distance banded by tau (bounds.ConstrainedBelow),
+//     which accepts the pair when it stays below tau;
+//  3. the profiled lower bounds, which reject it when they reach tau;
+//  4. GTED with tau as its cutoff.
+//
+// The order decides nothing: every lower bound is ≤ TED ≤ the
+// constrained distance, so an accepted pair could never have been
+// rejected, and each pair is lower-pruned, upper-accepted or exact
+// exactly as it would be with the lower bounds first. Only the cost
+// moves: a pair the upper bound accepts skips the O(|F|·|G|) lower
+// bounds, and on a warm workspace allocates nothing.
+func (e *Engine) filterPair(ws *workspace, f, g *PreparedTree, candLB, tau float64, filtered bool) joinOutcome {
+	if !filtered {
+		r := e.pairRunner(ws, f, g)
+		d := r.Run()
+		gst := r.Stats()
+		return joinOutcome{dist: d, subs: gst.Subproblems, rcells: gst.RowCells}
+	}
+	lb := bounds.Size(f.t, g.t)
+	if candLB > lb {
+		lb = candLB // index candidates carry their own lower bound
+	}
+	if lb >= tau {
+		return joinOutcome{dist: lb, kind: pairLowerPruned}
+	}
+	if ub, ok := bounds.ConstrainedBelow(f.t, g.t, tau, &ws.constrained); ok {
+		return joinOutcome{dist: ub, kind: pairUpperAccepted}
+	}
+	if p := bounds.LowerProfiled(f.profile(), g.profile()); p > lb {
+		lb = p
+	}
+	if lb >= tau {
+		return joinOutcome{dist: lb, kind: pairLowerPruned}
+	}
+	r := e.pairRunner(ws, f, g)
+	d, ok := r.RunBounded(tau)
+	if !ok {
+		d = tau // below-threshold match impossible; tau is a valid floor
+	}
+	gst := r.Stats()
+	return joinOutcome{dist: d, subs: gst.Subproblems, pruned: gst.PrunedSubproblems,
+		band: gst.BandSkippedCells, kroots: gst.PrunedKeyroots,
+		crows: gst.CompressedRows, rcells: gst.RowCells}
+}
+
+// evalPairs runs filterPair over the worker pool and aggregates the
+// outcomes deterministically.
 //
 // Filtered joins seed the exact stage with the threshold: GTED runs with
 // cutoff tau threaded into its DP loops, so a pair whose distance
@@ -357,59 +441,15 @@ func generate(trees []*PreparedTree, tau float64, mode IndexMode, opts JoinOptio
 func (e *Engine) evalPairs(trees []*PreparedTree, pairs []ij, tau float64, filtered bool) ([]Match, JoinStats) {
 	outcomes := make([]joinOutcome, len(pairs))
 	e.parallel(len(pairs), func(ws *workspace, k int) {
-		f, g := trees[pairs[k].i], trees[pairs[k].j]
-		if filtered {
-			lb := bounds.LowerProfiled(f.profile(), g.profile())
-			if cand := pairs[k].lb; cand > lb {
-				lb = cand // index candidates carry their own lower bound
-			}
-			if lb >= tau {
-				outcomes[k] = joinOutcome{dist: lb, kind: 1}
-				return
-			}
-			if ub := bounds.Constrained(f.t, g.t); ub < tau {
-				outcomes[k] = joinOutcome{dist: ub, kind: 2}
-				return
-			}
-			r := e.pairRunner(ws, f, g)
-			d, ok := r.RunBounded(tau)
-			if !ok {
-				d = tau // below-threshold match impossible; tau is a valid floor
-			}
-			gst := r.Stats()
-			outcomes[k] = joinOutcome{dist: d, subs: gst.Subproblems, pruned: gst.PrunedSubproblems,
-				band: gst.BandSkippedCells, kroots: gst.PrunedKeyroots,
-				crows: gst.CompressedRows, rcells: gst.RowCells}
-			return
-		}
-		r := e.pairRunner(ws, f, g)
-		d := r.Run()
-		gst := r.Stats()
-		outcomes[k] = joinOutcome{dist: d, subs: gst.Subproblems, rcells: gst.RowCells}
+		p := pairs[k]
+		outcomes[k] = e.filterPair(ws, trees[p.i], trees[p.j], p.lb, tau, filtered)
 	})
 
 	var ms []Match
 	st := JoinStats{Comparisons: len(pairs)}
 	for k, o := range outcomes {
-		switch o.kind {
-		case 1:
-			st.LowerPruned++
-		case 2:
-			st.UpperAccepted++
+		if st.tally(o, tau, filtered) {
 			ms = append(ms, Match{I: pairs[k].i, J: pairs[k].j, Dist: o.dist})
-		default:
-			if filtered {
-				st.ExactComputed++
-			}
-			st.Subproblems += o.subs
-			st.PrunedSubproblems += o.pruned
-			st.BandSkippedCells += o.band
-			st.PrunedKeyroots += o.kroots
-			st.CompressedRows += o.crows
-			st.RowCells += o.rcells
-			if o.dist < tau {
-				ms = append(ms, Match{I: pairs[k].i, J: pairs[k].j, Dist: o.dist})
-			}
 		}
 	}
 	return ms, st

@@ -123,41 +123,12 @@ type streamOutcome struct {
 }
 
 // evalPairsStream is evalPairs with the buffer replaced by a channel:
-// workers resolve pairs and send outcomes; the calling goroutine
-// aggregates stats and emits matches in completion order. Workers check
-// ctx at every pair boundary, so cancellation abandons the remaining
-// work promptly; outcomes already in flight still drain (their stats
-// count), then the call returns ctx's error.
+// workers resolve pairs with filterPair and send outcomes; the calling
+// goroutine aggregates stats and emits matches in completion order.
+// Workers check ctx at every pair boundary, so cancellation abandons the
+// remaining work promptly; outcomes already in flight still drain (their
+// stats count), then the call returns ctx's error.
 func (e *Engine) evalPairsStream(ctx context.Context, trees []*PreparedTree, pairs []ij, tau float64, filtered bool, emit func(Match)) (JoinStats, error) {
-	eval := func(ws *workspace, k int) joinOutcome {
-		f, g := trees[pairs[k].i], trees[pairs[k].j]
-		if filtered {
-			lb := bounds.LowerProfiled(f.profile(), g.profile())
-			if cand := pairs[k].lb; cand > lb {
-				lb = cand
-			}
-			if lb >= tau {
-				return joinOutcome{dist: lb, kind: 1}
-			}
-			if ub := bounds.Constrained(f.t, g.t); ub < tau {
-				return joinOutcome{dist: ub, kind: 2}
-			}
-			r := e.pairRunner(ws, f, g)
-			d, ok := r.RunBounded(tau)
-			if !ok {
-				d = tau
-			}
-			gst := r.Stats()
-			return joinOutcome{dist: d, subs: gst.Subproblems, pruned: gst.PrunedSubproblems,
-				band: gst.BandSkippedCells, kroots: gst.PrunedKeyroots,
-				crows: gst.CompressedRows, rcells: gst.RowCells}
-		}
-		r := e.pairRunner(ws, f, g)
-		d := r.Run()
-		gst := r.Stats()
-		return joinOutcome{dist: d, subs: gst.Subproblems, rcells: gst.RowCells}
-	}
-
 	w := e.workers
 	if w > len(pairs) {
 		w = len(pairs)
@@ -183,8 +154,9 @@ func (e *Engine) evalPairsStream(ctx context.Context, trees []*PreparedTree, pai
 				if k >= len(pairs) {
 					return
 				}
+				p := pairs[k]
 				select {
-				case out <- streamOutcome{k: k, o: eval(ws, k)}:
+				case out <- streamOutcome{k: k, o: e.filterPair(ws, trees[p.i], trees[p.j], p.lb, tau, filtered)}:
 				case <-ctx.Done():
 					return
 				}
@@ -199,26 +171,9 @@ func (e *Engine) evalPairsStream(ctx context.Context, trees []*PreparedTree, pai
 	var st JoinStats
 	for so := range out {
 		st.Comparisons++
-		k, o := so.k, so.o
-		switch o.kind {
-		case 1:
-			st.LowerPruned++
-		case 2:
-			st.UpperAccepted++
-			emit(Match{I: pairs[k].i, J: pairs[k].j, Dist: o.dist})
-		default:
-			if filtered {
-				st.ExactComputed++
-			}
-			st.Subproblems += o.subs
-			st.PrunedSubproblems += o.pruned
-			st.BandSkippedCells += o.band
-			st.PrunedKeyroots += o.kroots
-			st.CompressedRows += o.crows
-			st.RowCells += o.rcells
-			if o.dist < tau {
-				emit(Match{I: pairs[k].i, J: pairs[k].j, Dist: o.dist})
-			}
+		if st.tally(so.o, tau, filtered) {
+			p := pairs[so.k]
+			emit(Match{I: p.i, J: p.j, Dist: so.o.dist})
 		}
 	}
 	return st, ctx.Err()

@@ -23,6 +23,16 @@
 //     which restricts mappings so that disjoint subtrees map to disjoint
 //     subtrees; computable in O(|F||G|) with a children-sequence DP and
 //     never below the unrestricted distance.
+//   - ConstrainedBelow: the same DP banded by a threshold tau, for
+//     filters that only ask "is the bound below tau?". The constrained
+//     distance of two subtrees is at least their size difference, so
+//     only subtree pairs whose sizes differ by less than tau are
+//     computed; every other cell reads +Inf. Each term of the recurrence
+//     is a sum of non-negative integers, so a cell whose value is below
+//     tau depends only on cells below tau and comes out exact — the
+//     answer is the exact constrained distance whenever that is below
+//     tau. With a reusable ConstrainedScratch it allocates nothing.
+//     Constrained is ConstrainedBelow at tau = +Inf.
 //
 // All bounds assume the unit cost model (the model of the paper's
 // experiments and of every published filter).

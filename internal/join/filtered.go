@@ -44,6 +44,7 @@ func FilteredSelfJoin(trees []*tree.Tree, tau float64, factory StrategyFactory, 
 	res := FilteredResult{Result: Result{Tau: tau}, Exact: exact}
 	start := time.Now()
 	m := cost.Unit{}
+	var cs bounds.ConstrainedScratch
 	for i := 0; i < len(trees); i++ {
 		for j := i + 1; j < len(trees); j++ {
 			f, g := trees[i], trees[j]
@@ -52,10 +53,12 @@ func FilteredSelfJoin(trees []*tree.Tree, tau float64, factory StrategyFactory, 
 				res.Filter.LowerPruned++
 				continue
 			}
-			if ub := bounds.Constrained(f, g); ub < tau && !exact {
-				res.Filter.UpperAccepted++
-				res.Pairs = append(res.Pairs, Pair{I: i, J: j, Dist: ub})
-				continue
+			if !exact {
+				if ub, ok := bounds.ConstrainedBelow(f, g, tau, &cs); ok {
+					res.Filter.UpperAccepted++
+					res.Pairs = append(res.Pairs, Pair{I: i, J: j, Dist: ub})
+					continue
+				}
 			}
 			res.Filter.ExactComputed++
 			r := newRunner(f, g, m, factory)

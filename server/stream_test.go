@@ -309,6 +309,74 @@ func TestTopKClientCancel(t *testing.T) {
 	}
 }
 
+// TestJoinClientCancel is TestTopKClientCancel for buffered /v1/join:
+// the join collects over the ctx-carrying stream evaluator, so a client
+// that hangs up before the join starts stops it at the first pair
+// boundary, releases the slot, and adds nothing to the cumulative
+// counters. A join that ran anyway would have: at this threshold the
+// bound filters leave pairs undecided, and their cutoff-seeded GTED runs
+// materialize rows and prune cells.
+func TestJoinClientCancel(t *testing.T) {
+	c := corpus.New(corpus.WithHistogramIndex())
+	for i := 0; i < 40; i++ {
+		c.Add(gen.Random(int64(i), gen.RandomSpec{Size: 40, MaxDepth: 8, MaxFanout: 4, Labels: 6}))
+	}
+	reqCtx := make(chan context.Context, 1)
+	admitted := make(chan struct{})
+	s := server.New(c, server.WithAdmitHook(func() {
+		ctx := <-reqCtx
+		close(admitted)
+		select {
+		case <-ctx.Done():
+		case <-time.After(5 * time.Second):
+			t.Error("the server never saw the client hang up")
+		}
+	}))
+	s.Warm()
+	hts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		reqCtx <- r.Context()
+		s.ServeHTTP(w, r)
+	}))
+	t.Cleanup(hts.Close)
+	before := s.Stats()
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	req, err := http.NewRequestWithContext(ctx, "POST", hts.URL+"/v1/join",
+		strings.NewReader(`{"tau":30,"mode":"enumerate"}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set("Content-Type", "application/json")
+	errc := make(chan error, 1)
+	go func() {
+		resp, err := http.DefaultClient.Do(req)
+		if err == nil {
+			resp.Body.Close()
+		}
+		errc <- err
+	}()
+	<-admitted
+	cancel()
+	if err := <-errc; err == nil {
+		t.Fatal("cancelled join reported success")
+	}
+
+	deadline := time.Now().Add(5 * time.Second)
+	for s.Stats().InFlight != 0 {
+		if time.Now().After(deadline) {
+			t.Fatalf("in-flight slot not released after client cancel: %d held", s.Stats().InFlight)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	after := s.Stats()
+	if after.PrunedSubproblems != before.PrunedSubproblems || after.RowCells != before.RowCells ||
+		after.BandSkippedCells != before.BandSkippedCells || after.PrunedKeyroots != before.PrunedKeyroots {
+		t.Fatalf("cancelled join still ran: pruned %d → %d, row cells %d → %d",
+			before.PrunedSubproblems, after.PrunedSubproblems, before.RowCells, after.RowCells)
+	}
+}
+
 // newTestServer mounts s and returns its base URL (newFixture builds
 // its own corpus; this variant serves a caller-built one).
 func newTestServer(t *testing.T, s *server.Server) string {
