@@ -131,6 +131,30 @@ func TestJoinFilterAccounting(t *testing.T) {
 	}
 }
 
+// TestJoinContextCancelled pins the buffered joins' cancellation
+// contract: with ctx already cancelled no pair is evaluated, no match is
+// returned and the error is ctx's.
+func TestJoinContextCancelled(t *testing.T) {
+	trees := filterCorpus()
+	e := batch.New(batch.WithWorkers(2))
+	ps := e.PrepareAll(trees)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	cands := []batch.CandidatePair{{I: 0, J: 1}, {I: 2, J: 3}}
+	for name, run := range map[string]func() ([]batch.Match, batch.JoinStats, error){
+		"join": func() ([]batch.Match, batch.JoinStats, error) { return e.JoinContext(ctx, ps, 5, true) },
+		"indexed": func() ([]batch.Match, batch.JoinStats, error) {
+			return e.JoinIndexedContext(ctx, ps, 5, batch.JoinOptions{})
+		},
+		"candidates": func() ([]batch.Match, batch.JoinStats, error) { return e.JoinCandidatesContext(ctx, ps, cands, 5) },
+	} {
+		ms, st, err := run()
+		if err != context.Canceled || ms != nil || st.Comparisons != 0 {
+			t.Fatalf("%s: cancelled join returned %d matches, %d comparisons, error %v", name, len(ms), st.Comparisons, err)
+		}
+	}
+}
+
 // TestUpperAcceptAllocFree pins the point of pooling the constrained
 // scratch: once a workspace is warm, a pair the upper bound accepts
 // allocates nothing.

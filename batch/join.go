@@ -1,6 +1,7 @@
 package batch
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"sort"
@@ -160,7 +161,8 @@ type joinOutcome struct {
 type pairKind uint8
 
 const (
-	pairExact         pairKind = iota // GTED ran
+	pairPending       pairKind = iota // not evaluated: the join was cancelled first
+	pairExact                         // GTED ran
 	pairLowerPruned                   // a lower bound reached tau
 	pairUpperAccepted                 // the constrained distance stayed below tau
 )
@@ -168,6 +170,10 @@ const (
 // tally folds one pair's outcome into s and reports whether the pair
 // matches.
 func (s *JoinStats) tally(o joinOutcome, tau float64, filtered bool) bool {
+	if o.kind == pairPending {
+		return false
+	}
+	s.Comparisons++
 	switch o.kind {
 	case pairLowerPruned:
 		s.LowerPruned++
@@ -201,32 +207,47 @@ type ij struct {
 // the result is deterministic and ordered by (I, J).
 //
 // With filtered set, each pair runs the bound filters in cost order (see
-// filterPair): the size bound rejects, then the constrained upper bound,
-// banded by tau, accepts a pair whose bound stays below tau (reported
-// with that bound as its distance), then the profiled lower bounds
-// reject; only the undecided middle runs the exact algorithm. The match
-// set is identical to the unfiltered join's. Filtering requires the unit
-// cost model.
+// filterPair): the size and label-histogram lower bounds reject, then
+// the constrained upper bound, banded by tau, accepts a pair whose bound
+// stays below tau (reported with that bound as its distance), then the
+// remaining profiled lower bounds reject; only the undecided middle runs
+// the exact algorithm. The match set is identical to the unfiltered
+// join's. Filtering requires the unit cost model.
 //
 // Join visits every pair. For large corpora with selective thresholds,
 // JoinIndexed generates candidate pairs from an inverted index instead.
 func (e *Engine) Join(trees []*PreparedTree, tau float64, filtered bool) ([]Match, JoinStats) {
+	ms, st, _ := e.JoinContext(context.Background(), trees, tau, filtered)
+	return ms, st
+}
+
+// JoinContext is Join with cancellation. Workers check ctx at every pair
+// boundary; once it is cancelled they abandon the remaining pairs and
+// the call returns nil matches, the stats of the pairs evaluated so far
+// (Comparisons counts those, not the planned ones) and ctx's error.
+// JoinIndexedContext and JoinCandidatesContext follow the same contract.
+func (e *Engine) JoinContext(ctx context.Context, trees []*PreparedTree, tau float64, filtered bool) ([]Match, JoinStats, error) {
 	e.check(trees...)
 	if filtered && !e.unit {
 		panic("batch: filtered Join requires the unit cost model")
 	}
 	start := time.Now()
-	n := len(trees)
+	ms, st, err := e.evalPairs(ctx, trees, allPairs(len(trees)), tau, filtered)
+	st.Mode = IndexEnumerate
+	st.Elapsed = time.Since(start)
+	return ms, st, err
+}
+
+// allPairs enumerates the unordered pairs of an n-tree collection in
+// (I, J) order.
+func allPairs(n int) []ij {
 	pairs := make([]ij, 0, n*(n-1)/2)
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
 			pairs = append(pairs, ij{i: i, j: j})
 		}
 	}
-	ms, st := e.evalPairs(trees, pairs, tau, filtered)
-	st.Mode = IndexEnumerate
-	st.Elapsed = time.Since(start)
-	return ms, st
+	return pairs
 }
 
 // JoinIndexed computes the same similarity self-join as the filtered
@@ -234,39 +255,49 @@ func (e *Engine) Join(trees []*PreparedTree, tau float64, filtered bool) ([]Matc
 // pairs from an inverted index over the corpus instead of enumerating
 // all O(n²) pairs. Candidates then flow through the existing pipeline:
 // the index's own lower bound has already pruned them once and is
-// carried into the filters; the size bound, the tau-banded constrained
-// upper bound and — for pairs it leaves undecided — the profiled lower
-// bounds decide most of the rest, and only the undecided middle runs
-// exact GTED on the worker pool.
+// carried into the filters; the size and label-histogram bounds, the
+// tau-banded constrained upper bound and — for pairs it leaves
+// undecided — the remaining profiled lower bounds decide most of the
+// rest, and only the undecided middle runs exact GTED on the worker pool.
 //
 // JoinIndexed requires the unit cost model (the model of every published
 // bound). Results are deterministic and ordered by (I, J).
 func (e *Engine) JoinIndexed(trees []*PreparedTree, tau float64, opts JoinOptions) ([]Match, JoinStats) {
+	ms, st, _ := e.JoinIndexedContext(context.Background(), trees, tau, opts)
+	return ms, st
+}
+
+// JoinIndexedContext is JoinIndexed with cancellation, under
+// JoinContext's contract.
+func (e *Engine) JoinIndexedContext(ctx context.Context, trees []*PreparedTree, tau float64, opts JoinOptions) ([]Match, JoinStats, error) {
 	e.check(trees...)
 	if !e.unit {
 		panic("batch: JoinIndexed requires the unit cost model")
 	}
-	mode := opts.Mode
-	if mode == IndexAuto {
-		if indexablePrunes(trees, tau) {
-			mode = IndexHistogram
-		} else {
-			mode = IndexEnumerate
-		}
-	}
+	mode := resolveMode(trees, tau, opts.Mode)
 	if mode == IndexEnumerate {
-		ms, st := e.Join(trees, tau, true)
-		st.Mode = IndexEnumerate
-		return ms, st
+		return e.JoinContext(ctx, trees, tau, true)
 	}
 
 	start := time.Now()
 	pairs, indexTime := generate(trees, tau, mode, opts)
-	ms, st := e.evalPairs(trees, pairs, tau, true)
+	ms, st, err := e.evalPairs(ctx, trees, pairs, tau, true)
 	st.Mode = mode
 	st.IndexTime = indexTime
 	st.Elapsed = time.Since(start)
-	return ms, st
+	return ms, st, err
+}
+
+// resolveMode picks the generator IndexAuto stands for: the histogram
+// index when an index can prune at tau, enumeration otherwise.
+func resolveMode(trees []*PreparedTree, tau float64, mode IndexMode) IndexMode {
+	if mode != IndexAuto {
+		return mode
+	}
+	if indexablePrunes(trees, tau) {
+		return IndexHistogram
+	}
+	return IndexEnumerate
 }
 
 // CandidatePair names one externally generated candidate pair by
@@ -282,16 +313,33 @@ type CandidatePair struct {
 // indexes, or a distributed driver that owns a shard of the pair space —
 // instead of pairs this engine enumerated or indexed itself. Candidates
 // flow through the same filters as JoinIndexed (the carried LB with the
-// size bound, the tau-banded constrained upper bound, the profiled lower
-// bounds, cutoff-seeded exact GTED), so the matches among the candidates
-// are exactly the candidates at distance < tau. Requires the unit cost
-// model. Results are deterministic and ordered by (I, J).
+// size and label-histogram bounds, the tau-banded constrained upper
+// bound, the remaining profiled lower bounds, cutoff-seeded exact GTED),
+// so the matches among the candidates are exactly the candidates at
+// distance < tau. Requires the unit cost model. Results are
+// deterministic and ordered by (I, J).
 func (e *Engine) JoinCandidates(trees []*PreparedTree, cands []CandidatePair, tau float64) ([]Match, JoinStats) {
+	ms, st, _ := e.JoinCandidatesContext(context.Background(), trees, cands, tau)
+	return ms, st
+}
+
+// JoinCandidatesContext is JoinCandidates with cancellation, under
+// JoinContext's contract.
+func (e *Engine) JoinCandidatesContext(ctx context.Context, trees []*PreparedTree, cands []CandidatePair, tau float64) ([]Match, JoinStats, error) {
 	e.check(trees...)
 	if !e.unit {
 		panic("batch: JoinCandidates requires the unit cost model")
 	}
 	start := time.Now()
+	ms, st, err := e.evalPairs(ctx, trees, candidatePairs(trees, cands), tau, true)
+	st.Mode = IndexEnumerate
+	st.Elapsed = time.Since(start)
+	return ms, st, err
+}
+
+// candidatePairs validates the caller's candidates against the
+// collection and orders them by (I, J).
+func candidatePairs(trees []*PreparedTree, cands []CandidatePair) []ij {
 	pairs := make([]ij, len(cands))
 	for k, c := range cands {
 		i, j := c.I, c.J
@@ -303,16 +351,18 @@ func (e *Engine) JoinCandidates(trees []*PreparedTree, cands []CandidatePair, ta
 		}
 		pairs[k] = ij{i: i, j: j, lb: c.LB}
 	}
+	sortPairs(pairs)
+	return pairs
+}
+
+// sortPairs orders pairs by (I, J), the join's result order.
+func sortPairs(pairs []ij) {
 	sort.Slice(pairs, func(a, b int) bool {
 		if pairs[a].i != pairs[b].i {
 			return pairs[a].i < pairs[b].i
 		}
 		return pairs[a].j < pairs[b].j
 	})
-	ms, st := e.evalPairs(trees, pairs, tau, true)
-	st.Mode = IndexEnumerate
-	st.Elapsed = time.Since(start)
-	return ms, st
 }
 
 // indexablePrunes reports whether an index can reject anything at this
@@ -370,12 +420,7 @@ func generate(trees []*PreparedTree, tau float64, mode IndexMode, opts JoinOptio
 		}
 	}
 	// Probing yields (J, I)-major order; the join contract is (I, J).
-	sort.Slice(pairs, func(a, b int) bool {
-		if pairs[a].i != pairs[b].i {
-			return pairs[a].i < pairs[b].i
-		}
-		return pairs[a].j < pairs[b].j
-	})
+	sortPairs(pairs)
 	return pairs, time.Since(start)
 }
 
@@ -384,27 +429,38 @@ func generate(trees []*PreparedTree, tau float64, mode IndexMode, opts JoinOptio
 // cheaper ones left the pair undecided:
 //
 //  1. the candidate's carried lower bound and the size bound, O(1);
-//  2. the constrained distance banded by tau (bounds.ConstrainedBelow),
+//  2. the label-histogram lower bound, one lookup per distinct label;
+//  3. the constrained distance banded by tau (bounds.ConstrainedBelow),
 //     which accepts the pair when it stays below tau;
-//  3. the profiled lower bounds, which reject it when they reach tau;
-//  4. GTED with tau as its cutoff.
+//  4. the remaining profiled lower bounds (binary branch, string edit),
+//     which reject it when they reach tau;
+//  5. GTED with tau as its cutoff.
 //
 // The order decides nothing: every lower bound is ≤ TED ≤ the
 // constrained distance, so an accepted pair could never have been
 // rejected, and each pair is lower-pruned, upper-accepted or exact
-// exactly as it would be with the lower bounds first. Only the cost
-// moves: a pair the upper bound accepts skips the O(|F|·|G|) lower
-// bounds, and on a warm workspace allocates nothing.
+// exactly as it would be with all lower bounds first. Only the cost
+// moves. Unrelated trees of similar size mostly fall to the label bound
+// before the banded DP, which still fills a cell for every pair of
+// small subtrees (leaves pair with leaves whatever tau is); a pair the
+// upper bound accepts skips the O(|F|·|G|) lower bounds and, on a warm
+// workspace, allocates nothing.
 func (e *Engine) filterPair(ws *workspace, f, g *PreparedTree, candLB, tau float64, filtered bool) joinOutcome {
 	if !filtered {
 		r := e.pairRunner(ws, f, g)
 		d := r.Run()
 		gst := r.Stats()
-		return joinOutcome{dist: d, subs: gst.Subproblems, rcells: gst.RowCells}
+		return joinOutcome{dist: d, subs: gst.Subproblems, rcells: gst.RowCells, kind: pairExact}
 	}
 	lb := bounds.Size(f.t, g.t)
 	if candLB > lb {
 		lb = candLB // index candidates carry their own lower bound
+	}
+	if lb >= tau {
+		return joinOutcome{dist: lb, kind: pairLowerPruned}
+	}
+	if p := bounds.LabelHistogramProfiled(f.profile(), g.profile()); p > lb {
+		lb = p
 	}
 	if lb >= tau {
 		return joinOutcome{dist: lb, kind: pairLowerPruned}
@@ -426,11 +482,13 @@ func (e *Engine) filterPair(ws *workspace, f, g *PreparedTree, candLB, tau float
 	gst := r.Stats()
 	return joinOutcome{dist: d, subs: gst.Subproblems, pruned: gst.PrunedSubproblems,
 		band: gst.BandSkippedCells, kroots: gst.PrunedKeyroots,
-		crows: gst.CompressedRows, rcells: gst.RowCells}
+		crows: gst.CompressedRows, rcells: gst.RowCells, kind: pairExact}
 }
 
 // evalPairs runs filterPair over the worker pool and aggregates the
-// outcomes deterministically.
+// outcomes deterministically. A worker that finds ctx cancelled leaves
+// its remaining pairs pending; the call then returns nil matches, the
+// stats of the evaluated pairs and ctx's error.
 //
 // Filtered joins seed the exact stage with the threshold: GTED runs with
 // cutoff tau threaded into its DP loops, so a pair whose distance
@@ -438,19 +496,25 @@ func (e *Engine) filterPair(ws *workspace, f, g *PreparedTree, candLB, tau float
 // The match set is provably unchanged — a pair with distance < tau
 // always completes exactly, and any pair the cutoff abandons could not
 // have matched.
-func (e *Engine) evalPairs(trees []*PreparedTree, pairs []ij, tau float64, filtered bool) ([]Match, JoinStats) {
+func (e *Engine) evalPairs(ctx context.Context, trees []*PreparedTree, pairs []ij, tau float64, filtered bool) ([]Match, JoinStats, error) {
 	outcomes := make([]joinOutcome, len(pairs))
 	e.parallel(len(pairs), func(ws *workspace, k int) {
+		if ctx.Err() != nil {
+			return
+		}
 		p := pairs[k]
 		outcomes[k] = e.filterPair(ws, trees[p.i], trees[p.j], p.lb, tau, filtered)
 	})
 
 	var ms []Match
-	st := JoinStats{Comparisons: len(pairs)}
+	var st JoinStats
 	for k, o := range outcomes {
 		if st.tally(o, tau, filtered) {
 			ms = append(ms, Match{I: pairs[k].i, J: pairs[k].j, Dist: o.dist})
 		}
 	}
-	return ms, st
+	if err := ctx.Err(); err != nil {
+		return nil, st, err
+	}
+	return ms, st, nil
 }

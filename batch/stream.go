@@ -3,7 +3,6 @@ package batch
 import (
 	"container/heap"
 	"context"
-	"fmt"
 	"math"
 	"sort"
 	"sync"
@@ -39,14 +38,7 @@ func (e *Engine) JoinStream(ctx context.Context, trees []*PreparedTree, tau floa
 		panic("batch: filtered JoinStream requires the unit cost model")
 	}
 	start := time.Now()
-	n := len(trees)
-	pairs := make([]ij, 0, n*(n-1)/2)
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			pairs = append(pairs, ij{i: i, j: j})
-		}
-	}
-	st, err := e.evalPairsStream(ctx, trees, pairs, tau, filtered, emit)
+	st, err := e.evalPairsStream(ctx, trees, allPairs(len(trees)), tau, filtered, emit)
 	st.Mode = IndexEnumerate
 	st.Elapsed = time.Since(start)
 	return st, err
@@ -60,18 +52,9 @@ func (e *Engine) JoinIndexedStream(ctx context.Context, trees []*PreparedTree, t
 	if !e.unit {
 		panic("batch: JoinIndexedStream requires the unit cost model")
 	}
-	mode := opts.Mode
-	if mode == IndexAuto {
-		if indexablePrunes(trees, tau) {
-			mode = IndexHistogram
-		} else {
-			mode = IndexEnumerate
-		}
-	}
+	mode := resolveMode(trees, tau, opts.Mode)
 	if mode == IndexEnumerate {
-		st, err := e.JoinStream(ctx, trees, tau, true, emit)
-		st.Mode = IndexEnumerate
-		return st, err
+		return e.JoinStream(ctx, trees, tau, true, emit)
 	}
 
 	start := time.Now()
@@ -92,24 +75,7 @@ func (e *Engine) JoinCandidatesStream(ctx context.Context, trees []*PreparedTree
 		panic("batch: JoinCandidatesStream requires the unit cost model")
 	}
 	start := time.Now()
-	pairs := make([]ij, len(cands))
-	for k, c := range cands {
-		i, j := c.I, c.J
-		if i > j {
-			i, j = j, i
-		}
-		if i < 0 || j >= len(trees) || i == j {
-			panic(fmt.Sprintf("batch: candidate pair (%d, %d) outside the %d-tree collection", c.I, c.J, len(trees)))
-		}
-		pairs[k] = ij{i: i, j: j, lb: c.LB}
-	}
-	sort.Slice(pairs, func(a, b int) bool {
-		if pairs[a].i != pairs[b].i {
-			return pairs[a].i < pairs[b].i
-		}
-		return pairs[a].j < pairs[b].j
-	})
-	st, err := e.evalPairsStream(ctx, trees, pairs, tau, true, emit)
+	st, err := e.evalPairsStream(ctx, trees, candidatePairs(trees, cands), tau, true, emit)
 	st.Mode = IndexEnumerate
 	st.Elapsed = time.Since(start)
 	return st, err
@@ -170,7 +136,6 @@ func (e *Engine) evalPairsStream(ctx context.Context, trees []*PreparedTree, pai
 
 	var st JoinStats
 	for so := range out {
-		st.Comparisons++
 		if st.tally(so.o, tau, filtered) {
 			p := pairs[so.k]
 			emit(Match{I: p.i, J: p.j, Dist: so.o.dist})

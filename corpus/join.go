@@ -1,6 +1,7 @@
 package corpus
 
 import (
+	"context"
 	"math"
 	"time"
 
@@ -37,91 +38,136 @@ type Match struct {
 // so a Replace landing mid-join cannot suppress candidates for trees
 // the snapshot still holds in their old form.
 func (c *Corpus) Join(e *batch.Engine, tau float64, opts batch.JoinOptions) ([]Match, batch.JoinStats) {
+	ms, st, _ := c.JoinContext(context.Background(), e, tau, opts)
+	return ms, st
+}
+
+// JoinContext is Join with cancellation: cancelling ctx stops the engine
+// work at the next pair boundary, and the call returns nil matches, the
+// stats of the pairs evaluated so far and ctx's error.
+func (c *Corpus) JoinContext(ctx context.Context, e *batch.Engine, tau float64, opts batch.JoinOptions) ([]Match, batch.JoinStats, error) {
 	c.checkEngine(e)
+	p := c.planJoin(e, tau, opts)
+	var (
+		ms  []batch.Match
+		st  batch.JoinStats
+		err error
+	)
+	switch {
+	case !e.UnitCost():
+		ms, st, err = e.JoinContext(ctx, p.ps, tau, false)
+	case !p.probed:
+		// No maintained index serves this mode: let the engine enumerate
+		// or build its own transient index over the positions.
+		ms, st, err = e.JoinIndexedContext(ctx, p.ps, tau, batch.JoinOptions{Mode: p.mode, Q: opts.Q})
+	default:
+		start := time.Now()
+		ms, st, err = e.JoinCandidatesContext(ctx, p.ps, p.cands, tau)
+		st.Mode = p.mode
+		st.IndexTime = p.probeTime
+		st.Elapsed = p.probeTime + time.Since(start)
+	}
+	if err != nil {
+		return nil, st, err
+	}
+	return c.toMatches(p.ids, ms), st, nil
+}
 
+// joinPlan is one join's snapshot: the stored IDs and prepared trees,
+// the resolved candidate generator and, when a maintained index serves
+// it, the candidates probed from that index.
+type joinPlan struct {
+	ids       []ID
+	ps        []*batch.PreparedTree
+	mode      batch.IndexMode
+	probed    bool
+	cands     []batch.CandidatePair
+	probeTime time.Duration
+}
+
+// planJoin snapshots the corpus for a join on e. Under a non-unit cost
+// model only the snapshot is taken (only unfiltered enumeration runs).
+func (c *Corpus) planJoin(e *batch.Engine, tau float64, opts batch.JoinOptions) joinPlan {
+	var p joinPlan
 	if !e.UnitCost() {
-		ids, ps := c.snapshotPrepared(e, nil)
-		ms, st := e.Join(ps, tau, false)
-		return c.toMatches(ids, ms), st
+		p.ids, p.ps = c.snapshotPrepared(e, nil)
+		return p
 	}
-
-	wantQ := opts.Q
-	if wantQ <= 0 {
-		wantQ = 2
-	}
-	auto := opts.Mode == batch.IndexAuto
 
 	// Mode resolution and index probing run inside the snapshot hook —
 	// same lock acquisition as the prepared trees — so the candidates
 	// describe exactly the trees being joined.
-	var (
-		mode      batch.IndexMode
-		probed    bool
-		cands     []batch.CandidatePair
-		probeTime time.Duration
-	)
-	ids, ps := c.snapshotPrepared(e, func(ids []ID, ps []*batch.PreparedTree) {
-		mode = opts.Mode
-		if auto {
-			mode = c.resolveAuto(ps, tau)
-		}
-		var probe func(q int, buf []index.Candidate) []index.Candidate
-		switch {
-		case mode == batch.IndexHistogram && c.hist != nil:
-			probe = func(q int, buf []index.Candidate) []index.Candidate {
-				return c.hist.CandidatesBelow(q, tau, buf)
-			}
-		// An auto-resolved pq-gram mode takes the maintained index at
-		// whatever base length it was built with (any (1, q) generator is
-		// complete); an explicit IndexPQGram request honors opts.Q.
-		case mode == batch.IndexPQGram && c.pq != nil && (auto || c.pq.Q() == wantQ):
-			probe = func(q int, buf []index.Candidate) []index.Candidate {
-				return c.pq.CandidatesBelow(q, tau, buf)
-			}
-		}
+	p.ids, p.ps = c.snapshotPrepared(e, func(ids []ID, ps []*batch.PreparedTree) {
+		p.mode = c.resolveMode(ps, tau, opts.Mode)
+		probe := c.maintainedProbe(p.mode, opts, tau)
 		if probe == nil {
 			return // no maintained index serves this mode
 		}
-		probed = true
+		p.probed = true
 		start := time.Now()
-		pos := make(map[int]int, len(ids))
-		for i, id := range ids {
-			pos[int(id)] = i
+		p.cands = probeRange(probe, ids, 0, len(ids))
+		p.probeTime = time.Since(start)
+	})
+	return p
+}
+
+// probeFunc returns the candidates of the stored tree with the given ID
+// from an index, reusing buf.
+type probeFunc func(id int, buf []index.Candidate) []index.Candidate
+
+// maintainedProbe returns the candidate probe of the maintained index
+// that serves mode, or nil when none does. An auto-resolved pq-gram mode
+// takes the maintained index at whatever base length it was built with
+// (any (1, q) generator is complete); an explicit IndexPQGram request
+// honors opts.Q (default 2). The caller holds the corpus lock.
+func (c *Corpus) maintainedProbe(mode batch.IndexMode, opts batch.JoinOptions, tau float64) probeFunc {
+	wantQ := opts.Q
+	if wantQ <= 0 {
+		wantQ = 2
+	}
+	switch {
+	case mode == batch.IndexHistogram && c.hist != nil:
+		return func(id int, buf []index.Candidate) []index.Candidate {
+			return c.hist.CandidatesBelow(id, tau, buf)
 		}
-		var buf []index.Candidate
-		for j, id := range ids {
-			buf = probe(int(id), buf)
-			for _, cd := range buf {
-				i, ok := pos[cd.ID]
-				if !ok {
-					continue // tombstoned posting of a deleted tree
-				}
+	case mode == batch.IndexPQGram && c.pq != nil && (opts.Mode == batch.IndexAuto || c.pq.Q() == wantQ):
+		return func(id int, buf []index.Candidate) []index.Candidate {
+			return c.pq.CandidatesBelow(id, tau, buf)
+		}
+	}
+	return nil
+}
+
+// probeRange probes a maintained index for the snapshot positions
+// [lo, hi) and translates the candidates to position pairs, skipping
+// tombstoned postings of deleted trees.
+func probeRange(probe probeFunc, ids []ID, lo, hi int) []batch.CandidatePair {
+	pos := make(map[int]int, len(ids))
+	for i, id := range ids {
+		pos[int(id)] = i
+	}
+	var cands []batch.CandidatePair
+	var buf []index.Candidate
+	for j := lo; j < hi; j++ {
+		buf = probe(int(ids[j]), buf)
+		for _, cd := range buf {
+			if i, ok := pos[cd.ID]; ok {
 				cands = append(cands, batch.CandidatePair{I: i, J: j, LB: cd.LB})
 			}
 		}
-		probeTime = time.Since(start)
-	})
-
-	if !probed {
-		// No maintained index serves this mode: let the engine enumerate
-		// or build its own transient index over the positions.
-		ms, st := e.JoinIndexed(ps, tau, batch.JoinOptions{Mode: mode, Q: opts.Q})
-		return c.toMatches(ids, ms), st
 	}
-
-	start := time.Now()
-	ms, st := e.JoinCandidates(ps, cands, tau)
-	st.Mode = mode
-	st.IndexTime = probeTime
-	st.Elapsed = probeTime + time.Since(start)
-	return c.toMatches(ids, ms), st
+	return cands
 }
 
-// resolveAuto picks the generator for IndexAuto: enumeration when tau is
-// too large for any signature to prune, otherwise the best maintained
-// index (histogram first — cheaper probes — then pq-gram), otherwise the
-// histogram default of batch.JoinIndexed.
-func (c *Corpus) resolveAuto(ps []*batch.PreparedTree, tau float64) batch.IndexMode {
+// resolveMode picks the generator IndexAuto stands for (any other mode
+// is returned as is): enumeration when tau is too large for any
+// signature to prune, otherwise the best maintained index (histogram
+// first — cheaper probes — then pq-gram), otherwise the histogram
+// default of batch.JoinIndexed.
+func (c *Corpus) resolveMode(ps []*batch.PreparedTree, tau float64, mode batch.IndexMode) batch.IndexMode {
+	if mode != batch.IndexAuto {
+		return mode
+	}
 	if math.IsInf(tau, 1) {
 		return batch.IndexEnumerate
 	}

@@ -34,22 +34,13 @@ func (c *Corpus) JoinRange(e *batch.Engine, tau float64, opts batch.JoinOptions,
 	if !e.UnitCost() {
 		panic("corpus: JoinRange requires the unit cost model")
 	}
-	wantQ := opts.Q
-	if wantQ <= 0 {
-		wantQ = 2
-	}
-	auto := opts.Mode == batch.IndexAuto
-
 	var (
 		mode      batch.IndexMode
 		cands     []batch.CandidatePair
 		probeTime time.Duration
 	)
 	ids, ps := c.snapshotPrepared(e, func(ids []ID, ps []*batch.PreparedTree) {
-		mode = opts.Mode
-		if auto {
-			mode = c.resolveAuto(ps, tau)
-		}
+		mode = c.resolveMode(ps, tau, opts.Mode)
 		rlo, rhi := lo, hi
 		if rlo < 0 {
 			rlo = 0
@@ -65,34 +56,10 @@ func (c *Corpus) JoinRange(e *batch.Engine, tau float64, opts batch.JoinOptions,
 		// Maintained-index probes run under the same lock as the
 		// snapshot, exactly as in Join; a worker over a Load'd snapshot
 		// has no concurrent mutations, but the discipline costs nothing.
-		var probe func(q int, buf []index.Candidate) []index.Candidate
-		switch {
-		case mode == batch.IndexHistogram && c.hist != nil:
-			probe = func(q int, buf []index.Candidate) []index.Candidate {
-				return c.hist.CandidatesBelow(q, tau, buf)
-			}
-		case mode == batch.IndexPQGram && c.pq != nil && (auto || c.pq.Q() == wantQ):
-			probe = func(q int, buf []index.Candidate) []index.Candidate {
-				return c.pq.CandidatesBelow(q, tau, buf)
-			}
-		}
+		probe := c.maintainedProbe(mode, opts, tau)
 		switch {
 		case probe != nil:
-			pos := make(map[int]int, len(ids))
-			for i, id := range ids {
-				pos[int(id)] = i
-			}
-			var buf []index.Candidate
-			for j := rlo; j < rhi; j++ {
-				buf = probe(int(ids[j]), buf)
-				for _, cd := range buf {
-					i, ok := pos[cd.ID]
-					if !ok {
-						continue // tombstoned posting of a deleted tree
-					}
-					cands = append(cands, batch.CandidatePair{I: i, J: j, LB: cd.LB})
-				}
-			}
+			cands = probeRange(probe, ids, rlo, rhi)
 		case mode == batch.IndexEnumerate:
 			for j := rlo; j < rhi; j++ {
 				for i := 0; i < j; i++ {
@@ -103,7 +70,11 @@ func (c *Corpus) JoinRange(e *batch.Engine, tau float64, opts batch.JoinOptions,
 			// The selected index is not maintained: build a throwaway one
 			// over the snapshot positions, as batch.JoinIndexed would, and
 			// probe only the range.
-			cands = throwawayCandidates(ps, tau, mode, wantQ, rlo, rhi)
+			q := opts.Q
+			if q <= 0 {
+				q = 2
+			}
+			cands = throwawayCandidates(ps, tau, mode, q, rlo, rhi)
 		}
 		probeTime = time.Since(start)
 	})

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"repro/batch"
-	"repro/index"
 )
 
 // JoinStream is the streaming Join: every match is passed to emit as
@@ -22,74 +21,18 @@ import (
 // actually evaluated.
 func (c *Corpus) JoinStream(ctx context.Context, e *batch.Engine, tau float64, opts batch.JoinOptions, emit func(Match)) (batch.JoinStats, error) {
 	c.checkEngine(e)
-
-	if !e.UnitCost() {
-		ids, ps := c.snapshotPrepared(e, nil)
-		return e.JoinStream(ctx, ps, tau, false, mapEmit(ids, emit))
+	p := c.planJoin(e, tau, opts)
+	switch {
+	case !e.UnitCost():
+		return e.JoinStream(ctx, p.ps, tau, false, mapEmit(p.ids, emit))
+	case !p.probed:
+		return e.JoinIndexedStream(ctx, p.ps, tau, batch.JoinOptions{Mode: p.mode, Q: opts.Q}, mapEmit(p.ids, emit))
 	}
-
-	wantQ := opts.Q
-	if wantQ <= 0 {
-		wantQ = 2
-	}
-	auto := opts.Mode == batch.IndexAuto
-
-	// Mode resolution and index probing run inside the snapshot hook —
-	// same lock acquisition as the prepared trees — exactly as in Join.
-	var (
-		mode      batch.IndexMode
-		probed    bool
-		cands     []batch.CandidatePair
-		probeTime time.Duration
-	)
-	ids, ps := c.snapshotPrepared(e, func(ids []ID, ps []*batch.PreparedTree) {
-		mode = opts.Mode
-		if auto {
-			mode = c.resolveAuto(ps, tau)
-		}
-		var probe func(q int, buf []index.Candidate) []index.Candidate
-		switch {
-		case mode == batch.IndexHistogram && c.hist != nil:
-			probe = func(q int, buf []index.Candidate) []index.Candidate {
-				return c.hist.CandidatesBelow(q, tau, buf)
-			}
-		case mode == batch.IndexPQGram && c.pq != nil && (auto || c.pq.Q() == wantQ):
-			probe = func(q int, buf []index.Candidate) []index.Candidate {
-				return c.pq.CandidatesBelow(q, tau, buf)
-			}
-		}
-		if probe == nil {
-			return
-		}
-		probed = true
-		start := time.Now()
-		pos := make(map[int]int, len(ids))
-		for i, id := range ids {
-			pos[int(id)] = i
-		}
-		var buf []index.Candidate
-		for j, id := range ids {
-			buf = probe(int(id), buf)
-			for _, cd := range buf {
-				i, ok := pos[cd.ID]
-				if !ok {
-					continue // tombstoned posting of a deleted tree
-				}
-				cands = append(cands, batch.CandidatePair{I: i, J: j, LB: cd.LB})
-			}
-		}
-		probeTime = time.Since(start)
-	})
-
-	if !probed {
-		return e.JoinIndexedStream(ctx, ps, tau, batch.JoinOptions{Mode: mode, Q: opts.Q}, mapEmit(ids, emit))
-	}
-
 	start := time.Now()
-	st, err := e.JoinCandidatesStream(ctx, ps, cands, tau, mapEmit(ids, emit))
-	st.Mode = mode
-	st.IndexTime = probeTime
-	st.Elapsed = probeTime + time.Since(start)
+	st, err := e.JoinCandidatesStream(ctx, p.ps, p.cands, tau, mapEmit(p.ids, emit))
+	st.Mode = p.mode
+	st.IndexTime = p.probeTime
+	st.Elapsed = p.probeTime + time.Since(start)
 	return st, err
 }
 

@@ -55,20 +55,11 @@ func LowerProfiled(a, b *Profile) float64 {
 	return lb
 }
 
-// LowerCheapProfiled is LowerProfiled without the string-edit bound: the
-// remaining bounds compare in O(|F|+|G|), so it is safe to evaluate on
-// every pair of a large batch before deciding whether the O(|F|·|G|)
-// string bound (or the exact algorithm) is worth running.
-func LowerCheapProfiled(a, b *Profile) float64 {
-	lb := Size(a.t, b.t)
-	if v := labelHistogramProfiled(a, b); v > lb {
-		lb = v
-	}
-	if v := binaryBranchProfiled(a, b); v > lb {
-		lb = v
-	}
-	return lb
-}
+// LabelHistogramProfiled returns LabelHistogram(a.Tree(), b.Tree()) from
+// the profiles: max(|F|, |G|) minus the label multisets' intersection,
+// never below the size bound. It costs one lookup per distinct label, so
+// it is the lower bound to try before anything that visits node pairs.
+func LabelHistogramProfiled(a, b *Profile) float64 { return labelHistogramProfiled(a, b) }
 
 // SubtreeLowerProfiled returns a lower bound on the unit-cost distance
 // from the query q to every subtree of d at once:

@@ -8,7 +8,6 @@ import (
 	"io"
 	"math"
 	"net/http"
-	"sort"
 	"strconv"
 	"strings"
 	"sync/atomic"
@@ -483,22 +482,13 @@ func (s *Server) handleJoin(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	} else {
-		// Collect over the ctx-carrying stream, so a client that hangs
-		// up stops the engine at the next pair boundary; there is then no
-		// one to answer and no complete stats to count.
+		// A client that hangs up stops the engine at the next pair
+		// boundary; there is then no one to answer and no complete stats
+		// to count.
 		var err error
-		st, err = s.c.JoinStream(r.Context(), s.e, req.Tau, batch.JoinOptions{Mode: mode, Q: req.Q}, func(m corpus.Match) {
-			ms = append(ms, m)
-		})
-		if err != nil {
+		if ms, st, err = s.c.JoinContext(r.Context(), s.e, req.Tau, batch.JoinOptions{Mode: mode, Q: req.Q}); err != nil {
 			return
 		}
-		sort.Slice(ms, func(a, b int) bool {
-			if ms[a].I != ms[b].I {
-				return ms[a].I < ms[b].I
-			}
-			return ms[a].J < ms[b].J
-		})
 	}
 	s.prunedSubs.Add(st.PrunedSubproblems)
 	s.bandCells.Add(st.BandSkippedCells)
