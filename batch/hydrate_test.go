@@ -8,6 +8,7 @@ import (
 	ted "repro"
 	"repro/batch"
 	"repro/gen"
+	"repro/internal/bounds"
 )
 
 // TestPrepareHydratedEquivalence: a PreparedTree hydrated from another
@@ -100,4 +101,41 @@ func TestHydrationWrongInternerPanics(t *testing.T) {
 		}
 	}()
 	e.PrepareHydrated(tr, batch.Hydration{In: foreign.Interner(), IDs: []int32{0, 1}})
+}
+
+// TestHydrationForeignProfilePanics: a bound profile of another tree —
+// even one of the same size — must be rejected like a foreign
+// decomposition, not installed to answer every bounded call wrongly.
+func TestHydrationForeignProfilePanics(t *testing.T) {
+	e := batch.New()
+	in := e.Interner()
+	ids := func(tr *ted.Tree) []int32 {
+		out := make([]int32, tr.Len())
+		for v := range out {
+			out[v] = int32(in.Intern(tr.Label(v)))
+		}
+		return out
+	}
+	tr := ted.MustParse("{a{b}{c}}")
+	own := e.PrepareHydrated(tr, batch.Hydration{In: in, IDs: ids(tr), Profile: bounds.NewProfile(tr, ids(tr))})
+	if d, ok := e.DistanceBounded(own, own, 0); !ok || d != 0 {
+		t.Fatalf("hydrated with its own profile: DistanceBounded = (%v, %v), want (0, true)", d, ok)
+	}
+	for name, src := range map[string]*ted.Tree{
+		"same size":  ted.MustParse("{x{y}{z}}"),
+		"other size": ted.MustParse("{a{b}}"),
+	} {
+		t.Run(name, func(t *testing.T) {
+			defer func() {
+				r := recover()
+				if r == nil {
+					t.Fatal("hydrating another tree's profile did not panic")
+				}
+				if msg, _ := r.(string); !strings.Contains(msg, "profile") {
+					t.Fatalf("panic does not name the profile: %v", r)
+				}
+			}()
+			e.PrepareHydrated(tr, batch.Hydration{In: in, IDs: ids(tr), Profile: bounds.NewProfile(src, ids(src))})
+		})
+	}
 }

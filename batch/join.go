@@ -429,7 +429,7 @@ func generate(trees []*PreparedTree, tau float64, mode IndexMode, opts JoinOptio
 // cheaper ones left the pair undecided:
 //
 //  1. the candidate's carried lower bound and the size bound, O(1);
-//  2. the label-histogram lower bound, one lookup per distinct label;
+//  2. the label-histogram lower bound, one merge of sorted label ids;
 //  3. the constrained distance banded by tau (bounds.ConstrainedBelow),
 //     which accepts the pair when it stays below tau;
 //  4. the remaining profiled lower bounds (binary branch, string edit),

@@ -77,8 +77,9 @@ type Hydration struct {
 	// Lfm is the mirror-coordinate leafmost array (gted.MirrorLeafmost
 	// output). Optional: nil recomputes.
 	Lfm []int32
-	// Profile is the lower-bound profile. Optional: nil falls back to
-	// the usual lazy build on first bounded use.
+	// Profile is the lower-bound profile (bounds.NewProfile over IDs).
+	// Optional: nil falls back to the usual lazy build on first bounded
+	// use. A profile of any other tree panics.
 	Profile *bounds.Profile
 }
 
@@ -126,6 +127,9 @@ func (e *Engine) PrepareHydrated(t *tree.Tree, h Hydration) *PreparedTree {
 			p.decomp = strategy.NewDecomp(t)
 		}
 	}
+	if pr := h.Profile; pr != nil && (pr.Tree() != t || pr.Len() != n) {
+		panic(fmt.Sprintf("batch: hydrated bound profile (%d nodes) does not describe the hydrated %d-node tree", pr.Len(), n))
+	}
 	p.prof = h.Profile
 	return p
 }
@@ -135,7 +139,11 @@ func (e *Engine) PrepareHydrated(t *tree.Tree, h Hydration) *PreparedTree {
 func (p *PreparedTree) profile() *bounds.Profile {
 	p.profOnce.Do(func() {
 		if p.prof == nil {
-			p.prof = bounds.NewProfile(p.t)
+			ids := make([]int32, len(p.costs.IDs))
+			for v, id := range p.costs.IDs {
+				ids[v] = int32(id)
+			}
+			p.prof = bounds.NewProfile(p.t, ids)
 		}
 	})
 	return p.prof

@@ -11,7 +11,9 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
+	"strings"
 
 	"repro/index"
 	"repro/internal/bounds"
@@ -35,13 +37,19 @@ import (
 //	  n × child count
 //	  n × mirror-leafmost    (artifacts)
 //	  3 × n × decomposition cardinality (A, FL, FR)
-//	  profile flag u8; if 1: label histogram pairs, branch histogram
-//	  entries                                                | [crc32]
+//	  profile flag u8; if 1: label histogram pairs of (label id,
+//	  count), branch histogram entries of (label, first child, next
+//	  sibling, count), each list in label-string order       | [crc32]
 //	per maintained index (histogram, then pq-gram; pq-gram leads with p, q):
 //	  key table: count, then per key: len, bytes
 //	  next id, entry count
 //	  per entry: id, size, profile length, pairs of (key id, count)
 //	                                                         | [crc32]
+//
+// The two profile histograms are redundant with the tree: Load rebuilds
+// the bound profile from the label ids and rejects a stream whose stored
+// histograms disagree with it, so a checksum-less (version 1) stream
+// cannot pair a tree with histograms that would prune its true matches.
 //
 // Version 2 adds the bit2 flag: when set, every section (label table,
 // tree store, each index) is followed by the IEEE CRC32 of its encoded
@@ -107,17 +115,13 @@ func (c *Corpus) saveLocked(w io.Writer, version byte) error {
 	for _, id := range ids {
 		en := c.entries[id]
 		if en.prof == nil {
-			en.prof = bounds.NewProfile(en.t)
+			en.prof = bounds.NewProfile(en.t, en.ids)
 		}
 		if en.decomp == nil {
 			en.decomp = strategy.NewDecomp(en.t)
 		}
 	}
 	table := c.in.Table()
-	labelID := make(map[string]uint64, len(table))
-	for i, l := range table {
-		labelID[l] = uint64(i)
-	}
 
 	e := &encoder{w: bufio.NewWriter(w), sums: version >= codecVersion}
 	e.raw([]byte(codecMagic))
@@ -165,20 +169,7 @@ func (c *Corpus) saveLocked(w io.Writer, version byte) error {
 			e.uv(uint64(a))
 		}
 		e.raw([]byte{1})
-		lcs := en.prof.LabelCounts()
-		e.uv(uint64(len(lcs)))
-		for _, lc := range lcs {
-			e.uv(labelID[lc.Label])
-			e.uv(uint64(lc.Count))
-		}
-		bcs := en.prof.BranchCounts()
-		e.uv(uint64(len(bcs)))
-		for _, bc := range bcs {
-			e.branchLabel(bc.Label, labelID)
-			e.branchLabel(bc.FirstChild, labelID)
-			e.branchLabel(bc.NextSibling, labelID)
-			e.uv(uint64(bc.Count))
-		}
+		e.profile(en.prof, table)
 	}
 	e.sectionEnd()
 	if c.hist != nil {
@@ -437,6 +428,10 @@ type encoder struct {
 	err  error
 	sums bool
 	crc  uint32 // running IEEE CRC32 of the current section
+
+	// Reused across trees: a profile's entries re-sorted into label order.
+	lcs []bounds.LabelCount
+	bcs []bounds.BranchCount
 }
 
 func (e *encoder) raw(b []byte) {
@@ -476,16 +471,44 @@ func (e *encoder) sectionEnd() {
 	e.crc = 0
 }
 
-// branchLabel encodes a branch-triple position: 0 for missing, label
-// id + 1 otherwise.
-func (e *encoder) branchLabel(l string, labelID map[string]uint64) {
-	if l == "" {
-		// A genuinely empty label and a missing position collapse to the
-		// same branch key either way, so 0 is faithful for both.
-		e.uv(0)
-		return
+// profile writes a profile's two histograms. Entries go out in
+// label-string order — the order the format has always stored them in —
+// not in the profile's id order; branch positions are 0 for
+// bounds.NoLabel (a missing position or the empty label, which the
+// branch histogram does not tell apart) and label id + 1 otherwise.
+func (e *encoder) profile(p *bounds.Profile, table []string) {
+	name := func(id int32) string {
+		if id == bounds.NoLabel {
+			return ""
+		}
+		return table[id]
 	}
-	e.uv(labelID[l] + 1)
+	e.lcs = append(e.lcs[:0], p.LabelCounts()...)
+	slices.SortFunc(e.lcs, func(a, b bounds.LabelCount) int {
+		return strings.Compare(table[a.ID], table[b.ID])
+	})
+	e.uv(uint64(len(e.lcs)))
+	for _, lc := range e.lcs {
+		e.uv(uint64(lc.ID))
+		e.uv(uint64(lc.Count))
+	}
+	e.bcs = append(e.bcs[:0], p.BranchCounts()...)
+	slices.SortFunc(e.bcs, func(a, b bounds.BranchCount) int {
+		if c := strings.Compare(name(a.Label), name(b.Label)); c != 0 {
+			return c
+		}
+		if c := strings.Compare(name(a.FirstChild), name(b.FirstChild)); c != 0 {
+			return c
+		}
+		return strings.Compare(name(a.NextSibling), name(b.NextSibling))
+	})
+	e.uv(uint64(len(e.bcs)))
+	for _, bc := range e.bcs {
+		e.uv(uint64(bc.Label + 1))
+		e.uv(uint64(bc.FirstChild + 1))
+		e.uv(uint64(bc.NextSibling + 1))
+		e.uv(uint64(bc.Count))
+	}
 }
 
 func (e *encoder) snapshot(s *index.Snapshot) {
@@ -511,6 +534,10 @@ func (e *encoder) snapshot(s *index.Snapshot) {
 type decoder struct {
 	r   *crcReader
 	err error
+
+	// Reused across trees: the stored histograms of the current profile.
+	lcs []bounds.LabelCount
+	bcs []bounds.BranchCount
 }
 
 // crcReader wraps the buffered input so every byte the decoder consumes
@@ -705,7 +732,7 @@ func (d *decoder) entry(table []string) (*entry, error) {
 	case 0:
 	case 1:
 		nl := d.count(uint64(n), "profile label entries")
-		lcs := make([]bounds.LabelCount, 0, capHint(nl))
+		d.lcs = d.lcs[:0]
 		for i := uint64(0); i < nl; i++ {
 			lid := d.idx(uint64(len(table)), "profile label id")
 			cnt := d.count(uint64(n), "profile label count")
@@ -715,21 +742,15 @@ func (d *decoder) entry(table []string) (*entry, error) {
 			if cnt == 0 {
 				return nil, fmt.Errorf("%w: zero profile label count", errCorrupt)
 			}
-			lcs = append(lcs, bounds.LabelCount{Label: table[lid], Count: int(cnt)})
+			d.lcs = append(d.lcs, bounds.LabelCount{ID: int32(lid), Count: int32(cnt)})
 		}
 		nb := d.count(uint64(n), "profile branch entries")
-		bcs := make([]bounds.BranchCount, 0, capHint(nb))
+		d.bcs = d.bcs[:0]
 		for i := uint64(0); i < nb; i++ {
-			var bc bounds.BranchCount
-			var err error
-			if bc.Label, err = d.branchLabel(table); err != nil {
-				return nil, err
-			}
-			if bc.FirstChild, err = d.branchLabel(table); err != nil {
-				return nil, err
-			}
-			if bc.NextSibling, err = d.branchLabel(table); err != nil {
-				return nil, err
+			bc := bounds.BranchCount{
+				Label:       d.branchLabel(table),
+				FirstChild:  d.branchLabel(table),
+				NextSibling: d.branchLabel(table),
 			}
 			cnt := d.count(uint64(n), "profile branch count")
 			if d.err != nil {
@@ -738,25 +759,29 @@ func (d *decoder) entry(table []string) (*entry, error) {
 			if cnt == 0 {
 				return nil, fmt.Errorf("%w: zero profile branch count", errCorrupt)
 			}
-			bc.Count = int(cnt)
-			bcs = append(bcs, bc)
+			bc.Count = int32(cnt)
+			d.bcs = append(d.bcs, bc)
 		}
-		en.prof = bounds.RestoreProfile(t, lcs, bcs)
+		prof, err := bounds.RestoreProfile(t, ids, d.lcs, d.bcs)
+		if err != nil {
+			return nil, fmt.Errorf("%w: %v", errCorrupt, err)
+		}
+		en.prof = prof
 	default:
 		return nil, fmt.Errorf("%w: profile flag %d", errCorrupt, hasProf[0])
 	}
 	return en, nil
 }
 
-func (d *decoder) branchLabel(table []string) (string, error) {
+// branchLabel decodes a branch-triple position: 0 for a missing
+// position, label id + 1 otherwise. The empty label reads as
+// bounds.NoLabel, as the encoder writes it.
+func (d *decoder) branchLabel(table []string) int32 {
 	v := d.count(uint64(len(table)), "branch label id")
-	if d.err != nil {
-		return "", d.fail("branch label")
+	if d.err != nil || v == 0 || table[v-1] == "" {
+		return bounds.NoLabel
 	}
-	if v == 0 {
-		return "", nil
-	}
-	return table[v-1], nil
+	return int32(v - 1)
 }
 
 func (d *decoder) indexSnapshot() (*index.Snapshot, error) {

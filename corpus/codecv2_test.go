@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/hex"
 	"math"
+	"strings"
 	"testing"
 
 	ted "repro"
@@ -90,6 +91,69 @@ func TestCodecV1EncoderAgreesWithGolden(t *testing.T) {
 	}
 	if got := hex.EncodeToString(buf.Bytes()); got != v1GoldenHex {
 		t.Fatalf("v1 encoder output drifted from the golden stream:\n got %s\nwant %s", got, v1GoldenHex)
+	}
+}
+
+// v1OneTreeHex is the version-1 stream of a one-tree corpus, {a{b}{c}}
+// with labels interned b, c, a and no index. It ends in the tree's
+// profile: flag 01, three label pairs (id, count) in label order a, b, c
+// — 03 0201 0001 0101 — and three branch entries (label, first child,
+// next sibling as id + 1, 0 for none; count) — 03 03010001 01000201
+// 02000001.
+const v1OneTreeHex = "5445444301000301620163016101010003000102000002000100010104010104010104010302010001010103030100010100020102000001"
+
+// v1ProfileMismatchStreams returns v1OneTreeHex with the stored profile
+// tampered so that it no longer describes the tree. Version 1 carries no
+// checksums, so only the decoder's check of the histograms against the
+// tree stands between these streams and wrong bounds.
+func v1ProfileMismatchStreams(tb testing.TB) map[string][]byte {
+	tb.Helper()
+	const labels, branches = "03020100010101", "03030100010100020102000001"
+	head, ok := strings.CutSuffix(v1OneTreeHex, "01"+labels+branches)
+	if !ok {
+		tb.Fatalf("v1OneTreeHex does not end in the documented profile")
+	}
+	out := make(map[string][]byte)
+	for name, profile := range map[string]string{
+		// {a:2, b:1}: the histogram of {a{b}{a}}, which prices the tree's
+		// exact copy one rename away.
+		"label histogram": "02" + "0202" + "0001" + branches,
+		// b's next sibling a instead of c.
+		"branch histogram": labels + "03" + "03010001" + "01000301" + "02000001",
+	} {
+		raw, err := hex.DecodeString(head + "01" + profile)
+		if err != nil {
+			tb.Fatalf("%s: bad hex: %v", name, err)
+		}
+		out[name] = raw
+	}
+	return out
+}
+
+// TestCodecV1RejectsProfileMismatch: a stored profile must describe its
+// tree. The untampered stream loads and matches its own tree at distance
+// 0; each tampered stream fails Load as corrupt instead of loading a
+// tree whose bounds would prune that match.
+func TestCodecV1RejectsProfileMismatch(t *testing.T) {
+	raw, err := hex.DecodeString(v1OneTreeHex)
+	if err != nil {
+		t.Fatalf("bad fixture hex: %v", err)
+	}
+	c, err := corpus.Load(bytes.NewReader(raw))
+	if err != nil {
+		t.Fatalf("untampered stream: %v", err)
+	}
+	e := c.Engine()
+	q := c.PrepareQuery(e, ted.MustParse("{a{b}{c}}"))
+	stored, _ := c.Prepared(e, 0)
+	if d, ok := e.DistanceBounded(q, stored, 0); !ok || d != 0 {
+		t.Fatalf("untampered stream: DistanceBounded = (%v, %v), want (0, true)", d, ok)
+	}
+	for name, bad := range v1ProfileMismatchStreams(t) {
+		_, err := corpus.Load(bytes.NewReader(bad))
+		if err == nil || !strings.Contains(err.Error(), "corrupt") || !strings.Contains(err.Error(), name) {
+			t.Errorf("%s tampered: Load error %v, want a corrupt-stream error naming the %s", name, err, name)
+		}
 	}
 }
 

@@ -393,7 +393,9 @@ func (c *Corpus) Warm(e *batch.Engine) {
 	defer c.mu.Unlock()
 	for _, en := range c.entries {
 		if en.prof == nil {
-			en.prof = bounds.NewProfile(en.t)
+			// Built from the stored ids, which the profile keeps as its
+			// postorder sequence instead of a copy.
+			en.prof = bounds.NewProfile(en.t, en.ids)
 			en.prep, en.prepEng = nil, nil // rehydrate with the profile attached
 		}
 		c.prepared(e, en)

@@ -33,6 +33,9 @@ func FuzzCorpusDecode(f *testing.F) {
 	f.Add(seed())
 	f.Add(seed(corpus.WithHistogramIndex()))
 	f.Add(seed(corpus.WithHistogramIndex(), corpus.WithPQGramIndex(2)))
+	for _, bad := range v1ProfileMismatchStreams(f) {
+		f.Add(bad)
+	}
 	f.Add([]byte("TEDC"))
 	f.Add([]byte{})
 

@@ -130,24 +130,15 @@ func (ix *Histogram) CandidatesBelow(q int, tau float64, dst []Candidate) []Cand
 	}
 	sc := getScratch()
 	defer sc.release()
-	nq32, _, ok := ix.iv.accumulate(q, sc)
+	nq32, ok := ix.iv.accumulate(q, sc, func(t int32, qm, tm *treeMeta) {
+		if lb := float64(max(qm.size, tm.size) - sc.common[t]); lb < tau {
+			dst = append(dst, Candidate{ID: int(t), LB: lb, Score: lb})
+		}
+	})
 	if !ok {
 		return dst
 	}
 	nq := int(nq32)
-	for _, t := range sc.touched {
-		nt, _, alive := ix.iv.meta(t)
-		if !alive {
-			continue
-		}
-		m := nq
-		if int(nt) > m {
-			m = int(nt)
-		}
-		if lb := float64(m - int(sc.common[t])); lb < tau {
-			dst = append(dst, Candidate{ID: int(t), LB: lb, Score: lb})
-		}
-	}
 	// Zero-overlap pairs have lower bound max(|F|, |G|); they are
 	// candidates only when both trees are smaller than tau.
 	if float64(nq) < tau {

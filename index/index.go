@@ -277,14 +277,17 @@ func (sc *probeScratch) release() {
 
 // accumulate merges the posting lists of q's profile keys, summing the
 // multiset intersection size into sc.common[t] for every live tree t < q
-// that shares at least one key with q. It returns q's metadata (size,
-// profLen) and whether q is alive. The tree table's read lock is held
-// across the merge so generation checks see a consistent view.
-func (iv *inverted) accumulate(q int, sc *probeScratch) (qsize int32, qprofLen int32, ok bool) {
+// that shares at least one key with q, then calls visit(t, qm, tm) for
+// each such t with the metadata of q and of t. It returns q's size and
+// whether q is alive. The tree table's read lock is held across the
+// merge and the visits, so generation checks and the bounds a visit
+// computes see one consistent view, and a probe takes the lock once
+// rather than once per touched tree.
+func (iv *inverted) accumulate(q int, sc *probeScratch, visit func(t int32, qm, tm *treeMeta)) (qsize int32, ok bool) {
 	iv.mu.RLock()
 	defer iv.mu.RUnlock()
 	if q < 0 || q >= len(iv.trees) || !iv.trees[q].alive {
-		return 0, 0, false
+		return 0, false
 	}
 	// The table cannot grow while the read lock is held, so sizing the
 	// accumulator here makes every common[t] with t < q in bounds — both
@@ -316,7 +319,10 @@ func (iv *inverted) accumulate(q int, sc *probeScratch) (qsize int32, qprofLen i
 		}
 		s.mu.RUnlock()
 	}
-	return qm.size, qm.profLen, true
+	for _, t := range sc.touched {
+		visit(t, qm, &iv.trees[t])
+	}
+	return qm.size, true
 }
 
 // meta returns (size, profLen, alive) for one id under the read lock.

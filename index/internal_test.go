@@ -66,12 +66,9 @@ func TestTombstoneAndCompaction(t *testing.T) {
 	count := func(q int) map[int32]int32 {
 		sc := getScratch()
 		defer sc.release()
-		if _, _, ok := iv.accumulate(q, sc); !ok {
-			return nil
-		}
 		out := map[int32]int32{}
-		for _, tr := range sc.touched {
-			out[tr] = sc.common[tr]
+		if _, ok := iv.accumulate(q, sc, func(tr int32, _, _ *treeMeta) { out[tr] = sc.common[tr] }); !ok {
+			return nil
 		}
 		return out
 	}

@@ -154,21 +154,13 @@ func (ix *PQGram) CandidatesBelow(q int, tau float64, dst []Candidate) []Candida
 	}
 	sc := getScratch()
 	defer sc.release()
-	nq32, qProfLen, ok := ix.iv.accumulate(q, sc)
-	if !ok {
-		return dst
-	}
-	nq := int(nq32)
 	// A candidate survives iff its integer ops lower bound admits some
 	// k ≤ maxOps, i.e. lb ≤ maxOps ⟺ lb < tau for integer lb ≥ 0.
 	maxOps := maxOpsBelow(tau)
 	counting := ix.p == 1 // the count bound is a theorem only for p = 1
-	for _, t := range sc.touched {
-		nt, tProfLen, alive := ix.iv.meta(t)
-		if !alive {
-			continue
-		}
-		lb := nq - int(nt)
+	nq32, ok := ix.iv.accumulate(q, sc, func(t int32, qm, tm *treeMeta) {
+		nq, nt := int(qm.size), int(tm.size)
+		lb := nq - nt
 		if lb < 0 {
 			lb = -lb
 		}
@@ -176,19 +168,19 @@ func (ix *PQGram) CandidatesBelow(q int, tau float64, dst []Candidate) []Candida
 			// Count filter: within k unit edits the pair shares at least
 			// max(|F|,|G|) − 2k gram instances, so the overlap deficit
 			// prices a minimum number of operations.
-			mx := nq
-			if int(nt) > mx {
-				mx = int(nt)
-			}
-			if gap := mx - int(sc.common[t]); gap > 0 && (gap+1)/2 > lb {
+			if gap := max(nq, nt) - int(sc.common[t]); gap > 0 && (gap+1)/2 > lb {
 				lb = (gap + 1) / 2
 			}
 		}
 		if lb <= maxOps {
-			score := 1 - 2*float64(sc.common[t])/float64(qProfLen+tProfLen)
+			score := 1 - 2*float64(sc.common[t])/float64(qm.profLen+tm.profLen)
 			dst = append(dst, Candidate{ID: int(t), LB: float64(lb), Score: score})
 		}
+	})
+	if !ok {
+		return dst
 	}
+	nq := int(nq32)
 	// Zero-overlap fringe: with p = 1, k < tau edits can only erase every
 	// shared gram when both trees have ≤ 2k nodes. The doubling must
 	// saturate: maxOpsBelow caps at MaxInt32, which 2× overflows where

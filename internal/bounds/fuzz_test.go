@@ -1,0 +1,43 @@
+package bounds
+
+import (
+	"testing"
+
+	"repro/internal/cost"
+	"repro/internal/tree"
+)
+
+// FuzzProfiledBounds fuzzes the interned-id profiles against the
+// string-keyed bounds they replace. Two bracket trees are profiled
+// through one interner — g's labels interned first when gFirst, so ids
+// and string order disagree in different ways — and every profiled
+// bound must equal its string-keyed counterpart in both orientations,
+// while SubtreeLowerProfiled stays at or below the Zhang–Shasha distance
+// from the query to every subtree of the data tree.
+//
+// Run continuously with: go test -fuzz=FuzzProfiledBounds ./internal/bounds
+func FuzzProfiledBounds(f *testing.F) {
+	f.Add("{a{b}{c}}", "{a{b{d}}}", false)
+	f.Add("{x{y{z}}}", "{p{q}{r}}", true)
+	f.Add("{{}{a}}", "{a{}{}}", false)
+	f.Add("{r{a{b}{c}}{d}}", "{r{d}{a{c}{b}}}", true)
+	f.Add("{x{x}{x}{x}{x}}", "{x{x{x{x{x}}}}}", false)
+
+	f.Fuzz(func(t *testing.T, fs, gs string, gFirst bool) {
+		ft, err := tree.ParseBracket(fs)
+		if err != nil || ft.Len() > 40 {
+			t.Skip()
+		}
+		gt, err := tree.ParseBracket(gs)
+		if err != nil || gt.Len() > 40 {
+			t.Skip()
+		}
+		in := cost.NewInterner()
+		if gFirst {
+			for v := gt.Len() - 1; v >= 0; v-- {
+				in.Intern(gt.Label(v))
+			}
+		}
+		checkProfiledBounds(t, ft, gt, in)
+	})
+}

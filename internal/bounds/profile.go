@@ -1,6 +1,32 @@
 package bounds
 
-import "repro/internal/tree"
+import (
+	"cmp"
+	"fmt"
+	"slices"
+
+	"repro/internal/tree"
+)
+
+// NoLabel fills a binary-branch position that has no node — a leaf's
+// first child, a last child's next sibling. A node with the empty label
+// reads as NoLabel too: the string-keyed BinaryBranch spells a missing
+// position as "", so the two collapse there and must collapse here.
+const NoLabel int32 = -1
+
+// LabelCount is one entry of a profile's label histogram: an interned
+// label id and the number of nodes that carry it.
+type LabelCount struct {
+	ID, Count int32
+}
+
+// BranchCount is one entry of a profile's binary-branch histogram: the
+// label ids of a node, of its first child and of its next sibling in the
+// first-child/next-sibling binary transform (NoLabel where there is no
+// such node), with the number of nodes that share the triple.
+type BranchCount struct {
+	Label, FirstChild, NextSibling, Count int32
+}
 
 // Profile caches the per-tree inputs of every lower bound in this
 // package: the label multiset, the binary-branch histogram, and the
@@ -9,34 +35,116 @@ import "repro/internal/tree"
 // then compare" into a pure comparison — the saving that makes
 // bound-based pre-filtering worthwhile in batch joins, where every tree
 // participates in many pairs.
+//
+// Everything is keyed by label ids from one interner (cost.Interner):
+// sorted (id, count) label pairs, sorted branch entries and int32
+// serializations, so each bound is a merge of sorted ints or an int DP.
+// The interner maps labels to ids one to one, which makes every profiled
+// bound bit-identical to its string-based counterpart — provided both
+// profiles took their ids from the same interner. The batch engine's
+// binding check (one interner per engine or corpus) guarantees that.
 type Profile struct {
 	t        *tree.Tree
-	labels   map[string]int
-	branches map[branch]int
-	pre      []string // preorder label sequence
-	post     []string // postorder label sequence
+	labels   []LabelCount  // ascending ID
+	branches []BranchCount // ascending (Label, FirstChild, NextSibling)
+	pre      []int32       // label ids in preorder
+	post     []int32       // label ids in postorder: the ids NewProfile was given
 }
 
-// NewProfile precomputes the bound inputs for t in O(|t|) time.
-func NewProfile(t *tree.Tree) *Profile {
+// NewProfile precomputes the bound inputs of t in O(|t| log |t|) time
+// from ids, the interned label id of every node in postorder. The
+// profile keeps ids as its postorder sequence rather than copying it —
+// a corpus passes the ids it stores per tree anyway — so the caller must
+// not modify them afterwards.
+func NewProfile(t *tree.Tree, ids []int32) *Profile {
 	n := t.Len()
-	p := &Profile{
-		t:        t,
-		labels:   make(map[string]int, n),
-		branches: binaryBranches(t),
-		pre:      make([]string, n),
-		post:     make([]string, n),
+	if len(ids) != n {
+		panic(fmt.Sprintf("bounds: %d label ids for a %d-node tree", len(ids), n))
 	}
-	for i := 0; i < n; i++ {
-		p.labels[t.Label(i)]++
-		p.post[i] = t.Label(i)
-		p.pre[i] = t.Label(t.ByPre(i))
+	p := &Profile{t: t, pre: make([]int32, n), post: ids}
+	for i := range p.pre {
+		p.pre[i] = ids[t.ByPre(i)]
 	}
+	p.labels = labelCounts(p.pre)
+	p.branches = branchCounts(t, ids)
 	return p
+}
+
+// labelCounts returns the (id, count) run lengths of ids, sorted by id,
+// in a slice of exactly the distinct-label count.
+func labelCounts(ids []int32) []LabelCount {
+	s := slices.Clone(ids)
+	slices.Sort(s)
+	distinct := 0
+	for i := range s {
+		if i == 0 || s[i] != s[i-1] {
+			distinct++
+		}
+	}
+	out := make([]LabelCount, 0, distinct)
+	for i := 0; i < len(s); {
+		j := i + 1
+		for j < len(s) && s[j] == s[i] {
+			j++
+		}
+		out = append(out, LabelCount{ID: s[i], Count: int32(j - i)})
+		i = j
+	}
+	return out
+}
+
+// branchCounts returns the binary-branch histogram of t, sorted, in a
+// slice of exactly the distinct-branch count.
+func branchCounts(t *tree.Tree, ids []int32) []BranchCount {
+	at := func(v int) int32 {
+		if t.Label(v) == "" {
+			return NoLabel
+		}
+		return ids[v]
+	}
+	n := t.Len()
+	all := make([]BranchCount, n)
+	// Postorder puts every child before its parent, so a node's entry
+	// exists by the time its parent fills in the next-sibling links.
+	for v := 0; v < n; v++ {
+		all[v] = BranchCount{Label: at(v), FirstChild: NoLabel, NextSibling: NoLabel, Count: 1}
+		kids := t.Children(v)
+		if len(kids) > 0 {
+			all[v].FirstChild = at(kids[0])
+		}
+		for i := 0; i+1 < len(kids); i++ {
+			all[kids[i]].NextSibling = at(kids[i+1])
+		}
+	}
+	slices.SortFunc(all, compareBranch)
+	w := 0
+	for _, b := range all {
+		if w > 0 && compareBranch(all[w-1], b) == 0 {
+			all[w-1].Count += b.Count
+			continue
+		}
+		all[w] = b
+		w++
+	}
+	return slices.Clone(all[:w])
+}
+
+// compareBranch orders branch entries by (Label, FirstChild, NextSibling).
+func compareBranch(a, b BranchCount) int {
+	if c := cmp.Compare(a.Label, b.Label); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(a.FirstChild, b.FirstChild); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.NextSibling, b.NextSibling)
 }
 
 // Tree returns the profiled tree.
 func (p *Profile) Tree() *tree.Tree { return p.t }
+
+// Len returns the number of nodes the profile describes.
+func (p *Profile) Len() int { return len(p.post) }
 
 // LowerProfiled returns exactly Lower(a.Tree(), b.Tree()) — the best of
 // the size, label-histogram, binary-branch and string-edit lower bounds —
@@ -57,8 +165,9 @@ func LowerProfiled(a, b *Profile) float64 {
 
 // LabelHistogramProfiled returns LabelHistogram(a.Tree(), b.Tree()) from
 // the profiles: max(|F|, |G|) minus the label multisets' intersection,
-// never below the size bound. It costs one lookup per distinct label, so
-// it is the lower bound to try before anything that visits node pairs.
+// never below the size bound. It is one merge of the two sorted label
+// histograms and allocates nothing, so it is the lower bound to try
+// before anything that visits node pairs.
 func LabelHistogramProfiled(a, b *Profile) float64 { return labelHistogramProfiled(a, b) }
 
 // SubtreeLowerProfiled returns a lower bound on the unit-cost distance
@@ -67,64 +176,70 @@ func LabelHistogramProfiled(a, b *Profile) float64 { return labelHistogramProfil
 // labels are a sub-multiset of d's, so at most that many query nodes
 // can map to a subtree node without a rename; every other query node
 // costs at least one edit. The bound is never below |Q| − |d|, the
-// size bound of the largest subtree.
+// size bound of the largest subtree. It allocates nothing.
 func SubtreeLowerProfiled(q, d *Profile) float64 {
-	return float64(q.t.Len() - commonLabels(q, d))
+	return float64(q.Len() - commonLabels(q, d))
 }
 
 func labelHistogramProfiled(a, b *Profile) float64 {
-	m := a.t.Len()
-	if b.t.Len() > m {
-		m = b.t.Len()
-	}
-	return float64(m - commonLabels(a, b))
+	return float64(max(a.Len(), b.Len()) - commonLabels(a, b))
 }
 
-// commonLabels returns the size of the label multiset intersection.
+// commonLabels returns the size of the label multiset intersection, by
+// merging the two id-sorted histograms.
 func commonLabels(a, b *Profile) int {
-	// Iterate the smaller histogram; the intersection is symmetric.
-	ha, hb := a.labels, b.labels
-	if len(hb) < len(ha) {
-		ha, hb = hb, ha
-	}
+	x, y := a.labels, b.labels
 	common := 0
-	for l, ca := range ha {
-		if cb := hb[l]; cb < ca {
-			common += cb
-		} else {
-			common += ca
+	for i, j := 0, 0; i < len(x) && j < len(y); {
+		switch {
+		case x[i].ID < y[j].ID:
+			i++
+		case x[i].ID > y[j].ID:
+			j++
+		default:
+			common += int(min(x[i].Count, y[j].Count))
+			i++
+			j++
 		}
 	}
 	return common
 }
 
+// binaryBranchProfiled returns BinaryBranch(a.Tree(), b.Tree()): the L1
+// distance of the sorted branch histograms, merged, divided by 5.
 func binaryBranchProfiled(a, b *Profile) float64 {
-	ha, hb := a.branches, b.branches
+	x, y := a.branches, b.branches
 	l1 := 0
-	for k, ca := range ha {
-		if cb := hb[k]; cb < ca {
-			l1 += ca - cb
+	i, j := 0, 0
+	for i < len(x) && j < len(y) {
+		switch c := compareBranch(x[i], y[j]); {
+		case c < 0:
+			l1 += int(x[i].Count)
+			i++
+		case c > 0:
+			l1 += int(y[j].Count)
+			j++
+		default:
+			if d := int(x[i].Count - y[j].Count); d > 0 {
+				l1 += d
+			} else {
+				l1 -= d
+			}
+			i++
+			j++
 		}
 	}
-	for k, cb := range hb {
-		if ca := ha[k]; ca < cb {
-			l1 += cb - ca
-		}
+	for ; i < len(x); i++ {
+		l1 += int(x[i].Count)
+	}
+	for ; j < len(y); j++ {
+		l1 += int(y[j].Count)
 	}
 	return float64(l1) / 5
 }
 
+// stringEditProfiled returns StringEdit(a.Tree(), b.Tree()) from the
+// id serializations.
 func stringEditProfiled(a, b *Profile) float64 {
-	post := stringEditDistance(
-		func(i int) string { return a.post[i] }, len(a.post),
-		func(j int) string { return b.post[j] }, len(b.post),
-	)
-	pre := stringEditDistance(
-		func(i int) string { return a.pre[i] }, len(a.pre),
-		func(j int) string { return b.pre[j] }, len(b.pre),
-	)
-	if pre > post {
-		return float64(pre)
-	}
-	return float64(post)
+	return float64(max(editDistance(a.pre, b.pre), editDistance(a.post, b.post)))
 }

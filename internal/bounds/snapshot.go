@@ -1,91 +1,42 @@
 package bounds
 
 import (
-	"sort"
+	"cmp"
+	"errors"
+	"slices"
 
 	"repro/internal/tree"
 )
 
-// This file is the serialization face of Profile: a Profile is pure
-// per-tree precomputation, so a persisted corpus stores its histograms
-// and rebuilds the rest from the tree, instead of re-hashing every label
-// on every restart. The two histogram snapshots are sorted so that
-// encoding a profile is deterministic.
+// This file is the serialization face of Profile. A persisted corpus
+// stores each tree's two histograms next to the tree; on load they are
+// rebuilt from the tree's label ids and the stored ones are checked
+// against them instead of trusted, so a stream that pairs a tree with
+// histograms that do not describe it fails to load rather than yielding
+// wrong bounds (an inflated histogram can prune a pair that matches).
 
-// LabelCount is one entry of the label-multiset histogram.
-type LabelCount struct {
-	Label string
-	Count int
-}
-
-// BranchCount is one entry of the binary-branch histogram: the triple of
-// the Yang et al. binary-branch transform with its multiplicity. Missing
-// first-child/next-sibling positions are the empty string.
-type BranchCount struct {
-	Label, FirstChild, NextSibling string
-	Count                          int
-}
-
-// LabelCounts returns the profile's label histogram, sorted by label.
-func (p *Profile) LabelCounts() []LabelCount {
-	out := make([]LabelCount, 0, len(p.labels))
-	for l, c := range p.labels {
-		out = append(out, LabelCount{Label: l, Count: c})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Label < out[j].Label })
-	return out
-}
+// LabelCounts returns the profile's label histogram, sorted by label id.
+// The slice is the profile's own; callers must not modify it.
+func (p *Profile) LabelCounts() []LabelCount { return p.labels }
 
 // BranchCounts returns the profile's binary-branch histogram, sorted by
-// (label, first child, next sibling).
-func (p *Profile) BranchCounts() []BranchCount {
-	out := make([]BranchCount, 0, len(p.branches))
-	for b, c := range p.branches {
-		out = append(out, BranchCount{
-			Label:       b.label,
-			FirstChild:  b.firstChild,
-			NextSibling: b.nextSibling,
-			Count:       c,
-		})
-	}
-	sort.Slice(out, func(i, j int) bool {
-		a, b := out[i], out[j]
-		if a.Label != b.Label {
-			return a.Label < b.Label
-		}
-		if a.FirstChild != b.FirstChild {
-			return a.FirstChild < b.FirstChild
-		}
-		return a.NextSibling < b.NextSibling
-	})
-	return out
-}
+// (label, first child, next sibling) id. The slice is the profile's own;
+// callers must not modify it.
+func (p *Profile) BranchCounts() []BranchCount { return p.branches }
 
-// RestoreProfile rebuilds a Profile for t from persisted histograms. The
-// label serializations are re-derived from the tree (pointer copies, no
-// hashing); the two histograms are installed from their snapshots with
-// one map insert per distinct entry — O(distinct) hash work instead of
-// the O(n) of NewProfile. The caller vouches that the snapshots belong
-// to t; mismatched histograms yield wrong (but crash-free) bounds, the
-// same trust model as any other persisted artifact.
-func RestoreProfile(t *tree.Tree, labels []LabelCount, branches []BranchCount) *Profile {
-	n := t.Len()
-	p := &Profile{
-		t:        t,
-		labels:   make(map[string]int, len(labels)),
-		branches: make(map[branch]int, len(branches)),
-		pre:      make([]string, n),
-		post:     make([]string, n),
+// RestoreProfile builds the profile of t from its postorder label ids,
+// as NewProfile does, and checks persisted histograms against it: labels
+// and branches must hold exactly the profile's entries, in any order
+// (RestoreProfile sorts them in place). A mismatch is an error.
+func RestoreProfile(t *tree.Tree, ids []int32, labels []LabelCount, branches []BranchCount) (*Profile, error) {
+	p := NewProfile(t, ids)
+	slices.SortFunc(labels, func(a, b LabelCount) int { return cmp.Compare(a.ID, b.ID) })
+	if !slices.Equal(labels, p.labels) {
+		return nil, errors.New("bounds: stored label histogram does not match the tree")
 	}
-	for _, lc := range labels {
-		p.labels[lc.Label] = lc.Count
+	slices.SortFunc(branches, compareBranch)
+	if !slices.Equal(branches, p.branches) {
+		return nil, errors.New("bounds: stored binary-branch histogram does not match the tree")
 	}
-	for _, bc := range branches {
-		p.branches[branch{bc.Label, bc.FirstChild, bc.NextSibling}] = bc.Count
-	}
-	for i := 0; i < n; i++ {
-		p.post[i] = t.Label(i)
-		p.pre[i] = t.Label(t.ByPre(i))
-	}
-	return p
+	return p, nil
 }
