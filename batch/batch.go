@@ -60,13 +60,10 @@ type StrategyFunc func(f, g *tree.Tree) strategy.Strategy
 // Engine is a reusable batch-TED computer. The zero value is not usable;
 // construct with New.
 type Engine struct {
-	model    cost.Model
-	unit     bool
-	workers  int
-	strat    StrategyFunc
-	unbanded bool
-	noSparse bool
-	noSharp  bool
+	model   cost.Model
+	unit    bool
+	workers int
+	strat   StrategyFunc
 
 	// in assigns the label ids shared by every PreparedTree. It is
 	// internally synchronized, and may be shared with other engines (a
@@ -92,27 +89,6 @@ func WithCost(m cost.Model) Option { return func(e *Engine) { e.model = m } }
 // decomposition). Used to run the paper's fixed-strategy competitors
 // through the same engine.
 func WithStrategy(fn StrategyFunc) Option { return func(e *Engine) { e.strat = fn } }
-
-// WithBanding toggles the structural band of bounded computations
-// (default on): banded runs skip whole DP loop ranges and hopeless
-// keyroot subproblems instead of testing every cell against the cutoff.
-// Answers are bit-identical either way; turning it off exists for the
-// `tedbench -exp band` ablation and the differential harness.
-func WithBanding(on bool) Option { return func(e *Engine) { e.unbanded = !on } }
-
-// WithSparseRows toggles band-compressed DP row storage of banded bounded
-// computations (default on): keyroot rows whose admissible band is
-// narrower than the row materialize only their band cells. Answers and
-// pruning are bit-identical either way (gted.Runner.SetSparseRows);
-// turning it off exists for the `tedbench -exp sparse` ablation and the
-// differential harness.
-func WithSparseRows(on bool) Option { return func(e *Engine) { e.noSparse = !on } }
-
-// WithSharpBands toggles label-aware per-region band pricing and the
-// depth-spectra keyroot band of banded bounded computations (default on).
-// Answers are bit-identical either way (gted.Runner.SetSharpBands); off
-// restores the globally priced band for ablation.
-func WithSharpBands(on bool) Option { return func(e *Engine) { e.noSharp = !on } }
 
 // WithInterner makes the engine assign label ids from a shared interner
 // instead of a private one. Engines sharing an interner agree on label
@@ -222,14 +198,13 @@ type Stats struct {
 	// size-product lower bound for keyroot subproblems skipped whole).
 	PrunedSubproblems int64
 	// BandSkippedCells counts cells skipped as whole loop ranges by the
-	// structural band; zero with WithBanding(false), so the difference
-	// attributes pruning to the band versus per-cell slack saturation.
+	// structural band (gted.Stats.BandSkippedCells).
 	BandSkippedCells int64
 	// PrunedKeyroots counts keyroot subproblem DPs skipped entirely by
 	// the keyroot-level band.
 	PrunedKeyroots int64
 	// CompressedRows counts forest-distance DP rows materialized in
-	// band-compressed form (WithSparseRows).
+	// band-compressed form (gted.Stats.CompressedRows).
 	CompressedRows int64
 	// RowCells counts the DP row cells materialized across all
 	// single-path-function row storage; ×8 it is the bytes of row storage
@@ -286,9 +261,6 @@ func (e *Engine) pairRunner(ws *workspace, f, g *PreparedTree) *gted.Runner {
 	}
 	r := gted.NewInArena(f.t, g.t, cm, st, ws.arena)
 	r.SetMirrorLeafmost(f.lfm, g.lfm)
-	r.SetBanding(!e.unbanded)
-	r.SetSparseRows(!e.noSparse)
-	r.SetSharpBands(!e.noSharp)
 	r.SetDepthSpectra(f.spectra, g.spectra)
 	return r
 }

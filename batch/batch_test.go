@@ -427,40 +427,44 @@ func TestTopKAcrossStopsAtBound(t *testing.T) {
 
 // TestBoundedAllocFree is the bounded-mode allocation regression test:
 // bounded runs in a warm arena must stay as allocation-free as exact
-// runs — the cutoff machinery may not allocate per pair. It runs under
-// both row layouts: the sparse slab is a second arena-owned slice, so
-// the compressed path must be just as allocation-free once warm.
+// runs — the cutoff machinery may not allocate per pair. The cutoffs
+// must reach both row layouts: the near copy of the query runs its DP at
+// tau 2 on narrow bands stored as compressed rows (a second arena-owned
+// slab), and every pair at 1e9 keeps full-width rows.
 func TestBoundedAllocFree(t *testing.T) {
 	query := gen.Random(85, gen.RandomSpec{Size: 50, MaxDepth: 8, MaxFanout: 4, Labels: 4})
-	others := randomTrees(86, 12, 50)
-	engines := []struct {
-		name string
-		e    *batch.Engine
-	}{
-		{"sparse", batch.New(batch.WithWorkers(1))},
-		{"dense", batch.New(batch.WithWorkers(1), batch.WithSparseRows(false), batch.WithSharpBands(false))},
-	}
-	for _, eng := range engines {
-		e := eng.e
-		q := e.Prepare(query)
-		ps := e.PrepareAll(others)
-		// Warm the workspace pool, the arena, and the lazy bound profiles
-		// through both DistanceBounded branches.
-		for _, p := range ps {
-			e.DistanceBounded(q, p, 2)
-			e.DistanceBounded(q, p, 1e9)
+	others := append(randomTrees(86, 12, 50), gen.RenameSome(query, 2, 87))
+	var compressed, fullWidth bool
+	for _, tau := range []float64{2, 25, 1e9} {
+		for _, p := range others {
+			var st ted.Stats
+			ted.DistanceBounded(query, p, tau, ted.WithStats(&st))
+			compressed = compressed || st.CompressedRows > 0
+			fullWidth = fullWidth || (st.RowCells > 0 && st.CompressedRows == 0)
 		}
-		for _, tau := range []float64{2, 25, 1e9} {
-			perPair := testing.AllocsPerRun(3, func() {
-				for _, p := range ps {
-					e.DistanceBounded(q, p, tau)
-				}
-			}) / float64(len(ps))
-			// Same bound as the exact-path steady-state test: a handful of
-			// fixed-size descriptors per pair, no DP-sized allocations.
-			if !raceEnabled && perPair > 16 {
-				t.Fatalf("%s tau=%v: bounded steady state allocates %.1f objects per pair", eng.name, tau, perPair)
+	}
+	if !compressed || !fullWidth {
+		t.Fatalf("cutoffs reach compressed rows: %v, full-width rows: %v; want both", compressed, fullWidth)
+	}
+	e := batch.New(batch.WithWorkers(1))
+	q := e.Prepare(query)
+	ps := e.PrepareAll(others)
+	// Warm the workspace pool, the arena, and the lazy bound profiles
+	// through both DistanceBounded branches.
+	for _, p := range ps {
+		e.DistanceBounded(q, p, 2)
+		e.DistanceBounded(q, p, 1e9)
+	}
+	for _, tau := range []float64{2, 25, 1e9} {
+		perPair := testing.AllocsPerRun(3, func() {
+			for _, p := range ps {
+				e.DistanceBounded(q, p, tau)
 			}
+		}) / float64(len(ps))
+		// Same bound as the exact-path steady-state test: a handful of
+		// fixed-size descriptors per pair, no DP-sized allocations.
+		if !raceEnabled && perPair > 16 {
+			t.Fatalf("tau=%v: bounded steady state allocates %.1f objects per pair", tau, perPair)
 		}
 	}
 }

@@ -94,8 +94,7 @@ type JoinStats struct {
 	// band refused wholesale.
 	PrunedSubproblems int64
 	// BandSkippedCells counts cells the structural band skipped as whole
-	// loop ranges; zero for engines built WithBanding(false), so a
-	// banded/unbanded pair of runs attributes the pruning.
+	// loop ranges during the exact stage (gted.Stats.BandSkippedCells).
 	BandSkippedCells int64
 	// PrunedKeyroots counts keyroot subproblem DPs the keyroot-level
 	// band skipped entirely during the exact stage.

@@ -127,7 +127,7 @@ func BenchmarkTable2_TreeFam(b *testing.B) {
 	b.ReportMetric(100*float64(rted)/float64(best), "pct_of_best")
 }
 
-// ---- Ablations (DESIGN.md §3) ----
+// ---- Ablations of the LRH design choices (internal/experiments/ablation.go) ----
 
 func BenchmarkAblationStrategyOnly(b *testing.B) {
 	t := gen.Random(3, gen.RandomSpec{Size: 1000, MaxDepth: 15, MaxFanout: 6, Labels: 8})

@@ -6,8 +6,6 @@
 //	tedbench -list
 //	tedbench -exp fig8a [-scale 1.0] [-seed 42]
 //	tedbench -all -scale 0.25
-//	tedbench -exp sparse -out BENCH_gted.json
-//	tedbench -check-gted BENCH_gted.json
 //	tedbench -exp fig8a -cpuprofile cpu.pprof -memprofile mem.pprof
 //
 // Scale 1.0 reproduces the paper's size grids (minutes to hours for the
@@ -39,22 +37,10 @@ func realMain() int {
 		all   = flag.Bool("all", false, "run every experiment")
 		scale = flag.Float64("scale", 0.25, "size-grid scale; 1.0 = the paper's ranges")
 		seed  = flag.Int64("seed", 20111229, "generator seed")
-		out   = flag.String("out", "", "write the experiment's machine-readable artifact here (sparse: BENCH_gted.json)")
-		check = flag.String("check-gted", "", "validate a BENCH_gted.json file and exit")
 		cpu   = flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
 		mem   = flag.String("memprofile", "", "write a heap profile taken after the run to this file")
 	)
 	flag.Parse()
-
-	if *check != "" {
-		r, err := experiments.ReadGtedReport(*check)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "tedbench: %v\n", err)
-			return 1
-		}
-		fmt.Printf("%s: valid (schema v%d, %d scenarios)\n", *check, r.SchemaVersion, len(r.Scenarios))
-		return 0
-	}
 
 	if *cpu != "" {
 		f, err := os.Create(*cpu)
@@ -92,7 +78,7 @@ func realMain() int {
 		}
 	case *all:
 		for _, r := range experiments.All() {
-			if err := run(r, *scale, *seed, *out); err != nil {
+			if err := run(r, *scale, *seed); err != nil {
 				fmt.Fprintf(os.Stderr, "tedbench: %s: %v\n", r.ID, err)
 				return 1
 			}
@@ -104,7 +90,7 @@ func realMain() int {
 			fmt.Fprintf(os.Stderr, "tedbench: unknown experiment %q (try -list)\n", *exp)
 			return 2
 		}
-		if err := run(r, *scale, *seed, *out); err != nil {
+		if err := run(r, *scale, *seed); err != nil {
 			fmt.Fprintf(os.Stderr, "tedbench: %s: %v\n", r.ID, err)
 			return 1
 		}
@@ -115,7 +101,6 @@ func realMain() int {
 	return 0
 }
 
-func run(r experiments.Runner, scale float64, seed int64, artifact string) error {
-	cfg := experiments.Config{Scale: scale, Seed: seed, Out: os.Stdout, ArtifactPath: artifact}
-	return r.Run(cfg)
+func run(r experiments.Runner, scale float64, seed int64) error {
+	return r.Run(experiments.Config{Scale: scale, Seed: seed, Out: os.Stdout})
 }

@@ -65,7 +65,6 @@
 //	internal/cost        cost models, label interning, compiled per-pair form
 //	internal/bounds      lower/upper bounds and per-tree bound profiles
 //	internal/zs          standalone classic Zhang–Shasha (comparison baseline)
-//	internal/join        sequential/filtered reference joins (experiments)
 //	internal/experiments paper figure/table regeneration (cmd/tedbench)
 //
 // Join and TopKSubtrees run on the batch engine (package batch): every

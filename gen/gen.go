@@ -1,8 +1,9 @@
 // Package gen exposes the tree generators used by the paper's
 // experiments: the five synthetic shapes of Figure 7, bounded random
 // trees, and shape-faithful simulators of the SwissProt, TreeBank and
-// TreeFam datasets (see DESIGN.md §5 for the substitution rationale).
-// All generators are deterministic in their seed.
+// TreeFam datasets (the originals are not redistributable, and the
+// experiments depend on tree shape, not content). All generators are
+// deterministic in their seed.
 package gen
 
 import (

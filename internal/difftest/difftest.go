@@ -43,23 +43,17 @@ func strategies(f, g *tree.Tree) []strategy.Named {
 //
 //   - zs and (within naiveLimit) naive agree with GTED under every
 //     strategy;
-//   - for every strategy, bounded GTED at τ ∈ {0, d−ε, d, d+ε, d/2, ∞},
-//     across the band/sparse/sharp toggle grid — (band off), (band, dense
-//     rows), (band, compressed rows) and (band, compressed rows, sharp
-//     pricing) — honors the contract: (d, true) iff d ≤ τ, (+Inf, false)
-//     otherwise, with d bit-identical to the strategy's exact run under
-//     unit costs;
-//   - bounded runs never evaluate more subproblems than exact runs, and
-//     banded runs never evaluate more than unbanded ones at the same
-//     grid point;
-//   - band-compressed rows prune exactly the cells dense banded rows
-//     prune (equal Subproblems, PrunedSubproblems, BandSkippedCells and
-//     PrunedKeyroots), and sharp pricing never evaluates more cells than
-//     the globally priced band;
-//   - unbanded runs report zero band counters and zero compressed rows
-//     (sparse/sharp are inert without the band), dense banded runs report
-//     zero compressed rows, and at least one grid point has the banded
-//     run pruning at least as much as the unbanded one.
+//   - for every strategy, bounded GTED at τ ∈ {0, d−ε, d, d+ε, d/2, ∞}
+//     honors the contract: (d, true) iff d ≤ τ, (+Inf, false) otherwise,
+//     with d bit-identical to the strategy's exact run under unit costs,
+//     and never evaluates more subproblems than the exact run;
+//   - at the same cutoffs the non-aborting (top-k) bounded run accounts
+//     for every cell of the exact run: each is either evaluated or
+//     skipped by the band (Subproblems + PrunedSubproblems equals the
+//     exact run's Subproblems), and no keyroot is refused wholesale
+//     (PrunedKeyroots is zero; only aborting runs may refuse one). The
+//     identity holds per row in ΔI and in both ΔL/ΔR row layouts, so it
+//     checks the band's accounting whichever layout a keyroot picked.
 func Check(f, g *tree.Tree, m cost.Model) error {
 	want := zs.Dist(f, g, m)
 	if f.Len()*g.Len() <= naiveLimit {
@@ -68,87 +62,44 @@ func Check(f, g *tree.Tree, m cost.Model) error {
 		}
 	}
 	_, unit := m.(cost.Unit)
-	bandPruned := false
-	// The band/sparse/sharp toggle grid. Mode 0 leaves sparse and sharp
-	// at their defaults with the band off to check they are inert; mode 1
-	// is the dense banded baseline (the PR 7 layout), modes 2 and 3 layer
-	// band compression and sharp pricing on top.
-	modes := []struct{ band, sparse, sharp bool }{
-		{band: false, sparse: true, sharp: true},
-		{band: true, sparse: false, sharp: false},
-		{band: true, sparse: true, sharp: false},
-		{band: true, sparse: true, sharp: true},
-	}
 	for _, s := range strategies(f, g) {
 		exact := gted.New(f, g, m, s)
 		d := exact.Run()
 		if !approx(d, want) {
 			return fmt.Errorf("%s=%v zs=%v\nF=%s\nG=%s", s.Name(), d, want, f, g)
 		}
+		es := exact.Stats()
 		for _, tau := range []float64{0, d - 0.5, d, d + 0.5, d / 2, math.Inf(1)} {
-			stats := make([]gted.Stats, len(modes))
-			for mi, mode := range modes {
-				b := gted.New(f, g, m, s)
-				b.SetBanding(mode.band)
-				b.SetSparseRows(mode.sparse)
-				b.SetSharpBands(mode.sharp)
-				bd, ok := b.RunBounded(tau)
-				if ok != (d <= tau) {
-					return fmt.Errorf("%s bounded tau=%v mode=%+v: ok=%v but d=%v\nF=%s\nG=%s",
-						s.Name(), tau, mode, ok, d, f, g)
-				}
-				switch {
-				case ok && unit && bd != d:
-					return fmt.Errorf("%s bounded tau=%v mode=%+v: got %v, exact %v\nF=%s\nG=%s",
-						s.Name(), tau, mode, bd, d, f, g)
-				case ok && !approx(bd, d):
-					return fmt.Errorf("%s bounded tau=%v mode=%+v: got %v !~ exact %v\nF=%s\nG=%s",
-						s.Name(), tau, mode, bd, d, f, g)
-				case !ok && !math.IsInf(bd, 1):
-					return fmt.Errorf("%s bounded tau=%v mode=%+v: exceeded run returned %v, want +Inf",
-						s.Name(), tau, mode, bd)
-				}
-				st := b.Stats()
-				if st.Subproblems > exact.Stats().Subproblems {
-					return fmt.Errorf("%s bounded tau=%v mode=%+v: evaluated %d subproblems, exact %d",
-						s.Name(), tau, mode, st.Subproblems, exact.Stats().Subproblems)
-				}
-				if !mode.band && (st.BandSkippedCells != 0 || st.PrunedKeyroots != 0 || st.CompressedRows != 0) {
-					return fmt.Errorf("%s bounded tau=%v: unbanded run reports band counters (%d cells, %d keyroots, %d compressed rows)",
-						s.Name(), tau, st.BandSkippedCells, st.PrunedKeyroots, st.CompressedRows)
-				}
-				if mode.band && !mode.sparse && st.CompressedRows != 0 {
-					return fmt.Errorf("%s bounded tau=%v: dense banded run reports %d compressed rows",
-						s.Name(), tau, st.CompressedRows)
-				}
-				stats[mi] = st
+			b := gted.New(f, g, m, s)
+			bd, ok := b.RunBounded(tau)
+			if ok != (d <= tau) {
+				return fmt.Errorf("%s bounded tau=%v: ok=%v but d=%v\nF=%s\nG=%s",
+					s.Name(), tau, ok, d, f, g)
 			}
-			for mi := 1; mi < len(modes); mi++ {
-				if stats[mi].Subproblems > stats[0].Subproblems {
-					return fmt.Errorf("%s bounded tau=%v mode=%+v: banded evaluated %d subproblems, unbanded %d\nF=%s\nG=%s",
-						s.Name(), tau, modes[mi], stats[mi].Subproblems, stats[0].Subproblems, f, g)
-				}
+			switch {
+			case ok && unit && bd != d:
+				return fmt.Errorf("%s bounded tau=%v: got %v, exact %v\nF=%s\nG=%s",
+					s.Name(), tau, bd, d, f, g)
+			case ok && !approx(bd, d):
+				return fmt.Errorf("%s bounded tau=%v: got %v !~ exact %v\nF=%s\nG=%s",
+					s.Name(), tau, bd, d, f, g)
+			case !ok && !math.IsInf(bd, 1):
+				return fmt.Errorf("%s bounded tau=%v: exceeded run returned %v, want +Inf",
+					s.Name(), tau, bd)
 			}
-			// Compressed rows must prune exactly what dense banded rows
-			// prune: same predicates, same counters.
-			dn, sp := stats[1], stats[2]
-			if dn.Subproblems != sp.Subproblems || dn.PrunedSubproblems != sp.PrunedSubproblems ||
-				dn.BandSkippedCells != sp.BandSkippedCells || dn.PrunedKeyroots != sp.PrunedKeyroots {
-				return fmt.Errorf("%s bounded tau=%v: sparse rows diverge from dense band (subs %d/%d, pruned %d/%d, cells %d/%d, keyroots %d/%d)\nF=%s\nG=%s",
-					s.Name(), tau, dn.Subproblems, sp.Subproblems, dn.PrunedSubproblems, sp.PrunedSubproblems,
-					dn.BandSkippedCells, sp.BandSkippedCells, dn.PrunedKeyroots, sp.PrunedKeyroots, f, g)
+			if st := b.Stats(); st.Subproblems > es.Subproblems {
+				return fmt.Errorf("%s bounded tau=%v: evaluated %d subproblems, exact %d",
+					s.Name(), tau, st.Subproblems, es.Subproblems)
 			}
-			if stats[3].Subproblems > stats[2].Subproblems {
-				return fmt.Errorf("%s bounded tau=%v: sharp pricing evaluated %d subproblems, globally priced band %d\nF=%s\nG=%s",
-					s.Name(), tau, stats[3].Subproblems, stats[2].Subproblems, f, g)
-			}
-			if stats[1].PrunedSubproblems >= stats[0].PrunedSubproblems {
-				bandPruned = true
+
+			k := gted.New(f, g, m, s)
+			k.SetCutoff(tau, false)
+			k.Run()
+			if st := k.Stats(); st.Subproblems+st.PrunedSubproblems != es.Subproblems || st.PrunedKeyroots != 0 {
+				return fmt.Errorf("%s top-k tau=%v: %d evaluated + %d pruned cells (%d keyroots refused), exact run %d\nF=%s\nG=%s",
+					s.Name(), tau, st.Subproblems, st.PrunedSubproblems, st.PrunedKeyroots, es.Subproblems, f, g)
 			}
 		}
-	}
-	if !bandPruned {
-		return fmt.Errorf("no grid point had banded pruning ≥ unbanded pruning\nF=%s\nG=%s", f, g)
 	}
 	return nil
 }

@@ -5,16 +5,16 @@ import (
 	"math/rand"
 	"time"
 
+	ted "repro"
 	"repro/internal/cost"
 	"repro/internal/gted"
-	"repro/internal/join"
 	"repro/internal/strategy"
 	"repro/internal/tree"
 	"repro/internal/treegen"
 )
 
-// Ablations beyond the paper (DESIGN.md §3): quantify the design choices
-// of the LRH class itself.
+// Ablations beyond the paper: quantify the design choices of the LRH
+// class itself.
 //
 //   - ablation-lr: optimal strategy restricted to {left,right} paths vs
 //     full LRH — how much do heavy paths buy?
@@ -53,16 +53,21 @@ func ablationFilter(cfg Config) error {
 	}
 	for _, tauFrac := range []float64{0.05, 0.25, 0.75} {
 		tau := tauFrac * float64(cfg.size(300))
-		plain := join.SelfJoin(trees, tau, cost.Unit{}, join.RTEDFactory())
-		filtered := join.FilteredSelfJoin(trees, tau, join.RTEDFactory(), false)
+		plain := ted.Join(trees, tau)
+		filtered := ted.Join(trees, tau, ted.WithFilters())
 		if len(filtered.Pairs) != len(plain.Pairs) {
 			return fmt.Errorf("ablation-filter: filtered join found %d pairs, plain %d",
 				len(filtered.Pairs), len(plain.Pairs))
 		}
+		for k, p := range plain.Pairs {
+			if q := filtered.Pairs[k]; q.I != p.I || q.J != p.J {
+				return fmt.Errorf("ablation-filter: filtered match %d is (%d,%d), plain (%d,%d)", k, q.I, q.J, p.I, p.J)
+			}
+		}
 		fmt.Fprintf(cfg.Out, "%.0f\t%s\t%s\t%d\t%d\t%d\t%d\n",
 			tau, secs(plain.Elapsed), secs(filtered.Elapsed),
-			filtered.Filter.LowerPruned, filtered.Filter.UpperAccepted,
-			filtered.Filter.ExactComputed, len(filtered.Pairs))
+			filtered.LowerPruned, filtered.UpperAccepted,
+			filtered.ExactComputed, len(filtered.Pairs))
 	}
 	return nil
 }

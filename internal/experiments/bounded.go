@@ -58,7 +58,8 @@ func boundedExp(cfg Config) error {
 					verdict = "exact"
 				}
 				// band_cells splits the pruning attribution: cells skipped
-				// as whole band ranges, vs slack saturation caught per cell.
+				// as whole band ranges, vs size products of keyroot DPs the
+				// keyroot-level band refused outright.
 				fmt.Fprintf(cfg.Out, "pairwise\t%s\t%g\t%g\t%d\t%d\t%d\t%d\t%s\n",
 					pair, d, tau, est.Subproblems, bst.Subproblems, bst.PrunedSubproblems, bst.BandSkippedCells, verdict)
 				if ok != (d <= tau) {

@@ -1,8 +1,9 @@
 // Package experiments regenerates every figure and table of the paper's
-// evaluation (Section 8), plus the ablations DESIGN.md defines. Each
-// experiment writes a plain-text table (tab-separated, with a header
-// comment describing the paper artifact it reproduces) so results can be
-// diffed, plotted, and recorded in EXPERIMENTS.md.
+// evaluation (Section 8), plus ablations of this repository's design
+// choices (ablation.go and the batch, index, bounded, store, serve and
+// cluster experiments). Each experiment writes a plain-text table
+// (tab-separated, with a header comment describing the paper artifact it
+// reproduces) so results can be diffed and plotted.
 //
 // Experiments accept a Config so the same code serves three consumers:
 // the cmd/tedbench CLI (full grids), the test suite (tiny grids, shape
@@ -28,10 +29,6 @@ type Config struct {
 	Seed int64
 	// Out receives the result table.
 	Out io.Writer
-	// ArtifactPath, when non-empty, is where experiments that emit a
-	// machine-readable artifact write it (the sparse ablation's
-	// BENCH_gted.json). Empty skips the artifact.
-	ArtifactPath string
 }
 
 func (c Config) size(n int) int {

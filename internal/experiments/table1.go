@@ -4,9 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 
-	"repro/internal/cost"
-	"repro/internal/join"
-	"repro/internal/strategy"
+	ted "repro"
 	"repro/internal/tree"
 	"repro/internal/treegen"
 )
@@ -33,26 +31,8 @@ func table1Trees(cfg Config) []*tree.Tree {
 	}
 }
 
-// Table1Algorithms enumerates the join competitors in the paper's row
-// order with their strategy factories.
-func Table1Algorithms() []struct {
-	Name    string
-	Factory join.StrategyFactory
-} {
-	mk := func(n func(f, g *tree.Tree) strategy.Named) join.StrategyFactory {
-		return join.FixedFactory(n)
-	}
-	return []struct {
-		Name    string
-		Factory join.StrategyFactory
-	}{
-		{"Zhang-L", mk(func(f, g *tree.Tree) strategy.Named { return strategy.ZhangL() })},
-		{"Zhang-R", mk(func(f, g *tree.Tree) strategy.Named { return strategy.ZhangR() })},
-		{"Klein-H", mk(func(f, g *tree.Tree) strategy.Named { return strategy.KleinH() })},
-		{"Demaine-H", mk(func(f, g *tree.Tree) strategy.Named { return strategy.DemaineH(f, g) })},
-		{"RTED", join.RTEDFactory()},
-	}
-}
+// table1Algorithms lists the join competitors in the paper's row order.
+var table1Algorithms = []ted.Algorithm{ted.ZhangL, ted.ZhangR, ted.KleinH, ted.DemaineH, ted.RTED}
 
 func table1(cfg Config) error {
 	trees := table1Trees(cfg)
@@ -60,10 +40,10 @@ func table1(cfg Config) error {
 	header(cfg, "table1", "Table 1: join on trees with different shapes",
 		"algorithm", "time[s]", "subproblems", "matches")
 	var rted, bestOther int64 = -1, -1
-	for _, a := range Table1Algorithms() {
-		r := join.SelfJoin(trees, tau, cost.Unit{}, a.Factory)
-		fmt.Fprintf(cfg.Out, "%s\t%s\t%d\t%d\n", a.Name, secs(r.Elapsed), r.Subproblems, len(r.Pairs))
-		if a.Name == "RTED" {
+	for _, a := range table1Algorithms {
+		r := ted.Join(trees, tau, ted.WithAlgorithm(a))
+		fmt.Fprintf(cfg.Out, "%s\t%s\t%d\t%d\n", a, secs(r.Elapsed), r.Subproblems, len(r.Pairs))
+		if a == ted.RTED {
 			rted = r.Subproblems
 		} else if bestOther == -1 || r.Subproblems < bestOther {
 			bestOther = r.Subproblems

@@ -20,15 +20,15 @@ type Arena struct {
 	rows     [][]float64
 	ch       chain
 	gs       gside
-	// Banded bounded runs: per-subtree height arrays (keyroot-level
-	// band) and the T2 path-chain coordinates of one ΔL/ΔR keyroot
-	// (saturating skipped whole-subtree cells).
+	// Bounded runs: per-subtree height arrays (keyroot-level band) and
+	// the T2 path-chain coordinates of one ΔL/ΔR keyroot (saturating
+	// skipped whole-subtree cells).
 	hF, hG  []int32
 	chainDJ []int32
 	chainN2 []int32
-	// Sparse banded runs: the band-compressed ΔL/ΔR forest-distance slab
-	// (kept apart from fd so dense ΔI rows never force it to row width)
-	// and the depth-spectra scratch of standalone runners.
+	// Bounded runs: the band-compressed ΔL/ΔR forest-distance slab (kept
+	// apart from fd so full-width rows never force it to row width) and
+	// the depth-spectra scratch of standalone runners.
 	fdB      []float64
 	spF, spG []int32
 }

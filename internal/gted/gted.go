@@ -31,36 +31,32 @@ type Stats struct {
 	Subproblems int64
 	// PrunedSubproblems is the number of relevant subproblems a bounded
 	// run skipped: DP cells whose forest sizes alone prove the cell value
-	// exceeds the pair cutoff, saturated to +Inf instead of computed.
-	// With banding (the default) it additionally includes, for every
-	// keyroot subproblem skipped wholesale by the keyroot-level band, the
-	// product of the two subtree sizes — a lower bound on the relevant
-	// cells that DP would have visited. Always zero for exact runs.
+	// exceeds the pair cutoff, skipped as whole loop ranges of the
+	// structural band instead of computed. It additionally includes, for
+	// every keyroot subproblem skipped wholesale by the keyroot-level
+	// band, the product of the two subtree sizes — a lower bound on the
+	// relevant cells that DP would have visited. Always zero for exact
+	// runs.
 	PrunedSubproblems int64
 	// BandSkippedCells counts the cells skipped as whole loop ranges by
-	// the structural band (never individually tested), as opposed to
-	// cells pruned one at a time by the per-cell slack predicate of the
-	// unbanded path. With banding on, every in-loop pruned cell is a band
-	// skip, so BandSkippedCells + keyroot-level contributions equals
-	// PrunedSubproblems; with banding off it stays zero and the
-	// difference attributes pruning to slack saturation alone.
+	// the structural band (never individually tested). Every in-loop
+	// pruned cell is a band skip, so BandSkippedCells plus the
+	// keyroot-level contributions equals PrunedSubproblems.
 	BandSkippedCells int64
 	// PrunedKeyroots counts keyroot subproblem DPs skipped entirely by
 	// the keyroot-level band: subtree pairs whose size, height or depth-
 	// spectra offset alone prices the pair above its saturation cutoff.
 	PrunedKeyroots int64
 	// CompressedRows counts forest-distance DP rows materialized in
-	// band-compressed form (SetSparseRows): only the ≤ maxD+maxI+1
-	// admissible cells of each row are stored, offset-indexed by the
-	// band diagonal. Zero when sparse rows are off or no band is narrower
-	// than its row.
+	// band-compressed form: only the ≤ maxD+maxI+1 admissible cells of
+	// each row are stored, offset-indexed by the band diagonal. Zero for
+	// exact runs and when no band is narrower than its row.
 	CompressedRows int64
 	// RowCells counts the DP row cells materialized across all
 	// single-path-function row storage: a dense ΔL/ΔR keyroot contributes
 	// rows×(s2k+1), a band-compressed one rows×(maxD+maxI+1), and every
 	// ΔI chain-state row its full decomposition-row length. Multiplied by
-	// 8 it is the bytes of row storage streamed per computation — the
-	// memory-traffic measure the sparse-row ablation tracks.
+	// 8 it is the bytes of row storage streamed per computation.
 	RowCells int64
 	// SPFCalls counts single-path function invocations (one per subtree
 	// pair the strategy decomposes).
@@ -68,8 +64,8 @@ type Stats struct {
 	// SPFByChoice breaks SPFCalls down by decomposition choice.
 	SPFByChoice [6]int64
 	// MaxLiveRows is the peak number of simultaneously retained ΔI rows;
-	// it measures the working memory of the heavy-path DP (see
-	// DESIGN.md).
+	// it measures the working memory of the heavy-path DP, whose rows are
+	// released by reference count once no later chain state reads them.
 	MaxLiveRows int
 }
 
@@ -107,31 +103,18 @@ type Runner struct {
 	exceeded   bool
 	cb, cbT    opCosts
 
-	// banded selects the structural band of bounded runs (on by
-	// default): inner loops iterate only the diagonal band of index
-	// pairs the cutoff can admit, and whole keyroot subproblems with
-	// hopeless size/height offsets are skipped before their DP starts.
-	// Off, the PR3 per-cell slack predicate tests every cell one by one;
-	// both modes return bit-identical bounded results (see SetBanding).
-	banded bool
-	// sparse selects band-compressed row storage for banded ΔL/ΔR
-	// keyroots whose band is narrower than the row (on by default; see
-	// SetSparseRows). sharp selects label-aware band pricing and the
-	// depth-spectra keyroot band (on by default; see SetSharpBands).
-	sparse bool
-	sharp  bool
 	// Per-subtree heights (leaf = 0) of the two trees, built lazily for
 	// the keyroot-level band; hReady guards the one-time fill.
 	hF, hG []int32
 	hReady bool
 	// Quantized per-subtree depth spectra (SpectraBuckets suffix counts
-	// per node) of the two trees, consumed by the sharp keyroot band.
+	// per node) of the two trees, consumed by the keyroot-level band.
 	// Batch preparation injects cached arrays via SetDepthSpectra;
 	// standalone runners build them lazily into arena scratch.
 	spF, spG []int32
 	spReady  bool
 	// Per-subtree rename floors (cost.Compiled.RenFloors) of the two
-	// sides, built lazily for the sharp keyroot band under non-unit
+	// sides, built lazily for the keyroot-level band under non-unit
 	// models; nil under unit costs.
 	renF, renG []float64
 	renReady   bool
@@ -203,16 +186,13 @@ func NewCompiled(f, g *tree.Tree, cm *cost.Compiled, s strategy.Strategy) *Runne
 func NewInArena(f, g *tree.Tree, cm *cost.Compiled, s strategy.Strategy, ar *Arena) *Runner {
 	n := f.Len() * g.Len()
 	r := &Runner{
-		f:      f,
-		g:      g,
-		cm:     cm,
-		strat:  s,
-		ar:     ar,
-		banded: true,
-		sparse: true,
-		sharp:  true,
-		d:      growF64(&ar.d, n),
-		seen:   growBool(&ar.seen, n),
+		f:     f,
+		g:     g,
+		cm:    cm,
+		strat: s,
+		ar:    ar,
+		d:     growF64(&ar.d, n),
+		seen:  growBool(&ar.seen, n),
 	}
 	for i := range r.seen {
 		r.seen[i] = false
@@ -236,105 +216,61 @@ func (r *Runner) Run() float64 {
 
 // SetCutoff puts the runner in bounded mode: DP cells whose forest sizes
 // alone prove their value greater than the pair's local cutoff (tau plus
-// the subproblem slack, see pairCutoff) are saturated to +Inf instead of
-// computed. Every computed value at most its cutoff stays bit-identical
-// to the exact run's, so after Run the distance matrix holds, for each
-// subtree pair, either the exact distance or +Inf/an overestimate that is
+// the subproblem slack, see pairCutoff) are skipped instead of computed.
+// Every computed value at most its cutoff stays bit-identical to the
+// exact run's, so after Run the distance matrix holds, for each subtree
+// pair, either the exact distance or +Inf/an overestimate that is
 // provably above the pair cutoff.
 //
-// The structural band (SetBanding, on by default) preserves exactly that
-// invariant while skipping the hopeless cells as whole loop ranges: for a
-// fixed F-side forest size the admissible G-side sizes form one
-// contiguous interval [fSz−maxD, fSz+maxI] (maxD/maxI are the most
-// cheapest-cost deletions/insertions the cutoff can pay for, bandWidth),
-// because the per-cell predicate is monotone in the size difference. Any
-// branch of an in-band cell that would read an out-of-band cell is
-// priced at +Inf instead — sound, since the out-of-band forest pair needs
-// more than maxD deletions or maxI insertions, so its true value already
-// exceeds the cutoff and the branch using it cannot be the minimum of
-// any value at most the cutoff. Skipped cells that publish into the
-// subtree-distance matrix (tree×tree cells) are still saturated there to
-// +Inf, so consumers observe the same matrix the per-cell path writes
-// wherever a value is at most its pair cutoff.
+// The skipped cells form a structural band: for a fixed F-side forest
+// size the admissible G-side sizes form one contiguous interval
+// [fSz−maxD, fSz+maxI] (maxD/maxI are the most cheapest-cost
+// deletions/insertions the cutoff can pay for, bandWidth), so the DP
+// loops iterate only that interval and account the rest as whole
+// skipped spans. Any branch of an in-band cell that would read an
+// out-of-band cell is priced at +Inf instead — sound, since the
+// out-of-band forest pair needs more than maxD deletions or maxI
+// insertions, so its true value already exceeds the cutoff and the
+// branch using it cannot be the minimum of any value at most the
+// cutoff. Skipped cells that publish into the subtree-distance matrix
+// (tree×tree cells) are saturated there to +Inf.
 //
-// Two refinements preserve the invariant verbatim:
+// When the band is narrower than the row, ΔL/ΔR rows store only their
+// admissible cells, offset-indexed by the band diagonal; a cell outside
+// the slab has no storage at all. Every read that can cross the band
+// edge carries the same integer in-band predicate as the full-width
+// layout, and an out-of-band read yields a virtual +Inf without touching
+// memory, so the two layouts compute bit-identical cell values and skip
+// exactly the same cells. Each keyroot picks its layout: compressed when
+// maxD+maxI+1 is below the row width, full-width otherwise.
 //
-// Virtual band-edge reads (SetSparseRows, on by default). When the band
-// is narrower than the row, ΔL/ΔR rows store only their admissible cells,
-// offset-indexed by the band diagonal; a cell outside the slab has no
-// storage at all. Every read that can cross the band edge carries the
-// same integer in-band predicate as the banded dense path, and an
-// out-of-band read yields a virtual +Inf without touching memory. The
-// soundness argument is the dense band's unchanged — the virtual value
-// stands in for a forest pair whose true value provably exceeds the
-// cutoff — and because the predicate, the evaluation order and the float
-// arithmetic are identical, compressed and dense banded rows compute
-// bit-identical cell values and prune exactly the same cells.
-//
-// Per-region pricing (SetSharpBands, on by default). The band widths are
-// priced not at the global cheapest delete/insert but at the cheapest
-// cost over the label set actually present in the relevant subtree
-// (cost.Compiled.DelSub/InsSub): the deletions that shrink an F-side
-// prefix all remove nodes of the current keyroot's subtree, and the
-// insertions that grow a G-side prefix all add nodes of the G keyroot's
-// subtree, so each is bounded below by its subtree's own price floor. A
-// regional floor is ≥ the global one (a subtree's label set is a subset),
-// so sharp bands are narrower-or-equal and every extra skipped cell still
-// satisfies the invariant: its true value exceeds the cutoff under the
-// region's own prices. Results stay bit-identical; only the set of cells
-// ever touched shrinks.
+// The band widths are priced not at the global cheapest delete/insert
+// but at the cheapest cost over the label set actually present in the
+// relevant subtree (cost.Compiled.DelSub/InsSub): the deletions that
+// shrink an F-side prefix all remove nodes of the current keyroot's
+// subtree, and the insertions that grow a G-side prefix all add nodes of
+// the G keyroot's subtree, so each is bounded below by its subtree's own
+// price floor. A regional floor is ≥ the global one (a subtree's label
+// set is a subset), so every skipped cell still satisfies the invariant:
+// its true value exceeds the cutoff under the region's own prices.
 //
 // With abortEarly set the run additionally stops as soon as any subtree
 // pair proves the root distance greater than tau (Exceeded reports it);
 // the matrix is then partial and only the exceeded verdict is usable.
-// Banded abortEarly runs also stop before a keyroot subproblem whose
-// size or height offset alone prices the pair above its saturation
-// cutoff (subtreeLower) — the DP for that pair never starts.
-// A +Inf tau disables bounded mode.
+// abortEarly runs also stop before a keyroot subproblem whose size,
+// height, depth-spectra or rename-floor offset alone prices the pair
+// above its saturation cutoff (subtreeLower, spectraHopeless) — the DP
+// for that pair never starts. A +Inf tau disables bounded mode.
 func (r *Runner) SetCutoff(tau float64, abortEarly bool) {
 	r.tau = tau
 	r.bounded = !math.IsInf(tau, 1)
 	r.abortEarly = abortEarly && r.bounded
 }
 
-// SetBanding toggles the structural band of bounded runs (on by
-// default). Off, bounded runs fall back to testing every DP cell against
-// the slack predicate one at a time (the pre-band behaviour), which the
-// differential harness and the `tedbench -exp band` ablation use as the
-// comparison baseline. Both modes satisfy the same bounded contract and
-// return bit-identical results; banding only changes which cells are
-// ever touched. Exact (unbounded) runs ignore the flag.
-func (r *Runner) SetBanding(on bool) { r.banded = on }
-
-// SetSparseRows toggles band-compressed row storage of banded ΔL/ΔR
-// keyroots (on by default): when the admissible band is narrower than the
-// row, only the ≤ maxD+maxI+1 admissible cells per forest-distance row
-// are materialized, offset-indexed by the band diagonal, with guarded
-// virtual +Inf reads at the band edges. Bit-identical to dense banded
-// rows (see SetCutoff); off, banded keyroots fall back to full-width
-// rows — the PR 7 layout the `tedbench -exp sparse` ablation compares
-// against. No effect outside banded bounded runs.
-func (r *Runner) SetSparseRows(on bool) { r.sparse = on }
-
-// SetSharpBands toggles the sharper band bounds of banded bounded runs
-// (on by default): label-aware per-region band pricing (band widths
-// priced at the cheapest operation cost present in the relevant subtree,
-// cost.Compiled.DelSub/InsSub, instead of the global minimum), the
-// depth-spectra keyroot band (quantized per-subtree depth histograms
-// pruning keyroot DPs the height-only bound admits), and — under
-// non-unit models — the per-label-pair rename floor in the keyroot
-// bound (renames priced at the cheapest rename available between the
-// two regions' label sets, cost.Compiled.RenFloors, instead of zero).
-// All of these only shrink the set of cells touched; results are
-// bit-identical either way. Off, bands are priced at the global c_min
-// and keyroots tested on size and height alone — the PR 7 behaviour
-// kept for ablation.
-func (r *Runner) SetSharpBands(on bool) { r.sharp = on }
-
 // SetDepthSpectra supplies precomputed per-subtree depth spectra for the
 // two trees (DepthSpectra output, as cached by batch preparation); either
 // may be nil, in which case the runner computes it on first use by the
-// sharp keyroot band.
+// keyroot-level band.
 func (r *Runner) SetDepthSpectra(spF, spG []int32) {
 	r.spF, r.spG = spF, spG
 	r.spReady = spF != nil && spG != nil
@@ -384,24 +320,23 @@ func (r *Runner) pairCutoff(v, w int) float64 {
 		float64(r.f.Len()-r.f.Size(v))*oc.imax
 }
 
-// regionMins returns the price floors of the keyroot pair (v, w) under
-// the runner's forward orientation: the cheapest delete over F_v and the
-// cheapest insert over G_w when sharp per-region pricing is on (and the
-// cost model carries subtree floors), the global minima otherwise. A
-// regional floor is never below the global one.
-func (r *Runner) regionMins(v, w int) (dmin, imin float64) {
-	oc := r.opCostsFor(r.cm)
+// regionMins returns the price floors of the subtree pair (v, w) under
+// the cost orientation cm (one of the runner's two compiled forms): the
+// cheapest delete over the first tree's subtree at v and the cheapest
+// insert over the second tree's subtree at w when the cost model carries
+// subtree floors, the global minima otherwise. A regional floor is never
+// below the global one.
+func (r *Runner) regionMins(cm *cost.Compiled, v, w int) (dmin, imin float64) {
+	oc := r.opCostsFor(cm)
 	dmin, imin = oc.dmin, oc.imin
-	if r.sharp {
-		if r.cm.DelSub != nil {
-			if m := r.cm.DelSub[v]; m > dmin {
-				dmin = m
-			}
+	if cm.DelSub != nil {
+		if m := cm.DelSub[v]; m > dmin {
+			dmin = m
 		}
-		if r.cm.InsSub != nil {
-			if m := r.cm.InsSub[w]; m > imin {
-				imin = m
-			}
+	}
+	if cm.InsSub != nil {
+		if m := cm.InsSub[w]; m > imin {
+			imin = m
 		}
 	}
 	return dmin, imin
@@ -413,11 +348,10 @@ func (r *Runner) regionMins(v, w int) (dmin, imin float64) {
 // the height of a tree by at most one while a rename leaves it unchanged
 // — at least |Δheight| of them as well. Each is priced at the cheapest
 // per-node cost of its direction: the deleted nodes all come from F_v and
-// the inserted ones all land in G_w, so with sharp pricing the floors are
-// the pair's own regional minima.
+// the inserted ones all land in G_w, so the floors are the pair's own
+// regional minima.
 //
-// Under non-unit models sharp pricing adds the per-label-pair rename
-// floor: any mapping with m matched pairs pays at least
+// Under non-unit models the bound adds the per-label-pair rename floor: any mapping with m matched pairs pays at least
 //
 //	(|F_v|−m)·dmin + (|G_w|−m)·imin + m·rf
 //
@@ -429,7 +363,7 @@ func (r *Runner) regionMins(v, w int) (dmin, imin float64) {
 // smaller side matches fully and still pays rf per pair. With rf = 0
 // (any shared-label region) this degenerates to the |Δsize| bound.
 func (r *Runner) subtreeLower(v, w int) float64 {
-	dmin, imin := r.regionMins(v, w)
+	dmin, imin := r.regionMins(r.cm, v, w)
 	hf, hg := r.heights()
 	lb := 0.0
 	if ds := r.f.Size(v) - r.g.Size(w); ds > 0 {
@@ -446,7 +380,7 @@ func (r *Runner) subtreeLower(v, w int) float64 {
 			lb = b
 		}
 	}
-	if r.sharp && !r.cm.IsUnit() {
+	if !r.cm.IsUnit() {
 		if rnF, rnG := r.renFloors(); rnF != nil {
 			rf := rnF[v]
 			if g := rnG[w]; g > rf {
@@ -575,10 +509,10 @@ func subtreeHeights(t *tree.Tree, buf *[]int32) []int32 {
 // bandWidth returns the width of one side of the structural band: the
 // largest k ≥ 0 whose k cheapest operations of per-node cost c still fit
 // under tcut, i.e. the largest k with float64(k)*c ≤ tcut — evaluated
-// with exactly the float arithmetic of the per-cell predicate so banded
-// and unbanded runs prune precisely the same cells. A non-positive c can
-// never prove a cell hopeless (the side is unbounded) and a negative
-// cutoff admits nothing.
+// in exactly that float arithmetic, so a size offset d is in the band iff
+// float64(d)*c ≤ tcut holds, never by a rounded approximation of it. A
+// non-positive c can never prove a cell hopeless (the side is unbounded)
+// and a negative cutoff admits nothing.
 func bandWidth(tcut, c float64) int {
 	if math.IsNaN(tcut) {
 		return math.MaxInt32 // NaN comparisons never prune; match that
@@ -646,17 +580,18 @@ func (r *Runner) gted(v, w int) {
 	tcut := math.Inf(1)
 	if r.bounded {
 		tcut = r.pairCutoff(v, w)
-		// Keyroot-level band: if the size or height offset of the pair
-		// alone prices δ(F_v, G_w) above the saturation cutoff, the root
-		// distance provably exceeds tau — skip the pair's entire DP (and
-		// the recursion feeding it) instead of computing cells that would
-		// all saturate. Only valid with abortEarly: without it the caller
-		// is owed the other pairs' matrix entries.
-		if r.banded && r.abortEarly {
+		// Keyroot-level band: if the size, height, rename-floor or
+		// depth-spectra offset of the pair alone prices δ(F_v, G_w) above
+		// the saturation cutoff, the root distance provably exceeds tau —
+		// skip the pair's entire DP (and the recursion feeding it) instead
+		// of computing cells that would all saturate. Only valid with
+		// abortEarly: without it the caller is owed the other pairs'
+		// matrix entries.
+		if r.abortEarly {
 			tp := tcut + r.cutPad(tcut)
 			hopeless := r.subtreeLower(v, w) > tp
-			if !hopeless && r.sharp {
-				dmin, imin := r.regionMins(v, w)
+			if !hopeless {
+				dmin, imin := r.regionMins(r.cm, v, w)
 				maxD, maxI := bandWidth(tp, dmin), bandWidth(tp, imin)
 				if maxD < math.MaxInt32 || maxI < math.MaxInt32 {
 					hopeless = r.spectraHopeless(v, w, maxD, maxI)

@@ -23,9 +23,8 @@ func mustParse(t *testing.T, s string) *tree.Tree {
 // both zero) but disjoint label sets, under a model whose cheapest
 // rename exceeds delete+insert. The optimal script deletes one tree and
 // inserts the other, so δ = 2n; a cutoff below that must be refused, and
-// with sharp bands the refusal happens at the keyroot level — before any
-// DP — which only the rename floor can prove (size offset 0, height
-// offset 0).
+// the refusal happens at the keyroot level — before any DP — which only
+// the rename floor can prove (size offset 0, height offset 0).
 func TestRenameFloorPrunesDisjointLabels(t *testing.T) {
 	f := mustParse(t, "{a{b{c}}{d}{e}}")
 	g := mustParse(t, "{v{w{x}}{y}{z}}")
@@ -40,30 +39,25 @@ func TestRenameFloorPrunesDisjointLabels(t *testing.T) {
 			t.Fatalf("%s: exact distance %v, want %v (delete-all + insert-all)", s.Name(), d, want)
 		}
 
-		sharp := New(f, g, m, s)
-		if bd, ok := sharp.RunBounded(tau); ok || !math.IsInf(bd, 1) {
-			t.Fatalf("%s: sharp RunBounded(%v) = (%v, %v), want (+Inf, false)", s.Name(), tau, bd, ok)
+		b := New(f, g, m, s)
+		if bd, ok := b.RunBounded(tau); ok || !math.IsInf(bd, 1) {
+			t.Fatalf("%s: RunBounded(%v) = (%v, %v), want (+Inf, false)", s.Name(), tau, bd, ok)
 		}
-		if got := sharp.Stats().PrunedKeyroots; got == 0 {
-			t.Fatalf("%s: sharp bounded run pruned no keyroots; the rename floor should refuse the root pair outright", s.Name())
+		st := b.Stats()
+		if st.PrunedKeyroots == 0 {
+			t.Fatalf("%s: bounded run pruned no keyroots; the rename floor should refuse the root pair outright", s.Name())
 		}
-
-		blunt := New(f, g, m, s)
-		blunt.SetSharpBands(false)
-		if bd, ok := blunt.RunBounded(tau); ok || !math.IsInf(bd, 1) {
-			t.Fatalf("%s: blunt RunBounded(%v) = (%v, %v), want (+Inf, false)", s.Name(), tau, bd, ok)
-		}
-		if sharp.Stats().Subproblems > blunt.Stats().Subproblems {
-			t.Fatalf("%s: sharp evaluated %d subproblems, blunt only %d — sharp bands must only prune",
-				s.Name(), sharp.Stats().Subproblems, blunt.Stats().Subproblems)
+		if st.Subproblems != 0 {
+			t.Fatalf("%s: refused root pair still evaluated %d subproblems (exact run: %d)",
+				s.Name(), st.Subproblems, exact.Stats().Subproblems)
 		}
 	}
 }
 
 // TestRenameFloorSharedLabelInert checks the floor degenerates to the
 // old bound when the regions share a label: the cheapest rename is then
-// a free self-rename, so rf = 0 and bounded results must match the
-// pre-floor behaviour exactly.
+// a free self-rename, so rf = 0 and every bounded run must answer
+// exactly as the exact run does.
 func TestRenameFloorSharedLabelInert(t *testing.T) {
 	f := mustParse(t, "{a{b}{c}}")
 	g := mustParse(t, "{a{c}{b}}")
@@ -72,13 +66,9 @@ func TestRenameFloorSharedLabelInert(t *testing.T) {
 		exact := New(f, g, m, s)
 		d := exact.Run()
 		for _, tau := range []float64{0, d / 2, d, d + 1} {
-			sharp := New(f, g, m, s)
-			sd, sok := sharp.RunBounded(tau)
-			blunt := New(f, g, m, s)
-			blunt.SetSharpBands(false)
-			bd, bok := blunt.RunBounded(tau)
-			if sok != bok || (sok && sd != bd) {
-				t.Fatalf("%s tau=%v: sharp (%v, %v) != blunt (%v, %v)", s.Name(), tau, sd, sok, bd, bok)
+			bd, ok := New(f, g, m, s).RunBounded(tau)
+			if ok != (d <= tau) || (ok && bd != d) {
+				t.Fatalf("%s tau=%v: bounded (%v, %v), exact %v", s.Name(), tau, bd, ok, d)
 			}
 		}
 	}

@@ -1,106 +1,100 @@
 package gted
 
 import (
-	"math"
 	"math/rand"
 	"runtime"
 	"testing"
 
 	"repro/internal/cost"
 	"repro/internal/strategy"
+	"repro/internal/tree"
 	"repro/internal/treegen"
 )
 
-// TestSparseRowsBitIdentical checks the row-compression contract on
-// random trees under every strategy and both cost models: the sparse
-// layout changes where band cells live, not what they compute, so dense
-// and sparse banded runs must return bit-identical results with equal
-// subproblem and band accounting; sharp pricing (per-region floors +
-// depth spectra) may only prune more, never change an answer.
-func TestSparseRowsBitIdentical(t *testing.T) {
-	rng := rand.New(rand.NewSource(31))
-	models := []cost.Model{
-		cost.Unit{},
-		cost.Weighted{DeleteW: 1.3, InsertW: 0.7, RenameW: 2.1},
+// nearPairs are the near pairs of the kernel cell pin: the same shape
+// family at slightly different sizes, so the exact distance (hence the
+// interesting cutoff) is far below the tree size and the band is thin.
+func nearPairs(n int) []struct {
+	name string
+	f, g *tree.Tree
+} {
+	return []struct {
+		name string
+		f, g *tree.Tree
+	}{
+		{"chain", treegen.LeftBranch(n), treegen.LeftBranch(n + 6)},
+		{"binary", treegen.FullBinary(n), treegen.FullBinary(n + 8)},
+		{"zigzag", treegen.ZigZag(n), treegen.ZigZag(n + 6)},
+		{"mixed", treegen.Mixed(n), treegen.Mixed(n + 8)},
 	}
-	for iter := 0; iter < 40; iter++ {
-		f := treegen.Random(rng, treegen.RandomSpec{Size: 1 + rng.Intn(30), MaxDepth: 8, MaxFanout: 4, Labels: 3})
-		g := treegen.Random(rng, treegen.RandomSpec{Size: 1 + rng.Intn(30), MaxDepth: 8, MaxFanout: 4, Labels: 3})
-		for _, m := range models {
-			for _, s := range strategiesFor(f, g) {
-				exact := New(f, g, m, s)
-				d := exact.Run()
-				for _, tau := range []float64{0, d / 2, d, d + 0.5, 2*d + 1, math.Inf(1)} {
-					run := func(sparse, sharp bool) (float64, bool, Stats) {
-						r := New(f, g, m, s)
-						r.SetSparseRows(sparse)
-						r.SetSharpBands(sharp)
-						bd, ok := r.RunBounded(tau)
-						return bd, ok, r.Stats()
-					}
-					dd, okD, sd := run(false, false)
-					ds, okS, ss := run(true, false)
-					dh, okH, sh := run(true, true)
-					if ds != dd || okS != okD {
-						t.Fatalf("iter %d %s tau=%v: sparse (%v, %v) != dense (%v, %v)\nF=%s\nG=%s",
-							iter, s.Name(), tau, ds, okS, dd, okD, f, g)
-					}
-					if dh != dd || okH != okD {
-						t.Fatalf("iter %d %s tau=%v: sharp (%v, %v) != dense (%v, %v)\nF=%s\nG=%s",
-							iter, s.Name(), tau, dh, okH, dd, okD, f, g)
-					}
-					if ss.Subproblems != sd.Subproblems || ss.PrunedSubproblems != sd.PrunedSubproblems ||
-						ss.BandSkippedCells != sd.BandSkippedCells || ss.PrunedKeyroots != sd.PrunedKeyroots {
-						t.Fatalf("iter %d %s tau=%v: sparse accounting %+v differs from dense %+v",
-							iter, s.Name(), tau, ss, sd)
-					}
-					if sd.CompressedRows != 0 {
-						t.Fatalf("iter %d %s tau=%v: dense run reports %d compressed rows", iter, s.Name(), tau, sd.CompressedRows)
-					}
-					if sh.Subproblems > ss.Subproblems {
-						t.Fatalf("iter %d %s tau=%v: sharp evaluated %d subproblems, sparse %d",
-							iter, s.Name(), tau, sh.Subproblems, ss.Subproblems)
-					}
-				}
+}
+
+// TestKernelCellsPinned pins the bounded kernel's work on the near pairs
+// at n = 120 under the ZhangL strategy (every keyroot runs ΔL, the
+// kernel with both row layouts): subproblems evaluated, row cells
+// materialized and rows stored band-compressed, at a tight cutoff (d+2,
+// where thin bands compress most rows) and a loose one (d+n/2, where
+// every band covers its row). Any change to the band, its pricing or the
+// per-keyroot layout rule moves one of these numbers.
+func TestKernelCellsPinned(t *testing.T) {
+	const n = 120
+	type cells struct{ subs, rowCells, compressed int64 }
+	want := map[string][2]cells{
+		"chain":  {{13651, 46679, 121}, {27165, 59989, 0}},
+		"binary": {{143818, 228983, 484}, {177163, 250158, 0}},
+		"zigzag": {{2565353, 3316414, 21588}, {3773900, 4174333, 0}},
+		"mixed":  {{200247, 306421, 968}, {236760, 322998, 0}},
+	}
+	s := strategy.ZhangL()
+	for _, p := range nearPairs(n) {
+		d := New(p.f, p.g, cost.Unit{}, s).Run()
+		for i, tau := range []float64{d + 2, d + n/2} {
+			r := New(p.f, p.g, cost.Unit{}, s)
+			if bd, ok := r.RunBounded(tau); !ok || bd != d {
+				t.Fatalf("%s tau=%v: RunBounded = (%v, %v), exact %v", p.name, tau, bd, ok, d)
+			}
+			st := r.Stats()
+			got := cells{st.Subproblems, st.RowCells, st.CompressedRows}
+			if got != want[p.name][i] {
+				t.Errorf("%s tau=%v: (subproblems, row cells, compressed rows) = %v, want %v",
+					p.name, tau, got, want[p.name][i])
 			}
 		}
 	}
 }
 
 // TestSparseRowsCompress pins the point of the compressed layout: on a
-// near pair at a narrow cutoff, the sparse run must store rows
-// band-compressed and materialize strictly fewer row cells than the
-// dense banded run, for the same answer.
+// near pair at a narrow cutoff the run stores rows band-compressed and
+// materializes fewer row cells than at a wide cutoff, where every band
+// covers its row and every keyroot keeps full-width rows.
 func TestSparseRowsCompress(t *testing.T) {
 	f := treegen.Mixed(120)
 	g := treegen.Mixed(128)
 	s := strategy.ZhangL()
-	exact := New(f, g, cost.Unit{}, s)
-	d := exact.Run()
+	d := New(f, g, cost.Unit{}, s).Run()
 
-	run := func(sparse bool) (float64, bool, Stats) {
+	run := func(tau float64) Stats {
 		r := New(f, g, cost.Unit{}, s)
-		r.SetSparseRows(sparse)
-		r.SetSharpBands(false)
-		bd, ok := r.RunBounded(d + 2)
-		return bd, ok, r.Stats()
+		if bd, ok := r.RunBounded(tau); !ok || bd != d {
+			t.Fatalf("near pair at tau=%v did not resolve exactly: (%v, %v), d=%v", tau, bd, ok, d)
+		}
+		return r.Stats()
 	}
-	dd, okD, sd := run(false)
-	ds, okS, ss := run(true)
-	if !okD || !okS || dd != d || ds != d {
-		t.Fatalf("near pair at tau=d+2 did not resolve exactly: dense (%v, %v), sparse (%v, %v), d=%v", dd, okD, ds, okS, d)
-	}
-	if ss.CompressedRows == 0 {
+	narrow, wide := run(d+2), run(d+60)
+	if narrow.CompressedRows == 0 {
 		t.Fatal("narrow-band run materialized no compressed rows")
 	}
-	if ss.RowCells >= sd.RowCells {
-		t.Fatalf("sparse rows saved nothing: %d cells vs dense %d", ss.RowCells, sd.RowCells)
+	if wide.CompressedRows != 0 {
+		t.Fatalf("wide-band run compressed %d rows; its bands cover their rows", wide.CompressedRows)
+	}
+	if narrow.RowCells >= wide.RowCells {
+		t.Fatalf("compressed rows saved nothing: %d cells vs full-width %d", narrow.RowCells, wide.RowCells)
 	}
 }
 
 // TestSparseRowsFreshArenaBytes is the allocation half of the compress
 // test: a cold (fresh-arena) bounded run at a narrow cutoff must
-// allocate strictly fewer bytes under the sparse layout, because the
+// allocate strictly fewer bytes than one at a wide cutoff, because the
 // row slab it grows is band-sized instead of row-width-sized.
 // TotalAlloc is cumulative, so GC cannot skew the deltas.
 func TestSparseRowsFreshArenaBytes(t *testing.T) {
@@ -109,20 +103,17 @@ func TestSparseRowsFreshArenaBytes(t *testing.T) {
 	s := strategy.ZhangL()
 	d := New(f, g, cost.Unit{}, s).Run()
 
-	bytesOf := func(sparse bool) uint64 {
+	bytesOf := func(tau float64) uint64 {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		r := New(f, g, cost.Unit{}, s)
-		r.SetSparseRows(sparse)
-		r.SetSharpBands(false)
-		r.RunBounded(d + 2)
+		New(f, g, cost.Unit{}, s).RunBounded(tau)
 		runtime.ReadMemStats(&after)
 		return after.TotalAlloc - before.TotalAlloc
 	}
-	dense := bytesOf(false)
-	sparse := bytesOf(true)
-	if sparse >= dense {
-		t.Fatalf("cold sparse run allocated %d bytes, dense %d — compression saved nothing", sparse, dense)
+	wide := bytesOf(d + 60)
+	narrow := bytesOf(d + 2)
+	if narrow >= wide {
+		t.Fatalf("cold narrow-band run allocated %d bytes, wide-band %d — compression saved nothing", narrow, wide)
 	}
 }
 

@@ -33,13 +33,13 @@ import (
 // Rows (one per chain state, |A(G)| cells each) are produced bottom-up
 // and released by reference counting once no later state reads them.
 //
-// ΔI rows stay dense even under SetSparseRows: a row is indexed by the
+// ΔI rows stay full-width in bounded runs too: a row is indexed by the
 // (a, b) decomposition cells, whose admissible band is a different
 // contiguous span per la-run, so compressing it would need a per-(row,
 // la) offset table of the same order as the savings. Band-compressed
 // storage therefore applies to the rectangular ΔL/ΔR rows only; ΔI
-// contributes its dense rows to Stats.RowCells and benefits from the
-// sharp per-region band pricing below.
+// contributes its full rows to Stats.RowCells and benefits from the
+// per-region band pricing below.
 
 // chain is the Definition 3 removal sequence for one subtree and path.
 type chain struct {
@@ -210,8 +210,7 @@ func (gs *gside) cell(la, lb int) int {
 // subtree hanging off the path and every y in T2_v2. Postcondition: it
 // additionally holds δ(T1_x, T2_y) for every x ON the path. In bounded
 // mode (tcut finite) cells whose forest sizes differ by more than the
-// cheapest operations allow under tcut are saturated to +Inf, as in
-// spfLR.
+// cheapest operations allow under tcut are skipped, as in spfLR.
 func (r *Runner) spfI(t1 *tree.Tree, v1 int, t2 *tree.Tree, v2 int, pt strategy.PathType, cm *cost.Compiled, dv dview, tcut float64) {
 	ch := &r.ar.ch
 	ch.build(t1, v1, pt, cm.Del)
@@ -262,40 +261,24 @@ func (r *Runner) spfI(t1 *tree.Tree, v1 int, t2 *tree.Tree, v2 int, pt strategy.
 		return rows[tt][c]
 	}
 
-	// Band pruning setup, as in spfLR.
+	// Band pruning setup, as in spfLR: for a fixed chain state the
+	// admissible G-forest sizes form one interval, and within one la-run
+	// of the storage the forest size is nondecreasing in lb — so the
+	// admissible cells are a contiguous span found by binary search, and
+	// the spans outside are skipped (and counted) without per-cell tests.
+	// Skipped cells hold stale scratch; atB guards every read that can
+	// land on one and prices it +Inf, sound because an out-of-band forest
+	// pair needs more than maxD deletions or maxI insertions (SetCutoff).
 	bounded := r.bounded && !math.IsInf(tcut, 1)
-	var dmin, imin float64
+	var maxD, maxI int
 	if bounded {
 		oc := r.opCostsFor(cm)
-		dmin, imin = oc.dmin, oc.imin
-		bounded = dmin > 0 || imin > 0
+		bounded = oc.dmin > 0 || oc.imin > 0
 		tcut += r.cutPad(tcut)
-	}
-	inf := math.Inf(1)
-	// Structural band (default): for a fixed chain state the admissible
-	// G-forest sizes form one interval, and within one la-run of the
-	// storage the forest size is nondecreasing in lb — so the admissible
-	// cells are a contiguous span found by binary search, and the spans
-	// outside are skipped (and counted) without per-cell tests. Skipped
-	// cells hold stale scratch; atB guards every read that can land on
-	// one and prices it +Inf, sound because an out-of-band forest pair
-	// needs more than maxD deletions or maxI insertions (SetCutoff).
-	banded := bounded && r.banded
-	var maxD, maxI int
-	if banded {
-		// Sharp per-region pricing (SetSharpBands): every deleted node
-		// lies in T1's subtree at v1 and every inserted one in T2's
-		// subtree at v2, so the band widths may be priced at those
-		// regions' own floors instead of the global minima.
-		dminR, iminR := dmin, imin
-		if r.sharp {
-			if cm.DelSub != nil && cm.DelSub[v1] > dminR {
-				dminR = cm.DelSub[v1]
-			}
-			if cm.InsSub != nil && cm.InsSub[v2] > iminR {
-				iminR = cm.InsSub[v2]
-			}
-		}
+		// Every deleted node lies in T1's subtree at v1 and every inserted
+		// one in T2's subtree at v2, so the band widths are priced at
+		// those regions' own floors instead of the global minima.
+		dminR, iminR := r.regionMins(cm, v1, v2)
 		maxD, maxI = bandWidth(tcut, dminR), bandWidth(tcut, iminR)
 		// Widths beyond any possible size difference act identically;
 		// capping keeps the index arithmetic comfortably in range.
@@ -306,6 +289,7 @@ func (r *Runner) spfI(t1 *tree.Tree, v1 int, t2 *tree.Tree, v2 int, pt strategy.
 			maxI = n
 		}
 	}
+	inf := math.Inf(1)
 	inBand := func(tt, gsz int) bool {
 		d := (s1 - tt) - gsz
 		return d <= maxD && -d <= maxI
@@ -331,12 +315,9 @@ func (r *Runner) spfI(t1 *tree.Tree, v1 int, t2 *tree.Tree, v2 int, pt strategy.
 		dirR := ch.dirR[t]
 		jump := t + uSz
 		delU := cm.Del[u]
-		fSz := s1 - t // F-side forest size of this chain state
-		if !bounded {
-			r.stats.Subproblems += gs.canon
-		}
 
-		if banded {
+		if bounded {
+			fSz := s1 - t // F-side forest size of this chain state
 			loSz, hiSz := fSz-maxD, fSz+maxI
 			for la := s2 - 1; la >= 0; la-- {
 				n0 := int(gs.lByPre[la])
@@ -461,6 +442,7 @@ func (r *Runner) spfI(t1 *tree.Tree, v1 int, t2 *tree.Tree, v2 int, pt strategy.
 			continue
 		}
 
+		r.stats.Subproblems += gs.canon
 		for la := s2 - 1; la >= 0; la-- {
 			n0 := int(gs.lByPre[la])
 			base := int(gs.off[la])
@@ -475,18 +457,6 @@ func (r *Runner) spfI(t1 *tree.Tree, v1 int, t2 *tree.Tree, v2 int, pt strategy.
 					continue
 				}
 				gSz := int(gs.szCell[c])
-				if bounded {
-					if d := fSz - gSz; (d > 0 && float64(d)*dmin > tcut) ||
-						(d < 0 && float64(-d)*imin > tcut) {
-						row[c] = inf
-						r.stats.PrunedSubproblems++
-						if isT && gSz == n0sz {
-							dv.set(u, gs.g0+lb, inf)
-						}
-						continue
-					}
-					r.stats.Subproblems++
-				}
 				var val float64
 				switch {
 				case isT && gSz == n0sz:

@@ -104,7 +104,8 @@ func TestGSideMatchesLemma1(t *testing.T) {
 
 // TestKleinLiveRows: Klein's strategy exercises ΔI on every pair; the
 // row-retention machinery is bounded by the nesting depth of off-path
-// strips (DESIGN.md §4). For branch/zig-zag trees the strips are single
+// strips (a row is released once no later chain state reads it, see
+// spfi.go). For branch/zig-zag trees the strips are single
 // leaves so retention is a small constant; in general it never exceeds
 // the tree height plus the two working rows.
 func TestKleinLiveRows(t *testing.T) {

@@ -56,10 +56,10 @@ func (v zsview) leafmost(c int) int {
 //
 // It evaluates |T1_v1| × |F(T2_v2, Γ_view(T2_v2))| relevant subproblems
 // (Lemma 4), counted into the runner's stats. In bounded mode (tcut
-// finite) cells whose prefix sizes differ by more than the cheapest
-// operations allow under tcut are saturated to +Inf instead of computed:
-// such a forest pair needs at least |di−dj| deletions or insertions, so
-// its true value already exceeds the cutoff.
+// finite) each keyroot runs on the structural band instead: cells whose
+// prefix sizes differ by more than the cheapest operations allow under
+// tcut are skipped, since such a forest pair needs at least |di−dj|
+// deletions or insertions and its true value already exceeds the cutoff.
 func (r *Runner) spfLR(view1 zsview, v1 int, view2 zsview, v2 int, cm *cost.Compiled, dv dview, tcut float64) {
 	t1, t2 := view1.t, view2.t
 	s1 := t1.Size(v1)
@@ -88,28 +88,22 @@ func (r *Runner) spfLR(view1 zsview, v1 int, view2 zsview, v2 int, cm *cost.Comp
 	// Band pruning: with both operation minima zero no size argument can
 	// prove a cell above the cutoff, so the exact path runs unchanged.
 	bounded := r.bounded && !math.IsInf(tcut, 1)
-	var dmin, imin float64
+	var imin float64
+	var maxD, maxI int
+	nCap := t1.Len() + t2.Len()
 	if bounded {
 		oc := r.opCostsFor(cm)
-		dmin, imin = oc.dmin, oc.imin
-		bounded = dmin > 0 || imin > 0
+		imin = oc.imin
+		bounded = oc.dmin > 0 || imin > 0
 		tcut += r.cutPad(tcut)
-	}
-	// Structural band (default): for prefix pair (di, dj) the per-cell
-	// predicate depends only on di−dj, so per row the admissible dj form
-	// the contiguous range [di−maxD, di+maxI] — iterate just that range
-	// and account the rest as whole skipped spans. Widths are priced, when
-	// sharp per-region pricing is on, at the floors of the regions the
-	// operations draw from: every deleted prefix node lies in T1's subtree
-	// at v1 (fixed per call), every inserted one in the current keyroot's
-	// T2 subtree (per keyroot, below).
-	banded := bounded && r.banded
-	sharp := banded && r.sharp
-	nCap := t1.Len() + t2.Len()
-	var maxD, maxI int
-	if banded {
-		dminR := dmin
-		if sharp && cm.DelSub != nil && cm.DelSub[v1] > dminR {
+		// For prefix pair (di, dj) the admissible dj of a row form the
+		// contiguous range [di−maxD, di+maxI]. Widths are priced at the
+		// floors of the regions the operations draw from: every deleted
+		// prefix node lies in T1's subtree at v1 (fixed per call), every
+		// inserted one in the current keyroot's T2 subtree (per keyroot,
+		// below).
+		dminR := oc.dmin
+		if cm.DelSub != nil && cm.DelSub[v1] > dminR {
 			dminR = cm.DelSub[v1]
 		}
 		maxD, maxI = bandWidth(tcut, dminR), bandWidth(tcut, imin)
@@ -122,19 +116,15 @@ func (r *Runner) spfLR(view1 zsview, v1 int, view2 zsview, v2 int, cm *cost.Comp
 			maxI = nCap
 		}
 	}
-	inf := math.Inf(1)
 
 	for _, kc := range ks {
 		jlo := view2.leafmost(kc)
 		s2k := kc - jlo + 1
-		if !bounded {
-			r.stats.Subproblems += int64(s1) * int64(s2k)
-		}
 		w := s2k + 1 // scratch row width
 
-		if banded {
-			maxIK := maxI
-			if sharp && cm.InsSub != nil {
+		maxIK := maxI
+		if bounded {
+			if cm.InsSub != nil {
 				if iminR := cm.InsSub[view2.nodeOf(kc)]; iminR > imin {
 					maxIK = bandWidth(tcut, iminR)
 					if maxIK > nCap {
@@ -142,21 +132,16 @@ func (r *Runner) spfLR(view1 zsview, v1 int, view2 zsview, v2 int, cm *cost.Comp
 					}
 				}
 			}
-			if bw := maxD + maxIK + 1; r.sparse && bw < w {
+			// Compressed rows when the band is narrower than the row,
+			// full-width rows otherwise: the two layouts compute the same
+			// cells, the compressed one streams only the band's memory.
+			if bw := maxD + maxIK + 1; bw < w {
 				fdB := growF64(&r.ar.fdB, (s1+1)*bw)
 				r.stats.CompressedRows += int64(s1) + 1
 				r.stats.RowCells += int64(s1+1) * int64(bw)
 				r.spfLRSparseKeyroot(view1, lo1, s1, view2, jlo, kc, cm, dv, fdB, maxD, maxIK)
 				continue
 			}
-			fd := growF64(&r.ar.fd, (s1+1)*w)
-			r.stats.RowCells += int64(s1+1) * int64(w)
-			fd[0] = 0
-			for dj := 1; dj <= s2k; dj++ {
-				fd[dj] = fd[dj-1] + cm.Ins[view2.nodeOf(jlo+dj-1)]
-			}
-			r.spfLRBandedKeyroot(view1, lo1, s1, view2, jlo, kc, cm, dv, fd, maxD, maxIK)
-			continue
 		}
 		fd := growF64(&r.ar.fd, (s1+1)*w)
 		r.stats.RowCells += int64(s1+1) * int64(w)
@@ -164,6 +149,11 @@ func (r *Runner) spfLR(view1 zsview, v1 int, view2 zsview, v2 int, cm *cost.Comp
 		for dj := 1; dj <= s2k; dj++ {
 			fd[dj] = fd[dj-1] + cm.Ins[view2.nodeOf(jlo+dj-1)]
 		}
+		if bounded {
+			r.spfLRBandedKeyroot(view1, lo1, s1, view2, jlo, kc, cm, dv, fd, maxD, maxIK)
+			continue
+		}
+		r.stats.Subproblems += int64(s1) * int64(s2k)
 		for di := 1; di <= s1; di++ {
 			i := lo1 + di - 1
 			n1 := view1.nodeOf(i)
@@ -176,18 +166,6 @@ func (r *Runner) spfLR(view1 zsview, v1 int, view2 zsview, v2 int, cm *cost.Comp
 				n2 := view2.nodeOf(j)
 				fl2 := view2.leafmost(j)
 				tt := onPath1 && fl2 == jlo
-				if bounded {
-					if d := di - dj; (d > 0 && float64(d)*dmin > tcut) ||
-						(d < 0 && float64(-d)*imin > tcut) {
-						fd[di*w+dj] = inf
-						r.stats.PrunedSubproblems++
-						if tt {
-							dv.set(n1, n2, inf)
-						}
-						continue
-					}
-					r.stats.Subproblems++
-				}
 				del := fd[(di-1)*w+dj] + del1
 				ins := fd[di*w+dj-1] + cm.Ins[n2]
 				var match float64
@@ -213,6 +191,25 @@ func (r *Runner) spfLR(view1 zsview, v1 int, view2 zsview, v2 int, cm *cost.Comp
 	}
 }
 
+// keyrootChain returns the T2 path chain of the keyroot kc, ascending:
+// the dj offsets (and node ids) of the prefixes that are whole subtrees
+// with view-leftmost leaf jlo — exactly the cells that publish into the
+// distance matrix. Both slices are arena scratch.
+func (r *Runner) keyrootChain(view2 zsview, jlo, kc int) (chD, chN []int32) {
+	chD = r.ar.chainDJ[:0]
+	chN = r.ar.chainN2[:0]
+	for n := view2.nodeOf(jlo); ; n = view2.t.Parent(n) {
+		cc := view2.coordOf(n)
+		chD = append(chD, int32(cc-jlo+1))
+		chN = append(chN, int32(n))
+		if cc == kc {
+			break
+		}
+	}
+	r.ar.chainDJ, r.ar.chainN2 = chD, chN
+	return chD, chN
+}
+
 // spfLRBandedKeyroot runs one keyroot of the ΔL/ΔR DP restricted to the
 // structural band: row di computes only dj ∈ [di−maxD, di+maxI]. Cells
 // outside the band hold stale scratch from earlier keyroots, so every
@@ -227,20 +224,7 @@ func (r *Runner) spfLRBandedKeyroot(view1 zsview, lo1, s1 int, view2 zsview, jlo
 	inf := math.Inf(1)
 	s2k := kc - jlo + 1
 	w := s2k + 1
-	// The T2 path chain of this keyroot, ascending: dj offsets (and node
-	// ids) of the prefixes that are whole subtrees with view-leftmost
-	// leaf jlo — exactly the cells that publish into the distance matrix.
-	chD := r.ar.chainDJ[:0]
-	chN := r.ar.chainN2[:0]
-	for n := view2.nodeOf(jlo); ; n = view2.t.Parent(n) {
-		cc := view2.coordOf(n)
-		chD = append(chD, int32(cc-jlo+1))
-		chN = append(chN, int32(n))
-		if cc == kc {
-			break
-		}
-	}
-	r.ar.chainDJ, r.ar.chainN2 = chD, chN
+	chD, chN := r.keyrootChain(view2, jlo, kc)
 
 	for di := 1; di <= s1; di++ {
 		i := lo1 + di - 1
@@ -329,18 +313,7 @@ func (r *Runner) spfLRSparseKeyroot(view1 zsview, lo1, s1 int, view2 zsview, jlo
 	inf := math.Inf(1)
 	s2k := kc - jlo + 1
 	bw := maxD + maxI + 1
-	// The T2 path chain of this keyroot (see spfLRBandedKeyroot).
-	chD := r.ar.chainDJ[:0]
-	chN := r.ar.chainN2[:0]
-	for n := view2.nodeOf(jlo); ; n = view2.t.Parent(n) {
-		cc := view2.coordOf(n)
-		chD = append(chD, int32(cc-jlo+1))
-		chN = append(chN, int32(n))
-		if cc == kc {
-			break
-		}
-	}
-	r.ar.chainDJ, r.ar.chainN2 = chD, chN
+	chD, chN := r.keyrootChain(view2, jlo, kc)
 
 	// Row 0 (pure-insertion prefixes) exists only for dj ≤ maxI; the same
 	// prefix-sum accumulation as the dense init keeps the floats identical.

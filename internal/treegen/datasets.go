@@ -10,8 +10,9 @@ import (
 // This file simulates the three real-world datasets of the paper's
 // evaluation. The originals (SwissProt XML, Penn TreeBank XML, TreeFam
 // phylogenies) are not redistributable, so seeded generators reproduce
-// their published shape statistics instead — see DESIGN.md §5. The
-// statistics the paper reports and the generators target:
+// their published shape statistics instead (the experiments measure
+// subproblem counts, which depend on shape alone). The statistics the
+// paper reports and the generators target:
 //
 //	SwissProt: flat and wide — max depth 4, max fanout 346, avg size 187
 //	TreeBank:  small and deep — avg depth 10.4, max depth 35, avg size 68

@@ -1,10 +1,10 @@
 // Package treegen generates the synthetic tree shapes of the paper's
 // evaluation (Figure 7), bounded random trees, and simulators for the
 // three real-world datasets (SwissProt, TreeBank, TreeFam) whose shape
-// statistics the paper reports. See DESIGN.md §5 for the substitution
-// argument: the experiments depend on tree shapes, not on the proprietary
-// content, so seeded generators with matching shape statistics preserve
-// the measured behaviour.
+// statistics the paper reports. The substitution is sound because the
+// experiments depend on tree shapes, not on the proprietary content, so
+// seeded generators with matching shape statistics preserve the measured
+// behaviour.
 package treegen
 
 import "repro/internal/tree"

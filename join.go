@@ -91,9 +91,7 @@ func WithIndex(m IndexMode) Option {
 // algorithms — the per-pair strategy override (RTED is the engine
 // default).
 func (c config) batchOpts(workers int) []batch.Option {
-	opts := []batch.Option{batch.WithWorkers(workers), batch.WithCost(c.model),
-		batch.WithBanding(!c.unbanded), batch.WithSparseRows(!c.noSparse),
-		batch.WithSharpBands(!c.noSharp)}
+	opts := []batch.Option{batch.WithWorkers(workers), batch.WithCost(c.model)}
 	if c.alg != RTED {
 		a := c.alg
 		opts = append(opts, batch.WithStrategy(func(f, g *tree.Tree) strategy.Strategy {
@@ -179,8 +177,7 @@ func Join(trees []*Tree, tau float64, opts ...Option) JoinResult {
 		IndexTime:     st.IndexTime,
 	}
 	if c.stats != nil {
-		c.stats.Subproblems = st.Subproblems
-		c.stats.TotalTime = st.Elapsed
+		*c.stats = joinStats(st)
 	}
 	for _, m := range ms {
 		out.Pairs = append(out.Pairs, JoinPair{I: m.I, J: m.J, Dist: m.Dist})

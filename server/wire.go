@@ -74,7 +74,7 @@ type JoinStats struct {
 	PrunedKeyroots    int64 `json:"pruned_keyroots"`
 	// DP rows materialized band-compressed and total row cells
 	// materialized (×8 = bytes of row storage streamed) by the exact
-	// stage — the sparse-row ablation's serving-side counters.
+	// stage.
 	CompressedRows int64  `json:"compressed_rows"`
 	RowCells       int64  `json:"row_cells"`
 	Mode           string `json:"mode"`
@@ -206,15 +206,14 @@ type StatsResponse struct {
 	Tenants map[string]TenantStats `json:"tenants,omitempty"`
 	// Cumulative DP pruning over every served join's exact stage since
 	// boot: cells skipped under the threshold cutoff, the subset skipped
-	// as whole ranges by the structural band, and keyroot subproblem DPs
-	// the band refused outright. Monitoring the band share over time is
-	// the serving-side view of the `tedbench -exp band` ablation.
+	// as whole ranges by the structural band (the rest are keyroot DPs
+	// priced as size products), and keyroot subproblem DPs the band
+	// refused outright.
 	PrunedSubproblems int64 `json:"pruned_subproblems"`
 	BandSkippedCells  int64 `json:"band_skipped_cells"`
 	PrunedKeyroots    int64 `json:"pruned_keyroots"`
 	// Cumulative band-compressed rows and total row cells materialized
-	// (×8 = bytes of row storage streamed) — the serving-side view of
-	// the `tedbench -exp sparse` ablation.
+	// (×8 = bytes of row storage streamed) by the same exact stages.
 	CompressedRows int64 `json:"compressed_rows"`
 	RowCells       int64 `json:"row_cells"`
 	// Replication position of this server's own write-ahead log (absent

@@ -5,6 +5,7 @@ import (
 	"math"
 	"time"
 
+	"repro/batch"
 	"repro/internal/bounds"
 	"repro/internal/core"
 	"repro/internal/cost"
@@ -113,20 +114,17 @@ type Stats struct {
 	// keyroot subproblems the band skipped wholesale. Always zero for
 	// exact calls.
 	PrunedSubproblems int64
-	// BandSkippedCells counts the DP cells skipped as whole loop ranges
-	// by the structural band of a bounded call, as opposed to cells
-	// pruned one at a time by slack saturation; with WithBanding(false)
-	// it is always zero, so the difference between two runs attributes
-	// pruning to the band versus the per-cell predicate.
+	// BandSkippedCells counts the DP cells a bounded call skipped as
+	// whole loop ranges of the structural band; with the keyroot-level
+	// contributions it makes up PrunedSubproblems.
 	BandSkippedCells int64
 	// PrunedKeyroots counts keyroot subproblem DPs a bounded call
 	// skipped entirely because the size, height or depth-spectra offset
 	// of the subtree pair already exceeded its cutoff.
 	PrunedKeyroots int64
 	// CompressedRows counts forest-distance DP rows a bounded call
-	// materialized in band-compressed form (WithSparseRows): only the
-	// admissible band cells of the row were stored. Zero for exact calls
-	// and with WithSparseRows(false).
+	// materialized in band-compressed form: only the admissible band
+	// cells of the row were stored. Zero for exact calls.
 	CompressedRows int64
 	// RowCells counts the DP row cells materialized across the call's row
 	// storage; ×8 it is the bytes of row scratch streamed, the
@@ -142,17 +140,59 @@ type Stats struct {
 	MaxLiveRows int
 }
 
+// gtedStats converts the counters of one GTED run, which took total.
+func gtedStats(st gted.Stats, total time.Duration) Stats {
+	return Stats{
+		Subproblems:       st.Subproblems,
+		PrunedSubproblems: st.PrunedSubproblems,
+		BandSkippedCells:  st.BandSkippedCells,
+		PrunedKeyroots:    st.PrunedKeyroots,
+		CompressedRows:    st.CompressedRows,
+		RowCells:          st.RowCells,
+		SPFCalls:          st.SPFCalls,
+		TotalTime:         total,
+		MaxLiveRows:       st.MaxLiveRows,
+	}
+}
+
+// batchStats converts the counters a batch call aggregated over its GTED
+// runs, which took total.
+func batchStats(st batch.Stats, total time.Duration) Stats {
+	return Stats{
+		Subproblems:       st.Subproblems,
+		PrunedSubproblems: st.PrunedSubproblems,
+		BandSkippedCells:  st.BandSkippedCells,
+		PrunedKeyroots:    st.PrunedKeyroots,
+		CompressedRows:    st.CompressedRows,
+		RowCells:          st.RowCells,
+		SPFCalls:          st.SPFCalls,
+		TotalTime:         total,
+		MaxLiveRows:       st.MaxLiveRows,
+	}
+}
+
+// joinStats converts a join's accounting. Joins track neither SPFCalls
+// nor MaxLiveRows; TotalTime is the join's elapsed time.
+func joinStats(st batch.JoinStats) Stats {
+	return Stats{
+		Subproblems:       st.Subproblems,
+		PrunedSubproblems: st.PrunedSubproblems,
+		BandSkippedCells:  st.BandSkippedCells,
+		PrunedKeyroots:    st.PrunedKeyroots,
+		CompressedRows:    st.CompressedRows,
+		RowCells:          st.RowCells,
+		TotalTime:         st.Elapsed,
+	}
+}
+
 type config struct {
-	alg      Algorithm
-	model    CostModel
-	stats    *Stats
-	workers  int
-	filters  bool
-	indexed  bool
-	imode    IndexMode
-	unbanded bool
-	noSparse bool
-	noSharp  bool
+	alg     Algorithm
+	model   CostModel
+	stats   *Stats
+	workers int
+	filters bool
+	indexed bool
+	imode   IndexMode
 }
 
 // Option configures Distance, Mapping and Join.
@@ -164,26 +204,11 @@ func WithAlgorithm(a Algorithm) Option { return func(c *config) { c.alg = a } }
 // WithCost selects the cost model (default UnitCost).
 func WithCost(m CostModel) Option { return func(c *config) { c.model = m } }
 
-// WithStats requests instrumentation; s is filled during the call.
+// WithStats requests instrumentation from the calls that report it
+// (Distance, DistanceBounded, Join, TopKSubtrees, TopKSubtreesAcross and
+// SubtreeDistances): each overwrites *s with its own counters, so
+// nothing an earlier call left there survives.
 func WithStats(s *Stats) Option { return func(c *config) { c.stats = s } }
-
-// WithBanding toggles the structural band of bounded calls (default
-// on). Off, DistanceBounded falls back to testing every DP cell against
-// the cutoff one at a time — same answers bit for bit, more cells
-// touched. Exists for ablation and differential testing; leave it on.
-func WithBanding(on bool) Option { return func(c *config) { c.unbanded = !on } }
-
-// WithSparseRows toggles band-compressed DP row storage of bounded calls
-// (default on): when a keyroot's admissible band is narrower than its
-// row, only the band cells are materialized. Same answers bit for bit;
-// off restores full-width rows for ablation and differential testing.
-func WithSparseRows(on bool) Option { return func(c *config) { c.noSparse = !on } }
-
-// WithSharpBands toggles the sharper band bounds of bounded calls
-// (default on): label-aware per-region band pricing and the depth-spectra
-// keyroot band. Same answers bit for bit; off restores the globally
-// priced band for ablation.
-func WithSharpBands(on bool) Option { return func(c *config) { c.noSharp = !on } }
 
 func buildConfig(opts []Option) config {
 	c := config{alg: RTED, model: UnitCost}
@@ -298,23 +323,9 @@ func DistanceBounded(f, g *Tree, tau float64, opts ...Option) (float64, bool) {
 		alg = ZhangL
 	}
 	run := gted.New(f, g, c.model, StrategyFor(alg, f, g))
-	run.SetBanding(!c.unbanded)
-	run.SetSparseRows(!c.noSparse)
-	run.SetSharpBands(!c.noSharp)
 	d, ok := run.RunBounded(tau)
 	if c.stats != nil {
-		st := run.Stats()
-		*c.stats = Stats{
-			Subproblems:       st.Subproblems,
-			PrunedSubproblems: st.PrunedSubproblems,
-			BandSkippedCells:  st.BandSkippedCells,
-			PrunedKeyroots:    st.PrunedKeyroots,
-			CompressedRows:    st.CompressedRows,
-			RowCells:          st.RowCells,
-			SPFCalls:          st.SPFCalls,
-			TotalTime:         time.Since(start),
-			MaxLiveRows:       st.MaxLiveRows,
-		}
+		*c.stats = gtedStats(run.Stats(), time.Since(start))
 	}
 	if !ok {
 		return tau, false

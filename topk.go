@@ -1,6 +1,8 @@
 package ted
 
 import (
+	"time"
+
 	"repro/batch"
 	"repro/corpus"
 	"repro/internal/gted"
@@ -35,12 +37,11 @@ func TopKSubtrees(query, data *Tree, k int, opts ...Option) []SubtreeMatch {
 		// dominates it anyway.
 		c.alg = RTED
 	}
+	start := time.Now()
 	e := c.batchEngine(1)
 	ms, st := e.TopKSubtrees(e.Prepare(query), e.Prepare(data), k)
 	if c.stats != nil {
-		c.stats.Subproblems = st.Subproblems
-		c.stats.SPFCalls = st.SPFCalls
-		c.stats.MaxLiveRows = st.MaxLiveRows
+		*c.stats = batchStats(st, time.Since(start))
 	}
 	out := make([]SubtreeMatch, len(ms))
 	for i, m := range ms {
@@ -80,6 +81,7 @@ func TopKSubtreesAcross(query *Tree, data []*Tree, k int, opts ...Option) []Cros
 	if c.alg == ZhangShashaClassic {
 		c.alg = RTED // no strategy form; RTED dominates it anyway
 	}
+	start := time.Now()
 	cp := corpus.New()
 	pos := make(map[corpus.ID]int, len(data))
 	for i, t := range data {
@@ -92,14 +94,7 @@ func TopKSubtreesAcross(query *Tree, data []*Tree, k int, opts ...Option) []Cros
 		ms[i] = batch.CrossMatch{Tree: pos[m.Tree], Root: m.Root, Dist: m.Dist}
 	}
 	if c.stats != nil {
-		c.stats.Subproblems = st.Subproblems
-		c.stats.PrunedSubproblems = st.PrunedSubproblems
-		c.stats.BandSkippedCells = st.BandSkippedCells
-		c.stats.PrunedKeyroots = st.PrunedKeyroots
-		c.stats.CompressedRows = st.CompressedRows
-		c.stats.RowCells = st.RowCells
-		c.stats.SPFCalls = st.SPFCalls
-		c.stats.MaxLiveRows = st.MaxLiveRows
+		*c.stats = batchStats(st, time.Since(start))
 	}
 	out := make([]CrossSubtreeMatch, len(ms))
 	for i, m := range ms {
@@ -120,10 +115,11 @@ func SubtreeDistances(f, g *Tree, opts ...Option) *DistMatrix {
 	}
 	// A private runner (no shared arena): the returned matrix is live
 	// after this call and must not be recycled under the caller.
+	start := time.Now()
 	run := gted.New(f, g, c.model, StrategyFor(alg, f, g))
 	run.Run()
 	if c.stats != nil {
-		c.stats.Subproblems = run.Stats().Subproblems
+		*c.stats = gtedStats(run.Stats(), time.Since(start))
 	}
 	return &DistMatrix{nf: f.Len(), ng: g.Len(), d: run.Matrix()}
 }
