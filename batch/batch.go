@@ -19,8 +19,17 @@
 //     lower-bound profile (label histogram, binary-branch histogram,
 //     serializations) used for pre-filtering.
 //   - Per pair (hot path): assemble the pair cost form by slice sharing,
-//     run OptStrategy and GTED entirely inside a per-worker Arena whose
-//     buffers are reused from pair to pair.
+//     compute the pair's strategy and run GTED entirely inside a
+//     per-worker Arena whose buffers are reused from pair to pair.
+//
+// The per-pair strategy is RTED's OptStrategy priced in time rather than
+// in subproblems (strategy.TimePrice): each single-path call and each ΔI
+// cell carry calibrated weights, so the engine picks the decomposition
+// that runs fastest on its own kernel, not the one with the fewest
+// cells. Distances do not depend on the strategy. The paper's strategy,
+// the fewest relevant subproblems, is one option away
+// (WithPaperStrategy); the public ted API's RTED algorithm and the
+// paper's experiments (Table 1 among them) run it.
 //
 // Engines are safe for concurrent use; PreparedTrees are immutable and
 // shared freely across goroutines. A PreparedTree is bound to the engine
@@ -53,8 +62,9 @@ import (
 )
 
 // StrategyFunc builds the GTED decomposition strategy for one tree pair.
-// The default (nil) is RTED's optimal strategy; fixed-strategy factories
-// reproduce the paper's competitor algorithms.
+// The default (nil) is RTED's strategy, priced in time unless
+// WithPaperStrategy is set; fixed-strategy factories reproduce the
+// paper's competitor algorithms.
 type StrategyFunc func(f, g *tree.Tree) strategy.Strategy
 
 // Engine is a reusable batch-TED computer. The zero value is not usable;
@@ -64,6 +74,10 @@ type Engine struct {
 	unit    bool
 	workers int
 	strat   StrategyFunc
+	// price is what the per-pair strategy DP minimizes when strat is nil:
+	// strategy.TimePrice unless WithPaperStrategy asked for the paper's
+	// subproblem count.
+	price strategy.Price
 
 	// in assigns the label ids shared by every PreparedTree. It is
 	// internally synchronized, and may be shared with other engines (a
@@ -85,10 +99,19 @@ func WithWorkers(n int) Option { return func(e *Engine) { e.workers = n } }
 func WithCost(m cost.Model) Option { return func(e *Engine) { e.model = m } }
 
 // WithStrategy overrides the per-pair decomposition strategy (default:
-// RTED's optimal strategy, computed from each tree's cached
+// RTED's strategy priced in time, computed from each tree's cached
 // decomposition). Used to run the paper's fixed-strategy competitors
 // through the same engine.
 func WithStrategy(fn StrategyFunc) Option { return func(e *Engine) { e.strat = fn } }
+
+// WithPaperStrategy makes the engine run the paper's RTED strategy, the
+// one with the fewest relevant subproblems (strategy.CountPrice), instead
+// of its default, the strategy with the least estimated time
+// (strategy.TimePrice). Both give the same distances; only the
+// decompositions, and so the subproblem and call counts, differ. The
+// paper's experiments and the public ted API's RTED algorithm use it, so
+// their subproblem counts are the paper's.
+func WithPaperStrategy() Option { return func(e *Engine) { e.price = strategy.CountPrice } }
 
 // WithInterner makes the engine assign label ids from a shared interner
 // instead of a private one. Engines sharing an interner agree on label
@@ -109,6 +132,7 @@ func New(opts ...Option) *Engine {
 	e := &Engine{
 		model:   cost.Unit{},
 		workers: runtime.GOMAXPROCS(0),
+		price:   strategy.TimePrice,
 		in:      cost.NewInterner(),
 	}
 	for _, o := range opts {
@@ -181,8 +205,15 @@ func (e *Engine) getWS() *workspace {
 // released instead of pinned in the pool.
 const maxPooledConstrainedCells = 1 << 18
 
+// maxPooledStrategyCells caps the strategy scratch a pooled workspace
+// keeps (256 Ki subtree pairs at 25 bytes each, 6.25 MiB): every pair up
+// to 512 × 512 nodes, while one 4096-node pair (~420 MB) is released
+// instead of pinned in the pool.
+const maxPooledStrategyCells = 1 << 18
+
 func (e *Engine) putWS(w *workspace) {
 	w.constrained.Shrink(maxPooledConstrainedCells)
+	w.opt.Shrink(maxPooledStrategyCells)
 	wsPool.Put(w)
 }
 
@@ -257,11 +288,10 @@ func (e *Engine) pairRunner(ws *workspace, f, g *PreparedTree) *gted.Runner {
 	if e.strat != nil {
 		st = e.strat(f.t, g.t)
 	} else {
-		st, _ = ws.opt.Opt(f.t, g.t, f.decomp, g.decomp)
+		st, _ = ws.opt.Opt(f.t, g.t, f.decomp, g.decomp, e.price)
 	}
 	r := gted.NewInArena(f.t, g.t, cm, st, ws.arena)
 	r.SetMirrorLeafmost(f.lfm, g.lfm)
-	r.SetDepthSpectra(f.spectra, g.spectra)
 	return r
 }
 

@@ -11,6 +11,7 @@ import (
 	ted "repro"
 	"repro/batch"
 	"repro/gen"
+	"repro/internal/strategy"
 )
 
 func randomTrees(seed int64, n, size int) []*ted.Tree {
@@ -469,37 +470,72 @@ func TestBoundedAllocFree(t *testing.T) {
 	}
 }
 
-// TestBoundedBytesPerPair pins the bytes (not just objects) of a warm
-// bounded run at a narrow cutoff: with arena-owned rows, the steady
-// state may allocate a few fixed-size descriptors per pair but nothing
-// DP-sized. TotalAlloc is cumulative so GC cannot skew the delta.
+// TestBoundedBytesPerPair pins the bytes (not just objects) of warm
+// bounded runs at a narrow cutoff, pair by pair: with arena-owned rows
+// and pooled strategy scratch, the steady state may allocate a few
+// fixed-size descriptors per pair but nothing DP-sized. The profiled
+// lower bound rejects the random pairs at tau 2 before any DP, so a
+// 2-rename copy of the query makes one pair run the strategy DP, the
+// depth-spectra build and GTED, and is measured on its own.
+// TotalAlloc is cumulative so GC cannot skew the deltas.
 func TestBoundedBytesPerPair(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race shadow state distorts byte accounting")
 	}
+	const tau = 2
 	query := gen.Random(87, gen.RandomSpec{Size: 50, MaxDepth: 8, MaxFanout: 4, Labels: 4})
-	others := randomTrees(88, 12, 50)
+	others := append(randomTrees(88, 12, 50), gen.RenameSome(query, 2, 89))
+	var st ted.Stats
+	if _, ok := ted.DistanceBounded(query, others[len(others)-1], tau, ted.WithStats(&st)); !ok || st.Subproblems == 0 {
+		t.Fatalf("the near copy does not run the DP at tau %d: %+v", tau, st)
+	}
 	e := batch.New(batch.WithWorkers(1))
 	q := e.Prepare(query)
 	ps := e.PrepareAll(others)
 	for _, p := range ps {
-		e.DistanceBounded(q, p, 2)
+		e.DistanceBounded(q, p, tau)
 		e.DistanceBounded(q, p, 1e9)
 	}
 	const reps = 5
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for rep := 0; rep < reps; rep++ {
-		for _, p := range ps {
-			e.DistanceBounded(q, p, 2)
+	for i, p := range ps {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for rep := 0; rep < reps; rep++ {
+			e.DistanceBounded(q, p, tau)
+		}
+		runtime.ReadMemStats(&after)
+		perRun := float64(after.TotalAlloc-before.TotalAlloc) / reps
+		// A 50-node pair's smallest DP table is tens of KB, its strategy
+		// scratch 60 KB; 2 KB proves both come from pooled memory.
+		if perRun > 2048 {
+			t.Fatalf("pair %d: warm bounded runs allocate %.0f bytes each at tau=%d; DP memory must be pooled", i, perRun, tau)
 		}
 	}
-	runtime.ReadMemStats(&after)
-	perPair := float64(after.TotalAlloc-before.TotalAlloc) / float64(reps*len(ps))
-	// A 50-node pair's smallest DP table is tens of KB; 2 KB per pair
-	// proves the rows come from the arena, not the heap.
-	if perPair > 2048 {
-		t.Fatalf("warm bounded runs allocate %.0f bytes per pair at tau=2; rows must live in the arena", perPair)
+}
+
+// TestEngineStrategyPrice pins which strategy each engine runs: a
+// default engine the time-priced one, a WithPaperStrategy engine the
+// paper's, each evaluating exactly its strategy's analytic subproblems.
+func TestEngineStrategyPrice(t *testing.T) {
+	f, g := gen.Mixed(60), gen.ZigZag(60)
+	df, dg := strategy.NewDecomp(f), strategy.NewDecomp(g)
+	var s strategy.OptScratch
+	priced, _ := s.Opt(f, g, df, dg, strategy.TimePrice)
+	want := map[string]int64{
+		"default": strategy.Count(f, g, priced).Total,
+		"paper":   ted.OptimalStrategyCost(f, g),
+	}
+	if want["default"] == want["paper"] {
+		t.Fatalf("scenario broken: both strategies count %d subproblems", want["paper"])
+	}
+	for name, e := range map[string]*batch.Engine{
+		"default": batch.New(batch.WithWorkers(1)),
+		"paper":   batch.New(batch.WithWorkers(1), batch.WithPaperStrategy()),
+	} {
+		res := e.Compute([]batch.Pair{{F: e.Prepare(f), G: e.Prepare(g)}})
+		if res[0].Subproblems != want[name] {
+			t.Errorf("%s engine evaluated %d subproblems, its strategy counts %d", name, res[0].Subproblems, want[name])
+		}
 	}
 }
 

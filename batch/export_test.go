@@ -13,3 +13,17 @@ func UpperAcceptAllocs(e *Engine, f, g *PreparedTree, tau float64) (accepted boo
 	allocs = testing.AllocsPerRun(20, func() { e.filterPair(ws, f, g, 0, tau, true) })
 	return accepted, allocs
 }
+
+// TopKRun runs one top-k-style GTED pass of f against g on a pooled
+// workspace — cutoff tau, no early abort, as TopKAcrossStream runs each
+// data tree — and returns its stats.
+func TopKRun(e *Engine, f, g *PreparedTree, tau float64) Stats {
+	ws := e.getWS()
+	defer e.putWS(ws)
+	r := e.pairRunner(ws, f, g)
+	r.SetCutoff(tau, false)
+	r.Run()
+	var st Stats
+	st.add(r.Stats())
+	return st
+}

@@ -2,6 +2,7 @@ package batch_test
 
 import (
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -9,6 +10,8 @@ import (
 	"repro/batch"
 	"repro/gen"
 	"repro/internal/bounds"
+	"repro/internal/gted"
+	"repro/internal/strategy"
 )
 
 // TestPrepareHydratedEquivalence: a PreparedTree hydrated from another
@@ -137,5 +140,45 @@ func TestHydrationForeignProfilePanics(t *testing.T) {
 			}()
 			e.PrepareHydrated(tr, batch.Hydration{In: in, IDs: ids(tr), Profile: bounds.NewProfile(src, ids(src))})
 		})
+	}
+}
+
+// TestHydratedRetainedSize pins the memory a corpus-hydrated PreparedTree
+// keeps beyond the artifacts it was handed (label ids, decomposition,
+// mirror-leafmost array and bound profile, which the corpus owns): the
+// descriptor and the unit model's per-node cost vectors, about 1.2 KB
+// for a 40-node tree. Per-tree caches such as the 32-byte-per-node depth
+// spectra it once held (1.3 KB more here) must not come back; runners
+// build what they need in their arena.
+func TestHydratedRetainedSize(t *testing.T) {
+	tr := gen.Random(41, gen.RandomSpec{Size: 40, MaxDepth: 8, MaxFanout: 4, Labels: 40})
+	src := batch.New()
+	e := batch.New(batch.WithInterner(src.Interner()))
+	ids := make([]int32, tr.Len())
+	for v := range ids {
+		ids[v] = int32(src.Interner().Intern(tr.Label(v)))
+	}
+	h := batch.Hydration{
+		In:      src.Interner(),
+		IDs:     ids,
+		Decomp:  strategy.NewDecomp(tr),
+		Lfm:     gted.MirrorLeafmost(tr),
+		Profile: bounds.NewProfile(tr, ids),
+	}
+	const copies = 1000
+	keep := make([]*batch.PreparedTree, copies)
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for i := range keep {
+		keep[i] = e.PrepareHydrated(tr, h)
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	per := (int64(after.HeapAlloc) - int64(before.HeapAlloc)) / copies
+	runtime.KeepAlive(keep)
+	t.Logf("retained %d bytes per hydrated 40-node tree", per)
+	if per >= 1700 {
+		t.Fatalf("a hydrated 40-node tree retains %d bytes, want < 1700", per)
 	}
 }

@@ -28,12 +28,11 @@ import (
 // loaded from disk turns stored bytes back into engine-ready trees
 // without recomputing anything.
 type PreparedTree struct {
-	eng     *Engine
-	t       *tree.Tree
-	costs   *cost.PerTree
-	decomp  *strategy.Decomp
-	lfm     []int32
-	spectra []int32 // quantized depth spectra (gted.DepthSpectra)
+	eng    *Engine
+	t      *tree.Tree
+	costs  *cost.PerTree
+	decomp *strategy.Decomp
+	lfm    []int32
 
 	// The bound profile is only consumed by DistanceBounded and the
 	// filtered Join, so it is built lazily on first use — unless a
@@ -48,11 +47,10 @@ type PreparedTree struct {
 // and the lower-bound profile is deferred until a bounded call needs it.
 func (e *Engine) Prepare(t *tree.Tree) *PreparedTree {
 	p := &PreparedTree{
-		eng:     e,
-		t:       t,
-		costs:   cost.CompileTree(e.model, t, e.in),
-		lfm:     gted.MirrorLeafmost(t),
-		spectra: gted.DepthSpectra(t),
+		eng:   e,
+		t:     t,
+		costs: cost.CompileTree(e.model, t, e.in),
+		lfm:   gted.MirrorLeafmost(t),
 	}
 	if e.strat == nil {
 		p.decomp = strategy.NewDecomp(t)
@@ -105,11 +103,10 @@ func (e *Engine) PrepareHydrated(t *tree.Tree, h Hydration) *PreparedTree {
 	}
 	n := t.Len()
 	p := &PreparedTree{
-		eng:     e,
-		t:       t,
-		costs:   pc,
-		lfm:     h.Lfm,
-		spectra: gted.DepthSpectra(t),
+		eng:   e,
+		t:     t,
+		costs: pc,
+		lfm:   h.Lfm,
 	}
 	if len(p.lfm) != n {
 		if p.lfm != nil {

@@ -301,20 +301,20 @@ func resolveFormat(override, path string) string {
 }
 
 // corpusEngineOpts mirrors the engine a plain join would build: worker
-// pool plus the fixed-strategy override for the competitor algorithms
-// (RTED is the engine default).
+// pool plus the algorithm's strategy (the paper's for RTED, the fixed
+// override for the competitor algorithms).
 func corpusEngineOpts(alg ted.Algorithm, workers int) []batch.Option {
 	opts := []batch.Option{batch.WithWorkers(workers)}
 	if alg == ted.ZhangShashaClassic {
 		alg = ted.ZhangL // no strategy form; identical distances
 	}
-	if alg != ted.RTED {
-		a := alg
-		opts = append(opts, batch.WithStrategy(func(f, g *tree.Tree) strategy.Strategy {
-			return ted.StrategyFor(a, f, g)
-		}))
+	if alg == ted.RTED {
+		return append(opts, batch.WithPaperStrategy())
 	}
-	return opts
+	a := alg
+	return append(opts, batch.WithStrategy(func(f, g *tree.Tree) strategy.Strategy {
+		return ted.StrategyFor(a, f, g)
+	}))
 }
 
 // runCorpusJoin is the persistent-corpus join path: the collection comes

@@ -60,7 +60,7 @@
 //	ted/server           HTTP serving layer: JSON API + admission control
 //	ted/index            inverted indexes for join candidate generation
 //	internal/tree        immutable postorder-indexed tree substrate
-//	internal/strategy    LRH strategies, Algorithm 2 (OptStrategy), cost formula
+//	internal/strategy    LRH strategies, Algorithm 2 (OptStrategy), cost formula, time price
 //	internal/gted        GTED (Algorithm 1) and the single-path functions ΔL/ΔR/ΔI
 //	internal/cost        cost models, label interning, compiled per-pair form
 //	internal/bounds      lower/upper bounds and per-tree bound profiles

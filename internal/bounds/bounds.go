@@ -119,13 +119,21 @@ func labelSeq(t *tree.Tree, pre bool) []string {
 
 // editDistance is the classic O(nm)-time, O(min(n,m))-space unit edit
 // distance between two sequences: label strings, or the interned label
-// ids of a Profile.
+// ids of a Profile. Its two rows live on the stack when the shorter
+// sequence has fewer than 128 elements, so bounded calls on small trees
+// allocate nothing.
 func editDistance[E comparable](a, b []E) int {
 	if len(b) > len(a) {
 		a, b = b, a
 	}
 	m := len(b)
-	rows := make([]int, 2*(m+1))
+	var small [2 * 128]int
+	var rows []int
+	if n := 2 * (m + 1); n <= len(small) {
+		rows = small[:n]
+	} else {
+		rows = make([]int, n)
+	}
 	prev, cur := rows[:m+1], rows[m+1:]
 	for j := range prev {
 		prev[j] = j

@@ -116,7 +116,8 @@ func TestProfileRetainedSize(t *testing.T) {
 
 // TestProfiledBoundsAllocFree: the two bounds every join pair and every
 // top-k data tree pays for are merges of sorted slices and allocate
-// nothing.
+// nothing; LowerProfiled, which every bounded distance pays for, keeps
+// its string-edit rows on the stack for trees this small.
 func TestProfiledBoundsAllocFree(t *testing.T) {
 	in := cost.NewInterner()
 	f := internedProfile(tree.MustParseBracket("{a{b{c}{d}}{e}{b}}"), in)
@@ -127,6 +128,9 @@ func TestProfiledBoundsAllocFree(t *testing.T) {
 	}
 	if n := testing.AllocsPerRun(100, func() { sink += SubtreeLowerProfiled(f, g) }); n != 0 {
 		t.Errorf("SubtreeLowerProfiled allocates %v times per call", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { sink += LowerProfiled(f, g) }); n != 0 {
+		t.Errorf("LowerProfiled allocates %v times per call", n)
 	}
 	_ = sink
 }

@@ -1,8 +1,9 @@
 // Package difftest cross-checks every tree-edit-distance engine in this
 // repository against the others on one tree pair: GTED under all five
-// paper strategies, bounded GTED at a spread of cutoffs around the true
-// distance, the standalone Zhang–Shasha implementation, and (on small
-// pairs) the naive memoized recursion. It exists so that correctness
+// paper strategies and the batch engine's priced strategy, bounded GTED
+// at a spread of cutoffs around the true distance, the standalone
+// Zhang–Shasha implementation, and (on small pairs) the naive memoized
+// recursion. It exists so that correctness
 // tests and fuzzers across packages share one exhaustive oracle instead
 // of each re-implementing a weaker comparison.
 package difftest
@@ -26,15 +27,19 @@ const naiveLimit = 32 * 32
 
 func approx(a, b float64) bool { return math.Abs(a-b) < 1e-9 }
 
-// strategies returns the five named strategies of the paper for (f, g).
+// strategies returns the five named strategies of the paper for (f, g)
+// and the batch engine's default, RTED's strategy priced in time.
 func strategies(f, g *tree.Tree) []strategy.Named {
 	rted, _ := strategy.Opt(f, g)
+	var s strategy.OptScratch
+	priced, _ := s.Opt(f, g, strategy.NewDecomp(f), strategy.NewDecomp(g), strategy.TimePrice)
 	return []strategy.Named{
 		strategy.ZhangL(),
 		strategy.ZhangR(),
 		strategy.KleinH(),
 		strategy.DemaineH(f, g),
 		rted,
+		priced,
 	}
 }
 

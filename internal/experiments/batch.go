@@ -23,6 +23,10 @@ import (
 //
 // The naive baseline is a per-pair ted.Distance loop: fresh node
 // indexes, a fresh strategy and fresh DP tables per pair, one goroutine.
+// It runs the paper's strategy, so the engine rows do too
+// (batch.WithPaperStrategy) and must match its subproblems exactly. The
+// last row is the engine's default, the strategy priced in time: same
+// matches, its own subproblem count.
 
 func init() {
 	register("batch", "Ablation: batch engine vs naive pairwise join", batchEngineExp)
@@ -68,7 +72,7 @@ func batchEngineExp(cfg Config) error {
 	fmt.Fprintf(cfg.Out, "naive\t1\t%d\t%d\t%d\t%.4f\n", pairs, matches, subs, time.Since(start).Seconds())
 
 	for _, w := range []int{1, runtime.GOMAXPROCS(0)} {
-		e := batch.New(batch.WithWorkers(w))
+		e := batch.New(batch.WithWorkers(w), batch.WithPaperStrategy())
 		ps := e.PrepareAll(trees)
 		ms, st := e.Join(ps, tau, false)
 		fmt.Fprintf(cfg.Out, "engine\t%d\t%d\t%d\t%d\t%.4f\n",
@@ -77,6 +81,15 @@ func batchEngineExp(cfg Config) error {
 			return fmt.Errorf("engine (workers=%d) diverged from naive join: %d/%d matches, %d/%d subproblems",
 				w, len(ms), matches, st.Subproblems, subs)
 		}
+	}
+
+	w := runtime.GOMAXPROCS(0)
+	e := batch.New(batch.WithWorkers(w))
+	ms, st := e.Join(e.PrepareAll(trees), tau, false)
+	fmt.Fprintf(cfg.Out, "engine-priced\t%d\t%d\t%d\t%d\t%.4f\n",
+		w, st.Comparisons, len(ms), st.Subproblems, st.Elapsed.Seconds())
+	if len(ms) != matches {
+		return fmt.Errorf("priced engine diverged from naive join: %d/%d matches", len(ms), matches)
 	}
 	return nil
 }

@@ -52,5 +52,16 @@ func table1(cfg Config) error {
 	if rted > bestOther {
 		return fmt.Errorf("table1: RTED subproblems %d exceed best competitor %d", rted, bestOther)
 	}
+	// RTED is the paper's strategy, whose count the cost formula gives
+	// per pair; the join must run exactly that.
+	var paper int64
+	for i := range trees {
+		for j := i + 1; j < len(trees); j++ {
+			paper += ted.OptimalStrategyCost(trees[i], trees[j])
+		}
+	}
+	if rted != paper {
+		return fmt.Errorf("table1: RTED ran %d subproblems, the paper's strategy counts %d", rted, paper)
+	}
 	return nil
 }

@@ -28,7 +28,7 @@ type Arena struct {
 	chainN2 []int32
 	// Bounded runs: the band-compressed ΔL/ΔR forest-distance slab (kept
 	// apart from fd so full-width rows never force it to row width) and
-	// the depth-spectra scratch of standalone runners.
+	// the depth-spectra scratch.
 	fdB      []float64
 	spF, spG []int32
 }

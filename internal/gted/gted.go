@@ -108,9 +108,8 @@ type Runner struct {
 	hF, hG []int32
 	hReady bool
 	// Quantized per-subtree depth spectra (SpectraBuckets suffix counts
-	// per node) of the two trees, consumed by the keyroot-level band.
-	// Batch preparation injects cached arrays via SetDepthSpectra;
-	// standalone runners build them lazily into arena scratch.
+	// per node) of the two trees, consumed by the keyroot-level band and
+	// built lazily into arena scratch; spReady guards the one-time fill.
 	spF, spG []int32
 	spReady  bool
 	// Per-subtree rename floors (cost.Compiled.RenFloors) of the two
@@ -265,15 +264,6 @@ func (r *Runner) SetCutoff(tau float64, abortEarly bool) {
 	r.tau = tau
 	r.bounded = !math.IsInf(tau, 1)
 	r.abortEarly = abortEarly && r.bounded
-}
-
-// SetDepthSpectra supplies precomputed per-subtree depth spectra for the
-// two trees (DepthSpectra output, as cached by batch preparation); either
-// may be nil, in which case the runner computes it on first use by the
-// keyroot-level band.
-func (r *Runner) SetDepthSpectra(spF, spG []int32) {
-	r.spF, r.spG = spF, spG
-	r.spReady = spF != nil && spG != nil
 }
 
 // RunBounded is Run with cutoff tau: it returns (d, true) iff the exact
@@ -463,18 +453,16 @@ func (r *Runner) spectraHopeless(v, w, maxD, maxI int) bool {
 	return false
 }
 
-// spectra lazily builds (into arena scratch) any per-subtree depth
-// spectrum SetDepthSpectra did not inject.
+// spectra lazily builds (into arena scratch) the per-subtree depth
+// spectra of the two trees. Only aborting bounded runs read them, and
+// building both costs O((|F|+|G|)·SpectraBuckets), far below the DP they
+// guard, so nothing caches them per tree.
 func (r *Runner) spectra() ([]int32, []int32) {
 	if !r.spReady {
-		if r.spF == nil {
-			r.spF = growI32(&r.ar.spF, r.f.Len()*SpectraBuckets)
-			depthSpectraInto(r.f, r.spF)
-		}
-		if r.spG == nil {
-			r.spG = growI32(&r.ar.spG, r.g.Len()*SpectraBuckets)
-			depthSpectraInto(r.g, r.spG)
-		}
+		r.spF = growI32(&r.ar.spF, r.f.Len()*SpectraBuckets)
+		depthSpectraInto(r.f, r.spF)
+		r.spG = growI32(&r.ar.spG, r.g.Len()*SpectraBuckets)
+		depthSpectraInto(r.g, r.spG)
 		r.spReady = true
 	}
 	return r.spF, r.spG

@@ -124,7 +124,8 @@ func TestDepthSpectraExact(t *testing.T) {
 	const B = SpectraBuckets
 	for iter := 0; iter < 25; iter++ {
 		tr := treegen.Random(rng, treegen.RandomSpec{Size: 1 + rng.Intn(60), MaxDepth: 12, MaxFanout: 4, Labels: 2})
-		spec := DepthSpectra(tr)
+		spec := make([]int32, tr.Len()*B)
+		depthSpectraInto(tr, spec)
 
 		// Brute force: for each root v, walk its subtree counting nodes
 		// per relative depth, then fold into suffix counts.

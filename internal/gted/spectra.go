@@ -6,30 +6,20 @@ import "repro/internal/tree"
 // depth spectrum. Bucket t of a subtree holds the exact count of nodes at
 // subtree-relative depth ≥ t, for t < SpectraBuckets; deeper structure is
 // only visible through the lowest buckets (which remain exact), so a
-// larger constant trades preparation memory for keyroot-band sharpness on
-// very deep trees.
+// larger constant trades arena memory and build time for keyroot-band
+// sharpness on very deep trees.
 const SpectraBuckets = 8
 
-// DepthSpectra computes the quantized depth spectrum of every subtree of
-// t: a flat array of SpectraBuckets suffix counts per node, where entry
-// [v*SpectraBuckets+d] is the number of nodes in the subtree rooted at v
-// whose depth below v is at least d. Entry 0 is the subtree size; the
-// spectrum refines the single height scalar of the keyroot-level band
-// into a per-depth mass profile (see the keyroot band in gted.go: every
-// node of one tree must map at a compatible depth of the other or be
-// deleted, so a depth level whose population cannot be absorbed by the
-// admissible band proves the pair hopeless).
-//
-// It runs in O(n·SpectraBuckets) time; batch preparation computes it once
-// per tree and injects it with SetDepthSpectra.
-func DepthSpectra(t *tree.Tree) []int32 {
-	out := make([]int32, t.Len()*SpectraBuckets)
-	depthSpectraInto(t, out)
-	return out
-}
-
-// depthSpectraInto is DepthSpectra writing into caller-owned memory of
-// length t.Len()*SpectraBuckets (the arena path of standalone runners).
+// depthSpectraInto computes the quantized depth spectrum of every
+// subtree of t into out (length t.Len()*SpectraBuckets): SpectraBuckets
+// suffix counts per node, where entry [v*SpectraBuckets+d] is the number
+// of nodes in the subtree rooted at v whose depth below v is at least d.
+// Entry 0 is the subtree size; the spectrum refines the single height
+// scalar of the keyroot-level band into a per-depth mass profile (see the
+// keyroot band in gted.go: every node of one tree must map at a
+// compatible depth of the other or be deleted, so a depth level whose
+// population cannot be absorbed by the admissible band proves the pair
+// hopeless). It runs in O(n·SpectraBuckets) time.
 func depthSpectraInto(t *tree.Tree, out []int32) {
 	const B = SpectraBuckets
 	for v := 0; v < t.Len(); v++ { // postorder: children precede parents

@@ -18,6 +18,12 @@ func Baseline(f, g *tree.Tree) (*Array, int64) {
 
 // BaselineRestricted is Baseline over a restricted candidate set.
 func BaselineRestricted(f, g *tree.Tree, allowed [numChoices]bool) (*Array, int64) {
+	return baseline(f, g, allowed, CountPrice)
+}
+
+// baseline minimizes the strategy price p over the allowed choices; under
+// CountPrice the price is the subproblem count.
+func baseline(f, g *tree.Tree, allowed [numChoices]bool, p Price) (*Array, int64) {
 	df, dg := NewDecomp(f), NewDecomp(g)
 	nf, ng := f.Len(), g.Len()
 	str := NewArray(nf, ng, "baseline")
@@ -42,14 +48,18 @@ func BaselineRestricted(f, g *tree.Tree, allowed [numChoices]bool) (*Array, int6
 			if !allowed[c] {
 				continue
 			}
-			var total int64
+			weight := p.LR
+			if c.Type() == Heavy {
+				weight = p.I
+			}
+			total := p.Call
 			if !c.InG() {
-				total = int64(f.Size(v)) * spfCount(dg, w, c.Type())
+				total += weight * int64(f.Size(v)) * spfCount(dg, w, c.Type())
 				ForEachHanging(f, v, c.Type(), func(r int) {
 					total += cost(r, w)
 				})
 			} else {
-				total = int64(g.Size(w)) * spfCount(df, v, c.Type())
+				total += weight * int64(g.Size(w)) * spfCount(df, v, c.Type())
 				ForEachHanging(g, w, c.Type(), func(r int) {
 					total += cost(v, r)
 				})

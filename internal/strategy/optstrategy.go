@@ -1,10 +1,6 @@
 package strategy
 
-import (
-	"math"
-
-	"repro/internal/tree"
-)
+import "repro/internal/tree"
 
 // AllLRH allows all six decomposition choices; it is the default
 // restriction for OptStrategy and yields the paper's RTED strategy.
@@ -39,19 +35,76 @@ func OptD(f, g *tree.Tree, df, dg *Decomp) (*Array, int64) {
 	return optWithDecomp(f, g, df, dg, AllLRH)
 }
 
-// OptScratch holds the O(|f|·|g|) working memory of OptStrategy for
-// reuse across pairs. Buffers grow to the largest pair served; the
-// returned strategy Array is owned by the scratch and is overwritten by
-// the next call, so it must not be retained after the pair's GTED run.
-type OptScratch struct {
-	lv, rv, hv []int64
-	lw, rw, hw []int64
-	arr        Array
+func optWithDecomp(f, g *tree.Tree, df, dg *Decomp, allowed [numChoices]bool) (*Array, int64) {
+	s := new(OptScratch)
+	return s.opt(f, g, df, dg, allowed, CountPrice)
 }
 
-// Opt computes the optimal LRH strategy for (f, g) like OptD, drawing
-// all working memory (including the returned Array) from the scratch.
-func (s *OptScratch) Opt(f, g *tree.Tree, df, dg *Decomp) (*Array, int64) {
+// OptScratch holds the O(|f|·|g|) working memory of OptStrategy for
+// reuse across pairs. Buffers grow to the largest pair served (Shrink
+// drops them); the returned strategy Array is owned by the scratch and
+// is overwritten by the next call, so it must not be retained after the
+// pair's GTED run.
+type OptScratch struct {
+	// Per-cell cost sums: lv/rv/hv[v*|g|+w] accumulate
+	// Σ_{F' ∈ F_v − γ} cost(F', G_w) over the relevant subtrees of the
+	// left/right/heavy path of F_v.
+	lv, rv, hv []int64
+	// Per-w cost sums of the current v: the symmetric sums over the
+	// relevant subtrees of the paths of G_w.
+	lw, rw, hw []int64
+	// Per-w structure of g, filled once per call so the O(|f|·|g|) loop
+	// reads two flat arrays instead of the tree: gpar[w] is w's parent
+	// (-1 at the root) and gpos[w] says which of the parent's path
+	// children w is (pathLeft, pathRight, pathHeavy bits).
+	gpar []int32
+	gpos []uint8
+	arr  Array
+}
+
+// disallowedPrice is added to the cost of a choice OptRestricted does
+// not allow. Candidate costs are O(n³) times the largest weight of the
+// price, below 2^56 for two 10⁵-node trees under TimePrice, so a
+// priced-out choice never wins and adding the penalty cannot overflow
+// int64.
+const disallowedPrice = 1 << 60
+
+// Path-child bits of OptScratch.gpos.
+const (
+	pathLeft uint8 = 1 << iota
+	pathRight
+	pathHeavy
+)
+
+// Opt computes the strategy for (f, g) with the least total price p,
+// like OptD under CountPrice, drawing all working memory (including the
+// returned Array) from the scratch. The returned cost is the optimum's
+// price; under CountPrice it is its number of relevant subproblems.
+func (s *OptScratch) Opt(f, g *tree.Tree, df, dg *Decomp, p Price) (*Array, int64) {
+	return s.opt(f, g, df, dg, AllLRH, p)
+}
+
+// Shrink drops the scratch's per-cell buffers (the three cost-sum arrays
+// and the strategy array) when they were sized for more than maxCells
+// subtree pairs, so a pooled scratch does not keep the memory of one
+// huge pair.
+func (s *OptScratch) Shrink(maxCells int) {
+	if cap(s.lv) > maxCells || cap(s.arr.Choices) > maxCells {
+		s.lv, s.rv, s.hv = nil, nil, nil
+		s.arr = Array{}
+	}
+}
+
+// growScratch resizes a scratch buffer, reusing capacity; the contents
+// are unspecified.
+func growScratch[T any](b []T, n int) []T {
+	if cap(b) < n {
+		return make([]T, n)
+	}
+	return b[:n]
+}
+
+func (s *OptScratch) opt(f, g *tree.Tree, df, dg *Decomp, allowed [numChoices]bool, p Price) (*Array, int64) {
 	nf, ng := f.Len(), g.Len()
 	s.lv = growScratch(s.lv, nf*ng)
 	s.rv = growScratch(s.rv, nf*ng)
@@ -59,47 +112,63 @@ func (s *OptScratch) Opt(f, g *tree.Tree, df, dg *Decomp) (*Array, int64) {
 	s.lw = growScratch(s.lw, ng)
 	s.rw = growScratch(s.rw, ng)
 	s.hw = growScratch(s.hw, ng)
+	s.gpar = growScratch(s.gpar, ng)
+	s.gpos = growScratch(s.gpos, ng)
 	// lv/rv/hv accumulate with += and must start zeroed; lw/rw/hw are
 	// reset at the top of every v-iteration by the main loop.
-	for i := range s.lv {
-		s.lv[i], s.rv[i], s.hv[i] = 0, 0, 0
+	clear(s.lv)
+	clear(s.rv)
+	clear(s.hv)
+	for w := 0; w < ng; w++ {
+		pw := g.Parent(w)
+		s.gpar[w] = int32(pw)
+		s.gpos[w] = 0
+		if pw != -1 {
+			s.gpos[w] = pathBits(g, pw, w)
+		}
 	}
-	if cap(s.arr.Choices) < nf*ng {
-		s.arr.Choices = make([]Choice, nf*ng)
-	}
-	s.arr = Array{NF: nf, NG: ng, Choices: s.arr.Choices[:nf*ng], name: "RTED"}
-	cost := optCore(f, g, df, dg, AllLRH, &s.arr, s.lv, s.rv, s.hv, s.lw, s.rw, s.hw)
+	s.arr = Array{NF: nf, NG: ng, Choices: growScratch(s.arr.Choices, nf*ng), name: p.strategyName()}
+	cost := optCore(f, g, df, dg, allowed, p, s)
 	return &s.arr, cost
 }
 
-// growScratch resizes an int64 scratch buffer, reusing capacity; the
-// contents are unspecified.
-func growScratch(b []int64, n int) []int64 {
-	if cap(b) < n {
-		return make([]int64, n)
+// pathBits reports which of the path children of p the child c is.
+func pathBits(t *tree.Tree, p, c int) uint8 {
+	var b uint8
+	if c == t.LeftChild(p) {
+		b |= pathLeft
 	}
-	return b[:n]
+	if c == t.RightChild(p) {
+		b |= pathRight
+	}
+	if c == t.HeavyChild(p) {
+		b |= pathHeavy
+	}
+	return b
 }
 
-func optWithDecomp(f, g *tree.Tree, df, dg *Decomp, allowed [numChoices]bool) (*Array, int64) {
+// optCore is Algorithm 2 with every term priced by p: a pair decomposed
+// along a path costs p.Call plus its single-path subproblems at p.I
+// (heavy paths, ΔI) or p.LR (left and right paths) each, plus the cost
+// of every relevant subtree pair. Under CountPrice this is the paper's
+// cost formula term for term.
+func optCore(f, g *tree.Tree, df, dg *Decomp, allowed [numChoices]bool, p Price, s *OptScratch) int64 {
 	nf, ng := f.Len(), g.Len()
-	str := NewArray(nf, ng, "RTED")
-
-	// Cost-sum arrays. Lv/Rv/Hv[v*ng+w] accumulate
-	// Σ_{F' ∈ F_v − γ} cost(F', G_w) for the left/right/heavy path of
-	// F_v; Lw/Rw/Hw[w] accumulate the symmetric sums for the current v.
-	lv := make([]int64, nf*ng)
-	rv := make([]int64, nf*ng)
-	hv := make([]int64, nf*ng)
-	lw := make([]int64, ng)
-	rw := make([]int64, ng)
-	hw := make([]int64, ng)
-	cost := optCore(f, g, df, dg, allowed, str, lv, rv, hv, lw, rw, hw)
-	return str, cost
-}
-
-func optCore(f, g *tree.Tree, df, dg *Decomp, allowed [numChoices]bool, str *Array, lv, rv, hv, lw, rw, hw []int64) int64 {
-	nf, ng := f.Len(), g.Len()
+	lv, rv, hv := s.lv, s.rv, s.hv
+	lw, rw, hw := s.lw[:ng], s.rw[:ng], s.hw[:ng]
+	gpar, gpos := s.gpar[:ng], s.gpos[:ng]
+	dgA, dgFL, dgFR := dg.A[:ng], dg.FL[:ng], dg.FR[:ng]
+	// A choice the caller does not allow is priced out rather than
+	// skipped, which keeps branches on it out of the inner loop: every
+	// allowed candidate costs less than disallowedPrice, so a priced-out
+	// one never wins and the allowed choices tie-break as before.
+	var pen [numChoices]int64
+	for c, ok := range allowed {
+		if !ok {
+			pen[c] = disallowedPrice
+		}
+	}
+	penHF, penHG, penLF, penLG, penRF, penRG := pen[HeavyF], pen[HeavyG], pen[LeftF], pen[LeftG], pen[RightF], pen[RightG]
 
 	var cmin int64
 	for v := 0; v < nf; v++ {
@@ -108,84 +177,83 @@ func optCore(f, g *tree.Tree, df, dg *Decomp, allowed [numChoices]bool, str *Arr
 		// restart for every v. (The paper's pseudocode only spells out
 		// the leaf reset; internal entries are accumulated with += and
 		// would otherwise leak across v-iterations.)
-		for w := range lw {
-			lw[w], rw[w], hw[w] = 0, 0, 0
-		}
+		clear(lw)
+		clear(rw)
+		clear(hw)
+		// Per-v factors of the six candidate costs, priced.
 		szv := int64(f.Size(v))
+		hvF, lrvF := szv*p.I, szv*p.LR
+		aV, flV, frV := df.A[v]*p.I, df.FL[v]*p.LR, df.FR[v]*p.LR
+		row := v * ng
+		lvRow, rvRow, hvRow := lv[row:row+ng], rv[row:row+ng], hv[row:row+ng]
+		choices := s.arr.Choices[row : row+ng]
+		// Where the row's costs propagate (lines 15–22): into the parent
+		// row of F, continuing the parent's path sum when v is the path
+		// child, otherwise as a relevant subtree's full optimal cost.
 		pv := f.Parent(v)
-		idxRow := v * ng
+		var lvUp, rvUp, hvUp []int64
+		var vPos uint8
+		if pv != -1 {
+			prow := pv * ng
+			lvUp, rvUp, hvUp = lv[prow:prow+ng], rv[prow:prow+ng], hv[prow:prow+ng]
+			vPos = pathBits(f, pv, v)
+		}
 		for w := 0; w < ng; w++ {
 			szw := int64(g.Size(w))
-			idx := idxRow + w
 
 			// The six candidate costs (Algorithm 2 lines 7–12), scanned
 			// in the paper's order so ties resolve identically.
-			cmin = math.MaxInt64
+			cmin = hvF*dgA[w] + hvRow[w] + penHF
 			best := HeavyF
-			if allowed[HeavyF] {
-				cmin = szv*dg.A[w] + hv[idx]
+			if c := szw*aV + hw[w] + penHG; c < cmin {
+				cmin, best = c, HeavyG
 			}
-			if allowed[HeavyG] {
-				if c := szw*df.A[v] + hw[w]; c < cmin {
-					cmin, best = c, HeavyG
-				}
+			if c := lrvF*dgFL[w] + lvRow[w] + penLF; c < cmin {
+				cmin, best = c, LeftF
 			}
-			if allowed[LeftF] {
-				if c := szv*dg.FL[w] + lv[idx]; c < cmin {
-					cmin, best = c, LeftF
-				}
+			if c := szw*flV + lw[w] + penLG; c < cmin {
+				cmin, best = c, LeftG
 			}
-			if allowed[LeftG] {
-				if c := szw*df.FL[v] + lw[w]; c < cmin {
-					cmin, best = c, LeftG
-				}
+			if c := lrvF*dgFR[w] + rvRow[w] + penRF; c < cmin {
+				cmin, best = c, RightF
 			}
-			if allowed[RightF] {
-				if c := szv*dg.FR[w] + rv[idx]; c < cmin {
-					cmin, best = c, RightF
-				}
+			if c := szw*frV + rw[w] + penRG; c < cmin {
+				cmin, best = c, RightG
 			}
-			if allowed[RightG] {
-				if c := szw*df.FR[v] + rw[w]; c < cmin {
-					cmin, best = c, RightG
-				}
-			}
-			str.Choices[idx] = best
+			// Every candidate makes one single-path call for this pair.
+			cmin += p.Call
+			choices[w] = best
 
-			// Propagate cost sums to the parents (lines 15–22): if the
-			// child continues the parent's path the partial sum carries
-			// over, otherwise the child roots a relevant subtree and
-			// contributes its full optimal cost.
-			if pv != -1 {
-				pidx := pv*ng + w
-				if v == f.LeftChild(pv) {
-					lv[pidx] += lv[idx]
+			if lvUp != nil {
+				if vPos&pathLeft != 0 {
+					lvUp[w] += lvRow[w]
 				} else {
-					lv[pidx] += cmin
+					lvUp[w] += cmin
 				}
-				if v == f.RightChild(pv) {
-					rv[pidx] += rv[idx]
+				if vPos&pathRight != 0 {
+					rvUp[w] += rvRow[w]
 				} else {
-					rv[pidx] += cmin
+					rvUp[w] += cmin
 				}
-				if v == f.HeavyChild(pv) {
-					hv[pidx] += hv[idx]
+				if vPos&pathHeavy != 0 {
+					hvUp[w] += hvRow[w]
 				} else {
-					hv[pidx] += cmin
+					hvUp[w] += cmin
 				}
 			}
-			if pw := g.Parent(w); pw != -1 {
-				if w == g.LeftChild(pw) {
+			if pw := gpar[w]; pw >= 0 {
+				wPos := gpos[w]
+				if wPos&pathLeft != 0 {
 					lw[pw] += lw[w]
 				} else {
 					lw[pw] += cmin
 				}
-				if w == g.RightChild(pw) {
+				if wPos&pathRight != 0 {
 					rw[pw] += rw[w]
 				} else {
 					rw[pw] += cmin
 				}
-				if w == g.HeavyChild(pw) {
+				if wPos&pathHeavy != 0 {
 					hw[pw] += hw[w]
 				} else {
 					hw[pw] += cmin

@@ -4,6 +4,21 @@
 // subproblem counting with the cost formula (Section 5.3), the baseline
 // O(n³) optimal-strategy algorithm (Section 6.1) and the O(n²)
 // OptStrategy algorithm (Section 6.2, Algorithm 2).
+//
+// OptStrategy minimizes a Price: integer weights per single-path call,
+// per ΔL/ΔR subproblem and per ΔI subproblem. Opt, OptD and
+// OptRestricted use CountPrice, (0, 1, 1), which is the paper's count
+// of relevant subproblems, so they return the paper's strategy bit for
+// bit. The batch engine uses TimePrice, (16, 1, 2) in units of one ΔL/ΔR
+// subproblem, through OptScratch.Opt. That price was calibrated by
+// BenchmarkStrategyPrice in package batch, which fits the engine's run
+// times under six strategies to the three terms. The paper's count
+// assumes every subproblem costs the same and a call costs nothing; on
+// the engine a call costs about 16 ΔL/ΔR subproblems and a ΔI
+// subproblem about two. The priced strategy stays robust: every call
+// evaluates at least one subproblem, so under any price the priced
+// optimum has at most (Call + max(LR, I)) / min(LR, I) times the
+// subproblems of the paper's optimum, 18 for TimePrice (see Price).
 package strategy
 
 import "repro/internal/tree"

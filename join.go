@@ -87,18 +87,18 @@ func WithIndex(m IndexMode) Option {
 }
 
 // batchOpts assembles the batch engine options a config describes:
-// worker count, cost model, and — for the fixed-strategy competitor
-// algorithms — the per-pair strategy override (RTED is the engine
-// default).
+// worker count, cost model, and the per-pair strategy — the paper's RTED
+// strategy for RTED, the fixed strategy of a competitor algorithm
+// otherwise.
 func (c config) batchOpts(workers int) []batch.Option {
 	opts := []batch.Option{batch.WithWorkers(workers), batch.WithCost(c.model)}
-	if c.alg != RTED {
-		a := c.alg
-		opts = append(opts, batch.WithStrategy(func(f, g *tree.Tree) strategy.Strategy {
-			return StrategyFor(a, f, g)
-		}))
+	if c.alg == RTED {
+		return append(opts, batch.WithPaperStrategy())
 	}
-	return opts
+	a := c.alg
+	return append(opts, batch.WithStrategy(func(f, g *tree.Tree) strategy.Strategy {
+		return StrategyFor(a, f, g)
+	}))
 }
 
 // batchEngine builds a free-standing engine from the config.

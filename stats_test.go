@@ -49,7 +49,8 @@ func TestWithStatsFreshPerCall(t *testing.T) {
 
 // TestJoinStatsMatchEngine checks that a filtered ted.Join reports every
 // kernel counter the batch engine's JoinStats counts on the same trees,
-// including the cells its cutoff-seeded exact stage pruned.
+// including the cells its cutoff-seeded exact stage pruned. ted.Join's
+// RTED runs the paper's strategy, so the engine does too.
 func TestJoinStatsMatchEngine(t *testing.T) {
 	var trees []*ted.Tree
 	for n := 40; n <= 55; n += 3 {
@@ -59,7 +60,7 @@ func TestJoinStatsMatchEngine(t *testing.T) {
 	var st ted.Stats
 	r := ted.Join(trees, tau, ted.WithFilters(), ted.WithStats(&st))
 
-	e := batch.New(batch.WithWorkers(1))
+	e := batch.New(batch.WithWorkers(1), batch.WithPaperStrategy())
 	ms, js := e.Join(e.PrepareAll(trees), tau, true)
 	if len(r.Pairs) != len(ms) {
 		t.Fatalf("ted.Join found %d matches, the engine %d", len(r.Pairs), len(ms))
