@@ -217,66 +217,11 @@ func (e *Engine) putWS(w *workspace) {
 	wsPool.Put(w)
 }
 
-// Stats reports GTED instrumentation aggregated over the exact distance
-// computations of one batch call.
-type Stats struct {
-	// Subproblems is the number of relevant subproblems evaluated (the
-	// paper's cost measure). Bounded computations count only the cells
-	// they actually evaluated.
-	Subproblems int64
-	// PrunedSubproblems is the number of DP cells bounded computations
-	// skipped because a cutoff proved them irrelevant (including the
-	// size-product lower bound for keyroot subproblems skipped whole).
-	PrunedSubproblems int64
-	// BandSkippedCells counts cells skipped as whole loop ranges by the
-	// structural band (gted.Stats.BandSkippedCells).
-	BandSkippedCells int64
-	// PrunedKeyroots counts keyroot subproblem DPs skipped entirely by
-	// the keyroot-level band.
-	PrunedKeyroots int64
-	// CompressedRows counts forest-distance DP rows materialized in
-	// band-compressed form (gted.Stats.CompressedRows).
-	CompressedRows int64
-	// RowCells counts the DP row cells materialized across all
-	// single-path-function row storage; ×8 it is the bytes of row storage
-	// streamed (gted.Stats.RowCells).
-	RowCells int64
-	// SPFCalls counts single-path function invocations.
-	SPFCalls int64
-	// MaxLiveRows is the peak number of retained heavy-path DP rows in
-	// any single computation.
-	MaxLiveRows int
-}
-
-// Merge folds another call's instrumentation into s — the coordinator
-// path of a distributed top-k, where each worker scans a disjoint slice
-// of the corpus and the summed counters must equal a single-node scan's.
-// Additive counters sum; MaxLiveRows takes the maximum.
-func (s *Stats) Merge(o Stats) {
-	s.Subproblems += o.Subproblems
-	s.PrunedSubproblems += o.PrunedSubproblems
-	s.BandSkippedCells += o.BandSkippedCells
-	s.PrunedKeyroots += o.PrunedKeyroots
-	s.CompressedRows += o.CompressedRows
-	s.RowCells += o.RowCells
-	s.SPFCalls += o.SPFCalls
-	if o.MaxLiveRows > s.MaxLiveRows {
-		s.MaxLiveRows = o.MaxLiveRows
-	}
-}
-
-func (s *Stats) add(g gted.Stats) {
-	s.Subproblems += g.Subproblems
-	s.PrunedSubproblems += g.PrunedSubproblems
-	s.BandSkippedCells += g.BandSkippedCells
-	s.PrunedKeyroots += g.PrunedKeyroots
-	s.CompressedRows += g.CompressedRows
-	s.RowCells += g.RowCells
-	s.SPFCalls += g.SPFCalls
-	if g.MaxLiveRows > s.MaxLiveRows {
-		s.MaxLiveRows = g.MaxLiveRows
-	}
-}
+// Stats is the GTED instrumentation of one batch call, summed over its
+// runs with Merge (MaxLiveRows takes the maximum): the kernel counters
+// of gted.Counters, which a distributed top-k's coordinator also merges
+// across workers.
+type Stats = gted.Counters
 
 // pairRunner assembles the arena-backed GTED runner for one pair: pair
 // cost form by slice sharing, strategy from the cached decompositions

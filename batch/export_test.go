@@ -9,8 +9,10 @@ import "testing"
 func UpperAcceptAllocs(e *Engine, f, g *PreparedTree, tau float64) (accepted bool, allocs float64) {
 	ws := e.getWS()
 	defer e.putWS(ws)
-	accepted = e.filterPair(ws, f, g, 0, tau, true).kind == pairUpperAccepted
-	allocs = testing.AllocsPerRun(20, func() { e.filterPair(ws, f, g, 0, tau, true) })
+	var st JoinStats
+	e.filterPair(ws, &st, f, g, 0, tau, true)
+	accepted = st.UpperAccepted == 1
+	allocs = testing.AllocsPerRun(20, func() { e.filterPair(ws, &st, f, g, 0, tau, true) })
 	return accepted, allocs
 }
 
@@ -23,7 +25,5 @@ func TopKRun(e *Engine, f, g *PreparedTree, tau float64) Stats {
 	r := e.pairRunner(ws, f, g)
 	r.SetCutoff(tau, false)
 	r.Run()
-	var st Stats
-	st.add(r.Stats())
-	return st
+	return r.Stats()
 }

@@ -1,14 +1,19 @@
 package batch
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/index"
 	"repro/internal/bounds"
+	"repro/internal/gted"
 )
 
 // Match is one similarity-join result: trees at indices I and J of the
@@ -79,32 +84,17 @@ type JoinStats struct {
 	// unordered pairs for enumerating joins, the generated candidates
 	// for indexed joins.
 	Comparisons int
-	// Subproblems totals the paper's cost measure over the exact
-	// distance computations.
-	Subproblems int64
 	// Filter accounting (filtered joins only): pairs rejected because a
 	// lower bound reached the threshold, accepted because the
 	// constrained upper bound stayed below it, and resolved exactly.
 	LowerPruned   int
 	UpperAccepted int
 	ExactComputed int
-	// PrunedSubproblems counts the DP cells the cutoff-seeded exact stage
-	// skipped (filtered joins thread tau into GTED as a cutoff),
-	// including the size-product lower bound for keyroot subproblems the
-	// band refused wholesale.
-	PrunedSubproblems int64
-	// BandSkippedCells counts cells the structural band skipped as whole
-	// loop ranges during the exact stage (gted.Stats.BandSkippedCells).
-	BandSkippedCells int64
-	// PrunedKeyroots counts keyroot subproblem DPs the keyroot-level
-	// band skipped entirely during the exact stage.
-	PrunedKeyroots int64
-	// CompressedRows counts DP rows the exact stage materialized in
-	// band-compressed form, and RowCells the row cells materialized in
-	// total (×8 = bytes of row storage streamed); see gted.Stats.
-	CompressedRows int64
-	RowCells       int64
-	Elapsed        time.Duration
+	// Counters sums the kernel counters of the exact distance
+	// computations; filtered joins thread tau into GTED as a cutoff, so
+	// their pruning counters show what the cutoff skipped.
+	gted.Counters
+	Elapsed time.Duration
 
 	// Indexed joins only: the candidate generator that actually ran
 	// (IndexAuto resolves before running) and the time spent building
@@ -116,22 +106,19 @@ type JoinStats struct {
 // Merge folds another call's accounting into s — the coordinator path
 // of a distributed join, where each worker evaluates a disjoint range
 // of the pair space and the summed counters must equal a single-node
-// run's (so /v1/stats stays truthful about work actually done). Every
-// additive counter sums; Elapsed and IndexTime take the maximum (the
+// run's (so /v1/stats stays truthful about work actually done), and the
+// path that combines the worker pool's per-worker tallies. Every
+// additive counter sums and MaxLiveRows takes the maximum (see
+// gted.Counters.Merge); Elapsed and IndexTime take the maximum (the
 // ranges run concurrently, so wall-clock is the slowest worker, and the
 // caller typically overwrites Elapsed with its own measured wall time);
 // Mode keeps s's value unless unset.
 func (s *JoinStats) Merge(o JoinStats) {
 	s.Comparisons += o.Comparisons
-	s.Subproblems += o.Subproblems
 	s.LowerPruned += o.LowerPruned
 	s.UpperAccepted += o.UpperAccepted
 	s.ExactComputed += o.ExactComputed
-	s.PrunedSubproblems += o.PrunedSubproblems
-	s.BandSkippedCells += o.BandSkippedCells
-	s.PrunedKeyroots += o.PrunedKeyroots
-	s.CompressedRows += o.CompressedRows
-	s.RowCells += o.RowCells
+	s.Counters.Merge(o.Counters)
 	if o.Elapsed > s.Elapsed {
 		s.Elapsed = o.Elapsed
 	}
@@ -141,56 +128,6 @@ func (s *JoinStats) Merge(o JoinStats) {
 	if s.Mode == IndexAuto && o.Mode != IndexAuto {
 		s.Mode = o.Mode
 	}
-}
-
-// joinOutcome is the per-pair record a worker writes; aggregation
-// happens sequentially afterwards so the output is deterministic.
-type joinOutcome struct {
-	dist   float64
-	subs   int64
-	pruned int64
-	band   int64
-	kroots int64
-	crows  int64
-	rcells int64
-	kind   pairKind
-}
-
-// pairKind is how the join pipeline resolved a pair.
-type pairKind uint8
-
-const (
-	pairPending       pairKind = iota // not evaluated: the join was cancelled first
-	pairExact                         // GTED ran
-	pairLowerPruned                   // a lower bound reached tau
-	pairUpperAccepted                 // the constrained distance stayed below tau
-)
-
-// tally folds one pair's outcome into s and reports whether the pair
-// matches.
-func (s *JoinStats) tally(o joinOutcome, tau float64, filtered bool) bool {
-	if o.kind == pairPending {
-		return false
-	}
-	s.Comparisons++
-	switch o.kind {
-	case pairLowerPruned:
-		s.LowerPruned++
-		return false
-	case pairUpperAccepted:
-		s.UpperAccepted++
-		return true
-	}
-	if filtered {
-		s.ExactComputed++
-	}
-	s.Subproblems += o.subs
-	s.PrunedSubproblems += o.pruned
-	s.BandSkippedCells += o.band
-	s.PrunedKeyroots += o.kroots
-	s.CompressedRows += o.crows
-	s.RowCells += o.rcells
-	return o.dist < tau
 }
 
 // ij names one candidate pair by collection indices, i < j. lb carries
@@ -225,16 +162,26 @@ func (e *Engine) Join(trees []*PreparedTree, tau float64, filtered bool) ([]Matc
 // the call returns nil matches, the stats of the pairs evaluated so far
 // (Comparisons counts those, not the planned ones) and ctx's error.
 // JoinIndexedContext and JoinCandidatesContext follow the same contract.
+// Each buffered join is its streaming form (JoinStream and so on)
+// followed by an (I, J) sort.
 func (e *Engine) JoinContext(ctx context.Context, trees []*PreparedTree, tau float64, filtered bool) ([]Match, JoinStats, error) {
-	e.check(trees...)
-	if filtered && !e.unit {
-		panic("batch: filtered Join requires the unit cost model")
+	return collect(func(emit func(Match)) (JoinStats, error) {
+		return e.JoinStream(ctx, trees, tau, filtered, emit)
+	})
+}
+
+// collect runs a streaming join and returns its matches in (I, J) order,
+// or nil matches with the error of a join that did not complete.
+func collect(run func(emit func(Match)) (JoinStats, error)) ([]Match, JoinStats, error) {
+	var ms []Match
+	st, err := run(func(m Match) { ms = append(ms, m) })
+	if err != nil {
+		return nil, st, err
 	}
-	start := time.Now()
-	ms, st, err := e.evalPairs(ctx, trees, allPairs(len(trees)), tau, filtered)
-	st.Mode = IndexEnumerate
-	st.Elapsed = time.Since(start)
-	return ms, st, err
+	slices.SortFunc(ms, func(a, b Match) int {
+		return cmp.Or(cmp.Compare(a.I, b.I), cmp.Compare(a.J, b.J))
+	})
+	return ms, st, nil
 }
 
 // allPairs enumerates the unordered pairs of an n-tree collection in
@@ -269,22 +216,9 @@ func (e *Engine) JoinIndexed(trees []*PreparedTree, tau float64, opts JoinOption
 // JoinIndexedContext is JoinIndexed with cancellation, under
 // JoinContext's contract.
 func (e *Engine) JoinIndexedContext(ctx context.Context, trees []*PreparedTree, tau float64, opts JoinOptions) ([]Match, JoinStats, error) {
-	e.check(trees...)
-	if !e.unit {
-		panic("batch: JoinIndexed requires the unit cost model")
-	}
-	mode := resolveMode(trees, tau, opts.Mode)
-	if mode == IndexEnumerate {
-		return e.JoinContext(ctx, trees, tau, true)
-	}
-
-	start := time.Now()
-	pairs, indexTime := generate(trees, tau, mode, opts)
-	ms, st, err := e.evalPairs(ctx, trees, pairs, tau, true)
-	st.Mode = mode
-	st.IndexTime = indexTime
-	st.Elapsed = time.Since(start)
-	return ms, st, err
+	return collect(func(emit func(Match)) (JoinStats, error) {
+		return e.JoinIndexedStream(ctx, trees, tau, opts, emit)
+	})
 }
 
 // resolveMode picks the generator IndexAuto stands for: the histogram
@@ -325,15 +259,9 @@ func (e *Engine) JoinCandidates(trees []*PreparedTree, cands []CandidatePair, ta
 // JoinCandidatesContext is JoinCandidates with cancellation, under
 // JoinContext's contract.
 func (e *Engine) JoinCandidatesContext(ctx context.Context, trees []*PreparedTree, cands []CandidatePair, tau float64) ([]Match, JoinStats, error) {
-	e.check(trees...)
-	if !e.unit {
-		panic("batch: JoinCandidates requires the unit cost model")
-	}
-	start := time.Now()
-	ms, st, err := e.evalPairs(ctx, trees, candidatePairs(trees, cands), tau, true)
-	st.Mode = IndexEnumerate
-	st.Elapsed = time.Since(start)
-	return ms, st, err
+	return collect(func(emit func(Match)) (JoinStats, error) {
+		return e.JoinCandidatesStream(ctx, trees, cands, tau, emit)
+	})
 }
 
 // candidatePairs validates the caller's candidates against the
@@ -423,9 +351,11 @@ func generate(trees []*PreparedTree, tau float64, mode IndexMode, opts JoinOptio
 	return pairs, time.Since(start)
 }
 
-// filterPair resolves one pair of a join: exact GTED when unfiltered;
-// otherwise the filter stages in cost order, each run only when the
-// cheaper ones left the pair undecided:
+// filterPair resolves one pair of a join, tallies it into st and
+// reports its distance (for a pair a bound decided, that bound) and
+// whether it matches, that is stays below tau: exact GTED when
+// unfiltered; otherwise the filter stages in cost order, each run only
+// when the cheaper ones left the pair undecided:
 //
 //  1. the candidate's carried lower bound and the size bound, O(1);
 //  2. the label-histogram lower bound, one merge of sorted label ids;
@@ -444,76 +374,108 @@ func generate(trees []*PreparedTree, tau float64, mode IndexMode, opts JoinOptio
 // small subtrees (leaves pair with leaves whatever tau is); a pair the
 // upper bound accepts skips the O(|F|·|G|) lower bounds and, on a warm
 // workspace, allocates nothing.
-func (e *Engine) filterPair(ws *workspace, f, g *PreparedTree, candLB, tau float64, filtered bool) joinOutcome {
+//
+// The exact stage of a filtered join runs GTED with cutoff tau threaded
+// into its DP loops, so a pair whose distance provably reaches tau
+// abandons most of its DP instead of finishing it. The match set is
+// provably unchanged — a pair with distance < tau always completes
+// exactly, and any pair the cutoff abandons could not have matched.
+func (e *Engine) filterPair(ws *workspace, st *JoinStats, f, g *PreparedTree, candLB, tau float64, filtered bool) (float64, bool) {
+	st.Comparisons++
 	if !filtered {
 		r := e.pairRunner(ws, f, g)
 		d := r.Run()
-		gst := r.Stats()
-		return joinOutcome{dist: d, subs: gst.Subproblems, rcells: gst.RowCells, kind: pairExact}
+		st.Counters.Merge(r.Stats())
+		return d, d < tau
 	}
 	lb := bounds.Size(f.t, g.t)
 	if candLB > lb {
 		lb = candLB // index candidates carry their own lower bound
 	}
 	if lb >= tau {
-		return joinOutcome{dist: lb, kind: pairLowerPruned}
+		st.LowerPruned++
+		return lb, false
 	}
 	if p := bounds.LabelHistogramProfiled(f.profile(), g.profile()); p > lb {
 		lb = p
 	}
 	if lb >= tau {
-		return joinOutcome{dist: lb, kind: pairLowerPruned}
+		st.LowerPruned++
+		return lb, false
 	}
 	if ub, ok := bounds.ConstrainedBelow(f.t, g.t, tau, &ws.constrained); ok {
-		return joinOutcome{dist: ub, kind: pairUpperAccepted}
+		st.UpperAccepted++
+		return ub, true
 	}
 	if p := bounds.LowerProfiled(f.profile(), g.profile()); p > lb {
 		lb = p
 	}
 	if lb >= tau {
-		return joinOutcome{dist: lb, kind: pairLowerPruned}
+		st.LowerPruned++
+		return lb, false
 	}
+	st.ExactComputed++
 	r := e.pairRunner(ws, f, g)
 	d, ok := r.RunBounded(tau)
-	if !ok {
-		d = tau // below-threshold match impossible; tau is a valid floor
-	}
-	gst := r.Stats()
-	return joinOutcome{dist: d, subs: gst.Subproblems, pruned: gst.PrunedSubproblems,
-		band: gst.BandSkippedCells, kroots: gst.PrunedKeyroots,
-		crows: gst.CompressedRows, rcells: gst.RowCells, kind: pairExact}
+	st.Counters.Merge(r.Stats())
+	return d, ok && d < tau
 }
 
-// evalPairs runs filterPair over the worker pool and aggregates the
-// outcomes deterministically. A worker that finds ctx cancelled leaves
-// its remaining pairs pending; the call then returns nil matches, the
-// stats of the evaluated pairs and ctx's error.
-//
-// Filtered joins seed the exact stage with the threshold: GTED runs with
-// cutoff tau threaded into its DP loops, so a pair whose distance
-// provably reaches tau abandons most of its DP instead of finishing it.
-// The match set is provably unchanged — a pair with distance < tau
-// always completes exactly, and any pair the cutoff abandons could not
-// have matched.
-func (e *Engine) evalPairs(ctx context.Context, trees []*PreparedTree, pairs []ij, tau float64, filtered bool) ([]Match, JoinStats, error) {
-	outcomes := make([]joinOutcome, len(pairs))
-	e.parallel(len(pairs), func(ws *workspace, k int) {
-		if ctx.Err() != nil {
-			return
-		}
-		p := pairs[k]
-		outcomes[k] = e.filterPair(ws, trees[p.i], trees[p.j], p.lb, tau, filtered)
-	})
-
-	var ms []Match
+// joinPairs is the join evaluator behind every Join entry point, buffered
+// and streamed: workers pull pairs off a shared counter, resolve each
+// with filterPair into a JoinStats of their own, and send only the
+// matches to the calling goroutine, which passes them to emit in
+// completion order. Workers check ctx at every pair boundary, so
+// cancellation abandons the remaining pairs promptly; the call then
+// returns ctx's error. Either way the returned stats merge the workers'
+// tallies, so they cover exactly the pairs evaluated.
+func (e *Engine) joinPairs(ctx context.Context, trees []*PreparedTree, pairs []ij, tau float64, filtered bool, emit func(Match)) (JoinStats, error) {
+	w := min(e.workers, len(pairs))
+	if w < 1 {
+		w = 1
+	}
+	// One slot per worker: a worker that finds a match need not wait
+	// while the calling goroutine emits another worker's.
+	out := make(chan Match, w)
+	tallies := make([]JoinStats, w)
+	var next atomic.Int64
+	next.Store(-1)
+	var wg sync.WaitGroup
+	for k := range tallies {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			ws := e.getWS()
+			defer e.putWS(ws)
+			var st JoinStats
+			for ctx.Err() == nil {
+				n := int(next.Add(1))
+				if n >= len(pairs) {
+					break
+				}
+				p := pairs[n]
+				d, match := e.filterPair(ws, &st, trees[p.i], trees[p.j], p.lb, tau, filtered)
+				if !match {
+					continue
+				}
+				select {
+				case out <- Match{I: p.i, J: p.j, Dist: d}:
+				case <-ctx.Done():
+				}
+			}
+			tallies[k] = st
+		}()
+	}
+	go func() {
+		wg.Wait()
+		close(out)
+	}()
+	for m := range out {
+		emit(m)
+	}
 	var st JoinStats
-	for k, o := range outcomes {
-		if st.tally(o, tau, filtered) {
-			ms = append(ms, Match{I: pairs[k].i, J: pairs[k].j, Dist: o.dist})
-		}
+	for _, t := range tallies {
+		st.Merge(t)
 	}
-	if err := ctx.Err(); err != nil {
-		return nil, st, err
-	}
-	return ms, st, nil
+	return st, ctx.Err()
 }

@@ -5,19 +5,17 @@ import (
 	"context"
 	"math"
 	"sort"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/bounds"
 )
 
-// This file is the streaming half of the join/top-k API: the same
-// pipelines as Join/JoinIndexed/JoinCandidates/TopKAcross, but results
-// are handed to the caller as they are found instead of buffered into a
+// This file is the streaming half of the join/top-k API: results are
+// handed to the caller as they are found instead of buffered into a
 // slice, and a context threads cancellation back into the worker pool —
 // the engine side of a server streaming NDJSON to a client that may
-// disconnect mid-response.
+// disconnect mid-response. The buffered Join, JoinIndexed and
+// JoinCandidates are these streams followed by an (I, J) sort.
 //
 // Contracts shared by every streaming call:
 //
@@ -35,10 +33,10 @@ import (
 func (e *Engine) JoinStream(ctx context.Context, trees []*PreparedTree, tau float64, filtered bool, emit func(Match)) (JoinStats, error) {
 	e.check(trees...)
 	if filtered && !e.unit {
-		panic("batch: filtered JoinStream requires the unit cost model")
+		panic("batch: filtered Join/JoinStream requires the unit cost model")
 	}
 	start := time.Now()
-	st, err := e.evalPairsStream(ctx, trees, allPairs(len(trees)), tau, filtered, emit)
+	st, err := e.joinPairs(ctx, trees, allPairs(len(trees)), tau, filtered, emit)
 	st.Mode = IndexEnumerate
 	st.Elapsed = time.Since(start)
 	return st, err
@@ -50,7 +48,7 @@ func (e *Engine) JoinStream(ctx context.Context, trees []*PreparedTree, tau floa
 func (e *Engine) JoinIndexedStream(ctx context.Context, trees []*PreparedTree, tau float64, opts JoinOptions, emit func(Match)) (JoinStats, error) {
 	e.check(trees...)
 	if !e.unit {
-		panic("batch: JoinIndexedStream requires the unit cost model")
+		panic("batch: JoinIndexed/JoinIndexedStream requires the unit cost model")
 	}
 	mode := resolveMode(trees, tau, opts.Mode)
 	if mode == IndexEnumerate {
@@ -59,7 +57,7 @@ func (e *Engine) JoinIndexedStream(ctx context.Context, trees []*PreparedTree, t
 
 	start := time.Now()
 	pairs, indexTime := generate(trees, tau, mode, opts)
-	st, err := e.evalPairsStream(ctx, trees, pairs, tau, true, emit)
+	st, err := e.joinPairs(ctx, trees, pairs, tau, true, emit)
 	st.Mode = mode
 	st.IndexTime = indexTime
 	st.Elapsed = time.Since(start)
@@ -72,76 +70,13 @@ func (e *Engine) JoinIndexedStream(ctx context.Context, trees []*PreparedTree, t
 func (e *Engine) JoinCandidatesStream(ctx context.Context, trees []*PreparedTree, cands []CandidatePair, tau float64, emit func(Match)) (JoinStats, error) {
 	e.check(trees...)
 	if !e.unit {
-		panic("batch: JoinCandidatesStream requires the unit cost model")
+		panic("batch: JoinCandidates/JoinCandidatesStream requires the unit cost model")
 	}
 	start := time.Now()
-	st, err := e.evalPairsStream(ctx, trees, candidatePairs(trees, cands), tau, true, emit)
+	st, err := e.joinPairs(ctx, trees, candidatePairs(trees, cands), tau, true, emit)
 	st.Mode = IndexEnumerate
 	st.Elapsed = time.Since(start)
 	return st, err
-}
-
-// streamOutcome is one worker's resolved pair, tagged with its index so
-// the collector can name the matched trees.
-type streamOutcome struct {
-	k int
-	o joinOutcome
-}
-
-// evalPairsStream is evalPairs with the buffer replaced by a channel:
-// workers resolve pairs with filterPair and send outcomes; the calling
-// goroutine aggregates stats and emits matches in completion order.
-// Workers check ctx at every pair boundary, so cancellation abandons the
-// remaining work promptly; outcomes already in flight still drain (their
-// stats count), then the call returns ctx's error.
-func (e *Engine) evalPairsStream(ctx context.Context, trees []*PreparedTree, pairs []ij, tau float64, filtered bool, emit func(Match)) (JoinStats, error) {
-	w := e.workers
-	if w > len(pairs) {
-		w = len(pairs)
-	}
-	if w < 1 {
-		w = 1
-	}
-	out := make(chan streamOutcome, w)
-	var next atomic.Int64
-	next.Store(-1)
-	var wg sync.WaitGroup
-	for g := 0; g < w; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			ws := e.getWS()
-			defer e.putWS(ws)
-			for {
-				if ctx.Err() != nil {
-					return
-				}
-				k := int(next.Add(1))
-				if k >= len(pairs) {
-					return
-				}
-				p := pairs[k]
-				select {
-				case out <- streamOutcome{k: k, o: e.filterPair(ws, trees[p.i], trees[p.j], p.lb, tau, filtered)}:
-				case <-ctx.Done():
-					return
-				}
-			}
-		}()
-	}
-	go func() {
-		wg.Wait()
-		close(out)
-	}()
-
-	var st JoinStats
-	for so := range out {
-		if st.tally(so.o, tau, filtered) {
-			p := pairs[so.k]
-			emit(Match{I: p.i, J: p.j, Dist: so.o.dist})
-		}
-	}
-	return st, ctx.Err()
 }
 
 // TopKAcrossStream is TopKAcross with cancellation: the scan over data
@@ -187,7 +122,7 @@ func (e *Engine) TopKAcrossStream(ctx context.Context, query *PreparedTree, data
 		r := e.pairRunner(ws, query, d)
 		r.SetCutoff(tau, false)
 		r.Run()
-		st.add(r.Stats())
+		st.Merge(r.Stats())
 		for w := 0; w < d.t.Len(); w++ {
 			m := CrossMatch{Tree: di, Root: w, Dist: r.Dist(q, w)}
 			if h.Len() < k {

@@ -28,7 +28,7 @@ func (e *Engine) TopKSubtrees(query, data *PreparedTree, k int) ([]SubtreeMatch,
 	defer e.putWS(ws)
 	r := e.pairRunner(ws, query, data)
 	r.Run()
-	st.add(r.Stats())
+	st.Merge(r.Stats())
 
 	// All matrix reads happen before the workspace returns to the pool:
 	// the matrix memory is arena-owned and reused by the next pair.

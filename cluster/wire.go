@@ -74,7 +74,10 @@ type Frame struct {
 	Tree int64 `json:"tree,omitempty"`
 	Root int   `json:"root,omitempty"`
 
-	// done: per-range evaluation stats.
+	// done: per-range evaluation stats. The kernel counters inside
+	// travel under their JSON names (gted.Counters) and the other fields
+	// under their Go names, so the coordinator and the workers must run
+	// the same build.
 	JoinStats *batch.JoinStats `json:"joinStats,omitempty"`
 	Stats     *batch.Stats     `json:"stats,omitempty"`
 

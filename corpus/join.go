@@ -1,8 +1,10 @@
 package corpus
 
 import (
+	"cmp"
 	"context"
 	"math"
+	"slices"
 	"time"
 
 	"repro/batch"
@@ -44,33 +46,18 @@ func (c *Corpus) Join(e *batch.Engine, tau float64, opts batch.JoinOptions) ([]M
 
 // JoinContext is Join with cancellation: cancelling ctx stops the engine
 // work at the next pair boundary, and the call returns nil matches, the
-// stats of the pairs evaluated so far and ctx's error.
+// stats of the pairs evaluated so far and ctx's error. It is JoinStream
+// followed by an (I, J) sort.
 func (c *Corpus) JoinContext(ctx context.Context, e *batch.Engine, tau float64, opts batch.JoinOptions) ([]Match, batch.JoinStats, error) {
-	c.checkEngine(e)
-	p := c.planJoin(e, tau, opts)
-	var (
-		ms  []batch.Match
-		st  batch.JoinStats
-		err error
-	)
-	switch {
-	case !e.UnitCost():
-		ms, st, err = e.JoinContext(ctx, p.ps, tau, false)
-	case !p.probed:
-		// No maintained index serves this mode: let the engine enumerate
-		// or build its own transient index over the positions.
-		ms, st, err = e.JoinIndexedContext(ctx, p.ps, tau, batch.JoinOptions{Mode: p.mode, Q: opts.Q})
-	default:
-		start := time.Now()
-		ms, st, err = e.JoinCandidatesContext(ctx, p.ps, p.cands, tau)
-		st.Mode = p.mode
-		st.IndexTime = p.probeTime
-		st.Elapsed = p.probeTime + time.Since(start)
-	}
+	var ms []Match
+	st, err := c.JoinStream(ctx, e, tau, opts, func(m Match) { ms = append(ms, m) })
 	if err != nil {
 		return nil, st, err
 	}
-	return c.toMatches(p.ids, ms), st, nil
+	slices.SortFunc(ms, func(a, b Match) int {
+		return cmp.Or(cmp.Compare(a.I, b.I), cmp.Compare(a.J, b.J))
+	})
+	return ms, st, nil
 }
 
 // joinPlan is one join's snapshot: the stored IDs and prepared trees,

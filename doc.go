@@ -61,7 +61,8 @@
 //	ted/index            inverted indexes for join candidate generation
 //	internal/tree        immutable postorder-indexed tree substrate
 //	internal/strategy    LRH strategies, Algorithm 2 (OptStrategy), cost formula, time price
-//	internal/gted        GTED (Algorithm 1) and the single-path functions ΔL/ΔR/ΔI
+//	internal/gted        GTED (Algorithm 1), the single-path functions ΔL/ΔR/ΔI
+//	                     and the kernel counters (Counters) every layer's stats embed
 //	internal/cost        cost models, label interning, compiled per-pair form
 //	internal/bounds      lower/upper bounds and per-tree bound profiles
 //	internal/zs          standalone classic Zhang–Shasha (comparison baseline)

@@ -25,7 +25,7 @@ type Result struct {
 	// GTED phase. Their ratio is the strategy overhead of Figure 10.
 	StrategyTime time.Duration
 	TotalTime    time.Duration
-	Stats        gted.Stats
+	Stats        gted.Counters
 	// Strategy is the optimal strategy array (one choice per subtree pair).
 	Strategy *strategy.Array
 	runner   *gted.Runner

@@ -1,6 +1,6 @@
 // Package experiments regenerates every figure and table of the paper's
 // evaluation (Section 8), plus ablations of this repository's design
-// choices (ablation.go and the batch, index, bounded, store, serve and
+// choices (ablation.go and the batch, index, bounded, store and
 // cluster experiments). Each experiment writes a plain-text table
 // (tab-separated, with a header comment describing the paper artifact it
 // reproduces) so results can be diffed and plotted.

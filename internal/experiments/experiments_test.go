@@ -10,8 +10,8 @@ import (
 // scale; each experiment's internal assertions (RTED never worse than
 // the best competitor, optima consistent, etc.) run as part of it.
 func TestAllExperimentsRun(t *testing.T) {
-	if len(All()) != 25 {
-		t.Fatalf("registered %d experiments, want 25", len(All()))
+	if len(All()) != 24 {
+		t.Fatalf("registered %d experiments, want 24", len(All()))
 	}
 	for _, r := range All() {
 		r := r

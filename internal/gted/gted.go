@@ -22,13 +22,18 @@ import (
 	"repro/internal/tree"
 )
 
-// Stats reports instrumentation for one GTED run.
-type Stats struct {
+// Counters is the kernel's instrumentation, declared once for every
+// layer: a Runner accumulates it over one run, and the stats of the
+// root package, the batch engine and the server embed this struct
+// instead of copying its fields, summing runs with Merge. The JSON
+// names are the wire keys of the server's stats blocks and of the
+// cluster's done frames.
+type Counters struct {
 	// Subproblems is the number of relevant subproblems evaluated: the
 	// count of DP cells with two non-empty forests across all
 	// single-path function invocations. Bounded runs (SetCutoff) count
 	// only the cells they actually compute.
-	Subproblems int64
+	Subproblems int64 `json:"subproblems"`
 	// PrunedSubproblems is the number of relevant subproblems a bounded
 	// run skipped: DP cells whose forest sizes alone prove the cell value
 	// exceeds the pair cutoff, skipped as whole loop ranges of the
@@ -37,36 +42,47 @@ type Stats struct {
 	// band, the product of the two subtree sizes — a lower bound on the
 	// relevant cells that DP would have visited. Always zero for exact
 	// runs.
-	PrunedSubproblems int64
+	PrunedSubproblems int64 `json:"pruned_subproblems"`
 	// BandSkippedCells counts the cells skipped as whole loop ranges by
 	// the structural band (never individually tested). Every in-loop
 	// pruned cell is a band skip, so BandSkippedCells plus the
 	// keyroot-level contributions equals PrunedSubproblems.
-	BandSkippedCells int64
+	BandSkippedCells int64 `json:"band_skipped_cells"`
 	// PrunedKeyroots counts keyroot subproblem DPs skipped entirely by
 	// the keyroot-level band: subtree pairs whose size, height or depth-
 	// spectra offset alone prices the pair above its saturation cutoff.
-	PrunedKeyroots int64
+	PrunedKeyroots int64 `json:"pruned_keyroots"`
 	// CompressedRows counts forest-distance DP rows materialized in
 	// band-compressed form: only the ≤ maxD+maxI+1 admissible cells of
 	// each row are stored, offset-indexed by the band diagonal. Zero for
 	// exact runs and when no band is narrower than its row.
-	CompressedRows int64
+	CompressedRows int64 `json:"compressed_rows"`
 	// RowCells counts the DP row cells materialized across all
 	// single-path-function row storage: a dense ΔL/ΔR keyroot contributes
 	// rows×(s2k+1), a band-compressed one rows×(maxD+maxI+1), and every
 	// ΔI chain-state row its full decomposition-row length. Multiplied by
 	// 8 it is the bytes of row storage streamed per computation.
-	RowCells int64
+	RowCells int64 `json:"row_cells"`
 	// SPFCalls counts single-path function invocations (one per subtree
 	// pair the strategy decomposes).
-	SPFCalls int64
-	// SPFByChoice breaks SPFCalls down by decomposition choice.
-	SPFByChoice [6]int64
+	SPFCalls int64 `json:"spf_calls"`
 	// MaxLiveRows is the peak number of simultaneously retained ΔI rows;
 	// it measures the working memory of the heavy-path DP, whose rows are
 	// released by reference count once no later chain state reads them.
-	MaxLiveRows int
+	MaxLiveRows int `json:"max_live_rows"`
+}
+
+// Merge folds o into c: every counter sums, except MaxLiveRows, which
+// takes the maximum (the peak of any single run).
+func (c *Counters) Merge(o Counters) {
+	c.Subproblems += o.Subproblems
+	c.PrunedSubproblems += o.PrunedSubproblems
+	c.BandSkippedCells += o.BandSkippedCells
+	c.PrunedKeyroots += o.PrunedKeyroots
+	c.CompressedRows += o.CompressedRows
+	c.RowCells += o.RowCells
+	c.SPFCalls += o.SPFCalls
+	c.MaxLiveRows = max(c.MaxLiveRows, o.MaxLiveRows)
 }
 
 // Runner executes GTED for one tree pair and one strategy. A Runner is
@@ -80,7 +96,7 @@ type Runner struct {
 	d    []float64 // |F|×|G| subtree-pair distances, row-major
 	seen []bool    // GTED pair memo
 
-	stats Stats
+	stats Counters
 
 	// ar holds all reusable scratch (forest-distance rows, the ΔI row
 	// pool, chain and decomposition buffers). Stand-alone runners own a
@@ -544,8 +560,8 @@ func (r *Runner) Dist(v, w int) float64 { return r.d[v*r.g.Len()+w] }
 // The slice is owned by the runner.
 func (r *Runner) Matrix() []float64 { return r.d }
 
-// Stats returns the instrumentation counters accumulated by Run.
-func (r *Runner) Stats() Stats { return r.stats }
+// Stats returns the counters accumulated by Run.
+func (r *Runner) Stats() Counters { return r.stats }
 
 // gted is Algorithm 1: look up the strategy's path for the pair, recurse
 // into the relevant subtrees of the decomposed tree, then run the
@@ -564,7 +580,6 @@ func (r *Runner) gted(v, w int) {
 	r.seen[idx] = true
 	ch := r.strat.Choose(v, w)
 	r.stats.SPFCalls++
-	r.stats.SPFByChoice[ch]++
 	tcut := math.Inf(1)
 	if r.bounded {
 		tcut = r.pairCutoff(v, w)

@@ -73,7 +73,7 @@ func TestSparseRowsCompress(t *testing.T) {
 	s := strategy.ZhangL()
 	d := New(f, g, cost.Unit{}, s).Run()
 
-	run := func(tau float64) Stats {
+	run := func(tau float64) Counters {
 		r := New(f, g, cost.Unit{}, s)
 		if bd, ok := r.RunBounded(tau); !ok || bd != d {
 			t.Fatalf("near pair at tau=%v did not resolve exactly: (%v, %v), d=%v", tau, bd, ok, d)

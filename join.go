@@ -177,7 +177,7 @@ func Join(trees []*Tree, tau float64, opts ...Option) JoinResult {
 		IndexTime:     st.IndexTime,
 	}
 	if c.stats != nil {
-		*c.stats = joinStats(st)
+		*c.stats = Stats{Counters: st.Counters, TotalTime: st.Elapsed}
 	}
 	for _, m := range ms {
 		out.Pairs = append(out.Pairs, JoinPair{I: m.I, J: m.J, Dist: m.Dist})

@@ -30,8 +30,8 @@ func TestE2EMultiTarget(t *testing.T) {
 	// Read-only mix: replicas of one corpus must answer identically, so
 	// the single-engine cross-check holds for both targets.
 	spec := load.Spec{
-		Mix:  map[string]float64{load.EpDistance: 3, load.EpBounded: 3, load.EpTopK: 2},
-		Tau:  4, K: 3,
+		Mix: map[string]float64{load.EpDistance: 3, load.EpBounded: 3, load.EpTopK: 2},
+		Tau: 4, K: 3,
 		Seed: 7, Conc: 4, Warmup: 8, Requests: 120,
 	}
 	cc := crossCheck(c, server.New(c).Engine())

@@ -10,12 +10,14 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"time"
 
 	ted "repro"
 	"repro/batch"
 	"repro/corpus"
+	"repro/internal/gted"
 )
 
 // Server serves a corpus over HTTP. Construct with New; the zero value
@@ -43,14 +45,10 @@ type Server struct {
 	byTenant     tenants
 	admitHook    func()
 
-	// Cumulative DP pruning counters over served joins (see
-	// StatsResponse): threshold-pruned cells, band-skipped cells, and
-	// keyroot DPs refused by the band.
-	prunedSubs  atomic.Int64
-	bandCells   atomic.Int64
-	prunedKroot atomic.Int64
-	compRows    atomic.Int64
-	rowCells    atomic.Int64
+	// The cumulative kernel counters of completed joins and top-k
+	// requests (see StatsResponse), added by count.
+	kernelMu sync.Mutex
+	kernel   gted.Counters
 
 	maxBody    int64
 	maxNodes   int
@@ -392,15 +390,12 @@ func (s *Server) Stats() StatsResponse {
 		Tenants:     s.byTenant.snapshot(),
 		Draining:    s.draining.Load(),
 
-		PrunedSubproblems: s.prunedSubs.Load(),
-		BandSkippedCells:  s.bandCells.Load(),
-		PrunedKeyroots:    s.prunedKroot.Load(),
-		CompressedRows:    s.compRows.Load(),
-		RowCells:          s.rowCells.Load(),
-
 		ReadOnly:       s.readOnly,
 		ClusterWorkers: len(s.clusterAddrs),
 	}
+	s.kernelMu.Lock()
+	st.Counters = s.kernel
+	s.kernelMu.Unlock()
 	if s.c.Replicable() {
 		pos := s.c.ReplState()
 		st.WALGen, st.WALSeq = pos.Gen, pos.Seq
@@ -490,11 +485,7 @@ func (s *Server) handleJoin(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	s.prunedSubs.Add(st.PrunedSubproblems)
-	s.bandCells.Add(st.BandSkippedCells)
-	s.prunedKroot.Add(st.PrunedKeyroots)
-	s.compRows.Add(st.CompressedRows)
-	s.rowCells.Add(st.RowCells)
+	s.count(st.Counters)
 	resp := JoinResponse{Count: len(ms), Stats: joinStats(st)}
 	if len(ms) > limit {
 		ms = ms[:limit]
@@ -542,14 +533,8 @@ func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	// The scan's pruning feeds the same cumulative counters joins feed;
-	// before this, top-k work was invisible in /v1/stats.
-	s.prunedSubs.Add(st.PrunedSubproblems)
-	s.bandCells.Add(st.BandSkippedCells)
-	s.prunedKroot.Add(st.PrunedKeyroots)
-	s.compRows.Add(st.CompressedRows)
-	s.rowCells.Add(st.RowCells)
-	resp := TopKResponse{Matches: make([]TopKMatch, len(ms)), Stats: topKStats(st, time.Since(start))}
+	s.count(st)
+	resp := TopKResponse{Matches: make([]TopKMatch, len(ms)), Stats: TopKStats{Counters: st, ElapsedMS: time.Since(start).Milliseconds()}}
 	for i, m := range ms {
 		resp.Matches[i] = TopKMatch{Tree: int64(m.Tree), Root: m.Root, Dist: m.Dist}
 	}
@@ -728,19 +713,22 @@ func parseMode(s string) (batch.IndexMode, bool) {
 
 func joinStats(st batch.JoinStats) JoinStats {
 	return JoinStats{
-		Candidates:        st.Comparisons,
-		LowerPruned:       st.LowerPruned,
-		UpperAccepted:     st.UpperAccepted,
-		ExactComputed:     st.ExactComputed,
-		Subproblems:       st.Subproblems,
-		PrunedSubproblems: st.PrunedSubproblems,
-		BandSkippedCells:  st.BandSkippedCells,
-		PrunedKeyroots:    st.PrunedKeyroots,
-		CompressedRows:    st.CompressedRows,
-		RowCells:          st.RowCells,
-		Mode:              st.Mode.String(),
-		ElapsedMS:         st.Elapsed.Milliseconds(),
+		Candidates:    st.Comparisons,
+		LowerPruned:   st.LowerPruned,
+		UpperAccepted: st.UpperAccepted,
+		ExactComputed: st.ExactComputed,
+		Counters:      st.Counters,
+		Mode:          st.Mode.String(),
+		ElapsedMS:     st.Elapsed.Milliseconds(),
 	}
+}
+
+// count adds a completed join's or top-k's kernel counters to the
+// cumulative ones /v1/stats serves.
+func (s *Server) count(c gted.Counters) {
+	s.kernelMu.Lock()
+	s.kernel.Merge(c)
+	s.kernelMu.Unlock()
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {

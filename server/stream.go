@@ -87,15 +87,11 @@ func (s *Server) handleJoinStream(w http.ResponseWriter, r *http.Request) {
 	})
 	if err != nil || writeErr != nil {
 		// Cut short — no done record; its absence is the incompleteness
-		// signal. Pruning counters are not added: partial-run stats would
+		// signal. Its counters are not added: partial-run stats would
 		// skew the cumulative /v1/stats trajectory.
 		return
 	}
-	s.prunedSubs.Add(st.PrunedSubproblems)
-	s.bandCells.Add(st.BandSkippedCells)
-	s.prunedKroot.Add(st.PrunedKeyroots)
-	s.compRows.Add(st.CompressedRows)
-	s.rowCells.Add(st.RowCells)
+	s.count(st.Counters)
 	done := JoinStreamRecord{Done: &JoinStreamDone{Count: count, Truncated: count > limit, Stats: joinStats(st)}}
 	if enc.Encode(done) == nil {
 		rc.Flush()
@@ -141,24 +137,8 @@ func (s *Server) handleTopKStream(w http.ResponseWriter, r *http.Request) {
 	if err != nil || writeErr != nil {
 		return
 	}
-	s.prunedSubs.Add(st.PrunedSubproblems)
-	s.bandCells.Add(st.BandSkippedCells)
-	s.prunedKroot.Add(st.PrunedKeyroots)
-	s.compRows.Add(st.CompressedRows)
-	s.rowCells.Add(st.RowCells)
-	if enc.Encode(TopKStreamRecord{Done: &TopKStreamDone{Stats: topKStats(st, time.Since(start))}}) == nil {
+	s.count(st)
+	if enc.Encode(TopKStreamRecord{Done: &TopKStreamDone{Stats: TopKStats{Counters: st, ElapsedMS: time.Since(start).Milliseconds()}}}) == nil {
 		rc.Flush()
-	}
-}
-
-func topKStats(st batch.Stats, elapsed time.Duration) TopKStats {
-	return TopKStats{
-		Subproblems:       st.Subproblems,
-		PrunedSubproblems: st.PrunedSubproblems,
-		BandSkippedCells:  st.BandSkippedCells,
-		PrunedKeyroots:    st.PrunedKeyroots,
-		CompressedRows:    st.CompressedRows,
-		RowCells:          st.RowCells,
-		ElapsedMS:         elapsed.Milliseconds(),
 	}
 }

@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/batch"
 	"repro/corpus"
 	"repro/gen"
 	"repro/server"
@@ -154,38 +155,87 @@ func TestTopKStreamMatchesBuffered(t *testing.T) {
 	}
 }
 
-// TestTopKStatsReported pins the dropped-stats bugfix: /v1/topk used to
-// discard the scan's accounting entirely (`ms, _ :=`), leaving the
-// response without a stats block and the cumulative /v1/stats pruning
-// counters frozen however much top-k work the server did. The response
-// stats must carry the scan and the cumulative counters must advance by
-// exactly those amounts.
-func TestTopKStatsReported(t *testing.T) {
-	_, s, ts := newFixture(t)
-	before := s.Stats()
-	var resp server.TopKResponse
-	// The query equals stored tree 0, so the running cutoff drops to 0
-	// immediately and the rest of the scan prunes hard — the counters
-	// this endpoint used to throw away are guaranteed nonzero.
-	if code := call(t, "POST", ts.URL+"/v1/topk",
-		server.TopKRequest{Query: ref("{a{b}{c}}"), K: 1}, &resp); code != 200 {
-		t.Fatalf("topk: status %d", code)
+// TestKernelStatsReconcile pins the kernel counters end to end, on
+// every join and top-k endpoint, buffered and streamed: the response's
+// counter block equals the in-process corpus call's, and the cumulative
+// /v1/stats counters advance by exactly that block. Both comparisons
+// take the counters as one struct, so a counter added later is covered
+// without editing this test.
+func TestKernelStatsReconcile(t *testing.T) {
+	c := corpus.New(corpus.WithHistogramIndex())
+	for n := 40; n <= 55; n += 3 {
+		c.Add(gen.ZigZag(n))
+		c.Add(gen.Mixed(n))
 	}
-	after := s.Stats()
-	if resp.Stats.Subproblems <= 0 {
-		t.Fatalf("topk response carries no scan stats: %+v", resp.Stats)
+	s := server.New(c)
+	s.Warm()
+	ts := newTestServer(t, s)
+	e := s.Engine()
+
+	// tau leaves some pairs to the exact stage, whose cutoff prunes; the
+	// top-1 query equals stored tree 0, so the scan's cutoff drops to 0
+	// and the rest of it prunes hard.
+	const tau = 6
+	_, js := c.Join(e, tau, batch.JoinOptions{})
+	query := gen.ZigZag(40)
+	_, ks := c.TopKAcross(e, c.PrepareQuery(e, query), 1)
+	if js.ExactComputed == 0 || js.PrunedSubproblems == 0 || ks.PrunedSubproblems == 0 {
+		t.Fatalf("scenario broken: the join's exact stage or the top-k scan pruned nothing: %+v, %+v", js, ks)
 	}
-	if resp.Stats.PrunedSubproblems+resp.Stats.BandSkippedCells+resp.Stats.PrunedKeyroots == 0 {
-		t.Fatalf("zero-distance top-1 scan pruned nothing: %+v", resp.Stats)
+	joinReq := server.JoinRequest{Tau: tau}
+	topKReq := server.TopKRequest{Query: ref(query.String()), K: 1}
+	endpoints := []struct {
+		path string
+		want batch.Stats
+		run  func(url string) batch.Stats
+	}{
+		{"/v1/join", js.Counters, func(url string) batch.Stats {
+			var resp server.JoinResponse
+			if code := call(t, "POST", url, joinReq, &resp); code != 200 {
+				t.Fatalf("status %d", code)
+			}
+			return resp.Stats.Counters
+		}},
+		{"/v1/join/stream", js.Counters, func(url string) batch.Stats {
+			recs := postNDJSON[server.JoinStreamRecord](t, url, joinReq)
+			if len(recs) == 0 || recs[len(recs)-1].Done == nil {
+				t.Fatal("join stream without a done record")
+			}
+			return recs[len(recs)-1].Done.Stats.Counters
+		}},
+		{"/v1/topk", ks, func(url string) batch.Stats {
+			var resp server.TopKResponse
+			if code := call(t, "POST", url, topKReq, &resp); code != 200 {
+				t.Fatalf("status %d", code)
+			}
+			return resp.Stats.Counters
+		}},
+		{"/v1/topk/stream", ks, func(url string) batch.Stats {
+			recs := postNDJSON[server.TopKStreamRecord](t, url, topKReq)
+			if len(recs) == 0 || recs[len(recs)-1].Done == nil {
+				t.Fatal("top-k stream without a done record")
+			}
+			return recs[len(recs)-1].Done.Stats.Counters
+		}},
 	}
-	if d := after.PrunedSubproblems - before.PrunedSubproblems; d != resp.Stats.PrunedSubproblems {
-		t.Fatalf("cumulative pruned_subproblems advanced by %d, response says %d", d, resp.Stats.PrunedSubproblems)
+	cumulative := func() batch.Stats {
+		var st server.StatsResponse
+		if code := call(t, "GET", ts+"/v1/stats", nil, &st); code != 200 {
+			t.Fatalf("stats: status %d", code)
+		}
+		return st.Counters
 	}
-	if d := after.BandSkippedCells - before.BandSkippedCells; d != resp.Stats.BandSkippedCells {
-		t.Fatalf("cumulative band_skipped_cells advanced by %d, response says %d", d, resp.Stats.BandSkippedCells)
-	}
-	if d := after.PrunedKeyroots - before.PrunedKeyroots; d != resp.Stats.PrunedKeyroots {
-		t.Fatalf("cumulative pruned_keyroots advanced by %d, response says %d", d, resp.Stats.PrunedKeyroots)
+	for _, ep := range endpoints {
+		before := cumulative()
+		got := ep.run(ts + ep.path)
+		if got != ep.want {
+			t.Fatalf("%s: response counters %+v, in-process %+v", ep.path, got, ep.want)
+		}
+		want := before
+		want.Merge(got)
+		if after := cumulative(); after != want {
+			t.Fatalf("%s: /v1/stats counters went from %+v to %+v, want %+v", ep.path, before, after, want)
+		}
 	}
 }
 

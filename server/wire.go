@@ -1,9 +1,10 @@
 package server
 
-// The wire types of the JSON API. They are exported so Go clients (and
-// the tedbench serve experiment, and the CI smoke script's expectations)
-// can marshal requests and unmarshal responses without restating the
-// schema.
+// The wire types of the JSON API. They are exported so Go clients (the
+// benchmark and tedload among them) can marshal requests and unmarshal
+// responses without restating the schema.
+
+import "repro/internal/gted"
 
 // TreeRef names a tree in a request: exactly one of ID (a stored tree)
 // or Tree (an ad-hoc tree in bracket notation) must be set.
@@ -59,26 +60,20 @@ type JoinMatch struct {
 	Dist float64 `json:"dist"`
 }
 
-// JoinStats is the server-side accounting of one join call.
+// JoinStats is the server-side accounting of one join call. The
+// embedded kernel counters of the exact stage (gted.Counters) appear in
+// the JSON object under their own names: subproblems, the DP cells the
+// threshold cutoff pruned (pruned_subproblems, band_skipped_cells,
+// pruned_keyroots), the rows and row cells materialized
+// (compressed_rows, row_cells), spf_calls and max_live_rows.
 type JoinStats struct {
-	Candidates    int   `json:"candidates"`
-	LowerPruned   int   `json:"lower_pruned"`
-	UpperAccepted int   `json:"upper_accepted"`
-	ExactComputed int   `json:"exact_computed"`
-	Subproblems   int64 `json:"subproblems"`
-	// DP cells the exact stage skipped under the threshold cutoff, the
-	// subset of those skipped as whole ranges by the structural band,
-	// and keyroot subproblem DPs the band refused outright.
-	PrunedSubproblems int64 `json:"pruned_subproblems"`
-	BandSkippedCells  int64 `json:"band_skipped_cells"`
-	PrunedKeyroots    int64 `json:"pruned_keyroots"`
-	// DP rows materialized band-compressed and total row cells
-	// materialized (×8 = bytes of row storage streamed) by the exact
-	// stage.
-	CompressedRows int64  `json:"compressed_rows"`
-	RowCells       int64  `json:"row_cells"`
-	Mode           string `json:"mode"`
-	ElapsedMS      int64  `json:"elapsed_ms"`
+	Candidates    int `json:"candidates"`
+	LowerPruned   int `json:"lower_pruned"`
+	UpperAccepted int `json:"upper_accepted"`
+	ExactComputed int `json:"exact_computed"`
+	gted.Counters
+	Mode      string `json:"mode"`
+	ElapsedMS int64  `json:"elapsed_ms"`
 }
 
 // JoinResponse: Count is the full match count; Matches holds at most
@@ -106,16 +101,12 @@ type TopKMatch struct {
 	Dist float64 `json:"dist"`
 }
 
-// TopKStats is the server-side accounting of one top-k call: the DP
-// cost of the scan and the cells/keyroots its shrinking cutoff pruned.
+// TopKStats is the server-side accounting of one top-k call: the
+// kernel counters of the scan (as in JoinStats, including the cells and
+// keyroots its shrinking cutoff pruned) and its elapsed time.
 type TopKStats struct {
-	Subproblems       int64 `json:"subproblems"`
-	PrunedSubproblems int64 `json:"pruned_subproblems"`
-	BandSkippedCells  int64 `json:"band_skipped_cells"`
-	PrunedKeyroots    int64 `json:"pruned_keyroots"`
-	CompressedRows    int64 `json:"compressed_rows"`
-	RowCells          int64 `json:"row_cells"`
-	ElapsedMS         int64 `json:"elapsed_ms"`
+	gted.Counters
+	ElapsedMS int64 `json:"elapsed_ms"`
 }
 
 // TopKResponse carries the matches sorted by distance (ties toward
@@ -204,18 +195,11 @@ type StatsResponse struct {
 	// "default"; beyond 256 distinct tenants, new names aggregate under
 	// "~other"). Absent until the first admission decision.
 	Tenants map[string]TenantStats `json:"tenants,omitempty"`
-	// Cumulative DP pruning over every served join's exact stage since
-	// boot: cells skipped under the threshold cutoff, the subset skipped
-	// as whole ranges by the structural band (the rest are keyroot DPs
-	// priced as size products), and keyroot subproblem DPs the band
-	// refused outright.
-	PrunedSubproblems int64 `json:"pruned_subproblems"`
-	BandSkippedCells  int64 `json:"band_skipped_cells"`
-	PrunedKeyroots    int64 `json:"pruned_keyroots"`
-	// Cumulative band-compressed rows and total row cells materialized
-	// (×8 = bytes of row storage streamed) by the same exact stages.
-	CompressedRows int64 `json:"compressed_rows"`
-	RowCells       int64 `json:"row_cells"`
+	// The kernel counters of every completed join and top-k request
+	// since boot, merged as their stats blocks report them: every
+	// counter sums, max_live_rows is the peak of any one run. A request
+	// cut short by its client adds nothing.
+	gted.Counters
 	// Replication position of this server's own write-ahead log (absent
 	// for corpora without one): the log generation and how many records
 	// it holds. Followers tail GET /v1/wal from such a position.

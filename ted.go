@@ -5,7 +5,6 @@ import (
 	"math"
 	"time"
 
-	"repro/batch"
 	"repro/internal/bounds"
 	"repro/internal/core"
 	"repro/internal/cost"
@@ -101,88 +100,24 @@ func (a Algorithm) String() string {
 // paper's experiments.
 var Algorithms = []Algorithm{RTED, ZhangL, ZhangR, KleinH, DemaineH}
 
-// Stats reports instrumentation of a Distance call when requested with
-// WithStats.
+// Stats reports instrumentation of a call when requested with
+// WithStats: the kernel counters of its GTED runs, summed, and its
+// timings. The counters are Subproblems, the relevant subproblems
+// evaluated (the paper's cost measure, Figure 8 and Tables 1–2; bounded
+// calls count only the cells they computed); PrunedSubproblems,
+// BandSkippedCells and PrunedKeyroots, what a bounded call's cutoff
+// skipped (zero for exact calls); CompressedRows and RowCells, the DP
+// rows stored band-compressed and the row cells materialized (×8 the
+// bytes of row scratch streamed); SPFCalls, the single-path function
+// invocations; and MaxLiveRows, the peak number of retained heavy-path
+// DP rows. ZhangShashaClassic does not run GTED and reports only
+// Subproblems.
 type Stats struct {
-	// Subproblems is the number of relevant subproblems the algorithm
-	// evaluated (the paper's cost measure, Figures 8 and Tables 1–2).
-	// Bounded calls count only the cells they actually computed.
-	Subproblems int64
-	// PrunedSubproblems is the number of relevant subproblems a bounded
-	// call (DistanceBounded) skipped because the cutoff proved them
-	// irrelevant, including a size-product lower bound on the cells of
-	// keyroot subproblems the band skipped wholesale. Always zero for
-	// exact calls.
-	PrunedSubproblems int64
-	// BandSkippedCells counts the DP cells a bounded call skipped as
-	// whole loop ranges of the structural band; with the keyroot-level
-	// contributions it makes up PrunedSubproblems.
-	BandSkippedCells int64
-	// PrunedKeyroots counts keyroot subproblem DPs a bounded call
-	// skipped entirely because the size, height or depth-spectra offset
-	// of the subtree pair already exceeded its cutoff.
-	PrunedKeyroots int64
-	// CompressedRows counts forest-distance DP rows a bounded call
-	// materialized in band-compressed form: only the admissible band
-	// cells of the row were stored. Zero for exact calls.
-	CompressedRows int64
-	// RowCells counts the DP row cells materialized across the call's row
-	// storage; ×8 it is the bytes of row scratch streamed, the
-	// memory-traffic measure band compression shrinks.
-	RowCells int64
-	// SPFCalls counts single-path function invocations.
-	SPFCalls int64
+	gted.Counters
 	// StrategyTime is the time spent computing the optimal strategy
 	// (RTED only); TotalTime covers the whole computation.
 	StrategyTime time.Duration
 	TotalTime    time.Duration
-	// MaxLiveRows is the peak number of retained heavy-path DP rows.
-	MaxLiveRows int
-}
-
-// gtedStats converts the counters of one GTED run, which took total.
-func gtedStats(st gted.Stats, total time.Duration) Stats {
-	return Stats{
-		Subproblems:       st.Subproblems,
-		PrunedSubproblems: st.PrunedSubproblems,
-		BandSkippedCells:  st.BandSkippedCells,
-		PrunedKeyroots:    st.PrunedKeyroots,
-		CompressedRows:    st.CompressedRows,
-		RowCells:          st.RowCells,
-		SPFCalls:          st.SPFCalls,
-		TotalTime:         total,
-		MaxLiveRows:       st.MaxLiveRows,
-	}
-}
-
-// batchStats converts the counters a batch call aggregated over its GTED
-// runs, which took total.
-func batchStats(st batch.Stats, total time.Duration) Stats {
-	return Stats{
-		Subproblems:       st.Subproblems,
-		PrunedSubproblems: st.PrunedSubproblems,
-		BandSkippedCells:  st.BandSkippedCells,
-		PrunedKeyroots:    st.PrunedKeyroots,
-		CompressedRows:    st.CompressedRows,
-		RowCells:          st.RowCells,
-		SPFCalls:          st.SPFCalls,
-		TotalTime:         total,
-		MaxLiveRows:       st.MaxLiveRows,
-	}
-}
-
-// joinStats converts a join's accounting. Joins track neither SPFCalls
-// nor MaxLiveRows; TotalTime is the join's elapsed time.
-func joinStats(st batch.JoinStats) Stats {
-	return Stats{
-		Subproblems:       st.Subproblems,
-		PrunedSubproblems: st.PrunedSubproblems,
-		BandSkippedCells:  st.BandSkippedCells,
-		PrunedKeyroots:    st.PrunedKeyroots,
-		CompressedRows:    st.CompressedRows,
-		RowCells:          st.RowCells,
-		TotalTime:         st.Elapsed,
-	}
 }
 
 type config struct {
@@ -247,35 +182,20 @@ func Distance(f, g *Tree, opts ...Option) float64 {
 	case ZhangShashaClassic:
 		res := zs.Run(f, g, c.model)
 		if c.stats != nil {
-			*c.stats = Stats{
-				Subproblems: res.Subproblems,
-				TotalTime:   time.Since(start),
-			}
+			*c.stats = Stats{Counters: gted.Counters{Subproblems: res.Subproblems}, TotalTime: time.Since(start)}
 		}
 		return res.Distance
 	case RTED:
 		r := core.RTED(f, g, c.model)
 		if c.stats != nil {
-			*c.stats = Stats{
-				Subproblems:  r.Stats.Subproblems,
-				SPFCalls:     r.Stats.SPFCalls,
-				StrategyTime: r.StrategyTime,
-				TotalTime:    r.TotalTime,
-				MaxLiveRows:  r.Stats.MaxLiveRows,
-			}
+			*c.stats = Stats{Counters: r.Stats, StrategyTime: r.StrategyTime, TotalTime: r.TotalTime}
 		}
 		return r.Distance
 	default:
 		run := gted.New(f, g, c.model, StrategyFor(c.alg, f, g))
 		d := run.Run()
 		if c.stats != nil {
-			st := run.Stats()
-			*c.stats = Stats{
-				Subproblems: st.Subproblems,
-				SPFCalls:    st.SPFCalls,
-				TotalTime:   time.Since(start),
-				MaxLiveRows: st.MaxLiveRows,
-			}
+			*c.stats = Stats{Counters: run.Stats(), TotalTime: time.Since(start)}
 		}
 		return d
 	}
@@ -325,7 +245,7 @@ func DistanceBounded(f, g *Tree, tau float64, opts ...Option) (float64, bool) {
 	run := gted.New(f, g, c.model, StrategyFor(alg, f, g))
 	d, ok := run.RunBounded(tau)
 	if c.stats != nil {
-		*c.stats = gtedStats(run.Stats(), time.Since(start))
+		*c.stats = Stats{Counters: run.Stats(), TotalTime: time.Since(start)}
 	}
 	if !ok {
 		return tau, false

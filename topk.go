@@ -41,7 +41,7 @@ func TopKSubtrees(query, data *Tree, k int, opts ...Option) []SubtreeMatch {
 	e := c.batchEngine(1)
 	ms, st := e.TopKSubtrees(e.Prepare(query), e.Prepare(data), k)
 	if c.stats != nil {
-		*c.stats = batchStats(st, time.Since(start))
+		*c.stats = Stats{Counters: st, TotalTime: time.Since(start)}
 	}
 	out := make([]SubtreeMatch, len(ms))
 	for i, m := range ms {
@@ -94,7 +94,7 @@ func TopKSubtreesAcross(query *Tree, data []*Tree, k int, opts ...Option) []Cros
 		ms[i] = batch.CrossMatch{Tree: pos[m.Tree], Root: m.Root, Dist: m.Dist}
 	}
 	if c.stats != nil {
-		*c.stats = batchStats(st, time.Since(start))
+		*c.stats = Stats{Counters: st, TotalTime: time.Since(start)}
 	}
 	out := make([]CrossSubtreeMatch, len(ms))
 	for i, m := range ms {
@@ -119,7 +119,7 @@ func SubtreeDistances(f, g *Tree, opts ...Option) *DistMatrix {
 	run := gted.New(f, g, c.model, StrategyFor(alg, f, g))
 	run.Run()
 	if c.stats != nil {
-		*c.stats = gtedStats(run.Stats(), time.Since(start))
+		*c.stats = Stats{Counters: run.Stats(), TotalTime: time.Since(start)}
 	}
 	return &DistMatrix{nf: f.Len(), ng: g.Len(), d: run.Matrix()}
 }
