@@ -183,9 +183,10 @@ type workspace struct {
 
 // wsPool is shared by every engine: arenas and strategy scratch are
 // engine-independent (they grow to the largest pair served, whoever
-// serves it), so engines created per call — common in tests and in the
-// public ted.Join path, which builds a fresh engine per join — inherit
-// warmed buffers instead of growing their own.
+// serves it, up to the caps putWS applies), so engines created per
+// call — common in tests and in the public ted.Join path, which builds
+// a fresh engine per join — inherit warmed buffers instead of growing
+// their own.
 var wsPool = sync.Pool{
 	New: func() any { return &workspace{arena: gted.NewArena()} },
 }
@@ -211,9 +212,16 @@ const maxPooledConstrainedCells = 1 << 18
 // instead of pinned in the pool.
 const maxPooledStrategyCells = 1 << 18
 
+// maxPooledArenaCells caps the GTED arena a pooled workspace keeps
+// (256 Ki subtree pairs, about 4.5 MB at ~17 bytes per cell): every pair
+// up to 512 × 512 nodes, while one pair of two 1000-node trees (17 MB)
+// is released instead of pinned in the pool.
+const maxPooledArenaCells = 1 << 18
+
 func (e *Engine) putWS(w *workspace) {
 	w.constrained.Shrink(maxPooledConstrainedCells)
 	w.opt.Shrink(maxPooledStrategyCells)
+	w.arena.Shrink(maxPooledArenaCells)
 	wsPool.Put(w)
 }
 

@@ -67,6 +67,21 @@ func TestArenaReuseNoLeakage(t *testing.T) {
 	}
 }
 
+// TestPutWSCapsArena: after an exact pair above the pooled-arena cap,
+// putWS leaves the workspace's GTED arena at or under the cap, so one
+// large pair does not pin its DP memory in the pool.
+func TestPutWSCapsArena(t *testing.T) {
+	f := gen.Random(91, gen.RandomSpec{Size: 600, MaxDepth: 12, MaxFanout: 6, Labels: 8})
+	g := gen.Random(92, gen.RandomSpec{Size: 600, MaxDepth: 12, MaxFanout: 6, Labels: 8})
+	if cells := f.Len() * g.Len(); cells <= batch.MaxPooledArenaCells {
+		t.Fatalf("the pair has %d cells, not above the cap %d", cells, batch.MaxPooledArenaCells)
+	}
+	e := batch.New(batch.WithWorkers(1))
+	if cells := batch.PooledArenaCells(e, e.Prepare(f), e.Prepare(g)); cells > batch.MaxPooledArenaCells {
+		t.Fatalf("the pooled arena kept %d matrix cells, above the cap %d", cells, batch.MaxPooledArenaCells)
+	}
+}
+
 // TestComputeAndStream checks the parallel batch entry points against
 // the sequential engine path.
 func TestComputeAndStream(t *testing.T) {

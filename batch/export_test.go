@@ -27,3 +27,18 @@ func TopKRun(e *Engine, f, g *PreparedTree, tau float64) Stats {
 	r.Run()
 	return r.Stats()
 }
+
+// MaxPooledArenaCells is the matrix size above which putWS drops a
+// workspace's GTED arena.
+const MaxPooledArenaCells = maxPooledArenaCells
+
+// PooledArenaCells runs the exact distance of f and g on a pooled
+// workspace, hands the workspace back with putWS, and reports the
+// matrix cells its arena still holds. It reads the workspace after it
+// is back in the pool, so only a test that runs alone may call it.
+func PooledArenaCells(e *Engine, f, g *PreparedTree) int {
+	ws := e.getWS()
+	e.pairRunner(ws, f, g).Run()
+	e.putWS(ws)
+	return ws.arena.Cells()
+}

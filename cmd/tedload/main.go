@@ -1,39 +1,34 @@
-// Command tedload drives a live tedd with a declarative workload and
-// emits the machine-readable perf artifact BENCH_serve.json (schema:
-// package load's doc.go) plus a human-readable table.
+// Command tedload drives one or more live tedd targets with a mixed
+// workload, prints how many requests per endpoint and per target came
+// back ok, shed or with an error, and exits nonzero on any error. It is
+// the smoke scripts' correctness gate; latency and throughput come from
+// the benchmark module (benchmark/, BENCHMARK.json).
 //
 // Usage:
 //
 //	tedload -url http://127.0.0.1:8420                      # default mix
 //	tedload -url ... -mix distance=4,bounded=3,mutate=1 \
-//	        -tau 8 -conc 8 -warmup 50 -n 400                # closed loop
-//	tedload -url ... -rate 200 -conc 64                     # open loop, 200 rps Poisson
+//	        -tau 8 -conc 8 -n 400
 //	tedload -url ... -mix join_stream=1 -tau 6              # NDJSON streaming joins
-//	tedload -url ... -tenant batch -rate 100 &              # two tenants
-//	tedload -url ... -tenant web -seed 2 -rate 100          #   driving one server
+//	tedload -url ... -tenant batch &                        # two tenants
+//	tedload -url ... -tenant web -seed 2                    #   driving one server
 //	tedload -url http://host:8420,http://host:8421 \
 //	        -mix distance=4,bounded=3,topk=2                # round-robin over replicas
-//	tedload -url ... -out BENCH_serve.json -fail-on-error   # the CI invocation
-//	tedload -check BENCH_serve.json                         # validate a committed artifact
 //
 // -url takes a comma-separated list: with several targets the request
 // stream (unchanged — generation is target-blind) is dealt across them
-// round-robin, and the report carries a per-target breakdown next to
-// the merged totals, so a slow or stale replica shows up instead of
-// averaging away. The targets must serve the same corpus (a primary
-// and its read replicas); keep mutate out of the mix, since replicas
-// refuse writes with 403.
+// round-robin. The targets must serve the same corpus (a primary and
+// its read replicas); keep mutate out of the mix, since replicas refuse
+// writes with 403.
 //
 // The request stream is generated deterministically from -seed and a
 // snapshot of the served corpus (taken over the API before the run), so
 // a run is reproducible against an identically loaded server; distinct
 // seeds generate disjoint mutation content, so several tedload
-// processes can drive one server together. Responses shed by admission
-// control (503) are counted as shed, not as errors: shedding under
-// offered load is a measurement, not a failure. Any other non-2xx
-// status, transport failure, or cross-check failure counts as an error,
-// and -fail-on-error (on by default) turns a nonzero error count into a
-// nonzero exit — the smoke-script and CI gate.
+// processes can drive one server together. -conc workers each keep one
+// request in flight. Responses shed by admission control (503) are
+// counted as shed, not as errors. Any other non-2xx status, transport
+// failure, or streamed response without its done record is an error.
 package main
 
 import (
@@ -44,7 +39,6 @@ import (
 	"io"
 	"net/http"
 	"os"
-	"os/exec"
 	"strings"
 	"time"
 
@@ -70,28 +64,12 @@ func run(args []string, stdout, stderr io.Writer) error {
 		joinLimit = fs.Int("join-limit", 64, "matches a join response may carry")
 		tenant    = fs.String("tenant", "", "X-Tenant header for every request (empty = server default tenant)")
 		seed      = fs.Int64("seed", 1, "request-stream seed (distinct seeds → disjoint mutation content)")
-		rate      = fs.Float64("rate", 0, "open-loop Poisson arrival rate in rps (0 = closed loop)")
-		conc      = fs.Int("conc", 8, "closed-loop workers / open-loop max outstanding requests")
-		warmup    = fs.Int("warmup", 50, "unmeasured warmup requests")
-		n         = fs.Int("n", 400, "measured requests")
-		out       = fs.String("out", "BENCH_serve.json", "artifact path (empty = don't write)")
-		rev       = fs.String("rev", "", "git revision to stamp (default: git rev-parse --short HEAD)")
+		conc      = fs.Int("conc", 8, "workers, each with one request in flight")
+		n         = fs.Int("n", 400, "requests to send")
 		timeout   = fs.Duration("timeout", 2*time.Minute, "per-request HTTP timeout")
-		failOnErr = fs.Bool("fail-on-error", true, "exit nonzero when the run counted any error")
-		check     = fs.String("check", "", "validate an existing artifact against the report schema and exit (no server needed)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
-	}
-	if *check != "" {
-		rep, err := load.ReadReport(*check)
-		if err != nil {
-			return err
-		}
-		rep.WriteTable(stdout)
-		fmt.Fprintf(stderr, "tedload: %s is a valid schema v%d report (rev %s)\n",
-			*check, rep.SchemaVersion, rep.GitRev)
-		return nil
 	}
 	if *url == "" {
 		return errors.New("-url is required")
@@ -104,8 +82,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		Mix: mix, Tau: *tau, K: *k,
 		JoinMode: *joinMode, JoinLimit: *joinLimit,
 		Tenant: *tenant,
-		Seed:   *seed, Rate: *rate, Conc: *conc,
-		Warmup: *warmup, Requests: *n,
+		Seed:   *seed, Conc: *conc, Requests: *n,
 	}
 	if err := spec.Validate(); err != nil {
 		return err
@@ -128,61 +105,17 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(stderr, "tedload: snapshot: %d live trees; %d+%d requests (%s) over %d target(s)\n",
-		len(snap.IDs), spec.Warmup, spec.Requests, arrivalMode(spec), len(targets))
+	fmt.Fprintf(stderr, "tedload: snapshot: %d live trees; %d requests, %d workers, %d target(s)\n",
+		len(snap.IDs), spec.Requests, spec.Conc, len(targets))
 
-	r := &load.Runner{
-		Base:    targets[0],
-		Targets: targets,
-		Client:  client,
-		Spec:    spec,
-		Snap:    snap,
-		GitRev:  gitRev(*rev),
-	}
-	rep, err := r.Run(context.Background())
+	r := &load.Runner{Targets: targets, Client: client, Spec: spec, Snap: snap}
+	res, err := r.Run(context.Background())
 	if err != nil {
 		return err
 	}
-	if err := rep.Validate(); err != nil {
-		return fmt.Errorf("internal: emitted report fails its own schema: %w", err)
-	}
-	rep.WriteTable(stdout)
-	if *out != "" {
-		if err := rep.WriteJSON(*out); err != nil {
-			return err
-		}
-		fmt.Fprintf(stderr, "tedload: wrote %s\n", *out)
-	}
-	if nerr := rep.Totals.Errors + rep.WarmupErrors; *failOnErr && nerr > 0 {
-		return fmt.Errorf("%d errors (first: %s)", nerr, firstError(rep))
+	res.WriteTable(stdout)
+	if res.Total.Errors > 0 {
+		return fmt.Errorf("%d errors (first: %s)", res.Total.Errors, res.Total.FirstError)
 	}
 	return nil
-}
-
-func arrivalMode(s load.Spec) string {
-	if s.Rate > 0 {
-		return fmt.Sprintf("open loop, %g rps", s.Rate)
-	}
-	return fmt.Sprintf("closed loop, %d workers", s.Conc)
-}
-
-func firstError(rep *load.Report) string {
-	if rep.Totals.FirstError != "" {
-		return rep.Totals.FirstError
-	}
-	return "during warmup"
-}
-
-// gitRev resolves the revision stamp: the -rev flag verbatim, else the
-// working tree's HEAD, else "unknown" (tedload may run far from a
-// checkout).
-func gitRev(flagRev string) string {
-	if flagRev != "" {
-		return flagRev
-	}
-	out, err := exec.Command("git", "rev-parse", "--short", "HEAD").Output()
-	if err != nil {
-		return "unknown"
-	}
-	return strings.TrimSpace(string(out))
 }

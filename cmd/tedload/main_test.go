@@ -2,14 +2,14 @@ package main
 
 import (
 	"bytes"
+	"fmt"
+	"net/http"
 	"net/http/httptest"
-	"path/filepath"
 	"strings"
 	"testing"
 
 	"repro/corpus"
 	"repro/gen"
-	"repro/load"
 	"repro/server"
 )
 
@@ -28,34 +28,67 @@ func testServer(t *testing.T) *httptest.Server {
 	return ts
 }
 
-// TestRunEmitsValidArtifact: the CLI end to end — snapshot over HTTP,
-// a short mixed run, table on stdout, schema-valid artifact on disk.
-func TestRunEmitsValidArtifact(t *testing.T) {
+// stubServer serves a two-tree snapshot and answers every workload
+// request with status code.
+func stubServer(t *testing.T, code int) *httptest.Server {
+	t.Helper()
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		switch r.URL.Path {
+		case "/v1/stats":
+			fmt.Fprint(w, `{"trees": 2}`)
+		case "/v1/trees/0", "/v1/trees/1":
+			fmt.Fprintf(w, `{"id": %s, "tree": "{a{b}}"}`, strings.TrimPrefix(r.URL.Path, "/v1/trees/"))
+		default:
+			w.WriteHeader(code)
+			fmt.Fprint(w, `{"error": "stub"}`)
+		}
+	}))
+	t.Cleanup(ts.Close)
+	return ts
+}
+
+// TestRunCleanServer: the CLI end to end — snapshot over HTTP, a short
+// mixed run against a real server, the table on stdout, and a nil
+// error because nothing failed.
+func TestRunCleanServer(t *testing.T) {
 	ts := testServer(t)
-	out := filepath.Join(t.TempDir(), "BENCH_serve.json")
 	var stdout, stderr bytes.Buffer
 	err := run([]string{
 		"-url", ts.URL,
 		"-mix", "distance=3,bounded=2,topk=1,mutate=1",
 		"-tau", "4", "-k", "2",
-		"-seed", "5", "-conc", "4", "-warmup", "5", "-n", "60",
-		"-out", out, "-rev", "testrev",
+		"-seed", "5", "-conc", "4", "-n", "60",
 	}, &stdout, &stderr)
 	if err != nil {
 		t.Fatalf("run: %v\nstderr: %s", err, stderr.String())
 	}
-	rep, err := load.ReadReport(out)
-	if err != nil {
-		t.Fatalf("artifact: %v", err)
+	if !strings.Contains(stdout.String(), "TOTAL\t60\t60\t0\t0\n") {
+		t.Errorf("stdout lacks a clean TOTAL row of 60 requests:\n%s", stdout.String())
 	}
-	if rep.GitRev != "testrev" {
-		t.Errorf("git_rev = %q, want testrev", rep.GitRev)
+}
+
+// TestRunFailsOnError: a wrong HTTP answer makes run return an error
+// naming the error count and the first error — the exit status the
+// smoke scripts gate on.
+func TestRunFailsOnError(t *testing.T) {
+	ts := stubServer(t, http.StatusInternalServerError)
+	var stdout, stderr bytes.Buffer
+	err := run([]string{"-url", ts.URL, "-mix", "distance=1", "-conc", "2", "-n", "20"}, &stdout, &stderr)
+	if err == nil || !strings.Contains(err.Error(), "20 errors") || !strings.Contains(err.Error(), "distance: status 500") {
+		t.Fatalf("run = %v, want an error naming 20 errors and the first (distance: status 500)\nstdout: %s", err, stdout.String())
 	}
-	if rep.Totals.Requests != 60 || rep.Totals.Errors != 0 {
-		t.Errorf("totals = %+v, want 60 requests, 0 errors", rep.Totals)
+}
+
+// TestRunShedIsNotError: a server that sheds every request fails
+// nothing; the table counts every request as shed.
+func TestRunShedIsNotError(t *testing.T) {
+	ts := stubServer(t, http.StatusServiceUnavailable)
+	var stdout, stderr bytes.Buffer
+	if err := run([]string{"-url", ts.URL, "-mix", "distance=1,bounded=1", "-conc", "2", "-n", "20"}, &stdout, &stderr); err != nil {
+		t.Fatalf("run: %v", err)
 	}
-	if !strings.Contains(stdout.String(), "TOTAL") {
-		t.Errorf("stdout table missing TOTAL row:\n%s", stdout.String())
+	if !strings.Contains(stdout.String(), "TOTAL\t20\t0\t20\t0\n") {
+		t.Errorf("stdout lacks a TOTAL row of 20 shed requests:\n%s", stdout.String())
 	}
 }
 
@@ -65,7 +98,7 @@ func TestRunFlagErrors(t *testing.T) {
 		{},                                // missing -url
 		{"-url", "x", "-mix", "bogus=1"},  // unknown endpoint
 		{"-url", "x", "-mix", "distance"}, // malformed mix
-		{"-url", "x", "-n", "0"},          // nothing to measure
+		{"-url", "x", "-n", "0"},          // nothing to send
 	} {
 		var stdout, stderr bytes.Buffer
 		if err := run(args, &stdout, &stderr); err == nil {

@@ -188,10 +188,10 @@
 //	                                           closing the connection
 //	                                           cancels the engine work
 //
-// Whatever is served should also be measured: package load (and its CLI
-// cmd/tedload) drives a running tedd with declarative workload mixes —
-// open-loop Poisson or closed-loop arrivals — and emits the
-// BENCH_serve.json artifact whose schema load's package documentation
-// defines; the checked-in copy at the repository root is the tracked
-// p50/p99/throughput trajectory, refreshed per PR by CI's smoke run.
+// Whatever is served is also checked over HTTP: package load (and its
+// CLI cmd/tedload) drives a running tedd with a deterministic workload
+// mix and fails on any wrong answer, which is the gate of the smoke
+// scripts. Latency and throughput are measured by the end-to-end
+// benchmark in benchmark/, whose workloads and metrics BENCHMARK.json
+// declares.
 package ted

@@ -3,9 +3,9 @@ package gted
 // Arena owns every reusable buffer a GTED run needs: the subtree-distance
 // matrix, the pair memo, the ΔL/ΔR forest-distance scratch, the ΔI row
 // pool, and the chain/decomposition scratch of ΔI. Buffers grow to the
-// largest pair ever run and are then reused verbatim, so a worker that
-// processes a stream of tree pairs through one Arena allocates nothing in
-// steady state.
+// largest pair run since the last Shrink and are then reused verbatim,
+// so a worker that processes a stream of tree pairs through one Arena
+// allocates nothing in steady state.
 //
 // An Arena serves one Runner at a time (Runners are single-use and GTED's
 // single-path functions never nest). Creating a new Runner on an Arena
@@ -35,6 +35,19 @@ type Arena struct {
 
 // NewArena returns an empty arena. The zero value is also ready to use.
 func NewArena() *Arena { return &Arena{} }
+
+// Cells is the number of cells the arena's subtree-distance matrix has
+// room for: the largest |F|·|G| run since the last Shrink.
+func (ar *Arena) Cells() int { return cap(ar.d) }
+
+// Shrink drops every buffer of the arena when its subtree-distance
+// matrix was sized for more than maxCells cells, so a pooled arena does
+// not keep the memory of one huge pair.
+func (ar *Arena) Shrink(maxCells int) {
+	if ar.Cells() > maxCells {
+		*ar = Arena{}
+	}
+}
 
 // growF64 resizes a float64 buffer to n cells, reusing capacity. The
 // contents are unspecified.

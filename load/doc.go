@@ -1,118 +1,24 @@
-// Package load is the serving stack's load harness: declarative
-// workloads over the package server JSON API, driven open- or
-// closed-loop, measured into mergeable log-bucketed latency histograms,
-// and reported as the machine-readable BENCH_serve.json artifact that
-// carries the repository's perf trajectory from PR to PR.
+// Package load drives a mixed workload at the package server JSON API
+// and counts every answer as ok, shed or error. It is a correctness
+// gate, not a benchmark: latency and throughput are measured by the
+// benchmark module (benchmark/, BENCHMARK.json).
 //
 // A workload is a Spec (endpoint mix in ratio weights, tau/k
-// parameters, arrival mode, warmup/measure sizes) plus a Snapshot of
-// the served corpus (live IDs + serialized trees). Request generation
-// is a pure function of (Spec, Snapshot, Seed): the same inputs yield
+// parameters, worker and request counts) plus a Snapshot of the served
+// corpus (live IDs + serialized trees). Request generation is a pure
+// function of (Spec, Snapshot, Seed): the same inputs yield
 // byte-identical request streams, so any run can be reproduced, and
 // distinct seeds yield disjoint mutation tags (MutationTag), so
 // concurrent harness processes never collide on generated content.
 //
-// Two arrival modes, one measurement path:
-//
-//   - Closed loop (Rate = 0): Conc workers each keep exactly one
-//     request in flight. Measures the server's best-case pipeline
-//     latency and saturation throughput.
-//   - Open loop (Rate > 0): arrivals follow a Poisson process at Rate
-//     requests/second regardless of completions (bounded by Conc
-//     outstanding as a safety valve). Measures behavior under offered
-//     load — queueing delay and admission-control shedding are visible
-//     instead of hidden by coordinated omission.
-//
-// Latencies are recorded per worker into Hist — log-linear buckets,
-// ≤ 3.125% relative error, lossless merge — and merged after the run,
-// the same path a distributed harness would use across processes.
-// Responses shed by admission control (HTTP 503) are counted, never
-// dropped: under overload the shed rate is the result. cmd/tedload is
-// the CLI; internal/experiments reuses Hist for its serve ablation.
-//
-// The streaming endpoints (join_stream, topk_stream) are driven over
-// their NDJSON wire format: the worker reads the response line by line
-// as the server flushes it, stamps the first and last match lines
-// (time-to-first-match and time-to-last-match, measured from request
-// start), and requires the terminal done record — a stream that ends
-// without one was cut short and counts as an error, never as a fast
-// success. Total latency for a streaming request still means
-// last-byte-received, so streamed and buffered latencies compare
-// directly; TTFM/TTLM are reported alongside as the streaming-only
-// delivery profile. A Spec.Tenant tags every request with the X-Tenant
-// header, so several tedload processes with distinct tenants and seeds
-// compose into one multi-tenant overload experiment against a single
-// server.
-//
-// # The BENCH_serve.json schema (version 3)
-//
-// Report is the schema; Report.Validate is the contract checker CI
-// runs (it accepts version 1 and 2 artifacts, which simply predate the
-// streaming/pacing fields and the multi-target breakdown). The fields:
-//
-//	{
-//	  "bench": "serve",              // always "serve"
-//	  "schema_version": 3,           // load.SchemaVersion
-//	  "git_rev": "abc1234",          // the measured revision
-//	  "started_at": "RFC3339",       // run start (UTC)
-//	  "target": "http://host:port",  // the driven server(s), comma-joined
-//	  "spec": { ... },               // the full workload Spec (see Spec)
-//	  "wall_seconds": 1.23,          // measured-phase wall clock
-//	  "warmup_errors": 0,            // failures before measurement began
-//	  "requested_rps": 200,          // open loop only: the -rate asked for
-//	  "achieved_rps": 198.7,         // open loop only: rate the pacer delivered
-//	  "endpoints": {                 // one entry per endpoint in the mix
-//	    "distance": {
-//	      "requests": 100,           // = ok + errors + shed
-//	      "ok": 98, "errors": 0, "shed": 2,
-//	      "p50_ms": 1.2, "p90_ms": 2.0, "p99_ms": 3.1,
-//	      "max_ms": 4.0, "mean_ms": 1.4,   // over ok only
-//	      "throughput_rps": 81.3,          // ok / wall_seconds
-//	      "first_error": "...",            // present iff errors > 0
-//	      "stream": {                      // streaming endpoints only,
-//	        "ttfm_p50_ms": 0.4,            //   and only when ≥ 1 request
-//	        "ttfm_p99_ms": 1.1,            //   delivered ≥ 1 match
-//	        "ttlm_p50_ms": 2.2,
-//	        "ttlm_p99_ms": 4.0
-//	      }
-//	    }, ...
-//	  },
-//	  "totals": { ... },             // same shape, streams omitted
-//	  "targets": {                   // multi-target runs only: the same
-//	    "http://host:8420": { ... }, //   measured requests sliced by the
-//	    "http://host:8421": { ... }  //   replica they were sent to
-//	  }
-//	}
-//
-// Invariants Validate enforces: requests = ok + errors + shed per
-// entry; 0 < p50 ≤ p90 ≤ p99 ≤ max and throughput > 0 whenever ok > 0;
-// 0 < ttfm ≤ ttlm per quantile whenever a stream block is present;
-// totals.requests equals the endpoint sum, and the targets block (when
-// present) sums to it too. Percentiles are conservative (never below
-// the true nearest-rank value, at most 3.2% above — see Hist.Quantile);
-// max is exact.
-//
-// Multi-target runs (Runner.Targets, tedload -url with a comma list)
-// deal the unchanged deterministic request stream round-robin across a
-// replica fleet — request i to target i mod len — so the merged totals
-// stay comparable with single-target points while the per-target block
-// exposes a slow or stale replica that totals would average away.
-//
-// requested_rps vs achieved_rps is the open-loop honesty check: the
-// pacer walks an absolute arrival schedule (each deadline derived from
-// the previous one, never from "now"), so late dispatches borrow from
-// subsequent gaps instead of pushing the whole schedule back, and the
-// two fields agree to within Poisson noise. A persistent gap between
-// them means the offered load printed on the label was not the offered
-// load applied — treat the artifact's latency columns with suspicion.
-//
-// # The trajectory convention
-//
-// Every CI run regenerates the artifact against the PR's revision and
-// uploads it; the repository additionally checks in one trajectory
-// point per landed PR as BENCH_serve.json at the repo root, refreshed
-// by each PR that changes serving performance. `git log -p
-// BENCH_serve.json` is the trajectory. Compare points only at equal
-// spec (mix, sizes, arrival mode) — the spec is embedded in the
-// artifact precisely so that an apples-to-oranges diff is detectable.
+// Runner sends the stream closed-loop — Conc workers, one request in
+// flight each — dealt round-robin over one or more targets, and returns
+// a Result with Counts per endpoint, per target and in total. A 503
+// from admission control counts as shed, never as an error. A transport
+// failure, any other non-2xx status, a streamed response without its
+// terminal done record, or a failed Runner.Check counts as an error.
+// The e2e tests set Check to compare every served answer with the
+// in-process engine. A Spec.Tenant tags every request with the
+// X-Tenant header, so several runs with distinct tenants and seeds can
+// drive one server together. cmd/tedload is the CLI.
 package load

@@ -6,7 +6,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http/httptest"
-	"path/filepath"
 	"reflect"
 	"testing"
 	"time"
@@ -244,9 +243,8 @@ func decode2(reqBody []byte, reqInto any, respBody []byte, respInto any) error {
 
 // TestE2EClosedLoopCrossChecked: the full tedload lifecycle against an
 // httptest-served server.Handler over a static corpus — a mixed
-// read-only workload, every single response cross-checked against the
-// in-process engine, and the emitted BENCH_serve.json surviving a
-// schema-validated round trip.
+// read-only workload with every single response cross-checked against
+// the in-process engine.
 func TestE2EClosedLoopCrossChecked(t *testing.T) {
 	c := e2eCorpus(t)
 	srv := server.New(c, server.WithMaxInFlight(16))
@@ -270,62 +268,35 @@ func TestE2EClosedLoopCrossChecked(t *testing.T) {
 			load.EpJoinStream: 0.3, load.EpTopKStream: 2,
 		},
 		Tau: 4, K: 3, JoinMode: "histogram", JoinLimit: 16,
-		Seed: 11, Conc: 4, Warmup: 8, Requests: 120,
+		Seed: 11, Conc: 4, Requests: 128,
 	}
 	r := &load.Runner{
-		Base: ts.URL, Client: ts.Client(), Spec: spec, Snap: snap,
-		GitRev: "e2e-test",
-		Check:  crossCheck(c, srv.Engine()),
+		Targets: []string{ts.URL}, Client: ts.Client(), Spec: spec, Snap: snap,
+		Check: crossCheck(c, srv.Engine()),
 	}
-	rep, err := r.Run(context.Background())
+	res, err := r.Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := rep.Validate(); err != nil {
-		t.Fatalf("report fails schema: %v", err)
+	if res.Total.Errors != 0 {
+		t.Fatalf("run counted %d errors (first: %s)", res.Total.Errors, res.Total.FirstError)
 	}
-	if rep.WarmupErrors != 0 || rep.Totals.Errors != 0 {
-		t.Fatalf("run counted errors: warmup %d, measured %d (first: %s)",
-			rep.WarmupErrors, rep.Totals.Errors, rep.Totals.FirstError)
-	}
-	if rep.Totals.Requests != int64(spec.Requests) {
-		t.Fatalf("measured %d requests, want %d", rep.Totals.Requests, spec.Requests)
-	}
-	if rep.Totals.OK != int64(spec.Requests) || rep.Totals.Shed != 0 {
-		t.Fatalf("uncontended run: ok %d, shed %d, want %d, 0", rep.Totals.OK, rep.Totals.Shed, spec.Requests)
+	if res.Total.OK != int64(spec.Requests) || res.Total.Shed != 0 {
+		t.Fatalf("uncontended run: ok %d, shed %d, want %d, 0", res.Total.OK, res.Total.Shed, spec.Requests)
 	}
 	for _, ep := range []string{load.EpDistance, load.EpBounded, load.EpTopK, load.EpTopKStream} {
-		if st, ok := rep.Endpoints[ep]; !ok || st.OK == 0 {
-			t.Fatalf("endpoint %s missing from the report: %+v", ep, rep.Endpoints)
+		if st, ok := res.Endpoints[ep]; !ok || st.OK == 0 {
+			t.Fatalf("endpoint %s missing from the result: %+v", ep, res.Endpoints)
 		}
-	}
-	// Top-k always yields matches here, so the streaming histograms must
-	// have been populated.
-	if st := rep.Endpoints[load.EpTopKStream]; st.Stream == nil {
-		t.Fatal("topk_stream endpoint reported no stream block")
-	}
-
-	// The artifact round-trips: write, re-read (ReadReport validates),
-	// compare field for field.
-	path := filepath.Join(t.TempDir(), "BENCH_serve.json")
-	if err := rep.WriteJSON(path); err != nil {
-		t.Fatal(err)
-	}
-	back, err := load.ReadReport(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(rep, back) {
-		t.Fatalf("report did not round-trip:\nwrote %+v\nread  %+v", rep, back)
 	}
 }
 
-// TestE2EOpenLoopShedding: open-loop arrivals against a server whose
+// TestE2EOverloadShedding: 16 closed-loop workers against a server whose
 // admission gate is deliberately tiny and slow (one slot, an admit-hook
 // delay, no queueing): 503s must be counted as shed — not dropped, not
 // errors — and must reconcile exactly with the server's own shed
 // counter, while mutations that do land remain fully cross-checked.
-func TestE2EOpenLoopShedding(t *testing.T) {
+func TestE2EOverloadShedding(t *testing.T) {
 	c := e2eCorpus(t)
 	srv := server.New(c,
 		server.WithMaxInFlight(1),
@@ -339,30 +310,26 @@ func TestE2EOpenLoopShedding(t *testing.T) {
 	spec := load.Spec{
 		Mix: map[string]float64{load.EpDistance: 2, load.EpMutate: 1},
 		Tau: 4, K: 1,
-		Seed: 23, Rate: 4000, Conc: 16, Warmup: 0, Requests: 150,
+		Seed: 23, Conc: 16, Requests: 150,
 	}
 	r := &load.Runner{
-		Base: ts.URL, Client: ts.Client(), Spec: spec, Snap: load.SnapshotOf(c),
-		GitRev: "e2e-test",
-		Check:  crossCheck(c, srv.Engine()),
+		Targets: []string{ts.URL}, Client: ts.Client(), Spec: spec, Snap: load.SnapshotOf(c),
+		Check: crossCheck(c, srv.Engine()),
 	}
-	rep, err := r.Run(context.Background())
+	res, err := r.Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := rep.Validate(); err != nil {
-		t.Fatalf("report fails schema: %v", err)
+	if res.Total.Errors != 0 {
+		t.Fatalf("sheds must not count as errors (errors %d, first: %s)", res.Total.Errors, res.Total.FirstError)
 	}
-	if rep.Totals.Errors != 0 || rep.WarmupErrors != 0 {
-		t.Fatalf("sheds must not count as errors (errors %d, first: %s)", rep.Totals.Errors, rep.Totals.FirstError)
+	if res.Total.Requests() != int64(spec.Requests) {
+		t.Fatalf("counted %d requests, want %d — shed requests were dropped", res.Total.Requests(), spec.Requests)
 	}
-	if rep.Totals.Requests != int64(spec.Requests) {
-		t.Fatalf("accounted %d requests, want %d — shed requests were dropped", rep.Totals.Requests, spec.Requests)
+	if res.Total.Shed == 0 {
+		t.Fatal("overloaded run shed nothing; 16 workers never contended for the one slot")
 	}
-	if rep.Totals.Shed == 0 {
-		t.Fatal("overloaded run shed nothing; the open-loop path is not applying offered load")
-	}
-	if got := srv.Stats().Shed; got != rep.Totals.Shed {
-		t.Fatalf("client observed %d sheds, server counted %d", rep.Totals.Shed, got)
+	if got := srv.Stats().Shed; got != res.Total.Shed {
+		t.Fatalf("client observed %d sheds, server counted %d", res.Total.Shed, got)
 	}
 }

@@ -18,7 +18,7 @@ func fullMixSpec(seed int64) Spec {
 		Mix: map[string]float64{
 			EpDistance: 4, EpBounded: 3, EpJoin: 0.5, EpTopK: 2, EpMutate: 1,
 		},
-		Tau: 3, K: 2, Seed: seed, Conc: 4, Warmup: 10, Requests: 100,
+		Tau: 3, K: 2, Seed: seed, Conc: 4, Requests: 100,
 	}
 }
 
@@ -176,7 +176,6 @@ func TestSpecValidate(t *testing.T) {
 		func(s *Spec) { s.Tau = -1 },
 		func(s *Spec) { s.K = 0 }, // topk weighted in base mix
 		func(s *Spec) { s.Conc = 0 },
-		func(s *Spec) { s.Rate = -5 },
 		func(s *Spec) { s.Requests = 0 },
 	}
 	for i, mutate := range bad {

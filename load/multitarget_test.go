@@ -3,7 +3,6 @@ package load_test
 import (
 	"context"
 	"net/http/httptest"
-	"path/filepath"
 	"reflect"
 	"testing"
 
@@ -13,9 +12,9 @@ import (
 
 // TestE2EMultiTarget: the replica-fleet dispatch mode. Two servers over
 // the same corpus, the request stream dealt round-robin, every response
-// cross-checked against the in-process engine; the report must carry a
-// per-target breakdown that splits the stream exactly in half and
-// reconciles against the merged totals.
+// cross-checked against the in-process engine; the per-target counts
+// must split the stream exactly in half and reconcile against the
+// totals.
 func TestE2EMultiTarget(t *testing.T) {
 	c := e2eCorpus(t)
 	mk := func() *httptest.Server {
@@ -32,133 +31,50 @@ func TestE2EMultiTarget(t *testing.T) {
 	spec := load.Spec{
 		Mix: map[string]float64{load.EpDistance: 3, load.EpBounded: 3, load.EpTopK: 2},
 		Tau: 4, K: 3,
-		Seed: 7, Conc: 4, Warmup: 8, Requests: 120,
+		Seed: 7, Conc: 4, Requests: 128,
 	}
 	cc := crossCheck(c, server.New(c).Engine())
-	run := func(targets []string) *load.Report {
+	run := func(targets []string) *load.Result {
 		t.Helper()
 		r := &load.Runner{
-			Base: targets[0], Targets: targets,
-			Client: ts1.Client(), Spec: spec, Snap: load.SnapshotOf(c),
-			GitRev: "e2e-test",
-			Check:  cc,
+			Targets: targets,
+			Client:  ts1.Client(), Spec: spec, Snap: load.SnapshotOf(c),
+			Check: cc,
 		}
-		rep, err := r.Run(context.Background())
+		res, err := r.Run(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := rep.Validate(); err != nil {
-			t.Fatalf("report fails schema: %v", err)
+		if res.Total.Errors != 0 {
+			t.Fatalf("run counted %d errors (first: %s)", res.Total.Errors, res.Total.FirstError)
 		}
-		if rep.WarmupErrors != 0 || rep.Totals.Errors != 0 {
-			t.Fatalf("run counted errors: warmup %d, measured %d (first: %s)",
-				rep.WarmupErrors, rep.Totals.Errors, rep.Totals.FirstError)
-		}
-		return rep
+		return res
 	}
 
-	rep := run([]string{ts1.URL, ts2.URL})
-	if rep.Target != ts1.URL+","+ts2.URL {
-		t.Fatalf("target = %q, want the comma-joined fleet", rep.Target)
-	}
-	if len(rep.Targets) != 2 {
-		t.Fatalf("targets block has %d entries, want 2: %+v", len(rep.Targets), rep.Targets)
+	res := run([]string{ts1.URL, ts2.URL})
+	if len(res.Targets) != 2 {
+		t.Fatalf("per-target counts have %d entries, want 2: %+v", len(res.Targets), res.Targets)
 	}
 	var sum int64
 	for _, u := range []string{ts1.URL, ts2.URL} {
-		st, ok := rep.Targets[u]
+		st, ok := res.Targets[u]
 		if !ok {
-			t.Fatalf("targets block missing %s", u)
+			t.Fatalf("per-target counts miss %s", u)
 		}
 		// Round-robin over an even request count: exactly half each.
-		if st.Requests != int64(spec.Requests/2) || st.OK != st.Requests {
-			t.Fatalf("target %s: %d requests (%d ok), want %d clean", u, st.Requests, st.OK, spec.Requests/2)
+		if st.Requests() != int64(spec.Requests/2) || st.OK != st.Requests() {
+			t.Fatalf("target %s: %d requests (%d ok), want %d clean", u, st.Requests(), st.OK, spec.Requests/2)
 		}
-		sum += st.Requests
+		sum += st.Requests()
 	}
-	if sum != rep.Totals.Requests {
-		t.Fatalf("targets sum to %d requests, totals has %d", sum, rep.Totals.Requests)
-	}
-
-	// The artifact round-trips with the targets block intact.
-	path := filepath.Join(t.TempDir(), "BENCH_serve.json")
-	if err := rep.WriteJSON(path); err != nil {
-		t.Fatal(err)
-	}
-	back, err := load.ReadReport(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(rep, back) {
-		t.Fatalf("report did not round-trip:\nwrote %+v\nread  %+v", rep, back)
+	if sum != res.Total.Requests() {
+		t.Fatalf("targets sum to %d requests, totals has %d", sum, res.Total.Requests())
 	}
 
-	// A single-target run emits no targets block (schema v3 stays
-	// byte-compatible with v2 artifacts there), and an identical stream:
-	// generation is target-blind, so the merged totals are comparable.
+	// Generation is target-blind, so a single-target run sends the same
+	// stream and counts the same totals.
 	solo := run([]string{ts1.URL})
-	if solo.Targets != nil {
-		t.Fatalf("single-target run emitted a targets block: %+v", solo.Targets)
-	}
-	if solo.Totals.Requests != rep.Totals.Requests || solo.Totals.OK != rep.Totals.OK {
-		t.Fatalf("single- and multi-target runs measured different streams: %+v vs %+v", solo.Totals, rep.Totals)
-	}
-}
-
-// TestValidateTargets pins the schema contract for the targets block:
-// it must reconcile against totals, and every entry must satisfy the
-// per-entry invariants.
-func TestValidateTargets(t *testing.T) {
-	base := func() *load.Report {
-		return &load.Report{
-			Bench: "serve", SchemaVersion: load.SchemaVersion, GitRev: "x",
-			Target: "a,b",
-			Spec: load.Spec{
-				Mix: map[string]float64{load.EpDistance: 1}, K: 1, Conc: 1, Requests: 4,
-			},
-			WallSeconds: 1,
-			Endpoints: map[string]load.EndpointStats{
-				load.EpDistance: {Requests: 4, OK: 4, P50ms: 1, P90ms: 1, P99ms: 1, MaxMS: 1, ThroughputRPS: 4},
-			},
-			Totals: load.EndpointStats{Requests: 4, OK: 4, P50ms: 1, P90ms: 1, P99ms: 1, MaxMS: 1, ThroughputRPS: 4},
-			Targets: map[string]load.EndpointStats{
-				"a": {Requests: 2, OK: 2, P50ms: 1, P90ms: 1, P99ms: 1, MaxMS: 1, ThroughputRPS: 2},
-				"b": {Requests: 2, OK: 2, P50ms: 1, P90ms: 1, P99ms: 1, MaxMS: 1, ThroughputRPS: 2},
-			},
-		}
-	}
-	if err := base().Validate(); err != nil {
-		t.Fatalf("well-formed v3 report rejected: %v", err)
-	}
-
-	short := base()
-	st := short.Targets["b"]
-	st.Requests, st.OK = 1, 1
-	short.Targets["b"] = st
-	if err := short.Validate(); err == nil {
-		t.Fatal("targets that undercount totals validated")
-	}
-
-	bad := base()
-	st = bad.Targets["a"]
-	st.OK = 1 // requests != ok + errors + shed
-	bad.Targets["a"] = st
-	if err := bad.Validate(); err == nil {
-		t.Fatal("inconsistent target entry validated")
-	}
-
-	// Older artifacts (no targets block) stay in the trajectory.
-	for _, v := range []int{1, 2} {
-		old := base()
-		old.SchemaVersion = v
-		old.Targets = nil
-		if err := old.Validate(); err != nil {
-			t.Fatalf("schema v%d artifact rejected: %v", v, err)
-		}
-	}
-	future := base()
-	future.SchemaVersion = load.SchemaVersion + 1
-	if err := future.Validate(); err == nil {
-		t.Fatal("unknown future schema version validated")
+	if solo.Total != res.Total || !reflect.DeepEqual(solo.Endpoints, res.Endpoints) {
+		t.Fatalf("single- and multi-target runs counted different streams: %+v vs %+v", solo.Total, res.Total)
 	}
 }

@@ -1,44 +1,36 @@
 package load
 
 import (
-	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
-	"math/rand"
+	"maps"
 	"net/http"
-	"strings"
+	"slices"
 	"sync"
-	"time"
 )
 
-// Runner executes one workload against one target — or, with Targets
-// set, round-robin across a replica fleet. A target is any server
-// speaking the package server JSON API: a live tedd over TCP or an
-// httptest.Server wrapping server.New in-process — the harness is
+// Runner executes one workload against one or more targets. A target is
+// any server speaking the package server JSON API: a live tedd over TCP
+// or an httptest.Server wrapping server.New in-process — the harness is
 // identical either way, which is what lets the e2e tests hold it to the
 // engine's correctness bar.
 type Runner struct {
-	// Base is the target URL prefix, e.g. "http://127.0.0.1:8420".
-	Base string
-	// Targets, when non-empty, overrides Base with several target URL
-	// prefixes; the generated request stream is dealt across them
-	// round-robin (request i goes to target i mod len). This is the
-	// replica-fleet mode: the stream stays deterministic and identical to
-	// a single-target run, only the dispatch fans out, and the report
-	// carries a per-target breakdown next to the merged totals. The
-	// targets must serve the same corpus (primary + its read replicas) —
-	// the snapshot is taken once, and a mutating mix will 403 on
-	// read-only replicas.
+	// Targets are the target URL prefixes, e.g. "http://127.0.0.1:8420".
+	// The generated request stream is dealt across them round-robin
+	// (request i goes to target i mod len), so the stream stays
+	// deterministic and identical to a single-target run. Several targets
+	// must serve the same corpus (a primary and its read replicas): the
+	// snapshot is taken once, and a mutating mix will 403 on read-only
+	// replicas.
 	Targets []string
 	// Client issues the requests (http.DefaultClient if nil).
 	Client *http.Client
 	Spec   Spec
 	Snap   Snapshot
-	// GitRev stamps the report ("unknown" if empty).
-	GitRev string
 
 	// Check, if set, cross-checks every 2xx response (it receives the
 	// generated request and the raw response body). A non-nil return is
@@ -47,455 +39,194 @@ type Runner struct {
 	Check func(req Request, status int, body []byte) error
 }
 
-// shard is one worker's private accounting; shards merge after the run
-// (the merge path is the same one a multi-process harness would use).
-// Streaming endpoints additionally record time-to-first-match and
-// time-to-last-match: the latencies the streaming API exists to
-// improve, invisible in the whole-exchange histogram.
-type shard struct {
-	hists    map[string]*Hist
-	ttfm     map[string]*Hist
-	ttlm     map[string]*Hist
-	errors   map[string]int64
-	shed     map[string]int64
-	firstErr map[string]string
-
-	// The same measured exchanges keyed by target instead of endpoint —
-	// populated only on multi-target runs, merged into Report.Targets.
-	tgtHists    map[string]*Hist
-	tgtErrors   map[string]int64
-	tgtShed     map[string]int64
-	tgtFirstErr map[string]string
+// Counts tallies requests by outcome. Every request is exactly one of
+// OK, Shed (a 503 from admission control) or Errors (a transport
+// failure, any other non-2xx status, a cut-short stream or a failed
+// cross-check).
+type Counts struct {
+	OK, Shed, Errors int64
+	// FirstError describes one error; empty when Errors is 0.
+	FirstError string
 }
 
-func newShard() *shard {
-	return &shard{
-		hists:    map[string]*Hist{},
-		ttfm:     map[string]*Hist{},
-		ttlm:     map[string]*Hist{},
-		errors:   map[string]int64{},
-		shed:     map[string]int64{},
-		firstErr: map[string]string{},
+// Requests is the number of requests counted.
+func (c Counts) Requests() int64 { return c.OK + c.Shed + c.Errors }
 
-		tgtHists:    map[string]*Hist{},
-		tgtErrors:   map[string]int64{},
-		tgtShed:     map[string]int64{},
-		tgtFirstErr: map[string]string{},
+func (c *Counts) add(ep string, shed bool, err error) {
+	switch {
+	case err != nil:
+		c.Errors++
+		if c.FirstError == "" {
+			c.FirstError = ep + ": " + err.Error()
+		}
+	case shed:
+		c.Shed++
+	default:
+		c.OK++
 	}
 }
 
-func observe(m map[string]*Hist, ep string, d time.Duration) {
-	h := m[ep]
-	if h == nil {
-		h = &Hist{}
-		m[ep] = h
-	}
-	h.Observe(d)
+// Result is a run's outcome counted per endpoint and per target (only
+// those that were sent a request), and in total.
+type Result struct {
+	Endpoints map[string]Counts
+	Targets   map[string]Counts
+	Total     Counts
 }
 
-func (sh *shard) fail(ep, tgt, msg string) {
-	sh.errors[ep]++
-	if sh.firstErr[ep] == "" {
-		sh.firstErr[ep] = msg
+// WriteTable prints the result as tab-separated rows: one per endpoint
+// in canonical order, the total, then one per target.
+func (res *Result) WriteTable(w io.Writer) {
+	fmt.Fprintln(w, "endpoint\trequests\tok\tshed\terrors")
+	row := func(name string, c Counts) {
+		fmt.Fprintf(w, "%s\t%d\t%d\t%d\t%d\n", name, c.Requests(), c.OK, c.Shed, c.Errors)
 	}
-	sh.tgtErrors[tgt]++
-	if sh.tgtFirstErr[tgt] == "" {
-		sh.tgtFirstErr[tgt] = msg
+	for _, ep := range Endpoints {
+		if c, sent := res.Endpoints[ep]; sent {
+			row(ep, c)
+		}
+	}
+	row("TOTAL", res.Total)
+	for _, tgt := range slices.Sorted(maps.Keys(res.Targets)) {
+		row("@"+tgt, res.Targets[tgt])
 	}
 }
 
-type job struct {
-	req  Request
-	warm bool
-	// tgt is the URL prefix this request is dispatched to — Base on
-	// single-target runs, the round-robin pick from Targets otherwise.
-	tgt string
-}
-
-// Run drives the workload to completion and reports. The request
-// stream is generated up front from (Spec, Snap, Seed) — deterministic
-// and independent of concurrency — then dispatched either closed-loop
-// (Conc workers, one request in flight each) or open-loop (Poisson
-// arrivals at Rate rps, at most Conc outstanding). On ctx cancellation
-// the remaining stream is abandoned and the partial report is returned
-// alongside ctx's error.
-func (r *Runner) Run(ctx context.Context) (*Report, error) {
+// Run sends the workload's Spec.Requests requests and counts their
+// outcomes. The request stream is generated from (Spec, Snap, Seed) —
+// deterministic and independent of concurrency — and sent closed-loop:
+// Conc workers, each keeping exactly one request in flight. On ctx
+// cancellation the remaining stream is abandoned and the partial result
+// is returned alongside ctx's error.
+func (r *Runner) Run(ctx context.Context) (*Result, error) {
 	gen, err := NewGen(r.Spec, r.Snap)
 	if err != nil {
 		return nil, err
+	}
+	if len(r.Targets) == 0 {
+		return nil, errors.New("load: no targets")
 	}
 	client := r.Client
 	if client == nil {
 		client = http.DefaultClient
 	}
 
-	targets := r.Targets
-	if len(targets) == 0 {
-		targets = []string{r.Base}
-	}
-	total := r.Spec.Warmup + r.Spec.Requests
-	jobs := make(chan job, r.Spec.Conc)
-	shards := make([]*shard, r.Spec.Conc)
-	for i := range shards {
-		shards[i] = newShard()
-	}
-
+	res := &Result{Endpoints: map[string]Counts{}, Targets: map[string]Counts{}}
 	var (
-		measureStart time.Time
-		startOnce    sync.Once
-		warmupErrs   int64
-		warmupMu     sync.Mutex
+		mu   sync.Mutex // guards gen, sent and res
+		sent int
 	)
-	started := time.Now()
-
-	do := func(j job, sh *shard) {
-		if !j.warm {
-			startOnce.Do(func() { measureStart = time.Now() })
+	// next deals the stream's next request and its target.
+	next := func() (Request, string, bool) {
+		mu.Lock()
+		defer mu.Unlock()
+		if sent == r.Spec.Requests || ctx.Err() != nil {
+			return Request{}, "", false
 		}
-		ep := j.req.Endpoint
-		var body io.Reader
-		if j.req.Body != nil {
-			body = bytes.NewReader(j.req.Body)
-		}
-		hr, err := http.NewRequestWithContext(ctx, j.req.Method, j.tgt+j.req.Path, body)
-		if err != nil {
-			sh.fail(ep, j.tgt, fmt.Sprintf("build request: %v", err))
-			return
-		}
-		if body != nil {
-			hr.Header.Set("Content-Type", "application/json")
-		}
-		if r.Spec.Tenant != "" {
-			hr.Header.Set("X-Tenant", r.Spec.Tenant)
-		}
-		start := time.Now()
-		resp, err := client.Do(hr)
-		if err != nil {
-			if ctx.Err() == nil {
-				r.recordFailure(sh, j, ep, fmt.Sprintf("transport: %v", err), &warmupErrs, &warmupMu)
-			}
-			return
-		}
-		if streamEndpoints[ep] && resp.StatusCode >= 200 && resp.StatusCode < 300 {
-			r.consumeStream(j, sh, resp, start, &warmupErrs, &warmupMu)
-			return
-		}
-		raw, rerr := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		elapsed := time.Since(start)
-		if rerr != nil {
-			r.recordFailure(sh, j, ep, fmt.Sprintf("read body: %v", rerr), &warmupErrs, &warmupMu)
-			return
-		}
-		switch {
-		case resp.StatusCode == http.StatusServiceUnavailable:
-			// Shed by admission control: counted, never dropped — under
-			// open-loop overload the shed rate is the measurement.
-			if !j.warm {
-				sh.shed[ep]++
-				sh.tgtShed[j.tgt]++
-			}
-		case resp.StatusCode >= 200 && resp.StatusCode < 300:
-			if r.Check != nil {
-				if cerr := r.Check(j.req, resp.StatusCode, raw); cerr != nil {
-					r.recordFailure(sh, j, ep, fmt.Sprintf("cross-check: %v", cerr), &warmupErrs, &warmupMu)
-					return
-				}
-			}
-			if !j.warm {
-				observe(sh.hists, ep, elapsed)
-				observe(sh.tgtHists, j.tgt, elapsed)
-			}
-		default:
-			r.recordFailure(sh, j, ep, fmt.Sprintf("status %d: %s", resp.StatusCode, truncate(raw, 200)), &warmupErrs, &warmupMu)
-		}
+		tgt := r.Targets[sent%len(r.Targets)]
+		sent++
+		return gen.Next(), tgt, true
 	}
-
-	// Measured-phase arrival accounting (open loop only): written by the
-	// single pacer goroutine, read after wg.Wait.
-	var (
-		arrivals          int64
-		firstArr, lastArr time.Time
-	)
+	record := func(ep, tgt string, shed bool, err error) {
+		mu.Lock()
+		defer mu.Unlock()
+		c := res.Endpoints[ep]
+		c.add(ep, shed, err)
+		res.Endpoints[ep] = c
+		c = res.Targets[tgt]
+		c.add(ep, shed, err)
+		res.Targets[tgt] = c
+		res.Total.add(ep, shed, err)
+	}
 
 	var wg sync.WaitGroup
-	if r.Spec.Rate > 0 {
-		// Open loop: a pacer draws Poisson gaps and hands each arrival a
-		// free worker slot; slots bound the outstanding requests, and
-		// because a slot is held exclusively, its shard needs no lock.
-		slots := make(chan int, r.Spec.Conc)
-		for i := 0; i < r.Spec.Conc; i++ {
-			slots <- i
-		}
-		gaps := rand.New(rand.NewSource(r.Spec.Seed ^ 0x5e3779b97f4a7c15))
+	for w := 0; w < r.Spec.Conc; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			var inner sync.WaitGroup
-			defer inner.Wait()
-			// The schedule is absolute: deadline i is the pacer start plus
-			// the sum of the first i Poisson gaps, and each iteration
-			// sleeps until its deadline. Sleeping the gap *between*
-			// dispatches (the old pacer) stacked generation, scheduling
-			// and dispatch overhead on top of every gap, so the offered
-			// rate silently undershot the requested one — drift that grew
-			// with the request count and made "overload at R rps" milder
-			// than the spec claimed. Against absolute deadlines a late
-			// dispatch shortens the next sleep instead of shifting every
-			// later arrival; the report carries achieved_rps so any
-			// residual gap between asked-for and delivered is visible
-			// instead of assumed away.
-			next := time.Now()
-			for i := 0; i < total; i++ {
-				j := job{req: gen.Next(), warm: i < r.Spec.Warmup, tgt: targets[i%len(targets)]}
-				next = next.Add(time.Duration(gaps.ExpFloat64() / r.Spec.Rate * float64(time.Second)))
-				if d := time.Until(next); d > 0 {
-					select {
-					case <-time.After(d):
-					case <-ctx.Done():
-						return
-					}
-				} else if ctx.Err() != nil {
+			for {
+				req, tgt, more := next()
+				if !more {
 					return
 				}
-				var slot int
-				select {
-				case slot = <-slots:
-				case <-ctx.Done():
-					return
+				shed, err := r.do(ctx, client, req, tgt)
+				if err != nil && ctx.Err() != nil {
+					return // abandoned, not failed
 				}
-				if !j.warm {
-					now := time.Now()
-					if arrivals == 0 {
-						firstArr = now
-					}
-					lastArr = now
-					arrivals++
-				}
-				inner.Add(1)
-				go func(j job, slot int) {
-					defer inner.Done()
-					defer func() { slots <- slot }()
-					do(j, shards[slot])
-				}(j, slot)
+				record(req.Endpoint, tgt, shed, err)
 			}
 		}()
-	} else {
-		// Closed loop: Conc workers, each keeping exactly one request in
-		// flight, pulling from one shared stream.
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			defer close(jobs)
-			for i := 0; i < total; i++ {
-				select {
-				case jobs <- job{req: gen.Next(), warm: i < r.Spec.Warmup, tgt: targets[i%len(targets)]}:
-				case <-ctx.Done():
-					return
-				}
-			}
-		}()
-		for w := 0; w < r.Spec.Conc; w++ {
-			wg.Add(1)
-			go func(sh *shard) {
-				defer wg.Done()
-				for j := range jobs {
-					do(j, sh)
-				}
-			}(shards[w])
-		}
 	}
 	wg.Wait()
-	wall := time.Duration(0)
-	if !measureStart.IsZero() {
-		wall = time.Since(measureStart)
-	}
-
-	rep := r.report(shards, wall, started, targets)
-	rep.WarmupErrors = warmupErrs
-	if r.Spec.Rate > 0 {
-		rep.RequestedRPS = r.Spec.Rate
-		// Achieved offered rate, over actual dispatch times: n arrivals
-		// span n−1 gaps. Divergence from RequestedRPS means the pacer
-		// could not keep the schedule (or the outstanding-request cap
-		// throttled it) — the drift the absolute schedule exists to
-		// surface rather than hide.
-		if arrivals > 1 && lastArr.After(firstArr) {
-			rep.AchievedRPS = float64(arrivals-1) / lastArr.Sub(firstArr).Seconds()
-		}
-	}
-	return rep, ctx.Err()
+	return res, ctx.Err()
 }
 
-// consumeStream reads one NDJSON streaming response line by line,
-// timing the first and last match lines against the request start and
-// requiring the terminal done record — a stream without one was cut
-// short and is an error, not a fast success.
-func (r *Runner) consumeStream(j job, sh *shard, resp *http.Response, start time.Time, warmupErrs *int64, warmupMu *sync.Mutex) {
-	defer resp.Body.Close()
-	ep := j.req.Endpoint
-	br := bufio.NewReader(resp.Body)
-	var (
-		raw         bytes.Buffer
-		first, last time.Duration
-		matches     int
-		sawDone     bool
-	)
-	for {
-		line, err := br.ReadBytes('\n')
-		if len(bytes.TrimSpace(line)) > 0 {
-			at := time.Since(start)
-			raw.Write(line)
-			var rec struct {
-				Match json.RawMessage `json:"match"`
-				Done  json.RawMessage `json:"done"`
-			}
-			if uerr := json.Unmarshal(line, &rec); uerr != nil {
-				r.recordFailure(sh, j, ep, fmt.Sprintf("stream: bad line: %v", uerr), warmupErrs, warmupMu)
-				return
-			}
-			switch {
-			case rec.Done != nil:
-				sawDone = true
-			case rec.Match != nil:
-				matches++
-				if matches == 1 {
-					first = at
-				}
-				last = at
-			}
-		}
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			r.recordFailure(sh, j, ep, fmt.Sprintf("stream: read: %v", err), warmupErrs, warmupMu)
-			return
-		}
+// do sends one request to tgt. It reports a 503 as shed and every
+// other failure as an error.
+func (r *Runner) do(ctx context.Context, client *http.Client, req Request, tgt string) (shed bool, err error) {
+	var body io.Reader
+	if req.Body != nil {
+		body = bytes.NewReader(req.Body)
 	}
-	elapsed := time.Since(start)
-	if !sawDone {
-		r.recordFailure(sh, j, ep, "stream ended without a done record (cut short)", warmupErrs, warmupMu)
-		return
+	hr, err := http.NewRequestWithContext(ctx, req.Method, tgt+req.Path, body)
+	if err != nil {
+		return false, fmt.Errorf("build request: %w", err)
+	}
+	if body != nil {
+		hr.Header.Set("Content-Type", "application/json")
+	}
+	if r.Spec.Tenant != "" {
+		hr.Header.Set("X-Tenant", r.Spec.Tenant)
+	}
+	resp, err := client.Do(hr)
+	if err != nil {
+		return false, fmt.Errorf("transport: %w", err)
+	}
+	raw, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		return false, fmt.Errorf("read body: %w", err)
+	}
+	switch {
+	case resp.StatusCode == http.StatusServiceUnavailable:
+		return true, nil
+	case resp.StatusCode < 200 || resp.StatusCode > 299:
+		return false, fmt.Errorf("status %d: %s", resp.StatusCode, truncate(raw, 200))
+	}
+	if streamEndpoints[req.Endpoint] {
+		if err := checkStream(raw); err != nil {
+			return false, err
+		}
 	}
 	if r.Check != nil {
-		if cerr := r.Check(j.req, resp.StatusCode, raw.Bytes()); cerr != nil {
-			r.recordFailure(sh, j, ep, fmt.Sprintf("cross-check: %v", cerr), warmupErrs, warmupMu)
-			return
+		if err := r.Check(req, resp.StatusCode, raw); err != nil {
+			return false, fmt.Errorf("cross-check: %w", err)
 		}
 	}
-	if !j.warm {
-		observe(sh.hists, ep, elapsed)
-		observe(sh.tgtHists, j.tgt, elapsed)
-		// TTFM/TTLM are defined only for streams that carried ≥ 1 match;
-		// an empty (but complete) stream contributes to the exchange
-		// histogram alone.
-		if matches > 0 {
-			observe(sh.ttfm, ep, first)
-			observe(sh.ttlm, ep, last)
-		}
-	}
+	return false, nil
 }
 
-// recordFailure books an error against the measured counters, or the
-// run-level warmup counter for warmup-phase requests (warmup failures
-// must still fail a gated run, but they are not part of the measured
-// arithmetic).
-func (r *Runner) recordFailure(sh *shard, j job, ep, msg string, warmupErrs *int64, mu *sync.Mutex) {
-	if j.warm {
-		mu.Lock()
-		*warmupErrs++
-		mu.Unlock()
-		return
-	}
-	sh.fail(ep, j.tgt, msg)
-}
-
-// report merges the per-worker shards into the wire-form Report.
-func (r *Runner) report(shards []*shard, wall time.Duration, started time.Time, targets []string) *Report {
-	rev := r.GitRev
-	if rev == "" {
-		rev = "unknown"
-	}
-	rep := &Report{
-		Bench:         "serve",
-		SchemaVersion: SchemaVersion,
-		GitRev:        rev,
-		StartedAt:     started.UTC().Format(time.RFC3339),
-		Target:        strings.Join(targets, ","),
-		Spec:          r.Spec,
-		WallSeconds:   wall.Seconds(),
-		Endpoints:     map[string]EndpointStats{},
-	}
-	totalHist := &Hist{}
-	var totalErrs, totalShed int64
-	totalFirst := ""
-	for _, ep := range Endpoints {
-		merged, mergedF, mergedL := &Hist{}, &Hist{}, &Hist{}
-		var errs, shed int64
-		first := ""
-		for _, sh := range shards {
-			if h := sh.hists[ep]; h != nil {
-				merged.Merge(h)
-			}
-			if h := sh.ttfm[ep]; h != nil {
-				mergedF.Merge(h)
-			}
-			if h := sh.ttlm[ep]; h != nil {
-				mergedL.Merge(h)
-			}
-			errs += sh.errors[ep]
-			shed += sh.shed[ep]
-			if first == "" {
-				first = sh.firstErr[ep]
-			}
+// checkStream checks an NDJSON response: every line is a JSON record,
+// and one is the terminal done record — a stream without it was cut
+// short and is an error, not a fast success.
+func checkStream(body []byte) error {
+	sawDone := false
+	for _, line := range bytes.Split(body, []byte("\n")) {
+		if len(bytes.TrimSpace(line)) == 0 {
+			continue
 		}
-		if merged.Count() == 0 && errs == 0 && shed == 0 {
-			continue // endpoint not in the mix
+		var rec struct {
+			Done json.RawMessage `json:"done"`
 		}
-		st := statsToEndpoint(merged, errs, shed, first, wall)
-		if mergedF.Count() > 0 {
-			// Streaming-only extras; the totals row deliberately omits
-			// them (merging TTFM across endpoints measures nothing).
-			st.Stream = &StreamStats{
-				TTFMp50ms: histMS(mergedF, 0.50),
-				TTFMp99ms: histMS(mergedF, 0.99),
-				TTLMp50ms: histMS(mergedL, 0.50),
-				TTLMp99ms: histMS(mergedL, 0.99),
-			}
+		if err := json.Unmarshal(line, &rec); err != nil {
+			return fmt.Errorf("stream: bad line: %v", err)
 		}
-		rep.Endpoints[ep] = st
-		totalHist.Merge(merged)
-		totalErrs += errs
-		totalShed += shed
-		if totalFirst == "" {
-			totalFirst = first
-		}
+		sawDone = sawDone || rec.Done != nil
 	}
-	rep.Totals = statsToEndpoint(totalHist, totalErrs, totalShed, totalFirst, wall)
-	if len(targets) > 1 {
-		// The per-target breakdown slices the same measured exchanges a
-		// second way (every OK/error/shed above was also booked against
-		// its target), so the block reconciles against Totals exactly.
-		rep.Targets = map[string]EndpointStats{}
-		for _, tgt := range targets {
-			merged := &Hist{}
-			var errs, shed int64
-			first := ""
-			for _, sh := range shards {
-				if h := sh.tgtHists[tgt]; h != nil {
-					merged.Merge(h)
-				}
-				errs += sh.tgtErrors[tgt]
-				shed += sh.tgtShed[tgt]
-				if first == "" {
-					first = sh.tgtFirstErr[tgt]
-				}
-			}
-			rep.Targets[tgt] = statsToEndpoint(merged, errs, shed, first, wall)
-		}
+	if !sawDone {
+		return errors.New("stream ended without a done record (cut short)")
 	}
-	return rep
+	return nil
 }
 
 func truncate(b []byte, n int) string {

@@ -5,9 +5,10 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
+	"strings"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"repro/load"
 )
@@ -15,89 +16,6 @@ import (
 // stubSnap is a minimal snapshot for runs against stub servers that
 // never look at the generated operands.
 var stubSnap = load.Snapshot{IDs: []int64{0, 1}, Trees: []string{"{a}", "{a{b}}"}}
-
-// TestOpenLoopPacerHoldsRate pins the pacer-drift bugfix: the old pacer
-// slept each Poisson gap *between* dispatches, so per-iteration overhead
-// stacked onto every gap and the offered rate undershot the requested
-// one, worse the higher the rate. Against a fast stub the achieved rate
-// (now reported) must track the requested one.
-func TestOpenLoopPacerHoldsRate(t *testing.T) {
-	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		fmt.Fprint(w, `{}`)
-	}))
-	defer ts.Close()
-
-	spec := load.Spec{
-		Mix:  map[string]float64{load.EpDistance: 1},
-		Seed: 7, Rate: 2000, Conc: 64, Warmup: 0, Requests: 600,
-	}
-	r := &load.Runner{Base: ts.URL, Client: ts.Client(), Spec: spec, Snap: stubSnap, GitRev: "pacer-test"}
-	rep, err := r.Run(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.RequestedRPS != spec.Rate {
-		t.Fatalf("requested_rps = %g, want %g", rep.RequestedRPS, spec.Rate)
-	}
-	if rep.AchievedRPS == 0 {
-		t.Fatal("open-loop run reported no achieved rate")
-	}
-	// ±20%: ~3σ of the Poisson sample mean over 600 gaps plus timer
-	// slack. The old relative-sleep pacer undershot far beyond this at
-	// sub-millisecond gaps.
-	if ratio := rep.AchievedRPS / spec.Rate; ratio < 0.80 || ratio > 1.20 {
-		t.Fatalf("achieved %g rps for requested %g (ratio %.2f): pacer is drifting",
-			rep.AchievedRPS, spec.Rate, ratio)
-	}
-	if err := rep.Validate(); err != nil {
-		t.Fatalf("report fails schema: %v", err)
-	}
-}
-
-// TestStreamClientMeasuresDelivery drives the NDJSON client against a
-// stub that spaces its match lines far apart: time-to-first-match must
-// come in well before time-to-last-match (the whole point of the
-// streaming histograms), and the report must carry the stream block.
-func TestStreamClientMeasuresDelivery(t *testing.T) {
-	const gap = 80 * time.Millisecond
-	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "application/x-ndjson")
-		fl := w.(http.Flusher)
-		fmt.Fprintln(w, `{"match":{"i":0,"j":1,"dist":1}}`)
-		fl.Flush()
-		time.Sleep(gap)
-		fmt.Fprintln(w, `{"match":{"i":0,"j":2,"dist":2}}`)
-		fl.Flush()
-		fmt.Fprintln(w, `{"done":{"count":2,"stats":{}}}`)
-	}))
-	defer ts.Close()
-
-	spec := load.Spec{
-		Mix: map[string]float64{load.EpJoinStream: 1},
-		Tau: 2, Seed: 3, Conc: 2, Warmup: 0, Requests: 8,
-	}
-	r := &load.Runner{Base: ts.URL, Client: ts.Client(), Spec: spec, Snap: stubSnap, GitRev: "stream-test"}
-	rep, err := r.Run(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	st, ok := rep.Endpoints[load.EpJoinStream]
-	if !ok || st.OK != int64(spec.Requests) || st.Errors != 0 {
-		t.Fatalf("join_stream stats %+v (present %v), want %d ok", st, ok, spec.Requests)
-	}
-	if st.Stream == nil {
-		t.Fatal("streaming endpoint reported no stream block")
-	}
-	// The stub guarantees ≥ gap between first and last match; histogram
-	// bucketing error is ≤ 3.2%.
-	if diff := st.Stream.TTLMp50ms - st.Stream.TTFMp50ms; diff < 0.6*float64(gap.Milliseconds()) {
-		t.Fatalf("ttlm p50 - ttfm p50 = %.1f ms, want ≥ %.1f (stream %+v)",
-			diff, 0.6*float64(gap.Milliseconds()), st.Stream)
-	}
-	if err := rep.Validate(); err != nil {
-		t.Fatalf("report fails schema: %v", err)
-	}
-}
 
 // TestStreamWithoutDoneIsError: a stream that ends without the terminal
 // done record was cut short and must count as an error — never as a
@@ -111,19 +29,19 @@ func TestStreamWithoutDoneIsError(t *testing.T) {
 
 	spec := load.Spec{
 		Mix: map[string]float64{load.EpTopKStream: 1},
-		Tau: 2, K: 1, Seed: 5, Conc: 1, Warmup: 0, Requests: 3,
+		Tau: 2, K: 1, Seed: 5, Conc: 1, Requests: 3,
 	}
-	r := &load.Runner{Base: ts.URL, Client: ts.Client(), Spec: spec, Snap: stubSnap, GitRev: "stream-test"}
-	rep, err := r.Run(context.Background())
+	r := &load.Runner{Targets: []string{ts.URL}, Client: ts.Client(), Spec: spec, Snap: stubSnap}
+	res, err := r.Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := rep.Endpoints[load.EpTopKStream]
+	st := res.Endpoints[load.EpTopKStream]
 	if st.OK != 0 || st.Errors != int64(spec.Requests) {
 		t.Fatalf("truncated streams counted %d ok / %d errors, want 0 / %d", st.OK, st.Errors, spec.Requests)
 	}
 	if st.FirstError == "" {
-		t.Fatal("no first_error recorded for the truncated streams")
+		t.Fatal("no first error recorded for the truncated streams")
 	}
 }
 
@@ -143,17 +61,65 @@ func TestTenantHeaderApplied(t *testing.T) {
 	spec := load.Spec{
 		Mix:    map[string]float64{load.EpDistance: 1},
 		Tenant: "acme",
-		Seed:   9, Conc: 2, Warmup: 1, Requests: 6,
+		Seed:   9, Conc: 2, Requests: 7,
 	}
-	r := &load.Runner{Base: ts.URL, Client: ts.Client(), Spec: spec, Snap: stubSnap, GitRev: "tenant-test"}
-	rep, err := r.Run(context.Background())
+	r := &load.Runner{Targets: []string{ts.URL}, Client: ts.Client(), Spec: spec, Snap: stubSnap}
+	res, err := r.Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Totals.Errors != 0 {
-		t.Fatalf("errors: %d (first: %s)", rep.Totals.Errors, rep.Totals.FirstError)
+	if res.Total.Errors != 0 {
+		t.Fatalf("errors: %d (first: %s)", res.Total.Errors, res.Total.FirstError)
 	}
 	if got, n := tagged.Load(), total.Load(); got != n || n == 0 {
 		t.Fatalf("%d of %d requests carried X-Tenant: acme", got, n)
+	}
+}
+
+// TestFetchSnapshotStatus: a 200 is a tree and a 404 a gap, but any
+// other status — a 503 from admission or a stale replica — fails the
+// snapshot instead of being stored as a tree with id 0.
+func TestFetchSnapshotStatus(t *testing.T) {
+	trees := map[string]string{"0": "{a}", "2": "{a{b}}"}
+	serve := func(code int) *httptest.Server {
+		return httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if r.URL.Path == "/v1/stats" {
+				if code == http.StatusInternalServerError {
+					w.WriteHeader(code)
+				}
+				fmt.Fprint(w, `{"trees": 2}`)
+				return
+			}
+			id := strings.TrimPrefix(r.URL.Path, "/v1/trees/")
+			if tree, ok := trees[id]; ok {
+				fmt.Fprintf(w, `{"id": %s, "tree": %q}`, id, tree)
+				return
+			}
+			w.WriteHeader(code)
+			fmt.Fprint(w, `{"error": "unavailable"}`)
+		}))
+	}
+
+	gap := serve(http.StatusNotFound)
+	defer gap.Close()
+	snap, err := load.FetchSnapshot(gap.Client(), gap.URL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := load.Snapshot{IDs: []int64{0, 2}, Trees: []string{"{a}", "{a{b}}"}}
+	if !reflect.DeepEqual(snap, want) {
+		t.Fatalf("FetchSnapshot over a gap = %+v, want %+v", snap, want)
+	}
+
+	shed := serve(http.StatusServiceUnavailable)
+	defer shed.Close()
+	if snap, err := load.FetchSnapshot(shed.Client(), shed.URL); err == nil || !strings.Contains(err.Error(), "tree 1: status 503") {
+		t.Fatalf("FetchSnapshot over a 503 = %+v, %v; want an error naming tree 1 and status 503", snap, err)
+	}
+
+	stats := serve(http.StatusInternalServerError)
+	defer stats.Close()
+	if snap, err := load.FetchSnapshot(stats.Client(), stats.URL); err == nil || !strings.Contains(err.Error(), "stats: status 500") {
+		t.Fatalf("FetchSnapshot with failing stats = %+v, %v; want an error naming status 500", snap, err)
 	}
 }

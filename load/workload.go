@@ -27,56 +27,44 @@ const (
 // Endpoints lists the valid mix keys in canonical (reporting) order.
 var Endpoints = []string{EpDistance, EpBounded, EpJoin, EpJoinStream, EpTopK, EpTopKStream, EpMutate}
 
-// streamEndpoints marks the NDJSON endpoints, whose responses the
-// runner reads line by line (timing first and last match) instead of as
-// one buffered body.
+// streamEndpoints marks the NDJSON endpoints, whose responses must end
+// with a done record.
 var streamEndpoints = map[string]bool{EpJoinStream: true, EpTopKStream: true}
 
-// Spec declares a workload: what to send (Mix, Tau, K, JoinMode), how
-// fast (Rate/Conc), and how much (Warmup, Requests). A Spec plus a
+// Spec declares a workload: what to send (Mix, Tau, K, JoinMode), with
+// how many workers (Conc), and how much (Requests). A Spec plus a
 // Snapshot plus a seed fully determines the request stream — see Gen.
 type Spec struct {
 	// Mix weights the endpoints; weights are ratios, not probabilities
 	// (they need not sum to 1). Endpoints absent or ≤ 0 are never
 	// generated.
-	Mix map[string]float64 `json:"mix"`
+	Mix map[string]float64
 
 	// Tau is the bounded-distance and join threshold.
-	Tau float64 `json:"tau"`
+	Tau float64
 	// K is the top-k request size.
-	K int `json:"k"`
+	K int
 	// JoinMode picks the join candidate generator ("auto", "enumerate",
 	// "histogram", "pqgram"); empty means auto.
-	JoinMode string `json:"join_mode,omitempty"`
+	JoinMode string
 	// JoinLimit caps the matches a join response carries (0 = a small
-	// default; joins are verbose, the harness measures them, it does not
-	// archive them).
-	JoinLimit int `json:"join_limit,omitempty"`
+	// default).
+	JoinLimit int
 
 	// Tenant, when non-empty, tags every request of the run with an
 	// X-Tenant header — the key the server's per-tenant admission quotas
 	// and counters group by. Two concurrent runs under different tenants
 	// are how the multi-tenant isolation experiment is driven.
-	Tenant string `json:"tenant,omitempty"`
+	Tenant string
 
 	// Seed drives request generation (operand choice, endpoint choice,
-	// mutation tags) and the Poisson arrival gaps.
-	Seed int64 `json:"seed"`
+	// mutation tags).
+	Seed int64
 
-	// Rate > 0 selects the open-loop mode: arrivals follow a Poisson
-	// process at Rate requests/second, regardless of how fast responses
-	// come back (latency under overload is visible instead of
-	// coordinated-omission-hidden). Rate = 0 selects the closed loop:
 	// Conc workers each keep exactly one request in flight.
-	Rate float64 `json:"rate_rps,omitempty"`
-	// Conc is the closed-loop worker count, and in open-loop mode the
-	// cap on concurrently outstanding requests (a safety valve so an
-	// unresponsive server cannot accumulate unbounded goroutines).
-	Conc int `json:"concurrency"`
-
-	// Warmup requests are sent but not measured; Requests are measured.
-	Warmup   int `json:"warmup_requests"`
-	Requests int `json:"measure_requests"`
+	Conc int
+	// Requests is the number of requests the run sends.
+	Requests int
 }
 
 // Validate reports the first problem with the spec.
@@ -112,11 +100,8 @@ func (s Spec) Validate() error {
 	if s.Conc < 1 {
 		return fmt.Errorf("concurrency must be ≥ 1 (got %d)", s.Conc)
 	}
-	if s.Rate < 0 {
-		return fmt.Errorf("rate must be ≥ 0 (got %g)", s.Rate)
-	}
-	if s.Warmup < 0 || s.Requests < 1 {
-		return fmt.Errorf("warmup must be ≥ 0 and measure_requests ≥ 1 (got %d, %d)", s.Warmup, s.Requests)
+	if s.Requests < 1 {
+		return fmt.Errorf("requests must be ≥ 1 (got %d)", s.Requests)
 	}
 	return nil
 }
@@ -166,8 +151,8 @@ func ParseMix(s string) (map[string]float64, error) {
 // operands and mutation payloads). Taken once before a run; the stream
 // it seeds is immutable even while the run itself mutates the server.
 type Snapshot struct {
-	IDs   []int64  `json:"ids"`
-	Trees []string `json:"trees"`
+	IDs   []int64
+	Trees []string
 }
 
 // SnapshotOf captures a snapshot from an in-process corpus.
@@ -187,36 +172,31 @@ func SnapshotOf(c *corpus.Corpus) Snapshot {
 // FetchSnapshot captures a snapshot over HTTP: /v1/stats for the live
 // tree count, then GET /v1/trees/{id} scanning upward from 0 (stored
 // IDs are monotone from 0; deletions leave gaps, so the scan tolerates
-// misses up to a budget before concluding the tail is empty).
+// misses up to a budget before concluding the tail is empty). A 200 is
+// a tree and a 404 a gap; any other status, such as a 503 from
+// admission or a stale replica, fails the snapshot.
 func FetchSnapshot(client *http.Client, base string) (Snapshot, error) {
-	resp, err := client.Get(base + "/v1/stats")
-	if err != nil {
-		return Snapshot{}, fmt.Errorf("fetch snapshot: %w", err)
-	}
 	var stats server.StatsResponse
-	err = json.NewDecoder(resp.Body).Decode(&stats)
-	resp.Body.Close()
-	if err != nil {
-		return Snapshot{}, fmt.Errorf("fetch snapshot: decode stats: %w", err)
+	switch status, err := getJSON(client, base+"/v1/stats", &stats); {
+	case err != nil:
+		return Snapshot{}, fmt.Errorf("fetch snapshot: stats: %w", err)
+	case status != http.StatusOK:
+		return Snapshot{}, fmt.Errorf("fetch snapshot: stats: status %d", status)
 	}
 
 	var s Snapshot
 	misses := 0
 	for id := int64(0); len(s.IDs) < stats.Trees && misses <= stats.Trees+64; id++ {
-		resp, err := client.Get(fmt.Sprintf("%s/v1/trees/%d", base, id))
-		if err != nil {
+		var tr server.TreeResponse
+		status, err := getJSON(client, fmt.Sprintf("%s/v1/trees/%d", base, id), &tr)
+		switch {
+		case err != nil:
 			return Snapshot{}, fmt.Errorf("fetch snapshot: tree %d: %w", id, err)
-		}
-		if resp.StatusCode == http.StatusNotFound {
-			resp.Body.Close()
+		case status == http.StatusNotFound:
 			misses++
 			continue
-		}
-		var tr server.TreeResponse
-		err = json.NewDecoder(resp.Body).Decode(&tr)
-		resp.Body.Close()
-		if err != nil {
-			return Snapshot{}, fmt.Errorf("fetch snapshot: tree %d: %w", id, err)
+		case status != http.StatusOK:
+			return Snapshot{}, fmt.Errorf("fetch snapshot: tree %d: status %d", id, status)
 		}
 		s.IDs = append(s.IDs, tr.ID)
 		s.Trees = append(s.Trees, tr.Tree)
@@ -225,4 +205,17 @@ func FetchSnapshot(client *http.Client, base string) (Snapshot, error) {
 		return Snapshot{}, fmt.Errorf("fetch snapshot: no live trees found (stats reported %d)", stats.Trees)
 	}
 	return s, nil
+}
+
+// getJSON GETs url, decodes a 200 answer into v and returns the status.
+func getJSON(client *http.Client, url string, v any) (int, error) {
+	resp, err := client.Get(url)
+	if err != nil {
+		return 0, err
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		return resp.StatusCode, nil
+	}
+	return resp.StatusCode, json.NewDecoder(resp.Body).Decode(v)
 }

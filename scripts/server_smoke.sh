@@ -3,19 +3,16 @@
 # /v1/distance and /v1/join over real HTTP, and assert the answers match
 # the offline cmd/ted output on the same trees. Exercises the whole
 # serving stack — corpus codec, WAL-attached Open, warm-up, admission,
-# JSON marshalling — then drives a short tedload workload (the emitted
-# BENCH_serve.json must validate and count zero errors), and finishes
-# with the graceful SIGTERM drain.
+# JSON marshalling — then drives short tedload workloads, which exit
+# nonzero on any wrong HTTP answer, and finishes with the graceful
+# SIGTERM drain.
 #
 # Run from the repository root: ./scripts/server_smoke.sh
-# BENCH_OUT (optional) names where the tedload artifact lands; CI points
-# it at the workspace so the perf trajectory can be uploaded.
 set -euo pipefail
 
 WORK="$(mktemp -d)"
 PORT="${TEDD_PORT:-8423}"
 BASE="http://127.0.0.1:${PORT}"
-BENCH_OUT="${BENCH_OUT:-$WORK/BENCH_serve.json}"
 TEDD_PID=""
 cleanup() {
   [ -n "$TEDD_PID" ] && kill "$TEDD_PID" 2>/dev/null || true
@@ -83,30 +80,19 @@ if [ "$DONE_COUNT" != "$(wc -l < "$WORK/streamed.join")" ]; then
 fi
 echo "   $DONE_COUNT streamed matches identical, done record present"
 
-echo "== tedload (short mixed workload, open-loop)"
+echo "== tedload (short mixed workload; exits nonzero on any error)"
 go build -o "$WORK/tedload" ./cmd/tedload
 "$WORK/tedload" -url "$BASE" \
   -mix "distance=4,bounded=3,topk=2,join=0.2,mutate=1" \
-  -tau 25 -k 3 -seed 1 -rate 400 -conc 8 -warmup 20 -n 150 \
-  -out "$BENCH_OUT" -fail-on-error
-ERRS="$(jq '.totals.errors + (.warmup_errors // 0)' "$BENCH_OUT")"
-if [ "$ERRS" != "0" ]; then
-  echo "tedload counted $ERRS errors"
-  exit 1
-fi
-echo "   $(jq -c '{requests: .totals.requests, shed: .totals.shed, p50_ms: .totals.p50_ms, p99_ms: .totals.p99_ms}' "$BENCH_OUT")"
+  -tau 25 -k 3 -seed 1 -conc 8 -n 170
 
 echo "== two-tenant mix (streamed joiner vs point lookups)"
 "$WORK/tedload" -url "$BASE" -tenant batch -mix "join_stream=0.5,topk_stream=2" \
-  -tau 25 -k 3 -seed 3 -conc 4 -warmup 5 -n 60 \
-  -out "$WORK/bench_batch.json" -fail-on-error &
+  -tau 25 -k 3 -seed 3 -conc 4 -n 65 &
 LOAD_PID=$!
 "$WORK/tedload" -url "$BASE" -tenant web -mix "distance=1" \
-  -tau 25 -seed 4 -conc 4 -warmup 5 -n 60 \
-  -out "$WORK/bench_web.json" -fail-on-error
+  -tau 25 -seed 4 -conc 4 -n 65
 wait "$LOAD_PID"
-jq -e '.endpoints.topk_stream.stream.ttfm_p50_ms > 0' "$WORK/bench_batch.json" > /dev/null \
-  || { echo "streamed run carried no TTFM histogram"; exit 1; }
 STATS="$(curl -sf "$BASE/v1/stats")"
 echo "   tenants: $(jq -c .tenants <<<"$STATS")"
 jq -e '.tenants.batch.admitted > 0 and .tenants.web.admitted > 0' <<<"$STATS" > /dev/null \
