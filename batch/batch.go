@@ -41,9 +41,12 @@
 //	ps := e.PrepareAll(trees)
 //	matches, stats := e.Join(ps, 12, true)
 //
-// For large corpora with selective thresholds, JoinIndexed generates
-// candidate pairs from an inverted index (package index) instead of
-// enumerating all pairs — same match set, candidate-driven cost.
+// The engine evaluates the pairs it is given: Join and JoinStream visit
+// every pair, JoinCandidatesStream the caller's candidates. Which pairs
+// a join needs is package corpus's decision: corpus.Corpus.Join
+// generates candidates from an inverted index (package index) for large
+// corpora with selective thresholds — same match set, candidate-driven
+// cost.
 package batch
 
 import (

@@ -42,25 +42,3 @@ func ExampleEngine_Join() {
 	// trees 0 and 1 match (distance 1)
 	// 3 of 3 pairs pruned by bounds
 }
-
-// An index-accelerated join: instead of enumerating all pairs and
-// filtering, candidates are generated from a label-histogram inverted
-// index, so only pairs whose label overlap makes a match possible are
-// ever visited. The match set is provably identical to the filtered
-// Join's.
-func ExampleEngine_JoinIndexed() {
-	e := batch.New(batch.WithWorkers(4))
-	ps := e.PrepareAll([]*ted.Tree{
-		ted.MustParse("{a{b}{c}}"),
-		ted.MustParse("{a{b}}"),
-		ted.MustParse("{x{y}{z}}"),
-	})
-	matches, stats := e.JoinIndexed(ps, 2, batch.JoinOptions{Mode: batch.IndexHistogram})
-	for _, m := range matches {
-		fmt.Printf("trees %d and %d match (distance %g)\n", m.I, m.J, m.Dist)
-	}
-	fmt.Printf("%d of 3 pairs even considered (mode %s)\n", stats.Comparisons, stats.Mode)
-	// Output:
-	// trees 0 and 1 match (distance 1)
-	// 1 of 3 pairs even considered (mode histogram)
-}

@@ -6,6 +6,7 @@ import (
 
 	ted "repro"
 	"repro/batch"
+	"repro/corpus"
 	"repro/gen"
 )
 
@@ -24,8 +25,8 @@ func benchShape(rng *rand.Rand) *ted.Tree {
 }
 
 // BenchmarkJoinFilterStages times filtered self-joins at tau 2, 3 and 4
-// (one op runs all three) on one worker, over corpora that exercise
-// different filter stages:
+// (one op runs all three) on one worker, through corpus.Join on a warm
+// corpus, over corpora that exercise different filter stages:
 //
 //   - distinct: 240 unrelated mixed-shape trees. Almost every pair the
 //     size bound passes is rejected by a profiled lower bound; the upper
@@ -34,7 +35,7 @@ func benchShape(rng *rand.Rand) *ted.Tree {
 //     or two renames, every pair visited. Pairs inside a cluster are
 //     accepted by the upper bound, pairs across clusters rejected.
 //   - clusters/histogram: the same corpus through the label-histogram
-//     index, which leaves mostly the in-cluster pairs.
+//     index, built per call, which leaves mostly the in-cluster pairs.
 func BenchmarkJoinFilterStages(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	var distinct, clusters []*ted.Tree
@@ -48,32 +49,32 @@ func BenchmarkJoinFilterStages(b *testing.B) {
 			gen.RenameSome(t, 1+rng.Intn(2), rng.Int63()))
 	}
 	taus := []float64{2, 3, 4}
-	run := func(name string, trees []*ted.Tree, join func(e *batch.Engine, ps []*batch.PreparedTree, tau float64) batch.JoinStats) {
+	run := func(name string, trees []*ted.Tree, mode batch.IndexMode) {
 		b.Run(name, func(b *testing.B) {
-			e := batch.New(batch.WithWorkers(1))
-			ps := e.PrepareAll(trees)
+			c := corpus.New()
+			for _, t := range trees {
+				c.Add(t)
+			}
+			e := c.Engine(batch.WithWorkers(1))
+			c.Warm(e)
+			join := func(tau float64) batch.JoinStats {
+				_, st := c.Join(e, tau, batch.JoinOptions{Mode: mode})
+				return st
+			}
 			var st batch.JoinStats
-			for _, tau := range taus { // warm the per-tree profiles
-				st.Merge(join(e, ps, tau))
+			for _, tau := range taus {
+				st.Merge(join(tau))
 			}
 			for b.Loop() {
 				for _, tau := range taus {
-					join(e, ps, tau)
+					join(tau)
 				}
 			}
 			b.ReportMetric(float64(st.UpperAccepted)/float64(st.Comparisons), "accepted/pair")
 			b.ReportMetric(float64(st.LowerPruned)/float64(st.Comparisons), "pruned/pair")
 		})
 	}
-	enumerate := func(e *batch.Engine, ps []*batch.PreparedTree, tau float64) batch.JoinStats {
-		_, st := e.Join(ps, tau, true)
-		return st
-	}
-	histogram := func(e *batch.Engine, ps []*batch.PreparedTree, tau float64) batch.JoinStats {
-		_, st := e.JoinIndexed(ps, tau, batch.JoinOptions{Mode: batch.IndexHistogram})
-		return st
-	}
-	run("distinct", distinct, enumerate)
-	run("clusters/enumerate", clusters, enumerate)
-	run("clusters/histogram", clusters, histogram)
+	run("distinct", distinct, batch.IndexEnumerate)
+	run("clusters/enumerate", clusters, batch.IndexEnumerate)
+	run("clusters/histogram", clusters, batch.IndexHistogram)
 }

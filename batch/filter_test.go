@@ -53,7 +53,7 @@ func oracleJoin(trees []*ted.Tree, cands []batch.CandidatePair, tau float64) ([]
 }
 
 // TestJoinFilterAccounting pins the filter stage by stage: the buffered,
-// streaming and candidate entry points must report exactly the oracle's
+// streaming and candidate joins must report exactly the oracle's
 // per-kind counters (lower-pruned, upper-accepted, exact) and match set,
 // not merely the same total — reordering the filters must move cost,
 // never classification.
@@ -117,12 +117,10 @@ func TestJoinFilterAccounting(t *testing.T) {
 			return e.JoinStream(ctx, ps, tau, true, emit)
 		})
 		check("stream", got, st, want, wst)
-		got, st = e.JoinCandidates(ps, carried, tau)
-		check("candidates", got, st, wantCarried, cst)
 		got, st = collect(func(emit func(batch.Match)) (batch.JoinStats, error) {
 			return e.JoinCandidatesStream(ctx, ps, carried, tau, emit)
 		})
-		check("candidates stream", got, st, wantCarried, cst)
+		check("candidates", got, st, wantCarried, cst)
 	}
 	for k, name := range []string{"lower-pruned", "upper-accepted", "exact"} {
 		if kinds[k] == 0 {
@@ -131,9 +129,9 @@ func TestJoinFilterAccounting(t *testing.T) {
 	}
 }
 
-// TestJoinContextCancelled pins the buffered joins' cancellation
-// contract: with ctx already cancelled no pair is evaluated, no match is
-// returned and the error is ctx's.
+// TestJoinContextCancelled pins the joins' cancellation contract: with
+// ctx already cancelled no pair is evaluated, no match is emitted and
+// the error is ctx's.
 func TestJoinContextCancelled(t *testing.T) {
 	trees := filterCorpus()
 	e := batch.New(batch.WithWorkers(2))
@@ -141,16 +139,16 @@ func TestJoinContextCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	cands := []batch.CandidatePair{{I: 0, J: 1}, {I: 2, J: 3}}
-	for name, run := range map[string]func() ([]batch.Match, batch.JoinStats, error){
-		"join": func() ([]batch.Match, batch.JoinStats, error) { return e.JoinContext(ctx, ps, 5, true) },
-		"indexed": func() ([]batch.Match, batch.JoinStats, error) {
-			return e.JoinIndexedContext(ctx, ps, 5, batch.JoinOptions{})
+	for name, run := range map[string]func(emit func(batch.Match)) (batch.JoinStats, error){
+		"join": func(emit func(batch.Match)) (batch.JoinStats, error) { return e.JoinStream(ctx, ps, 5, true, emit) },
+		"candidates": func(emit func(batch.Match)) (batch.JoinStats, error) {
+			return e.JoinCandidatesStream(ctx, ps, cands, 5, emit)
 		},
-		"candidates": func() ([]batch.Match, batch.JoinStats, error) { return e.JoinCandidatesContext(ctx, ps, cands, 5) },
 	} {
-		ms, st, err := run()
-		if err != context.Canceled || ms != nil || st.Comparisons != 0 {
-			t.Fatalf("%s: cancelled join returned %d matches, %d comparisons, error %v", name, len(ms), st.Comparisons, err)
+		emitted := 0
+		st, err := run(func(batch.Match) { emitted++ })
+		if err != context.Canceled || emitted != 0 || st.Comparisons != 0 {
+			t.Fatalf("%s: cancelled join emitted %d matches, %d comparisons, error %v", name, emitted, st.Comparisons, err)
 		}
 	}
 }

@@ -4,14 +4,13 @@ import (
 	"cmp"
 	"context"
 	"fmt"
-	"math"
 	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"repro/index"
 	"repro/internal/bounds"
 	"repro/internal/gted"
 )
@@ -25,13 +24,15 @@ type Match struct {
 	Dist float64
 }
 
-// IndexMode selects how JoinIndexed generates candidate pairs.
+// IndexMode selects how a join generates candidate pairs. Engines
+// evaluate the pairs they are given (Join enumerates, JoinCandidatesStream
+// takes the caller's); package corpus decides which pairs a mode yields.
 type IndexMode int
 
 const (
 	// IndexAuto picks for the workload: full enumeration when the
 	// threshold is so large that an index could not prune (tau reaches
-	// the largest tree size), the histogram index otherwise.
+	// the largest tree size), an index otherwise.
 	IndexAuto IndexMode = iota
 	// IndexEnumerate disables candidate generation: all pairs are
 	// visited and the bound filters do every rejection (the behavior of
@@ -44,9 +45,9 @@ const (
 	// IndexPQGram generates candidates from the (1,q)-gram inverted
 	// index (index.PQGram): only pairs sharing structure — at least one
 	// pq-gram, or the provably-required small-tree fringe — are visited.
-	// (The index also scores candidates by pq-gram distance; a batch
-	// join evaluates every candidate anyway, so the ranking is exposed
-	// on index.PQGram for order-sensitive workloads, not used here.)
+	// (The index also scores candidates by pq-gram distance; a join
+	// evaluates every candidate anyway, so the ranking is exposed on
+	// index.PQGram for order-sensitive workloads, not used here.)
 	IndexPQGram
 )
 
@@ -64,7 +65,24 @@ func (m IndexMode) String() string {
 	return fmt.Sprintf("IndexMode(%d)", int(m))
 }
 
-// JoinOptions configures JoinIndexed.
+// ParseIndexMode maps a mode name to its IndexMode, ignoring case: the
+// names String returns, the aliases "enum", "hist" and "pq", and "" for
+// IndexAuto.
+func ParseIndexMode(s string) (IndexMode, error) {
+	switch strings.ToLower(s) {
+	case "", "auto":
+		return IndexAuto, nil
+	case "enumerate", "enum":
+		return IndexEnumerate, nil
+	case "histogram", "hist":
+		return IndexHistogram, nil
+	case "pqgram", "pq":
+		return IndexPQGram, nil
+	}
+	return 0, fmt.Errorf("unknown mode %q (auto | enumerate | histogram | pqgram)", s)
+}
+
+// JoinOptions configures an indexed join (corpus.Corpus.Join).
 type JoinOptions struct {
 	// Mode selects the candidate generator (default IndexAuto).
 	Mode IndexMode
@@ -77,8 +95,7 @@ type JoinOptions struct {
 	Q int
 }
 
-// JoinStats reports the cost and filter accounting of one Join or
-// JoinIndexed call.
+// JoinStats reports the cost and filter accounting of one join.
 type JoinStats struct {
 	// Comparisons is the number of candidate pairs considered: all
 	// unordered pairs for enumerating joins, the generated candidates
@@ -139,8 +156,8 @@ type ij struct {
 }
 
 // Join computes the similarity self-join of the collection: all pairs
-// with edit distance below tau. Pairs are evaluated on the worker pool;
-// the result is deterministic and ordered by (I, J).
+// with edit distance below tau. It is JoinStream followed by an (I, J)
+// sort, so the result is deterministic and ordered by (I, J).
 //
 // With filtered set, each pair runs the bound filters in cost order (see
 // filterPair): the size and label-histogram lower bounds reject, then
@@ -151,37 +168,15 @@ type ij struct {
 // join's. Filtering requires the unit cost model.
 //
 // Join visits every pair. For large corpora with selective thresholds,
-// JoinIndexed generates candidate pairs from an inverted index instead.
+// corpus.Corpus.Join generates candidate pairs from an inverted index
+// and evaluates them with JoinCandidatesStream.
 func (e *Engine) Join(trees []*PreparedTree, tau float64, filtered bool) ([]Match, JoinStats) {
-	ms, st, _ := e.JoinContext(context.Background(), trees, tau, filtered)
-	return ms, st
-}
-
-// JoinContext is Join with cancellation. Workers check ctx at every pair
-// boundary; once it is cancelled they abandon the remaining pairs and
-// the call returns nil matches, the stats of the pairs evaluated so far
-// (Comparisons counts those, not the planned ones) and ctx's error.
-// JoinIndexedContext and JoinCandidatesContext follow the same contract.
-// Each buffered join is its streaming form (JoinStream and so on)
-// followed by an (I, J) sort.
-func (e *Engine) JoinContext(ctx context.Context, trees []*PreparedTree, tau float64, filtered bool) ([]Match, JoinStats, error) {
-	return collect(func(emit func(Match)) (JoinStats, error) {
-		return e.JoinStream(ctx, trees, tau, filtered, emit)
-	})
-}
-
-// collect runs a streaming join and returns its matches in (I, J) order,
-// or nil matches with the error of a join that did not complete.
-func collect(run func(emit func(Match)) (JoinStats, error)) ([]Match, JoinStats, error) {
 	var ms []Match
-	st, err := run(func(m Match) { ms = append(ms, m) })
-	if err != nil {
-		return nil, st, err
-	}
+	st, _ := e.JoinStream(context.Background(), trees, tau, filtered, func(m Match) { ms = append(ms, m) })
 	slices.SortFunc(ms, func(a, b Match) int {
 		return cmp.Or(cmp.Compare(a.I, b.I), cmp.Compare(a.J, b.J))
 	})
-	return ms, st, nil
+	return ms, st
 }
 
 // allPairs enumerates the unordered pairs of an n-tree collection in
@@ -196,72 +191,12 @@ func allPairs(n int) []ij {
 	return pairs
 }
 
-// JoinIndexed computes the same similarity self-join as the filtered
-// Join — the match set is provably identical — but generates candidate
-// pairs from an inverted index over the corpus instead of enumerating
-// all O(n²) pairs. Candidates then flow through the existing pipeline:
-// the index's own lower bound has already pruned them once and is
-// carried into the filters; the size and label-histogram bounds, the
-// tau-banded constrained upper bound and — for pairs it leaves
-// undecided — the remaining profiled lower bounds decide most of the
-// rest, and only the undecided middle runs exact GTED on the worker pool.
-//
-// JoinIndexed requires the unit cost model (the model of every published
-// bound). Results are deterministic and ordered by (I, J).
-func (e *Engine) JoinIndexed(trees []*PreparedTree, tau float64, opts JoinOptions) ([]Match, JoinStats) {
-	ms, st, _ := e.JoinIndexedContext(context.Background(), trees, tau, opts)
-	return ms, st
-}
-
-// JoinIndexedContext is JoinIndexed with cancellation, under
-// JoinContext's contract.
-func (e *Engine) JoinIndexedContext(ctx context.Context, trees []*PreparedTree, tau float64, opts JoinOptions) ([]Match, JoinStats, error) {
-	return collect(func(emit func(Match)) (JoinStats, error) {
-		return e.JoinIndexedStream(ctx, trees, tau, opts, emit)
-	})
-}
-
-// resolveMode picks the generator IndexAuto stands for: the histogram
-// index when an index can prune at tau, enumeration otherwise.
-func resolveMode(trees []*PreparedTree, tau float64, mode IndexMode) IndexMode {
-	if mode != IndexAuto {
-		return mode
-	}
-	if indexablePrunes(trees, tau) {
-		return IndexHistogram
-	}
-	return IndexEnumerate
-}
-
 // CandidatePair names one externally generated candidate pair by
 // collection indices (I < J), with LB a valid lower bound on the pair's
-// distance (0 when unknown). It is the currency of JoinCandidates.
+// distance (0 when unknown). It is the currency of JoinCandidatesStream.
 type CandidatePair struct {
 	I, J int
 	LB   float64
-}
-
-// JoinCandidates runs the filtered join pipeline over candidate pairs
-// the caller generated — a corpus probing its own persistent sharded
-// indexes, or a distributed driver that owns a shard of the pair space —
-// instead of pairs this engine enumerated or indexed itself. Candidates
-// flow through the same filters as JoinIndexed (the carried LB with the
-// size and label-histogram bounds, the tau-banded constrained upper
-// bound, the remaining profiled lower bounds, cutoff-seeded exact GTED),
-// so the matches among the candidates are exactly the candidates at
-// distance < tau. Requires the unit cost model. Results are
-// deterministic and ordered by (I, J).
-func (e *Engine) JoinCandidates(trees []*PreparedTree, cands []CandidatePair, tau float64) ([]Match, JoinStats) {
-	ms, st, _ := e.JoinCandidatesContext(context.Background(), trees, cands, tau)
-	return ms, st
-}
-
-// JoinCandidatesContext is JoinCandidates with cancellation, under
-// JoinContext's contract.
-func (e *Engine) JoinCandidatesContext(ctx context.Context, trees []*PreparedTree, cands []CandidatePair, tau float64) ([]Match, JoinStats, error) {
-	return collect(func(emit func(Match)) (JoinStats, error) {
-		return e.JoinCandidatesStream(ctx, trees, cands, tau, emit)
-	})
 }
 
 // candidatePairs validates the caller's candidates against the
@@ -278,77 +213,13 @@ func candidatePairs(trees []*PreparedTree, cands []CandidatePair) []ij {
 		}
 		pairs[k] = ij{i: i, j: j, lb: c.LB}
 	}
-	sortPairs(pairs)
-	return pairs
-}
-
-// sortPairs orders pairs by (I, J), the join's result order.
-func sortPairs(pairs []ij) {
 	sort.Slice(pairs, func(a, b int) bool {
 		if pairs[a].i != pairs[b].i {
 			return pairs[a].i < pairs[b].i
 		}
 		return pairs[a].j < pairs[b].j
 	})
-}
-
-// indexablePrunes reports whether an index can reject anything at this
-// threshold: once tau reaches the largest tree size, even the strongest
-// signature bound (max of the sizes) stays below tau for every pair, so
-// generation would reproduce full enumeration with extra steps.
-func indexablePrunes(trees []*PreparedTree, tau float64) bool {
-	if math.IsInf(tau, 1) {
-		return false
-	}
-	maxLen := 0
-	for _, t := range trees {
-		if t.Len() > maxLen {
-			maxLen = t.Len()
-		}
-	}
-	return tau < float64(maxLen)
-}
-
-// generate builds the selected index over the corpus and probes it once
-// per tree, producing the candidate pairs in (I, J) order.
-func generate(trees []*PreparedTree, tau float64, mode IndexMode, opts JoinOptions) ([]ij, time.Duration) {
-	start := time.Now()
-	var probe func(q int, buf []index.Candidate) []index.Candidate
-	switch mode {
-	case IndexHistogram:
-		ix := index.NewHistogram()
-		for _, t := range trees {
-			ix.Add(t.Tree())
-		}
-		probe = func(q int, buf []index.Candidate) []index.Candidate {
-			return ix.CandidatesBelow(q, tau, buf)
-		}
-	case IndexPQGram:
-		q := opts.Q
-		if q <= 0 {
-			q = 2
-		}
-		ix := index.NewPQGram(1, q)
-		for _, t := range trees {
-			ix.Add(t.Tree())
-		}
-		probe = func(q int, buf []index.Candidate) []index.Candidate {
-			return ix.CandidatesBelow(q, tau, buf)
-		}
-	default:
-		panic(fmt.Sprintf("batch: cannot generate candidates for mode %v", mode))
-	}
-	var pairs []ij
-	var buf []index.Candidate
-	for j := 1; j < len(trees); j++ {
-		buf = probe(j, buf)
-		for _, c := range buf {
-			pairs = append(pairs, ij{i: c.ID, j: j, lb: c.LB})
-		}
-	}
-	// Probing yields (J, I)-major order; the join contract is (I, J).
-	sortPairs(pairs)
-	return pairs, time.Since(start)
+	return pairs
 }
 
 // filterPair resolves one pair of a join, tallies it into st and
@@ -421,9 +292,9 @@ func (e *Engine) filterPair(ws *workspace, st *JoinStats, f, g *PreparedTree, ca
 	return d, ok && d < tau
 }
 
-// joinPairs is the join evaluator behind every Join entry point, buffered
-// and streamed: workers pull pairs off a shared counter, resolve each
-// with filterPair into a JoinStats of their own, and send only the
+// joinPairs is the join evaluator behind JoinStream and
+// JoinCandidatesStream: workers pull pairs off a shared counter, resolve
+// each with filterPair into a JoinStats of their own, and send only the
 // matches to the calling goroutine, which passes them to emit in
 // completion order. Workers check ctx at every pair boundary, so
 // cancellation abandons the remaining pairs promptly; the call then

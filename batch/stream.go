@@ -14,8 +14,8 @@ import (
 // handed to the caller as they are found instead of buffered into a
 // slice, and a context threads cancellation back into the worker pool —
 // the engine side of a server streaming NDJSON to a client that may
-// disconnect mid-response. The buffered Join, JoinIndexed and
-// JoinCandidates are these streams followed by an (I, J) sort.
+// disconnect mid-response. The buffered Join is JoinStream followed by
+// an (I, J) sort.
 //
 // Contracts shared by every streaming call:
 //
@@ -42,35 +42,20 @@ func (e *Engine) JoinStream(ctx context.Context, trees []*PreparedTree, tau floa
 	return st, err
 }
 
-// JoinIndexedStream is the streaming JoinIndexed: candidate pairs come
-// from the selected inverted index, matches flow to emit as found. See
-// the streaming contracts above.
-func (e *Engine) JoinIndexedStream(ctx context.Context, trees []*PreparedTree, tau float64, opts JoinOptions, emit func(Match)) (JoinStats, error) {
-	e.check(trees...)
-	if !e.unit {
-		panic("batch: JoinIndexed/JoinIndexedStream requires the unit cost model")
-	}
-	mode := resolveMode(trees, tau, opts.Mode)
-	if mode == IndexEnumerate {
-		return e.JoinStream(ctx, trees, tau, true, emit)
-	}
-
-	start := time.Now()
-	pairs, indexTime := generate(trees, tau, mode, opts)
-	st, err := e.joinPairs(ctx, trees, pairs, tau, true, emit)
-	st.Mode = mode
-	st.IndexTime = indexTime
-	st.Elapsed = time.Since(start)
-	return st, err
-}
-
-// JoinCandidatesStream is the streaming JoinCandidates: the caller's
-// candidate pairs run through the filtered pipeline and matches flow to
-// emit as found. See the streaming contracts above.
+// JoinCandidatesStream runs the filtered join pipeline over candidate
+// pairs the caller generated — a corpus probing its indexes, or a
+// distributed worker that owns a range of the pair space — instead of
+// every pair. Candidates flow through the same filters as the filtered
+// Join (the carried LB with the size and label-histogram bounds, the
+// tau-banded constrained upper bound, the remaining profiled lower
+// bounds, cutoff-seeded exact GTED), so the matches among the
+// candidates are exactly the candidates at distance < tau, passed to
+// emit as found. Requires the unit cost model. See the streaming
+// contracts above.
 func (e *Engine) JoinCandidatesStream(ctx context.Context, trees []*PreparedTree, cands []CandidatePair, tau float64, emit func(Match)) (JoinStats, error) {
 	e.check(trees...)
 	if !e.unit {
-		panic("batch: JoinCandidates/JoinCandidatesStream requires the unit cost model")
+		panic("batch: JoinCandidatesStream requires the unit cost model")
 	}
 	start := time.Now()
 	st, err := e.joinPairs(ctx, trees, candidatePairs(trees, cands), tau, true, emit)

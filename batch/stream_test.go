@@ -6,16 +6,25 @@ import (
 	"sort"
 	"testing"
 
+	ted "repro"
 	"repro/batch"
+	"repro/corpus"
 	"repro/gen"
 )
+
+func streamTrees(n, size int) []*ted.Tree {
+	trees := make([]*ted.Tree, n)
+	for i := range trees {
+		trees[i] = gen.Random(int64(40+i), gen.RandomSpec{Size: size, MaxDepth: 6, MaxFanout: 4, Labels: 8})
+	}
+	return trees
+}
 
 func streamFixture(t *testing.T, n, size int) (*batch.Engine, []*batch.PreparedTree) {
 	t.Helper()
 	e := batch.New(batch.WithWorkers(4))
 	ps := make([]*batch.PreparedTree, n)
-	for i := range ps {
-		base := gen.Random(int64(40+i), gen.RandomSpec{Size: size, MaxDepth: 6, MaxFanout: 4, Labels: 8})
+	for i, base := range streamTrees(n, size) {
 		ps[i] = e.Prepare(base)
 	}
 	return e, ps
@@ -68,23 +77,46 @@ func TestJoinStreamMatchesJoin(t *testing.T) {
 }
 
 // TestJoinIndexedStreamMatchesJoinIndexed: the indexed streaming path
-// (candidate generation + streaming pipeline) emits the same multiset
-// as the buffered indexed join, per mode.
+// (a mode's candidates through JoinCandidatesStream) emits the same
+// multiset as the buffered indexed join, corpus.Join, per mode and
+// threshold, and its filters resolve the pairs the same way.
 func TestJoinIndexedStreamMatchesJoinIndexed(t *testing.T) {
-	e, ps := streamFixture(t, 10, 16)
-	for _, mode := range []batch.IndexMode{batch.IndexAuto, batch.IndexEnumerate, batch.IndexHistogram, batch.IndexPQGram} {
-		opts := batch.JoinOptions{Mode: mode}
-		want, _ := e.JoinIndexed(ps, 5, opts)
-		var got []batch.Match
-		if _, err := e.JoinIndexedStream(context.Background(), ps, 5, opts, func(m batch.Match) {
-			got = append(got, m)
-		}); err != nil {
-			t.Fatalf("mode %v: %v", mode, err)
+	trees := streamTrees(10, 16)
+	e := batch.New(batch.WithWorkers(4))
+	ps := e.PrepareAll(trees)
+	c := corpus.New()
+	for _, tr := range trees {
+		c.Add(tr)
+	}
+	ce := c.Engine(batch.WithWorkers(4))
+	matched := false
+	for _, tau := range []float64{5, 12, 20} {
+		for _, mode := range []batch.IndexMode{batch.IndexAuto, batch.IndexEnumerate, batch.IndexHistogram, batch.IndexPQGram} {
+			buffered, bst := c.Join(ce, tau, batch.JoinOptions{Mode: mode})
+			want := make([]batch.Match, len(buffered))
+			for k, m := range buffered {
+				want[k] = batch.Match{I: int(m.I), J: int(m.J), Dist: m.Dist}
+			}
+			var got []batch.Match
+			st, err := e.JoinCandidatesStream(context.Background(), ps, indexedCandidates(ps, bst.Mode, tau), tau, func(m batch.Match) {
+				got = append(got, m)
+			})
+			if err != nil {
+				t.Fatalf("tau %g mode %v: %v", tau, mode, err)
+			}
+			w, g := sortedKeys(want), sortedKeys(got)
+			if fmt.Sprint(w) != fmt.Sprint(g) {
+				t.Fatalf("tau %g mode %v: stream %v, buffered %v", tau, mode, g, w)
+			}
+			if st.Comparisons != bst.Comparisons || st.LowerPruned != bst.LowerPruned ||
+				st.UpperAccepted != bst.UpperAccepted || st.ExactComputed != bst.ExactComputed {
+				t.Fatalf("tau %g mode %v: stream stats %+v diverge from buffered %+v", tau, mode, st, bst)
+			}
+			matched = matched || len(want) > 0
 		}
-		w, g := sortedKeys(want), sortedKeys(got)
-		if fmt.Sprint(w) != fmt.Sprint(g) {
-			t.Fatalf("mode %v: stream %v, buffered %v", mode, g, w)
-		}
+	}
+	if !matched {
+		t.Fatal("no threshold produced a match; the grid does not exercise emission")
 	}
 }
 

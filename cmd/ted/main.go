@@ -204,20 +204,6 @@ func runBounded(f, g *ted.Tree, tau float64, alg ted.Algorithm, stats bool) {
 	}
 }
 
-func parseIndexMode(s string) (ted.IndexMode, bool) {
-	switch strings.ToLower(s) {
-	case "auto":
-		return ted.IndexAuto, true
-	case "enumerate", "enum":
-		return ted.IndexEnumerate, true
-	case "histogram", "hist":
-		return ted.IndexHistogram, true
-	case "pqgram", "pq":
-		return ted.IndexPQGram, true
-	}
-	return 0, false
-}
-
 func runJoin(path string, tau float64, alg ted.Algorithm, workers int, filters bool, indexMode string) error {
 	trees, err := readTreeLines(path)
 	if err != nil {
@@ -236,9 +222,9 @@ func runJoin(path string, tau float64, alg ted.Algorithm, workers int, filters b
 	}
 	indexed := indexMode != ""
 	if indexed {
-		m, ok := parseIndexMode(indexMode)
-		if !ok {
-			return fmt.Errorf("unknown index mode %q (auto | enumerate | histogram | pqgram)", indexMode)
+		m, err := batch.ParseIndexMode(indexMode)
+		if err != nil {
+			return fmt.Errorf("-index: %w", err)
 		}
 		opts = append(opts, ted.WithIndex(m))
 	}
@@ -323,18 +309,13 @@ func corpusEngineOpts(alg ted.Algorithm, workers int) []batch.Option {
 // prepared trees with the corpus's own maintained index generating
 // candidates.
 func runCorpusJoin(loadPath, savePath, treesPath string, tau float64, alg ted.Algorithm, workers int, indexMode string) error {
-	mode := ted.IndexAuto
-	if indexMode != "" {
-		m, ok := parseIndexMode(indexMode)
-		if !ok {
-			return fmt.Errorf("unknown index mode %q (auto | enumerate | histogram | pqgram)", indexMode)
-		}
-		mode = m
+	mode, err := batch.ParseIndexMode(indexMode)
+	if err != nil {
+		return fmt.Errorf("-index: %w", err)
 	}
 	var cp *corpus.Corpus
 	switch {
 	case loadPath != "":
-		var err error
 		if cp, err = corpus.LoadFile(loadPath); err != nil {
 			return err
 		}

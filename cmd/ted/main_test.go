@@ -180,23 +180,23 @@ func TestRunCorpusJoin(t *testing.T) {
 	}
 }
 
+// TestParseIndexMode: -index takes batch.ParseIndexMode's names — the
+// aliases and any letter case — on both join paths, and rejects an
+// unknown name.
 func TestParseIndexMode(t *testing.T) {
-	cases := map[string]ted.IndexMode{
-		"auto":      ted.IndexAuto,
-		"enum":      ted.IndexEnumerate,
-		"enumerate": ted.IndexEnumerate,
-		"hist":      ted.IndexHistogram,
-		"HISTOGRAM": ted.IndexHistogram,
-		"pqgram":    ted.IndexPQGram,
-		"pq":        ted.IndexPQGram,
+	path := filepath.Join(t.TempDir(), "trees.txt")
+	if err := os.WriteFile(path, []byte("{a{b}{c}}\n{a{b}{d}}\n{x{y{z}}}\n"), 0o644); err != nil {
+		t.Fatal(err)
 	}
-	for s, want := range cases {
-		got, ok := parseIndexMode(s)
-		if !ok || got != want {
-			t.Errorf("parseIndexMode(%q) = %v,%v want %v", s, got, ok, want)
+	for _, mode := range []string{"AUTO", "enum", "hist", "Histogram", "pq", "PQGram"} {
+		if err := runJoin(path, 2, ted.RTED, 1, false, mode); err != nil {
+			t.Errorf("-join -index %s: %v", mode, err)
+		}
+		if err := runCorpusJoin("", "", path, 2, ted.RTED, 1, mode); err != nil {
+			t.Errorf("-corpus-save -index %s: %v", mode, err)
 		}
 	}
-	if _, ok := parseIndexMode("made-up"); ok {
+	if err := runJoin(path, 2, ted.RTED, 1, false, "made-up"); err == nil {
 		t.Error("bogus index mode accepted")
 	}
 }

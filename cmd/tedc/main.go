@@ -114,20 +114,6 @@ func parseWorkers(s string) ([]string, error) {
 	return addrs, nil
 }
 
-func parseJoinMode(s string) (batch.IndexMode, error) {
-	switch s {
-	case "", "auto":
-		return batch.IndexAuto, nil
-	case "enumerate", "enum":
-		return batch.IndexEnumerate, nil
-	case "histogram", "hist":
-		return batch.IndexHistogram, nil
-	case "pqgram", "pq":
-		return batch.IndexPQGram, nil
-	}
-	return 0, fmt.Errorf("unknown -mode %q (auto | enumerate | histogram | pqgram)", s)
-}
-
 func runJoin(args []string, stdout, logw io.Writer) error {
 	fs := flag.NewFlagSet("tedc join", flag.ContinueOnError)
 	fs.SetOutput(logw)
@@ -145,9 +131,9 @@ func runJoin(args []string, stdout, logw io.Writer) error {
 	if err != nil {
 		return err
 	}
-	m, err := parseJoinMode(*mode)
+	m, err := batch.ParseIndexMode(*mode)
 	if err != nil {
-		return err
+		return fmt.Errorf("-mode: %w", err)
 	}
 	t := *tau
 	if *inf {

@@ -9,6 +9,7 @@ import (
 
 	"repro/batch"
 	"repro/index"
+	"repro/internal/tree"
 )
 
 // Match is one similarity-join result: the trees stored under IDs I and
@@ -24,14 +25,15 @@ type Match struct {
 // corpus-attached (Corpus.Engine); every stored tree is hydrated from
 // its artifacts, not re-prepared.
 //
-// Candidate generation follows opts.Mode as in batch.JoinIndexed, with
-// one upgrade: when the corpus maintains the selected index
-// (WithHistogramIndex / WithPQGramIndex), its persistent sharded
-// posting lists are probed directly — no per-call index build — and the
-// candidates run through batch.JoinCandidates. Otherwise the call falls
-// back to batch.JoinIndexed's throwaway index (or plain enumeration).
-// The match set is identical in every mode; under a non-unit cost model
-// only unfiltered enumeration is available and opts.Mode is ignored.
+// Candidate generation follows opts.Mode. An index mode probes the
+// corpus's maintained index when it keeps the selected one
+// (WithHistogramIndex / WithPQGramIndex) — its persistent sharded
+// posting lists, no per-call build — and otherwise a throwaway index
+// built over this call's snapshot; IndexEnumerate visits every pair, and
+// IndexAuto picks (see resolveMode). The candidates run through
+// batch.Engine.JoinCandidatesStream's filters. The match set is
+// identical in every mode; under a non-unit cost model only unfiltered
+// enumeration is available and opts.Mode is ignored.
 //
 // Results are deterministic and ordered by (I, J) — assuming no
 // concurrent Add/Delete/Replace; mutations during a join are safe and
@@ -40,131 +42,133 @@ type Match struct {
 // so a Replace landing mid-join cannot suppress candidates for trees
 // the snapshot still holds in their old form.
 func (c *Corpus) Join(e *batch.Engine, tau float64, opts batch.JoinOptions) ([]Match, batch.JoinStats) {
-	ms, st, _ := c.JoinContext(context.Background(), e, tau, opts)
-	return ms, st
+	return c.joinSorted(e, tau, opts, 0, math.MaxInt)
 }
 
-// JoinContext is Join with cancellation: cancelling ctx stops the engine
-// work at the next pair boundary, and the call returns nil matches, the
-// stats of the pairs evaluated so far and ctx's error. It is JoinStream
-// followed by an (I, J) sort.
-func (c *Corpus) JoinContext(ctx context.Context, e *batch.Engine, tau float64, opts batch.JoinOptions) ([]Match, batch.JoinStats, error) {
-	var ms []Match
-	st, err := c.JoinStream(ctx, e, tau, opts, func(m Match) { ms = append(ms, m) })
-	if err != nil {
-		return nil, st, err
+// JoinStream is the streaming Join: every match is passed to emit as
+// soon as its pair resolves on the worker pool, instead of being
+// buffered into a slice — the corpus side of a server streaming NDJSON
+// join results to a client.
+//
+// Candidate generation, mode resolution, snapshot consistency and the
+// match set are exactly Join's (run to completion, the emitted multiset
+// equals Join's result); only the delivery differs. emit runs on the
+// calling goroutine, one invocation at a time, in completion order.
+// Cancelling ctx stops the engine work at the next pair boundary and
+// returns ctx's error; the returned stats then cover only the pairs
+// actually evaluated.
+func (c *Corpus) JoinStream(ctx context.Context, e *batch.Engine, tau float64, opts batch.JoinOptions, emit func(Match)) (batch.JoinStats, error) {
+	return c.join(ctx, e, tau, opts, 0, math.MaxInt, emit)
+}
+
+// JoinRange computes the slice of the similarity self-join whose probe
+// position falls in [lo, hi): all matches (I, J) with I < J and J's
+// position in the ascending-ID snapshot taken by this call inside the
+// range, ordered by (I, J). It is the worker-side primitive of a
+// distributed join (see package cluster): candidate generation follows
+// opts.Mode exactly as in Join, so over a partition of [0, n) the union
+// of the per-range results — each match's Dist included — is Join's
+// result at every tau, enumerate and indexed modes alike. Requires the
+// unit cost model, like every filtered join.
+//
+// A distributed driver must pin the corpus contents (workers Load one
+// shared snapshot file) for ranges computed elsewhere to mean the same
+// trees here.
+func (c *Corpus) JoinRange(e *batch.Engine, tau float64, opts batch.JoinOptions, lo, hi int) ([]Match, batch.JoinStats) {
+	if !e.UnitCost() {
+		panic("corpus: JoinRange requires the unit cost model")
 	}
+	return c.joinSorted(e, tau, opts, lo, hi)
+}
+
+// joinSorted runs join to completion over [lo, hi) and returns its
+// matches in (I, J) order.
+func (c *Corpus) joinSorted(e *batch.Engine, tau float64, opts batch.JoinOptions, lo, hi int) ([]Match, batch.JoinStats) {
+	var ms []Match
+	st, _ := c.join(context.Background(), e, tau, opts, lo, hi, func(m Match) { ms = append(ms, m) })
 	slices.SortFunc(ms, func(a, b Match) int {
 		return cmp.Or(cmp.Compare(a.I, b.I), cmp.Compare(a.J, b.J))
 	})
-	return ms, st, nil
+	return ms, st
 }
 
-// joinPlan is one join's snapshot: the stored IDs and prepared trees,
-// the resolved candidate generator and, when a maintained index serves
-// it, the candidates probed from that index.
-type joinPlan struct {
-	ids       []ID
-	ps        []*batch.PreparedTree
-	mode      batch.IndexMode
-	probed    bool
-	cands     []batch.CandidatePair
-	probeTime time.Duration
-}
-
-// planJoin snapshots the corpus for a join on e. Under a non-unit cost
-// model only the snapshot is taken (only unfiltered enumeration runs).
-func (c *Corpus) planJoin(e *batch.Engine, tau float64, opts batch.JoinOptions) joinPlan {
-	var p joinPlan
-	if !e.UnitCost() {
-		p.ids, p.ps = c.snapshotPrepared(e, nil)
-		return p
-	}
-
-	// Mode resolution and index probing run inside the snapshot hook —
-	// same lock acquisition as the prepared trees — so the candidates
-	// describe exactly the trees being joined.
-	p.ids, p.ps = c.snapshotPrepared(e, func(ids []ID, ps []*batch.PreparedTree) {
-		p.mode = c.resolveMode(ps, tau, opts.Mode)
-		probe := c.maintainedProbe(p.mode, opts, tau)
-		if probe == nil {
-			return // no maintained index serves this mode
+// join is the one join behind Join, JoinStream and JoinRange: the
+// matches whose probe position falls in [lo, hi) of the snapshot, passed
+// to emit as found. It snapshots the corpus, resolves the mode once, and
+// takes candidates from the maintained index if the corpus keeps the
+// selected one, else from a throwaway index over the snapshot, else from
+// enumeration. A full-range enumeration — and any join under a non-unit
+// cost model, which can only run unfiltered — goes to
+// batch.Engine.JoinStream, which needs no candidate list.
+func (c *Corpus) join(ctx context.Context, e *batch.Engine, tau float64, opts batch.JoinOptions, lo, hi int, emit func(Match)) (batch.JoinStats, error) {
+	c.checkEngine(e)
+	var (
+		mode      batch.IndexMode
+		ix        candidateIndex
+		cands     []batch.CandidatePair
+		indexTime time.Duration
+	)
+	ids, ps := c.snapshotPrepared(e, func(ids []ID, ps []*batch.PreparedTree) {
+		lo, hi = clampRange(lo, hi, len(ids))
+		if !e.UnitCost() {
+			return
 		}
-		p.probed = true
-		start := time.Now()
-		p.cands = probeRange(probe, ids, 0, len(ids))
-		p.probeTime = time.Since(start)
+		// Mode resolution and maintained-index probes run under the same
+		// lock as the snapshot, so the candidates describe exactly the
+		// trees being joined.
+		mode = c.resolveMode(ps, tau, opts.Mode)
+		if ix = c.maintained(mode, opts); ix != nil {
+			start := time.Now()
+			cands = probe(ix, tau, ids, lo, hi)
+			indexTime = time.Since(start)
+		}
 	})
-	return p
-}
-
-// probeFunc returns the candidates of the stored tree with the given ID
-// from an index, reusing buf.
-type probeFunc func(id int, buf []index.Candidate) []index.Candidate
-
-// maintainedProbe returns the candidate probe of the maintained index
-// that serves mode, or nil when none does. An auto-resolved pq-gram mode
-// takes the maintained index at whatever base length it was built with
-// (any (1, q) generator is complete); an explicit IndexPQGram request
-// honors opts.Q (default 2). The caller holds the corpus lock.
-func (c *Corpus) maintainedProbe(mode batch.IndexMode, opts batch.JoinOptions, tau float64) probeFunc {
-	wantQ := opts.Q
-	if wantQ <= 0 {
-		wantQ = 2
-	}
+	emitID := func(m batch.Match) { emit(Match{I: ids[m.I], J: ids[m.J], Dist: m.Dist}) }
 	switch {
-	case mode == batch.IndexHistogram && c.hist != nil:
-		return func(id int, buf []index.Candidate) []index.Candidate {
-			return c.hist.CandidatesBelow(id, tau, buf)
-		}
-	case mode == batch.IndexPQGram && c.pq != nil && (opts.Mode == batch.IndexAuto || c.pq.Q() == wantQ):
-		return func(id int, buf []index.Candidate) []index.Candidate {
-			return c.pq.CandidatesBelow(id, tau, buf)
-		}
-	}
-	return nil
-}
-
-// probeRange probes a maintained index for the snapshot positions
-// [lo, hi) and translates the candidates to position pairs, skipping
-// tombstoned postings of deleted trees.
-func probeRange(probe probeFunc, ids []ID, lo, hi int) []batch.CandidatePair {
-	pos := make(map[int]int, len(ids))
-	for i, id := range ids {
-		pos[int(id)] = i
-	}
-	var cands []batch.CandidatePair
-	var buf []index.Candidate
-	for j := lo; j < hi; j++ {
-		buf = probe(int(ids[j]), buf)
-		for _, cd := range buf {
-			if i, ok := pos[cd.ID]; ok {
-				cands = append(cands, batch.CandidatePair{I: i, J: j, LB: cd.LB})
+	case !e.UnitCost():
+		return e.JoinStream(ctx, ps, tau, false, emitID)
+	case mode == batch.IndexEnumerate && lo == 0 && hi == len(ids):
+		return e.JoinStream(ctx, ps, tau, true, emitID)
+	case mode == batch.IndexEnumerate:
+		for j := lo; j < hi; j++ {
+			for i := 0; i < j; i++ {
+				cands = append(cands, batch.CandidatePair{I: i, J: j})
 			}
 		}
+	case ix == nil:
+		start := time.Now()
+		cands = probe(throwaway(ps, mode, opts.Q), tau, nil, lo, hi)
+		indexTime = time.Since(start)
 	}
-	return cands
+	st, err := e.JoinCandidatesStream(ctx, ps, cands, tau, emitID)
+	st.Mode = mode
+	st.IndexTime = indexTime
+	st.Elapsed += indexTime
+	return st, err
+}
+
+// clampRange clips [lo, hi) to the positions [0, n), empty when the
+// range misses them.
+func clampRange(lo, hi, n int) (int, int) {
+	lo = min(max(lo, 0), n)
+	return lo, min(max(hi, lo), n)
 }
 
 // resolveMode picks the generator IndexAuto stands for (any other mode
 // is returned as is): enumeration when tau is too large for any
-// signature to prune, otherwise the best maintained index (histogram
-// first — cheaper probes — then pq-gram), otherwise the histogram
-// default of batch.JoinIndexed.
+// signature to prune — once tau reaches the largest tree size, even the
+// strongest signature bound (max of the sizes) stays below tau for every
+// pair — otherwise the best maintained index (histogram first — cheaper
+// probes — then pq-gram), otherwise a throwaway histogram index.
 func (c *Corpus) resolveMode(ps []*batch.PreparedTree, tau float64, mode batch.IndexMode) batch.IndexMode {
 	if mode != batch.IndexAuto {
 		return mode
 	}
-	if math.IsInf(tau, 1) {
-		return batch.IndexEnumerate
-	}
 	maxLen := 0
 	for _, p := range ps {
-		if p.Len() > maxLen {
-			maxLen = p.Len()
-		}
+		maxLen = max(maxLen, p.Len())
 	}
-	if tau >= float64(maxLen) {
+	if tau >= float64(maxLen) { // +Inf included
 		return batch.IndexEnumerate
 	}
 	if c.hist == nil && c.pq != nil {
@@ -173,36 +177,78 @@ func (c *Corpus) resolveMode(ps []*batch.PreparedTree, tau float64, mode batch.I
 	return batch.IndexHistogram
 }
 
-func (c *Corpus) toMatches(ids []ID, ms []batch.Match) []Match {
-	out := make([]Match, len(ms))
-	for k, m := range ms {
-		out[k] = Match{I: ids[m.I], J: ids[m.J], Dist: m.Dist}
-	}
-	return out
+// candidateIndex is an index a join builds or probes: index.Histogram
+// or index.PQGram.
+type candidateIndex interface {
+	Add(t *tree.Tree) int
+	CandidatesBelow(q int, tau float64, dst []index.Candidate) []index.Candidate
 }
 
-// CrossMatch is one result of TopKAcross: the subtree rooted at
-// postorder id Root of the stored tree Tree, at edit distance Dist from
-// the query.
-type CrossMatch struct {
-	Tree ID
-	Root int
-	Dist float64
+// maintained returns the maintained index that serves mode, or nil when
+// none does. An auto-resolved pq-gram mode takes the maintained index at
+// whatever base length it was built with (any (1, q) generator is
+// complete); an explicit IndexPQGram request honors opts.Q (default 2).
+// The caller holds the corpus lock.
+func (c *Corpus) maintained(mode batch.IndexMode, opts batch.JoinOptions) candidateIndex {
+	switch {
+	case mode == batch.IndexHistogram && c.hist != nil:
+		return c.hist
+	case mode == batch.IndexPQGram && c.pq != nil && (opts.Mode == batch.IndexAuto || c.pq.Q() == pqBase(opts.Q)):
+		return c.pq
+	}
+	return nil
 }
 
-// TopKAcross finds the k subtrees closest to query across every stored
-// tree, on engine e (corpus-attached). Stored trees hydrate from their
-// artifacts; the query is prepared fresh. Semantics are those of
-// batch.Engine.TopKAcross: results sorted by distance, ties toward
-// smaller (Tree, Root), and each GTED run bounded by the running k-th
-// best distance.
-func (c *Corpus) TopKAcross(e *batch.Engine, query *batch.PreparedTree, k int) ([]CrossMatch, batch.Stats) {
-	c.checkEngine(e)
-	ids, ps := c.snapshotPrepared(e, nil)
-	ms, st := e.TopKAcross(query, ps, k)
-	out := make([]CrossMatch, len(ms))
-	for i, m := range ms {
-		out[i] = CrossMatch{Tree: ids[m.Tree], Root: m.Root, Dist: m.Dist}
+// throwaway builds the index mode selects over the snapshot, keyed by
+// snapshot position.
+func throwaway(ps []*batch.PreparedTree, mode batch.IndexMode, q int) candidateIndex {
+	var ix candidateIndex = index.NewHistogram()
+	if mode == batch.IndexPQGram {
+		ix = index.NewPQGram(1, pqBase(q))
 	}
-	return out, st
+	for _, p := range ps {
+		ix.Add(p.Tree())
+	}
+	return ix
+}
+
+// pqBase is the pq-gram base length a join option asks for.
+func pqBase(q int) int {
+	if q <= 0 {
+		return 2
+	}
+	return q
+}
+
+// probe returns the candidate pairs, by snapshot position, of the probe
+// positions [lo, hi). ids maps positions to the index's tree ids — the
+// stored IDs of a maintained index, whose tombstoned postings of deleted
+// trees are skipped — or is nil for an index keyed by position.
+func probe(ix candidateIndex, tau float64, ids []ID, lo, hi int) []batch.CandidatePair {
+	var pos map[int]int
+	if ids != nil {
+		pos = make(map[int]int, len(ids))
+		for i, id := range ids {
+			pos[int(id)] = i
+		}
+	}
+	var cands []batch.CandidatePair
+	var buf []index.Candidate
+	for j := lo; j < hi; j++ {
+		q := j
+		if ids != nil {
+			q = int(ids[j])
+		}
+		buf = ix.CandidatesBelow(q, tau, buf)
+		for _, cd := range buf {
+			i, ok := cd.ID, true
+			if ids != nil {
+				i, ok = pos[cd.ID]
+			}
+			if ok {
+				cands = append(cands, batch.CandidatePair{I: i, J: j, LB: cd.LB})
+			}
+		}
+	}
+	return cands
 }

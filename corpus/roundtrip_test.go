@@ -70,7 +70,7 @@ func corpora(t *testing.T) map[string][]*ted.Tree {
 }
 
 // TestRoundTripProperty is the satellite property test: for corpora from
-// every ingestion format, Save → Load → JoinIndexed produces bit-
+// every ingestion format, Save → Load → Join produces bit-
 // identical match sets and distances to the never-serialized corpus,
 // across histogram and pq-gram candidate generation and tau ∈
 // {0, finite, +Inf}.

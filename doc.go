@@ -56,7 +56,8 @@
 //
 //	ted (this package)   options, cost-model and algorithm selection
 //	ted/batch            concurrent batch engine: PreparedTree + arenas
-//	ted/corpus           persistent store: stable IDs, codec, write-ahead log
+//	ted/corpus           persistent store: stable IDs, codec, write-ahead log;
+//	                     join candidate generation (which pairs a join visits)
 //	ted/server           HTTP serving layer: JSON API + admission control
 //	ted/index            inverted indexes for join candidate generation
 //	internal/tree        immutable postorder-indexed tree substrate
@@ -72,9 +73,11 @@
 // input tree is prepared once — node indexes, decomposition
 // cardinalities, interned cost vectors, bound profiles — and the pairs
 // are evaluated on per-worker reusable memory arenas, so the steady-state
-// hot path allocates nothing. Workloads that compare many trees
-// repeatedly (similarity joins, top-k serving, clustering) should use
-// package batch directly and keep the PreparedTrees.
+// hot path allocates nothing. An indexed join (WithIndex) goes through
+// package corpus, which generates the candidate pairs the engine then
+// evaluates. Workloads that compare many trees repeatedly (similarity
+// joins, top-k serving, clustering) should use packages batch and corpus
+// directly and keep the prepared state.
 //
 // # Choosing a distance or join configuration
 //

@@ -29,7 +29,7 @@
 // computes the exact label intersection, which gives the classic O(1)
 // lower bound max(|F|,|G|) − |labels ∩|; generation is provably complete
 // for every threshold (a non-candidate pair provably cannot match). It
-// is the default of batch.JoinIndexed: cheap to build, one posting per
+// is the default of corpus.Corpus.Join: cheap to build, one posting per
 // distinct label per tree, and strongest when labels are diverse.
 //
 // [PQGram] keys trees by their pq-gram profile — serialized label tuples
@@ -66,13 +66,13 @@
 // # Relation to the rest of the repository
 //
 // The indexes are deliberately engine-agnostic: they know trees and
-// thresholds, not PreparedTrees or worker pools. batch.JoinIndexed builds
-// an index over a prepared corpus, generates candidates sequentially,
-// and fans the candidates out to its worker pool where the existing
-// bound filters and arena-backed GTED runners finish the job; ted.Join
-// exposes the same path via ted.WithIndex. corpus.Corpus maintains
-// these indexes incrementally across mutations and process restarts,
-// probing them per query and handing the pairs to batch.JoinCandidates.
-// The standalone [PQGramDistance] is exported for callers that want the
+// thresholds, not PreparedTrees or worker pools. Package corpus owns
+// candidate generation: corpus.Corpus maintains these indexes
+// incrementally across mutations and process restarts, or builds one
+// over a join's snapshot when it keeps none, probes them per query, and
+// hands the pairs to batch.Engine.JoinCandidatesStream, where the bound
+// filters and arena-backed GTED runners finish the job on the worker
+// pool; ted.Join exposes the same path via ted.WithIndex. The
+// standalone [PQGramDistance] is exported for callers that want the
 // pq-gram pseudo-metric itself.
 package index

@@ -52,7 +52,7 @@ import (
 // descendant within p−1 levels), so no corpus-independent small-tree
 // fringe exists and the same sweep makes the index a high-recall
 // heuristic rather than an exact generator — Complete reports which case
-// an index is in. Joins that must be exact (batch.JoinIndexed) use p = 1;
+// an index is in. Joins that must be exact (corpus.Corpus.Join) use p = 1;
 // larger p buys a more structure-sensitive ranking for approximate
 // workloads such as top-k candidate ordering.
 //

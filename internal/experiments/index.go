@@ -5,6 +5,7 @@ import (
 	"math/rand"
 
 	"repro/batch"
+	"repro/corpus"
 	"repro/gen"
 	"repro/internal/tree"
 	"repro/internal/treegen"
@@ -23,8 +24,9 @@ import (
 //     histogram index's home turf, where it generates an order of
 //     magnitude fewer candidates than enumeration visits.
 //
-// All three modes must report the identical match set (the JoinIndexed
-// equivalence guarantee); a divergence or a candidate-count regression —
+// The joins run on corpus.Join, which builds the selected index per
+// call. All three modes must report the identical match set (the
+// indexed-join equivalence guarantee); a divergence or a candidate-count regression —
 // an index that stops pruning its favourable regime — fails the run,
 // which is what the CI smoke step executes.
 
@@ -69,18 +71,21 @@ func indexExp(cfg Config) error {
 	corpora := indexCorpora(cfg)
 	for _, name := range []string{"shapes", "random"} {
 		trees := corpora[name]
-		e := batch.New()
-		ps := e.PrepareAll(trees)
+		c := corpus.New()
+		for _, t := range trees {
+			c.Add(t)
+		}
+		e := c.Engine()
 		allPairs := len(trees) * (len(trees) - 1) / 2
 		for _, tau := range []float64{float64(cfg.size(160)) / 8, float64(cfg.size(160)) / 2} {
 			type run struct {
 				mode    batch.IndexMode
-				matches []batch.Match
+				matches []corpus.Match
 				stats   batch.JoinStats
 			}
 			var runs []run
 			for _, mode := range []batch.IndexMode{batch.IndexEnumerate, batch.IndexHistogram, batch.IndexPQGram} {
-				ms, st := e.JoinIndexed(ps, tau, batch.JoinOptions{Mode: mode})
+				ms, st := c.Join(e, tau, batch.JoinOptions{Mode: mode})
 				runs = append(runs, run{mode, ms, st})
 				fmt.Fprintf(cfg.Out, "%s\t%g\t%s\t%d\t%d\t%d\t%d\t%d\t%s\n",
 					name, tau, mode, st.Comparisons, st.LowerPruned, st.UpperAccepted,

@@ -106,28 +106,6 @@ func (c config) batchEngine(workers int) *batch.Engine {
 	return batch.New(c.batchOpts(workers)...)
 }
 
-// joinCorpus wraps a collection in a transient corpus for an indexed
-// join, maintaining the index the mode will probe (auto resolves inside
-// the corpus and prefers the histogram). Add order makes the assigned
-// IDs 0..n−1, which the returned map folds back to collection indices.
-func joinCorpus(trees []*Tree, mode IndexMode) (*corpus.Corpus, map[corpus.ID]int) {
-	var opts []corpus.Option
-	switch mode {
-	case IndexPQGram:
-		opts = append(opts, corpus.WithPQGramIndex(2))
-	case IndexEnumerate:
-		// Enumeration probes nothing; skip index maintenance entirely.
-	default: // IndexAuto, IndexHistogram
-		opts = append(opts, corpus.WithHistogramIndex())
-	}
-	cp := corpus.New(opts...)
-	ids := make(map[corpus.ID]int, len(trees))
-	for i, t := range trees {
-		ids[cp.Add(t)] = i
-	}
-	return cp, ids
-}
-
 // Join computes the similarity self-join of the paper's Table 1: all
 // pairs of trees in the collection with edit distance below tau. Options
 // select the algorithm and cost model as for Distance, plus WithWorkers,
@@ -150,17 +128,20 @@ func Join(trees []*Tree, tau float64, opts ...Option) JoinResult {
 	var ms []batch.Match
 	var st batch.JoinStats
 	if c.indexed {
-		// Indexed joins run on the corpus layer: the collection becomes a
-		// transient corpus whose maintained index generates the
-		// candidates, and the engine hydrates the corpus's artifacts —
-		// the same path a persisted corpus takes after Load, so the two
-		// are one code path and provably agree.
-		cp, ids := joinCorpus(trees, c.imode)
+		// Indexed joins run on the corpus layer, which owns candidate
+		// generation: the collection becomes a transient corpus (Add
+		// assigns IDs 0..n−1, the collection indices) that builds the
+		// selected index per call, and the engine hydrates the corpus's
+		// artifacts — the same path a persisted corpus takes after Load.
+		cp := corpus.New()
+		for _, t := range trees {
+			cp.Add(t)
+		}
 		e := cp.Engine(c.batchOpts(workers)...)
 		cms, cst := cp.Join(e, tau, batch.JoinOptions{Mode: c.imode})
 		st = cst
 		for _, m := range cms {
-			ms = append(ms, batch.Match{I: ids[m.I], J: ids[m.J], Dist: m.Dist})
+			ms = append(ms, batch.Match{I: int(m.I), J: int(m.J), Dist: m.Dist})
 		}
 	} else {
 		e := c.batchEngine(workers)

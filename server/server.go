@@ -2,12 +2,15 @@ package server
 
 import (
 	"bytes"
+	"cmp"
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"math"
 	"net/http"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -16,6 +19,7 @@ import (
 
 	ted "repro"
 	"repro/batch"
+	"repro/cluster"
 	"repro/corpus"
 	"repro/internal/gted"
 )
@@ -65,10 +69,10 @@ type Server struct {
 	staleness func() time.Duration
 	replStats func() ReplicationStats
 
-	// Distributed mode (see cluster.go): joins and top-k fan out to
-	// these worker addresses instead of evaluating locally.
+	// Distributed mode (see WithClusterWorkers): joins and top-k fan out
+	// to these worker addresses instead of evaluating locally.
 	clusterAddrs []string
-	coord        coordinator
+	coord        *cluster.Coordinator
 }
 
 // Option configures New.
@@ -183,13 +187,13 @@ func WithReplica(stats func() ReplicationStats, staleness func() time.Duration, 
 }
 
 // WithClusterWorkers makes the server a serving coordinator: joins and
-// top-k queries are partitioned over the given worker addresses
-// (cluster.Worker processes holding the same snapshot) and merged,
-// instead of evaluating on the local corpus. Point lookups and
-// mutations still serve locally. Match sets are identical to local
-// evaluation as long as the workers' snapshot matches the local corpus
-// — keeping them in sync is the operator's contract (see
-// scripts/cluster_smoke.sh).
+// top-k queries, buffered and streamed alike, are partitioned over the
+// given worker addresses (cluster.Worker processes holding the same
+// snapshot) and merged, instead of evaluating on the local corpus.
+// Point lookups and mutations still serve locally. Match sets are
+// identical to local evaluation as long as the workers' snapshot
+// matches the local corpus — keeping them in sync is the operator's
+// contract (see scripts/cluster_smoke.sh).
 func WithClusterWorkers(addrs []string) Option {
 	return func(s *Server) { s.clusterAddrs = append([]string(nil), addrs...) }
 }
@@ -226,8 +230,8 @@ func New(c *corpus.Corpus, opts ...Option) *Server {
 	s.maxInFlight = s.gate.capTotal
 	s.heavySlots = s.gate.heavyCap
 	s.tenantQuota = s.gate.tenantCap
-	if len(s.clusterAddrs) > 0 && s.coord == nil {
-		s.coord = newCoordinator(s.clusterAddrs)
+	if len(s.clusterAddrs) > 0 {
+		s.coord = cluster.NewCoordinator(s.clusterAddrs)
 	}
 	s.routes()
 	return s
@@ -276,10 +280,10 @@ func (s *Server) routes() {
 	s.mux.HandleFunc("GET /v1/checkpoint", s.handleCheckpoint)
 	s.mux.Handle("POST /v1/distance", s.admit(classPoint, s.fresh(s.handleDistance)))
 	s.mux.Handle("POST /v1/distance-bounded", s.admit(classPoint, s.fresh(s.handleDistanceBounded)))
-	s.mux.Handle("POST /v1/join", s.admit(classHeavy, s.fresh(s.handleJoin)))
-	s.mux.Handle("POST /v1/join/stream", s.admit(classHeavy, s.fresh(s.handleJoinStream)))
-	s.mux.Handle("POST /v1/topk", s.admit(classHeavy, s.fresh(s.handleTopK)))
-	s.mux.Handle("POST /v1/topk/stream", s.admit(classHeavy, s.fresh(s.handleTopKStream)))
+	s.mux.Handle("POST /v1/join", s.admit(classHeavy, s.fresh(s.handleJoin(false))))
+	s.mux.Handle("POST /v1/join/stream", s.admit(classHeavy, s.fresh(s.handleJoin(true))))
+	s.mux.Handle("POST /v1/topk", s.admit(classHeavy, s.fresh(s.handleTopK(false))))
+	s.mux.Handle("POST /v1/topk/stream", s.admit(classHeavy, s.fresh(s.handleTopK(true))))
 	s.mux.Handle("POST /v1/trees", s.admit(classPoint, s.mutating(s.handleAddTree)))
 	s.mux.Handle("GET /v1/trees/{id}", s.admit(classPoint, s.fresh(s.handleGetTree)))
 	s.mux.Handle("PUT /v1/trees/{id}", s.admit(classPoint, s.mutating(s.handlePutTree)))
@@ -444,101 +448,173 @@ func (s *Server) handleDistanceBounded(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, DistanceBoundedResponse{Dist: d, Within: within})
 }
 
-func (s *Server) handleJoin(w http.ResponseWriter, r *http.Request) {
-	var req JoinRequest
-	if !s.decode(w, r, &req) {
-		return
-	}
-	if !validTau(req.Tau) {
-		writeError(w, http.StatusBadRequest, "tau must be a non-negative number")
-		return
-	}
-	mode, ok := parseMode(req.Mode)
-	if !ok {
-		writeError(w, http.StatusBadRequest, fmt.Sprintf("unknown mode %q (auto | enumerate | histogram | pqgram)", req.Mode))
-		return
-	}
-	if req.Q < 0 || req.Q > 16 {
-		writeError(w, http.StatusBadRequest, "q must be in [0, 16]")
-		return
-	}
-	limit := s.maxMatches
-	if req.Limit > 0 && req.Limit < limit {
-		limit = req.Limit
-	}
-	var (
-		ms []corpus.Match
-		st batch.JoinStats
-	)
-	if s.coord != nil {
-		var err error
-		if ms, st, err = s.coord.Join(req.Tau, batch.JoinOptions{Mode: mode, Q: req.Q}); err != nil {
-			writeError(w, http.StatusBadGateway, "cluster join: "+err.Error())
+// handleJoin serves POST /v1/join (buffered) and /v1/join/stream. Both
+// validate and evaluate the same way — on the fleet when the server
+// coordinates one, else on the local corpus under the request context —
+// and differ only in framing: the buffered response carries the first
+// limit matches in (I, J) order, the stream one NDJSON line per match in
+// completion order and a done record (see stream.go).
+func (s *Server) handleJoin(stream bool) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		var req JoinRequest
+		if !s.decode(w, r, &req) {
 			return
 		}
-	} else {
-		// A client that hangs up stops the engine at the next pair
-		// boundary; there is then no one to answer and no complete stats
-		// to count.
-		var err error
-		if ms, st, err = s.c.JoinContext(r.Context(), s.e, req.Tau, batch.JoinOptions{Mode: mode, Q: req.Q}); err != nil {
+		if !validTau(req.Tau) {
+			writeError(w, http.StatusBadRequest, "tau must be a non-negative number")
 			return
 		}
+		mode, err := batch.ParseIndexMode(req.Mode)
+		if err != nil {
+			writeError(w, http.StatusBadRequest, err.Error())
+			return
+		}
+		if req.Q < 0 || req.Q > 16 {
+			writeError(w, http.StatusBadRequest, "q must be in [0, 16]")
+			return
+		}
+		limit := s.maxMatches
+		if req.Limit > 0 && req.Limit < limit {
+			limit = req.Limit
+		}
+		opts := batch.JoinOptions{Mode: mode, Q: req.Q}
+
+		ctx, cancel := context.WithCancel(r.Context())
+		defer cancel()
+		var (
+			out   *ndjson
+			ms    []corpus.Match
+			count int
+		)
+		if stream {
+			out = newNDJSON(w, cancel)
+		}
+		st, err := s.join(ctx, req.Tau, opts, func(m corpus.Match) {
+			count++
+			if !stream {
+				ms = append(ms, m)
+			} else if count <= limit {
+				// Past the limit the join keeps running (the done record
+				// reports the true count, as the buffered response does)
+				// but no more lines are written.
+				out.write(JoinStreamRecord{Match: &JoinMatch{I: int64(m.I), J: int64(m.J), Dist: m.Dist}})
+			}
+		})
+		if failed(ctx, w, out, err) {
+			return
+		}
+		s.count(st.Counters)
+		if stream {
+			out.write(JoinStreamRecord{Done: &JoinStreamDone{Count: count, Truncated: count > limit, Stats: joinStats(st)}})
+			return
+		}
+		slices.SortFunc(ms, func(a, b corpus.Match) int {
+			return cmp.Or(cmp.Compare(a.I, b.I), cmp.Compare(a.J, b.J))
+		})
+		resp := JoinResponse{Count: count, Truncated: count > limit, Stats: joinStats(st)}
+		resp.Matches = make([]JoinMatch, min(count, limit))
+		for i := range resp.Matches {
+			resp.Matches[i] = JoinMatch{I: int64(ms[i].I), J: int64(ms[i].J), Dist: ms[i].Dist}
+		}
+		writeJSON(w, http.StatusOK, resp)
 	}
-	s.count(st.Counters)
-	resp := JoinResponse{Count: len(ms), Stats: joinStats(st)}
-	if len(ms) > limit {
-		ms = ms[:limit]
-		resp.Truncated = true
-	}
-	resp.Matches = make([]JoinMatch, len(ms))
-	for i, m := range ms {
-		resp.Matches[i] = JoinMatch{I: int64(m.I), J: int64(m.J), Dist: m.Dist}
-	}
-	writeJSON(w, http.StatusOK, resp)
 }
 
-func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request) {
-	var req TopKRequest
-	if !s.decode(w, r, &req) {
-		return
+// join evaluates a join on the fleet when the server coordinates one,
+// else on the local corpus under ctx, passing each match to emit.
+func (s *Server) join(ctx context.Context, tau float64, opts batch.JoinOptions, emit func(corpus.Match)) (batch.JoinStats, error) {
+	if s.coord == nil {
+		return s.c.JoinStream(ctx, s.e, tau, opts, emit)
 	}
-	if req.K < 1 || req.K > s.maxK {
-		writeError(w, http.StatusBadRequest, fmt.Sprintf("k must be in [1, %d]", s.maxK))
-		return
+	ms, st, err := s.coord.Join(tau, opts)
+	if err != nil {
+		return st, fmt.Errorf("cluster join: %w", err)
 	}
-	q, ok := s.resolve(w, req.Query, "query")
-	if !ok {
-		return
+	for _, m := range ms {
+		emit(m)
 	}
-	start := time.Now()
-	var (
-		ms []corpus.CrossMatch
-		st batch.Stats
-	)
-	if s.coord != nil {
-		var err error
-		if ms, st, err = s.coord.TopK(q.Tree(), req.K); err != nil {
-			writeError(w, http.StatusBadGateway, "cluster topk: "+err.Error())
+	return st, nil
+}
+
+// handleTopK serves POST /v1/topk (buffered) and /v1/topk/stream, one
+// evaluation — fleet or local corpus, as in handleJoin — in either
+// framing. Top-k results are only sound once the whole corpus is
+// scanned, so even the stream writes its lines after the scan; its value
+// is the framing and the cancellation path.
+func (s *Server) handleTopK(stream bool) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		var req TopKRequest
+		if !s.decode(w, r, &req) {
 			return
 		}
-	} else {
-		// The request context stops the scan when the client hangs up;
-		// there is then no one to answer and no complete stats to count.
-		var err error
-		st, err = s.c.TopKAcrossStream(r.Context(), s.e, q, req.K, func(m corpus.CrossMatch) {
-			ms = append(ms, m)
+		if req.K < 1 || req.K > s.maxK {
+			writeError(w, http.StatusBadRequest, fmt.Sprintf("k must be in [1, %d]", s.maxK))
+			return
+		}
+		q, ok := s.resolve(w, req.Query, "query")
+		if !ok {
+			return
+		}
+
+		ctx, cancel := context.WithCancel(r.Context())
+		defer cancel()
+		var out *ndjson
+		if stream {
+			out = newNDJSON(w, cancel)
+		}
+		start := time.Now()
+		ms := []TopKMatch{}
+		st, err := s.topK(ctx, q, req.K, func(m corpus.CrossMatch) {
+			tm := TopKMatch{Tree: int64(m.Tree), Root: m.Root, Dist: m.Dist}
+			if stream {
+				out.write(TopKStreamRecord{Match: &tm})
+			} else {
+				ms = append(ms, tm)
+			}
 		})
-		if err != nil {
+		if failed(ctx, w, out, err) {
 			return
 		}
+		s.count(st)
+		stats := TopKStats{Counters: st, ElapsedMS: time.Since(start).Milliseconds()}
+		if stream {
+			out.write(TopKStreamRecord{Done: &TopKStreamDone{Stats: stats}})
+			return
+		}
+		writeJSON(w, http.StatusOK, TopKResponse{Matches: ms, Stats: stats})
 	}
-	s.count(st)
-	resp := TopKResponse{Matches: make([]TopKMatch, len(ms)), Stats: TopKStats{Counters: st, ElapsedMS: time.Since(start).Milliseconds()}}
-	for i, m := range ms {
-		resp.Matches[i] = TopKMatch{Tree: int64(m.Tree), Root: m.Root, Dist: m.Dist}
+}
+
+// topK evaluates a top-k query on the fleet when the server coordinates
+// one, else on the local corpus under ctx, passing the results to emit
+// in order.
+func (s *Server) topK(ctx context.Context, q *batch.PreparedTree, k int, emit func(corpus.CrossMatch)) (batch.Stats, error) {
+	if s.coord == nil {
+		return s.c.TopKAcrossStream(ctx, s.e, q, k, emit)
 	}
-	writeJSON(w, http.StatusOK, resp)
+	ms, st, err := s.coord.TopK(q.Tree(), k)
+	if err != nil {
+		return st, fmt.Errorf("cluster topk: %w", err)
+	}
+	for _, m := range ms {
+		emit(m)
+	}
+	return st, nil
+}
+
+// failed reports whether an evaluation did not complete, answering what
+// can still be answered. A cancelled ctx means the client hung up or a
+// stream write failed: there is no one to answer. A fleet failure gets
+// 502 — or, once a stream's header is out, the missing done record. The
+// counters of an incomplete run are not added to /v1/stats.
+func failed(ctx context.Context, w http.ResponseWriter, out *ndjson, err error) bool {
+	if err == nil && (out == nil || out.err == nil) {
+		return false
+	}
+	if err != nil && out == nil && ctx.Err() == nil {
+		writeError(w, http.StatusBadGateway, err.Error())
+	}
+	return true
 }
 
 func (s *Server) handleAddTree(w http.ResponseWriter, r *http.Request) {
@@ -695,20 +771,6 @@ func pathID(w http.ResponseWriter, r *http.Request) (int64, bool) {
 // carry Inf, but in-process callers can).
 func validTau(tau float64) bool {
 	return !math.IsNaN(tau) && tau >= 0
-}
-
-func parseMode(s string) (batch.IndexMode, bool) {
-	switch strings.ToLower(s) {
-	case "", "auto":
-		return batch.IndexAuto, true
-	case "enumerate", "enum":
-		return batch.IndexEnumerate, true
-	case "histogram", "hist":
-		return batch.IndexHistogram, true
-	case "pqgram", "pq":
-		return batch.IndexPQGram, true
-	}
-	return 0, false
 }
 
 func joinStats(st batch.JoinStats) JoinStats {
