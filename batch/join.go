@@ -89,9 +89,7 @@ type JoinOptions struct {
 	// Q is the pq-gram base length for IndexPQGram (default 2). The
 	// index always uses stems of length p = 1, the only parameterization
 	// whose candidate generation is provably complete (see package
-	// index); the stem-structure sensitivity of larger p is available
-	// through index.PQGram directly, for workloads that tolerate
-	// approximate joins.
+	// index).
 	Q int
 }
 

@@ -50,7 +50,7 @@ func indexedCandidates(ps []*batch.PreparedTree, mode batch.IndexMode, tau float
 	case batch.IndexHistogram:
 		ix = index.NewHistogram()
 	case batch.IndexPQGram:
-		ix = index.NewPQGram(1, 2)
+		ix = index.NewPQGram(2)
 	default:
 		var all []batch.CandidatePair
 		for i := range ps {

@@ -127,9 +127,9 @@ func BenchmarkTable2_TreeFam(b *testing.B) {
 	b.ReportMetric(100*float64(rted)/float64(best), "pct_of_best")
 }
 
-// ---- Ablations of the LRH design choices (internal/experiments/ablation.go) ----
+// ---- Figure 10: the strategy computation alone (OptStrategy, O(n²)) ----
 
-func BenchmarkAblationStrategyOnly(b *testing.B) {
+func BenchmarkStrategyOnly(b *testing.B) {
 	t := gen.Random(3, gen.RandomSpec{Size: 1000, MaxDepth: 15, MaxFanout: 6, Labels: 8})
 	var c int64
 	for i := 0; i < b.N; i++ {
@@ -187,8 +187,8 @@ func BenchmarkBoundsPQGram(b *testing.B) {
 	}
 }
 
-// BenchmarkBoundsVsExact pins the headline of the filter ablation: the
-// upper bound is orders of magnitude cheaper than the exact distance.
+// BenchmarkBoundsVsExact pins the premise of the join filters: the upper
+// bound is orders of magnitude cheaper than the exact distance.
 func BenchmarkBoundsVsExact(b *testing.B) {
 	f, g := boundsPair()
 	b.Run("constrained-UB", func(b *testing.B) {
@@ -237,19 +237,6 @@ func BenchmarkJoinParallel(b *testing.B) {
 			}
 		})
 	}
-}
-
-// ---- Strategy computation: OptStrategy vs the O(n³) baseline ----
-
-func BenchmarkOptVsBaseline(b *testing.B) {
-	t := gen.Random(9, gen.RandomSpec{Size: 500, MaxDepth: 15, MaxFanout: 6, Labels: 8})
-	b.Run("optstrategy", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			ted.OptimalStrategyCost(t, t)
-		}
-	})
-	// The baseline is exercised through the experiments package; here
-	// the public surface is the O(n²) algorithm only.
 }
 
 func BenchmarkTopKSubtrees(b *testing.B) {

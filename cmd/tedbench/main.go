@@ -1,5 +1,7 @@
-// Command tedbench regenerates the figures and tables of the RTED paper
-// (and this repository's ablations) as plain-text series.
+// Command tedbench regenerates the figures and tables of the RTED paper's
+// evaluation (Figures 8–10, Tables 1–2) as plain-text series. The serving
+// stack's latency and throughput are the benchmark module's job
+// (benchmark/run.sh), not tedbench's.
 //
 // Usage:
 //

@@ -18,6 +18,7 @@ import (
 	"repro/index"
 	"repro/internal/bounds"
 	"repro/internal/cost"
+	"repro/internal/gted"
 	"repro/internal/strategy"
 	"repro/internal/tree"
 )
@@ -40,16 +41,19 @@ import (
 //	  profile flag u8; if 1: label histogram pairs of (label id,
 //	  count), branch histogram entries of (label, first child, next
 //	  sibling, count), each list in label-string order       | [crc32]
-//	per maintained index (histogram, then pq-gram; pq-gram leads with p, q):
+//	per maintained index (histogram, then pq-gram; pq-gram leads with
+//	                      p, q, and p must be 1):
 //	  key table: count, then per key: len, bytes
 //	  next id, entry count
 //	  per entry: id, size, profile length, pairs of (key id, count)
 //	                                                         | [crc32]
 //
-// The two profile histograms are redundant with the tree: Load rebuilds
-// the bound profile from the label ids and rejects a stream whose stored
-// histograms disagree with it, so a checksum-less (version 1) stream
-// cannot pair a tree with histograms that would prune its true matches.
+// The artifacts are redundant with the tree: Load recomputes the
+// mirror-leafmost array and the decomposition cardinalities, rebuilds
+// the bound profile from the label ids, and rejects a stream whose
+// stored values disagree with them, so a checksum-less (version 1)
+// stream cannot pair a tree with artifacts that would crash its
+// distance runs or prune its true matches.
 //
 // Version 2 adds the bit2 flag: when set, every section (label table,
 // tree store, each index) is followed by the IEEE CRC32 of its encoded
@@ -177,7 +181,7 @@ func (c *Corpus) saveLocked(w io.Writer, version byte) error {
 		e.sectionEnd()
 	}
 	if c.pq != nil {
-		e.uv(uint64(1)) // stem length p; always 1 for maintained indexes
+		e.uv(1) // stem length p: a pq-gram index is always a (1, q)-gram index
 		e.uv(uint64(c.pq.Q()))
 		e.snapshot(c.pq.Snapshot())
 		e.sectionEnd()
@@ -264,9 +268,9 @@ func (c *Corpus) SaveDir(dir string) error {
 
 // Load reads a corpus in the binary format from r. The result is
 // equivalent to the saved corpus: same IDs and trees, artifacts decoded
-// rather than recomputed (O(bytes) instead of O(prepare)), maintained
-// indexes rebuilt from their persisted profiles with plain appends —
-// no re-parsing, no re-hashing of grams, no re-sorting.
+// and checked against their trees in O(bytes), maintained indexes
+// rebuilt from their persisted profiles with plain appends — no
+// re-parsing, no re-hashing of grams, no re-sorting.
 func Load(r io.Reader) (*Corpus, error) {
 	d := &decoder{r: &crcReader{r: bufio.NewReader(r)}}
 
@@ -360,10 +364,10 @@ func Load(r io.Reader) (*Corpus, error) {
 		if err := d.sectionCheck("pq-gram index"); err != nil {
 			return nil, err
 		}
-		if p < 1 || q < 1 {
-			return nil, fmt.Errorf("%w: pq-gram parameters (%d, %d)", errCorrupt, p, q)
+		if p != 1 || q < 1 {
+			return nil, fmt.Errorf("%w: pq-gram parameters (%d, %d), want (1, q ≥ 1)", errCorrupt, p, q)
 		}
-		c.pq, err = index.RestorePQGram(int(p), int(q), snap)
+		c.pq, err = index.RestorePQGram(int(q), snap)
 		if err != nil {
 			return nil, fmt.Errorf("%w: %v", errCorrupt, err)
 		}
@@ -702,25 +706,31 @@ func (d *decoder) entry(table []string) (*entry, error) {
 		return nil, fmt.Errorf("%w: %v", errCorrupt, err)
 	}
 
-	lfm := make([]int32, 0, capHint(n64))
+	// The stored artifacts are recomputed from the tree and each stored
+	// value must equal its recomputed one: a checksum-less stream must
+	// not hand ΔR indexes outside the tree or the strategy DP wrong
+	// cardinalities.
+	lfm := gted.MirrorLeafmost(t)
 	for v := 0; v < n; v++ {
 		m := d.idx(uint64(n), "mirror-leafmost id")
 		if d.err != nil {
 			return nil, d.fail("mirror-leafmost")
 		}
-		lfm = append(lfm, int32(m))
+		if int32(m) != lfm[v] {
+			return nil, fmt.Errorf("%w: stored mirror-leafmost array disagrees with the tree at node %d", errCorrupt, v)
+		}
 	}
-	dec := &strategy.Decomp{T: t}
-	for _, dst := range []*[]int64{&dec.A, &dec.FL, &dec.FR} {
-		arr := make([]int64, 0, capHint(n64))
+	dec := strategy.NewDecomp(t)
+	for _, want := range [][]int64{dec.A, dec.FL, dec.FR} {
 		for v := 0; v < n; v++ {
 			a := d.count(math.MaxInt64, "decomposition cardinality")
 			if d.err != nil {
 				return nil, d.fail("decomposition")
 			}
-			arr = append(arr, int64(a))
+			if a != uint64(want[v]) {
+				return nil, fmt.Errorf("%w: stored decomposition cardinalities disagree with the tree at node %d", errCorrupt, v)
+			}
 		}
-		*dst = arr
 	}
 
 	en := &entry{t: t, ids: ids, lfm: lfm, decomp: dec}

@@ -94,34 +94,60 @@ func TestCodecV1EncoderAgreesWithGolden(t *testing.T) {
 	}
 }
 
-// v1OneTreeHex is the version-1 stream of a one-tree corpus, {a{b}{c}}
-// with labels interned b, c, a and no index. It ends in the tree's
-// profile: flag 01, three label pairs (id, count) in label order a, b, c
-// — 03 0201 0001 0101 — and three branch entries (label, first child,
-// next sibling as id + 1, 0 for none; count) — 03 03010001 01000201
-// 02000001.
-const v1OneTreeHex = "5445444301000301620163016101010003000102000002000100010104010104010104010302010001010103030100010100020102000001"
-
-// v1ProfileMismatchStreams returns v1OneTreeHex with the stored profile
-// tampered so that it no longer describes the tree. Version 1 carries no
-// checksums, so only the decoder's check of the histograms against the
-// tree stands between these streams and wrong bounds.
-func v1ProfileMismatchStreams(tb testing.TB) map[string][]byte {
-	tb.Helper()
-	const labels, branches = "03020100010101", "03030100010100020102000001"
-	head, ok := strings.CutSuffix(v1OneTreeHex, "01"+labels+branches)
-	if !ok {
-		tb.Fatalf("v1OneTreeHex does not end in the documented profile")
+// v1OneTree assembles the version-1 stream of a one-tree corpus,
+// {a{b}{c}} with labels interned b, c, a, from the parts a tamper can
+// replace: the tree's mirror-leafmost array, its decomposition
+// cardinalities, its profile and an optional pq-gram index section.
+func v1OneTree(lfm, decomp, profile, pqgram string) string {
+	flags := "00"
+	if pqgram != "" {
+		flags = "02"
 	}
+	return "54454443" + "01" + flags + "03016201630161" + // magic, version, flags; labels b, c, a
+		"01" + "01" + "00" + "03" + "000102" + "000002" + // next id, 1 tree: id 0, 3 nodes, label ids, child counts
+		lfm + decomp + profile + pqgram
+}
+
+// The untampered parts of v1OneTree. The mirror-leafmost array is
+// 0 1 0; the decomposition cardinalities A, FL and FR are each 1 1 4.
+// The profile is flag 01, three label pairs (id, count) in label order
+// a, b, c — 03 0201 0001 0101 — and three branch entries (label, first
+// child, next sibling as id + 1, 0 for none; count) — 03 03010001
+// 01000201 02000001. The pq-gram section is p 01, q 02, five gram keys,
+// next id 1 and one entry (id 0, size 3, each of the five grams once).
+const (
+	v1Lfm      = "000100"
+	v1Decomp   = "010104" + "010104" + "010104"
+	v1Labels   = "03" + "0201" + "0001" + "0101"
+	v1Branches = "03" + "03010001" + "01000201" + "02000001"
+	v1Profile  = "01" + v1Labels + v1Branches
+	v1PQGrams  = "05" + "06611f2a1f621f" + "06611f621f631f" + "06611f631f2a1f" + "06621f2a1f2a1f" + "06631f2a1f2a1f" +
+		"01" + "01" + "00" + "03" + "05" + "0001" + "0101" + "0201" + "0301" + "0401"
+)
+
+// v1TamperedStreams returns v1OneTree streams with one stored artifact
+// tampered so that it no longer describes the tree, keyed by the name the
+// Load error must carry. Version 1 carries no checksums, so only the
+// decoder's checks of the artifacts against the tree stand between these
+// streams and wrong answers.
+func v1TamperedStreams(tb testing.TB) map[string][]byte {
+	tb.Helper()
 	out := make(map[string][]byte)
-	for name, profile := range map[string]string{
+	for name, stream := range map[string]string{
 		// {a:2, b:1}: the histogram of {a{b}{a}}, which prices the tree's
 		// exact copy one rename away.
-		"label histogram": "02" + "0202" + "0001" + branches,
+		"label histogram": v1OneTree(v1Lfm, v1Decomp, "01"+"02"+"0202"+"0001"+v1Branches, ""),
 		// b's next sibling a instead of c.
-		"branch histogram": labels + "03" + "03010001" + "01000301" + "02000001",
+		"branch histogram": v1OneTree(v1Lfm, v1Decomp, "01"+v1Labels+"03"+"03010001"+"01000301"+"02000001", ""),
+		// Zeroed: ΔR would read the rightmost leaf of the subtree b as c.
+		"mirror-leafmost": v1OneTree("000000", v1Decomp, v1Profile, ""),
+		// |A| of the root 0 instead of 4: the strategy DP would price the
+		// root's ΔI subproblems at zero.
+		"decomposition": v1OneTree(v1Lfm, "010100"+"010104"+"010104", v1Profile, ""),
+		// Stem length 2: the index would miss true matches.
+		"pq-gram parameters": v1OneTree(v1Lfm, v1Decomp, v1Profile, "0202"+v1PQGrams),
 	} {
-		raw, err := hex.DecodeString(head + "01" + profile)
+		raw, err := hex.DecodeString(stream)
 		if err != nil {
 			tb.Fatalf("%s: bad hex: %v", name, err)
 		}
@@ -130,26 +156,35 @@ func v1ProfileMismatchStreams(tb testing.TB) map[string][]byte {
 	return out
 }
 
-// TestCodecV1RejectsProfileMismatch: a stored profile must describe its
-// tree. The untampered stream loads and matches its own tree at distance
-// 0; each tampered stream fails Load as corrupt instead of loading a
-// tree whose bounds would prune that match.
-func TestCodecV1RejectsProfileMismatch(t *testing.T) {
-	raw, err := hex.DecodeString(v1OneTreeHex)
-	if err != nil {
-		t.Fatalf("bad fixture hex: %v", err)
+// TestCodecV1RejectsArtifactMismatch: every stored artifact must describe
+// its tree. The untampered streams load and match their own tree at
+// distance 0, by bounds and by pq-gram candidates; each tampered stream
+// fails Load as corrupt instead of loading a tree whose artifacts would
+// crash a distance run, answer wrongly, or prune that match.
+func TestCodecV1RejectsArtifactMismatch(t *testing.T) {
+	for _, pqgram := range []string{"", "0102" + v1PQGrams} {
+		raw, err := hex.DecodeString(v1OneTree(v1Lfm, v1Decomp, v1Profile, pqgram))
+		if err != nil {
+			t.Fatalf("bad fixture hex: %v", err)
+		}
+		c, err := corpus.Load(bytes.NewReader(raw))
+		if err != nil {
+			t.Fatalf("untampered stream: %v", err)
+		}
+		e := c.Engine()
+		q := c.PrepareQuery(e, ted.MustParse("{a{b}{c}}"))
+		stored, _ := c.Prepared(e, 0)
+		if d, ok := e.DistanceBounded(q, stored, 0); !ok || d != 0 {
+			t.Fatalf("untampered stream: DistanceBounded = (%v, %v), want (0, true)", d, ok)
+		}
+		if pqgram != "" {
+			c.Add(ted.MustParse("{a{b}{c}}"))
+			if ms, _ := c.Join(e, 1, batch.JoinOptions{Mode: batch.IndexPQGram}); len(ms) != 1 {
+				t.Fatalf("untampered pq-gram stream: join of the tree and its copy found %d matches, want 1", len(ms))
+			}
+		}
 	}
-	c, err := corpus.Load(bytes.NewReader(raw))
-	if err != nil {
-		t.Fatalf("untampered stream: %v", err)
-	}
-	e := c.Engine()
-	q := c.PrepareQuery(e, ted.MustParse("{a{b}{c}}"))
-	stored, _ := c.Prepared(e, 0)
-	if d, ok := e.DistanceBounded(q, stored, 0); !ok || d != 0 {
-		t.Fatalf("untampered stream: DistanceBounded = (%v, %v), want (0, true)", d, ok)
-	}
-	for name, bad := range v1ProfileMismatchStreams(t) {
+	for name, bad := range v1TamperedStreams(t) {
 		_, err := corpus.Load(bytes.NewReader(bad))
 		if err == nil || !strings.Contains(err.Error(), "corrupt") || !strings.Contains(err.Error(), name) {
 			t.Errorf("%s tampered: Load error %v, want a corrupt-stream error naming the %s", name, err, name)

@@ -9,9 +9,10 @@
 // RTED's design front-loads per-tree work so it can be amortized across
 // many comparisons; a corpus extends the amortization across process
 // lifetimes. A server that restarts does not re-prepare and re-index its
-// collection: Load decodes the stored artifacts in O(bytes), and
-// corpus-attached engines hydrate PreparedTrees from them
-// (batch.PrepareHydrated) instead of recomputing.
+// collection: Load decodes the stored artifacts in O(bytes), checking
+// each against its tree, and corpus-attached engines hydrate
+// PreparedTrees from them (batch.PrepareHydrated) instead of
+// recomputing.
 //
 // # Durability
 //
@@ -143,7 +144,7 @@ func WithHistogramIndex() Option {
 // (index.PQGram with stem length 1, the provably complete
 // parameterization); q must be ≥ 1.
 func WithPQGramIndex(q int) Option {
-	return func(c *Corpus) { c.pq = index.NewPQGram(1, q) }
+	return func(c *Corpus) { c.pq = index.NewPQGram(q) }
 }
 
 // New builds an empty corpus.

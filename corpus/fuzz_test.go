@@ -33,7 +33,7 @@ func FuzzCorpusDecode(f *testing.F) {
 	f.Add(seed())
 	f.Add(seed(corpus.WithHistogramIndex()))
 	f.Add(seed(corpus.WithHistogramIndex(), corpus.WithPQGramIndex(2)))
-	for _, bad := range v1ProfileMismatchStreams(f) {
+	for _, bad := range v1TamperedStreams(f) {
 		f.Add(bad)
 	}
 	f.Add([]byte("TEDC"))

@@ -204,7 +204,7 @@ func (c *Corpus) maintained(mode batch.IndexMode, opts batch.JoinOptions) candid
 func throwaway(ps []*batch.PreparedTree, mode batch.IndexMode, q int) candidateIndex {
 	var ix candidateIndex = index.NewHistogram()
 	if mode == batch.IndexPQGram {
-		ix = index.NewPQGram(1, pqBase(q))
+		ix = index.NewPQGram(pqBase(q))
 	}
 	for _, p := range ps {
 		ix.Add(p.Tree())

@@ -120,27 +120,40 @@ func TestJoinIndexedEquivalence(t *testing.T) {
 // TestJoinIndexedPrunes pins the point of candidate generation: on a
 // corpus with diverse labels and a selective threshold, both indexes —
 // maintained or built per call — and the auto mode visit strictly fewer
-// pairs than enumeration, and the stats name the generator that ran.
+// pairs than enumeration, and the stats name the generator that ran. On
+// single-label shape trees, the signatures' worst case where every pair
+// shares every label, they must still prune by the size bound.
 func TestJoinIndexedPrunes(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
-	var trees []*ted.Tree
+	var random []*ted.Tree
 	for i := 0; i < 24; i++ {
-		trees = append(trees, gen.Random(rng.Int63(), gen.RandomSpec{
+		random = append(random, gen.Random(rng.Int63(), gen.RandomSpec{
 			Size: 20 + rng.Intn(20), MaxDepth: 8, MaxFanout: 5, Labels: 40,
 		}))
 	}
-	const tau = 6.0
-	for source, c := range indexSources(trees) {
-		e := c.Engine()
-		_, est := c.Join(e, tau, batch.JoinOptions{Mode: batch.IndexEnumerate})
-		for _, mode := range []batch.IndexMode{batch.IndexHistogram, batch.IndexPQGram, batch.IndexAuto} {
-			_, st := c.Join(e, tau, batch.JoinOptions{Mode: mode})
-			if st.Comparisons >= est.Comparisons {
-				t.Fatalf("%s mode %v generated %d candidates; enumeration visits %d — the index pruned nothing",
-					source, mode, st.Comparisons, est.Comparisons)
-			}
-			if st.Mode == batch.IndexAuto {
-				t.Fatalf("%s mode %v: stats report unresolved mode %v", source, mode, st.Mode)
+	var shapes []*ted.Tree
+	for _, n := range []int{16, 20, 24, 32} {
+		shapes = append(shapes, gen.LeftBranch(n), gen.RightBranch(n), gen.FullBinary(n), gen.ZigZag(n), gen.Mixed(n))
+	}
+	for name, tc := range map[string]struct {
+		trees []*ted.Tree
+		tau   float64
+	}{
+		"random": {random, 6},
+		"shapes": {shapes, 2},
+	} {
+		for source, c := range indexSources(tc.trees) {
+			e := c.Engine()
+			_, est := c.Join(e, tc.tau, batch.JoinOptions{Mode: batch.IndexEnumerate})
+			for _, mode := range []batch.IndexMode{batch.IndexHistogram, batch.IndexPQGram, batch.IndexAuto} {
+				_, st := c.Join(e, tc.tau, batch.JoinOptions{Mode: mode})
+				if st.Comparisons >= est.Comparisons {
+					t.Fatalf("%s %s mode %v generated %d candidates; enumeration visits %d — the index pruned nothing",
+						name, source, mode, st.Comparisons, est.Comparisons)
+				}
+				if st.Mode == batch.IndexAuto {
+					t.Fatalf("%s %s mode %v: stats report unresolved mode %v", name, source, mode, st.Mode)
+				}
 			}
 		}
 	}

@@ -67,7 +67,8 @@
 //	internal/cost        cost models, label interning, compiled per-pair form
 //	internal/bounds      lower/upper bounds and per-tree bound profiles
 //	internal/zs          standalone classic Zhang–Shasha (comparison baseline)
-//	internal/experiments paper figure/table regeneration (cmd/tedbench)
+//	internal/experiments the paper's Section 8 figures and tables, nothing
+//	                     else (cmd/tedbench); benchmark/ measures the serving stack
 //
 // Join and TopKSubtrees run on the batch engine (package batch): every
 // input tree is prepared once — node indexes, decomposition

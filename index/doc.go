@@ -35,12 +35,12 @@
 // [PQGram] keys trees by their pq-gram profile — serialized label tuples
 // that encode local structure, not just label content. It generates the
 // trees sharing at least one gram and ranks them by pq-gram distance, so
-// verification can visit the most similar candidates first. With stems of
-// length p = 1 it carries the same completeness guarantee (see the type
-// comment for the argument); with p ≥ 2 it is a high-recall heuristic.
-// Prefer it over Histogram when labels alone are uninformative — corpora
-// drawn from a tiny alphabet, or near-duplicate detection where most
-// trees share most labels and only structure discriminates.
+// verification can visit the most similar candidates first. Its stems
+// have length p = 1, so it carries the same completeness guarantee (see
+// the type comment for the argument). Prefer it over Histogram when
+// labels alone are uninformative — corpora drawn from a tiny alphabet,
+// or near-duplicate detection where most trees share most labels and
+// only structure discriminates.
 //
 // Both indexes generate candidates for a self-join in "probe below"
 // style: CandidatesBelow(q, τ, dst) returns only candidates with id < q,

@@ -58,7 +58,7 @@ func FuzzPQGramCountFilter(f *testing.F) {
 			}
 			trees = append(trees, tr)
 		}
-		ix := index.NewPQGram(1, q)
+		ix := index.NewPQGram(q)
 		for _, tr := range trees {
 			ix.Add(tr)
 		}

@@ -95,10 +95,7 @@ func TestHistogramMatchesBruteForce(t *testing.T) {
 // exact distance: every true match must be generated, at every threshold.
 func TestPQGramComplete(t *testing.T) {
 	trees := corpus(2, 14, 24)
-	ix := index.NewPQGram(1, 2)
-	if !ix.Complete() {
-		t.Fatal("(1,2)-gram index must report Complete")
-	}
+	ix := index.NewPQGram(2)
 	for _, tr := range trees {
 		ix.Add(tr)
 	}
@@ -144,7 +141,7 @@ func TestPQGramCompleteAdversarial(t *testing.T) {
 		ted.MustParse("{x}"),
 		ted.MustParse("{y}"), // (3,4) at distance 1 share no gram: fringe case
 	}
-	ix := index.NewPQGram(1, 2)
+	ix := index.NewPQGram(2)
 	for _, tr := range trees {
 		ix.Add(tr)
 	}
@@ -171,7 +168,7 @@ func TestPQGramCompleteAdversarial(t *testing.T) {
 func TestPQGramScore(t *testing.T) {
 	trees := corpus(3, 10, 20)
 	trees = append(trees, trees[0]) // a duplicate of tree 0
-	ix := index.NewPQGram(1, 2)
+	ix := index.NewPQGram(2)
 	for _, tr := range trees {
 		ix.Add(tr)
 	}
@@ -217,7 +214,7 @@ func TestPQGramDistanceBasics(t *testing.T) {
 func TestCandidatesBelowEdgeCases(t *testing.T) {
 	trees := []*ted.Tree{ted.MustParse("{a}"), ted.MustParse("{a}"), ted.MustParse("{b}")}
 	h := index.NewHistogram()
-	p := index.NewPQGram(1, 2)
+	p := index.NewPQGram(2)
 	for _, tr := range trees {
 		h.Add(tr)
 		p.Add(tr)

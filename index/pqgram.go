@@ -9,14 +9,13 @@ import (
 )
 
 // PQGram is a pq-gram inverted index for threshold similarity joins
-// (Augsten, Böhlen, Gamper — references [4,5] of the RTED paper). Each
-// indexed tree contributes its pq-gram profile: the multiset of
-// serialized label tuples obtained by sliding a window of q consecutive
-// children under a stem of the node and its p−1 nearest ancestors. An
-// inverted posting list maps every gram to the trees containing it, so a
-// query generates exactly the trees sharing at least one gram — one
-// posting-list merge instead of a corpus scan — and ranks them by the
-// pq-gram distance
+// (Augsten, Böhlen, Gamper — references [4,5] of the RTED paper), with
+// stem length p = 1. Each indexed tree contributes its (1, q)-gram
+// profile: the multiset of serialized label tuples obtained by sliding a
+// window of q consecutive children under each node. An inverted posting
+// list maps every gram to the trees containing it, so a query generates
+// exactly the trees sharing at least one gram — one posting-list merge
+// instead of a corpus scan — and ranks them by the pq-gram distance
 //
 //	dist(F, G) = 1 − 2·|P(F) ∩ P(G)| / (|P(F)| + |P(G)|)
 //
@@ -29,9 +28,9 @@ import (
 // cannot prune exactly. What does hold, for p = 1, is a counting
 // guarantee: a single unit-cost edit operation perturbs the grams
 // anchored at most at two nodes of a tree — the edited node and its
-// parent (stems have no ancestors when p = 1, so no other node's grams
-// mention the edited one). Across a script of k operations at most 2k
-// nodes of either tree are ever touched; every untouched node of F
+// parent (stems have no ancestors, so no other node's grams mention the
+// edited one). Across a script of k operations at most 2k nodes of
+// either tree are ever touched; every untouched node of F
 // survives into G with its label and child list intact, so its anchored
 // grams — at least one per node — appear identically in both profiles.
 // Hence, counting multiset instances,
@@ -47,48 +46,28 @@ import (
 // complete: the surviving gram-sharers plus the fringe provably contain
 // every true match.
 //
-// For p ≥ 2 the number of grams a single edit perturbs grows with the
-// fanout of the edited region (a renamed node sits in the stem of every
-// descendant within p−1 levels), so no corpus-independent small-tree
-// fringe exists and the same sweep makes the index a high-recall
-// heuristic rather than an exact generator — Complete reports which case
-// an index is in. Joins that must be exact (corpus.Corpus.Join) use p = 1;
-// larger p buys a more structure-sensitive ranking for approximate
-// workloads such as top-k candidate ordering.
-//
 // Like Histogram, a PQGram indexes trees under stable ids (Add/Put),
 // supports Delete and Put-replacement through generation-tombstoned
 // postings with automatic compaction, and serves concurrent probes over
 // hash-sharded posting lists.
 type PQGram struct {
-	p, q int
+	q int
 
 	kmu sync.Mutex
 	ids map[string]int32 // gram interner
 	iv  inverted
 }
 
-// NewPQGram returns an empty pq-gram index with the given stem length p
-// and base length q; both must be ≥ 1. Only p = 1 yields a provably
-// complete candidate generator (see the type comment); the conventional
-// profile parameterization p = q = 2 remains available for approximate
-// ranking.
-func NewPQGram(p, q int) *PQGram {
-	if p < 1 || q < 1 {
-		panic("index: pq-gram parameters must be positive")
+// NewPQGram returns an empty (1, q)-gram index; q must be ≥ 1.
+func NewPQGram(q int) *PQGram {
+	if q < 1 {
+		panic("index: pq-gram base length must be positive")
 	}
-	return &PQGram{p: p, q: q, ids: make(map[string]int32)}
+	return &PQGram{q: q, ids: make(map[string]int32)}
 }
-
-// P returns the stem length of the index's grams.
-func (ix *PQGram) P() int { return ix.p }
 
 // Q returns the base length of the index's grams.
 func (ix *PQGram) Q() int { return ix.q }
-
-// Complete reports whether CandidatesBelow is a provably complete
-// generator (true exactly when p = 1).
-func (ix *PQGram) Complete() bool { return ix.p == 1 }
 
 // Len returns the number of live (not deleted) indexed trees.
 func (ix *PQGram) Len() int { return ix.iv.liveCount() }
@@ -114,7 +93,7 @@ func (ix *PQGram) Add(t *tree.Tree) int {
 // Put indexes t under the stable id of the caller's choosing, replacing
 // whatever tree was indexed there (the old postings become tombstones).
 func (ix *PQGram) Put(id int, t *tree.Tree) {
-	grams := bounds.PQGramProfile(t, ix.p, ix.q) // sorted, so ids run-length cleanly
+	grams := bounds.PQGramProfile(t, 1, ix.q) // sorted, so ids run-length cleanly
 	ids := make([]int32, 0, len(grams))
 	ix.kmu.Lock()
 	for _, g := range grams {
@@ -138,11 +117,11 @@ func (ix *PQGram) Delete(id int) bool { return ix.iv.delete(id) }
 func (ix *PQGram) Compact() { ix.iv.compact() }
 
 // CandidatesBelow appends to dst every live tree with id < q that shares
-// at least one pq-gram with tree q — plus, for p = 1, the small-tree
-// fringe that keeps the generator complete — in ascending id order, and
-// returns the extended slice. Candidates ruled out by either lower
-// bound — the size bound ||F|−|G||, or (p = 1 only) the gram-count
-// bound ⌈(max(|F|,|G|) − |P(F) ∩ P(G)|)/2⌉ of the type comment — are
+// at least one pq-gram with tree q — plus the small-tree fringe that
+// keeps the generator complete — in ascending id order, and returns the
+// extended slice. Candidates ruled out by either lower bound — the size
+// bound ||F|−|G||, or the gram-count bound
+// ⌈(max(|F|,|G|) − |P(F) ∩ P(G)|)/2⌉ of the type comment — are
 // filtered during the posting-list probe and never materialized; LB
 // carries the sharper of the two bounds and Score the pq-gram distance,
 // so callers can verify the most similar candidates first. Safe for
@@ -157,20 +136,17 @@ func (ix *PQGram) CandidatesBelow(q int, tau float64, dst []Candidate) []Candida
 	// A candidate survives iff its integer ops lower bound admits some
 	// k ≤ maxOps, i.e. lb ≤ maxOps ⟺ lb < tau for integer lb ≥ 0.
 	maxOps := maxOpsBelow(tau)
-	counting := ix.p == 1 // the count bound is a theorem only for p = 1
 	nq32, ok := ix.iv.accumulate(q, sc, func(t int32, qm, tm *treeMeta) {
 		nq, nt := int(qm.size), int(tm.size)
 		lb := nq - nt
 		if lb < 0 {
 			lb = -lb
 		}
-		if counting {
-			// Count filter: within k unit edits the pair shares at least
-			// max(|F|,|G|) − 2k gram instances, so the overlap deficit
-			// prices a minimum number of operations.
-			if gap := max(nq, nt) - int(sc.common[t]); gap > 0 && (gap+1)/2 > lb {
-				lb = (gap + 1) / 2
-			}
+		// Count filter: within k unit edits the pair shares at least
+		// max(|F|,|G|) − 2k gram instances, so the overlap deficit prices
+		// a minimum number of operations.
+		if gap := max(nq, nt) - int(sc.common[t]); gap > 0 && (gap+1)/2 > lb {
+			lb = (gap + 1) / 2
 		}
 		if lb <= maxOps {
 			score := 1 - 2*float64(sc.common[t])/float64(qm.profLen+tm.profLen)
@@ -181,11 +157,11 @@ func (ix *PQGram) CandidatesBelow(q int, tau float64, dst []Candidate) []Candida
 		return dst
 	}
 	nq := int(nq32)
-	// Zero-overlap fringe: with p = 1, k < tau edits can only erase every
-	// shared gram when both trees have ≤ 2k nodes. The doubling must
-	// saturate: maxOpsBelow caps at MaxInt32, which 2× overflows where
-	// int is 32 bits, and a wrapped-negative limit would silently skip
-	// the fringe and break completeness.
+	// Zero-overlap fringe: k < tau edits can only erase every shared
+	// gram when both trees have ≤ 2k nodes. The doubling must saturate:
+	// maxOpsBelow caps at MaxInt32, which 2× overflows where int is 32
+	// bits, and a wrapped-negative limit would silently skip the fringe
+	// and break completeness.
 	limit := maxOpsBelow(tau)
 	if limit < math.MaxInt/2 {
 		limit *= 2
@@ -206,15 +182,9 @@ func (ix *PQGram) CandidatesBelow(q int, tau float64, dst []Candidate) []Candida
 			if lb < 0 {
 				lb = -lb
 			}
-			if counting {
-				// Zero shared instances: the count bound with c = 0.
-				mx := nq
-				if int(nt) > mx {
-					mx = int(nt)
-				}
-				if (mx+1)/2 > lb {
-					lb = (mx + 1) / 2
-				}
+			// Zero shared instances: the count bound with c = 0.
+			if mx := max(nq, int(nt)); (mx+1)/2 > lb {
+				lb = (mx + 1) / 2
 			}
 			if lb <= maxOps {
 				dst = append(dst, Candidate{ID: int(t), LB: float64(lb), Score: 1})

@@ -29,7 +29,7 @@ func TestShardContention(t *testing.T) {
 	}
 	for name, build := range map[string]func() mutableIndex{
 		"histogram": func() mutableIndex { return index.NewHistogram() },
-		"pqgram":    func() mutableIndex { return index.NewPQGram(1, 2) },
+		"pqgram":    func() mutableIndex { return index.NewPQGram(2) },
 	} {
 		t.Run(name, func(t *testing.T) {
 			ix := build()

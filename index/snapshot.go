@@ -64,14 +64,14 @@ func RestoreHistogram(s *Snapshot) (*Histogram, error) {
 	return ix, nil
 }
 
-// RestorePQGram rebuilds a (p, q)-gram index from a snapshot, with the
+// RestorePQGram rebuilds a (1, q)-gram index from a snapshot, with the
 // same validation contract as RestoreHistogram. The caller supplies the
-// gram parameters; they are not part of the snapshot.
-func RestorePQGram(p, q int, s *Snapshot) (*PQGram, error) {
-	if p < 1 || q < 1 {
-		return nil, fmt.Errorf("index: pq-gram parameters must be positive, got (%d, %d)", p, q)
+// base length q; it is not part of the snapshot.
+func RestorePQGram(q int, s *Snapshot) (*PQGram, error) {
+	if q < 1 {
+		return nil, fmt.Errorf("index: pq-gram base length must be positive, got %d", q)
 	}
-	ix := NewPQGram(p, q)
+	ix := NewPQGram(q)
 	if err := restore(s, ix.ids, &ix.iv); err != nil {
 		return nil, err
 	}

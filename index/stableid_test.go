@@ -52,7 +52,7 @@ func TestDeleteReplaceEquivalence(t *testing.T) {
 
 	builders := map[string]func() mutableIndex{
 		"histogram": func() mutableIndex { return index.NewHistogram() },
-		"pqgram":    func() mutableIndex { return index.NewPQGram(1, 2) },
+		"pqgram":    func() mutableIndex { return index.NewPQGram(2) },
 	}
 	for name, build := range builders {
 		incr := build()
@@ -121,7 +121,7 @@ func TestSnapshotRestore(t *testing.T) {
 		}))
 	}
 	h := index.NewHistogram()
-	p := index.NewPQGram(1, 3)
+	p := index.NewPQGram(3)
 	for _, tr := range trees {
 		h.Add(tr)
 		p.Add(tr)
@@ -133,7 +133,7 @@ func TestSnapshotRestore(t *testing.T) {
 	if err != nil {
 		t.Fatalf("RestoreHistogram: %v", err)
 	}
-	p2, err := index.RestorePQGram(1, 3, p.Snapshot())
+	p2, err := index.RestorePQGram(3, p.Snapshot())
 	if err != nil {
 		t.Fatalf("RestorePQGram: %v", err)
 	}

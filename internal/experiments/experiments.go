@@ -1,20 +1,18 @@
-// Package experiments regenerates every figure and table of the paper's
-// evaluation (Section 8), plus ablations of this repository's design
-// choices (ablation.go and the batch, index, bounded, store and
-// cluster experiments). Each experiment writes a plain-text table
-// (tab-separated, with a header comment describing the paper artifact it
-// reproduces) so results can be diffed and plotted.
+// Package experiments regenerates the figures and tables of the paper's
+// evaluation (Section 8): Figures 8–10 and Tables 1–2, nothing else.
+// Each experiment writes a plain-text table (tab-separated, with a header
+// comment describing the paper artifact it reproduces) so results can be
+// diffed and plotted. Latency and throughput of the serving stack are
+// measured by the benchmark module (benchmark/), not here.
 //
-// Experiments accept a Config so the same code serves three consumers:
-// the cmd/tedbench CLI (full grids), the test suite (tiny grids, shape
-// assertions), and bench_test.go (one representative point per
-// experiment).
+// Experiments accept a Config so the same code serves two consumers:
+// the cmd/tedbench CLI (full grids) and the test suite (tiny grids,
+// shape assertions).
 package experiments
 
 import (
 	"fmt"
 	"io"
-	"runtime"
 	"sort"
 	"time"
 )
@@ -96,16 +94,3 @@ func header(cfg Config, id, title string, cols ...string) {
 }
 
 func secs(d time.Duration) string { return fmt.Sprintf("%.4f", d.Seconds()) }
-
-// allocBytes runs fn and returns the heap bytes it allocated, as the
-// delta of runtime.MemStats.TotalAlloc. TotalAlloc is cumulative and
-// never decreases, so a GC between the two reads cannot skew the
-// number; experiments run their measured calls on this goroutine alone,
-// which makes the delta attributable to fn.
-func allocBytes(fn func()) uint64 {
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	fn()
-	runtime.ReadMemStats(&after)
-	return after.TotalAlloc - before.TotalAlloc
-}

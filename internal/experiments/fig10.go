@@ -4,8 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 
-	"repro/internal/core"
-	"repro/internal/cost"
+	ted "repro"
 	"repro/internal/tree"
 	"repro/internal/treegen"
 )
@@ -41,15 +40,13 @@ func init() {
 
 func fig10(cfg Config, id, title string, build func(n int) *tree.Tree, hi int) error {
 	header(cfg, id, title, "size", "strategy[s]", "overall[s]", "overhead%")
-	var lastPct float64
 	for _, n := range cfg.sizes(50, hi, 6) {
 		f, g := build(n), build(n)
-		r := core.RTED(f, g, cost.Unit{})
-		pct := 100 * r.StrategyTime.Seconds() / r.TotalTime.Seconds()
-		lastPct = pct
+		var st ted.Stats
+		ted.Distance(f, g, ted.WithStats(&st))
+		pct := 100 * st.StrategyTime.Seconds() / st.TotalTime.Seconds()
 		avg := (f.Len() + g.Len()) / 2
-		fmt.Fprintf(cfg.Out, "%d\t%s\t%s\t%.1f\n", avg, secs(r.StrategyTime), secs(r.TotalTime), pct)
+		fmt.Fprintf(cfg.Out, "%d\t%s\t%s\t%.1f\n", avg, secs(st.StrategyTime), secs(st.TotalTime), pct)
 	}
-	_ = lastPct
 	return nil
 }

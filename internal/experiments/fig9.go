@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/core"
+	ted "repro"
 	"repro/internal/cost"
 	"repro/internal/gted"
 	"repro/internal/strategy"
@@ -48,9 +48,10 @@ func fig9(cfg Config, id, title string, shape treegen.Shape, hi int) error {
 		gted.New(t, t, cost.Unit{}, strategy.DemaineH(t, t)).Run()
 		dh := time.Since(start)
 
-		r := core.RTED(t, t, cost.Unit{})
+		var st ted.Stats
+		ted.Distance(t, t, ted.WithStats(&st))
 
-		fmt.Fprintf(cfg.Out, "%d\t%s\t%s\t%s\n", t.Len(), secs(zl), secs(dh), secs(r.TotalTime))
+		fmt.Fprintf(cfg.Out, "%d\t%s\t%s\t%s\n", t.Len(), secs(zl), secs(dh), secs(st.TotalTime))
 	}
 	return nil
 }

@@ -13,30 +13,21 @@ import (
 	"repro/internal/zs"
 )
 
-// strategiesFor returns the five algorithms of the paper plus extra
-// stress strategies for the pair (f, g).
+// strategiesFor returns the five algorithms of the paper plus the batch
+// engine's time-priced optimum, a strategy that mixes path types along
+// different paths than the paper's, for the pair (f, g).
 func strategiesFor(f, g *tree.Tree) []strategy.Named {
 	rted, _ := strategy.Opt(f, g)
-	lrOnly, _ := strategy.OptRestricted(f, g, strategy.LROnly)
-	hOnly, _ := strategy.OptRestricted(f, g, strategy.HOnly)
-	lrOnly.Choices = append([]strategy.Choice(nil), lrOnly.Choices...)
+	priced, _ := new(strategy.OptScratch).Opt(f, g, strategy.NewDecomp(f), strategy.NewDecomp(g), strategy.TimePrice)
 	return []strategy.Named{
 		strategy.ZhangL(),
 		strategy.ZhangR(),
 		strategy.KleinH(),
 		strategy.DemaineH(f, g),
 		rted,
-		named{lrOnly, "opt-LR"},
-		named{hOnly, "opt-H"},
+		priced,
 	}
 }
-
-type named struct {
-	strategy.Strategy
-	name string
-}
-
-func (n named) Name() string { return n.name }
 
 // randomStrategy draws an arbitrary valid LRH strategy; GTED must produce
 // the correct distance under any of them.

@@ -13,17 +13,12 @@ import (
 // result is identical to Opt's and the two implementations cross-check
 // each other in the test suite.
 func Baseline(f, g *tree.Tree) (*Array, int64) {
-	return BaselineRestricted(f, g, AllLRH)
+	return baseline(f, g, CountPrice)
 }
 
-// BaselineRestricted is Baseline over a restricted candidate set.
-func BaselineRestricted(f, g *tree.Tree, allowed [numChoices]bool) (*Array, int64) {
-	return baseline(f, g, allowed, CountPrice)
-}
-
-// baseline minimizes the strategy price p over the allowed choices; under
-// CountPrice the price is the subproblem count.
-func baseline(f, g *tree.Tree, allowed [numChoices]bool, p Price) (*Array, int64) {
+// baseline minimizes the strategy price p; under CountPrice the price is
+// the subproblem count.
+func baseline(f, g *tree.Tree, p Price) (*Array, int64) {
 	df, dg := NewDecomp(f), NewDecomp(g)
 	nf, ng := f.Len(), g.Len()
 	str := NewArray(nf, ng, "baseline")
@@ -45,9 +40,6 @@ func baseline(f, g *tree.Tree, allowed [numChoices]bool, p Price) (*Array, int64
 		best := int64(math.MaxInt64)
 		bestChoice := HeavyF
 		for c := Choice(0); c < numChoices; c++ {
-			if !allowed[c] {
-				continue
-			}
 			weight := p.LR
 			if c.Type() == Heavy {
 				weight = p.I

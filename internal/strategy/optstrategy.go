@@ -2,42 +2,18 @@ package strategy
 
 import "repro/internal/tree"
 
-// AllLRH allows all six decomposition choices; it is the default
-// restriction for OptStrategy and yields the paper's RTED strategy.
-var AllLRH = [numChoices]bool{true, true, true, true, true, true}
-
-// LROnly restricts the strategy search to left and right paths (the
-// Zhang–Shasha family); used by the ablation experiments.
-var LROnly = [numChoices]bool{LeftF: true, LeftG: true, RightF: true, RightG: true}
-
-// HOnly restricts the search to heavy paths (the Klein/Demaine family).
-var HOnly = [numChoices]bool{HeavyF: true, HeavyG: true}
-
 // Opt computes the optimal LRH strategy for the pair (f, g) and the exact
 // number of relevant subproblems GTED computes with it. It is a direct
 // implementation of Algorithm 2 (OptStrategy) and runs in O(|f|·|g|) time
 // and space.
 func Opt(f, g *tree.Tree) (*Array, int64) {
-	return OptRestricted(f, g, AllLRH)
-}
-
-// OptRestricted is Opt with the candidate set restricted to the allowed
-// choices; at least one choice must be allowed. Restrictions support the
-// ablation experiments (e.g. "how much do heavy paths buy over {L,R}?").
-func OptRestricted(f, g *tree.Tree, allowed [numChoices]bool) (*Array, int64) {
-	df, dg := NewDecomp(f), NewDecomp(g)
-	return optWithDecomp(f, g, df, dg, allowed)
+	return OptD(f, g, NewDecomp(f), NewDecomp(g))
 }
 
 // OptD is Opt with caller-precomputed decompositions, so that a batch of
 // pairs over the same trees computes each tree's Decomp once.
 func OptD(f, g *tree.Tree, df, dg *Decomp) (*Array, int64) {
-	return optWithDecomp(f, g, df, dg, AllLRH)
-}
-
-func optWithDecomp(f, g *tree.Tree, df, dg *Decomp, allowed [numChoices]bool) (*Array, int64) {
-	s := new(OptScratch)
-	return s.opt(f, g, df, dg, allowed, CountPrice)
+	return new(OptScratch).Opt(f, g, df, dg, CountPrice)
 }
 
 // OptScratch holds the O(|f|·|g|) working memory of OptStrategy for
@@ -62,27 +38,12 @@ type OptScratch struct {
 	arr  Array
 }
 
-// disallowedPrice is added to the cost of a choice OptRestricted does
-// not allow. Candidate costs are O(n³) times the largest weight of the
-// price, below 2^56 for two 10⁵-node trees under TimePrice, so a
-// priced-out choice never wins and adding the penalty cannot overflow
-// int64.
-const disallowedPrice = 1 << 60
-
 // Path-child bits of OptScratch.gpos.
 const (
 	pathLeft uint8 = 1 << iota
 	pathRight
 	pathHeavy
 )
-
-// Opt computes the strategy for (f, g) with the least total price p,
-// like OptD under CountPrice, drawing all working memory (including the
-// returned Array) from the scratch. The returned cost is the optimum's
-// price; under CountPrice it is its number of relevant subproblems.
-func (s *OptScratch) Opt(f, g *tree.Tree, df, dg *Decomp, p Price) (*Array, int64) {
-	return s.opt(f, g, df, dg, AllLRH, p)
-}
 
 // Shrink drops the scratch's per-cell buffers (the three cost-sum arrays
 // and the strategy array) when they were sized for more than maxCells
@@ -104,7 +65,11 @@ func growScratch[T any](b []T, n int) []T {
 	return b[:n]
 }
 
-func (s *OptScratch) opt(f, g *tree.Tree, df, dg *Decomp, allowed [numChoices]bool, p Price) (*Array, int64) {
+// Opt computes the strategy for (f, g) with the least total price p,
+// like OptD under CountPrice, drawing all working memory (including the
+// returned Array) from the scratch. The returned cost is the optimum's
+// price; under CountPrice it is its number of relevant subproblems.
+func (s *OptScratch) Opt(f, g *tree.Tree, df, dg *Decomp, p Price) (*Array, int64) {
 	nf, ng := f.Len(), g.Len()
 	s.lv = growScratch(s.lv, nf*ng)
 	s.rv = growScratch(s.rv, nf*ng)
@@ -128,7 +93,7 @@ func (s *OptScratch) opt(f, g *tree.Tree, df, dg *Decomp, allowed [numChoices]bo
 		}
 	}
 	s.arr = Array{NF: nf, NG: ng, Choices: growScratch(s.arr.Choices, nf*ng), name: p.strategyName()}
-	cost := optCore(f, g, df, dg, allowed, p, s)
+	cost := optCore(f, g, df, dg, p, s)
 	return &s.arr, cost
 }
 
@@ -152,23 +117,12 @@ func pathBits(t *tree.Tree, p, c int) uint8 {
 // (heavy paths, ΔI) or p.LR (left and right paths) each, plus the cost
 // of every relevant subtree pair. Under CountPrice this is the paper's
 // cost formula term for term.
-func optCore(f, g *tree.Tree, df, dg *Decomp, allowed [numChoices]bool, p Price, s *OptScratch) int64 {
+func optCore(f, g *tree.Tree, df, dg *Decomp, p Price, s *OptScratch) int64 {
 	nf, ng := f.Len(), g.Len()
 	lv, rv, hv := s.lv, s.rv, s.hv
 	lw, rw, hw := s.lw[:ng], s.rw[:ng], s.hw[:ng]
 	gpar, gpos := s.gpar[:ng], s.gpos[:ng]
 	dgA, dgFL, dgFR := dg.A[:ng], dg.FL[:ng], dg.FR[:ng]
-	// A choice the caller does not allow is priced out rather than
-	// skipped, which keeps branches on it out of the inner loop: every
-	// allowed candidate costs less than disallowedPrice, so a priced-out
-	// one never wins and the allowed choices tie-break as before.
-	var pen [numChoices]int64
-	for c, ok := range allowed {
-		if !ok {
-			pen[c] = disallowedPrice
-		}
-	}
-	penHF, penHG, penLF, penLG, penRF, penRG := pen[HeavyF], pen[HeavyG], pen[LeftF], pen[LeftG], pen[RightF], pen[RightG]
 
 	var cmin int64
 	for v := 0; v < nf; v++ {
@@ -203,21 +157,21 @@ func optCore(f, g *tree.Tree, df, dg *Decomp, allowed [numChoices]bool, p Price,
 
 			// The six candidate costs (Algorithm 2 lines 7–12), scanned
 			// in the paper's order so ties resolve identically.
-			cmin = hvF*dgA[w] + hvRow[w] + penHF
+			cmin = hvF*dgA[w] + hvRow[w]
 			best := HeavyF
-			if c := szw*aV + hw[w] + penHG; c < cmin {
+			if c := szw*aV + hw[w]; c < cmin {
 				cmin, best = c, HeavyG
 			}
-			if c := lrvF*dgFL[w] + lvRow[w] + penLF; c < cmin {
+			if c := lrvF*dgFL[w] + lvRow[w]; c < cmin {
 				cmin, best = c, LeftF
 			}
-			if c := szw*flV + lw[w] + penLG; c < cmin {
+			if c := szw*flV + lw[w]; c < cmin {
 				cmin, best = c, LeftG
 			}
-			if c := lrvF*dgFR[w] + rvRow[w] + penRF; c < cmin {
+			if c := lrvF*dgFR[w] + rvRow[w]; c < cmin {
 				cmin, best = c, RightF
 			}
-			if c := szw*frV + rw[w] + penRG; c < cmin {
+			if c := szw*frV + rw[w]; c < cmin {
 				cmin, best = c, RightG
 			}
 			// Every candidate makes one single-path call for this pair.

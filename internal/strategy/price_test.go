@@ -39,36 +39,27 @@ func pinInputs() [][2]*tree.Tree {
 }
 
 // TestOptChoicesPinned pins the paper's strategy bit for bit: a hash of
-// every choice OptRestricted makes on pinInputs, and the sum of the
-// optimal counts, for the full LRH set and both restrictions, as the
-// count-only Algorithm 2 computed them before the DP was priced and its
-// inner loop hoisted. A warm OptScratch under CountPrice must make the
-// same choices.
+// every choice Opt makes on pinInputs, and the sum of the optimal
+// counts, as the count-only Algorithm 2 computed them before the DP was
+// priced and its inner loop hoisted. A warm OptScratch under CountPrice
+// must make the same choices.
 func TestOptChoicesPinned(t *testing.T) {
-	want := []struct {
-		name    string
-		allowed [numChoices]bool
-		hash    uint64
-		costs   int64
-	}{
-		{"LRH", AllLRH, 0x1803ac5d7676d0fa, 2325061},
-		{"LR", LROnly, 0x7455b2161b27a269, 2812856},
-		{"H", HOnly, 0x3aec78bdc951097e, 7107654},
-	}
+	const (
+		wantHash  = 0x1803ac5d7676d0fa
+		wantCosts = 2325061
+	)
 	inputs := pinInputs()
-	for _, w := range want {
-		h := fnv.New64a()
-		var sum int64
-		for _, p := range inputs {
-			a, c := OptRestricted(p[0], p[1], w.allowed)
-			for _, ch := range a.Choices {
-				h.Write([]byte{byte(ch)})
-			}
-			sum += c
+	h := fnv.New64a()
+	var sum int64
+	for _, p := range inputs {
+		a, c := Opt(p[0], p[1])
+		for _, ch := range a.Choices {
+			h.Write([]byte{byte(ch)})
 		}
-		if h.Sum64() != w.hash || sum != w.costs {
-			t.Errorf("%s: choice hash %#x, cost sum %d; want %#x, %d", w.name, h.Sum64(), sum, w.hash, w.costs)
-		}
+		sum += c
+	}
+	if h.Sum64() != wantHash || sum != wantCosts {
+		t.Errorf("LRH: choice hash %#x, cost sum %d; want %#x, %d", h.Sum64(), sum, uint64(wantHash), wantCosts)
 	}
 	var s OptScratch
 	for i, p := range inputs {
@@ -97,7 +88,7 @@ func TestPricedOptIsOptimal(t *testing.T) {
 		g := treegen.Random(rng, treegen.RandomSpec{Size: 1 + rng.Intn(50), MaxDepth: 9, MaxFanout: 5})
 		for _, p := range []Price{TimePrice, {Call: 5, LR: 3, I: 1}} {
 			arr, c := s.Opt(f, g, NewDecomp(f), NewDecomp(g), p)
-			if _, base := baseline(f, g, AllLRH, p); base != c {
+			if _, base := baseline(f, g, p); base != c {
 				t.Fatalf("iter %d price %+v: DP optimum %d, baseline %d\nF=%s\nG=%s", iter, p, c, base, f, g)
 			}
 			if got := priceOf(p, Count(f, g, arr)); got != c {

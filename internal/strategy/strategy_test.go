@@ -276,28 +276,6 @@ func TestPathNodes(t *testing.T) {
 	}
 }
 
-// TestOptRestrictedOrdering: the unrestricted optimum is never worse than
-// any restricted one, and restricted optima are internally consistent.
-func TestOptRestrictedOrdering(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	for i := 0; i < 30; i++ {
-		f := treegen.Random(rng, treegen.RandomSpec{Size: 2 + rng.Intn(40), MaxDepth: 8, MaxFanout: 5})
-		g := treegen.Random(rng, treegen.RandomSpec{Size: 2 + rng.Intn(40), MaxDepth: 8, MaxFanout: 5})
-		_, full := Opt(f, g)
-		_, lr := OptRestricted(f, g, LROnly)
-		_, h := OptRestricted(f, g, HOnly)
-		if full > lr || full > h {
-			t.Fatalf("unrestricted optimum %d worse than restricted (lr=%d h=%d)", full, lr, h)
-		}
-		if _, blr := BaselineRestricted(f, g, LROnly); blr != lr {
-			t.Fatalf("restricted baseline %d != OptRestricted %d", blr, lr)
-		}
-		if _, bh := BaselineRestricted(f, g, HOnly); bh != h {
-			t.Fatalf("restricted baseline %d != OptRestricted %d", bh, h)
-		}
-	}
-}
-
 // TestChoiceEncoding exercises the compact Choice byte encoding.
 func TestChoiceEncoding(t *testing.T) {
 	cases := []struct {

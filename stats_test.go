@@ -1,6 +1,7 @@
 package ted_test
 
 import (
+	"runtime"
 	"testing"
 
 	ted "repro"
@@ -56,7 +57,9 @@ func TestWithStatsFreshPerCall(t *testing.T) {
 // kernel counter the batch engine's JoinStats counts on the same trees,
 // including the cells its cutoff-seeded exact stage pruned and its
 // single-path calls. ted.Join's RTED runs the paper's strategy, so the
-// engine does too.
+// engine does too. Unfiltered, a paper-strategy engine on all cores must
+// run exactly the subproblems of a per-pair ted.Distance loop and find
+// its matches.
 func TestJoinStatsMatchEngine(t *testing.T) {
 	var trees []*ted.Tree
 	for n := 40; n <= 55; n += 3 {
@@ -76,5 +79,23 @@ func TestJoinStatsMatchEngine(t *testing.T) {
 	}
 	if st.Counters != js.Counters {
 		t.Fatalf("ted.Join counters %+v, engine %+v", st.Counters, js.Counters)
+	}
+
+	var subs int64
+	var matches int
+	for i := range trees {
+		for j := i + 1; j < len(trees); j++ {
+			var ds ted.Stats
+			if ted.Distance(trees[i], trees[j], ted.WithStats(&ds)) < tau {
+				matches++
+			}
+			subs += ds.Subproblems
+		}
+	}
+	pe := batch.New(batch.WithWorkers(runtime.GOMAXPROCS(0)), batch.WithPaperStrategy())
+	pms, pst := pe.Join(pe.PrepareAll(trees), tau, false)
+	if len(pms) != matches || pst.Subproblems != subs {
+		t.Fatalf("engine on %d workers: %d matches, %d subproblems; per-pair ted.Distance: %d, %d",
+			runtime.GOMAXPROCS(0), len(pms), pst.Subproblems, matches, subs)
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"repro/internal/bounds"
-	"repro/internal/core"
 	"repro/internal/cost"
 	"repro/internal/gted"
 	"repro/internal/strategy"
@@ -185,17 +184,19 @@ func Distance(f, g *Tree, opts ...Option) float64 {
 			*c.stats = Stats{Counters: gted.Counters{Subproblems: res.Subproblems}, TotalTime: time.Since(start)}
 		}
 		return res.Distance
-	case RTED:
-		r := core.RTED(f, g, c.model)
-		if c.stats != nil {
-			*c.stats = Stats{Counters: r.Stats, StrategyTime: r.StrategyTime, TotalTime: r.TotalTime}
-		}
-		return r.Distance
 	default:
-		run := gted.New(f, g, c.model, StrategyFor(c.alg, f, g))
+		// GTED under the algorithm's strategy. RTED (Section 6) computes
+		// its optimal LRH strategy here, in O(n²); that phase is the
+		// strategy overhead of Figure 10.
+		str := StrategyFor(c.alg, f, g)
+		strategyTime := time.Since(start)
+		run := gted.New(f, g, c.model, str)
 		d := run.Run()
 		if c.stats != nil {
 			*c.stats = Stats{Counters: run.Stats(), TotalTime: time.Since(start)}
+			if c.alg == RTED {
+				c.stats.StrategyTime = strategyTime
+			}
 		}
 		return d
 	}
