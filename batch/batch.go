@@ -50,12 +50,10 @@
 package batch
 
 import (
-	"context"
 	"fmt"
 	"math"
 	"runtime"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/bounds"
 	"repro/internal/cost"
@@ -85,7 +83,7 @@ type Engine struct {
 	// in assigns the label ids shared by every PreparedTree. It is
 	// internally synchronized, and may be shared with other engines (a
 	// corpus attaches every engine it creates to one interner, which is
-	// what lets corpus-stored artifacts hydrate PreparedTrees for any of
+	// what lets corpus-stored label ids hydrate PreparedTrees for any of
 	// them).
 	in *cost.Interner
 }
@@ -118,8 +116,8 @@ func WithPaperStrategy() Option { return func(e *Engine) { e.price = strategy.Co
 
 // WithInterner makes the engine assign label ids from a shared interner
 // instead of a private one. Engines sharing an interner agree on label
-// ids, which is the compatibility a corpus needs to hydrate one stored
-// artifact set into PreparedTrees for every engine it creates
+// ids, which is the compatibility a corpus needs to hydrate its stored
+// trees into PreparedTrees for every engine it creates
 // (corpus.Corpus.Engine passes the corpus's interner here). The interner
 // is internally synchronized; nil is ignored.
 func WithInterner(in *cost.Interner) Option {
@@ -152,20 +150,14 @@ func New(opts ...Option) *Engine {
 func (e *Engine) Workers() int { return e.workers }
 
 // Interner returns the engine's label interner. Two engines with the
-// same interner assign identical label ids, so prepared artifacts (and
-// corpus-stored ones) are portable between them.
+// same interner assign identical label ids, so PreparedTrees (and the
+// label ids a corpus stores) are portable between them.
 func (e *Engine) Interner() *cost.Interner { return e.in }
 
 // UnitCost reports whether the engine runs the unit cost model — the
 // model required by every bound-based filter (filtered and indexed
 // joins, profiled lower bounds).
 func (e *Engine) UnitCost() bool { return e.unit }
-
-// FixedStrategy reports whether the engine overrides the per-pair
-// decomposition strategy (WithStrategy). Such engines never consult the
-// per-tree decomposition cardinalities, so hydration producers can skip
-// computing or supplying them.
-func (e *Engine) FixedStrategy() bool { return e.strat != nil }
 
 // workspace is the per-worker reusable memory: a GTED arena for the DP
 // tables, the OptStrategy scratch (which owns the strategy array the
@@ -295,124 +287,4 @@ func (e *Engine) DistanceBounded(f, g *PreparedTree, tau float64) (float64, bool
 		return d, true
 	}
 	return tau, false
-}
-
-// Pair names two prepared trees whose distance is wanted.
-type Pair struct{ F, G *PreparedTree }
-
-// Result is the outcome of one pair of a Compute or Stream call.
-type Result struct {
-	// Index is the pair's position in the input slice (Compute) or its
-	// arrival order (Stream).
-	Index int
-	Dist  float64
-	// Subproblems is the paper's cost measure for this pair.
-	Subproblems int64
-}
-
-// Compute evaluates all pairs on the worker pool and returns one Result
-// per pair, in input order.
-func (e *Engine) Compute(pairs []Pair) []Result {
-	out := make([]Result, len(pairs))
-	e.parallel(len(pairs), func(ws *workspace, i int) {
-		r := e.pairRunner(ws, pairs[i].F, pairs[i].G)
-		d := r.Run()
-		out[i] = Result{Index: i, Dist: d, Subproblems: r.Stats().Subproblems}
-	})
-	return out
-}
-
-// Stream evaluates pairs as they arrive on in, emitting one Result per
-// pair (Index is the arrival order; completion order is not guaranteed).
-// The returned channel closes after in is drained and all pairs finish.
-//
-// A consumer that stops reading early must cancel ctx (and should then
-// drain the channel): cancellation releases the workers and their
-// pooled arenas; otherwise they block forever on the undrained output.
-func (e *Engine) Stream(ctx context.Context, in <-chan Pair) <-chan Result {
-	out := make(chan Result, e.workers)
-	type item struct {
-		p   Pair
-		idx int
-	}
-	items := make(chan item)
-	var wg sync.WaitGroup
-	for k := 0; k < e.workers; k++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			ws := e.getWS()
-			defer e.putWS(ws)
-			for it := range items {
-				r := e.pairRunner(ws, it.p.F, it.p.G)
-				d := r.Run()
-				select {
-				case out <- Result{Index: it.idx, Dist: d, Subproblems: r.Stats().Subproblems}:
-				case <-ctx.Done():
-					return
-				}
-			}
-		}()
-	}
-	go func() {
-		defer func() {
-			close(items)
-			wg.Wait()
-			close(out)
-		}()
-		idx := 0
-		for {
-			select {
-			case p, ok := <-in:
-				if !ok {
-					return
-				}
-				select {
-				case items <- item{p, idx}:
-					idx++
-				case <-ctx.Done():
-					return
-				}
-			case <-ctx.Done():
-				return
-			}
-		}
-	}()
-	return out
-}
-
-// parallel runs fn for every i in [0, n) on up to e.workers goroutines,
-// each owning one pooled workspace for its whole share of the work.
-func (e *Engine) parallel(n int, fn func(ws *workspace, i int)) {
-	w := e.workers
-	if w > n {
-		w = n
-	}
-	if w <= 1 {
-		ws := e.getWS()
-		defer e.putWS(ws)
-		for i := 0; i < n; i++ {
-			fn(ws, i)
-		}
-		return
-	}
-	var next atomic.Int64
-	next.Store(-1)
-	var wg sync.WaitGroup
-	for k := 0; k < w; k++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			ws := e.getWS()
-			defer e.putWS(ws)
-			for {
-				i := int(next.Add(1))
-				if i >= n {
-					return
-				}
-				fn(ws, i)
-			}
-		}()
-	}
-	wg.Wait()
 }

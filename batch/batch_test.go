@@ -1,7 +1,7 @@
 package batch_test
 
 import (
-	"context"
+	"math"
 	"math/rand"
 	"runtime"
 	"sort"
@@ -79,82 +79,6 @@ func TestPutWSCapsArena(t *testing.T) {
 	e := batch.New(batch.WithWorkers(1))
 	if cells := batch.PooledArenaCells(e, e.Prepare(f), e.Prepare(g)); cells > batch.MaxPooledArenaCells {
 		t.Fatalf("the pooled arena kept %d matrix cells, above the cap %d", cells, batch.MaxPooledArenaCells)
-	}
-}
-
-// TestComputeAndStream checks the parallel batch entry points against
-// the sequential engine path.
-func TestComputeAndStream(t *testing.T) {
-	trees := randomTrees(3, 10, 60)
-	e := batch.New(batch.WithWorkers(4))
-	ps := e.PrepareAll(trees)
-	var pairs []batch.Pair
-	var want []float64
-	for i := 0; i < len(ps); i++ {
-		for j := i + 1; j < len(ps); j++ {
-			pairs = append(pairs, batch.Pair{F: ps[i], G: ps[j]})
-			want = append(want, ted.Distance(trees[i], trees[j]))
-		}
-	}
-	res := e.Compute(pairs)
-	if len(res) != len(pairs) {
-		t.Fatalf("Compute returned %d results for %d pairs", len(res), len(pairs))
-	}
-	for i, r := range res {
-		if r.Index != i || r.Dist != want[i] {
-			t.Fatalf("Compute[%d] = {%d %v}, want {%d %v}", i, r.Index, r.Dist, i, want[i])
-		}
-		if r.Subproblems <= 0 {
-			t.Fatalf("Compute[%d] reported %d subproblems", i, r.Subproblems)
-		}
-	}
-
-	in := make(chan batch.Pair)
-	go func() {
-		for _, p := range pairs {
-			in <- p
-		}
-		close(in)
-	}()
-	got := make([]float64, len(pairs))
-	seen := 0
-	for r := range e.Stream(context.Background(), in) {
-		got[r.Index] = r.Dist
-		seen++
-	}
-	if seen != len(pairs) {
-		t.Fatalf("Stream emitted %d results for %d pairs", seen, len(pairs))
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("Stream pair %d = %v, want %v", i, got[i], want[i])
-		}
-	}
-}
-
-// TestStreamCancel checks the early-exit contract: cancelling the
-// context releases the workers and closes the output channel even when
-// the producer keeps sending and the consumer stops reading.
-func TestStreamCancel(t *testing.T) {
-	trees := randomTrees(30, 6, 40)
-	e := batch.New(batch.WithWorkers(2))
-	ps := e.PrepareAll(trees)
-	ctx, cancel := context.WithCancel(context.Background())
-	in := make(chan batch.Pair)
-	go func() {
-		// Endless producer; only cancellation can stop the stream.
-		for {
-			select {
-			case in <- batch.Pair{F: ps[0], G: ps[1]}:
-			case <-ctx.Done():
-				return
-			}
-		}
-	}()
-	out := e.Stream(ctx, in)
-	<-out // one result to prove the pipeline is flowing
-	cancel()
-	for range out { // must terminate: the channel closes after cancel
 	}
 }
 
@@ -547,9 +471,10 @@ func TestEngineStrategyPrice(t *testing.T) {
 		"default": batch.New(batch.WithWorkers(1)),
 		"paper":   batch.New(batch.WithWorkers(1), batch.WithPaperStrategy()),
 	} {
-		res := e.Compute([]batch.Pair{{F: e.Prepare(f), G: e.Prepare(g)}})
-		if res[0].Subproblems != want[name] {
-			t.Errorf("%s engine evaluated %d subproblems, its strategy counts %d", name, res[0].Subproblems, want[name])
+		_, st := e.Join(e.PrepareAll([]*ted.Tree{f, g}), math.Inf(1), false)
+		if st.Comparisons != 1 || st.Subproblems != want[name] {
+			t.Errorf("%s engine evaluated %d subproblems over %d pairs, its strategy counts %d for 1",
+				name, st.Subproblems, st.Comparisons, want[name])
 		}
 	}
 }

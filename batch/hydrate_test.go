@@ -9,9 +9,6 @@ import (
 	ted "repro"
 	"repro/batch"
 	"repro/gen"
-	"repro/internal/bounds"
-	"repro/internal/gted"
-	"repro/internal/strategy"
 )
 
 // TestPrepareHydratedEquivalence: a PreparedTree hydrated from another
@@ -106,79 +103,45 @@ func TestHydrationWrongInternerPanics(t *testing.T) {
 	e.PrepareHydrated(tr, batch.Hydration{In: foreign.Interner(), IDs: []int32{0, 1}})
 }
 
-// TestHydrationForeignProfilePanics: a bound profile of another tree —
-// even one of the same size — must be rejected like a foreign
-// decomposition, not installed to answer every bounded call wrongly.
-func TestHydrationForeignProfilePanics(t *testing.T) {
-	e := batch.New()
-	in := e.Interner()
-	ids := func(tr *ted.Tree) []int32 {
-		out := make([]int32, tr.Len())
-		for v := range out {
-			out[v] = int32(in.Intern(tr.Label(v)))
-		}
-		return out
-	}
-	tr := ted.MustParse("{a{b}{c}}")
-	own := e.PrepareHydrated(tr, batch.Hydration{In: in, IDs: ids(tr), Profile: bounds.NewProfile(tr, ids(tr))})
-	if d, ok := e.DistanceBounded(own, own, 0); !ok || d != 0 {
-		t.Fatalf("hydrated with its own profile: DistanceBounded = (%v, %v), want (0, true)", d, ok)
-	}
-	for name, src := range map[string]*ted.Tree{
-		"same size":  ted.MustParse("{x{y}{z}}"),
-		"other size": ted.MustParse("{a{b}}"),
-	} {
-		t.Run(name, func(t *testing.T) {
-			defer func() {
-				r := recover()
-				if r == nil {
-					t.Fatal("hydrating another tree's profile did not panic")
-				}
-				if msg, _ := r.(string); !strings.Contains(msg, "profile") {
-					t.Fatalf("panic does not name the profile: %v", r)
-				}
-			}()
-			e.PrepareHydrated(tr, batch.Hydration{In: in, IDs: ids(tr), Profile: bounds.NewProfile(src, ids(src))})
-		})
-	}
-}
-
-// TestHydratedRetainedSize pins the memory a corpus-hydrated PreparedTree
-// keeps beyond the artifacts it was handed (label ids, decomposition,
-// mirror-leafmost array and bound profile, which the corpus owns): the
-// descriptor and the unit model's per-node cost vectors, about 1.2 KB
-// for a 40-node tree. Per-tree caches such as the 32-byte-per-node depth
-// spectra it once held (1.3 KB more here) must not come back; runners
+// TestHydratedRetainedSize pins the memory a corpus keeps per stored
+// tree beyond the tree itself: its label ids and the PreparedTree
+// hydrated from them, which owns the mirror-leafmost array, the
+// decomposition cardinalities, the bound profile, and the unit model's
+// per-node cost vectors. For a 40-node tree that is 3,679 bytes, as much
+// as the ids, the separately stored artifacts and the hydration came to
+// when the corpus kept the artifacts itself. The profile shares the ids
+// instead of copying them.
+// Per-tree caches such as the 32-byte-per-node depth spectra a
+// PreparedTree once held (1.3 KB more here) must not come back; runners
 // build what they need in their arena.
 func TestHydratedRetainedSize(t *testing.T) {
 	tr := gen.Random(41, gen.RandomSpec{Size: 40, MaxDepth: 8, MaxFanout: 4, Labels: 40})
 	src := batch.New()
 	e := batch.New(batch.WithInterner(src.Interner()))
-	ids := make([]int32, tr.Len())
-	for v := range ids {
-		ids[v] = int32(src.Interner().Intern(tr.Label(v)))
-	}
-	h := batch.Hydration{
-		In:      src.Interner(),
-		IDs:     ids,
-		Decomp:  strategy.NewDecomp(tr),
-		Lfm:     gted.MirrorLeafmost(tr),
-		Profile: bounds.NewProfile(tr, ids),
+	for v := 0; v < tr.Len(); v++ {
+		src.Interner().Intern(tr.Label(v))
 	}
 	const copies = 1000
 	keep := make([]*batch.PreparedTree, copies)
 	var before, after runtime.MemStats
+	// Twice: pooled memory that earlier tests left behind survives one
+	// collection in the pools' victim caches.
+	runtime.GC()
 	runtime.GC()
 	runtime.ReadMemStats(&before)
 	for i := range keep {
-		keep[i] = e.PrepareHydrated(tr, h)
+		ids := make([]int32, tr.Len())
+		for v := range ids {
+			ids[v] = int32(src.Interner().Intern(tr.Label(v)))
+		}
+		keep[i] = e.PrepareHydrated(tr, batch.Hydration{In: src.Interner(), IDs: ids})
 	}
 	runtime.GC()
 	runtime.ReadMemStats(&after)
 	per := (int64(after.HeapAlloc) - int64(before.HeapAlloc)) / copies
 	runtime.KeepAlive(keep)
-	t.Logf("retained %d bytes per hydrated 40-node tree", per)
-	if per >= 1700 {
-		t.Fatalf("a hydrated 40-node tree retains %d bytes, want < 1700", per)
+	t.Logf("retained %d bytes per stored 40-node tree", per)
+	if per >= 4000 {
+		t.Fatalf("a stored 40-node tree retains %d bytes with its hydration, want < 4000", per)
 	}
 }

@@ -23,10 +23,10 @@ import (
 // engine's interner; passing one to another engine panics, naming both
 // engines. There are two ways to reuse per-tree work across engines:
 // share one interner between them (WithInterner), or — the persistent
-// form of the same idea — store the artifacts in a corpus.Corpus and
-// rebuild the PreparedTree with PrepareHydrated, which is how a corpus
-// loaded from disk turns stored bytes back into engine-ready trees
-// without recomputing anything.
+// form of the same idea — store trees with their label ids in a
+// corpus.Corpus and rebuild the PreparedTree with PrepareHydrated, which
+// is how a corpus loaded from disk turns stored trees back into
+// engine-ready ones without re-interning a label.
 type PreparedTree struct {
 	eng    *Engine
 	t      *tree.Tree
@@ -35,21 +35,27 @@ type PreparedTree struct {
 	lfm    []int32
 
 	// The bound profile is only consumed by DistanceBounded and the
-	// filtered Join, so it is built lazily on first use — unless a
-	// hydration supplied it up front.
+	// filtered Join, so Prepare builds it lazily on first use;
+	// PrepareHydrated and PrepareQuery build it up front.
 	profOnce sync.Once
 	prof     *bounds.Profile
 }
 
 // Prepare caches the per-tree inputs of t for this engine. The
-// decomposition cardinalities are skipped when the engine has a fixed
-// strategy override (they only feed the optimal-strategy computation),
-// and the lower-bound profile is deferred until a bounded call needs it.
+// lower-bound profile is deferred until a bounded call needs it.
 func (e *Engine) Prepare(t *tree.Tree) *PreparedTree {
+	return e.derive(t, cost.CompileTree(e.model, t, e.in))
+}
+
+// derive assembles a PreparedTree from its priced labels and derives the
+// tree-shaped inputs: the mirror-leafmost array, and the decomposition
+// cardinalities unless the engine has a fixed strategy override (they
+// only feed the optimal-strategy computation).
+func (e *Engine) derive(t *tree.Tree, costs *cost.PerTree) *PreparedTree {
 	p := &PreparedTree{
 		eng:   e,
 		t:     t,
-		costs: cost.CompileTree(e.model, t, e.in),
+		costs: costs,
 		lfm:   gted.MirrorLeafmost(t),
 	}
 	if e.strat == nil {
@@ -58,81 +64,50 @@ func (e *Engine) Prepare(t *tree.Tree) *PreparedTree {
 	return p
 }
 
-// Hydration carries per-tree artifacts computed earlier — typically
-// loaded from a persisted corpus — so PrepareHydrated can assemble a
-// PreparedTree without redoing the per-tree work of Prepare.
+// Hydration carries the stored form of a tree's labels — typically from
+// a persisted corpus — so PrepareHydrated can skip interning them.
 type Hydration struct {
 	// In is the interner the label ids were assigned by. It must be the
 	// engine's own interner (engines created via corpus.Corpus.Engine
 	// share the corpus's): ids minted by any other interner would alias
 	// arbitrary labels.
 	In *cost.Interner
-	// IDs is the interned label id of every node, in postorder.
+	// IDs is the interned label id of every node, in postorder. The
+	// hydrated tree's bound profile keeps this slice as its postorder
+	// sequence, so the caller must not modify it afterwards.
 	IDs []int32
-	// Decomp holds the decomposition cardinalities of every subtree
-	// (strategy.NewDecomp output). Optional: nil recomputes on demand.
-	Decomp *strategy.Decomp
-	// Lfm is the mirror-coordinate leafmost array (gted.MirrorLeafmost
-	// output). Optional: nil recomputes.
-	Lfm []int32
-	// Profile is the lower-bound profile (bounds.NewProfile over IDs).
-	// Optional: nil falls back to the usual lazy build on first bounded
-	// use. A profile of any other tree panics.
-	Profile *bounds.Profile
 }
 
-// PrepareHydrated is Prepare fed from stored artifacts: label ids,
-// decomposition cardinalities, the mirror-leafmost array and the bound
-// profile come from h instead of being recomputed, and only the
-// per-node delete/insert costs are (re)priced under the engine's cost
-// model — which is what makes one stored artifact set serve engines
-// with different models. The engine-binding rule is unchanged; what
-// moves is the compatibility check: instead of "same engine", the
-// hydration must carry the engine's interner, and mismatches panic with
-// both parties named.
+// PrepareHydrated is Prepare fed from stored label ids: the ids come
+// from h instead of the interner, the per-node delete/insert costs are
+// priced under the engine's cost model — which is what makes one stored
+// tree serve engines with different models — and everything else is
+// derived here: the mirror-leafmost array, the decomposition
+// cardinalities, and the bound profile, built now rather than on first
+// bounded use so a warmed corpus leaves nothing for its first request
+// to build. The engine-binding rule is unchanged; what moves is the
+// compatibility check: instead of "same engine", the hydration must
+// carry the engine's interner, and mismatches panic with both parties
+// named.
 func (e *Engine) PrepareHydrated(t *tree.Tree, h Hydration) *PreparedTree {
 	if h.In != e.in {
 		panic(fmt.Sprintf(
 			"batch: Hydration carries interner %p but engine %p uses interner %p; "+
-				"hydrate only into engines attached to the artifacts' corpus (corpus.Corpus.Engine)",
+				"hydrate only into engines attached to the ids' corpus (corpus.Corpus.Engine)",
 			h.In, e, e.in))
 	}
 	pc, err := cost.CompileTreeFromIDs(e.model, t, h.IDs, e.in)
 	if err != nil {
 		panic("batch: " + err.Error())
 	}
-	n := t.Len()
-	p := &PreparedTree{
-		eng:   e,
-		t:     t,
-		costs: pc,
-		lfm:   h.Lfm,
-	}
-	if len(p.lfm) != n {
-		if p.lfm != nil {
-			panic(fmt.Sprintf("batch: hydrated mirror-leafmost array has %d entries for a %d-node tree", len(p.lfm), n))
-		}
-		p.lfm = gted.MirrorLeafmost(t)
-	}
-	if e.strat == nil {
-		d := h.Decomp
-		if d != nil && (d.T != t || len(d.A) != n || len(d.FL) != n || len(d.FR) != n) {
-			panic("batch: hydrated decomposition does not describe the hydrated tree")
-		}
-		p.decomp = d
-		if p.decomp == nil {
-			p.decomp = strategy.NewDecomp(t)
-		}
-	}
-	if pr := h.Profile; pr != nil && (pr.Tree() != t || pr.Len() != n) {
-		panic(fmt.Sprintf("batch: hydrated bound profile (%d nodes) does not describe the hydrated %d-node tree", pr.Len(), n))
-	}
-	p.prof = h.Profile
+	p := e.derive(t, pc)
+	p.prof = bounds.NewProfile(t, h.IDs)
 	return p
 }
 
 // profile returns the tree's bound profile, building it on first use
-// (hydrated profiles skip the build). Safe for concurrent callers.
+// (hydrated and query trees have it already). Safe for concurrent
+// callers.
 func (p *PreparedTree) profile() *bounds.Profile {
 	p.profOnce.Do(func() {
 		if p.prof == nil {

@@ -7,7 +7,6 @@
 package ted_test
 
 import (
-	"context"
 	"fmt"
 	"runtime"
 	"testing"
@@ -316,26 +315,4 @@ func BenchmarkBatchPrepareOnce(b *testing.B) {
 			}
 		}
 	})
-}
-
-// BenchmarkBatchStream measures the streaming entry point end to end
-// (channel hand-off included).
-func BenchmarkBatchStream(b *testing.B) {
-	trees := batchBenchTrees()
-	e := batch.New(batch.WithWorkers(runtime.GOMAXPROCS(0)))
-	ps := e.PrepareAll(trees)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		in := make(chan batch.Pair)
-		go func() {
-			for x := 0; x < len(ps); x++ {
-				for y := x + 1; y < len(ps); y++ {
-					in <- batch.Pair{F: ps[x], G: ps[y]}
-				}
-			}
-			close(in)
-		}()
-		for range e.Stream(context.Background(), in) {
-		}
-	}
 }

@@ -281,8 +281,8 @@ func (f *Follower) streamOnce(ctx context.Context) error {
 }
 
 // ship fetches the primary's snapshot and replaces the local corpus
-// with it: close the old store (releasing its log lock), write the
-// snapshot over the local path, drop the now-meaningless local log, and
+// with it: close the old store (releasing its log lock), replace the
+// local snapshot atomically, drop the now-meaningless local log, and
 // reopen. The new corpus's position is the one the snapshot captured.
 func (f *Follower) ship(ctx context.Context) error {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, f.primary+"/v1/checkpoint", nil)
@@ -313,12 +313,7 @@ func (f *Follower) ship(ctx context.Context) error {
 		// must not block resync.
 		f.noteErr(err)
 	}
-	tmp := f.path + ".ship"
-	if err := os.WriteFile(tmp, snap, 0o644); err != nil {
-		return err
-	}
-	if err := os.Rename(tmp, f.path); err != nil {
-		os.Remove(tmp)
+	if err := corpus.WriteFileAtomic(f.path, snap); err != nil {
 		return err
 	}
 	// The local log describes the retired store; replaying it over the

@@ -22,9 +22,9 @@
 // when it provably exceeds it (usually after skipping most of the DP).
 //
 // -corpus-save writes the join collection as a persistent corpus (trees,
-// prepared artifacts, inverted-index posting lists; package corpus), and
+// their label ids, inverted-index posting lists; package corpus), and
 // -corpus-load joins such a corpus directly — a restart skips parsing,
-// preparation and index building entirely.
+// label interning and index building.
 //
 // Exit status 0; the distance (or join result) is printed to stdout.
 package main
@@ -61,7 +61,7 @@ func main() {
 		workers    = flag.Int("workers", 0, "join worker goroutines (0 = all CPU cores)")
 		filters    = flag.Bool("filters", false, "join: prune with lower/upper bounds (unit costs)")
 		indexMode  = flag.String("index", "", "join: generate candidates from an inverted index: auto | enumerate | histogram | pqgram (empty = off)")
-		corpusSave = flag.String("corpus-save", "", "join: persist the collection as a corpus (trees + prepared artifacts + indexes) to this path")
+		corpusSave = flag.String("corpus-save", "", "join: persist the collection as a corpus (trees + label ids + indexes) to this path")
 		corpusLoad = flag.String("corpus-load", "", "join: load the collection from a saved corpus instead of a tree file")
 		exprs      literals
 	)

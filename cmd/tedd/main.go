@@ -72,7 +72,7 @@ func run(ctx context.Context, args []string, logw io.Writer, ready chan<- string
 		heavySlots   = fs.Int("heavy-slots", 0, "admission: max slots joins/top-k may hold at once (0 = half of max-inflight)")
 		tenantQuota  = fs.Int("tenant-quota", 0, "admission: max slots one X-Tenant may hold at once (0 = no per-tenant cap)")
 		queueWait    = fs.Duration("queue-timeout", 2*time.Second, "admission: how long an arrival may wait for a slot")
-		maxNodes     = fs.Int("max-nodes", 4096, "largest accepted request tree, in nodes (DP memory is O(n^2): ~9*n^2 bytes per pair)")
+		maxNodes     = fs.Int("max-nodes", 4096, "largest accepted request tree, in nodes (DP memory is O(n^2): ~49*n^2 bytes per exact pair)")
 		maxLabels    = fs.Int("max-labels", 1<<20, "distinct-label cap; at capacity, ad-hoc trees are refused with 503")
 		maxBody      = fs.Int64("max-body", 1<<20, "largest accepted request body, in bytes")
 		readTimeout  = fs.Duration("read-timeout", time.Minute, "HTTP read deadline per request (headers + body)")

@@ -11,57 +11,58 @@ import (
 	"math"
 	"os"
 	"path/filepath"
-	"slices"
 	"sort"
-	"strings"
 
 	"repro/index"
-	"repro/internal/bounds"
 	"repro/internal/cost"
-	"repro/internal/gted"
-	"repro/internal/strategy"
 	"repro/internal/tree"
 )
 
-// The corpus binary format, version 2. Everything multi-byte is an
+// The corpus binary format, version 3. Everything multi-byte is an
 // unsigned varint; strings are length-prefixed; label-valued fields
-// reference the shared label table by id (branch triples use 0 for a
-// missing position and id+1 otherwise).
+// reference the shared label table by id.
 //
 //	"TEDC" | version u8 | flags u8 (bit0: histogram index, bit1: pq-gram
 //	                                index, bit2: section checksums)
-//	label table:  count, then per label: len, bytes          | [crc32]
+//	label table:  count, then per label: len, bytes          | crc32
 //	next ID, tree count
 //	per tree (ascending id):
 //	  id, n
 //	  n × label id           (the tree, with its postorder child counts:)
-//	  n × child count
-//	  n × mirror-leafmost    (artifacts)
-//	  3 × n × decomposition cardinality (A, FL, FR)
-//	  profile flag u8; if 1: label histogram pairs of (label id,
-//	  count), branch histogram entries of (label, first child, next
-//	  sibling, count), each list in label-string order       | [crc32]
+//	  n × child count                                        | crc32
 //	per maintained index (histogram, then pq-gram; pq-gram leads with
 //	                      p, q, and p must be 1):
 //	  key table: count, then per key: len, bytes
 //	  next id, entry count
 //	  per entry: id, size, profile length, pairs of (key id, count)
-//	                                                         | [crc32]
+//	                                                         | crc32
 //
-// The artifacts are redundant with the tree: Load recomputes the
-// mirror-leafmost array and the decomposition cardinalities, rebuilds
-// the bound profile from the label ids, and rejects a stream whose
-// stored values disagree with them, so a checksum-less (version 1)
-// stream cannot pair a tree with artifacts that would crash its
-// distance runs or prune its true matches.
+// Every section (label table, tree store, each index) is followed by the
+// IEEE CRC32 of its encoded bytes as four little-endian raw bytes, so bit
+// rot anywhere in a section is detected at Load instead of surfacing as
+// a subtly wrong corpus. Version 3 requires the bit2 flag.
 //
-// Version 2 adds the bit2 flag: when set, every section (label table,
-// tree store, each index) is followed by the IEEE CRC32 of its encoded
-// bytes as four little-endian raw bytes, so bit rot anywhere in a
-// section is detected at Load instead of surfacing as a subtly wrong
-// corpus. Save always writes version 2 with checksums; the decoder still
-// accepts checksum-less version 1 streams byte for byte (pinned by
-// TestCodecV1BackwardCompat).
+// A tree is stored as its labels and its shape, nothing else. The other
+// per-tree inputs of the distance machinery — the mirror-leafmost array,
+// the decomposition cardinalities and the bound profile — take linear
+// time to derive, and batch.PrepareHydrated derives them whenever a
+// corpus-attached engine hydrates a stored tree, so no stored value can
+// disagree with its tree. The indexes are stored because restoring them
+// is several times faster than rebuilding them.
+//
+// Versions 1 and 2 also stored those per-tree inputs, after each tree's
+// child counts:
+//
+//	n × mirror-leafmost id
+//	3 × n × decomposition cardinality (A, FL, FR)
+//	profile flag u8; if 1: label histogram pairs of (label id, count),
+//	branch histogram entries of (label, first child, next sibling, each
+//	as label id + 1 or 0 for none; count)
+//
+// Load still reads both: it range-checks those fields and skips them.
+// Version 1 has no checksums, and in version 2 they are optional (the
+// bit2 flag). Golden streams of both versions pin that they keep
+// loading (TestCodecV1BackwardCompat, TestCodecV2BackwardCompat).
 //
 // The decoder returns an error — never panics — on malformed input, and
 // allocates proportionally to bytes actually read (counts are sanity-
@@ -70,9 +71,8 @@ import (
 // FuzzCorpusDecode.
 
 const (
-	codecMagic     = "TEDC"
-	codecVersion   = 2
-	codecVersionV1 = 1
+	codecMagic   = "TEDC"
+	codecVersion = 3
 
 	flagHistogram = 1 << 0
 	flagPQGram    = 1 << 1
@@ -90,56 +90,37 @@ const (
 // errCorrupt wraps a decode failure with stream position context.
 var errCorrupt = errors.New("corpus: corrupt stream")
 
-// Save writes the corpus — trees, label table, prepared artifacts and
+// Save writes the corpus — label table, trees with their label ids, and
 // any maintained indexes — to w in the versioned binary format (version
-// 2, with per-section checksums). A Load of the written bytes reproduces
-// the corpus exactly: same IDs, same artifacts, same candidate
-// generation. Lower-bound profiles are forced before writing so the
-// persisted corpus never recomputes them.
+// 3, with per-section checksums). A Load of the written bytes reproduces
+// the corpus exactly: same IDs, same trees, same candidate generation.
 func (c *Corpus) Save(w io.Writer) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.saveLocked(w, codecVersion)
+	return c.saveLocked(w)
 }
 
-// saveLocked is Save without the locking, at an explicit format version
-// (the v1 path exists only so the backward-compat test can produce real
-// v1 streams). Callers hold c.mu; Checkpoint calls this mid-critical-
-// section so no mutation can slip between the snapshot and the log
-// truncation.
-func (c *Corpus) saveLocked(w io.Writer, version byte) error {
+// saveLocked is Save without the locking. Callers hold c.mu, so the
+// store and the indexes are written as one consistent cut; Checkpoint
+// and SnapshotBytes encode mid-critical-section for that reason.
+func (c *Corpus) saveLocked(w io.Writer) error {
 	ids := make([]ID, 0, len(c.entries))
 	for id := range c.entries {
 		ids = append(ids, id)
 	}
 	sortIDs(ids)
-	// Lazy artifacts are forced now: the stream always carries them, so
-	// a loaded corpus never recomputes what the saving process already
-	// paid for.
-	for _, id := range ids {
-		en := c.entries[id]
-		if en.prof == nil {
-			en.prof = bounds.NewProfile(en.t, en.ids)
-		}
-		if en.decomp == nil {
-			en.decomp = strategy.NewDecomp(en.t)
-		}
-	}
 	table := c.in.Table()
 
-	e := &encoder{w: bufio.NewWriter(w), sums: version >= codecVersion}
+	e := &encoder{w: bufio.NewWriter(w)}
 	e.raw([]byte(codecMagic))
-	flags := byte(0)
+	flags := byte(flagChecksums)
 	if c.hist != nil {
 		flags |= flagHistogram
 	}
 	if c.pq != nil {
 		flags |= flagPQGram
 	}
-	if e.sums {
-		flags |= flagChecksums
-	}
-	e.raw([]byte{version, flags})
+	e.raw([]byte{codecVersion, flags})
 	e.crc = 0 // the header authenticates itself; sections start here
 
 	e.uv(uint64(len(table)))
@@ -160,20 +141,6 @@ func (c *Corpus) saveLocked(w io.Writer, version byte) error {
 		for v := 0; v < n; v++ {
 			e.uv(uint64(en.t.NumChildren(v)))
 		}
-		for _, m := range en.lfm {
-			e.uv(uint64(m))
-		}
-		for _, a := range en.decomp.A {
-			e.uv(uint64(a))
-		}
-		for _, a := range en.decomp.FL {
-			e.uv(uint64(a))
-		}
-		for _, a := range en.decomp.FR {
-			e.uv(uint64(a))
-		}
-		e.raw([]byte{1})
-		e.profile(en.prof, table)
 	}
 	e.sectionEnd()
 	if c.hist != nil {
@@ -192,55 +159,27 @@ func (c *Corpus) saveLocked(w io.Writer, version byte) error {
 	return e.w.Flush()
 }
 
-// SaveFile writes the corpus to path (created or truncated). On a corpus
-// opened with Open, saving to the attached snapshot path is a
-// Checkpoint: the snapshot is replaced atomically and the write-ahead
-// log truncated with it. (Paths are compared after cleaning and
-// absolutizing, so "./data/c.tedc" routes to the checkpoint of
-// "data/c.tedc"; a symlink alias of the attached path is not detected
-// and would overwrite the snapshot non-atomically — name the snapshot
-// the way Open did.)
+// SaveFile writes the corpus to path, replacing any file there
+// atomically (WriteFileAtomic): a crash or a write error mid-save leaves
+// the previous file intact. On a corpus opened with Open and not yet
+// closed, saving to the attached snapshot path is a Checkpoint, which
+// also truncates the write-ahead log. (Paths are compared after cleaning
+// and absolutizing, so "./data/c.tedc" routes to the checkpoint of
+// "data/c.tedc". A symlink at path is replaced by the new file, not
+// followed, so saving to a symlink alias of the attached path is no
+// checkpoint and leaves the snapshot and its log as they were.)
 func (c *Corpus) SaveFile(path string) error {
 	c.mu.Lock()
-	toAttached := c.wal != nil && samePath(path, c.snapPath)
-	closed := toAttached && c.wal.isClosed()
+	attached := c.wal != nil && !c.wal.isClosed() && samePath(path, c.snapPath)
 	c.mu.Unlock()
-	if toAttached && !closed {
+	if attached {
 		return c.Checkpoint()
 	}
-	if closed {
-		// After Close the checkpoint machinery is gone, but this path is
-		// still the one the sidecar log will replay over, so the write
-		// must stay atomic (temp + fsync + rename): a crash mid-write
-		// must never leave a half-snapshot that makes the acknowledged
-		// log records unreachable. The surviving log is a subset of the
-		// state being written, and replay is idempotent. (This mirrors
-		// the replace protocol of swapSnapshotLocked in wal.go — change
-		// one, change both.)
-		var buf bytes.Buffer
-		if err := c.Save(&buf); err != nil {
-			return err
-		}
-		tmp := path + ".tmp"
-		if err := writeFileSync(tmp, buf.Bytes()); err != nil {
-			os.Remove(tmp)
-			return err
-		}
-		if err := os.Rename(tmp, path); err != nil {
-			os.Remove(tmp)
-			return err
-		}
-		return syncDir(filepath.Dir(path))
-	}
-	f, err := os.Create(path)
-	if err != nil {
+	var buf bytes.Buffer
+	if err := c.Save(&buf); err != nil {
 		return err
 	}
-	if err := c.Save(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
+	return WriteFileAtomic(path, buf.Bytes())
 }
 
 // samePath reports whether two paths name the same file after cleaning
@@ -267,10 +206,11 @@ func (c *Corpus) SaveDir(dir string) error {
 }
 
 // Load reads a corpus in the binary format from r. The result is
-// equivalent to the saved corpus: same IDs and trees, artifacts decoded
-// and checked against their trees in O(bytes), maintained indexes
-// rebuilt from their persisted profiles with plain appends — no
-// re-parsing, no re-hashing of grams, no re-sorting.
+// equivalent to the saved corpus: same IDs, trees and label ids decoded
+// in O(bytes), maintained indexes rebuilt from their persisted profiles
+// with plain appends — no re-parsing, no re-hashing of grams, no
+// re-sorting. What hydration derives from each tree is left to the
+// engine that hydrates it (see Warm).
 func Load(r io.Reader) (*Corpus, error) {
 	d := &decoder{r: &crcReader{r: bufio.NewReader(r)}}
 
@@ -281,16 +221,19 @@ func Load(r io.Reader) (*Corpus, error) {
 	if string(head[:4]) != codecMagic {
 		return nil, fmt.Errorf("%w: bad magic %q", errCorrupt, head[:4])
 	}
-	if head[4] != codecVersion && head[4] != codecVersionV1 {
-		return nil, fmt.Errorf("corpus: format version %d not supported (want %d or %d)", head[4], codecVersionV1, codecVersion)
+	version, flags := head[4], head[5]
+	if version < 1 || version > codecVersion {
+		return nil, fmt.Errorf("corpus: format version %d not supported (want 1 to %d)", version, codecVersion)
 	}
-	flags := head[5]
 	known := byte(flagHistogram | flagPQGram)
-	if head[4] >= codecVersion {
+	if version >= 2 {
 		known |= flagChecksums
 	}
 	if flags&^known != 0 {
 		return nil, fmt.Errorf("%w: unknown flags %#x", errCorrupt, flags)
+	}
+	if version >= 3 && flags&flagChecksums == 0 {
+		return nil, fmt.Errorf("%w: version %d stream without section checksums", errCorrupt, version)
 	}
 	d.r.sums = flags&flagChecksums != 0
 	d.r.state = crcInit
@@ -328,7 +271,7 @@ func Load(r io.Reader) (*Corpus, error) {
 			return nil, fmt.Errorf("%w: tree id %d out of order or beyond next id %d", errCorrupt, id, next)
 		}
 		lastID = id
-		en, err := d.entry(table)
+		en, err := d.entry(table, version < 3)
 		if err != nil {
 			return nil, err
 		}
@@ -375,8 +318,7 @@ func Load(r io.Reader) (*Corpus, error) {
 			return nil, err
 		}
 	}
-	// A sticky decode error may have been swallowed structurally (a
-	// truncated final profile leaves entry() with empty loops, a torn
+	// A sticky decode error may have been swallowed structurally (a torn
 	// "next id" leaves zero trees to decode): nothing that poisoned the
 	// decoder may load as a smaller-but-valid corpus.
 	if d.err != nil {
@@ -427,22 +369,15 @@ func (c *Corpus) crossCheckIndex(liveCount int, snap *index.Snapshot, kind strin
 // ---- encoding ----
 
 type encoder struct {
-	w    *bufio.Writer
-	buf  [binary.MaxVarintLen64]byte
-	err  error
-	sums bool
-	crc  uint32 // running IEEE CRC32 of the current section
-
-	// Reused across trees: a profile's entries re-sorted into label order.
-	lcs []bounds.LabelCount
-	bcs []bounds.BranchCount
+	w   *bufio.Writer
+	buf [binary.MaxVarintLen64]byte
+	err error
+	crc uint32 // running IEEE CRC32 of the current section
 }
 
 func (e *encoder) raw(b []byte) {
 	if e.err == nil {
-		if e.sums {
-			e.crc = crc32.Update(e.crc, crc32.IEEETable, b)
-		}
+		e.crc = crc32.Update(e.crc, crc32.IEEETable, b)
 		_, e.err = e.w.Write(b)
 	}
 }
@@ -455,64 +390,22 @@ func (e *encoder) uv(v uint64) {
 func (e *encoder) str(s string) {
 	e.uv(uint64(len(s)))
 	if e.err == nil {
-		if e.sums {
-			e.crc = crc32.Update(e.crc, crc32.IEEETable, []byte(s))
-		}
+		e.crc = crc32.Update(e.crc, crc32.IEEETable, []byte(s))
 		_, e.err = e.w.WriteString(s)
 	}
 }
 
-// sectionEnd closes a checksummed section: the running CRC32 is written
-// as four raw little-endian bytes (authenticating the section, not part
-// of the next one) and the accumulator resets. A no-op for v1 streams.
+// sectionEnd closes a section: the running CRC32 is written as four raw
+// little-endian bytes (authenticating the section, not part of the next
+// one) and the accumulator resets.
 func (e *encoder) sectionEnd() {
-	if !e.sums || e.err != nil {
+	if e.err != nil {
 		return
 	}
 	var b [4]byte
 	binary.LittleEndian.PutUint32(b[:], e.crc)
 	_, e.err = e.w.Write(b[:])
 	e.crc = 0
-}
-
-// profile writes a profile's two histograms. Entries go out in
-// label-string order — the order the format has always stored them in —
-// not in the profile's id order; branch positions are 0 for
-// bounds.NoLabel (a missing position or the empty label, which the
-// branch histogram does not tell apart) and label id + 1 otherwise.
-func (e *encoder) profile(p *bounds.Profile, table []string) {
-	name := func(id int32) string {
-		if id == bounds.NoLabel {
-			return ""
-		}
-		return table[id]
-	}
-	e.lcs = append(e.lcs[:0], p.LabelCounts()...)
-	slices.SortFunc(e.lcs, func(a, b bounds.LabelCount) int {
-		return strings.Compare(table[a.ID], table[b.ID])
-	})
-	e.uv(uint64(len(e.lcs)))
-	for _, lc := range e.lcs {
-		e.uv(uint64(lc.ID))
-		e.uv(uint64(lc.Count))
-	}
-	e.bcs = append(e.bcs[:0], p.BranchCounts()...)
-	slices.SortFunc(e.bcs, func(a, b bounds.BranchCount) int {
-		if c := strings.Compare(name(a.Label), name(b.Label)); c != 0 {
-			return c
-		}
-		if c := strings.Compare(name(a.FirstChild), name(b.FirstChild)); c != 0 {
-			return c
-		}
-		return strings.Compare(name(a.NextSibling), name(b.NextSibling))
-	})
-	e.uv(uint64(len(e.bcs)))
-	for _, bc := range e.bcs {
-		e.uv(uint64(bc.Label + 1))
-		e.uv(uint64(bc.FirstChild + 1))
-		e.uv(uint64(bc.NextSibling + 1))
-		e.uv(uint64(bc.Count))
-	}
 }
 
 func (e *encoder) snapshot(s *index.Snapshot) {
@@ -538,10 +431,6 @@ func (e *encoder) snapshot(s *index.Snapshot) {
 type decoder struct {
 	r   *crcReader
 	err error
-
-	// Reused across trees: the stored histograms of the current profile.
-	lcs []bounds.LabelCount
-	bcs []bounds.BranchCount
 }
 
 // crcReader wraps the buffered input so every byte the decoder consumes
@@ -642,6 +531,13 @@ func (d *decoder) idx(limit uint64, what string) uint64 {
 	return v
 }
 
+// positive reads a count that must lie in [1, max].
+func (d *decoder) positive(max uint64, what string) {
+	if d.count(max, what) == 0 && d.err == nil {
+		d.err = fmt.Errorf("zero %s", what)
+	}
+}
+
 func (d *decoder) raw(n int) []byte {
 	if d.err != nil {
 		return nil
@@ -672,8 +568,9 @@ func capHint(n uint64) int {
 	return int(n)
 }
 
-// entry decodes one tree with its artifacts.
-func (d *decoder) entry(table []string) (*entry, error) {
+// entry decodes one tree: its label ids and child counts, followed in a
+// legacy (version 1 or 2) stream by the per-tree inputs it stored.
+func (d *decoder) entry(table []string, legacy bool) (*entry, error) {
 	n64 := d.count(maxNodes, "node count")
 	if d.err != nil {
 		return nil, d.fail("node count")
@@ -705,93 +602,45 @@ func (d *decoder) entry(table []string) (*entry, error) {
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", errCorrupt, err)
 	}
-
-	// The stored artifacts are recomputed from the tree and each stored
-	// value must equal its recomputed one: a checksum-less stream must
-	// not hand ΔR indexes outside the tree or the strategy DP wrong
-	// cardinalities.
-	lfm := gted.MirrorLeafmost(t)
-	for v := 0; v < n; v++ {
-		m := d.idx(uint64(n), "mirror-leafmost id")
+	if legacy {
+		d.skipArtifacts(n64, uint64(len(table)))
 		if d.err != nil {
-			return nil, d.fail("mirror-leafmost")
-		}
-		if int32(m) != lfm[v] {
-			return nil, fmt.Errorf("%w: stored mirror-leafmost array disagrees with the tree at node %d", errCorrupt, v)
+			return nil, d.fail("stored artifacts")
 		}
 	}
-	dec := strategy.NewDecomp(t)
-	for _, want := range [][]int64{dec.A, dec.FL, dec.FR} {
-		for v := 0; v < n; v++ {
-			a := d.count(math.MaxInt64, "decomposition cardinality")
-			if d.err != nil {
-				return nil, d.fail("decomposition")
-			}
-			if a != uint64(want[v]) {
-				return nil, fmt.Errorf("%w: stored decomposition cardinalities disagree with the tree at node %d", errCorrupt, v)
-			}
-		}
-	}
-
-	en := &entry{t: t, ids: ids, lfm: lfm, decomp: dec}
-	hasProf := d.raw(1)
-	if d.err != nil {
-		return nil, d.fail("profile flag")
-	}
-	switch hasProf[0] {
-	case 0:
-	case 1:
-		nl := d.count(uint64(n), "profile label entries")
-		d.lcs = d.lcs[:0]
-		for i := uint64(0); i < nl; i++ {
-			lid := d.idx(uint64(len(table)), "profile label id")
-			cnt := d.count(uint64(n), "profile label count")
-			if d.err != nil {
-				return nil, d.fail("profile labels")
-			}
-			if cnt == 0 {
-				return nil, fmt.Errorf("%w: zero profile label count", errCorrupt)
-			}
-			d.lcs = append(d.lcs, bounds.LabelCount{ID: int32(lid), Count: int32(cnt)})
-		}
-		nb := d.count(uint64(n), "profile branch entries")
-		d.bcs = d.bcs[:0]
-		for i := uint64(0); i < nb; i++ {
-			bc := bounds.BranchCount{
-				Label:       d.branchLabel(table),
-				FirstChild:  d.branchLabel(table),
-				NextSibling: d.branchLabel(table),
-			}
-			cnt := d.count(uint64(n), "profile branch count")
-			if d.err != nil {
-				return nil, d.fail("profile branches")
-			}
-			if cnt == 0 {
-				return nil, fmt.Errorf("%w: zero profile branch count", errCorrupt)
-			}
-			bc.Count = int32(cnt)
-			d.bcs = append(d.bcs, bc)
-		}
-		prof, err := bounds.RestoreProfile(t, ids, d.lcs, d.bcs)
-		if err != nil {
-			return nil, fmt.Errorf("%w: %v", errCorrupt, err)
-		}
-		en.prof = prof
-	default:
-		return nil, fmt.Errorf("%w: profile flag %d", errCorrupt, hasProf[0])
-	}
-	return en, nil
+	return &entry{t: t, ids: ids}, nil
 }
 
-// branchLabel decodes a branch-triple position: 0 for a missing
-// position, label id + 1 otherwise. The empty label reads as
-// bounds.NoLabel, as the encoder writes it.
-func (d *decoder) branchLabel(table []string) int32 {
-	v := d.count(uint64(len(table)), "branch label id")
-	if d.err != nil || v == 0 || table[v-1] == "" {
-		return bounds.NoLabel
+// skipArtifacts reads past the per-tree inputs a legacy stream stores
+// after an n-node tree's child counts, range-checking every field.
+// Nothing reads their values: hydration derives them from the tree.
+func (d *decoder) skipArtifacts(n, labels uint64) {
+	for i := uint64(0); i < n && d.err == nil; i++ {
+		d.idx(n, "mirror-leafmost id")
 	}
-	return int32(v - 1)
+	for i := uint64(0); i < 3*n && d.err == nil; i++ {
+		d.count(math.MaxInt64, "decomposition cardinality")
+	}
+	flag := d.raw(1)
+	if d.err != nil || flag[0] == 0 {
+		return
+	}
+	if flag[0] != 1 {
+		d.err = fmt.Errorf("profile flag %d", flag[0])
+		return
+	}
+	nl := d.count(n, "profile label entries")
+	for i := uint64(0); i < nl && d.err == nil; i++ {
+		d.idx(labels, "profile label id")
+		d.positive(n, "profile label count")
+	}
+	nb := d.count(n, "profile branch entries")
+	for i := uint64(0); i < nb && d.err == nil; i++ {
+		for k := 0; k < 3; k++ {
+			d.count(labels, "branch label id")
+		}
+		d.positive(n, "profile branch count")
+	}
 }
 
 func (d *decoder) indexSnapshot() (*index.Snapshot, error) {

@@ -3,6 +3,8 @@ package corpus_test
 import (
 	"bytes"
 	"math"
+	"os"
+	"path/filepath"
 	"testing"
 
 	ted "repro"
@@ -161,5 +163,44 @@ func TestLoadErrorsNeverPanic(t *testing.T) {
 	}
 	if c2.Len() != c.Len() {
 		t.Fatalf("LoadDir returned %d trees, want %d", c2.Len(), c.Len())
+	}
+}
+
+// TestSaveFileReplacesAtomically: SaveFile over an existing snapshot
+// renames a new file into place instead of truncating the old one, so a
+// crash or a write error mid-save cannot destroy the previous snapshot.
+// The replaced path names a new inode, loads to the new contents, and
+// no temp file is left beside it.
+func TestSaveFileReplacesAtomically(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "trees.tedc")
+	c, _ := buildCorpus(t, corpus.WithHistogramIndex())
+	if err := c.SaveFile(path); err != nil {
+		t.Fatalf("first SaveFile: %v", err)
+	}
+	old, err := os.Stat(path)
+	if err != nil {
+		t.Fatalf("stat: %v", err)
+	}
+	c.Add(ted.MustParse("{n{e}{w}}"))
+	if err := c.SaveFile(path); err != nil {
+		t.Fatalf("second SaveFile: %v", err)
+	}
+	cur, err := os.Stat(path)
+	if err != nil {
+		t.Fatalf("stat: %v", err)
+	}
+	if os.SameFile(old, cur) {
+		t.Fatalf("SaveFile rewrote the existing snapshot in place")
+	}
+	c2, err := corpus.LoadFile(path)
+	if err != nil {
+		t.Fatalf("LoadFile: %v", err)
+	}
+	if !bytes.Equal(saveBytes(t, c2), saveBytes(t, c)) {
+		t.Fatalf("the replaced snapshot does not load to the new contents")
+	}
+	if entries, _ := os.ReadDir(dir); len(entries) != 1 {
+		t.Fatalf("directory holds %d entries after SaveFile, want only the snapshot", len(entries))
 	}
 }

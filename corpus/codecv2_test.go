@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/hex"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -18,24 +19,49 @@ import (
 // decoder keeps accepting checksum-less v1 files byte for byte.
 const v1GoldenHex = "54454443010108016201630161017a017901780172017103020003000102000002000100010104010104010104010302010001010103030100010100020102000001020206070001000001020102010201020701060102080700010700000108016201630161017a0179017801720171030200030300010101020102020206010701"
 
-func v1GoldenCorpus(t *testing.T) *corpus.Corpus {
+// v2GoldenHex is a version-2 stream, the last format that stored each
+// tree's mirror-leafmost array, decomposition cardinalities and bound
+// profile: the history of v1GoldenHex with both indexes maintained
+// (histogram and pq-gram, q = 2).
+const v2GoldenHex = "54454443020708016201630161017a0179017801720171b9eddda3030200030001020000020001000101040101040101040103020100010101030301000101000201020000010202060700010000010201020102010207010601020807000107000001ea1a127508016201630161017a01790178017201710302000303000101010201020202060107011e8bfb6b01020e06611f2a1f621f06611f621f631f06611f631f2a1f06621f2a1f2a1f06631f2a1f2a1f06611f621f2a1f06781f2a1f791f06781f791f2a1f06791f2a1f7a1f06791f7a1f2a1f067a1f2a1f2a1f06711f2a1f721f06711f721f2a1f06721f2a1f2a1f0302000305000101010201030104010202030b010c010d0196bc9b7f"
+
+// goldenHistory replays the mutations both golden streams were written
+// after.
+func goldenHistory(c *corpus.Corpus) {
+	for _, s := range []string{"{a{b}{c}}", "{a{b}}", "{x{y{z}}}"} {
+		c.Add(ted.MustParse(s))
+	}
+	c.Delete(1)
+	c.Replace(2, ted.MustParse("{q{r}}"))
+}
+
+func loadHex(t *testing.T, s string) *corpus.Corpus {
 	t.Helper()
-	raw, err := hex.DecodeString(v1GoldenHex)
+	raw, err := hex.DecodeString(s)
 	if err != nil {
 		t.Fatalf("bad fixture hex: %v", err)
 	}
 	c, err := corpus.Load(bytes.NewReader(raw))
 	if err != nil {
-		t.Fatalf("v1 stream no longer loads: %v", err)
+		t.Fatalf("legacy stream no longer loads: %v", err)
 	}
 	return c
 }
 
-func TestCodecV1BackwardCompat(t *testing.T) {
-	c := v1GoldenCorpus(t)
+// checkLegacyGolden loads a legacy golden stream and compares it with a
+// cold build of the same history under the same index options: it must
+// hold the same IDs, trees, label ids and index contents (it re-saves
+// as version 3 to exactly the cold build's bytes, and those bytes load
+// again), and it must join and answer top-k exactly as the cold build
+// does.
+func checkLegacyGolden(t *testing.T, golden string, opts ...corpus.Option) {
+	t.Helper()
+	c := loadHex(t, golden)
+	cold := corpus.New(opts...)
+	goldenHistory(cold)
 	want := map[corpus.ID]string{0: "{a{b}{c}}", 2: "{q{r}}"}
 	if got := c.IDs(); len(got) != len(want) {
-		t.Fatalf("v1 corpus has ids %v, want %d trees", got, len(want))
+		t.Fatalf("legacy corpus has ids %v, want %d trees", got, len(want))
 	}
 	for id, s := range want {
 		tr, ok := c.Tree(id)
@@ -43,55 +69,44 @@ func TestCodecV1BackwardCompat(t *testing.T) {
 			t.Fatalf("tree %d = %v, want %s", id, tr, s)
 		}
 	}
-	if !c.HasHistogramIndex() {
-		t.Fatalf("v1 corpus lost its histogram index")
+	resaved := saveBytes(t, c)
+	if v := resaved[4]; v != 3 {
+		t.Fatalf("re-save wrote version %d, want 3", v)
 	}
-	// The loaded corpus must be fully operational: join it, then re-save
-	// (now as v2 with checksums) and verify the round trip.
-	e := c.Engine()
-	ms, _ := c.Join(e, math.Inf(1), batch.JoinOptions{})
-	if len(ms) != 1 {
-		t.Fatalf("v1 corpus join found %d matches, want 1", len(ms))
+	if resaved[5]&(1<<2) == 0 {
+		t.Fatalf("re-save did not set the checksum flag (flags %#x)", resaved[5])
 	}
-	var buf bytes.Buffer
-	if err := c.Save(&buf); err != nil {
-		t.Fatalf("re-save: %v", err)
+	if !bytes.Equal(resaved, saveBytes(t, cold)) {
+		t.Fatalf("re-saved legacy corpus differs from the cold build's stream")
 	}
-	if got := buf.Bytes()[4]; got != 2 {
-		t.Fatalf("re-save wrote version %d, want 2", got)
+	if _, err := corpus.Load(bytes.NewReader(resaved)); err != nil {
+		t.Fatalf("version-3 re-load: %v", err)
 	}
-	if buf.Bytes()[5]&(1<<2) == 0 {
-		t.Fatalf("re-save did not set the checksum flag (flags %#x)", buf.Bytes()[5])
-	}
-	c2, err := corpus.Load(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatalf("v2 re-load: %v", err)
-	}
-	for id, s := range want {
-		if tr, ok := c2.Tree(id); !ok || tr.String() != s {
-			t.Fatalf("v2 round trip lost tree %d", id)
+
+	e, ce := c.Engine(), cold.Engine()
+	for _, tau := range []float64{1, 3, math.Inf(1)} {
+		for _, mode := range []batch.IndexMode{batch.IndexEnumerate, batch.IndexHistogram, batch.IndexPQGram} {
+			ms, _ := c.Join(e, tau, batch.JoinOptions{Mode: mode})
+			cms, _ := cold.Join(ce, tau, batch.JoinOptions{Mode: mode})
+			if !reflect.DeepEqual(ms, cms) {
+				t.Fatalf("tau=%v mode=%v: legacy corpus joins %v, cold build %v", tau, mode, ms, cms)
+			}
 		}
+	}
+	q := ted.MustParse("{a{b}{r}}")
+	top, _ := c.TopKAcross(e, c.PrepareQuery(e, q), 3)
+	ctop, _ := cold.TopKAcross(ce, cold.PrepareQuery(ce, q), 3)
+	if len(top) != 3 || !reflect.DeepEqual(top, ctop) {
+		t.Fatalf("legacy corpus top-3 %v, cold build %v", top, ctop)
 	}
 }
 
-// TestCodecV1EncoderAgreesWithGolden guards the fixture itself: the
-// legacy encoder (kept for this test) must still reproduce the golden
-// bytes, so a drift in either encoder or fixture is caught, not papered
-// over.
-func TestCodecV1EncoderAgreesWithGolden(t *testing.T) {
-	c := corpus.New(corpus.WithHistogramIndex())
-	for _, s := range []string{"{a{b}{c}}", "{a{b}}", "{x{y{z}}}"} {
-		c.Add(ted.MustParse(s))
-	}
-	c.Delete(1)
-	c.Replace(2, ted.MustParse("{q{r}}"))
-	var buf bytes.Buffer
-	if err := c.SaveV1(&buf); err != nil {
-		t.Fatalf("SaveV1: %v", err)
-	}
-	if got := hex.EncodeToString(buf.Bytes()); got != v1GoldenHex {
-		t.Fatalf("v1 encoder output drifted from the golden stream:\n got %s\nwant %s", got, v1GoldenHex)
-	}
+func TestCodecV1BackwardCompat(t *testing.T) {
+	checkLegacyGolden(t, v1GoldenHex, corpus.WithHistogramIndex())
+}
+
+func TestCodecV2BackwardCompat(t *testing.T) {
+	checkLegacyGolden(t, v2GoldenHex, corpus.WithHistogramIndex(), corpus.WithPQGramIndex(2))
 }
 
 // v1OneTree assembles the version-1 stream of a one-tree corpus,
@@ -125,11 +140,11 @@ const (
 		"01" + "01" + "00" + "03" + "05" + "0001" + "0101" + "0201" + "0301" + "0401"
 )
 
-// v1TamperedStreams returns v1OneTree streams with one stored artifact
-// tampered so that it no longer describes the tree, keyed by the name the
-// Load error must carry. Version 1 carries no checksums, so only the
-// decoder's checks of the artifacts against the tree stand between these
-// streams and wrong answers.
+// v1TamperedStreams returns v1OneTree streams with one stored part
+// tampered so that it no longer describes the tree, keyed by the part.
+// Version 1 carries no checksums, so nothing but the decoder's
+// treatment of these parts stands between such streams and wrong
+// answers.
 func v1TamperedStreams(tb testing.TB) map[string][]byte {
 	tb.Helper()
 	out := make(map[string][]byte)
@@ -156,39 +171,60 @@ func v1TamperedStreams(tb testing.TB) map[string][]byte {
 	return out
 }
 
-// TestCodecV1RejectsArtifactMismatch: every stored artifact must describe
-// its tree. The untampered streams load and match their own tree at
-// distance 0, by bounds and by pq-gram candidates; each tampered stream
-// fails Load as corrupt instead of loading a tree whose artifacts would
-// crash a distance run, answer wrongly, or prune that match.
-func TestCodecV1RejectsArtifactMismatch(t *testing.T) {
-	for _, pqgram := range []string{"", "0102" + v1PQGrams} {
-		raw, err := hex.DecodeString(v1OneTree(v1Lfm, v1Decomp, v1Profile, pqgram))
-		if err != nil {
-			t.Fatalf("bad fixture hex: %v", err)
+// TestCodecV1SkipsStoredArtifacts: Load reads nothing a legacy stream
+// stores per tree beyond the tree itself, so a stream whose stored
+// mirror-leafmost array, decomposition cardinalities or bound profile
+// disagree with its tree loads and answers exactly like the untampered
+// stream: the tree matches its own copy at distance 0, exactly, bounded
+// at 0 and in a join. A pq-gram index is stored and used, so one with
+// stem length 2 is still rejected as corrupt.
+func TestCodecV1SkipsStoredArtifacts(t *testing.T) {
+	streams := v1TamperedStreams(t)
+	raw, err := hex.DecodeString(v1OneTree(v1Lfm, v1Decomp, v1Profile, ""))
+	if err != nil {
+		t.Fatalf("bad fixture hex: %v", err)
+	}
+	streams["untampered"] = raw
+	for name, stream := range streams {
+		c, err := corpus.Load(bytes.NewReader(stream))
+		if name == "pq-gram parameters" {
+			if err == nil || !strings.Contains(err.Error(), "corrupt") || !strings.Contains(err.Error(), name) {
+				t.Errorf("%s tampered: Load error %v, want a corrupt-stream error naming the %s", name, err, name)
+			}
+			continue
 		}
-		c, err := corpus.Load(bytes.NewReader(raw))
 		if err != nil {
-			t.Fatalf("untampered stream: %v", err)
+			t.Errorf("%s: Load: %v", name, err)
+			continue
 		}
 		e := c.Engine()
 		q := c.PrepareQuery(e, ted.MustParse("{a{b}{c}}"))
 		stored, _ := c.Prepared(e, 0)
-		if d, ok := e.DistanceBounded(q, stored, 0); !ok || d != 0 {
-			t.Fatalf("untampered stream: DistanceBounded = (%v, %v), want (0, true)", d, ok)
+		if d := e.Distance(q, stored); d != 0 {
+			t.Errorf("%s: Distance = %v, want 0", name, d)
 		}
-		if pqgram != "" {
-			c.Add(ted.MustParse("{a{b}{c}}"))
-			if ms, _ := c.Join(e, 1, batch.JoinOptions{Mode: batch.IndexPQGram}); len(ms) != 1 {
-				t.Fatalf("untampered pq-gram stream: join of the tree and its copy found %d matches, want 1", len(ms))
-			}
+		if d, ok := e.DistanceBounded(q, stored, 0); !ok || d != 0 {
+			t.Errorf("%s: DistanceBounded = (%v, %v), want (0, true)", name, d, ok)
+		}
+		c.Add(ted.MustParse("{a{b}{c}}"))
+		if ms, _ := c.Join(e, 1, batch.JoinOptions{}); len(ms) != 1 || ms[0].Dist != 0 {
+			t.Errorf("%s: join of the tree and its copy found %v, want one match at 0", name, ms)
 		}
 	}
-	for name, bad := range v1TamperedStreams(t) {
-		_, err := corpus.Load(bytes.NewReader(bad))
-		if err == nil || !strings.Contains(err.Error(), "corrupt") || !strings.Contains(err.Error(), name) {
-			t.Errorf("%s tampered: Load error %v, want a corrupt-stream error naming the %s", name, err, name)
-		}
+
+	// The untampered pq-gram index loads and generates the copy's match.
+	raw, err = hex.DecodeString(v1OneTree(v1Lfm, v1Decomp, v1Profile, "0102"+v1PQGrams))
+	if err != nil {
+		t.Fatalf("bad fixture hex: %v", err)
+	}
+	c, err := corpus.Load(bytes.NewReader(raw))
+	if err != nil {
+		t.Fatalf("untampered pq-gram stream: %v", err)
+	}
+	e := c.Engine()
+	c.Add(ted.MustParse("{a{b}{c}}"))
+	if ms, _ := c.Join(e, 1, batch.JoinOptions{Mode: batch.IndexPQGram}); len(ms) != 1 {
+		t.Fatalf("untampered pq-gram stream: join of the tree and its copy found %d matches, want 1", len(ms))
 	}
 }
 

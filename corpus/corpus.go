@@ -1,18 +1,19 @@
 // Package corpus is the persistence layer of the batch-TED stack: a
-// Corpus holds trees under stable IDs together with everything the
-// distance machinery derives from them — interned label ids, RTED
-// decomposition cardinalities, mirror-leafmost arrays, lower-bound
-// profiles, and the inverted-index posting lists of the similarity-join
-// generators — and serializes the whole thing through a versioned binary
-// codec (Save/Load).
+// Corpus holds trees under stable IDs together with their interned label
+// ids and the inverted-index posting lists of the similarity-join
+// generators, and serializes them through a versioned binary codec
+// (Save/Load).
 //
 // RTED's design front-loads per-tree work so it can be amortized across
 // many comparisons; a corpus extends the amortization across process
-// lifetimes. A server that restarts does not re-prepare and re-index its
-// collection: Load decodes the stored artifacts in O(bytes), checking
-// each against its tree, and corpus-attached engines hydrate
-// PreparedTrees from them (batch.PrepareHydrated) instead of
-// recomputing.
+// lifetimes. A server that restarts does not re-parse, re-intern or
+// re-index its collection: Load decodes the trees, their label ids and
+// the indexes in O(bytes). The per-tree inputs of the distance machinery
+// — mirror-leafmost array, decomposition cardinalities, bound profile —
+// take linear time to derive, so they are not stored: corpus-attached
+// engines derive them when they hydrate a stored tree into a
+// PreparedTree (batch.PrepareHydrated), and Warm does that for every
+// tree before the first request.
 //
 // # Durability
 //
@@ -36,12 +37,12 @@
 //
 // # Engines
 //
-// A Corpus is model-free: artifacts are cost-model independent, and
-// per-node operation costs are priced at hydration time. Engines are
-// created through Corpus.Engine, which attaches them to the corpus's
-// label interner; the engine-binding check of batch.PreparedTree
-// thereby becomes a corpus-compatibility check — any engine the corpus
-// created can hydrate any of its trees.
+// A Corpus is model-free: it stores no costs, and per-node operation
+// costs are priced at hydration time. Engines are created through
+// Corpus.Engine, which attaches them to the corpus's label interner;
+// the engine-binding check of batch.PreparedTree thereby becomes a
+// corpus-compatibility check — any engine the corpus created can
+// hydrate any of its trees.
 //
 // Typical use:
 //
@@ -64,10 +65,7 @@ import (
 
 	"repro/batch"
 	"repro/index"
-	"repro/internal/bounds"
 	"repro/internal/cost"
-	"repro/internal/gted"
-	"repro/internal/strategy"
 	"repro/internal/tree"
 )
 
@@ -77,24 +75,18 @@ import (
 // save/load round trip.
 type ID int64
 
-// entry is one stored tree with its prepared artifacts. The tree and
-// artifacts are immutable once built; prof and decomp are built lazily
-// under c.mu on first need (bounded calls and Save need the profile,
-// only optimal-strategy engines need the decomposition — fixed-strategy
-// competitors never do), and prep caches the last hydration so repeated
-// joins through one engine prepare nothing.
+// entry is one stored tree with its interned label ids, both immutable
+// once built. prep caches the last hydration (built under c.mu), so
+// repeated joins through one engine prepare nothing.
 type entry struct {
-	t      *tree.Tree
-	ids    []int32 // interned label id per node (corpus interner)
-	lfm    []int32
-	decomp *strategy.Decomp
-	prof   *bounds.Profile
+	t   *tree.Tree
+	ids []int32 // interned label id per node (corpus interner)
 
 	prep    *batch.PreparedTree
 	prepEng *batch.Engine
 }
 
-// Corpus is a persistent store of trees and their prepared artifacts.
+// Corpus is a persistent store of trees and their label ids.
 // All methods are safe for concurrent use.
 type Corpus struct {
 	mu      sync.RWMutex
@@ -172,25 +164,19 @@ func (c *Corpus) HasPQGramIndex() (q int, ok bool) {
 	return c.pq.Q(), true
 }
 
-// build computes the eager artifacts of t: interned label ids and the
-// mirror-leafmost array. The decomposition cardinalities and the bound
-// profile are deferred (see entry).
+// build interns the labels of t into a new entry.
 func (c *Corpus) build(t *tree.Tree) *entry {
 	n := t.Len()
 	ids := make([]int32, n)
 	for v := 0; v < n; v++ {
 		ids[v] = int32(c.in.Intern(t.Label(v)))
 	}
-	return &entry{
-		t:   t,
-		ids: ids,
-		lfm: gted.MirrorLeafmost(t),
-	}
+	return &entry{t: t, ids: ids}
 }
 
-// Add stores t under a fresh ID and returns it. The per-tree artifacts
-// are computed now, once; every later join, top-k or bounded call — in
-// this process or any process that Loads a Save — reuses them.
+// Add stores t under a fresh ID and returns it. Its labels are interned
+// now, once; every later hydration — in this process or any process
+// that Loads a Save — reuses the ids.
 //
 // Mutations update the maintained indexes while still holding the
 // corpus lock (here and in Delete/Replace), so a concurrent Save — which
@@ -231,8 +217,8 @@ func (c *Corpus) Delete(id ID) bool {
 	return true
 }
 
-// Replace swaps the tree under an existing id for t, rebuilding its
-// artifacts and re-indexing it under the same ID (the old postings
+// Replace swaps the tree under an existing id for t, interning its
+// labels and re-indexing it under the same ID (the old postings
 // become tombstones). It reports whether id was present.
 func (c *Corpus) Replace(id ID, t *tree.Tree) bool {
 	en := c.build(t)
@@ -288,10 +274,10 @@ func (c *Corpus) IDs() []ID {
 }
 
 // Engine builds a batch engine attached to this corpus: it shares the
-// corpus's label interner, so corpus-stored artifacts hydrate directly
-// into its PreparedTrees. Options are as for batch.New; a WithInterner
-// among them is overridden — attachment is the point of this
-// constructor.
+// corpus's label interner, so stored trees hydrate from their label ids
+// directly into its PreparedTrees. Options are as for batch.New; a
+// WithInterner among them is overridden — attachment is the point of
+// this constructor.
 func (c *Corpus) Engine(opts ...batch.Option) *batch.Engine {
 	return batch.New(append(append([]batch.Option{}, opts...), batch.WithInterner(c.in))...)
 }
@@ -311,16 +297,7 @@ func (c *Corpus) prepared(e *batch.Engine, en *entry) *batch.PreparedTree {
 	if en.prep != nil && en.prepEng == e {
 		return en.prep
 	}
-	if en.decomp == nil && !e.FixedStrategy() {
-		en.decomp = strategy.NewDecomp(en.t)
-	}
-	en.prep = e.PrepareHydrated(en.t, batch.Hydration{
-		In:      c.in,
-		IDs:     en.ids,
-		Decomp:  en.decomp,
-		Lfm:     en.lfm,
-		Profile: en.prof,
-	})
+	en.prep = e.PrepareHydrated(en.t, batch.Hydration{In: c.in, IDs: en.ids})
 	en.prepEng = e
 	return en.prep
 }
@@ -383,22 +360,17 @@ func (c *Corpus) snapshotPrepared(e *batch.Engine, under func(ids []ID, ps []*ba
 }
 
 // Warm makes the corpus fully ready to serve engine e: every stored
-// tree is hydrated into a cached PreparedTree and every outstanding
-// bound profile is built, so the first join after Warm pays for nothing
-// but the distance computations. On a corpus that came from Load the
-// profiles are already decoded and warming is pure hydration — the
-// server-restart fast path this package exists for.
+// tree is hydrated into a cached PreparedTree, which derives its
+// mirror-leafmost array, decomposition cardinalities and bound profile,
+// so the first join after Warm pays for nothing but the distance
+// computations. After Load this is where the per-tree work of a
+// restart goes: decoding stored trees is O(bytes), and warming derives
+// the rest from their stored label ids.
 func (c *Corpus) Warm(e *batch.Engine) {
 	c.checkEngine(e)
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for _, en := range c.entries {
-		if en.prof == nil {
-			// Built from the stored ids, which the profile keeps as its
-			// postorder sequence instead of a copy.
-			en.prof = bounds.NewProfile(en.t, en.ids)
-			en.prep, en.prepEng = nil, nil // rehydrate with the profile attached
-		}
 		c.prepared(e, en)
 	}
 }
@@ -408,15 +380,15 @@ func (c *Corpus) Warm(e *batch.Engine) {
 // (corpus-attached): the request path of a server answering distance,
 // bounded-distance and top-k queries about trees that arrive over the
 // wire. Unlike Prepared, nothing is cached: the result lives exactly as
-// long as the caller keeps it. See batch.Engine.PrepareQuery for the
-// artifact and interning details.
+// long as the caller keeps it. See batch.Engine.PrepareQuery for what
+// is prepared and interned.
 func (c *Corpus) PrepareQuery(e *batch.Engine, t *tree.Tree) *batch.PreparedTree {
 	c.checkEngine(e)
 	return e.PrepareQuery(t)
 }
 
 // Prepared returns the PreparedTree of id hydrated for engine e (from
-// the stored artifacts, caching the result), for callers that drive
+// the stored label ids, caching the result), for callers that drive
 // batch.Engine directly — streaming pair queues, top-k, bounded calls.
 // The warm case — the entry already hydrated for e, i.e. every request
 // after Warm — is a read-locked map lookup, so concurrent request

@@ -1,7 +1,5 @@
 package corpus
 
-import "io"
-
 // Crash simulates the process dying: the log's file descriptor is
 // closed with no sync and no bookkeeping — exactly what the kernel does
 // to a killed process's descriptors (which also releases the flock, so
@@ -13,13 +11,4 @@ func (c *Corpus) Crash() {
 	if c.wal != nil {
 		c.wal.f.Close()
 	}
-}
-
-// SaveV1 writes the corpus in the legacy version-1 format (no section
-// checksums), so the backward-compat tests can pin that streams written
-// before the v2 checksum upgrade still load byte for byte.
-func (c *Corpus) SaveV1(w io.Writer) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.saveLocked(w, codecVersionV1)
 }

@@ -2,6 +2,7 @@ package corpus_test
 
 import (
 	"bytes"
+	"encoding/hex"
 	"testing"
 
 	ted "repro"
@@ -15,7 +16,10 @@ import (
 // count dies at the first missing byte). A successfully decoded corpus
 // must additionally survive a save/load round trip of its own: whatever
 // the fuzzer found, the invariants the rest of the stack relies on
-// (valid trees, consistent artifacts, index/store agreement) hold.
+// (valid trees with in-range label ids, index/store agreement) hold.
+// The seeds cover version 3 with and without indexes, the version-1 and
+// version-2 goldens, and version-1 streams whose stored per-tree
+// artifacts disagree with their tree.
 func FuzzCorpusDecode(f *testing.F) {
 	seed := func(opts ...corpus.Option) []byte {
 		c := corpus.New(opts...)
@@ -35,6 +39,13 @@ func FuzzCorpusDecode(f *testing.F) {
 	f.Add(seed(corpus.WithHistogramIndex(), corpus.WithPQGramIndex(2)))
 	for _, bad := range v1TamperedStreams(f) {
 		f.Add(bad)
+	}
+	for _, golden := range []string{v1GoldenHex, v2GoldenHex} {
+		raw, err := hex.DecodeString(golden)
+		if err != nil {
+			f.Fatalf("bad fixture hex: %v", err)
+		}
+		f.Add(raw)
 	}
 	f.Add([]byte("TEDC"))
 	f.Add([]byte{})

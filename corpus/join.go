@@ -23,7 +23,7 @@ type Match struct {
 // Join computes the similarity self-join of the corpus on engine e: all
 // unordered ID pairs at edit distance below tau. The engine must be
 // corpus-attached (Corpus.Engine); every stored tree is hydrated from
-// its artifacts, not re-prepared.
+// its label ids, not re-interned.
 //
 // Candidate generation follows opts.Mode. An index mode probes the
 // corpus's maintained index when it keeps the selected one

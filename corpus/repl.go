@@ -173,7 +173,7 @@ func (c *Corpus) SnapshotBytes() ([]byte, ReplPos, error) {
 	defer c.mu.Unlock()
 	c.ensureReplLocked()
 	var buf bytes.Buffer
-	if err := c.saveLocked(&buf, codecVersion); err != nil {
+	if err := c.saveLocked(&buf); err != nil {
 		return nil, ReplPos{}, err
 	}
 	return buf.Bytes(), ReplPos{Gen: c.replGen, Seq: len(c.replRecs)}, nil

@@ -18,7 +18,7 @@ type CrossMatch struct {
 
 // TopKAcross finds the k subtrees closest to query across every stored
 // tree, on engine e (corpus-attached). Stored trees hydrate from their
-// artifacts; the query is prepared fresh. Semantics are those of
+// label ids; the query is prepared fresh. Semantics are those of
 // batch.Engine.TopKAcross: results sorted by distance, ties toward
 // smaller (Tree, Root), and each GTED run bounded by the running k-th
 // best distance.

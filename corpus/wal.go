@@ -558,16 +558,17 @@ func (c *Corpus) LogPending() bool {
 }
 
 // Checkpoint folds the log into the snapshot: the corpus is written to
-// its Open path (atomically — a temp file renamed over the old snapshot)
-// and the log truncated back to empty. The CPU-bound snapshot encode
-// runs under the corpus lock (it reads the store), but the expensive
-// part — writing and fsyncing the temp file — runs *outside* it, so a
-// checkpoint's disk time does not stall every concurrent read and
-// mutation; the final swap re-checks that no mutation landed during
-// the flush (retrying the encode if one did, and falling back to
-// flushing under the lock after a few rounds of losing that race). After a crash anywhere inside Checkpoint, Open recovers a
-// consistent corpus: either the old snapshot with the full log, or the
-// new snapshot with a log whose replay is idempotent.
+// its Open path (atomically, with WriteFileAtomic) and the log truncated
+// back to empty. The CPU-bound snapshot encode runs under the corpus
+// lock (it reads the store), but the expensive part — writing, fsyncing
+// and renaming the new snapshot — runs *outside* it, so a checkpoint's
+// disk time does not stall every concurrent read and mutation. The log
+// is truncated only if no mutation landed during the flush; otherwise
+// the encode is retried, and after a few rounds of losing that race the
+// whole checkpoint runs under the lock. After a crash anywhere inside
+// Checkpoint, Open recovers a consistent corpus: the old or the new
+// snapshot with the full log, whose replay is idempotent, or the new
+// snapshot with an empty log.
 func (c *Corpus) Checkpoint() error {
 	// One checkpoint at a time; concurrent callers queue rather than
 	// racing each other's temp files and renames.
@@ -584,77 +585,67 @@ func (c *Corpus) Checkpoint() error {
 			return err
 		}
 		var buf bytes.Buffer
-		if err := c.saveLocked(&buf, codecVersion); err != nil {
+		if err := c.saveLocked(&buf); err != nil {
 			c.mu.Unlock()
 			return err
 		}
 		seq := c.mutSeq
-		c.mu.Unlock()
-
-		// Heavy I/O, lock-free: write and fsync the temp snapshot.
-		tmp := c.snapPath + ".tmp"
-		if err := writeFileSync(tmp, buf.Bytes()); err != nil {
-			os.Remove(tmp)
+		locked := attempt >= 2 // stop yielding: flush under the lock
+		if !locked {
+			c.mu.Unlock()
+		}
+		err := WriteFileAtomic(c.snapPath, buf.Bytes())
+		if !locked {
+			c.mu.Lock()
+		}
+		if err != nil {
+			c.mu.Unlock()
 			return err
 		}
-
-		c.mu.Lock()
-		if c.mutSeq != seq && attempt < 2 {
-			// A mutation landed while the snapshot was flushing: this
-			// snapshot is stale, and truncating the log against it would
-			// drop that mutation. Re-encode.
+		if c.mutSeq != seq {
+			// A mutation landed while the snapshot was flushing: the
+			// snapshot lacks it, so truncating the log would drop it.
+			// Re-encode.
 			c.mu.Unlock()
-			os.Remove(tmp)
 			continue
 		}
-		// Either nothing moved, or we stop yielding (attempt ≥ 2): in the
-		// latter case re-encode one final time under the lock so the swap
-		// is exact.
-		if c.mutSeq != seq {
-			buf.Reset()
-			if err := c.saveLocked(&buf, codecVersion); err != nil {
-				c.mu.Unlock()
-				os.Remove(tmp)
-				return err
-			}
-			if err := writeFileSync(tmp, buf.Bytes()); err != nil {
-				c.mu.Unlock()
-				os.Remove(tmp)
-				return err
-			}
+		// The snapshot holds everything the log recorded, and c.mu keeps
+		// it that way until the log is empty.
+		err = c.wal.reset()
+		if err == nil {
+			// The log generation ends here: records folded into the
+			// snapshot leave the replication buffer, and followers
+			// identify their position by (generation, index) — see
+			// repl.go.
+			c.rotateReplLocked()
 		}
-		err := c.swapSnapshotLocked(tmp)
 		c.mu.Unlock()
 		return err
 	}
 }
 
-// swapSnapshotLocked renames the fsynced temp snapshot over the live
-// one and truncates the log. Callers hold c.mu, so no mutation can land
-// between the rename and the truncation. (SaveFile's post-Close branch
-// in codec.go mirrors the replace protocol without the truncation —
-// change one, change both.)
-func (c *Corpus) swapSnapshotLocked(tmp string) error {
-	if err := os.Rename(tmp, c.snapPath); err != nil {
+// WriteFileAtomic replaces the file at path with data so that a crash
+// or an I/O error at any point leaves either the old file or the new
+// one, never a torn mix: data goes to a temp file beside path, which is
+// fsynced, renamed over path, and made durable by an fsync of the
+// directory. A symlink at path is replaced, not followed. Snapshots are
+// written this way (SaveFile, Checkpoint), and so is a follower's
+// shipped checkpoint. Concurrent calls for one path must be serialized
+// by the caller, since they share the temp file.
+func WriteFileAtomic(path string, data []byte) error {
+	tmp := path + ".tmp"
+	if err := writeFileSync(tmp, data); err != nil {
 		os.Remove(tmp)
 		return err
 	}
-	// The rename must be durable before the log is truncated: without a
-	// directory fsync, a power failure could persist the truncation but
-	// not the new directory entry, recovering the old snapshot with an
-	// empty log — exactly the acknowledged-mutation loss the WAL exists
-	// to rule out.
-	if err := syncDir(filepath.Dir(c.snapPath)); err != nil {
+	if err := os.Rename(tmp, path); err != nil {
+		os.Remove(tmp)
 		return err
 	}
-	if err := c.wal.reset(); err != nil {
-		return err
-	}
-	// The log generation ends here: records folded into the snapshot
-	// leave the replication buffer, and followers identify their position
-	// by (generation, index) — see repl.go.
-	c.rotateReplLocked()
-	return nil
+	// Without a directory fsync a power failure could lose the rename
+	// while keeping what the caller does next, such as a log truncation
+	// that assumes the new snapshot is in place.
+	return syncDir(filepath.Dir(path))
 }
 
 // writeFileSync writes data to path (created or truncated) and fsyncs

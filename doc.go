@@ -136,13 +136,14 @@
 //	├── one process, evolving        → corpus.New(WithHistogramIndex());
 //	│     (adds/deletes/replaces       Add/Delete/Replace keep the
 //	│      between joins)              sharded posting lists in sync, and
-//	│                                   every join reuses the artifacts
+//	│                                   every join reuses the hydrated trees
 //	├── many processes, read-mostly  → the same corpus, plus Save at
 //	│     (batch jobs, a fleet          build time and Load at start:
-//	│      that shares one build)       trees, artifacts and posting
+//	│      that shares one build)       trees, label ids and posting
 //	│                                    lists come back in O(bytes),
-//	│                                    Corpus.Engine + Warm make the
-//	│                                    first join pay only GTED
+//	│                                    Corpus.Engine + Warm derive the
+//	│                                    rest, so the first join pays
+//	│                                    only GTED
 //	├── many processes, mutating     → corpus.Open instead of Load: a
 //	│     (crashes must lose            write-ahead log records every
 //	│      nothing acknowledged)        mutation before it returns and
@@ -166,8 +167,8 @@
 //
 // Persist when the per-tree work is paid more than once per build:
 // restarts, repeated batch jobs over one collection, or any fan-out
-// where workers can Load a shared artifact set instead of each
-// re-preparing it. Rebuild when trees are joined once and discarded —
+// where workers can Load one shared snapshot instead of each
+// re-parsing and re-indexing it. Rebuild when trees are joined once and discarded —
 // the codec's bytes buy nothing a dropped process would not also drop.
 // Open (rather than Load) whenever mutations happen between Saves and a
 // crash must not lose them; serve with tedd when the callers are not Go

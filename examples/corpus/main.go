@@ -1,9 +1,9 @@
 // corpus: the persistent-corpus walkthrough. A collection of trees is
-// stored in a corpus.Corpus — stable IDs, prepared artifacts, an
+// stored in a corpus.Corpus — stable IDs, interned label ids, an
 // incrementally maintained inverted index — saved to disk, reloaded in
 // what stands in for a fresh process, and joined again: the reloaded
 // join reproduces the original match set bit for bit while skipping
-// parsing, preparation and index construction entirely. The walkthrough
+// parsing, label interning and index construction entirely. The walkthrough
 // then mutates the corpus (Delete/Replace) and shows the index staying
 // in sync through its tombstoned posting lists.
 package main
@@ -30,8 +30,10 @@ func main() {
 	}
 	tau := 8.0
 
-	// Build: every Add computes the tree's artifacts once (label ids,
-	// decomposition cardinalities, mirror-leafmost array) and indexes it.
+	// Build: every Add interns the tree's labels once and indexes it; the
+	// first join hydrates each tree for the engine, deriving its
+	// mirror-leafmost array, decomposition cardinalities and bound
+	// profile.
 	buildStart := time.Now()
 	c := corpus.New(corpus.WithHistogramIndex())
 	for _, t := range trees {
@@ -43,8 +45,8 @@ func main() {
 	fmt.Printf("join: %d matches from %d candidates (%d exact computations)\n\n",
 		len(matches), st.Comparisons, st.ExactComputed)
 
-	// Persist: one binary stream holds trees, artifacts and the index's
-	// posting lists.
+	// Persist: one binary stream holds the trees, their label ids and the
+	// index's posting lists.
 	dir, err := os.MkdirTemp("", "tedcorpus")
 	if err != nil {
 		panic(err)
@@ -58,8 +60,8 @@ func main() {
 	fmt.Printf("saved to %s: %d bytes (%d bytes/tree)\n", filepath.Base(path), info.Size(), info.Size()/int64(c.Len()))
 
 	// Reload — the "restarted server": Load decodes in O(bytes), and the
-	// corpus-attached engine hydrates PreparedTrees from the stored
-	// artifacts instead of recomputing them.
+	// corpus-attached engine hydrates PreparedTrees from the stored label
+	// ids instead of re-interning them.
 	loadStart := time.Now()
 	c2, err := corpus.LoadFile(path)
 	if err != nil {

@@ -44,7 +44,7 @@
 //
 //   - label histogram: (id, count) pairs sorted by id, 8 bytes each;
 //   - binary-branch histogram: (label, first child, next sibling, count)
-//     entries sorted by the id triple, 16 bytes each, NoLabel where a
+//     entries sorted by the id triple, 16 bytes each, −1 where a
 //     position has no node;
 //   - preorder and postorder label-id sequences, 4 bytes a node; the
 //     postorder one is the caller's id slice (a corpus's stored ids), not

@@ -8,23 +8,23 @@ import (
 	"repro/internal/tree"
 )
 
-// NoLabel fills a binary-branch position that has no node — a leaf's
+// noLabel fills a binary-branch position that has no node — a leaf's
 // first child, a last child's next sibling. A node with the empty label
-// reads as NoLabel too: the string-keyed BinaryBranch spells a missing
+// reads as noLabel too: the string-keyed BinaryBranch spells a missing
 // position as "", so the two collapse there and must collapse here.
-const NoLabel int32 = -1
+const noLabel int32 = -1
 
-// LabelCount is one entry of a profile's label histogram: an interned
+// labelCount is one entry of a profile's label histogram: an interned
 // label id and the number of nodes that carry it.
-type LabelCount struct {
+type labelCount struct {
 	ID, Count int32
 }
 
-// BranchCount is one entry of a profile's binary-branch histogram: the
+// branchCount is one entry of a profile's binary-branch histogram: the
 // label ids of a node, of its first child and of its next sibling in the
-// first-child/next-sibling binary transform (NoLabel where there is no
+// first-child/next-sibling binary transform (noLabel where there is no
 // such node), with the number of nodes that share the triple.
-type BranchCount struct {
+type branchCount struct {
 	Label, FirstChild, NextSibling, Count int32
 }
 
@@ -45,8 +45,8 @@ type BranchCount struct {
 // binding check (one interner per engine or corpus) guarantees that.
 type Profile struct {
 	t        *tree.Tree
-	labels   []LabelCount  // ascending ID
-	branches []BranchCount // ascending (Label, FirstChild, NextSibling)
+	labels   []labelCount  // ascending ID
+	branches []branchCount // ascending (Label, FirstChild, NextSibling)
 	pre      []int32       // label ids in preorder
 	post     []int32       // label ids in postorder: the ids NewProfile was given
 }
@@ -72,7 +72,7 @@ func NewProfile(t *tree.Tree, ids []int32) *Profile {
 
 // labelCounts returns the (id, count) run lengths of ids, sorted by id,
 // in a slice of exactly the distinct-label count.
-func labelCounts(ids []int32) []LabelCount {
+func labelCounts(ids []int32) []labelCount {
 	s := slices.Clone(ids)
 	slices.Sort(s)
 	distinct := 0
@@ -81,13 +81,13 @@ func labelCounts(ids []int32) []LabelCount {
 			distinct++
 		}
 	}
-	out := make([]LabelCount, 0, distinct)
+	out := make([]labelCount, 0, distinct)
 	for i := 0; i < len(s); {
 		j := i + 1
 		for j < len(s) && s[j] == s[i] {
 			j++
 		}
-		out = append(out, LabelCount{ID: s[i], Count: int32(j - i)})
+		out = append(out, labelCount{ID: s[i], Count: int32(j - i)})
 		i = j
 	}
 	return out
@@ -95,19 +95,19 @@ func labelCounts(ids []int32) []LabelCount {
 
 // branchCounts returns the binary-branch histogram of t, sorted, in a
 // slice of exactly the distinct-branch count.
-func branchCounts(t *tree.Tree, ids []int32) []BranchCount {
+func branchCounts(t *tree.Tree, ids []int32) []branchCount {
 	at := func(v int) int32 {
 		if t.Label(v) == "" {
-			return NoLabel
+			return noLabel
 		}
 		return ids[v]
 	}
 	n := t.Len()
-	all := make([]BranchCount, n)
+	all := make([]branchCount, n)
 	// Postorder puts every child before its parent, so a node's entry
 	// exists by the time its parent fills in the next-sibling links.
 	for v := 0; v < n; v++ {
-		all[v] = BranchCount{Label: at(v), FirstChild: NoLabel, NextSibling: NoLabel, Count: 1}
+		all[v] = branchCount{Label: at(v), FirstChild: noLabel, NextSibling: noLabel, Count: 1}
 		kids := t.Children(v)
 		if len(kids) > 0 {
 			all[v].FirstChild = at(kids[0])
@@ -130,7 +130,7 @@ func branchCounts(t *tree.Tree, ids []int32) []BranchCount {
 }
 
 // compareBranch orders branch entries by (Label, FirstChild, NextSibling).
-func compareBranch(a, b BranchCount) int {
+func compareBranch(a, b branchCount) int {
 	if c := cmp.Compare(a.Label, b.Label); c != 0 {
 		return c
 	}

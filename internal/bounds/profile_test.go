@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
-	"slices"
 	"testing"
 
 	"repro/internal/cost"
@@ -133,47 +132,4 @@ func TestProfiledBoundsAllocFree(t *testing.T) {
 		t.Errorf("LowerProfiled allocates %v times per call", n)
 	}
 	_ = sink
-}
-
-// TestRestoreProfileChecksHistograms: persisted histograms restore in
-// any order when they describe the tree, and any disagreement — a count
-// off by one, a changed branch, another tree's histograms — is an error.
-func TestRestoreProfileChecksHistograms(t *testing.T) {
-	in := cost.NewInterner()
-	tr := tree.MustParseBracket("{a{b}{c{b}{}}}")
-	p := internedProfile(tr, in)
-	other := internedProfile(tree.MustParseBracket("{a{b}{c{c}{}}}"), in)
-
-	restore := func(labels []LabelCount, branches []BranchCount) (*Profile, error) {
-		return RestoreProfile(tr, p.post, slices.Clone(labels), slices.Clone(branches))
-	}
-	labels, branches := slices.Clone(p.LabelCounts()), slices.Clone(p.BranchCounts())
-	slices.Reverse(labels)
-	slices.Reverse(branches)
-	q, err := restore(labels, branches)
-	if err != nil {
-		t.Fatalf("restoring the tree's own histograms: %v", err)
-	}
-	if !slices.Equal(q.LabelCounts(), p.LabelCounts()) || !slices.Equal(q.BranchCounts(), p.BranchCounts()) {
-		t.Fatalf("restored profile differs from a fresh one")
-	}
-
-	inflated := slices.Clone(p.LabelCounts())
-	inflated[0].Count++
-	moved := slices.Clone(p.BranchCounts())
-	moved[0].NextSibling = p.LabelCounts()[0].ID
-	for name, c := range map[string]struct {
-		labels   []LabelCount
-		branches []BranchCount
-	}{
-		"inflated label count":  {inflated, p.BranchCounts()},
-		"changed branch":        {p.LabelCounts(), moved},
-		"other tree's labels":   {other.LabelCounts(), p.BranchCounts()},
-		"other tree's branches": {p.LabelCounts(), other.BranchCounts()},
-		"missing entries":       {p.LabelCounts()[1:], p.BranchCounts()},
-	} {
-		if _, err := restore(c.labels, c.branches); err == nil {
-			t.Errorf("%s: restored without error", name)
-		}
-	}
 }

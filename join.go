@@ -132,7 +132,7 @@ func Join(trees []*Tree, tau float64, opts ...Option) JoinResult {
 		// generation: the collection becomes a transient corpus (Add
 		// assigns IDs 0..n−1, the collection indices) that builds the
 		// selected index per call, and the engine hydrates the corpus's
-		// artifacts — the same path a persisted corpus takes after Load.
+		// trees — the same path a persisted corpus takes after Load.
 		cp := corpus.New()
 		for _, t := range trees {
 			cp.Add(t)

@@ -8,7 +8,7 @@
 // Load) the corpus, attach an engine with Corpus.Engine, Warm it so the
 // first request pays for nothing but distance computations. The request
 // path then runs entirely on prepared state: stored trees hydrate from
-// their artifacts, ad-hoc query trees are prepared per request
+// their label ids, ad-hoc query trees are prepared per request
 // (batch.Engine.PrepareQuery) and discarded.
 //
 // # API

@@ -133,10 +133,12 @@ func WithMaxBodyBytes(n int64) Option {
 }
 
 // WithMaxNodes caps the node count of ad-hoc request trees (default
-// 4096). The binding constraint is DP memory, not CPU: one distance
-// pair allocates O(n·m) table cells (~9 bytes each), so two trees at a
-// cap of c cost up to 9c² bytes on one worker — ~150 MB at the default,
-// ~38 GB at 1<<16. Raise it only with the arithmetic in hand.
+// 4096). The binding constraint is DP memory, not CPU: one exact
+// distance pair allocates O(n·m) bytes, 46–49 per subtree pair on
+// TreeBank-like trees of 1,000 and 2,000 nodes (the strategy DP's
+// tables and the GTED arena), so two trees at a cap of c cost up to
+// ~49c² bytes on one worker — ~820 MB at the default, ~210 GB at 1<<16.
+// Raise it only with the arithmetic in hand.
 func WithMaxNodes(n int) Option {
 	return func(s *Server) { s.maxNodes = n }
 }
@@ -200,8 +202,8 @@ func WithClusterWorkers(addrs []string) Option {
 
 // New builds a server over c. The engine is corpus-attached
 // (corpus.Corpus.Engine), so every stored tree hydrates from its
-// persisted artifacts; call Warm before accepting traffic to hydrate
-// them all up front.
+// stored label ids; call Warm before accepting traffic to hydrate them
+// all up front.
 func New(c *corpus.Corpus, opts ...Option) *Server {
 	s := &Server{
 		c:            c,
