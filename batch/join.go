@@ -45,9 +45,6 @@ const (
 	// IndexPQGram generates candidates from the (1,q)-gram inverted
 	// index (index.PQGram): only pairs sharing structure — at least one
 	// pq-gram, or the provably-required small-tree fringe — are visited.
-	// (The index also scores candidates by pq-gram distance; a join
-	// evaluates every candidate anyway, so the ranking is exposed on
-	// index.PQGram for order-sensitive workloads, not used here.)
 	IndexPQGram
 )
 

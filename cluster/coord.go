@@ -25,26 +25,18 @@ import (
 // and no duplicated matches.
 type Coordinator struct {
 	addrs []string
-
-	// RangesPerWorker oversizes the task queue for load balancing
-	// (default 4).
-	RangesPerWorker int
-
-	// DialTimeout bounds each connection attempt (default 5s).
-	DialTimeout time.Duration
 }
+
+const (
+	// rangesPerWorker oversizes the task queue for load balancing.
+	rangesPerWorker = 4
+	// dialTimeout bounds each connection attempt.
+	dialTimeout = 5 * time.Second
+)
 
 // NewCoordinator returns a coordinator over the given worker addresses.
 func NewCoordinator(addrs []string) *Coordinator {
 	return &Coordinator{addrs: append([]string(nil), addrs...)}
-}
-
-func (co *Coordinator) dial(addr string) (net.Conn, error) {
-	d := co.DialTimeout
-	if d <= 0 {
-		d = 5 * time.Second
-	}
-	return net.DialTimeout("tcp", addr, d)
 }
 
 // roundTrip runs one request against one worker and collects its data
@@ -53,7 +45,7 @@ func (co *Coordinator) dial(addr string) (net.Conn, error) {
 // "done" — the caller treats the former as fatal and the latter as a
 // dead worker.
 func (co *Coordinator) roundTrip(addr string, req *Request) (frames []Frame, done Frame, err error) {
-	conn, err := co.dial(addr)
+	conn, err := net.DialTimeout("tcp", addr, dialTimeout)
 	if err != nil {
 		return nil, Frame{}, err
 	}
@@ -116,11 +108,7 @@ type rangeTask struct{ idx, lo, hi int }
 // fails only when a worker refuses a request or no live workers remain
 // with work outstanding.
 func (co *Coordinator) runRanges(count int, mkReq func(lo, hi int) *Request) (frames [][]Frame, dones []Frame, err error) {
-	nr := co.RangesPerWorker
-	if nr <= 0 {
-		nr = 4
-	}
-	nRanges := nr * len(co.addrs)
+	nRanges := rangesPerWorker * len(co.addrs)
 	if nRanges > count {
 		nRanges = count
 	}
@@ -252,9 +240,9 @@ func (co *Coordinator) TopK(query *tree.Tree, k int) ([]corpus.CrossMatch, batch
 	if err != nil {
 		return nil, batch.Stats{}, err
 	}
-	qw := treeWire(query)
+	qf := query.Postorder()
 	frames, dones, err := co.runRanges(count, func(lo, hi int) *Request {
-		return &Request{Op: "topk", K: k, Query: qw, Lo: lo, Hi: hi}
+		return &Request{Op: "topk", K: k, Query: &qf, Lo: lo, Hi: hi}
 	})
 	if err != nil {
 		return nil, batch.Stats{}, err

@@ -49,28 +49,31 @@ type Follower struct {
 	// (default 20s).
 	PollWait time.Duration
 
-	mu          sync.Mutex
-	pos         corpus.ReplPos // primary position applied through
-	primarySeq  int            // primary's latest announced position in pos.Gen
-	lastContact time.Time      // last byte heard from the primary
-	lastFresh   time.Time      // last moment we knew we were fully caught up
-	records     int64
-	ships       int64
-	lastErr     error
+	mu         sync.Mutex
+	pos        corpus.ReplPos // primary position applied through
+	primarySeq int            // primary's latest announced position in pos.Gen
+	lastFresh  time.Time      // last moment we knew we were fully caught up
+	records    int64
+	ships      int64
+	lastErr    error
 }
 
-// FollowerStats is a point-in-time view of replication progress, for
-// /v1/stats and operator eyes.
+// FollowerStats is a point-in-time view of replication progress: the
+// primary followed, the log position applied through, the primary's
+// last announced position and the lag between them. StalenessMS is
+// Staleness in milliseconds, the quantity a replica's max-staleness
+// read guard bounds. A replica's /v1/stats serves it as its
+// "replication" object.
 type FollowerStats struct {
-	Primary     string    `json:"primary"`
-	Gen         string    `json:"gen"`
-	AppliedSeq  int       `json:"appliedSeq"`
-	PrimarySeq  int       `json:"primarySeq"`
-	Lag         int       `json:"lag"`
-	Records     int64     `json:"records"`
-	Ships       int64     `json:"checkpointShips"`
-	LastContact time.Time `json:"lastContact,omitzero"`
-	LastErr     string    `json:"lastErr,omitempty"`
+	Primary     string `json:"primary"`
+	Gen         string `json:"gen"`
+	AppliedSeq  int    `json:"applied_seq"`
+	PrimarySeq  int    `json:"primary_seq"`
+	Lag         int    `json:"lag"`
+	Records     int64  `json:"records"`
+	Ships       int64  `json:"checkpoint_ships"`
+	StalenessMS int64  `json:"staleness_ms"`
+	LastErr     string `json:"last_err,omitempty"`
 }
 
 // errNeedShip marks a 409 from /v1/wal: our position is gone and only a
@@ -119,7 +122,7 @@ func (f *Follower) Stats() FollowerStats {
 		Lag:         lag,
 		Records:     f.records,
 		Ships:       f.ships,
-		LastContact: f.lastContact,
+		StalenessMS: f.stalenessLocked().Milliseconds(),
 	}
 	if f.lastErr != nil {
 		st.LastErr = f.lastErr.Error()
@@ -133,6 +136,11 @@ func (f *Follower) Stats() FollowerStats {
 func (f *Follower) Staleness() time.Duration {
 	f.mu.Lock()
 	defer f.mu.Unlock()
+	return f.stalenessLocked()
+}
+
+// stalenessLocked is Staleness for a caller holding f.mu.
+func (f *Follower) stalenessLocked() time.Duration {
 	if f.lastFresh.IsZero() {
 		return time.Duration(1<<63 - 1)
 	}
@@ -239,7 +247,6 @@ func (f *Follower) streamOnce(ctx context.Context) error {
 	}
 	pos = corpus.ReplPos{Gen: gen, Seq: seq}
 	f.pos = pos
-	f.lastContact = time.Now()
 	f.mu.Unlock()
 
 	br := bufio.NewReader(resp.Body)
@@ -257,7 +264,6 @@ func (f *Follower) streamOnce(ctx context.Context) error {
 		if seq, ok := corpus.DecodeProgress(body); ok {
 			f.mu.Lock()
 			f.primarySeq = seq
-			f.lastContact = time.Now()
 			if f.pos.Seq >= seq {
 				f.lastFresh = time.Now()
 			}
@@ -271,7 +277,6 @@ func (f *Follower) streamOnce(ctx context.Context) error {
 		f.mu.Lock()
 		f.pos = pos
 		f.records++
-		f.lastContact = time.Now()
 		if pos.Seq >= f.primarySeq {
 			f.primarySeq = pos.Seq
 			f.lastFresh = time.Now()
@@ -330,7 +335,6 @@ func (f *Follower) ship(ctx context.Context) error {
 	f.pos = corpus.ReplPos{Gen: gen, Seq: seq}
 	f.primarySeq = seq
 	f.ships++
-	f.lastContact = time.Now()
 	f.lastFresh = time.Now()
 	f.lastErr = nil
 	f.mu.Unlock()

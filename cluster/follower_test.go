@@ -90,6 +90,11 @@ func TestFollowerMidLogCatchUp(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Before any contact the follower cannot prove it is fresh; its
+	// stats carry the staleness its read guard sees.
+	if got, want := fl.Stats().StalenessMS, fl.Staleness().Milliseconds(); got != want {
+		t.Fatalf("fresh follower stats staleness %d ms, Staleness %d ms", got, want)
+	}
 	fl.PollWait = 200 * time.Millisecond
 	stop := startFollowerRun(fl)
 	defer stop()

@@ -27,6 +27,7 @@ import (
 	"io"
 
 	"repro/batch"
+	"repro/internal/tree"
 )
 
 // Request is the single message a coordinator sends on a worker
@@ -41,19 +42,14 @@ type Request struct {
 	Mode   batch.IndexMode `json:"mode,omitempty"`
 	Q      int             `json:"q,omitempty"`
 
-	// TopK.
-	K     int       `json:"k,omitempty"`
-	Query *TreeWire `json:"query,omitempty"`
+	// TopK. Query is the query tree in the corpus codec's postorder
+	// form.
+	K     int                 `json:"k,omitempty"`
+	Query *tree.PostorderForm `json:"query,omitempty"`
 
 	// The snapshot position range to evaluate, [Lo, Hi).
 	Lo int `json:"lo"`
 	Hi int `json:"hi"`
-}
-
-// TreeWire carries a query tree in the codec's postorder form.
-type TreeWire struct {
-	Labels []string `json:"labels"`
-	Counts []int    `json:"counts"`
 }
 
 // Frame is one message of a worker's response stream.

@@ -163,7 +163,7 @@ func (w *Worker) handleTopK(bw *bufio.Writer, conn net.Conn, req *Request) {
 		writeMsg(bw, &Frame{Kind: "error", Err: "topk needs a query tree and k > 0"})
 		return
 	}
-	t, err := tree.FromPostorder(tree.PostorderForm{Labels: req.Query.Labels, ChildCounts: req.Query.Counts})
+	t, err := tree.FromPostorder(*req.Query)
 	if err != nil {
 		writeMsg(bw, &Frame{Kind: "error", Err: "bad query tree: " + err.Error()})
 		return
@@ -177,15 +177,4 @@ func (w *Worker) handleTopK(bw *bufio.Writer, conn net.Conn, req *Request) {
 		}
 	}
 	writeMsg(bw, &Frame{Kind: "done", Stats: &st})
-}
-
-// treeWire converts a query tree to its wire form.
-func treeWire(t *tree.Tree) *TreeWire {
-	n := t.Len()
-	tw := &TreeWire{Labels: make([]string, n), Counts: make([]int, n)}
-	for v := 0; v < n; v++ {
-		tw.Labels[v] = t.Label(v)
-		tw.Counts[v] = t.NumChildren(v)
-	}
-	return tw
 }

@@ -170,7 +170,7 @@ func run(ctx context.Context, args []string, logw io.Writer, ready chan<- string
 		fmt.Fprintf(logw, "tedd: joins/top-k fan out to %d workers: %s\n", len(addrs), strings.Join(addrs, ", "))
 	}
 	if fl != nil {
-		sopts = append(sopts, server.WithReplica(replicationStats(fl), fl.Staleness, *maxStale))
+		sopts = append(sopts, server.WithReplica(fl.Stats, fl.Staleness, *maxStale))
 	}
 	mkServer := func(c *corpus.Corpus) *server.Server {
 		s := server.New(c, sopts...)
@@ -272,23 +272,4 @@ func run(ctx context.Context, args []string, logw io.Writer, ready chan<- string
 		fmt.Fprintf(logw, "tedd: checkpointed %d trees in %v\n", cur().Len(), time.Since(start).Round(time.Millisecond))
 	}
 	return cur().Close()
-}
-
-// replicationStats adapts the follower's telemetry to the server's
-// /v1/stats wire form.
-func replicationStats(fl *cluster.Follower) func() server.ReplicationStats {
-	return func() server.ReplicationStats {
-		fs := fl.Stats()
-		return server.ReplicationStats{
-			Primary:         fs.Primary,
-			Gen:             fs.Gen,
-			AppliedSeq:      fs.AppliedSeq,
-			PrimarySeq:      fs.PrimarySeq,
-			Lag:             fs.Lag,
-			Records:         fs.Records,
-			CheckpointShips: fs.Ships,
-			StalenessMS:     fl.Staleness().Milliseconds(),
-			LastErr:         fs.LastErr,
-		}
-	}
 }

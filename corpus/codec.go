@@ -193,18 +193,6 @@ func samePath(a, b string) bool {
 	return aa == bb
 }
 
-// corpusFileName is the file SaveDir/LoadDir use inside their directory.
-const corpusFileName = "corpus.tedc"
-
-// SaveDir writes the corpus into dir (created if missing) under the
-// canonical file name, the layout LoadDir expects.
-func (c *Corpus) SaveDir(dir string) error {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
-	return c.SaveFile(filepath.Join(dir, corpusFileName))
-}
-
 // Load reads a corpus in the binary format from r. The result is
 // equivalent to the saved corpus: same IDs, trees and label ids decoded
 // in O(bytes), maintained indexes rebuilt from their persisted profiles
@@ -340,11 +328,6 @@ func LoadFile(path string) (*Corpus, error) {
 	}
 	defer f.Close()
 	return Load(f)
-}
-
-// LoadDir reads the corpus SaveDir wrote into dir.
-func LoadDir(dir string) (*Corpus, error) {
-	return LoadFile(filepath.Join(dir, corpusFileName))
 }
 
 // crossCheckIndex verifies that a restored index covers exactly the

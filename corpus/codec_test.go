@@ -152,17 +152,17 @@ func TestLoadErrorsNeverPanic(t *testing.T) {
 		bad[off] ^= 0x55
 		corpus.Load(bytes.NewReader(bad))
 	}
-	// SaveDir/LoadDir round trip.
-	dir := t.TempDir()
-	if err := c.SaveDir(dir); err != nil {
-		t.Fatalf("SaveDir: %v", err)
+	// SaveFile/LoadFile round trip.
+	path := filepath.Join(t.TempDir(), "corpus.tedc")
+	if err := c.SaveFile(path); err != nil {
+		t.Fatalf("SaveFile: %v", err)
 	}
-	c2, err := corpus.LoadDir(dir)
+	c2, err := corpus.LoadFile(path)
 	if err != nil {
-		t.Fatalf("LoadDir: %v", err)
+		t.Fatalf("LoadFile: %v", err)
 	}
 	if c2.Len() != c.Len() {
-		t.Fatalf("LoadDir returned %d trees, want %d", c2.Len(), c.Len())
+		t.Fatalf("LoadFile returned %d trees, want %d", c2.Len(), c.Len())
 	}
 }
 

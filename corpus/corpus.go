@@ -33,7 +33,8 @@
 // Add assigns monotonically increasing IDs that survive Delete and
 // Replace — an ID names the same logical tree for the corpus's whole
 // life, across saves and loads, which is what lets external systems
-// (and the sharded posting lists) refer to trees without renumbering.
+// (and the maintained indexes' posting lists) refer to trees without
+// renumbering.
 //
 // # Engines
 //

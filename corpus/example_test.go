@@ -22,7 +22,7 @@ func ExampleCorpus_Save() {
 		c.Add(ted.MustParse(s))
 	}
 
-	var disk bytes.Buffer // stands in for a file; see also SaveFile/SaveDir
+	var disk bytes.Buffer // stands in for a file; see also SaveFile/LoadFile
 	if err := c.Save(&disk); err != nil {
 		panic(err)
 	}

@@ -27,8 +27,8 @@ type Match struct {
 //
 // Candidate generation follows opts.Mode. An index mode probes the
 // corpus's maintained index when it keeps the selected one
-// (WithHistogramIndex / WithPQGramIndex) — its persistent sharded
-// posting lists, no per-call build — and otherwise a throwaway index
+// (WithHistogramIndex / WithPQGramIndex) — its persistent posting
+// lists, no per-call build — and otherwise a throwaway index
 // built over this call's snapshot; IndexEnumerate visits every pair, and
 // IndexAuto picks (see resolveMode). The candidates run through
 // batch.Engine.JoinCandidatesStream's filters. The match set is

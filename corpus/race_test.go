@@ -17,8 +17,9 @@ import (
 // Add/Delete/Replace writers against concurrent Join, TopKAcross, Tree,
 // IDs and Len readers — and then checks the quiescent corpus against a
 // deterministic replay. Run under -race this is the corpus-level
-// locking contract (the analogous shard test in package index covers
-// only the posting lists; this one covers the store, the prepared-tree
+// locking contract, which is also the maintained indexes' only
+// synchronization (the index package's contention test checks the same
+// rule on a bare index; this one covers the store, the prepared-tree
 // cache and the maintained indexes together). The WAL variant runs the
 // same schedule on a corpus opened with Open, so log appends interleave
 // with reads too.

@@ -138,14 +138,10 @@ func (w *wal) appendBody(body []byte) {
 	if w.getErr() != nil {
 		return
 	}
-	// Frame: length | body | crc, assembled in a second reused buffer so
-	// the steady state allocates nothing. One Write call, so a torn tail
-	// is a single truncated suffix for replay to drop.
-	rec := binary.AppendUvarint(w.frame[:0], uint64(len(body)))
-	rec = append(rec, body...)
-	var crc [4]byte
-	binary.LittleEndian.PutUint32(crc[:], crc32.ChecksumIEEE(body))
-	rec = append(rec, crc[:]...)
+	// The frame is assembled in a second reused buffer so the steady
+	// state allocates nothing. One Write call, so a torn tail is a
+	// single truncated suffix for replay to drop.
+	rec := AppendWALFrame(w.frame[:0], body)
 	w.frame = rec[:0]
 	if _, err := w.f.Write(rec); err != nil {
 		w.fail(fmt.Errorf("corpus: write-ahead log append: %w", err))

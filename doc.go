@@ -135,7 +135,7 @@
 //	│                                   dropped inside the call
 //	├── one process, evolving        → corpus.New(WithHistogramIndex());
 //	│     (adds/deletes/replaces       Add/Delete/Replace keep the
-//	│      between joins)              sharded posting lists in sync, and
+//	│      between joins)              posting lists in sync, and
 //	│                                   every join reuses the hydrated trees
 //	├── many processes, read-mostly  → the same corpus, plus Save at
 //	│     (batch jobs, a fleet          build time and Load at start:

@@ -34,34 +34,42 @@
 //
 // [PQGram] keys trees by their pq-gram profile — serialized label tuples
 // that encode local structure, not just label content. It generates the
-// trees sharing at least one gram and ranks them by pq-gram distance, so
-// verification can visit the most similar candidates first. Its stems
-// have length p = 1, so it carries the same completeness guarantee (see
-// the type comment for the argument). Prefer it over Histogram when
-// labels alone are uninformative — corpora drawn from a tiny alphabet,
-// or near-duplicate detection where most trees share most labels and
-// only structure discriminates.
+// trees that share at least one gram with the query and whose gram-count
+// lower bound stays below τ. Its stems have length p = 1, so it carries
+// the same completeness guarantee (see the type comment for the
+// argument). Prefer it over Histogram when labels alone are
+// uninformative — corpora drawn from a tiny alphabet, or near-duplicate
+// detection where most trees share most labels and only structure
+// discriminates.
 //
 // Both indexes generate candidates for a self-join in "probe below"
 // style: CandidatesBelow(q, τ, dst) returns only candidates with id < q,
 // so iterating the queries in id order enumerates every unordered pair
 // exactly once.
 //
-// # Stable ids, mutation, and sharding
+// # Stable ids, mutation, and synchronization
 //
 // Trees are indexed under stable ids: Add auto-assigns the next unused
 // id, Put indexes under a caller-chosen id (the id a corpus.Corpus
 // assigned), and ids are never reused. Long-lived indexes mutate in
 // place — Delete and Put-replacement tombstone the superseded postings
 // through a per-tree generation counter, probes skip tombstones with
-// one comparison, and a compaction pass (automatic once tombstones
-// dominate, or explicit via Compact) rewrites the lists without them.
-// The posting lists themselves are hash-sharded with per-shard locks:
-// concurrent Add/Put/Delete and CandidatesBelow calls are safe, probes
-// run fully in parallel on pooled accumulators, and a distributed join
-// can own disjoint shards. Snapshot/Restore serialize the whole
-// structure by profile (the lists are rebuilt with plain appends on
-// restore), which is how package corpus persists its indexes.
+// one comparison, and a compaction pass, run automatically once
+// tombstones dominate, rewrites the lists without them. Snapshot/Restore
+// serialize the whole structure by profile (the lists are rebuilt with
+// plain appends on restore), which is how package corpus persists its
+// indexes.
+//
+// An index's owner is its only synchronization. Mutations — Add, Put,
+// Delete and the compaction they trigger — must not overlap each other
+// or any other call. CandidatesBelow, Len and Snapshot only read, so
+// they may run concurrently with each other; each probe works on a
+// pooled accumulator, and the one structure probes rebuild lazily, the
+// size order of the small-tree sweep, carries a lock of its own.
+// corpus.Corpus meets the contract with its lock: every mutation of a
+// maintained index runs under the write lock and every probe under the
+// read lock, and a join's throwaway index is built and probed on one
+// goroutine.
 //
 // # Relation to the rest of the repository
 //

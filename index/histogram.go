@@ -2,7 +2,6 @@ package index
 
 import (
 	"sort"
-	"sync"
 
 	"repro/internal/tree"
 )
@@ -30,11 +29,13 @@ import (
 // generation check makes them invisible to probes) and a compaction pass
 // reclaims them once they dominate the lists.
 //
-// The posting lists are hash-sharded with per-shard locks, so concurrent
-// Add/Put/Delete and CandidatesBelow calls are safe and parallelize;
-// each probe carries its own pooled accumulator.
+// A Histogram has no lock of its own; its owner synchronizes. Add, Put
+// and Delete (and the compaction they trigger) must not overlap each
+// other or any other call. CandidatesBelow, Len and Snapshot only read,
+// so they may run concurrently with each other; each probe carries its
+// own pooled accumulator. corpus.Corpus meets this with its lock:
+// mutations under the write lock, probes under the read lock.
 type Histogram struct {
-	kmu sync.Mutex
 	ids map[string]int32 // label interner
 	iv  inverted
 }
@@ -45,17 +46,7 @@ func NewHistogram() *Histogram {
 }
 
 // Len returns the number of live (not deleted) indexed trees.
-func (ix *Histogram) Len() int { return ix.iv.liveCount() }
-
-// Size returns the node count of the indexed tree id, or 0 if no live
-// tree is indexed under it.
-func (ix *Histogram) Size(id int) int {
-	sz, _, alive := ix.iv.meta(int32(id))
-	if !alive {
-		return 0
-	}
-	return int(sz)
-}
+func (ix *Histogram) Len() int { return ix.iv.live }
 
 // Add indexes t under the next unused id (insertion order when trees are
 // never deleted) and returns that id.
@@ -67,12 +58,10 @@ func (ix *Histogram) Add(t *tree.Tree) int {
 
 // Put indexes t under the stable id of the caller's choosing, replacing
 // whatever tree was indexed there: the previous postings become
-// tombstones and t's postings are written under a fresh generation, so
-// in-flight probes never see a half-replaced tree.
+// tombstones and t's postings are written under a fresh generation.
 func (ix *Histogram) Put(id int, t *tree.Tree) {
 	n := t.Len()
 	ids := make([]int32, 0, n)
-	ix.kmu.Lock()
 	for v := 0; v < n; v++ {
 		l := t.Label(v)
 		kid, ok := ix.ids[l]
@@ -82,7 +71,6 @@ func (ix *Histogram) Put(id int, t *tree.Tree) {
 		}
 		ids = append(ids, kid)
 	}
-	ix.kmu.Unlock()
 	ix.iv.put(id, n, runLength(ids))
 }
 
@@ -90,11 +78,6 @@ func (ix *Histogram) Put(id int, t *tree.Tree) {
 // tombstones, reclaimed by the next compaction). It reports whether a
 // live tree was indexed under id.
 func (ix *Histogram) Delete(id int) bool { return ix.iv.delete(id) }
-
-// Compact rewrites the posting lists, dropping every tombstoned posting.
-// It runs automatically once tombstones dominate; calling it explicitly
-// is only useful before Snapshot or a latency-sensitive probe phase.
-func (ix *Histogram) Compact() { ix.iv.compact() }
 
 // runLength sorts a key-id buffer in place and collapses it into a
 // (id, count) profile.
@@ -114,15 +97,12 @@ func runLength(ids []int32) []keyCount {
 
 // CandidatesBelow appends to dst every live tree with id < q whose
 // label-histogram lower bound against tree q is strictly below tau, in
-// ascending id order, and returns the extended slice. The LB and Score of
-// each candidate are that bound. Restricting to smaller ids makes a
-// self-join enumerate each unordered pair exactly once.
+// ascending id order, and returns the extended slice. The LB of each
+// candidate is that bound. Restricting to smaller ids makes a self-join
+// enumerate each unordered pair exactly once.
 //
 // Completeness: every tree with id < q at edit distance < tau from q is
-// returned; everything omitted is at distance ≥ tau. Safe for concurrent
-// use with other probes and with Add/Put/Delete (a probe concurrent with
-// a mutation sees the index before or after that mutation, never
-// half-applied).
+// returned; everything omitted is at distance ≥ tau.
 func (ix *Histogram) CandidatesBelow(q int, tau float64, dst []Candidate) []Candidate {
 	dst = dst[:0]
 	if tau <= 0 || q <= 0 {
@@ -132,7 +112,7 @@ func (ix *Histogram) CandidatesBelow(q int, tau float64, dst []Candidate) []Cand
 	defer sc.release()
 	nq32, ok := ix.iv.accumulate(q, sc, func(t int32, qm, tm *treeMeta) {
 		if lb := float64(max(qm.size, tm.size) - sc.common[t]); lb < tau {
-			dst = append(dst, Candidate{ID: int(t), LB: lb, Score: lb})
+			dst = append(dst, Candidate{ID: int(t), LB: lb})
 		}
 	})
 	if !ok {
@@ -148,15 +128,8 @@ func (ix *Histogram) CandidatesBelow(q int, tau float64, dst []Candidate) []Cand
 			if int(t) >= q || sc.common[t] != 0 {
 				continue
 			}
-			nt, _, alive := ix.iv.meta(t)
-			if !alive {
-				continue
-			}
-			lb := float64(nq)
-			if int(nt) > nq {
-				lb = float64(nt)
-			}
-			dst = append(dst, Candidate{ID: int(t), LB: lb, Score: lb})
+			lb := float64(max(nq, int(ix.iv.trees[t].size)))
+			dst = append(dst, Candidate{ID: int(t), LB: lb})
 		}
 	}
 	sortByID(dst)

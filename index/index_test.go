@@ -162,36 +162,6 @@ func TestPQGramCompleteAdversarial(t *testing.T) {
 	}
 }
 
-// TestPQGramScore pins the ranking semantics: scores are pq-gram
-// distances in [0,1], identical trees score 0, and the scores agree with
-// the standalone PQGramDistance.
-func TestPQGramScore(t *testing.T) {
-	trees := corpus(3, 10, 20)
-	trees = append(trees, trees[0]) // a duplicate of tree 0
-	ix := index.NewPQGram(2)
-	for _, tr := range trees {
-		ix.Add(tr)
-	}
-	q := len(trees) - 1
-	buf := ix.CandidatesBelow(q, math.Inf(1), nil)
-	found := false
-	for _, c := range buf {
-		want := index.PQGramDistance(trees[q], trees[c.ID], 1, 2)
-		if math.Abs(c.Score-want) > 1e-12 {
-			t.Fatalf("candidate %d score %v, want PQGramDistance %v", c.ID, c.Score, want)
-		}
-		if c.ID == 0 {
-			found = true
-			if c.Score != 0 {
-				t.Fatalf("duplicate tree scored %v, want 0", c.Score)
-			}
-		}
-	}
-	if !found {
-		t.Fatal("duplicate of tree 0 was not generated")
-	}
-}
-
 // TestPQGramDistanceBasics pins the standalone distance: 0 for identical
 // trees, 1 for fully disjoint profiles, symmetric in between.
 func TestPQGramDistanceBasics(t *testing.T) {
@@ -210,9 +180,10 @@ func TestPQGramDistanceBasics(t *testing.T) {
 }
 
 // TestCandidatesBelowEdgeCases covers q=0 (nothing below), tau=0 (nothing
-// matches) and single-node trees.
+// matches), single-node trees and an exact duplicate.
 func TestCandidatesBelowEdgeCases(t *testing.T) {
-	trees := []*ted.Tree{ted.MustParse("{a}"), ted.MustParse("{a}"), ted.MustParse("{b}")}
+	trees := []*ted.Tree{ted.MustParse("{a}"), ted.MustParse("{a}"), ted.MustParse("{b}"),
+		ted.MustParse("{a{b{c}}{d}}"), ted.MustParse("{a{b{c}}{d}}")}
 	h := index.NewHistogram()
 	p := index.NewPQGram(2)
 	for _, tr := range trees {
@@ -230,5 +201,10 @@ func TestCandidatesBelowEdgeCases(t *testing.T) {
 	}
 	if got := p.CandidatesBelow(2, 2, nil); len(got) != 2 {
 		t.Fatalf("single-node fringe at tau=2: %v, want both earlier trees", got)
+	}
+	for _, got := range [][]index.Candidate{h.CandidatesBelow(4, 0.5, nil), p.CandidatesBelow(4, 0.5, nil)} {
+		if len(got) != 1 || got[0].ID != 3 || got[0].LB != 0 {
+			t.Fatalf("exact duplicate: %v, want only tree 3 at LB 0", got)
+		}
 	}
 }

@@ -81,7 +81,7 @@ func TestTombstoneAndCompaction(t *testing.T) {
 	if got := count(2); got[0] != 1 {
 		t.Fatalf("probe after replace: %v", got)
 	}
-	if iv.dead.Load() == 0 {
+	if iv.dead == 0 {
 		t.Fatal("replace left no tombstones")
 	}
 	iv.delete(1)
@@ -90,14 +90,14 @@ func TestTombstoneAndCompaction(t *testing.T) {
 	}
 	before := count(2)
 	iv.compact()
-	if iv.dead.Load() != 0 {
-		t.Fatalf("compaction left %d tombstones", iv.dead.Load())
+	if iv.dead != 0 {
+		t.Fatalf("compaction left %d tombstones", iv.dead)
 	}
 	after := count(2)
 	if len(before) != len(after) || before[0] != after[0] {
 		t.Fatalf("compaction changed the probe view: %v -> %v", before, after)
 	}
-	if iv.liveCount() != 2 {
-		t.Fatalf("live count %d, want 2", iv.liveCount())
+	if iv.live != 2 {
+		t.Fatalf("live count %d, want 2", iv.live)
 	}
 }

@@ -2,7 +2,6 @@ package index
 
 import (
 	"math"
-	"sync"
 
 	"repro/internal/bounds"
 	"repro/internal/tree"
@@ -15,11 +14,8 @@ import (
 // window of q consecutive children under each node. An inverted posting
 // list maps every gram to the trees containing it, so a query generates
 // exactly the trees sharing at least one gram — one posting-list merge
-// instead of a corpus scan — and ranks them by the pq-gram distance
-//
-//	dist(F, G) = 1 − 2·|P(F) ∩ P(G)| / (|P(F)| + |P(G)|)
-//
-// computed for free from the intersection counts of the same merge.
+// instead of a corpus scan — and counts each one's gram overlap
+// |P(F) ∩ P(G)| on the way.
 //
 // # Completeness
 //
@@ -46,14 +42,14 @@ import (
 // complete: the surviving gram-sharers plus the fringe provably contain
 // every true match.
 //
-// Like Histogram, a PQGram indexes trees under stable ids (Add/Put),
+// Like Histogram, a PQGram indexes trees under stable ids (Add/Put) and
 // supports Delete and Put-replacement through generation-tombstoned
-// postings with automatic compaction, and serves concurrent probes over
-// hash-sharded posting lists.
+// postings with automatic compaction. It has the same synchronization
+// contract: Add, Put and Delete must not overlap each other or any other
+// call; CandidatesBelow, Len and Snapshot may run concurrently with each
+// other.
 type PQGram struct {
-	q int
-
-	kmu sync.Mutex
+	q   int
 	ids map[string]int32 // gram interner
 	iv  inverted
 }
@@ -70,17 +66,7 @@ func NewPQGram(q int) *PQGram {
 func (ix *PQGram) Q() int { return ix.q }
 
 // Len returns the number of live (not deleted) indexed trees.
-func (ix *PQGram) Len() int { return ix.iv.liveCount() }
-
-// Size returns the node count of the indexed tree id, or 0 if no live
-// tree is indexed under it.
-func (ix *PQGram) Size(id int) int {
-	sz, _, alive := ix.iv.meta(int32(id))
-	if !alive {
-		return 0
-	}
-	return int(sz)
-}
+func (ix *PQGram) Len() int { return ix.iv.live }
 
 // Add indexes t under the next unused id (insertion order when trees are
 // never deleted) and returns that id.
@@ -95,7 +81,6 @@ func (ix *PQGram) Add(t *tree.Tree) int {
 func (ix *PQGram) Put(id int, t *tree.Tree) {
 	grams := bounds.PQGramProfile(t, 1, ix.q) // sorted, so ids run-length cleanly
 	ids := make([]int32, 0, len(grams))
-	ix.kmu.Lock()
 	for _, g := range grams {
 		kid, ok := ix.ids[g]
 		if !ok {
@@ -104,7 +89,6 @@ func (ix *PQGram) Put(id int, t *tree.Tree) {
 		}
 		ids = append(ids, kid)
 	}
-	ix.kmu.Unlock()
 	ix.iv.put(id, t.Len(), runLength(ids))
 }
 
@@ -113,9 +97,6 @@ func (ix *PQGram) Put(id int, t *tree.Tree) {
 // live tree was indexed under id.
 func (ix *PQGram) Delete(id int) bool { return ix.iv.delete(id) }
 
-// Compact rewrites the posting lists, dropping every tombstoned posting.
-func (ix *PQGram) Compact() { ix.iv.compact() }
-
 // CandidatesBelow appends to dst every live tree with id < q that shares
 // at least one pq-gram with tree q — plus the small-tree fringe that
 // keeps the generator complete — in ascending id order, and returns the
@@ -123,9 +104,7 @@ func (ix *PQGram) Compact() { ix.iv.compact() }
 // bound ||F|−|G||, or the gram-count bound
 // ⌈(max(|F|,|G|) − |P(F) ∩ P(G)|)/2⌉ of the type comment — are
 // filtered during the posting-list probe and never materialized; LB
-// carries the sharper of the two bounds and Score the pq-gram distance,
-// so callers can verify the most similar candidates first. Safe for
-// concurrent use with other probes and with Add/Put/Delete.
+// carries the sharper of the two bounds.
 func (ix *PQGram) CandidatesBelow(q int, tau float64, dst []Candidate) []Candidate {
 	dst = dst[:0]
 	if tau <= 0 || q <= 0 {
@@ -149,8 +128,7 @@ func (ix *PQGram) CandidatesBelow(q int, tau float64, dst []Candidate) []Candida
 			lb = (gap + 1) / 2
 		}
 		if lb <= maxOps {
-			score := 1 - 2*float64(sc.common[t])/float64(qm.profLen+tm.profLen)
-			dst = append(dst, Candidate{ID: int(t), LB: float64(lb), Score: score})
+			dst = append(dst, Candidate{ID: int(t), LB: float64(lb)})
 		}
 	})
 	if !ok {
@@ -174,20 +152,17 @@ func (ix *PQGram) CandidatesBelow(q int, tau float64, dst []Candidate) []Candida
 			if int(t) >= q || sc.common[t] != 0 {
 				continue
 			}
-			nt, _, alive := ix.iv.meta(t)
-			if !alive {
-				continue
-			}
-			lb := nq - int(nt)
+			nt := int(ix.iv.trees[t].size)
+			lb := nq - nt
 			if lb < 0 {
 				lb = -lb
 			}
 			// Zero shared instances: the count bound with c = 0.
-			if mx := max(nq, int(nt)); (mx+1)/2 > lb {
+			if mx := max(nq, nt); (mx+1)/2 > lb {
 				lb = (mx + 1) / 2
 			}
 			if lb <= maxOps {
-				dst = append(dst, Candidate{ID: int(t), LB: float64(lb), Score: 1})
+				dst = append(dst, Candidate{ID: int(t), LB: float64(lb)})
 			}
 		}
 	}

@@ -10,15 +10,18 @@ import (
 	"repro/index"
 )
 
-// TestShardContention hammers one index from many goroutines — stable-id
-// Puts, Deletes, auto-id Adds, explicit Compacts and CandidatesBelow
-// probes, all interleaved — and then checks the quiescent index against a
-// fresh build. Run under -race this is the shard-locking contract: probes
-// and mutations may overlap arbitrarily without a data race, and the
-// final state is exactly the surviving trees. (The CI race job runs the
-// whole package with -race, so this test is the contention workload it
+// TestOwnerLockContention drives one index the way its owner does:
+// writers Put and Delete under a sync.RWMutex write lock, one prober also
+// compacts under it, and probers run CandidatesBelow under the read lock,
+// so probes overlap each other but never a mutation. Then probers alone
+// hit the quiescent index with no lock at all. Run under -race this is
+// the synchronization contract of Histogram and PQGram: mutations need
+// the owner's exclusion, and concurrent probes share nothing unguarded
+// (the lazily rebuilt size order has a lock of its own). The final state
+// must be exactly the surviving trees. (The CI race job runs the whole
+// package with -race, so this test is the contention workload it
 // exercises.)
-func TestShardContention(t *testing.T) {
+func TestOwnerLockContention(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	const n = 48
 	var trees, alts []*ted.Tree
@@ -36,6 +39,7 @@ func TestShardContention(t *testing.T) {
 			for id, tr := range trees {
 				ix.Put(id, tr)
 			}
+			var mu sync.RWMutex
 			var wg sync.WaitGroup
 			// Writers: each owns a disjoint id stripe, so the final
 			// state is deterministic even though the interleaving isn't.
@@ -46,6 +50,7 @@ func TestShardContention(t *testing.T) {
 					defer wg.Done()
 					for round := 0; round < 3; round++ {
 						for id := w; id < n; id += writers {
+							mu.Lock()
 							switch (id + round) % 3 {
 							case 0:
 								ix.Delete(id)
@@ -54,6 +59,7 @@ func TestShardContention(t *testing.T) {
 							default:
 								ix.Put(id, trees[id])
 							}
+							mu.Unlock()
 						}
 					}
 				}(w)
@@ -68,10 +74,14 @@ func TestShardContention(t *testing.T) {
 					var buf []index.Candidate
 					for round := 0; round < 6; round++ {
 						for q := 0; q < n; q++ {
+							mu.RLock()
 							buf = ix.CandidatesBelow(q, 8, buf)
+							mu.RUnlock()
 						}
 						if p == 0 {
+							mu.Lock()
 							ix.Compact()
+							mu.Unlock()
 						}
 					}
 				}(p)
@@ -82,32 +92,46 @@ func TestShardContention(t *testing.T) {
 			// final tree under each id is determined by (id+2)%3.
 			fresh := build()
 			var live []int
-			finalTree := map[int]*ted.Tree{}
 			for id := 0; id < n; id++ {
 				switch (id + 2) % 3 {
 				case 0:
 					continue // deleted
 				case 1:
-					finalTree[id] = alts[id]
+					fresh.Put(id, alts[id])
 				default:
-					finalTree[id] = trees[id]
+					fresh.Put(id, trees[id])
 				}
-				fresh.Put(id, finalTree[id])
 				live = append(live, id)
 			}
-			ix.Compact()
-			for _, q := range live {
-				want := fresh.CandidatesBelow(q, 8, nil)
-				got := ix.CandidatesBelow(q, 8, nil)
-				if len(want) != len(got) {
-					t.Fatalf("q=%d: %d candidates, want %d", q, len(got), len(want))
-				}
-				for i := range want {
-					if want[i] != got[i] {
-						t.Fatalf("q=%d: candidate %d = %+v, want %+v", q, i, got[i], want[i])
+			check := func(report func(string, ...any)) {
+				for _, q := range live {
+					want := fresh.CandidatesBelow(q, 8, nil)
+					got := ix.CandidatesBelow(q, 8, nil)
+					if len(want) != len(got) {
+						report("q=%d: %d candidates, want %d", q, len(got), len(want))
+						return
+					}
+					for i := range want {
+						if want[i] != got[i] {
+							report("q=%d: candidate %d = %+v, want %+v", q, i, got[i], want[i])
+							return
+						}
 					}
 				}
 			}
+			// Lock-free phase: with no mutation in flight, probes need no
+			// lock. fresh has never been probed, so these probes also
+			// race to build its size order.
+			for p := 0; p < 4; p++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					check(t.Errorf)
+				}()
+			}
+			wg.Wait()
+			ix.Compact()
+			check(t.Fatalf)
 		})
 	}
 }

@@ -36,19 +36,12 @@ type KeyCount struct {
 // are ordered by id. Tombstones are not captured: restoring a snapshot
 // yields a compacted index.
 func (ix *Histogram) Snapshot() *Snapshot {
-	// kmu is held across the tree-table read so no concurrent Put can
-	// record a profile that references keys missing from this snapshot
-	// (Put interns under kmu before writing the profile).
-	ix.kmu.Lock()
-	defer ix.kmu.Unlock()
 	return ix.iv.snapshot(internedKeys(ix.ids))
 }
 
 // Snapshot captures the index's live state for serialization; see
 // Histogram.Snapshot.
 func (ix *PQGram) Snapshot() *Snapshot {
-	ix.kmu.Lock()
-	defer ix.kmu.Unlock()
 	return ix.iv.snapshot(internedKeys(ix.ids))
 }
 
@@ -87,8 +80,6 @@ func internedKeys(ids map[string]int32) []string {
 }
 
 func (iv *inverted) snapshot(keys []string) *Snapshot {
-	iv.mu.RLock()
-	defer iv.mu.RUnlock()
 	s := &Snapshot{Keys: keys, NextID: len(iv.trees)}
 	for id := range iv.trees {
 		m := &iv.trees[id]
@@ -145,10 +136,8 @@ func restore(s *Snapshot, ids map[string]int32, iv *inverted) error {
 	}
 	// Reserve the tail so Add never reuses an id the snapshot's writer
 	// had already burned (deleted trees leave gaps above the last entry).
-	iv.mu.Lock()
 	for len(iv.trees) < s.NextID {
 		iv.trees = append(iv.trees, treeMeta{})
 	}
-	iv.mu.Unlock()
 	return nil
 }

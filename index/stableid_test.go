@@ -110,7 +110,7 @@ func TestDeleteReplaceEquivalence(t *testing.T) {
 }
 
 // TestSnapshotRestore pins the persistence contract: a restored index
-// generates bit-identical candidates (IDs, LBs, Scores) and keeps
+// generates bit-identical candidates (IDs and LBs) and keeps
 // allocating fresh ids above everything the snapshot's writer used.
 func TestSnapshotRestore(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))

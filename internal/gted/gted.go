@@ -270,8 +270,9 @@ func (r *Runner) Run() float64 {
 // its true value exceeds the cutoff under the region's own prices.
 //
 // With abortEarly set the run additionally stops as soon as any subtree
-// pair proves the root distance greater than tau (Exceeded reports it);
-// the matrix is then partial and only the exceeded verdict is usable.
+// pair proves the root distance greater than tau (RunBounded then
+// returns +Inf, false); the matrix is partial and only that verdict is
+// usable.
 // abortEarly runs also stop before a keyroot subproblem whose size,
 // height, depth-spectra or rename-floor offset alone prices the pair
 // above its saturation cutoff (subtreeLower, spectraHopeless) — the DP
@@ -303,10 +304,6 @@ func (r *Runner) RunBounded(tau float64) (float64, bool) {
 	}
 	return d, true
 }
-
-// Exceeded reports whether a bounded run aborted because the distance
-// provably exceeds the cutoff.
-func (r *Runner) Exceeded() bool { return r.exceeded }
 
 // pairCutoff returns the saturation cutoff of the subtree pair (v, w): a
 // value that the true δ(F_v, G_w) must exceed before the root distance

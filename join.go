@@ -1,8 +1,6 @@
 package ted
 
 import (
-	"time"
-
 	"repro/batch"
 	"repro/corpus"
 	"repro/internal/strategy"
@@ -11,29 +9,17 @@ import (
 
 // JoinPair is one similarity-join match: trees at indices I and J of the
 // input collection (I < J) with edit distance Dist < τ.
-type JoinPair struct {
-	I, J int
-	Dist float64
-}
+type JoinPair = batch.Match
 
 // JoinResult reports the matches and the cost of a similarity self-join.
+// The embedded batch.JoinStats counts the pairs the join visited (all
+// unordered pairs for enumerating joins, the generated candidates for
+// indexed joins), the filter accounting of filtered and indexed joins,
+// the kernel counters, and for indexed joins the candidate generator
+// that ran and its build + probe time.
 type JoinResult struct {
 	Pairs []JoinPair
-	// Comparisons counts the pairs the join visited: all unordered pairs
-	// for enumerating joins, the generated candidates for indexed joins.
-	Comparisons int
-	Subproblems int64
-	Elapsed     time.Duration
-	// Filter accounting (only populated by filtered and indexed joins):
-	// pairs pruned by a lower bound, accepted by the upper bound, and
-	// resolved by the exact algorithm.
-	LowerPruned   int
-	UpperAccepted int
-	ExactComputed int
-	// Indexed joins only: the candidate generator that ran (IndexAuto
-	// resolves before running) and the index build + probe time.
-	Mode      IndexMode
-	IndexTime time.Duration
+	batch.JoinStats
 }
 
 // IndexMode selects how an indexed join generates candidate pairs; see
@@ -147,21 +133,8 @@ func Join(trees []*Tree, tau float64, opts ...Option) JoinResult {
 		e := c.batchEngine(workers)
 		ms, st = e.Join(e.PrepareAll(trees), tau, c.filters)
 	}
-	out := JoinResult{
-		Comparisons:   st.Comparisons,
-		Subproblems:   st.Subproblems,
-		Elapsed:       st.Elapsed,
-		LowerPruned:   st.LowerPruned,
-		UpperAccepted: st.UpperAccepted,
-		ExactComputed: st.ExactComputed,
-		Mode:          st.Mode,
-		IndexTime:     st.IndexTime,
-	}
 	if c.stats != nil {
 		*c.stats = Stats{Counters: st.Counters, TotalTime: st.Elapsed}
 	}
-	for _, m := range ms {
-		out.Pairs = append(out.Pairs, JoinPair{I: m.I, J: m.J, Dist: m.Dist})
-	}
-	return out
+	return JoinResult{Pairs: ms, JoinStats: st}
 }

@@ -9,17 +9,20 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"slices"
+	"sort"
 	"strings"
 	"testing"
 	"time"
 
 	ted "repro"
+	"repro/cluster"
 	"repro/corpus"
 	"repro/server"
 )
 
-func replStats() server.ReplicationStats {
-	return server.ReplicationStats{Primary: "http://primary:8420", Gen: "aabbccdd00112233", AppliedSeq: 7, PrimarySeq: 7}
+func replStats() cluster.FollowerStats {
+	return cluster.FollowerStats{Primary: "http://primary:8420", Gen: "aabbccdd00112233", AppliedSeq: 7, PrimarySeq: 7}
 }
 
 // TestReplicaRefusesWrites: a server in replica mode answers reads and
@@ -81,6 +84,38 @@ func TestReplicaRefusesWrites(t *testing.T) {
 	}
 	if !st.ReadOnly || st.Replication == nil || st.Replication.Primary != "http://primary:8420" {
 		t.Fatalf("replica stats lack telemetry: %+v", st)
+	}
+}
+
+// TestReplicaStatsKeys pins the keys of a replica's /v1/stats
+// "replication" object, which operators and scripts/cluster_smoke.sh
+// read (.replication.lag): last_err appears only when set.
+func TestReplicaStatsKeys(t *testing.T) {
+	want := []string{"applied_seq", "checkpoint_ships", "gen", "lag", "primary", "primary_seq", "records", "staleness_ms"}
+	for _, lastErr := range []string{"", "connection refused"} {
+		st := replStats()
+		st.LastErr = lastErr
+		srv := server.New(corpus.New(), server.WithReplica(func() cluster.FollowerStats { return st }, nil, 0))
+		rec := httptest.NewRecorder()
+		srv.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/stats", nil))
+		var body struct {
+			Replication map[string]json.RawMessage `json:"replication"`
+		}
+		if err := json.Unmarshal(rec.Body.Bytes(), &body); err != nil {
+			t.Fatalf("GET /v1/stats: %v (%d %s)", err, rec.Code, rec.Body)
+		}
+		var keys []string
+		for k := range body.Replication {
+			keys = append(keys, k)
+		}
+		sort.Strings(keys)
+		if lastErr != "" {
+			want = append(want, "last_err")
+			sort.Strings(want)
+		}
+		if !slices.Equal(keys, want) {
+			t.Fatalf("last_err %q: replication keys %v, want %v", lastErr, keys, want)
+		}
 	}
 }
 

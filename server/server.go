@@ -17,11 +17,11 @@ import (
 	"sync/atomic"
 	"time"
 
-	ted "repro"
 	"repro/batch"
 	"repro/cluster"
 	"repro/corpus"
 	"repro/internal/gted"
+	"repro/internal/tree"
 )
 
 // Server serves a corpus over HTTP. Construct with New; the zero value
@@ -54,12 +54,10 @@ type Server struct {
 	kernelMu sync.Mutex
 	kernel   gted.Counters
 
-	maxBody    int64
-	maxNodes   int
-	maxK       int
-	maxMatches int
-	maxLabels  int
-	workers    int
+	maxBody   int64
+	maxNodes  int
+	maxLabels int
+	workers   int
 
 	// Replica mode (see repl.go): mutations 403, reads optionally
 	// guarded by the staleness bound, /v1/stats grows the replication
@@ -67,13 +65,21 @@ type Server struct {
 	readOnly  bool
 	maxStale  time.Duration
 	staleness func() time.Duration
-	replStats func() ReplicationStats
+	replStats func() cluster.FollowerStats
 
 	// Distributed mode (see WithClusterWorkers): joins and top-k fan out
 	// to these worker addresses instead of evaluating locally.
 	clusterAddrs []string
 	coord        *cluster.Coordinator
 }
+
+// Per-request caps: the largest k a top-k request may ask for, and the
+// most matches one join response carries (a request may ask for fewer
+// via Limit).
+const (
+	maxK       = 100
+	maxMatches = 10000
+)
 
 // Option configures New.
 type Option func(*Server)
@@ -162,24 +168,13 @@ func WithAdmitHook(f func()) Option {
 	return func(s *Server) { s.admitHook = f }
 }
 
-// WithMaxK caps top-k request sizes (default 100).
-func WithMaxK(k int) Option {
-	return func(s *Server) { s.maxK = k }
-}
-
-// WithMaxMatches caps how many join matches one response may carry
-// (default 10000); requests may ask for less via Limit.
-func WithMaxMatches(n int) Option {
-	return func(s *Server) { s.maxMatches = n }
-}
-
 // WithReplica puts the server in read replica mode: mutation endpoints
 // refuse with 403, stats reports the replication telemetry from stats
 // and staleness (both typically backed by a cluster.Follower), and —
 // when maxStaleness is positive — read endpoints refuse with 503
 // whenever staleness() exceeds it, so a partitioned replica degrades
 // loudly instead of serving arbitrarily old data.
-func WithReplica(stats func() ReplicationStats, staleness func() time.Duration, maxStaleness time.Duration) Option {
+func WithReplica(stats func() cluster.FollowerStats, staleness func() time.Duration, maxStaleness time.Duration) Option {
 	return func(s *Server) {
 		s.readOnly = true
 		s.replStats = stats
@@ -210,8 +205,6 @@ func New(c *corpus.Corpus, opts ...Option) *Server {
 		queueTimeout: 2 * time.Second,
 		maxBody:      1 << 20,
 		maxNodes:     4096,
-		maxK:         100,
-		maxMatches:   10000,
 		maxLabels:    1 << 20,
 	}
 	for _, o := range opts {
@@ -415,7 +408,7 @@ func (s *Server) Stats() StatsResponse {
 
 func (s *Server) handleDistance(w http.ResponseWriter, r *http.Request) {
 	var req DistanceRequest
-	if !s.decode(w, r, &req) {
+	if !decode(w, r, &req) {
 		return
 	}
 	f, ok := s.resolve(w, req.F, "f")
@@ -431,7 +424,7 @@ func (s *Server) handleDistance(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleDistanceBounded(w http.ResponseWriter, r *http.Request) {
 	var req DistanceBoundedRequest
-	if !s.decode(w, r, &req) {
+	if !decode(w, r, &req) {
 		return
 	}
 	if !validTau(req.Tau) {
@@ -459,7 +452,7 @@ func (s *Server) handleDistanceBounded(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleJoin(stream bool) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		var req JoinRequest
-		if !s.decode(w, r, &req) {
+		if !decode(w, r, &req) {
 			return
 		}
 		if !validTau(req.Tau) {
@@ -475,7 +468,7 @@ func (s *Server) handleJoin(stream bool) http.HandlerFunc {
 			writeError(w, http.StatusBadRequest, "q must be in [0, 16]")
 			return
 		}
-		limit := s.maxMatches
+		limit := maxMatches
 		if req.Limit > 0 && req.Limit < limit {
 			limit = req.Limit
 		}
@@ -546,11 +539,11 @@ func (s *Server) join(ctx context.Context, tau float64, opts batch.JoinOptions, 
 func (s *Server) handleTopK(stream bool) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		var req TopKRequest
-		if !s.decode(w, r, &req) {
+		if !decode(w, r, &req) {
 			return
 		}
-		if req.K < 1 || req.K > s.maxK {
-			writeError(w, http.StatusBadRequest, fmt.Sprintf("k must be in [1, %d]", s.maxK))
+		if req.K < 1 || req.K > maxK {
+			writeError(w, http.StatusBadRequest, fmt.Sprintf("k must be in [1, %d]", maxK))
 			return
 		}
 		q, ok := s.resolve(w, req.Query, "query")
@@ -621,7 +614,7 @@ func failed(ctx context.Context, w http.ResponseWriter, out *ndjson, err error) 
 
 func (s *Server) handleAddTree(w http.ResponseWriter, r *http.Request) {
 	var req TreeRequest
-	if !s.decode(w, r, &req) {
+	if !decode(w, r, &req) {
 		return
 	}
 	t, ok := s.parseTree(w, req.Tree, "tree")
@@ -654,7 +647,7 @@ func (s *Server) handlePutTree(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req TreeRequest
-	if !s.decode(w, r, &req) {
+	if !decode(w, r, &req) {
 		return
 	}
 	t, ok := s.parseTree(w, req.Tree, "tree")
@@ -723,7 +716,7 @@ func (s *Server) resolve(w http.ResponseWriter, ref TreeRef, field string) (*bat
 	return nil, false
 }
 
-func (s *Server) parseTree(w http.ResponseWriter, src, field string) (*ted.Tree, bool) {
+func (s *Server) parseTree(w http.ResponseWriter, src, field string) (*tree.Tree, bool) {
 	// The label-table circuit breaker: ad-hoc labels intern permanently,
 	// so once the shared table reaches the cap, requests that could grow
 	// it are refused — a bounded, observable failure (watch "labels" in
@@ -733,7 +726,7 @@ func (s *Server) parseTree(w http.ResponseWriter, src, field string) (*ted.Tree,
 			"label table at capacity (%d distinct labels); ad-hoc trees refused — query by stored id, or restart with a higher label cap", s.maxLabels))
 		return nil, false
 	}
-	t, err := ted.Parse(strings.TrimSpace(src))
+	t, err := tree.ParseBracket(strings.TrimSpace(src))
 	if err != nil {
 		writeError(w, http.StatusBadRequest, fmt.Sprintf("%s: %v", field, err))
 		return nil, false
@@ -745,15 +738,10 @@ func (s *Server) parseTree(w http.ResponseWriter, src, field string) (*ted.Tree,
 	return t, true
 }
 
-// decode reads one JSON body, honoring the body size cap.
-func (s *Server) decode(w http.ResponseWriter, r *http.Request, into any) bool {
-	r.Body = http.MaxBytesReader(w, r.Body, s.maxBody)
+// decode parses one JSON body. admit has already read the body in full
+// under the size cap (413 beyond it), so decode only rejects bad JSON.
+func decode(w http.ResponseWriter, r *http.Request, into any) bool {
 	if err := json.NewDecoder(r.Body).Decode(into); err != nil {
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			writeError(w, http.StatusRequestEntityTooLarge, fmt.Sprintf("body exceeds %d bytes", tooLarge.Limit))
-			return false
-		}
 		writeError(w, http.StatusBadRequest, fmt.Sprintf("bad request body: %v", err))
 		return false
 	}

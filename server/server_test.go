@@ -248,7 +248,7 @@ func TestTreeMutations(t *testing.T) {
 }
 
 func TestValidation(t *testing.T) {
-	_, _, ts := newFixture(t, server.WithMaxNodes(10), server.WithMaxBodyBytes(256), server.WithMaxK(5))
+	_, _, ts := newFixture(t, server.WithMaxNodes(10), server.WithMaxBodyBytes(256))
 	cases := []struct {
 		name string
 		url  string
@@ -258,7 +258,7 @@ func TestValidation(t *testing.T) {
 		{"negative tau", "/v1/join", `{"tau": -1}`, 400},
 		{"NaN tau", "/v1/distance-bounded", `{"f":{"tree":"{a}"},"g":{"tree":"{a}"},"tau":"x"}`, 400},
 		{"bad mode", "/v1/join", `{"tau": 2, "mode": "quantum"}`, 400},
-		{"k too big", "/v1/topk", `{"query":{"tree":"{a}"},"k":6}`, 400},
+		{"k too big", "/v1/topk", `{"query":{"tree":"{a}"},"k":101}`, 400},
 		{"k zero", "/v1/topk", `{"query":{"tree":"{a}"},"k":0}`, 400},
 		{"bad tree", "/v1/distance", `{"f":{"tree":"{{{"},"g":{"tree":"{a}"}}`, 400},
 		{"both id and tree", "/v1/distance", `{"f":{"id":0,"tree":"{a}"},"g":{"tree":"{a}"}}`, 400},

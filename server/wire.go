@@ -4,7 +4,10 @@ package server
 // benchmark and tedload among them) can marshal requests and unmarshal
 // responses without restating the schema.
 
-import "repro/internal/gted"
+import (
+	"repro/cluster"
+	"repro/internal/gted"
+)
 
 // TreeRef names a tree in a request: exactly one of ID (a stored tree)
 // or Tree (an ad-hoc tree in bracket notation) must be set.
@@ -44,8 +47,8 @@ type DistanceBoundedResponse struct {
 // all unordered pairs of stored trees at distance below Tau. Mode picks
 // the candidate generator ("auto", "enumerate", "histogram", "pqgram";
 // default auto), Q the pq-gram base length, Limit caps the returned
-// matches (the server's own cap applies on top; 0 means server
-// default).
+// matches (the server's own cap of 10,000 applies on top; 0 means that
+// cap).
 type JoinRequest struct {
 	Tau   float64 `json:"tau"`
 	Mode  string  `json:"mode,omitempty"`
@@ -87,7 +90,7 @@ type JoinResponse struct {
 }
 
 // TopKRequest asks for the K subtrees of the stored corpus closest to
-// Query.
+// Query; K must be in [1, 100].
 type TopKRequest struct {
 	Query TreeRef `json:"query"`
 	K     int     `json:"k"`
@@ -209,27 +212,10 @@ type StatsResponse struct {
 	ReadOnly bool `json:"read_only,omitempty"`
 	// Replication is the follower-side lag gauge, present only on
 	// replicas (servers started with WithReplica).
-	Replication *ReplicationStats `json:"replication,omitempty"`
+	Replication *cluster.FollowerStats `json:"replication,omitempty"`
 	// ClusterWorkers is the number of distributed join workers this
 	// server proxies heavy queries to (absent when serving locally).
 	ClusterWorkers int `json:"cluster_workers,omitempty"`
-}
-
-// ReplicationStats is a replica's view of its own convergence: the
-// primary it follows, the log position it has applied through, the
-// primary's last announced position, and the lag between them.
-// StalenessMS is how long ago the replica last knew it was fully caught
-// up — the quantity the max-staleness read guard bounds.
-type ReplicationStats struct {
-	Primary         string `json:"primary"`
-	Gen             string `json:"gen"`
-	AppliedSeq      int    `json:"applied_seq"`
-	PrimarySeq      int    `json:"primary_seq"`
-	Lag             int    `json:"lag"`
-	Records         int64  `json:"records"`
-	CheckpointShips int64  `json:"checkpoint_ships"`
-	StalenessMS     int64  `json:"staleness_ms"`
-	LastErr         string `json:"last_err,omitempty"`
 }
 
 // TenantStats is one tenant's admission outcomes in /v1/stats.

@@ -10,10 +10,7 @@ import (
 
 // SubtreeMatch is one result of TopKSubtrees: the subtree of the data
 // tree rooted at postorder id Root, at edit distance Dist from the query.
-type SubtreeMatch struct {
-	Root int
-	Dist float64
-}
+type SubtreeMatch = batch.SubtreeMatch
 
 // TopKSubtrees finds the k subtrees of data with the smallest tree edit
 // distance to query (the top-k approximate subtree matching problem of
@@ -43,21 +40,13 @@ func TopKSubtrees(query, data *Tree, k int, opts ...Option) []SubtreeMatch {
 	if c.stats != nil {
 		*c.stats = Stats{Counters: st, TotalTime: time.Since(start)}
 	}
-	out := make([]SubtreeMatch, len(ms))
-	for i, m := range ms {
-		out[i] = SubtreeMatch{Root: m.Root, Dist: m.Dist}
-	}
-	return out
+	return ms
 }
 
 // CrossSubtreeMatch is one result of TopKSubtreesAcross: the subtree
 // rooted at postorder id Root of the data tree at index Tree, at edit
 // distance Dist from the query.
-type CrossSubtreeMatch struct {
-	Tree int
-	Root int
-	Dist float64
-}
+type CrossSubtreeMatch = batch.CrossMatch
 
 // TopKSubtreesAcross finds the k subtrees closest to the query across a
 // whole collection of data trees — the result of running TopKSubtrees on
@@ -96,11 +85,7 @@ func TopKSubtreesAcross(query *Tree, data []*Tree, k int, opts ...Option) []Cros
 	if c.stats != nil {
 		*c.stats = Stats{Counters: st, TotalTime: time.Since(start)}
 	}
-	out := make([]CrossSubtreeMatch, len(ms))
-	for i, m := range ms {
-		out[i] = CrossSubtreeMatch{Tree: m.Tree, Root: m.Root, Dist: m.Dist}
-	}
-	return out
+	return ms
 }
 
 // SubtreeDistances computes the full |f|×|g| matrix of subtree-pair
