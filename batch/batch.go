@@ -161,13 +161,14 @@ func (e *Engine) UnitCost() bool { return e.unit }
 
 // workspace is the per-worker reusable memory: a GTED arena for the DP
 // tables, the OptStrategy scratch (which owns the strategy array the
-// runner consumes), the join filter's constrained-distance scratch, and
-// the rename-cost memo of non-unit models. Exactly one goroutine uses a
-// workspace at a time.
+// runner consumes), the join filter's constrained-distance scratch, the
+// top-k scan's Euler-string scratch, and the rename-cost memo of
+// non-unit models. Exactly one goroutine uses a workspace at a time.
 type workspace struct {
 	arena       *gted.Arena
 	opt         strategy.OptScratch
 	constrained bounds.ConstrainedScratch
+	euler       bounds.EulerScratch
 
 	// memo caches rename costs by interned label-id pair. Label ids and
 	// models are per-engine, so the memo records which engine's ids it

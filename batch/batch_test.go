@@ -4,7 +4,9 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"runtime/debug"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
 
@@ -365,6 +367,41 @@ func TestTopKAcrossStopsAtBound(t *testing.T) {
 	}
 }
 
+// TestTopKAcrossSkipsByEulerBound pins the per-tree skip. Every data
+// tree carries the query's label multiset, so the label bound (0) visits
+// them all, in position order. The near copy first — two leaf labels
+// swapped, distance 2 — sets the 1st best to 2. The chains of the same
+// labels come next: their Euler-string bound exceeds 2, so they run no
+// DP. The exact copy after them still runs (its Euler bound is 0) and
+// takes the top spot, which a scan that stopped at the first chain
+// would miss.
+func TestTopKAcrossSkipsByEulerBound(t *testing.T) {
+	query := ted.MustParse("{a{b{c}{d}}{e{f}{g}}{h{i}{j}}}")
+	chain := func(labels string) *ted.Tree {
+		s := ""
+		for _, l := range labels {
+			s += "{" + string(l)
+		}
+		return ted.MustParse(s + strings.Repeat("}", len(labels)))
+	}
+	data := []*ted.Tree{
+		ted.MustParse("{a{b{d}{c}}{e{f}{g}}{h{i}{j}}}"),
+		chain("abcdefghij"),
+		chain("jihgfedcba"),
+		chain("acdbfgeijh"),
+		query,
+	}
+	e := batch.New()
+	q := e.Prepare(query)
+	ps := e.PrepareAll(data)
+	st := checkTopKAcross(t, e, q, ps, 1)
+	near := batch.TopKRun(e, q, ps[0], math.Inf(1))
+	exact := batch.TopKRun(e, q, ps[4], 2)
+	if want := near.Subproblems + exact.Subproblems; st.Subproblems != want {
+		t.Fatalf("scan evaluated %d subproblems, the two copies %d — the chains ran DP", st.Subproblems, want)
+	}
+}
+
 // TestBoundedAllocFree is the bounded-mode allocation regression test:
 // bounded runs in a warm arena must stay as allocation-free as exact
 // runs — the cutoff machinery may not allocate per pair. The cutoffs
@@ -416,11 +453,17 @@ func TestBoundedAllocFree(t *testing.T) {
 // lower bound rejects the random pairs at tau 2 before any DP, so a
 // 2-rename copy of the query makes one pair run the strategy DP, the
 // depth-spectra build and GTED, and is measured on its own.
-// TotalAlloc is cumulative so GC cannot skew the deltas.
+// TotalAlloc is cumulative so GC cannot skew the deltas. From warm-up
+// through measurement the test runs on one P with the collector off: a
+// GC empties the workspace pool, and sync.Pool keeps the warm workspace
+// in a per-P slot that a goroutine moved to another P cannot take, and
+// either way the next pair would re-grow its arena and strategy scratch.
 func TestBoundedBytesPerPair(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race shadow state distorts byte accounting")
 	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	const tau = 2
 	query := gen.Random(87, gen.RandomSpec{Size: 50, MaxDepth: 8, MaxFanout: 4, Labels: 4})
 	others := append(randomTrees(88, 12, 50), gen.RenameSome(query, 2, 89))

@@ -65,11 +65,12 @@ func (e *Engine) JoinCandidatesStream(ctx context.Context, trees []*PreparedTree
 }
 
 // TopKAcrossStream is TopKAcross with cancellation: the scan over data
-// trees checks ctx between trees. A cancelled call returns ctx's error
-// and the stats of the work done so far; when the cancellation cut the
-// scan short the matches are nil, because the partial heap is not the
-// top k of the collection — a cancelled call is an abandoned one, not
-// an approximate answer.
+// trees — label-bound order, early stop and Euler-bound skips, as
+// TopKAcross describes — checks ctx between trees. A cancelled call
+// returns ctx's error and the stats of the work done so far; when the
+// cancellation cut the scan short the matches are nil, because the
+// partial heap is not the top k of the collection — a cancelled call is
+// an abandoned one, not an approximate answer.
 //
 // Top-k results are only final once the scan stops, so unlike
 // JoinStream there is nothing sound to emit early; the streaming
@@ -86,6 +87,9 @@ func (e *Engine) TopKAcrossStream(ctx context.Context, query *PreparedTree, data
 	defer e.putWS(ws)
 
 	q := query.t.Root()
+	if e.unit {
+		ws.euler.SetQuery(query.profile())
+	}
 	h := &crossHeap{}
 	heap.Init(h)
 	for _, v := range e.topKOrder(query, data) {
@@ -104,6 +108,13 @@ func (e *Engine) TopKAcrossStream(ctx context.Context, query *PreparedTree, data
 			break
 		}
 		di, d := v.pos, data[v.pos]
+		// The Euler-string bound does not follow the visit order, so a
+		// tree it places beyond the k-th best is skipped, not a stop.
+		// It never exceeds |Q|, so a cutoff at or above |Q| (or none,
+		// while the heap fills) leaves nothing to check.
+		if e.unit && tau < float64(query.Len()) && ws.euler.SubtreeEulerLower(d.profile(), tau) > tau {
+			continue
+		}
 		r := e.pairRunner(ws, query, d)
 		r.SetCutoff(tau, false)
 		r.Run()

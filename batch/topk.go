@@ -84,9 +84,13 @@ func crossLess(a, b CrossMatch) bool {
 // multisets (bounds.SubtreeLowerProfiled), visits the trees in ascending
 // (bound, position) order, and stops at the first tree whose bound
 // exceeds the current k-th best: no remaining tree can place a subtree
-// in the result. Other cost models visit every tree in position order.
-// The visit order cannot change the answer, because the heap order
-// (Dist, Tree, Root) is total.
+// in the result. Once the heap is full it also skips, without DP, each
+// visited tree whose Euler-string bound (bounds.EulerScratch) exceeds
+// the k-th best — a skip rather than a stop, since that bound does not
+// follow the visit order. Other cost models visit every tree in position
+// order. Neither the visit order nor the skips can change the answer,
+// because the heap order (Dist, Tree, Root) is total and a skipped tree
+// has no subtree at or below the k-th best.
 func (e *Engine) TopKAcross(query *PreparedTree, data []*PreparedTree, k int) ([]CrossMatch, Stats) {
 	ms, st, _ := e.TopKAcrossStream(context.Background(), query, data, k)
 	return ms, st

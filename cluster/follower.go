@@ -62,7 +62,9 @@ type Follower struct {
 // primary followed, the log position applied through, the primary's
 // last announced position and the lag between them. StalenessMS is
 // Staleness in milliseconds, the quantity a replica's max-staleness
-// read guard bounds. A replica's /v1/stats serves it as its
+// read guard bounds; it is nil (and absent from the JSON) until the
+// follower's first successful contact, because a follower that was never
+// fresh has no age to report. A replica's /v1/stats serves it as its
 // "replication" object.
 type FollowerStats struct {
 	Primary     string `json:"primary"`
@@ -72,7 +74,7 @@ type FollowerStats struct {
 	Lag         int    `json:"lag"`
 	Records     int64  `json:"records"`
 	Ships       int64  `json:"checkpoint_ships"`
-	StalenessMS int64  `json:"staleness_ms"`
+	StalenessMS *int64 `json:"staleness_ms,omitempty"`
 	LastErr     string `json:"last_err,omitempty"`
 }
 
@@ -115,14 +117,17 @@ func (f *Follower) Stats() FollowerStats {
 		lag = 0
 	}
 	st := FollowerStats{
-		Primary:     f.primary,
-		Gen:         f.pos.Gen,
-		AppliedSeq:  f.pos.Seq,
-		PrimarySeq:  f.primarySeq,
-		Lag:         lag,
-		Records:     f.records,
-		Ships:       f.ships,
-		StalenessMS: f.stalenessLocked().Milliseconds(),
+		Primary:    f.primary,
+		Gen:        f.pos.Gen,
+		AppliedSeq: f.pos.Seq,
+		PrimarySeq: f.primarySeq,
+		Lag:        lag,
+		Records:    f.records,
+		Ships:      f.ships,
+	}
+	if !f.lastFresh.IsZero() {
+		ms := time.Since(f.lastFresh).Milliseconds()
+		st.StalenessMS = &ms
 	}
 	if f.lastErr != nil {
 		st.LastErr = f.lastErr.Error()
@@ -136,11 +141,6 @@ func (f *Follower) Stats() FollowerStats {
 func (f *Follower) Staleness() time.Duration {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	return f.stalenessLocked()
-}
-
-// stalenessLocked is Staleness for a caller holding f.mu.
-func (f *Follower) stalenessLocked() time.Duration {
 	if f.lastFresh.IsZero() {
 		return time.Duration(1<<63 - 1)
 	}

@@ -90,10 +90,13 @@ func TestFollowerMidLogCatchUp(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Before any contact the follower cannot prove it is fresh; its
-	// stats carry the staleness its read guard sees.
-	if got, want := fl.Stats().StalenessMS, fl.Staleness().Milliseconds(); got != want {
-		t.Fatalf("fresh follower stats staleness %d ms, Staleness %d ms", got, want)
+	// Before any contact the follower cannot prove it is fresh: its read
+	// guard sees an unbounded staleness, and its stats report no age.
+	if got := fl.Stats().StalenessMS; got != nil {
+		t.Fatalf("never-fresh follower stats staleness %d ms, want none", *got)
+	}
+	if fl.Staleness() < time.Duration(1<<63-1) {
+		t.Fatalf("never-fresh follower Staleness %v, want unbounded", fl.Staleness())
 	}
 	fl.PollWait = 200 * time.Millisecond
 	stop := startFollowerRun(fl)
@@ -127,6 +130,11 @@ func TestFollowerMidLogCatchUp(t *testing.T) {
 	}
 	if fl.Staleness() > time.Minute {
 		t.Fatalf("converged follower reports staleness %v", fl.Staleness())
+	}
+	if ms := fl.Stats().StalenessMS; ms == nil {
+		t.Fatal("converged follower stats report no staleness")
+	} else if *ms > time.Minute.Milliseconds() {
+		t.Fatalf("converged follower stats staleness %d ms", *ms)
 	}
 }
 

@@ -95,8 +95,9 @@
 //	      └── a collection   → TopKSubtreesAcross(query, data, k) —
 //	                            trees visited by a label bound, the
 //	                            cutoff shrinking to the running k-th
-//	                            best, the scan stopping once the
-//	                            bound passes it
+//	                            best, trees whose Euler-string bound
+//	                            passes it skipped, the scan stopping
+//	                            once the label bound passes it
 //
 // Join always returns exactly the pairs with distance below the
 // threshold; the options only change how much work that takes.

@@ -14,7 +14,10 @@ import (
 // labelled S, NP, … — with mix choosing each tree's alphabet and which
 // trees repeat, so label bounds and distances tie across trees. The
 // query is a bracket string, free to share labels with either alphabet,
-// both or neither; k ranges past the corpus's subtree count.
+// both or neither; k ranges past the corpus's subtree count. The last two
+// seeds query random-shaped corpora in their own alphabet at small k, so
+// visited trees whose Euler-string bound exceeds the k-th best are
+// skipped.
 //
 // Run continuously with: go test -fuzz=FuzzTopKAcross
 func FuzzTopKAcross(f *testing.F) {
@@ -23,6 +26,8 @@ func FuzzTopKAcross(f *testing.F) {
 	f.Add("{NP{l1}{DT}}", int64(3), uint8(4), uint8(0x33), uint16(200))
 	f.Add("{x}", int64(4), uint8(6), uint8(0xff), uint16(2))
 	f.Add("{l0}", int64(5), uint8(3), uint8(0x00), uint16(0))
+	f.Add("{l0{l1{l2}}}", int64(6), uint8(7), uint8(0x00), uint16(0))
+	f.Add("{l1{l0{l2}{l1}}{l2}}", int64(9), uint8(7), uint8(0x00), uint16(1))
 
 	f.Fuzz(func(t *testing.T, qs string, seed int64, n, mix uint8, kk uint16) {
 		query, err := ted.Parse(qs)

@@ -34,6 +34,20 @@
 //     tau. With a reusable ConstrainedScratch it allocates nothing.
 //     Constrained is ConstrainedBelow at tau = +Inf.
 //
+// Subtree lower bounds (top-k: the distance from a query Q to every
+// subtree of a data tree at once):
+//
+//   - SubtreeLowerProfiled: |Q| − (multiset label intersection); a
+//     subtree's labels are a sub-multiset of its tree's.
+//   - EulerScratch.SubtreeEulerLower: half the least string edit distance
+//     between Q's Euler string (an open token per node on entry, a close
+//     token on exit) and any substring of the data tree's. One node edit
+//     changes an Euler string by at most two token edits [Akutsu,
+//     Fukagawa and Takasu, "Approximating tree edit distance through
+//     string edit distance"], and a subtree's Euler string is a
+//     substring of its tree's. Sellers' approximate-substring DP computes
+//     it in O(|Q|·|d|) and stops once it provably exceeds a threshold.
+//
 // All bounds assume the unit cost model (the model of the paper's
 // experiments and of every published filter).
 //

@@ -12,8 +12,10 @@ import (
 // through one interner — g's labels interned first when gFirst, so ids
 // and string order disagree in different ways — and every profiled
 // bound must equal its string-keyed counterpart in both orientations,
-// while SubtreeLowerProfiled stays at or below the Zhang–Shasha distance
-// from the query to every subtree of the data tree.
+// while SubtreeLowerProfiled and the Euler-string bound stay at or below
+// the Zhang–Shasha distance from the query to every subtree of the data
+// tree, and the Euler bound cut at tau exceeds tau exactly when the full
+// bound does.
 //
 // Run continuously with: go test -fuzz=FuzzProfiledBounds ./internal/bounds
 func FuzzProfiledBounds(f *testing.F) {

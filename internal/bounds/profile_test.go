@@ -2,6 +2,7 @@ package bounds
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"runtime"
 	"testing"
@@ -33,16 +34,68 @@ func randomLabeled(rng *rand.Rand, n int, label func(i int) string) *tree.Tree {
 	return tree.Index(nodes[0])
 }
 
+// eulerToken is one token of a string-keyed Euler string: a node's
+// label, entered or left.
+type eulerToken struct {
+	label string
+	close bool
+}
+
+// eulerWalk returns the Euler string of t's subtree at v by a recursive
+// depth-first walk over labels.
+func eulerWalk(t *tree.Tree, v int, dst []eulerToken) []eulerToken {
+	dst = append(dst, eulerToken{label: t.Label(v)})
+	for _, c := range t.Children(v) {
+		dst = eulerWalk(t, c, dst)
+	}
+	return append(dst, eulerToken{label: t.Label(v), close: true})
+}
+
+// subtreeEuler is SubtreeEulerLower at tau = +Inf computed the slow
+// way, from string-keyed Euler strings: for every start position in d's
+// string, the edit distance from q's string to each substring beginning
+// there, one full DP per start.
+func subtreeEuler(q, d *tree.Tree) float64 {
+	qs, ds := eulerWalk(q, q.Root(), nil), eulerWalk(d, d.Root(), nil)
+	best := len(qs) // the empty substring
+	col := make([]int, len(qs)+1)
+	for a := range ds {
+		for i := range col {
+			col[i] = i // the empty substring at a
+		}
+		for _, tok := range ds[a:] {
+			diag := col[0]
+			col[0]++
+			for i := 1; i < len(col); i++ {
+				c := diag
+				if qs[i-1] != tok {
+					c++
+				}
+				diag = col[i]
+				col[i] = min(c, col[i]+1, col[i-1]+1)
+			}
+			best = min(best, col[len(qs)])
+		}
+	}
+	return float64(best) / 2
+}
+
 // checkProfiledBounds fails unless, with both profiles interned through
 // in, every profiled bound of (f, g) equals its string-keyed counterpart
-// in both orientations, and the subtree bound stays at or below the
+// in both orientations, and both subtree bounds stay at or below the
 // Zhang–Shasha distance from the query to every subtree of the data tree.
+// The Euler-string bound cut at tau must also exceed tau exactly when
+// the full bound does, never exceed the full bound, and equal it when it
+// is at most tau.
 func checkProfiledBounds(t *testing.T, f, g *tree.Tree, in *cost.Interner) {
 	t.Helper()
 	fp, gp := internedProfile(f, in), internedProfile(g, in)
+	var s EulerScratch
 	for _, pair := range [][2]*Profile{{fp, gp}, {gp, fp}} {
 		a, b := pair[0], pair[1]
 		x, y := a.Tree(), b.Tree()
+		s.SetQuery(a)
+		euler := s.SubtreeEulerLower(b, math.Inf(1))
 		for _, c := range []struct {
 			name      string
 			got, want float64
@@ -51,6 +104,7 @@ func checkProfiledBounds(t *testing.T, f, g *tree.Tree, in *cost.Interner) {
 			{"binary branch", binaryBranchProfiled(a, b), BinaryBranch(x, y)},
 			{"string edit", stringEditProfiled(a, b), StringEdit(x, y)},
 			{"lower", LowerProfiled(a, b), Lower(x, y)},
+			{"subtree Euler", euler, subtreeEuler(x, y)},
 		} {
 			if c.got != c.want {
 				t.Fatalf("%s bound: profiled %v, string-keyed %v\nF=%s\nG=%s", c.name, c.got, c.want, x, y)
@@ -59,9 +113,15 @@ func checkProfiledBounds(t *testing.T, f, g *tree.Tree, in *cost.Interner) {
 		lb := SubtreeLowerProfiled(a, b)
 		row := zs.TreeDists(x, y, cost.Unit{})[x.Root()*y.Len():]
 		for w := 0; w < y.Len(); w++ {
-			if lb > row[w] {
-				t.Fatalf("subtree bound %v exceeds the distance %v to subtree %s\nQ=%s\nD=%s",
-					lb, row[w], y.SubtreeString(w), x, y)
+			if lb > row[w] || euler > row[w] {
+				t.Fatalf("subtree bounds %v (labels), %v (Euler) exceed the distance %v to subtree %s\nQ=%s\nD=%s",
+					lb, euler, row[w], y.SubtreeString(w), x, y)
+			}
+		}
+		for _, tau := range []float64{0, 1, euler - 1, euler, math.Inf(1)} {
+			cut := s.SubtreeEulerLower(b, tau)
+			if (cut > tau) != (euler > tau) || cut > euler || (euler <= tau && cut != euler) {
+				t.Fatalf("Euler bound cut at tau %v reads %v, uncut %v\nQ=%s\nD=%s", tau, cut, euler, x, y)
 			}
 		}
 	}
@@ -116,7 +176,9 @@ func TestProfileRetainedSize(t *testing.T) {
 // TestProfiledBoundsAllocFree: the two bounds every join pair and every
 // top-k data tree pays for are merges of sorted slices and allocate
 // nothing; LowerProfiled, which every bounded distance pays for, keeps
-// its string-edit rows on the stack for trees this small.
+// its string-edit rows on the stack for trees this small; and the
+// Euler-string bound, which a top-k scan pays for per visited tree once
+// its heap is full, reuses its scratch.
 func TestProfiledBoundsAllocFree(t *testing.T) {
 	in := cost.NewInterner()
 	f := internedProfile(tree.MustParseBracket("{a{b{c}{d}}{e}{b}}"), in)
@@ -130,6 +192,12 @@ func TestProfiledBoundsAllocFree(t *testing.T) {
 	}
 	if n := testing.AllocsPerRun(100, func() { sink += LowerProfiled(f, g) }); n != 0 {
 		t.Errorf("LowerProfiled allocates %v times per call", n)
+	}
+	var s EulerScratch
+	s.SetQuery(f)
+	s.SubtreeEulerLower(g, math.Inf(1)) // warm the scratch
+	if n := testing.AllocsPerRun(100, func() { sink += s.SubtreeEulerLower(g, math.Inf(1)) }); n != 0 {
+		t.Errorf("SubtreeEulerLower allocates %v times per call with a warm scratch", n)
 	}
 	_ = sink
 }

@@ -22,7 +22,8 @@ import (
 )
 
 func replStats() cluster.FollowerStats {
-	return cluster.FollowerStats{Primary: "http://primary:8420", Gen: "aabbccdd00112233", AppliedSeq: 7, PrimarySeq: 7}
+	staleness := int64(250)
+	return cluster.FollowerStats{Primary: "http://primary:8420", Gen: "aabbccdd00112233", AppliedSeq: 7, PrimarySeq: 7, StalenessMS: &staleness}
 }
 
 // TestReplicaRefusesWrites: a server in replica mode answers reads and
@@ -89,12 +90,24 @@ func TestReplicaRefusesWrites(t *testing.T) {
 
 // TestReplicaStatsKeys pins the keys of a replica's /v1/stats
 // "replication" object, which operators and scripts/cluster_smoke.sh
-// read (.replication.lag): last_err appears only when set.
+// read (.replication.lag): last_err appears only when set, and
+// staleness_ms only once the follower has been fresh.
 func TestReplicaStatsKeys(t *testing.T) {
-	want := []string{"applied_seq", "checkpoint_ships", "gen", "lag", "primary", "primary_seq", "records", "staleness_ms"}
-	for _, lastErr := range []string{"", "connection refused"} {
+	base := []string{"applied_seq", "checkpoint_ships", "gen", "lag", "primary", "primary_seq", "records"}
+	for _, c := range []struct {
+		lastErr    string
+		neverFresh bool
+		want       []string
+	}{
+		{"", false, append(slices.Clone(base), "staleness_ms")},
+		{"connection refused", false, append(slices.Clone(base), "last_err", "staleness_ms")},
+		{"connection refused", true, append(slices.Clone(base), "last_err")},
+	} {
 		st := replStats()
-		st.LastErr = lastErr
+		st.LastErr = c.lastErr
+		if c.neverFresh {
+			st.StalenessMS = nil
+		}
 		srv := server.New(corpus.New(), server.WithReplica(func() cluster.FollowerStats { return st }, nil, 0))
 		rec := httptest.NewRecorder()
 		srv.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/stats", nil))
@@ -109,12 +122,12 @@ func TestReplicaStatsKeys(t *testing.T) {
 			keys = append(keys, k)
 		}
 		sort.Strings(keys)
-		if lastErr != "" {
-			want = append(want, "last_err")
-			sort.Strings(want)
+		sort.Strings(c.want)
+		if !slices.Equal(keys, c.want) {
+			t.Fatalf("last_err %q, never fresh %v: replication keys %v, want %v", c.lastErr, c.neverFresh, keys, c.want)
 		}
-		if !slices.Equal(keys, want) {
-			t.Fatalf("last_err %q: replication keys %v, want %v", lastErr, keys, want)
+		if !c.neverFresh && string(body.Replication["staleness_ms"]) != "250" {
+			t.Fatalf("staleness_ms = %s, want 250", body.Replication["staleness_ms"])
 		}
 	}
 }

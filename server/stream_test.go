@@ -173,17 +173,19 @@ func TestKernelStatsReconcile(t *testing.T) {
 	e := s.Engine()
 
 	// tau leaves some pairs to the exact stage, whose cutoff prunes; the
-	// top-1 query equals stored tree 0, so the scan's cutoff drops to 0
-	// and the rest of it prunes hard.
+	// top-2 query equals stored tree 0, whose root and largest proper
+	// subtree drop the scan's cutoff to 1, and the trees the Euler-string
+	// bound cannot skip prune hard under it. (At k = 1 the cutoff drops
+	// to 0 and that bound skips every later tree whole.)
 	const tau = 6
 	_, js := c.Join(e, tau, batch.JoinOptions{})
 	query := gen.ZigZag(40)
-	_, ks := c.TopKAcross(e, c.PrepareQuery(e, query), 1)
+	_, ks := c.TopKAcross(e, c.PrepareQuery(e, query), 2)
 	if js.ExactComputed == 0 || js.PrunedSubproblems == 0 || ks.PrunedSubproblems == 0 {
 		t.Fatalf("scenario broken: the join's exact stage or the top-k scan pruned nothing: %+v, %+v", js, ks)
 	}
 	joinReq := server.JoinRequest{Tau: tau}
-	topKReq := server.TopKRequest{Query: ref(query.String()), K: 1}
+	topKReq := server.TopKRequest{Query: ref(query.String()), K: 2}
 	endpoints := []struct {
 		path string
 		want batch.Stats

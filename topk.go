@@ -55,7 +55,10 @@ type CrossSubtreeMatch = batch.CrossMatch
 // distance, so DP work shrinks as the results improve. Under UnitCost the
 // trees are visited in ascending order of a label-multiset lower bound on
 // their subtrees' distances to the query, and the scan stops once that
-// bound exceeds the k-th best, so the remaining trees run no DP at all.
+// bound exceeds the k-th best, so the remaining trees run no DP at all;
+// before that, a visited tree whose Euler-string lower bound (half the
+// least string edit distance from the query's Euler string to a substring
+// of the tree's) already exceeds the k-th best is skipped without DP.
 // Ties break toward smaller (Tree, Root); results are sorted by distance.
 //
 // The collection runs through the corpus layer (package corpus), so
