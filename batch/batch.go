@@ -223,7 +223,7 @@ func (e *Engine) putWS(w *workspace) {
 
 // Stats is the GTED instrumentation of one batch call, summed over its
 // runs with Merge (MaxLiveRows takes the maximum): the kernel counters
-// of gted.Counters, which a distributed top-k's coordinator also merges
+// of gted.Counters, which a gateway's distributed top-k also merges
 // across workers.
 type Stats = gted.Counters
 

@@ -115,8 +115,8 @@ type JoinStats struct {
 	IndexTime time.Duration
 }
 
-// Merge folds another call's accounting into s — the coordinator path
-// of a distributed join, where each worker evaluates a disjoint range
+// Merge folds another call's accounting into s — the gateway path of a
+// distributed join, where each worker evaluates a disjoint range
 // of the pair space and the summed counters must equal a single-node
 // run's (so /v1/stats stays truthful about work actually done), and the
 // path that combines the worker pool's per-worker tallies. Every

@@ -1,3 +1,9 @@
+// Package cluster replicates a corpus across processes: a Follower
+// tails a primary tedd's write-ahead log over HTTP and converges to a
+// byte-identical store, so tedd -follow can serve reads as a replica.
+// (Spreading one join or top-k query over processes needs no package of
+// its own: a gateway server deals position ranges to worker servers over
+// the HTTP API; see server.WithClusterWorkers.)
 package cluster
 
 import (

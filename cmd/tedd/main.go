@@ -9,6 +9,15 @@
 //	tedd -corpus trees.tedc                     # serve on :8420
 //	tedd -corpus trees.tedc -addr 127.0.0.1:9000 -workers 8
 //	tedd -corpus trees.tedc -index pqgram -max-inflight 64
+//	tedd -corpus trees.tedc -cluster-workers http://h1:8420,http://h2:8420
+//
+// Every tedd can be a cluster worker. A gateway (-cluster-workers) deals
+// each join and top-k query in position ranges to the tedd workers at the
+// given base URLs, which must hold the same corpus (each its own copy of
+// one snapshot), and merges their answers; it skips a worker that is
+// down or draining and refuses (502) workers whose corpora differ or
+// change while they serve the request. A follower (-follow)
+// tails a primary's write-ahead log and serves reads as a replica.
 //
 // The corpus is opened with corpus.Open: mutations served over HTTP are
 // appended to the write-ahead log at <corpus>.wal before they are
@@ -34,6 +43,7 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"net/url"
 	"os"
 	"os/signal"
 	"strings"
@@ -82,13 +92,27 @@ func run(ctx context.Context, args []string, logw io.Writer, ready chan<- string
 		drainWait    = fs.Duration("drain-timeout", 10*time.Second, "graceful shutdown budget for in-flight requests")
 		follow       = fs.String("follow", "", "follower mode: tail this primary's WAL (http://host:port) and serve reads from the replicated corpus; mutations get 403")
 		maxStale     = fs.Duration("max-staleness", 0, "follower mode: refuse reads with 503 when last provably caught up longer ago than this (0 = serve regardless)")
-		clusterList  = fs.String("cluster-workers", "", "comma-separated tedc worker addresses; joins and top-k fan out to them instead of evaluating locally")
+		clusterList  = fs.String("cluster-workers", "", "gateway mode: comma-separated base URLs (http://host:port) of tedd workers that hold the same corpus; joins and top-k fan out to them instead of evaluating locally")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 	if *corpusPath == "" {
 		return errors.New("-corpus is required")
+	}
+
+	var workerURLs []string
+	for _, a := range strings.Split(*clusterList, ",") {
+		if a = strings.TrimSpace(a); a == "" {
+			continue
+		}
+		if u, err := url.Parse(a); err != nil || (u.Scheme != "http" && u.Scheme != "https") || u.Host == "" {
+			return fmt.Errorf("-cluster-workers: %q is not a worker base URL (http://host:port)", a)
+		}
+		workerURLs = append(workerURLs, strings.TrimRight(a, "/"))
+	}
+	if *clusterList != "" && len(workerURLs) == 0 {
+		return errors.New("-cluster-workers needs at least one worker URL")
 	}
 
 	var copts []corpus.Option
@@ -156,18 +180,9 @@ func run(ctx context.Context, args []string, logw io.Writer, ready chan<- string
 	if *tenantQuota > 0 {
 		sopts = append(sopts, server.WithTenantQuota(*tenantQuota))
 	}
-	if *clusterList != "" {
-		var addrs []string
-		for _, a := range strings.Split(*clusterList, ",") {
-			if a = strings.TrimSpace(a); a != "" {
-				addrs = append(addrs, a)
-			}
-		}
-		if len(addrs) == 0 {
-			return errors.New("-cluster-workers needs at least one address")
-		}
-		sopts = append(sopts, server.WithClusterWorkers(addrs))
-		fmt.Fprintf(logw, "tedd: joins/top-k fan out to %d workers: %s\n", len(addrs), strings.Join(addrs, ", "))
+	if len(workerURLs) > 0 {
+		sopts = append(sopts, server.WithClusterWorkers(workerURLs))
+		fmt.Fprintf(logw, "tedd: joins/top-k fan out to %d workers: %s\n", len(workerURLs), strings.Join(workerURLs, ", "))
 	}
 	if fl != nil {
 		sopts = append(sopts, server.WithReplica(fl.Stats, fl.Staleness, *maxStale))

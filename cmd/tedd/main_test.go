@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -146,5 +147,11 @@ func TestRunFlagValidation(t *testing.T) {
 	}
 	if err := run(context.Background(), []string{"-corpus", "x.tedc", "-index", "pqgram", "-q", "0"}, &logs, nil); err == nil {
 		t.Fatalf("-q 0 accepted")
+	}
+	// A worker address of the retired TCP protocol is refused at startup,
+	// not left to answer 502 on every join.
+	err := run(context.Background(), []string{"-corpus", "x.tedc", "-cluster-workers", "http://127.0.0.1:8420,host:7411"}, &logs, nil)
+	if err == nil || !strings.Contains(err.Error(), `"host:7411"`) {
+		t.Fatalf("-cluster-workers host:7411: %v, want an error naming the entry", err)
 	}
 }

@@ -59,8 +59,11 @@
 package corpus
 
 import (
+	"encoding/binary"
 	"fmt"
+	"hash/fnv"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 
@@ -101,12 +104,20 @@ type Corpus struct {
 	// Set by Open: the attached write-ahead log and the snapshot path it
 	// recovers from / Checkpoint compacts into. Nil for purely in-memory
 	// corpora (New, Load). mutSeq counts mutations (under mu) so
-	// Checkpoint can tell whether its lock-free snapshot flush raced one;
-	// ckptMu serializes whole checkpoints.
+	// Checkpoint can tell whether its lock-free snapshot flush raced one
+	// and Fingerprint whether its cached hash is current; ckptMu
+	// serializes whole checkpoints.
 	wal      *wal
 	snapPath string
 	mutSeq   uint64
 	ckptMu   sync.Mutex
+
+	// Fingerprint's cache: fpSum hashes the contents as of mutSeq ==
+	// fpAt-1 (fpAt 0: never computed). fpMu guards both; it is taken
+	// inside the read lock, which keeps mutSeq still.
+	fpMu  sync.Mutex
+	fpAt  uint64
+	fpSum uint64
 
 	// Replication state (repl.go): the in-memory record bodies of the
 	// current log generation, the generation id itself, and the carryover
@@ -272,6 +283,46 @@ func (c *Corpus) IDs() []ID {
 	c.mu.RUnlock()
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
+}
+
+// Fingerprint returns the number of stored trees and a 64-bit FNV-1a
+// hash of the contents: every stored ID with its tree's shape and
+// labels, in ascending ID order. Corpora with equal fingerprints hold the
+// same trees under the same IDs, so the positions of their ascending-ID
+// snapshots name the same trees — what a gateway checks before it deals
+// position ranges to workers. An ID-only hash would collide for any two
+// corpora grown the same way, which is exactly the mistake (same path,
+// different file) the check exists to catch. The hash is computed at
+// most once per mutation.
+func (c *Corpus) Fingerprint() (trees int, sum uint64) {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	c.fpMu.Lock()
+	defer c.fpMu.Unlock()
+	if c.fpAt == c.mutSeq+1 {
+		return len(c.entries), c.fpSum
+	}
+	ids := make([]ID, 0, len(c.entries))
+	for id := range c.entries {
+		ids = append(ids, id)
+	}
+	slices.Sort(ids)
+	h := fnv.New64a()
+	var b []byte
+	for _, id := range ids {
+		t := c.entries[id].t
+		b = binary.AppendUvarint(b[:0], uint64(id))
+		b = binary.AppendUvarint(b, uint64(t.Len()))
+		for v := 0; v < t.Len(); v++ {
+			lb := t.Label(v)
+			b = binary.AppendUvarint(b, uint64(len(lb)))
+			b = append(b, lb...)
+			b = binary.AppendUvarint(b, uint64(t.NumChildren(v)))
+		}
+		h.Write(b)
+	}
+	c.fpAt, c.fpSum = c.mutSeq+1, h.Sum64()
+	return len(ids), c.fpSum
 }
 
 // Engine builds a batch engine attached to this corpus: it shares the

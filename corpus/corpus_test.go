@@ -1,6 +1,7 @@
 package corpus_test
 
 import (
+	"bytes"
 	"math"
 	"math/rand"
 	"testing"
@@ -142,6 +143,47 @@ func TestCorpusTopKAcross(t *testing.T) {
 		w := wantMs[i]
 		if int64(m.Tree) != int64(w.Tree) || m.Root != w.Root || m.Dist != w.Dist {
 			t.Fatalf("result %d = %+v, want %+v", i, m, w)
+		}
+	}
+}
+
+// TestFingerprint: a loaded copy fingerprints like its source, and every
+// mutation kind moves the fingerprint, also after a cached read — a
+// cache that outlived a mutation would let a gateway deal ranges over
+// corpora that no longer agree.
+func TestFingerprint(t *testing.T) {
+	trees := randomTrees(6, 6, 12)
+	c := corpus.New()
+	for _, tr := range trees {
+		c.Add(tr)
+	}
+	var buf bytes.Buffer
+	if err := c.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	cp, err := corpus.Load(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n, fp := c.Fingerprint()
+	if cn, cfp := cp.Fingerprint(); n != len(trees) || cn != n || cfp != fp {
+		t.Fatalf("loaded copy: %d trees, %x; source %d, %x", cn, cfp, n, fp)
+	}
+	seen := map[uint64]bool{fp: true}
+	for name, mutate := range map[string]func(*corpus.Corpus){
+		"add":     func(c *corpus.Corpus) { c.Add(trees[0]) },
+		"replace": func(c *corpus.Corpus) { c.Replace(1, trees[2]) },
+		"delete":  func(c *corpus.Corpus) { c.Delete(3) },
+	} {
+		mutate(c)
+		_, fp := c.Fingerprint()
+		if seen[fp] {
+			t.Fatalf("%s: fingerprint %x unchanged by the mutation", name, fp)
+		}
+		seen[fp] = true
+		mutate(cp)
+		if _, cfp := cp.Fingerprint(); cfp != fp {
+			t.Fatalf("%s: copy %x after the same mutation, source %x", name, cfp, fp)
 		}
 	}
 }

@@ -42,57 +42,39 @@ type Match struct {
 // so a Replace landing mid-join cannot suppress candidates for trees
 // the snapshot still holds in their old form.
 func (c *Corpus) Join(e *batch.Engine, tau float64, opts batch.JoinOptions) ([]Match, batch.JoinStats) {
-	return c.joinSorted(e, tau, opts, 0, math.MaxInt)
-}
-
-// JoinStream is the streaming Join: every match is passed to emit as
-// soon as its pair resolves on the worker pool, instead of being
-// buffered into a slice — the corpus side of a server streaming NDJSON
-// join results to a client.
-//
-// Candidate generation, mode resolution, snapshot consistency and the
-// match set are exactly Join's (run to completion, the emitted multiset
-// equals Join's result); only the delivery differs. emit runs on the
-// calling goroutine, one invocation at a time, in completion order.
-// Cancelling ctx stops the engine work at the next pair boundary and
-// returns ctx's error; the returned stats then cover only the pairs
-// actually evaluated.
-func (c *Corpus) JoinStream(ctx context.Context, e *batch.Engine, tau float64, opts batch.JoinOptions, emit func(Match)) (batch.JoinStats, error) {
-	return c.join(ctx, e, tau, opts, 0, math.MaxInt, emit)
-}
-
-// JoinRange computes the slice of the similarity self-join whose probe
-// position falls in [lo, hi): all matches (I, J) with I < J and J's
-// position in the ascending-ID snapshot taken by this call inside the
-// range, ordered by (I, J). It is the worker-side primitive of a
-// distributed join (see package cluster): candidate generation follows
-// opts.Mode exactly as in Join, so over a partition of [0, n) the union
-// of the per-range results — each match's Dist included — is Join's
-// result at every tau, enumerate and indexed modes alike. Requires the
-// unit cost model, like every filtered join.
-//
-// A distributed driver must pin the corpus contents (workers Load one
-// shared snapshot file) for ranges computed elsewhere to mean the same
-// trees here.
-func (c *Corpus) JoinRange(e *batch.Engine, tau float64, opts batch.JoinOptions, lo, hi int) ([]Match, batch.JoinStats) {
-	if !e.UnitCost() {
-		panic("corpus: JoinRange requires the unit cost model")
-	}
-	return c.joinSorted(e, tau, opts, lo, hi)
-}
-
-// joinSorted runs join to completion over [lo, hi) and returns its
-// matches in (I, J) order.
-func (c *Corpus) joinSorted(e *batch.Engine, tau float64, opts batch.JoinOptions, lo, hi int) ([]Match, batch.JoinStats) {
 	var ms []Match
-	st, _ := c.join(context.Background(), e, tau, opts, lo, hi, func(m Match) { ms = append(ms, m) })
+	st, _ := c.join(context.Background(), e, tau, opts, 0, math.MaxInt, func(m Match) { ms = append(ms, m) })
 	slices.SortFunc(ms, func(a, b Match) int {
 		return cmp.Or(cmp.Compare(a.I, b.I), cmp.Compare(a.J, b.J))
 	})
 	return ms, st
 }
 
-// join is the one join behind Join, JoinStream and JoinRange: the
+// JoinRangeStream is the streaming Join over a probe range: every match
+// (I, J), I < J, whose J sits at a position in [lo, hi) of the
+// ascending-ID snapshot taken by this call is passed to emit as soon as
+// its pair resolves on the worker pool, instead of being buffered into
+// a slice. Candidate generation, mode resolution and snapshot
+// consistency are Join's, so over a partition of [0, n) — or with the
+// whole range [0, math.MaxInt) — the emitted matches, each Dist
+// included, are Join's result at every tau, enumerate and indexed modes
+// alike. emit runs on the calling goroutine, one invocation at a time,
+// in completion order. Cancelling ctx stops the engine work at the next
+// pair boundary and returns ctx's error; the returned stats then cover
+// only the pairs actually evaluated. It serves a server's join, ranged
+// (see server.Range) or whole, and requires the unit cost model, like
+// every filtered join.
+//
+// Ranges computed elsewhere mean the same trees here only when both
+// corpora hold the same contents (see Fingerprint).
+func (c *Corpus) JoinRangeStream(ctx context.Context, e *batch.Engine, tau float64, opts batch.JoinOptions, lo, hi int, emit func(Match)) (batch.JoinStats, error) {
+	if !e.UnitCost() {
+		panic("corpus: JoinRangeStream requires the unit cost model")
+	}
+	return c.join(ctx, e, tau, opts, lo, hi, emit)
+}
+
+// join is the one join behind Join and JoinRangeStream: the
 // matches whose probe position falls in [lo, hi) of the snapshot, passed
 // to emit as found. It snapshots the corpus, resolves the mode once, and
 // takes candidates from the maintained index if the corpus keeps the

@@ -57,8 +57,9 @@ func checkMatches(t *testing.T, label string, got []corpus.Match, want []batch.M
 
 // TestJoinIndexedEquivalence is the acceptance property test of
 // candidate generation: in every mode, from either index source and at
-// every threshold, including the degenerate 0 and +Inf, Join, JoinStream
-// and the union of JoinRange over a partition of the probe positions
+// every threshold, including the degenerate 0 and +Inf, Join,
+// JoinRangeStream over every position and the union of JoinRangeStream
+// over a partition of the probe positions
 // must return exactly the batch engine's enumerate+filter match set —
 // same pairs, same reported distances — visiting no more pairs than
 // enumeration, with every visited pair accounted to one filter outcome.
@@ -81,25 +82,29 @@ func TestJoinIndexedEquivalence(t *testing.T) {
 					checkMatches(t, label+" Join", got, want)
 
 					var streamed []corpus.Match
-					if _, err := c.JoinStream(context.Background(), e, tau, opts, func(m corpus.Match) {
+					if _, err := c.JoinRangeStream(context.Background(), e, tau, opts, 0, math.MaxInt, func(m corpus.Match) {
 						streamed = append(streamed, m)
 					}); err != nil {
-						t.Fatalf("%s: JoinStream: %v", label, err)
+						t.Fatalf("%s: JoinRangeStream over every position: %v", label, err)
 					}
 					sortMatches(streamed)
-					checkMatches(t, label+" JoinStream", streamed, want)
+					checkMatches(t, label+" JoinRangeStream over every position", streamed, want)
 
 					var ranged []corpus.Match
 					var rst batch.JoinStats
 					for _, r := range ranges {
-						ms, st := c.JoinRange(e, tau, opts, r[0], r[1])
-						ranged = append(ranged, ms...)
+						st, err := c.JoinRangeStream(context.Background(), e, tau, opts, r[0], r[1], func(m corpus.Match) {
+							ranged = append(ranged, m)
+						})
+						if err != nil {
+							t.Fatalf("%s: JoinRangeStream: %v", label, err)
+						}
 						rst.Merge(st)
 					}
 					sortMatches(ranged)
-					checkMatches(t, label+" JoinRange", ranged, want)
+					checkMatches(t, label+" JoinRangeStream", ranged, want)
 
-					for name, st := range map[string]batch.JoinStats{"Join": gst, "JoinRange": rst} {
+					for name, st := range map[string]batch.JoinStats{"Join": gst, "JoinRangeStream": rst} {
 						if st.Comparisons > wst.Comparisons {
 							t.Fatalf("%s %s: generated %d candidates, more than the %d enumerated pairs",
 								label, name, st.Comparisons, wst.Comparisons)
@@ -161,7 +166,7 @@ func TestJoinIndexedPrunes(t *testing.T) {
 
 // TestJoinNonUnitCost pins the cost-model requirement of candidate
 // generation: under a non-unit model Join ignores the mode and runs the
-// unfiltered enumeration, and JoinRange, which only filters, panics.
+// unfiltered enumeration, and JoinRangeStream, which only filters, panics.
 func TestJoinNonUnitCost(t *testing.T) {
 	trees := randomTrees(5, 8, 12)
 	model := ted.WeightedCost(2, 2, 1)
@@ -178,8 +183,8 @@ func TestJoinNonUnitCost(t *testing.T) {
 	}
 	defer func() {
 		if recover() == nil {
-			t.Fatal("JoinRange under a non-unit model did not panic")
+			t.Fatal("JoinRangeStream under a non-unit model did not panic")
 		}
 	}()
-	c.JoinRange(e, 3, batch.JoinOptions{}, 0, len(trees))
+	c.JoinRangeStream(context.Background(), e, 3, batch.JoinOptions{}, 0, len(trees), func(corpus.Match) {})
 }

@@ -27,35 +27,29 @@ func (c *Corpus) TopKAcross(e *batch.Engine, query *batch.PreparedTree, k int) (
 	return ms, st
 }
 
-// TopKAcrossStream is TopKAcross with streaming delivery and
-// cancellation: the scan checks ctx between stored trees and abandons
-// the remaining work once cancelled (returning ctx's error and emitting
-// nothing — partial top-k answers are not sound); run to completion,
-// the final k matches are passed to emit one at a time in result order
-// and the call returns the scan's stats.
-func (c *Corpus) TopKAcrossStream(ctx context.Context, e *batch.Engine, query *batch.PreparedTree, k int, emit func(CrossMatch)) (batch.Stats, error) {
-	ms, st, err := c.topK(ctx, e, query, k, 0, math.MaxInt)
+// TopKRangeStream is TopKAcross over a range, with streaming delivery
+// and cancellation: the k subtrees closest to query among the stored
+// trees whose snapshot position falls in [lo, hi) ([0, math.MaxInt) is
+// every tree). The scan checks ctx between stored trees and abandons
+// the remaining work once cancelled, returning ctx's error and emitting
+// nothing — partial top-k answers are not sound; run to completion, the
+// k matches are passed to emit one at a time in result order and the
+// call returns the scan's stats. Each range's result is its local top k
+// under the global order (distance, then stored ID, then root), so
+// merging the per-range results of a partition and keeping the k best
+// reconstructs TopKAcross's answer exactly: any global top-k entry ranks
+// in the top k of its own range. It serves a server's top-k, ranged
+// (see server.Range) or whole.
+func (c *Corpus) TopKRangeStream(ctx context.Context, e *batch.Engine, query *batch.PreparedTree, k, lo, hi int, emit func(CrossMatch)) (batch.Stats, error) {
+	ms, st, err := c.topK(ctx, e, query, k, lo, hi)
 	for _, m := range ms {
 		emit(m)
 	}
 	return st, err
 }
 
-// TopKRange is the [lo, hi) slice of TopKAcross: the k subtrees closest
-// to query among the stored trees whose snapshot position falls in the
-// range — the worker-side primitive of a distributed top-k (see package
-// cluster). Each range's result is its local top-k under the global
-// order (distance, then stored ID, then root), so a coordinator that
-// merges the per-range results and keeps the k best reconstructs
-// TopKAcross's answer exactly: any global top-k entry ranks in the top
-// k of its own range.
-func (c *Corpus) TopKRange(e *batch.Engine, query *batch.PreparedTree, k, lo, hi int) ([]CrossMatch, batch.Stats) {
-	ms, st, _ := c.topK(context.Background(), e, query, k, lo, hi)
-	return ms, st
-}
-
-// topK is the one scan behind TopKAcross, TopKAcrossStream and
-// TopKRange: batch.Engine.TopKAcrossStream over the snapshot positions
+// topK is the one scan behind TopKAcross and TopKRangeStream:
+// batch.Engine.TopKAcrossStream over the snapshot positions
 // [lo, hi), its results mapped to stored IDs. A cancelled scan returns
 // no matches.
 func (c *Corpus) topK(ctx context.Context, e *batch.Engine, query *batch.PreparedTree, k, lo, hi int) ([]CrossMatch, batch.Stats, error) {

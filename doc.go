@@ -154,22 +154,24 @@
 //	│     callers (HTTP clients,       corpus behind a JSON API with
 //	│     load balancers, probes)      admission control, WAL-durable
 //	│                                   mutations and graceful drain
-//	└── one machine is not enough   → package cluster (cmd/tedc):
-//	      ├── compute-bound joins     → tedc workers over one shared
-//	      │     (cores are the limit)    snapshot + a coordinator (tedc
-//	      │                              join / tedd -cluster-workers):
-//	      │                              range partitioning, dead-worker
-//	      │                              reassignment, the single-node
-//	      │                              match set exactly
-//	      └── read-bound serving      → tedd -follow replicas: ship the
-//	            (traffic is the limit)   primary's checkpoint, tail its
-//	                                     WAL over HTTP, serve reads with
-//	                                     a staleness guard; writes 403
+//	└── one machine is not enough   → more tedd processes:
+//	      ├── compute-bound joins     → tedd workers, each on its own
+//	      │     (cores are the limit)    copy of one snapshot, behind a
+//	      │                              gateway (tedd -cluster-workers):
+//	      │                              position ranges over the HTTP
+//	      │                              API, down and dying workers
+//	      │                              skipped, the single-node match
+//	      │                              set exactly
+//	      └── read-bound serving      → tedd -follow replicas (package
+//	            (traffic is the limit)   cluster): ship the primary's
+//	                                     checkpoint, tail its WAL over
+//	                                     HTTP, serve reads with a
+//	                                     staleness guard; writes 403
 //
 // Persist when the per-tree work is paid more than once per build:
 // restarts, repeated batch jobs over one collection, or any fan-out
-// where workers can Load one shared snapshot instead of each
-// re-parsing and re-indexing it. Rebuild when trees are joined once and discarded —
+// where workers can open copies of one snapshot instead of each
+// re-parsing and re-indexing the trees. Rebuild when trees are joined once and discarded —
 // the codec's bytes buy nothing a dropped process would not also drop.
 // Open (rather than Load) whenever mutations happen between Saves and a
 // crash must not lose them; serve with tedd when the callers are not Go

@@ -1,29 +1,29 @@
 #!/usr/bin/env bash
 # Cluster smoke: the scale-out stack end to end, from the shell.
 #
-#   1. Two tedc workers load one snapshot; the command-line coordinator
-#      (`tedc join`) partitions the similarity join over them and the
-#      merged output must be byte-identical to the offline single-node
-#      `ted -join -corpus-load` over the same snapshot and tau.
-#   2. A tedd primary serves the corpus with a WAL; two tedd followers
+#   1. A tedd primary serves the corpus with a WAL; two tedd followers
 #      attach with -follow, ship its checkpoint, tail the replicated
 #      log, converge, refuse writes with 403, and serve a mutation made
 #      on the primary after they attached.
-#   3. A gateway tedd with -cluster-workers proxies /v1/join to the
-#      worker fleet; its answer must also match the offline join.
-#   4. tedload drives a read-only mix round-robin across both followers
+#   2. Two tedd workers serve copies of one snapshot, and a gateway tedd
+#      with -cluster-workers deals /v1/join and /v1/topk to them in
+#      position ranges: its join must be identical to the offline
+#      single-node `ted -join` over the same snapshot and tau, and its
+#      top-k must return k matches. After one worker is killed, the
+#      gateway's join must still be identical.
+#   3. tedload drives a read-only mix round-robin across both followers
 #      (-url a,b) and exits nonzero on any wrong HTTP answer.
 #
 # Run from the repository root: ./scripts/cluster_smoke.sh
 set -euo pipefail
 
 WORK="$(mktemp -d)"
-PPORT="${TEDC_PRIMARY_PORT:-8431}"
-F1PORT="${TEDC_F1_PORT:-8432}"
-F2PORT="${TEDC_F2_PORT:-8433}"
-GWPORT="${TEDC_GW_PORT:-8434}"
-W1PORT="${TEDC_W1_PORT:-7411}"
-W2PORT="${TEDC_W2_PORT:-7412}"
+PPORT="${CLUSTER_PRIMARY_PORT:-8431}"
+F1PORT="${CLUSTER_F1_PORT:-8432}"
+F2PORT="${CLUSTER_F2_PORT:-8433}"
+GWPORT="${CLUSTER_GW_PORT:-8434}"
+W1PORT="${CLUSTER_W1_PORT:-8435}"
+W2PORT="${CLUSTER_W2_PORT:-8436}"
 PIDS=()
 cleanup() {
   for p in "${PIDS[@]}"; do kill "$p" 2>/dev/null || true; done
@@ -41,15 +41,6 @@ wait_http() { # wait_http URL [tries]
   echo "never became reachable: $url"; return 1
 }
 
-wait_tcp() { # wait_tcp PORT
-  local port="$1"
-  for i in $(seq 1 50); do
-    if (exec 3<>"/dev/tcp/127.0.0.1/$port") 2>/dev/null; then exec 3>&- 3<&-; return 0; fi
-    sleep 0.2
-  done
-  echo "worker never listened on :$port"; return 1
-}
-
 echo "== fixture + offline join (cmd/ted)"
 go run ./cmd/tedgen -shape random -size 60 -count 24 -labels 12 -seed 7 > "$WORK/trees.txt"
 go run ./cmd/tedgen -shape random -size 60 -count 24 -labels 12 -seed 8 >> "$WORK/trees.txt"
@@ -57,33 +48,9 @@ go run ./cmd/ted -join -tau 25 -index histogram -corpus-save "$WORK/snap.tedc" "
   | grep -v '^#' | sort -n > "$WORK/offline.join"
 N_TREES="$(wc -l < "$WORK/trees.txt")"
 
-go build -o "$WORK/tedc" ./cmd/tedc
 go build -o "$WORK/tedd" ./cmd/tedd
 go build -o "$WORK/tedload" ./cmd/tedload
-
-echo "== two workers + command-line coordinator"
-"$WORK/tedc" worker -corpus "$WORK/snap.tedc" -addr "127.0.0.1:${W1PORT}" &
-PIDS+=($!)
-"$WORK/tedc" worker -corpus "$WORK/snap.tedc" -addr "127.0.0.1:${W2PORT}" &
-PIDS+=($!)
-wait_tcp "$W1PORT"; wait_tcp "$W2PORT"
-WORKERS="127.0.0.1:${W1PORT},127.0.0.1:${W2PORT}"
-
-"$WORK/tedc" join -workers "$WORKERS" -tau 25 -mode histogram \
-  | grep -v '^#' | sort -n > "$WORK/cluster.join"
-if ! diff -u "$WORK/offline.join" "$WORK/cluster.join"; then
-  echo "clustered join diverged from offline cmd/ted"
-  exit 1
-fi
-echo "   $(wc -l < "$WORK/cluster.join") matches identical to offline"
-
 T1="$(sed -n 1p "$WORK/trees.txt")"
-TOPK_LINES="$("$WORK/tedc" topk -workers "$WORKERS" -k 5 -query "$T1" | grep -cv '^#')"
-if [ "$TOPK_LINES" != 5 ]; then
-  echo "distributed topk returned $TOPK_LINES results, want 5"
-  exit 1
-fi
-echo "   distributed topk returned 5 results"
 
 echo "== primary + two WAL-shipped followers"
 cp "$WORK/snap.tedc" "$WORK/primary.tedc"
@@ -129,19 +96,48 @@ for port in "$F1PORT" "$F2PORT"; do
 done
 echo "   tree $NEW_ID replicated to both followers; writes refused with 403"
 
-echo "== gateway tedd proxying /v1/join to the worker fleet"
+echo "== two tedd workers + a gateway tedd dealing ranges to them"
+# Each worker serves its own copy: one corpus file (and its WAL) serves
+# one tedd.
+cp "$WORK/snap.tedc" "$WORK/worker1.tedc"
+cp "$WORK/snap.tedc" "$WORK/worker2.tedc"
+"$WORK/tedd" -corpus "$WORK/worker1.tedc" -addr "127.0.0.1:${W1PORT}" &
+W1PID=$!
+PIDS+=("$W1PID")
+"$WORK/tedd" -corpus "$WORK/worker2.tedc" -addr "127.0.0.1:${W2PORT}" &
+PIDS+=($!)
+wait_http "http://127.0.0.1:${W1PORT}/healthz"
+wait_http "http://127.0.0.1:${W2PORT}/healthz"
 cp "$WORK/snap.tedc" "$WORK/gateway.tedc"
-"$WORK/tedd" -corpus "$WORK/gateway.tedc" -addr "127.0.0.1:${GWPORT}" -cluster-workers "$WORKERS" &
+"$WORK/tedd" -corpus "$WORK/gateway.tedc" -addr "127.0.0.1:${GWPORT}" \
+  -cluster-workers "http://127.0.0.1:${W1PORT},http://127.0.0.1:${W2PORT}" &
 PIDS+=($!)
 wait_http "http://127.0.0.1:${GWPORT}/healthz"
-curl -sf -X POST "http://127.0.0.1:${GWPORT}/v1/join" -H 'Content-Type: application/json' \
-  -d '{"tau": 25, "mode": "histogram", "limit": 100000}' \
-  | jq -r '.matches[] | "\(.i)\t\(.j)\t\(.dist)"' | sort -n > "$WORK/gateway.join"
-if ! diff -u "$WORK/offline.join" "$WORK/gateway.join"; then
-  echo "gateway join over the cluster diverged from offline cmd/ted"
+
+gateway_join() { # gateway_join OUT: the gateway's join, in cmd/ted's line format
+  curl -sf -X POST "http://127.0.0.1:${GWPORT}/v1/join" -H 'Content-Type: application/json' \
+    -d '{"tau": 25, "mode": "histogram"}' \
+    | jq -r '.matches[] | "\(.i)\t\(.j)\t\(.dist)"' | sort -n > "$1"
+  if ! diff -u "$WORK/offline.join" "$1"; then
+    echo "gateway join over the workers diverged from offline cmd/ted"
+    exit 1
+  fi
+}
+gateway_join "$WORK/gateway.join"
+echo "   gateway join: $(wc -l < "$WORK/gateway.join") matches identical to offline"
+
+TOPK_N="$(curl -sf -X POST "http://127.0.0.1:${GWPORT}/v1/topk" -H 'Content-Type: application/json' \
+  -d "$(jq -cn --arg t "$T1" '{query: {tree: $t}, k: 5}')" | jq '.matches | length')"
+if [ "$TOPK_N" != 5 ]; then
+  echo "gateway topk returned $TOPK_N matches, want 5"
   exit 1
 fi
-echo "   gateway join identical to offline"
+echo "   gateway topk returned 5 matches"
+
+kill -9 "$W1PID"
+wait "$W1PID" 2>/dev/null || true
+gateway_join "$WORK/gateway-after-kill.join"
+echo "   worker :$W1PORT killed; gateway join still identical to offline"
 
 echo "== tedload round-robin over both followers"
 "$WORK/tedload" -url "http://127.0.0.1:${F1PORT},http://127.0.0.1:${F2PORT}" \

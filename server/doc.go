@@ -16,19 +16,26 @@
 //	POST   /v1/distance          {"f": T, "g": T}              → {"dist": d}
 //	POST   /v1/distance-bounded  {"f": T, "g": T, "tau": τ}    → {"dist": d, "within": b}
 //	POST   /v1/join              {"tau": τ, "mode": "auto",
-//	                              "limit": n}                  → {"matches": [{"i","j","dist"}], ...}
-//	POST   /v1/topk              {"query": T, "k": k}          → {"matches": [{"tree","root","dist"}]}
+//	                              "limit": n, "range": R}      → {"matches": [{"i","j","dist"}], ...}
+//	POST   /v1/topk              {"query": T, "k": k,
+//	                              "range": R}                  → {"matches": [{"tree","root","dist"}]}
 //	POST   /v1/trees             {"tree": "{a{b}}"}            → {"id": id}       (201)
 //	GET    /v1/trees/{id}                                      → {"id", "tree"}
 //	PUT    /v1/trees/{id}        {"tree": "{a{c}}"}            → {"id": id}
 //	DELETE /v1/trees/{id}                                      → 204
-//	GET    /v1/stats                                           → corpus and admission counters
+//	GET    /v1/stats                                           → corpus fingerprint, admission and
+//	                                                             kernel counters
 //	GET    /healthz                                            → 200 serving / 503 draining
 //
 // where T is a tree reference: {"id": n} names a stored tree, {"tree":
-// "{a{b}{c}}"} carries an ad-hoc one in bracket notation. Errors are
+// "{a{b}{c}}"} carries an ad-hoc one in bracket notation, and the
+// optional R = {"lo": a, "hi": b, "fingerprint": f} restricts a join or
+// top-k to the stored trees at positions [a, b) in ascending ID order,
+// of a corpus whose /v1/stats fingerprint is f (optional). Errors are
 // {"error": "..."} with a meaningful status code (400 invalid request,
-// 404 unknown id, 413 oversized body, 503 overloaded or draining).
+// 404 unknown id, 409 range pinned to another fingerprint, 413
+// oversized body, 502 a gateway's workers failed or disagree, 503
+// overloaded or draining).
 //
 // # Admission control
 //
@@ -47,6 +54,26 @@
 // new requests get 503, /healthz reports 503 so load balancers stop
 // routing, and in-flight requests finish normally under
 // http.Server.Shutdown.
+//
+// # Gateways
+//
+// A server built with WithClusterWorkers is a gateway: it answers a join
+// or top-k without a range by dealing position ranges to worker servers
+// that hold the same corpus, over this same API, and merging their
+// answers into exactly the single-node one. A worker is any Server; a
+// ranged request always runs on the local corpus. The gateway first
+// reads every worker's /v1/stats at once, each probe and every dial
+// bounded by 5 s. It skips workers that do not answer or are draining,
+// and refuses (502) workers without a fingerprint or whose tree count
+// or fingerprint differ. Each range carries the agreed fingerprint, and
+// a worker whose corpus no longer has it answers 409, which fails the
+// request with 502: a worker mutated after the probe cannot mix another
+// corpus into the merge. Each range commits on a complete 200; a
+// transport error or another 5xx retires that worker for the request
+// and deals its range to another; a worker's 4xx goes back to the
+// client, and its 503 too, with Retry-After. The client's request
+// context carries every worker request, so a client that hangs up stops
+// the workers too.
 //
 // # Durability
 //

@@ -67,10 +67,10 @@ type Server struct {
 	staleness func() time.Duration
 	replStats func() cluster.FollowerStats
 
-	// Distributed mode (see WithClusterWorkers): joins and top-k fan out
-	// to these worker addresses instead of evaluating locally.
-	clusterAddrs []string
-	coord        *cluster.Coordinator
+	// Gateway mode (see WithClusterWorkers, fleet.go): joins and top-k
+	// without a range fan out to these workers instead of evaluating
+	// locally.
+	fleet *fleet
 }
 
 // Per-request caps: the largest k a top-k request may ask for, and the
@@ -183,16 +183,21 @@ func WithReplica(stats func() cluster.FollowerStats, staleness func() time.Durat
 	}
 }
 
-// WithClusterWorkers makes the server a serving coordinator: joins and
-// top-k queries, buffered and streamed alike, are partitioned over the
-// given worker addresses (cluster.Worker processes holding the same
-// snapshot) and merged, instead of evaluating on the local corpus.
-// Point lookups and mutations still serve locally. Match sets are
-// identical to local evaluation as long as the workers' snapshot
-// matches the local corpus — keeping them in sync is the operator's
-// contract (see scripts/cluster_smoke.sh).
-func WithClusterWorkers(addrs []string) Option {
-	return func(s *Server) { s.clusterAddrs = append([]string(nil), addrs...) }
+// WithClusterWorkers makes the server a gateway (see the package doc):
+// joins and top-k queries without a range, buffered and streamed alike,
+// are dealt in position ranges to the Servers at the given base URLs
+// ("http://host:port"), which must hold the same corpus, and merged,
+// instead of evaluating on the local corpus. Point lookups, mutations
+// and ranged requests still serve locally. The answers equal the
+// single-node ones; a worker whose corpus changes while it serves a
+// request fails it with 502 instead — keeping the workers in sync is the
+// operator's contract (see scripts/cluster_smoke.sh).
+func WithClusterWorkers(urls []string) Option {
+	return func(s *Server) {
+		if len(urls) > 0 {
+			s.fleet = &fleet{urls: append([]string(nil), urls...)}
+		}
+	}
 }
 
 // New builds a server over c. The engine is corpus-attached
@@ -225,8 +230,8 @@ func New(c *corpus.Corpus, opts ...Option) *Server {
 	s.maxInFlight = s.gate.capTotal
 	s.heavySlots = s.gate.heavyCap
 	s.tenantQuota = s.gate.tenantCap
-	if len(s.clusterAddrs) > 0 {
-		s.coord = cluster.NewCoordinator(s.clusterAddrs)
+	if s.fleet != nil {
+		s.fleet = newFleet(s.fleet.urls, s.heavySlots)
 	}
 	s.routes()
 	return s
@@ -374,8 +379,9 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 // trip — the hook in-process harnesses and tests use to reconcile
 // client-observed 503s against the server's own shed accounting.
 func (s *Server) Stats() StatsResponse {
+	trees, fp := s.fingerprint()
 	st := StatsResponse{
-		Trees:       s.c.Len(),
+		Trees:       trees,
 		Labels:      s.e.Interner().Len(),
 		Workers:     s.e.Workers(),
 		InFlight:    s.gate.inFlight(),
@@ -389,8 +395,11 @@ func (s *Server) Stats() StatsResponse {
 		Tenants:     s.byTenant.snapshot(),
 		Draining:    s.draining.Load(),
 
-		ReadOnly:       s.readOnly,
-		ClusterWorkers: len(s.clusterAddrs),
+		ReadOnly:    s.readOnly,
+		Fingerprint: fp,
+	}
+	if s.fleet != nil {
+		st.ClusterWorkers = len(s.fleet.urls)
 	}
 	s.kernelMu.Lock()
 	st.Counters = s.kernel
@@ -404,6 +413,29 @@ func (s *Server) Stats() StatsResponse {
 		st.Replication = &rs
 	}
 	return st
+}
+
+// fingerprint is the corpus's tree count and fingerprint as /v1/stats
+// reports them.
+func (s *Server) fingerprint() (int, string) {
+	trees, fp := s.c.Fingerprint()
+	return trees, fmt.Sprintf("%016x", fp)
+}
+
+// holds returns a 409 *statusError when r is pinned to a fingerprint
+// the corpus does not have: the gateway that dealt r probed another
+// corpus, and the positions it dealt name other trees here. A ranged
+// request is checked before it is evaluated (span) and again after, so
+// a mutation landing in between cannot slip another corpus's answer
+// into the gateway's merge.
+func (s *Server) holds(r *Range) error {
+	if r == nil || r.Fingerprint == "" {
+		return nil
+	}
+	if _, fp := s.fingerprint(); fp != r.Fingerprint {
+		return &statusError{status: http.StatusConflict, msg: fmt.Sprintf("corpus fingerprint is %s, the range was dealt over %s", fp, r.Fingerprint)}
+	}
+	return nil
 }
 
 func (s *Server) handleDistance(w http.ResponseWriter, r *http.Request) {
@@ -444,11 +476,12 @@ func (s *Server) handleDistanceBounded(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleJoin serves POST /v1/join (buffered) and /v1/join/stream. Both
-// validate and evaluate the same way — on the fleet when the server
-// coordinates one, else on the local corpus under the request context —
-// and differ only in framing: the buffered response carries the first
-// limit matches in (I, J) order, the stream one NDJSON line per match in
-// completion order and a done record (see stream.go).
+// validate and evaluate the same way — on the fleet when the server is a
+// gateway and the request carries no range, else on the local corpus —
+// under the request context, and differ only in framing: the buffered
+// response carries the first limit matches in (I, J) order, the stream
+// one NDJSON line per match in completion order and a done record (see
+// stream.go).
 func (s *Server) handleJoin(stream bool) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		var req JoinRequest
@@ -468,33 +501,50 @@ func (s *Server) handleJoin(stream bool) http.HandlerFunc {
 			writeError(w, http.StatusBadRequest, "q must be in [0, 16]")
 			return
 		}
+		lo, hi, ok := s.span(w, req.Range)
+		if !ok {
+			return
+		}
 		limit := maxMatches
 		if req.Limit > 0 && req.Limit < limit {
 			limit = req.Limit
 		}
-		opts := batch.JoinOptions{Mode: mode, Q: req.Q}
+		req.Limit = limit
 
 		ctx, cancel := context.WithCancel(r.Context())
 		defer cancel()
 		var (
-			out   *ndjson
-			ms    []corpus.Match
-			count int
+			out     *ndjson
+			ms      []corpus.Match
+			written int
+			count   int
+			st      batch.JoinStats
 		)
 		if stream {
 			out = newNDJSON(w, cancel)
 		}
-		st, err := s.join(ctx, req.Tau, opts, func(m corpus.Match) {
-			count++
+		emit := func(m corpus.Match) {
 			if !stream {
 				ms = append(ms, m)
-			} else if count <= limit {
+			} else if written < limit {
 				// Past the limit the join keeps running (the done record
 				// reports the true count, as the buffered response does)
 				// but no more lines are written.
+				written++
 				out.write(JoinStreamRecord{Match: &JoinMatch{I: int64(m.I), J: int64(m.J), Dist: m.Dist}})
 			}
-		})
+		}
+		if s.fleet != nil && req.Range == nil {
+			st, count, err = s.fleet.join(ctx, req, emit)
+		} else {
+			st, err = s.c.JoinRangeStream(ctx, s.e, req.Tau, batch.JoinOptions{Mode: mode, Q: req.Q}, lo, hi, func(m corpus.Match) {
+				count++
+				emit(m)
+			})
+			if err == nil {
+				err = s.holds(req.Range)
+			}
+		}
 		if failed(ctx, w, out, err) {
 			return
 		}
@@ -507,7 +557,7 @@ func (s *Server) handleJoin(stream bool) http.HandlerFunc {
 			return cmp.Or(cmp.Compare(a.I, b.I), cmp.Compare(a.J, b.J))
 		})
 		resp := JoinResponse{Count: count, Truncated: count > limit, Stats: joinStats(st)}
-		resp.Matches = make([]JoinMatch, min(count, limit))
+		resp.Matches = make([]JoinMatch, min(len(ms), limit))
 		for i := range resp.Matches {
 			resp.Matches[i] = JoinMatch{I: int64(ms[i].I), J: int64(ms[i].J), Dist: ms[i].Dist}
 		}
@@ -515,27 +565,13 @@ func (s *Server) handleJoin(stream bool) http.HandlerFunc {
 	}
 }
 
-// join evaluates a join on the fleet when the server coordinates one,
-// else on the local corpus under ctx, passing each match to emit.
-func (s *Server) join(ctx context.Context, tau float64, opts batch.JoinOptions, emit func(corpus.Match)) (batch.JoinStats, error) {
-	if s.coord == nil {
-		return s.c.JoinStream(ctx, s.e, tau, opts, emit)
-	}
-	ms, st, err := s.coord.Join(tau, opts)
-	if err != nil {
-		return st, fmt.Errorf("cluster join: %w", err)
-	}
-	for _, m := range ms {
-		emit(m)
-	}
-	return st, nil
-}
-
 // handleTopK serves POST /v1/topk (buffered) and /v1/topk/stream, one
 // evaluation — fleet or local corpus, as in handleJoin — in either
 // framing. Top-k results are only sound once the whole corpus is
 // scanned, so even the stream writes its lines after the scan; its value
-// is the framing and the cancellation path.
+// is the framing and the cancellation path. A gateway forwards the query
+// reference to its workers unresolved: a stored id names a tree of their
+// corpus, and they reject a malformed query.
 func (s *Server) handleTopK(stream bool) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		var req TopKRequest
@@ -546,9 +582,16 @@ func (s *Server) handleTopK(stream bool) http.HandlerFunc {
 			writeError(w, http.StatusBadRequest, fmt.Sprintf("k must be in [1, %d]", maxK))
 			return
 		}
-		q, ok := s.resolve(w, req.Query, "query")
+		lo, hi, ok := s.span(w, req.Range)
 		if !ok {
 			return
+		}
+		fan := s.fleet != nil && req.Range == nil
+		var q *batch.PreparedTree
+		if !fan {
+			if q, ok = s.resolve(w, req.Query, "query"); !ok {
+				return
+			}
 		}
 
 		ctx, cancel := context.WithCancel(r.Context())
@@ -559,14 +602,26 @@ func (s *Server) handleTopK(stream bool) http.HandlerFunc {
 		}
 		start := time.Now()
 		ms := []TopKMatch{}
-		st, err := s.topK(ctx, q, req.K, func(m corpus.CrossMatch) {
+		emit := func(m corpus.CrossMatch) {
 			tm := TopKMatch{Tree: int64(m.Tree), Root: m.Root, Dist: m.Dist}
 			if stream {
 				out.write(TopKStreamRecord{Match: &tm})
 			} else {
 				ms = append(ms, tm)
 			}
-		})
+		}
+		var (
+			st  batch.Stats
+			err error
+		)
+		if fan {
+			st, err = s.fleet.topK(ctx, req, emit)
+		} else {
+			st, err = s.c.TopKRangeStream(ctx, s.e, q, req.K, lo, hi, emit)
+			if err == nil {
+				err = s.holds(req.Range)
+			}
+		}
 		if failed(ctx, w, out, err) {
 			return
 		}
@@ -580,34 +635,27 @@ func (s *Server) handleTopK(stream bool) http.HandlerFunc {
 	}
 }
 
-// topK evaluates a top-k query on the fleet when the server coordinates
-// one, else on the local corpus under ctx, passing the results to emit
-// in order.
-func (s *Server) topK(ctx context.Context, q *batch.PreparedTree, k int, emit func(corpus.CrossMatch)) (batch.Stats, error) {
-	if s.coord == nil {
-		return s.c.TopKAcrossStream(ctx, s.e, q, k, emit)
-	}
-	ms, st, err := s.coord.TopK(q.Tree(), k)
-	if err != nil {
-		return st, fmt.Errorf("cluster topk: %w", err)
-	}
-	for _, m := range ms {
-		emit(m)
-	}
-	return st, nil
-}
-
 // failed reports whether an evaluation did not complete, answering what
 // can still be answered. A cancelled ctx means the client hung up or a
-// stream write failed: there is no one to answer. A fleet failure gets
-// 502 — or, once a stream's header is out, the missing done record. The
-// counters of an incomplete run are not added to /v1/stats.
+// stream write failed: there is no one to answer. A *statusError gets
+// its status — a 503 with Retry-After, as the admission gate sheds —
+// and any other fleet failure 502; once a stream's header is out, the
+// missing done record is the answer. The counters of an incomplete run
+// are not added to /v1/stats.
 func failed(ctx context.Context, w http.ResponseWriter, out *ndjson, err error) bool {
 	if err == nil && (out == nil || out.err == nil) {
 		return false
 	}
 	if err != nil && out == nil && ctx.Err() == nil {
-		writeError(w, http.StatusBadGateway, err.Error())
+		status := http.StatusBadGateway
+		var se *statusError
+		if errors.As(err, &se) {
+			status = se.status
+		}
+		if status == http.StatusServiceUnavailable {
+			w.Header().Set("Retry-After", "1")
+		}
+		writeError(w, status, err.Error())
 	}
 	return true
 }
@@ -763,6 +811,24 @@ func validTau(tau float64) bool {
 	return !math.IsNaN(tau) && tau >= 0
 }
 
+// span returns the positions a request covers, [lo, hi): its range, or
+// every position when it has none. It answers 400 to a range with
+// lo < 0 or hi < lo, and 409 to one pinned to another corpus (holds).
+func (s *Server) span(w http.ResponseWriter, r *Range) (lo, hi int, ok bool) {
+	switch {
+	case r == nil:
+		return 0, math.MaxInt, true
+	case r.Lo < 0 || r.Hi < r.Lo:
+		writeError(w, http.StatusBadRequest, "range must have 0 ≤ lo ≤ hi")
+		return 0, 0, false
+	}
+	if err := s.holds(r); err != nil {
+		writeError(w, http.StatusConflict, err.Error())
+		return 0, 0, false
+	}
+	return r.Lo, r.Hi, true
+}
+
 func joinStats(st batch.JoinStats) JoinStats {
 	return JoinStats{
 		Candidates:    st.Comparisons,
@@ -772,6 +838,21 @@ func joinStats(st batch.JoinStats) JoinStats {
 		Counters:      st.Counters,
 		Mode:          st.Mode.String(),
 		ElapsedMS:     st.Elapsed.Milliseconds(),
+	}
+}
+
+// engine reads a worker's stats block back into the engine's form, as a
+// gateway merges it: joinStats' inverse but for Elapsed, which the
+// gateway measures itself. A worker names the mode as String does.
+func (js JoinStats) engine() batch.JoinStats {
+	mode, _ := batch.ParseIndexMode(js.Mode)
+	return batch.JoinStats{
+		Comparisons:   js.Candidates,
+		LowerPruned:   js.LowerPruned,
+		UpperAccepted: js.UpperAccepted,
+		ExactComputed: js.ExactComputed,
+		Counters:      js.Counters,
+		Mode:          mode,
 	}
 }
 

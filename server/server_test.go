@@ -267,6 +267,8 @@ func TestValidation(t *testing.T) {
 		{"tree too big", "/v1/trees", `{"tree":"{a{b}{b}{b}{b}{b}{b}{b}{b}{b}{b}}"}`, 400},
 		{"body too big", "/v1/trees", `{"tree":"` + strings.Repeat("x", 300) + `"}`, 413},
 		{"garbage body", "/v1/join", `not json`, 400},
+		{"negative range", "/v1/join", `{"tau": 2, "range": {"lo": -1, "hi": 3}}`, 400},
+		{"inverted range", "/v1/topk", `{"query":{"tree":"{a}"},"k":1,"range":{"lo":3,"hi":2}}`, 400},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

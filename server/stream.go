@@ -12,11 +12,12 @@ import (
 // last pair resolves. Their /stream twins run the same handler
 // (handleJoin, handleTopK) and differ only in framing: each result is
 // one NDJSON line, flushed as it is found. On either route the request
-// context is threaded down through corpus.JoinStream into the worker
+// context is threaded down through corpus.JoinRangeStream into the worker
 // pool, so a disconnected client stops the engine at the next pair
 // boundary instead of wasting the remaining work; a stream also stops
-// it when a write fails. (A fleet evaluation runs to completion either
-// way: the cluster coordinator takes no context.)
+// it when a write fails. On a gateway the same context carries the
+// fan-out's requests, so a client that hangs up ends the workers' ranges
+// too.
 //
 // Framing contract (see JoinStreamRecord / TopKStreamRecord): every
 // line is a record carrying either a match or the terminal done record

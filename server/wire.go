@@ -48,12 +48,32 @@ type DistanceBoundedResponse struct {
 // the candidate generator ("auto", "enumerate", "histogram", "pqgram";
 // default auto), Q the pq-gram base length, Limit caps the returned
 // matches (the server's own cap of 10,000 applies on top; 0 means that
-// cap).
+// cap). Range, if set, restricts the join to the pairs whose second
+// tree sits in that range.
 type JoinRequest struct {
 	Tau   float64 `json:"tau"`
 	Mode  string  `json:"mode,omitempty"`
 	Q     int     `json:"q,omitempty"`
 	Limit int     `json:"limit,omitempty"`
+	Range *Range  `json:"range,omitempty"`
+}
+
+// Range is the positions [Lo, Hi) of the corpus's stored trees in
+// ascending ID order, 0 ≤ Lo ≤ Hi; positions past the last tree are
+// empty. A join or top-k request that carries one evaluates only the
+// trees in the range (the probe side J of a join) and always runs on
+// the local corpus, also on a gateway. It is how a gateway deals a
+// request to its workers: the per-range answers over a partition of the
+// positions merge into exactly the whole corpus's answer, provided every
+// worker holds the same corpus (see StatsResponse.Fingerprint).
+// Fingerprint, if set, pins the range to that corpus: a server whose
+// fingerprint differs before or after the evaluation answers 409 (a
+// stream already under way ends without its done record). A gateway
+// sets it to the fingerprint its workers reported.
+type Range struct {
+	Lo          int    `json:"lo"`
+	Hi          int    `json:"hi"`
+	Fingerprint string `json:"fingerprint,omitempty"`
 }
 
 // JoinMatch is one join result pair, by stored tree IDs (I < J).
@@ -90,10 +110,12 @@ type JoinResponse struct {
 }
 
 // TopKRequest asks for the K subtrees of the stored corpus closest to
-// Query; K must be in [1, 100].
+// Query; K must be in [1, 100]. Range, if set, restricts the scan to the
+// stored trees in that range.
 type TopKRequest struct {
 	Query TreeRef `json:"query"`
 	K     int     `json:"k"`
+	Range *Range  `json:"range,omitempty"`
 }
 
 // TopKMatch is one top-k result: the subtree rooted at postorder id
@@ -213,9 +235,14 @@ type StatsResponse struct {
 	// Replication is the follower-side lag gauge, present only on
 	// replicas (servers started with WithReplica).
 	Replication *cluster.FollowerStats `json:"replication,omitempty"`
-	// ClusterWorkers is the number of distributed join workers this
-	// server proxies heavy queries to (absent when serving locally).
+	// ClusterWorkers is the number of workers this gateway fans joins
+	// and top-k out to (absent when serving locally).
 	ClusterWorkers int `json:"cluster_workers,omitempty"`
+	// Fingerprint is a hash of the stored trees and their IDs, 16 hex
+	// digits (corpus.Corpus.Fingerprint): servers that report the same
+	// trees and fingerprint hold the same corpus, so a Range means the
+	// same trees on each of them.
+	Fingerprint string `json:"fingerprint"`
 }
 
 // TenantStats is one tenant's admission outcomes in /v1/stats.
