@@ -13,14 +13,15 @@
 // make the exponential-blowup-prone GTED phase minimal. The engine splits
 // the work accordingly:
 //
-//   - Prepare (once per tree): decomposition cardinalities for the
-//     optimal-strategy cost formula, the ΔR mirror-leafmost array, label
+//   - Prepare (once per tree): the ΔR mirror-leafmost array, label
 //     interning with per-node delete/insert cost vectors, and the
 //     lower-bound profile (label histogram, binary-branch histogram,
 //     serializations) used for pre-filtering.
 //   - Per pair (hot path): assemble the pair cost form by slice sharing,
-//     compute the pair's strategy and run GTED entirely inside a
-//     per-worker Arena whose buffers are reused from pair to pair.
+//     compute the pair's strategy (deriving both trees' decomposition
+//     cardinalities in O(|F|+|G|) beside the O(|F|·|G|) strategy DP) and
+//     run GTED entirely inside a per-worker Arena whose buffers are
+//     reused from pair to pair.
 //
 // The per-pair strategy is RTED's OptStrategy priced in time rather than
 // in subproblems (strategy.TimePrice): each single-path call and each ΔI
@@ -237,7 +238,7 @@ func (e *Engine) pairRunner(ws *workspace, f, g *PreparedTree) *gted.Runner {
 	if e.strat != nil {
 		st = e.strat(f.t, g.t)
 	} else {
-		st, _ = ws.opt.Opt(f.t, g.t, f.decomp, g.decomp, e.price)
+		st, _ = ws.opt.Opt(f.t, g.t, e.price)
 	}
 	r := gted.NewInArena(f.t, g.t, cm, st, ws.arena)
 	r.SetMirrorLeafmost(f.lfm, g.lfm)

@@ -500,9 +500,8 @@ func TestBoundedBytesPerPair(t *testing.T) {
 // paper's, each evaluating exactly its strategy's analytic subproblems.
 func TestEngineStrategyPrice(t *testing.T) {
 	f, g := gen.Mixed(60), gen.ZigZag(60)
-	df, dg := strategy.NewDecomp(f), strategy.NewDecomp(g)
 	var s strategy.OptScratch
-	priced, _ := s.Opt(f, g, df, dg, strategy.TimePrice)
+	priced, _ := s.Opt(f, g, strategy.TimePrice)
 	want := map[string]int64{
 		"default": strategy.Count(f, g, priced).Total,
 		"paper":   ted.OptimalStrategyCost(f, g),

@@ -7,16 +7,17 @@ import (
 	"repro/internal/bounds"
 	"repro/internal/cost"
 	"repro/internal/gted"
-	"repro/internal/strategy"
 	"repro/internal/tree"
 )
 
-// PreparedTree is a tree with every per-tree input of the distance
-// machinery cached: decomposition cardinalities (the optimal-strategy
-// cost formula of Section 5), the mirror-leafmost array consumed by ΔR,
-// interned labels with per-node delete/insert costs, and the lower-bound
-// profile. Preparing costs O(n) (O(n) space) and pays for itself as soon
-// as a tree participates in more than one comparison.
+// PreparedTree is a tree with the per-tree inputs of the distance
+// machinery cached: the mirror-leafmost array consumed by ΔR, interned
+// labels with per-node delete/insert costs, and the lower-bound profile.
+// Preparing costs O(n) (O(n) space) and pays for itself as soon as a
+// tree participates in more than one comparison. The decomposition
+// cardinalities of the strategy computation (Section 5) are not among
+// them: the strategy scratch derives both trees' in O(|F|+|G|) per pair,
+// beside its own O(|F|·|G|) DP.
 //
 // PreparedTrees are immutable and safe to share across goroutines. They
 // are bound to the preparing engine, because label ids come from that
@@ -28,11 +29,10 @@ import (
 // is how a corpus loaded from disk turns stored trees back into
 // engine-ready ones without re-interning a label.
 type PreparedTree struct {
-	eng    *Engine
-	t      *tree.Tree
-	costs  *cost.PerTree
-	decomp *strategy.Decomp
-	lfm    []int32
+	eng   *Engine
+	t     *tree.Tree
+	costs *cost.PerTree
+	lfm   []int32
 
 	// The bound profile is only consumed by DistanceBounded and the
 	// filtered Join, so Prepare builds it lazily on first use;
@@ -47,21 +47,10 @@ func (e *Engine) Prepare(t *tree.Tree) *PreparedTree {
 	return e.derive(t, cost.CompileTree(e.model, t, e.in))
 }
 
-// derive assembles a PreparedTree from its priced labels and derives the
-// tree-shaped inputs: the mirror-leafmost array, and the decomposition
-// cardinalities unless the engine has a fixed strategy override (they
-// only feed the optimal-strategy computation).
+// derive assembles a PreparedTree from its priced labels and derives its
+// tree-shaped input, the mirror-leafmost array.
 func (e *Engine) derive(t *tree.Tree, costs *cost.PerTree) *PreparedTree {
-	p := &PreparedTree{
-		eng:   e,
-		t:     t,
-		costs: costs,
-		lfm:   gted.MirrorLeafmost(t),
-	}
-	if e.strat == nil {
-		p.decomp = strategy.NewDecomp(t)
-	}
-	return p
+	return &PreparedTree{eng: e, t: t, costs: costs, lfm: gted.MirrorLeafmost(t)}
 }
 
 // Hydration carries the stored form of a tree's labels — typically from
@@ -73,8 +62,9 @@ type Hydration struct {
 	// arbitrary labels.
 	In *cost.Interner
 	// IDs is the interned label id of every node, in postorder. The
-	// hydrated tree's bound profile keeps this slice as its postorder
-	// sequence, so the caller must not modify it afterwards.
+	// hydrated tree keeps this slice, once, as its label ids and as its
+	// bound profile's postorder sequence, so the caller must not modify
+	// it afterwards.
 	IDs []int32
 }
 
@@ -82,10 +72,9 @@ type Hydration struct {
 // from h instead of the interner, the per-node delete/insert costs are
 // priced under the engine's cost model — which is what makes one stored
 // tree serve engines with different models — and everything else is
-// derived here: the mirror-leafmost array, the decomposition
-// cardinalities, and the bound profile, built now rather than on first
-// bounded use so a warmed corpus leaves nothing for its first request
-// to build. The engine-binding rule is unchanged; what moves is the
+// derived here: the mirror-leafmost array and the bound profile, built
+// now rather than on first bounded use so a warmed corpus leaves nothing
+// for its first request to build. The engine-binding rule is unchanged; what moves is the
 // compatibility check: instead of "same engine", the hydration must
 // carry the engine's interner, and mismatches panic with both parties
 // named.
@@ -111,11 +100,7 @@ func (e *Engine) PrepareHydrated(t *tree.Tree, h Hydration) *PreparedTree {
 func (p *PreparedTree) profile() *bounds.Profile {
 	p.profOnce.Do(func() {
 		if p.prof == nil {
-			ids := make([]int32, len(p.costs.IDs))
-			for v, id := range p.costs.IDs {
-				ids[v] = int32(id)
-			}
-			p.prof = bounds.NewProfile(p.t, ids)
+			p.prof = bounds.NewProfile(p.t, p.costs.IDs)
 		}
 	})
 	return p.prof

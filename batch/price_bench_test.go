@@ -65,10 +65,9 @@ func pricePairs() [][2]*ted.Tree {
 // ΔL/ΔR (Zhang) or ΔI (Klein, Demaine) with few calls, and the paper's
 // and the priced optimum, which make many calls.
 func priceStrategies(f, g *tree.Tree) []strategy.Strategy {
-	df, dg := strategy.NewDecomp(f), strategy.NewDecomp(g)
-	paper, _ := strategy.OptD(f, g, df, dg)
+	paper, _ := strategy.Opt(f, g)
 	var s strategy.OptScratch
-	priced, _ := s.Opt(f, g, df, dg, strategy.TimePrice)
+	priced, _ := s.Opt(f, g, strategy.TimePrice)
 	return []strategy.Strategy{
 		strategy.ZhangL(), strategy.ZhangR(), strategy.KleinH(), strategy.DemaineH(f, g),
 		paper, priced,

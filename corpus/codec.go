@@ -43,11 +43,11 @@ import (
 // a subtly wrong corpus. Version 3 requires the bit2 flag.
 //
 // A tree is stored as its labels and its shape, nothing else. The other
-// per-tree inputs of the distance machinery — the mirror-leafmost array,
-// the decomposition cardinalities and the bound profile — take linear
-// time to derive, and batch.PrepareHydrated derives them whenever a
-// corpus-attached engine hydrates a stored tree, so no stored value can
-// disagree with its tree. The indexes are stored because restoring them
+// inputs of the distance machinery take linear time to derive, so no
+// stored value can disagree with its tree: batch.PrepareHydrated derives
+// the mirror-leafmost array and the bound profile whenever a
+// corpus-attached engine hydrates a stored tree, and the strategy
+// computation derives the decomposition cardinalities per pair. The indexes are stored because restoring them
 // is several times faster than rebuilding them.
 //
 // Versions 1 and 2 also stored those per-tree inputs, after each tree's

@@ -9,11 +9,10 @@
 // lifetimes. A server that restarts does not re-parse, re-intern or
 // re-index its collection: Load decodes the trees, their label ids and
 // the indexes in O(bytes). The per-tree inputs of the distance machinery
-// — mirror-leafmost array, decomposition cardinalities, bound profile —
-// take linear time to derive, so they are not stored: corpus-attached
-// engines derive them when they hydrate a stored tree into a
-// PreparedTree (batch.PrepareHydrated), and Warm does that for every
-// tree before the first request.
+// — mirror-leafmost array, bound profile — take linear time to derive,
+// so they are not stored: corpus-attached engines derive them when they
+// hydrate a stored tree into a PreparedTree (batch.PrepareHydrated), and
+// Warm does that for every tree before the first request.
 //
 // # Durability
 //
@@ -413,9 +412,8 @@ func (c *Corpus) snapshotPrepared(e *batch.Engine, under func(ids []ID, ps []*ba
 
 // Warm makes the corpus fully ready to serve engine e: every stored
 // tree is hydrated into a cached PreparedTree, which derives its
-// mirror-leafmost array, decomposition cardinalities and bound profile,
-// so the first join after Warm pays for nothing but the distance
-// computations. After Load this is where the per-tree work of a
+// mirror-leafmost array and bound profile, so the first join after Warm
+// pays for nothing but the distance computations. After Load this is where the per-tree work of a
 // restart goes: decoding stored trees is O(bytes), and warming derives
 // the rest from their stored label ids.
 func (c *Corpus) Warm(e *batch.Engine) {

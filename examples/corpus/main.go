@@ -32,8 +32,7 @@ func main() {
 
 	// Build: every Add interns the tree's labels once and indexes it; the
 	// first join hydrates each tree for the engine, deriving its
-	// mirror-leafmost array, decomposition cardinalities and bound
-	// profile.
+	// mirror-leafmost array and bound profile.
 	buildStart := time.Now()
 	c := corpus.New(corpus.WithHistogramIndex())
 	for _, t := range trees {

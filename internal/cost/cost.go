@@ -78,8 +78,8 @@ func (f Func) Rename(a, b string) float64 { return f.RenameF(a, b) }
 type Compiled struct {
 	Del []float64 // Del[v]: cost of deleting F-node v
 	Ins []float64 // Ins[w]: cost of inserting G-node w
-	FID []int     // interned label id per F-node
-	GID []int     // interned label id per G-node
+	FID []int32   // interned label id per F-node
+	GID []int32   // interned label id per G-node
 
 	// DelSub[v] is the cheapest Del over the subtree rooted at F-node v,
 	// and InsSub[w] the cheapest Ins over the subtree rooted at G-node w —
@@ -93,7 +93,7 @@ type Compiled struct {
 	labels []string // id -> label
 	unit   bool
 	model  Model
-	memo   map[[2]int]float64
+	memo   map[[2]int32]float64
 	trans  *Compiled // prebuilt transposed form, if any (see PairPrepared)
 }
 
@@ -120,21 +120,21 @@ func Compile(m Model, f, g *tree.Tree) *Compiled {
 	c := &Compiled{
 		Del:   make([]float64, f.Len()),
 		Ins:   make([]float64, g.Len()),
-		FID:   make([]int, f.Len()),
-		GID:   make([]int, g.Len()),
+		FID:   make([]int32, f.Len()),
+		GID:   make([]int32, g.Len()),
 		model: m,
 	}
 	if _, ok := m.(Unit); ok {
 		c.unit = true
 	} else {
-		c.memo = make(map[[2]int]float64)
+		c.memo = make(map[[2]int32]float64)
 	}
-	ids := make(map[string]int, f.Len()+g.Len())
-	intern := func(l string) int {
+	ids := make(map[string]int32, f.Len()+g.Len())
+	intern := func(l string) int32 {
 		if id, ok := ids[l]; ok {
 			return id
 		}
-		id := len(c.labels)
+		id := int32(len(c.labels))
 		ids[l] = id
 		c.labels = append(c.labels, l)
 		return id
@@ -177,8 +177,8 @@ func (c *Compiled) Ren(v, w int) float64 {
 // Identical labels still consult the model: a custom model may charge a
 // nonzero self-rename (which breaks the identity axiom but is the model
 // author's choice).
-func (c *Compiled) renByID(a, b int) float64 {
-	key := [2]int{a, b}
+func (c *Compiled) renByID(a, b int32) float64 {
+	key := [2]int32{a, b}
 	if r, ok := c.memo[key]; ok {
 		return r
 	}
@@ -209,15 +209,15 @@ func (c *Compiled) RenFloors(f *tree.Tree) []float64 {
 	// Distinct G label ids, each priced once per distinct F label: the
 	// whole table costs O(distinct_F × distinct_G) model calls, all
 	// memoized for the DP that follows.
-	seen := make(map[int]struct{}, 16)
-	var gids []int
+	seen := make(map[int32]struct{}, 16)
+	var gids []int32
 	for _, b := range c.GID {
 		if _, ok := seen[b]; !ok {
 			seen[b] = struct{}{}
 			gids = append(gids, b)
 		}
 	}
-	fmin := make(map[int]float64, 16)
+	fmin := make(map[int32]float64, 16)
 	per := make([]float64, len(c.FID))
 	for v, a := range c.FID {
 		m, ok := fmin[a]
@@ -261,7 +261,7 @@ func (c *Compiled) Transpose() *Compiled {
 		memo:   nil,
 	}
 	if !t.unit {
-		t.memo = make(map[[2]int]float64)
+		t.memo = make(map[[2]int32]float64)
 	}
 	copy(t.Del, c.Ins)
 	copy(t.Ins, c.Del)

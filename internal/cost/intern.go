@@ -3,6 +3,7 @@ package cost
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/tree"
 )
@@ -95,8 +96,10 @@ func (in *Interner) Len() int {
 // PerTree is the per-tree half of a compiled cost model: interned label
 // ids plus the delete and insert cost of every node. Two halves compiled
 // against the same Interner combine into a pair form with PairPrepared.
+// Its slices are read-only: under the unit model Del and Ins are windows
+// of one vector of 1s that every unit-model PerTree shares.
 type PerTree struct {
-	IDs []int     // interned label id per node (postorder)
+	IDs []int32   // interned label id per node (postorder)
 	Del []float64 // cost of deleting each node
 	Ins []float64 // cost of inserting each node
 
@@ -113,30 +116,48 @@ type PerTree struct {
 	unit   bool
 }
 
+// ones backs the Del and Ins vectors of every unit-model PerTree. It only
+// grows, by replacement: a vector once handed out is never written again.
+var ones atomic.Pointer[[]float64]
+
+// unitCosts returns n unit costs from the shared vector, its capacity
+// capped at n so that an append copies instead of writing into the
+// vector other trees read.
+func unitCosts(n int) []float64 {
+	for {
+		cur := ones.Load()
+		have := 0
+		if cur != nil {
+			have = len(*cur)
+		}
+		if have >= n {
+			return (*cur)[:n:n]
+		}
+		v := make([]float64, max(n, 2*have, 1024))
+		for i := range v {
+			v[i] = 1
+		}
+		// A concurrent grower may have won; retry against its vector.
+		if ones.CompareAndSwap(cur, &v) {
+			return v[:n:n]
+		}
+	}
+}
+
 // CompileTree interns the labels of t and precomputes its per-node
 // delete and insert costs under model m. The interner is locked once for
 // the whole tree.
 func CompileTree(m Model, t *tree.Tree, in *Interner) *PerTree {
 	n := t.Len()
-	p := &PerTree{
-		IDs: make([]int, n),
-		Del: make([]float64, n),
-		Ins: make([]float64, n),
-	}
+	p := &PerTree{IDs: make([]int32, n)}
+	_, p.unit = m.(Unit)
 	in.mu.Lock()
 	for v := 0; v < n; v++ {
-		l := t.Label(v)
-		p.IDs[v] = in.intern(l)
-		p.Del[v] = m.Delete(l)
-		p.Ins[v] = m.Insert(l)
+		p.IDs[v] = int32(in.intern(t.Label(v)))
 	}
 	p.labels = in.snapshot()
 	in.mu.Unlock()
-	_, p.unit = m.(Unit)
-	if !p.unit {
-		p.SubDelMin = subtreeMin(t, p.Del)
-		p.SubInsMin = subtreeMin(t, p.Ins)
-	}
+	p.price(m, t)
 	return p
 }
 
@@ -144,48 +165,44 @@ func CompileTree(m Model, t *tree.Tree, in *Interner) *PerTree {
 // that were already interned against in — the hydration path of a
 // persisted corpus, which stores per-tree id arrays precisely so that
 // reloading skips the per-node map lookups of CompileTree. Every id must
-// be a valid id of in; the unit model never touches the label table, and
-// other models read it once per node to price the operations.
+// be a valid id of in. The PerTree keeps ids as its IDs, so the caller
+// must not modify them afterwards.
 func CompileTreeFromIDs(m Model, t *tree.Tree, ids []int32, in *Interner) (*PerTree, error) {
 	n := t.Len()
 	if len(ids) != n {
 		return nil, fmt.Errorf("cost: %d label ids for a %d-node tree", len(ids), n)
 	}
-	p := &PerTree{
-		IDs: make([]int, n),
-		Del: make([]float64, n),
-		Ins: make([]float64, n),
-	}
 	labels := in.Table()
-	if _, unit := m.(Unit); unit {
-		p.unit = true
-		for v := 0; v < n; v++ {
-			id := ids[v]
-			if id < 0 || int(id) >= len(labels) {
-				return nil, fmt.Errorf("cost: node %d has label id %d, interner holds %d labels", v, id, len(labels))
-			}
-			p.IDs[v] = int(id)
-			p.Del[v] = 1
-			p.Ins[v] = 1
-		}
-	} else {
-		for v := 0; v < n; v++ {
-			id := ids[v]
-			if id < 0 || int(id) >= len(labels) {
-				return nil, fmt.Errorf("cost: node %d has label id %d, interner holds %d labels", v, id, len(labels))
-			}
-			l := labels[id]
-			p.IDs[v] = int(id)
-			p.Del[v] = m.Delete(l)
-			p.Ins[v] = m.Insert(l)
+	for v, id := range ids {
+		if id < 0 || int(id) >= len(labels) {
+			return nil, fmt.Errorf("cost: node %d has label id %d, interner holds %d labels", v, id, len(labels))
 		}
 	}
-	if !p.unit {
-		p.SubDelMin = subtreeMin(t, p.Del)
-		p.SubInsMin = subtreeMin(t, p.Ins)
-	}
-	p.labels = labels
+	p := &PerTree{IDs: ids, labels: labels}
+	_, p.unit = m.(Unit)
+	p.price(m, t)
 	return p, nil
+}
+
+// price fills the delete and insert costs of p's nodes under m: the
+// shared unit vector under the unit model; otherwise one model call per
+// node and operation on the node's label, plus the per-subtree floors.
+func (p *PerTree) price(m Model, t *tree.Tree) {
+	n := len(p.IDs)
+	if p.unit {
+		p.Del = unitCosts(n)
+		p.Ins = p.Del
+		return
+	}
+	p.Del = make([]float64, n)
+	p.Ins = make([]float64, n)
+	for v, id := range p.IDs {
+		l := p.labels[id]
+		p.Del[v] = m.Delete(l)
+		p.Ins[v] = m.Insert(l)
+	}
+	p.SubDelMin = subtreeMin(t, p.Del)
+	p.SubInsMin = subtreeMin(t, p.Ins)
 }
 
 // RenameMemo is a reusable rename-cost cache for non-unit models. Entries
@@ -200,7 +217,7 @@ func CompileTreeFromIDs(m Model, t *tree.Tree, ids []int32, in *Interner) (*PerT
 // A RenameMemo is bound to one (Interner, Model) combination; Reset it
 // before reusing it with another.
 type RenameMemo struct {
-	fwd, rev map[[2]int]float64
+	fwd, rev map[[2]int32]float64
 }
 
 // Reset empties the memo so it can serve a different interner or model.
@@ -256,8 +273,8 @@ func PairPreparedMemo(m Model, f, g *PerTree, rm *RenameMemo) *Compiled {
 			rm = &RenameMemo{}
 		}
 		if rm.fwd == nil {
-			rm.fwd = make(map[[2]int]float64)
-			rm.rev = make(map[[2]int]float64)
+			rm.fwd = make(map[[2]int32]float64)
+			rm.rev = make(map[[2]int32]float64)
 		}
 		c.memo = rm.fwd
 		t.memo = rm.rev

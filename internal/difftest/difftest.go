@@ -32,7 +32,7 @@ func approx(a, b float64) bool { return math.Abs(a-b) < 1e-9 }
 func strategies(f, g *tree.Tree) []strategy.Named {
 	rted, _ := strategy.Opt(f, g)
 	var s strategy.OptScratch
-	priced, _ := s.Opt(f, g, strategy.NewDecomp(f), strategy.NewDecomp(g), strategy.TimePrice)
+	priced, _ := s.Opt(f, g, strategy.TimePrice)
 	return []strategy.Named{
 		strategy.ZhangL(),
 		strategy.ZhangR(),

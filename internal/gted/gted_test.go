@@ -18,7 +18,7 @@ import (
 // different paths than the paper's, for the pair (f, g).
 func strategiesFor(f, g *tree.Tree) []strategy.Named {
 	rted, _ := strategy.Opt(f, g)
-	priced, _ := new(strategy.OptScratch).Opt(f, g, strategy.NewDecomp(f), strategy.NewDecomp(g), strategy.TimePrice)
+	priced, _ := new(strategy.OptScratch).Opt(f, g, strategy.TimePrice)
 	return []strategy.Named{
 		strategy.ZhangL(),
 		strategy.ZhangR(),

@@ -13,7 +13,6 @@ import "repro/internal/tree"
 // By Lemma 2, |F(F_v, γ)| = |F_v| for any single root-leaf path γ, so no
 // array is needed for it.
 type Decomp struct {
-	T  *tree.Tree
 	A  []int64
 	FL []int64
 	FR []int64
@@ -23,20 +22,31 @@ type Decomp struct {
 // t in O(|t|) time.
 func NewDecomp(t *tree.Tree) *Decomp {
 	n := t.Len()
-	d := &Decomp{
-		T:  t,
-		A:  make([]int64, n),
-		FL: make([]int64, n),
-		FR: make([]int64, n),
-	}
-	for v := 0; v < n; v++ {
+	d := new(Decomp)
+	d.fill(t, make([]int64, n), make([]int64, n), make([]int64, n))
+	return d
+}
+
+// fill computes the cardinalities of t into a, fl and fr (each of length
+// t.Len()) and makes them d's arrays. One bottom-up pass serves all
+// three: children precede their parent in postorder.
+func (d *Decomp) fill(t *tree.Tree, a, fl, fr []int64) {
+	d.A, d.FL, d.FR = a, fl, fr
+	for v := range a {
 		sz := int64(t.Size(v))
-		// Lemma 1: |A(F)| = |F|(|F|+3)/2 − Σ_{x∈F} |F_x|.
-		d.A[v] = sz*(sz+3)/2 - t.SumSizes(v)
 		kids := t.Children(v)
+		// Lemma 1: |A(F)| = |F|(|F|+3)/2 − Σ_{x∈F} |F_x|. The sum over
+		// F_v is |F_v| plus each child's sum, and Lemma 1 for the child
+		// gives that sum back: Σ_{x∈F_c} |F_x| = |F_c|(|F_c|+3)/2 − A[c].
+		sum := sz
+		for _, c := range kids {
+			szc := int64(t.Size(c))
+			sum += szc*(szc+3)/2 - a[c]
+		}
+		a[v] = sz*(sz+3)/2 - sum
 		if len(kids) == 0 {
-			d.FL[v] = 1
-			d.FR[v] = 1
+			fl[v] = 1
+			fr[v] = 1
 			continue
 		}
 		// Lemma 3: |F(F,Γ)| = Σ of the sizes of the relevant subtrees of
@@ -46,18 +56,17 @@ func NewDecomp(t *tree.Tree) *Decomp {
 		//   FL[v] = |F_v| + Σ_{c≠c1} FL[c] + (FL[c1] − |F_c1|).
 		l := kids[0]
 		r := kids[len(kids)-1]
-		d.FL[v] = sz + d.FL[l] - int64(t.Size(l))
-		d.FR[v] = sz + d.FR[r] - int64(t.Size(r))
+		fl[v] = sz + fl[l] - int64(t.Size(l))
+		fr[v] = sz + fr[r] - int64(t.Size(r))
 		for _, c := range kids {
 			if c != l {
-				d.FL[v] += d.FL[c]
+				fl[v] += fl[c]
 			}
 			if c != r {
-				d.FR[v] += d.FR[c]
+				fr[v] += fr[c]
 			}
 		}
 	}
-	return d
 }
 
 // F returns |F(F_v, Γ)| for the recursive decomposition of F_v with paths

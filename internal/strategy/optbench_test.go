@@ -15,7 +15,6 @@ import (
 func BenchmarkOptDP(b *testing.B) {
 	rng := rand.New(rand.NewSource(5))
 	ts := make([]*tree.Tree, 30)
-	ds := make([]*Decomp, len(ts))
 	for i := range ts {
 		n := 20 + rng.Intn(41)
 		switch i % 3 {
@@ -26,7 +25,6 @@ func BenchmarkOptDP(b *testing.B) {
 		default:
 			ts[i] = treegen.Random(rng, treegen.RandomSpec{Size: n, MaxDepth: 15, MaxFanout: 6, Labels: 20})
 		}
-		ds[i] = NewDecomp(ts[i])
 	}
 	for _, p := range []struct {
 		name  string
@@ -39,7 +37,7 @@ func BenchmarkOptDP(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				for f := range ts {
 					for g := range ts {
-						s.Opt(ts[f], ts[g], ds[f], ds[g], p.price)
+						s.Opt(ts[f], ts[g], p.price)
 						cells += int64(ts[f].Len() * ts[g].Len())
 					}
 				}

@@ -7,18 +7,12 @@ import "repro/internal/tree"
 // implementation of Algorithm 2 (OptStrategy) and runs in O(|f|·|g|) time
 // and space.
 func Opt(f, g *tree.Tree) (*Array, int64) {
-	return OptD(f, g, NewDecomp(f), NewDecomp(g))
+	return new(OptScratch).Opt(f, g, CountPrice)
 }
 
-// OptD is Opt with caller-precomputed decompositions, so that a batch of
-// pairs over the same trees computes each tree's Decomp once.
-func OptD(f, g *tree.Tree, df, dg *Decomp) (*Array, int64) {
-	return new(OptScratch).Opt(f, g, df, dg, CountPrice)
-}
-
-// OptScratch holds the O(|f|·|g|) working memory of OptStrategy for
-// reuse across pairs. Buffers grow to the largest pair served (Shrink
-// drops them); the returned strategy Array is owned by the scratch and
+// OptScratch holds the working memory of OptStrategy for reuse across
+// pairs. Buffers grow to the largest pair served (Shrink drops the
+// per-cell ones); the returned strategy Array is owned by the scratch and
 // is overwritten by the next call, so it must not be retained after the
 // pair's GTED run.
 type OptScratch struct {
@@ -35,7 +29,10 @@ type OptScratch struct {
 	// children w is (pathLeft, pathRight, pathHeavy bits).
 	gpar []int32
 	gpos []uint8
-	arr  Array
+	// The decomposition cardinalities of both trees, derived per pair in
+	// O(|f|+|g|) beside the O(|f|·|g|) DP rather than stored per tree.
+	df, dg Decomp
+	arr    Array
 }
 
 // Path-child bits of OptScratch.gpos.
@@ -66,11 +63,14 @@ func growScratch[T any](b []T, n int) []T {
 }
 
 // Opt computes the strategy for (f, g) with the least total price p,
-// like OptD under CountPrice, drawing all working memory (including the
-// returned Array) from the scratch. The returned cost is the optimum's
-// price; under CountPrice it is its number of relevant subproblems.
-func (s *OptScratch) Opt(f, g *tree.Tree, df, dg *Decomp, p Price) (*Array, int64) {
+// like the package-level Opt under CountPrice, drawing all working memory
+// (including the returned Array) from the scratch. The returned cost is
+// the optimum's price; under CountPrice it is its number of relevant
+// subproblems.
+func (s *OptScratch) Opt(f, g *tree.Tree, p Price) (*Array, int64) {
 	nf, ng := f.Len(), g.Len()
+	s.df.fill(f, growScratch(s.df.A, nf), growScratch(s.df.FL, nf), growScratch(s.df.FR, nf))
+	s.dg.fill(g, growScratch(s.dg.A, ng), growScratch(s.dg.FL, ng), growScratch(s.dg.FR, ng))
 	s.lv = growScratch(s.lv, nf*ng)
 	s.rv = growScratch(s.rv, nf*ng)
 	s.hv = growScratch(s.hv, nf*ng)
@@ -93,7 +93,7 @@ func (s *OptScratch) Opt(f, g *tree.Tree, df, dg *Decomp, p Price) (*Array, int6
 		}
 	}
 	s.arr = Array{NF: nf, NG: ng, Choices: growScratch(s.arr.Choices, nf*ng), name: p.strategyName()}
-	cost := optCore(f, g, df, dg, p, s)
+	cost := optCore(f, g, &s.df, &s.dg, p, s)
 	return &s.arr, cost
 }
 

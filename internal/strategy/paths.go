@@ -6,11 +6,11 @@
 // OptStrategy algorithm (Section 6.2, Algorithm 2).
 //
 // OptStrategy minimizes a Price: integer weights per single-path call,
-// per ΔL/ΔR subproblem and per ΔI subproblem. Opt and OptD use
-// CountPrice, (0, 1, 1), which is the paper's count of relevant
-// subproblems, so they return the paper's strategy bit for bit. The
-// batch engine uses TimePrice, (16, 1, 2) in units of one ΔL/ΔR
-// subproblem, through OptScratch.Opt. That price was calibrated by
+// per ΔL/ΔR subproblem and per ΔI subproblem. Opt uses CountPrice,
+// (0, 1, 1), which is the paper's count of relevant subproblems, so it
+// returns the paper's strategy bit for bit. The batch engine uses
+// TimePrice, (16, 1, 2) in units of one ΔL/ΔR subproblem, through
+// OptScratch.Opt. That price was calibrated by
 // BenchmarkStrategyPrice in package batch, which fits the engine's run
 // times under six strategies to the three terms. The paper's count
 // assumes every subproblem costs the same and a call costs nothing; on

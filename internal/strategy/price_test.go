@@ -64,7 +64,7 @@ func TestOptChoicesPinned(t *testing.T) {
 	var s OptScratch
 	for i, p := range inputs {
 		want, wc := Opt(p[0], p[1])
-		got, gc := s.Opt(p[0], p[1], NewDecomp(p[0]), NewDecomp(p[1]), CountPrice)
+		got, gc := s.Opt(p[0], p[1], CountPrice)
 		if gc != wc || string(got.Choices) != string(want.Choices) {
 			t.Fatalf("input %d: OptScratch under CountPrice differs from Opt (cost %d vs %d)", i, gc, wc)
 		}
@@ -87,7 +87,7 @@ func TestPricedOptIsOptimal(t *testing.T) {
 		f := treegen.Random(rng, treegen.RandomSpec{Size: 1 + rng.Intn(50), MaxDepth: 9, MaxFanout: 5})
 		g := treegen.Random(rng, treegen.RandomSpec{Size: 1 + rng.Intn(50), MaxDepth: 9, MaxFanout: 5})
 		for _, p := range []Price{TimePrice, {Call: 5, LR: 3, I: 1}} {
-			arr, c := s.Opt(f, g, NewDecomp(f), NewDecomp(g), p)
+			arr, c := s.Opt(f, g, p)
 			if _, base := baseline(f, g, p); base != c {
 				t.Fatalf("iter %d price %+v: DP optimum %d, baseline %d\nF=%s\nG=%s", iter, p, c, base, f, g)
 			}
@@ -142,7 +142,7 @@ func TestPricedStrategyPinned(t *testing.T) {
 		for _, b := range names[i:] {
 			f, g := trees[a], trees[b]
 			_, paper := Opt(f, g)
-			arr, _ := s.Opt(f, g, NewDecomp(f), NewDecomp(g), p)
+			arr, _ := s.Opt(f, g, p)
 			c := Count(f, g, arr)
 			got := counts{paper, c.Total, c.SPFCalls}
 			key := a + "-" + b
@@ -163,10 +163,9 @@ func TestPricedStrategyPinned(t *testing.T) {
 // the same strategy.
 func TestOptScratchShrink(t *testing.T) {
 	f, g := treegen.ZigZag(40), treegen.Mixed(40)
-	df, dg := NewDecomp(f), NewDecomp(g)
 	want, wc := Opt(f, g)
 	var s OptScratch
-	s.Opt(f, g, df, dg, CountPrice)
+	s.Opt(f, g, CountPrice)
 	s.Shrink(1 << 20)
 	if s.lv == nil || s.arr.Choices == nil {
 		t.Fatal("a scratch under the cap dropped its buffers")
@@ -175,7 +174,7 @@ func TestOptScratchShrink(t *testing.T) {
 	if s.lv != nil || s.rv != nil || s.hv != nil || s.arr.Choices != nil {
 		t.Fatal("a scratch over the cap kept its buffers")
 	}
-	if got, c := s.Opt(f, g, df, dg, CountPrice); c != wc || string(got.Choices) != string(want.Choices) {
+	if got, c := s.Opt(f, g, CountPrice); c != wc || string(got.Choices) != string(want.Choices) {
 		t.Fatalf("after Shrink: cost %d, want %d (or the choices differ)", c, wc)
 	}
 }
@@ -184,11 +183,10 @@ func TestOptScratchShrink(t *testing.T) {
 // allocating, under either price.
 func TestOptScratchAllocFree(t *testing.T) {
 	f, g := treegen.ZigZag(60), treegen.FullBinary(50)
-	df, dg := NewDecomp(f), NewDecomp(g)
 	var s OptScratch
 	for _, p := range []Price{CountPrice, TimePrice} {
-		s.Opt(f, g, df, dg, p)
-		if n := testing.AllocsPerRun(20, func() { s.Opt(f, g, df, dg, p) }); n != 0 {
+		s.Opt(f, g, p)
+		if n := testing.AllocsPerRun(20, func() { s.Opt(f, g, p) }); n != 0 {
 			t.Errorf("price %+v: a warm OptScratch allocates %v times per call", p, n)
 		}
 	}

@@ -1,6 +1,9 @@
 package tree
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // PostorderForm is the minimal serializable description of a tree: the
 // label and child count of every node, both in postorder. It is the form
@@ -15,117 +18,121 @@ type PostorderForm struct {
 // tree's internal labels and must not be modified.
 func (t *Tree) Postorder() PostorderForm {
 	counts := make([]int, t.Len())
-	for i := 0; i < t.Len(); i++ {
-		counts[i] = len(t.children[i])
+	for i := range counts {
+		counts[i] = t.NumChildren(i)
 	}
 	return PostorderForm{Labels: t.labels, ChildCounts: counts}
 }
 
 // FromPostorder rebuilds the indexed Tree from its postorder form without
 // going through the mutable builder representation: one stack pass wires
-// parents, children and all bottom-up quantities, and two linear passes
-// fill the top-down and traversal-order arrays. It returns an error —
-// never panics — on malformed input (mismatched lengths, child counts
-// that do not stack up to a single root), so decoders can feed it
-// untrusted data directly.
+// parents, children and all bottom-up quantities, and one reverse pass
+// fills the preorder and mirror postorder numbers. It returns an error —
+// never panics — on malformed input (mismatched lengths, more nodes than
+// an int32 id can name, child counts that do not stack up to a single
+// root), so decoders can feed it untrusted data directly. The tree keeps
+// a copy of f.Labels.
 func FromPostorder(f PostorderForm) (*Tree, error) {
-	n := len(f.Labels)
+	if err := checkNodeCount(len(f.Labels)); err != nil {
+		return nil, err
+	}
+	if len(f.ChildCounts) != len(f.Labels) {
+		return nil, fmt.Errorf("tree: %d labels but %d child counts", len(f.Labels), len(f.ChildCounts))
+	}
+	return build(append([]string(nil), f.Labels...), f.ChildCounts)
+}
+
+// checkNodeCount rejects node counts a tree cannot hold: none, or more
+// than the int32 ids of its arrays can number.
+func checkNodeCount(n int) error {
 	if n == 0 {
-		return nil, fmt.Errorf("tree: empty postorder form")
+		return fmt.Errorf("tree: empty postorder form")
 	}
-	if len(f.ChildCounts) != n {
-		return nil, fmt.Errorf("tree: %d labels but %d child counts", n, len(f.ChildCounts))
+	if n > math.MaxInt32 {
+		return fmt.Errorf("tree: %d nodes, at most %d fit int32 ids", n, math.MaxInt32)
 	}
-	t := &Tree{
-		labels:   make([]string, n),
-		parent:   make([]int, n),
-		children: make([][]int, n),
-		size:     make([]int, n),
-		depth:    make([]int, n),
-		lml:      make([]int, n),
-		rml:      make([]int, n),
-		pre:      make([]int, n),
-		byPre:    make([]int, n),
-		mpost:    make([]int, n),
-		byMPost:  make([]int, n),
-		heavy:    make([]int, n),
-		sumSize:  make([]int64, n),
+	return nil
+}
+
+// build indexes a tree from its postorder labels and child counts, keeping
+// labels as the tree's own. Node counts must already be checked.
+func build(labels []string, counts []int) (*Tree, error) {
+	n := len(labels)
+	// Eight per-node arrays in one allocation; first has n+1 entries.
+	arr := make([]int32, 8*n+1)
+	next := func(k int) []int32 {
+		a := arr[:k:k]
+		arr = arr[k:]
+		return a
 	}
-	copy(t.labels, f.Labels)
+	t := &Tree{labels: labels}
+	t.parent, t.size, t.heavy = next(n), next(n), next(n)
+	t.pre, t.byPre, t.mpost, t.byMPost = next(n), next(n), next(n), next(n)
+	t.first = next(n + 1)
+	t.kids = make([]int, 0, n-1)
 
 	// Bottom-up pass: each node adopts the last k completed subtrees on
-	// the stack as its children (stack order is sibling order).
-	stack := make([]int, 0, 16)
+	// the stack as its children (stack order is sibling order). Each
+	// stack entry carries its subtree's height.
+	type sub struct{ id, height int32 }
+	stack := make([]sub, 0, 16)
 	for i := 0; i < n; i++ {
-		k := f.ChildCounts[i]
+		k := counts[i]
 		if k < 0 || k > len(stack) {
 			return nil, fmt.Errorf("tree: node %d claims %d children, %d subtrees available", i, k, len(stack))
 		}
 		kids := stack[len(stack)-k:]
-		sz := 1
-		var ss int64
-		if k > 0 {
-			t.children[i] = make([]int, k)
-			copy(t.children[i], kids)
-		}
+		t.first[i] = int32(len(t.kids))
+		sz, h := int32(1), int32(0)
 		for _, c := range kids {
-			t.parent[c] = i
-			sz += t.size[c]
-			ss += t.sumSize[c]
+			t.kids = append(t.kids, int(c.id))
+			t.parent[c.id] = int32(i)
+			sz += t.size[c.id]
+			h = max(h, c.height+1)
 		}
 		t.size[i] = sz
-		t.sumSize[i] = ss + int64(sz)
 		if k == 0 {
-			t.lml[i] = i
-			t.rml[i] = i
 			t.heavy[i] = -1
 		} else {
-			t.lml[i] = t.lml[kids[0]]
-			t.rml[i] = t.rml[kids[k-1]]
 			// Heavy child: maximal subtree size, ties to the rightmost
-			// child (the convention of Index).
-			h := kids[0]
+			// child (required to reproduce the paper's worked Example 4).
+			hc := kids[0].id
 			for _, c := range kids[1:] {
-				if t.size[c] >= t.size[h] {
-					h = c
+				if t.size[c.id] >= t.size[hc] {
+					hc = c.id
 				}
 			}
-			t.heavy[i] = h
+			t.heavy[i] = hc
 		}
-		stack = append(stack[:len(stack)-k], i)
+		stack = append(stack[:len(stack)-k], sub{int32(i), h})
 	}
 	if len(stack) != 1 {
 		return nil, fmt.Errorf("tree: child counts describe a forest of %d trees, want 1", len(stack))
 	}
+	t.first[n] = int32(len(t.kids))
 	t.parent[n-1] = -1
+	t.height = int(stack[0].height)
 
 	// Top-down pass: in reverse postorder every parent precedes its
-	// children, so depths propagate in one sweep.
-	for i := n - 1; i >= 0; i-- {
-		d := t.depth[i]
-		if d > t.height {
-			t.height = d
-		}
-		for _, c := range t.children[i] {
-			t.depth[c] = d + 1
-		}
-	}
-
-	// Preorder numbering via an explicit DFS (children pushed in reverse
-	// so the leftmost is visited first).
-	preStack := append(stack[:0], n-1)
-	preCounter := 0
-	for len(preStack) > 0 {
-		v := preStack[len(preStack)-1]
-		preStack = preStack[:len(preStack)-1]
-		t.pre[v] = preCounter
-		t.byPre[preCounter] = v
-		preCounter++
-		kids := t.children[v]
-		for j := len(kids) - 1; j >= 0; j-- {
-			preStack = append(preStack, kids[j])
+	// children. A subtree occupies a contiguous range in preorder, which
+	// starts at its root, and in mirror (right-to-left) postorder, which
+	// ends at its root; the children split the rest of their parent's
+	// range left to right in preorder and right to left in mirror
+	// postorder.
+	t.pre[n-1], t.mpost[n-1] = 0, int32(n-1)
+	for v := n - 1; v >= 0; v-- {
+		t.byPre[t.pre[v]] = int32(v)
+		t.byMPost[t.mpost[v]] = int32(v)
+		p := t.pre[v] + 1
+		m := t.mpost[v] - t.size[v] + 1
+		kids := t.Children(v)
+		for j, c := range kids {
+			t.pre[c] = p
+			p += t.size[c]
+			r := kids[len(kids)-1-j]
+			m += t.size[r]
+			t.mpost[r] = m - 1
 		}
 	}
-	t.fillMirrorPostorder()
 	return t, nil
 }

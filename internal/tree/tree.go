@@ -5,10 +5,12 @@
 // Nodes are identified by their 0-based postorder position, which is the
 // canonical node id used throughout the module (distance matrices, strategy
 // arrays and single-path functions all index by postorder id). The package
-// also precomputes every per-node quantity the RTED machinery needs:
-// preorder ids, mirror (right-to-left) postorder ids, subtree sizes,
-// leftmost/rightmost leaf descendants, depths, heavy children, and the
-// accumulated subtree-size sums required by the decomposition lemmas.
+// also answers in constant time every per-node query the RTED machinery
+// makes: preorder ids, mirror (right-to-left) postorder ids and their
+// inverses, subtree sizes, leftmost/rightmost leaf descendants, heavy
+// children and child lists. Quantities the machinery derives once per
+// pair, such as the decomposition cardinalities of the strategy
+// computation, are not stored.
 package tree
 
 import (
@@ -37,148 +39,59 @@ func (n *Node) Add(children ...*Node) *Node {
 
 // Tree is the immutable indexed form of an ordered labeled tree.
 //
-// All slices are indexed by postorder id in [0, N); the root is id N-1.
+// All per-node arrays are indexed by postorder id in [0, N); the root is
+// id N-1. They hold int32 values and share one allocation, and the child
+// lists of all nodes share one slice in compressed-row form: the
+// children of i are kids[first[i]:first[i+1]], left to right.
 type Tree struct {
-	labels   []string // label of node i
-	parent   []int    // parent postorder id, -1 for the root
-	children [][]int  // children postorder ids, left to right
-	size     []int    // number of nodes in the subtree rooted at i
-	depth    []int    // root depth 0
-	lml      []int    // leftmost leaf descendant (postorder id)
-	rml      []int    // rightmost leaf descendant (postorder id)
-	pre      []int    // preorder number of node i
-	byPre    []int    // inverse of pre: preorder number -> postorder id
-	mpost    []int    // mirror postorder number of node i
-	byMPost  []int    // inverse of mpost
-	heavy    []int    // heavy child postorder id, -1 for leaves
-	sumSize  []int64  // sum of size(x) over all x in the subtree of i
-	height   int
+	labels  []string // label of node i
+	parent  []int32  // parent postorder id, -1 for the root
+	size    []int32  // number of nodes in the subtree rooted at i
+	pre     []int32  // preorder number of node i
+	byPre   []int32  // inverse of pre: preorder number -> postorder id
+	mpost   []int32  // mirror postorder number of node i
+	byMPost []int32  // inverse of mpost
+	heavy   []int32  // heavy child postorder id, -1 for leaves
+	first   []int32  // N+1 offsets into kids
+	kids    []int    // every child list, concatenated in parent postorder
+	height  int      // maximum depth of any node (root depth 0)
 }
 
-// Index converts a builder tree into its immutable indexed form.
-// It panics if root is nil; trees always have at least one node.
+// Index converts a builder tree into its immutable indexed form. It
+// lists the builder's labels and child counts in postorder and builds
+// the tree from them as FromPostorder does. It panics if root or any
+// child is nil; trees always have at least one node.
 func Index(root *Node) *Tree {
 	if root == nil {
 		panic("tree: Index called with nil root")
 	}
 	n := countNodes(root)
-	t := &Tree{
-		labels:   make([]string, n),
-		parent:   make([]int, n),
-		children: make([][]int, n),
-		size:     make([]int, n),
-		depth:    make([]int, n),
-		lml:      make([]int, n),
-		rml:      make([]int, n),
-		pre:      make([]int, n),
-		byPre:    make([]int, n),
-		mpost:    make([]int, n),
-		byMPost:  make([]int, n),
-		heavy:    make([]int, n),
-		sumSize:  make([]int64, n),
-	}
-	postCounter := 0
-	preCounter := 0
-	// Iterative DFS assigning postorder and preorder ids. The explicit
-	// stack avoids goroutine stack growth limits on degenerate deep trees.
+	labels := make([]string, 0, n)
+	counts := make([]int, 0, n)
+	// Iterative DFS: the explicit stack avoids goroutine stack growth
+	// limits on degenerate deep trees.
 	type frame struct {
-		node   *Node
-		parent int // postorder id of parent; filled on exit, so store index into pending
-		next   int // next child to visit
-		depth  int
-		pre    int
-		kids   []int // postorder ids of already-finished children
+		node *Node
+		next int // next child to visit
 	}
-	stack := []*frame{{node: root, next: 0, depth: 0, pre: preCounter}}
-	preCounter++
-	var finished int = -1 // postorder id of the most recently finished node
-	_ = finished
-	for len(stack) > 0 {
-		f := stack[len(stack)-1]
-		if f.next < len(f.node.Children) {
-			c := f.node.Children[f.next]
-			if c == nil {
-				panic("tree: nil child node")
-			}
-			f.next++
-			stack = append(stack, &frame{node: c, depth: f.depth + 1, pre: preCounter})
-			preCounter++
-			continue
-		}
-		// All children finished: assign this node's postorder id.
-		id := postCounter
-		postCounter++
-		t.labels[id] = f.node.Label
-		t.depth[id] = f.depth
-		t.pre[id] = f.pre
-		t.byPre[f.pre] = id
-		t.children[id] = f.kids
-		sz := 1
-		var ss int64
-		for _, c := range f.kids {
-			t.parent[c] = id
-			sz += t.size[c]
-			ss += t.sumSize[c]
-		}
-		t.size[id] = sz
-		t.sumSize[id] = ss + int64(sz)
-		if len(f.kids) == 0 {
-			t.lml[id] = id
-			t.rml[id] = id
-			t.heavy[id] = -1
-		} else {
-			t.lml[id] = t.lml[f.kids[0]]
-			t.rml[id] = t.rml[f.kids[len(f.kids)-1]]
-			// Heavy child: maximal subtree size, ties broken by the
-			// rightmost child (required to reproduce the paper's
-			// worked Example 4).
-			h := f.kids[0]
-			for _, c := range f.kids[1:] {
-				if t.size[c] >= t.size[h] {
-					h = c
-				}
-			}
-			t.heavy[id] = h
-		}
-		if f.depth > t.height {
-			t.height = f.depth
-		}
-		stack = stack[:len(stack)-1]
-		if len(stack) > 0 {
-			p := stack[len(stack)-1]
-			p.kids = append(p.kids, id)
-		}
-	}
-	t.parent[postCounter-1] = -1
-	t.fillMirrorPostorder()
-	return t
-}
-
-// fillMirrorPostorder computes the mirror (right-to-left) postorder
-// numbering: the postorder of the tree obtained by reversing the child
-// order of every node. ΔR runs the left-path DP on this view.
-func (t *Tree) fillMirrorPostorder() {
-	n := t.Len()
-	counter := 0
-	type frame struct {
-		id   int
-		next int // children visited right-to-left: next counts down
-	}
-	root := n - 1
-	stack := []frame{{id: root, next: len(t.children[root]) - 1}}
+	stack := []frame{{node: root}}
 	for len(stack) > 0 {
 		f := &stack[len(stack)-1]
-		if f.next >= 0 {
-			c := t.children[f.id][f.next]
-			f.next--
-			stack = append(stack, frame{id: c, next: len(t.children[c]) - 1})
+		if f.next < len(f.node.Children) {
+			c := f.node.Children[f.next]
+			f.next++
+			stack = append(stack, frame{node: c})
 			continue
 		}
-		t.mpost[f.id] = counter
-		t.byMPost[counter] = f.id
-		counter++
+		labels = append(labels, f.node.Label)
+		counts = append(counts, len(f.node.Children))
 		stack = stack[:len(stack)-1]
 	}
+	t, err := build(labels, counts)
+	if err != nil {
+		panic(err)
+	}
+	return t
 }
 
 func countNodes(root *Node) int {
@@ -208,79 +121,79 @@ func (t *Tree) Root() int { return t.Len() - 1 }
 func (t *Tree) Label(i int) string { return t.labels[i] }
 
 // Parent returns the postorder id of i's parent, or -1 for the root.
-func (t *Tree) Parent(i int) int { return t.parent[i] }
+func (t *Tree) Parent(i int) int { return int(t.parent[i]) }
 
 // Children returns the postorder ids of i's children, left to right.
 // The returned slice must not be modified.
-func (t *Tree) Children(i int) []int { return t.children[i] }
+func (t *Tree) Children(i int) []int {
+	lo, hi := t.first[i], t.first[i+1]
+	return t.kids[lo:hi:hi]
+}
 
 // NumChildren returns the fanout of node i.
-func (t *Tree) NumChildren(i int) int { return len(t.children[i]) }
+func (t *Tree) NumChildren(i int) int { return int(t.first[i+1] - t.first[i]) }
 
 // Size returns the number of nodes in the subtree rooted at i.
-func (t *Tree) Size(i int) int { return t.size[i] }
+func (t *Tree) Size(i int) int { return int(t.size[i]) }
 
-// SumSizes returns the sum of Size(x) over all x in the subtree of i.
-// This is the Σ|F_v| term of Lemma 1.
-func (t *Tree) SumSizes(i int) int64 { return t.sumSize[i] }
-
-// Depth returns the depth of node i (root depth 0).
-func (t *Tree) Depth(i int) int { return t.depth[i] }
-
-// Height returns the maximum depth of any node.
+// Height returns the maximum depth of any node (the root has depth 0).
 func (t *Tree) Height() int { return t.height }
 
 // LeftmostLeaf returns the postorder id of the leftmost leaf descendant
-// of i (i itself if i is a leaf).
-func (t *Tree) LeftmostLeaf(i int) int { return t.lml[i] }
+// of i (i itself if i is a leaf): the first node of i's subtree in
+// postorder.
+func (t *Tree) LeftmostLeaf(i int) int { return t.SubtreeFirst(i) }
 
 // RightmostLeaf returns the postorder id of the rightmost leaf descendant
-// of i (i itself if i is a leaf).
-func (t *Tree) RightmostLeaf(i int) int { return t.rml[i] }
+// of i (i itself if i is a leaf): the first node of i's subtree in
+// mirror postorder.
+func (t *Tree) RightmostLeaf(i int) int {
+	return int(t.byMPost[t.mpost[i]-t.size[i]+1])
+}
 
 // Pre returns the preorder number of node i.
-func (t *Tree) Pre(i int) int { return t.pre[i] }
+func (t *Tree) Pre(i int) int { return int(t.pre[i]) }
 
 // ByPre returns the postorder id of the node with preorder number p.
-func (t *Tree) ByPre(p int) int { return t.byPre[p] }
+func (t *Tree) ByPre(p int) int { return int(t.byPre[p]) }
 
 // MPost returns the mirror (right-to-left) postorder number of node i.
-func (t *Tree) MPost(i int) int { return t.mpost[i] }
+func (t *Tree) MPost(i int) int { return int(t.mpost[i]) }
 
 // ByMPost returns the postorder id of the node with mirror postorder
 // number m.
-func (t *Tree) ByMPost(m int) int { return t.byMPost[m] }
+func (t *Tree) ByMPost(m int) int { return int(t.byMPost[m]) }
 
 // HeavyChild returns the postorder id of i's heavy child (the child with
 // the largest subtree, ties broken by the rightmost child), or -1 if i is
 // a leaf.
-func (t *Tree) HeavyChild(i int) int { return t.heavy[i] }
+func (t *Tree) HeavyChild(i int) int { return int(t.heavy[i]) }
 
 // LeftChild returns the leftmost child of i, or -1 if i is a leaf.
 func (t *Tree) LeftChild(i int) int {
-	if len(t.children[i]) == 0 {
+	if t.IsLeaf(i) {
 		return -1
 	}
-	return t.children[i][0]
+	return t.kids[t.first[i]]
 }
 
 // RightChild returns the rightmost child of i, or -1 if i is a leaf.
 func (t *Tree) RightChild(i int) int {
-	if len(t.children[i]) == 0 {
+	if t.IsLeaf(i) {
 		return -1
 	}
-	return t.children[i][len(t.children[i])-1]
+	return t.kids[t.first[i+1]-1]
 }
 
 // IsLeaf reports whether node i has no children.
-func (t *Tree) IsLeaf(i int) bool { return len(t.children[i]) == 0 }
+func (t *Tree) IsLeaf(i int) bool { return t.first[i] == t.first[i+1] }
 
 // SubtreeFirst returns the smallest postorder id inside the subtree of i.
 // The subtree of i occupies the contiguous postorder range
 // [SubtreeFirst(i), i].
-func (t *Tree) SubtreeFirst(i int) int { return i - t.size[i] + 1 }
+func (t *Tree) SubtreeFirst(i int) int { return i - int(t.size[i]) + 1 }
 
-// PreInSubtree reports whether the node with postorder id x lies in the
+// InSubtree reports whether the node with postorder id x lies in the
 // subtree rooted at v.
 func (t *Tree) InSubtree(x, v int) bool {
 	return x >= t.SubtreeFirst(v) && x <= v
@@ -300,7 +213,7 @@ func (t *Tree) Leaves() int {
 // Builder returns a mutable deep copy of the subtree rooted at node i.
 func (t *Tree) Builder(i int) *Node {
 	nd := &Node{Label: t.labels[i]}
-	for _, c := range t.children[i] {
+	for _, c := range t.Children(i) {
 		nd.Children = append(nd.Children, t.Builder(c))
 	}
 	return nd
@@ -311,7 +224,7 @@ func (t *Tree) Mirror() *Tree {
 	var mirror func(i int) *Node
 	mirror = func(i int) *Node {
 		nd := &Node{Label: t.labels[i]}
-		kids := t.children[i]
+		kids := t.Children(i)
 		for j := len(kids) - 1; j >= 0; j-- {
 			nd.Children = append(nd.Children, mirror(kids[j]))
 		}
@@ -329,7 +242,7 @@ func Equal(a, b *Tree) bool {
 		if a.labels[i] != b.labels[i] || a.parent[i] != b.parent[i] {
 			return false
 		}
-		if len(a.children[i]) != len(b.children[i]) {
+		if a.NumChildren(i) != b.NumChildren(i) {
 			return false
 		}
 	}
@@ -352,7 +265,7 @@ func (t *Tree) SubtreeString(i int) string {
 func (t *Tree) writeBracket(sb *strings.Builder, i int) {
 	sb.WriteByte('{')
 	sb.WriteString(EscapeLabel(t.labels[i]))
-	for _, c := range t.children[i] {
+	for _, c := range t.Children(i) {
 		t.writeBracket(sb, c)
 	}
 	sb.WriteByte('}')
@@ -370,18 +283,23 @@ type Stats struct {
 
 // Shape returns shape statistics for t.
 func (t *Tree) Shape() Stats {
-	s := Stats{Size: t.Len(), Height: t.height}
+	n := t.Len()
+	s := Stats{Size: n, Height: t.height}
+	// In reverse postorder every parent precedes its children, so one
+	// sweep assigns every depth.
+	depth := make([]int, n)
 	var depthSum int64
-	for i := 0; i < t.Len(); i++ {
+	for i := n - 1; i >= 0; i-- {
+		if p := t.parent[i]; p >= 0 {
+			depth[i] = depth[p] + 1
+		}
+		depthSum += int64(depth[i])
 		if t.IsLeaf(i) {
 			s.Leaves++
 		}
-		if len(t.children[i]) > s.MaxFanout {
-			s.MaxFanout = len(t.children[i])
-		}
-		depthSum += int64(t.depth[i])
+		s.MaxFanout = max(s.MaxFanout, t.NumChildren(i))
 	}
-	s.AvgDepth = float64(depthSum) / float64(t.Len())
+	s.AvgDepth = float64(depthSum) / float64(n)
 	return s
 }
 
@@ -397,8 +315,8 @@ func (t *Tree) Validate() error {
 		return fmt.Errorf("tree: root parent = %d, want -1", t.parent[n-1])
 	}
 	for i := 0; i < n; i++ {
-		for _, c := range t.children[i] {
-			if c < 0 || c >= n || t.parent[c] != i {
+		for _, c := range t.Children(i) {
+			if c < 0 || c >= n || t.Parent(c) != i {
 				return fmt.Errorf("tree: node %d has inconsistent child %d", i, c)
 			}
 			if c >= i {
@@ -406,19 +324,19 @@ func (t *Tree) Validate() error {
 			}
 		}
 		sz := 1
-		for _, c := range t.children[i] {
-			sz += t.size[c]
+		for _, c := range t.Children(i) {
+			sz += t.Size(c)
 		}
-		if sz != t.size[i] {
+		if sz != t.Size(i) {
 			return fmt.Errorf("tree: node %d size %d, want %d", i, t.size[i], sz)
 		}
 		if t.SubtreeFirst(i) < 0 {
 			return fmt.Errorf("tree: node %d subtree start negative", i)
 		}
-		if t.byPre[t.pre[i]] != i {
+		if t.ByPre(t.Pre(i)) != i {
 			return fmt.Errorf("tree: preorder map inconsistent at %d", i)
 		}
-		if t.byMPost[t.mpost[i]] != i {
+		if t.ByMPost(t.MPost(i)) != i {
 			return fmt.Errorf("tree: mirror postorder map inconsistent at %d", i)
 		}
 	}

@@ -53,11 +53,8 @@ func TestIndexSmall(t *testing.T) {
 	if tr.HeavyChild(4) != 2 {
 		t.Fatalf("heavy child of root = %d want 2 (b)", tr.HeavyChild(4))
 	}
-	if tr.SumSizes(4) != 5+1+2+1+1 {
-		t.Fatalf("sumSizes=%d", tr.SumSizes(4))
-	}
-	if tr.Height() != 2 || tr.Depth(1) != 2 {
-		t.Fatalf("depths wrong")
+	if tr.Height() != 2 {
+		t.Fatalf("height %d want 2", tr.Height())
 	}
 }
 

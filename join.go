@@ -99,9 +99,9 @@ func (c config) batchEngine(workers int) *batch.Engine {
 // candidates run the bound filters and fan out over the workers too).
 //
 // Join runs on the batch engine: every tree is prepared once — node
-// indexes, decomposition cardinalities, cost vectors, bound profiles —
-// and the pairs are evaluated on per-worker reusable arenas, so the
-// per-pair cost is the GTED computation alone.
+// indexes, cost vectors, bound profiles — and the pairs are evaluated on
+// per-worker reusable arenas, so the per-pair cost is the strategy and
+// GTED computation alone.
 func Join(trees []*Tree, tau float64, opts ...Option) JoinResult {
 	c := buildConfig(opts)
 	if (c.filters || c.indexed) && c.model != UnitCost {

@@ -1,10 +1,14 @@
 package server_test
 
 import (
+	"bytes"
+	"encoding/json"
+	"net/http"
 	"net/http/httptest"
 	"path/filepath"
 	"reflect"
 	"sort"
+	"sync"
 	"testing"
 
 	"repro/batch"
@@ -197,5 +201,93 @@ func TestClusterGateway(t *testing.T) {
 	}
 	if recs := postNDJSON[server.TopKStreamRecord](t, gw+"/v1/topk/stream", topKReq); len(recs) != 0 && recs[len(recs)-1].Done != nil {
 		t.Fatal("/v1/topk/stream with every worker gone ended with a done record")
+	}
+}
+
+// TestClusterGatewayForwardsTenant: a gateway's fan-out carries the
+// client's X-Tenant and X-Request-ID, so the workers admit a join and a
+// top-k sent as tenant alice under alice, not under "default", and see
+// the client's request ID on every request of its fan-out, the probes
+// included. A client that sends no request ID gets none invented.
+func TestClusterGatewayForwardsTenant(t *testing.T) {
+	snap := corpus.New()
+	for i := 0; i < 8; i++ {
+		snap.Add(gen.Random(int64(60+i), gen.RandomSpec{Size: 10, MaxDepth: 4, MaxFanout: 3, Labels: 6}))
+	}
+	path := filepath.Join(t.TempDir(), "snap.tedc")
+	if err := snap.SaveFile(path); err != nil {
+		t.Fatal(err)
+	}
+	var (
+		mu  sync.Mutex
+		ids = map[string]int{} // X-Request-ID seen by the workers → requests
+	)
+	var workers []*httptest.Server
+	for range 2 {
+		c, err := corpus.LoadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := server.New(c, server.WithWorkers(1))
+		w := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			mu.Lock()
+			ids[r.Header.Get("X-Request-ID")]++
+			mu.Unlock()
+			s.ServeHTTP(w, r)
+		}))
+		t.Cleanup(w.Close)
+		workers = append(workers, w)
+	}
+	gw := newGateway(t, workers...)
+
+	send := func(path string, body any, requestID string) {
+		t.Helper()
+		raw, _ := json.Marshal(body)
+		req, _ := http.NewRequest("POST", gw+path, bytes.NewReader(raw))
+		req.Header.Set("X-Tenant", "alice")
+		if requestID != "" {
+			req.Header.Set("X-Request-ID", requestID)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != 200 {
+			t.Fatalf("%s as alice: status %d", path, resp.StatusCode)
+		}
+	}
+	send("/v1/join", server.JoinRequest{Tau: 4}, "req-join")
+	send("/v1/topk", server.TopKRequest{Query: ref("{a{b}}"), K: 2}, "req-topk")
+	send("/v1/join", server.JoinRequest{Tau: 2}, "")
+
+	// Probes are not admitted; every range a worker serves is. Which
+	// worker serves a range is a race, so the ranges are counted over
+	// both.
+	alice := int64(0)
+	for i, w := range workers {
+		var st server.StatsResponse
+		if code := call(t, "GET", w.URL+"/v1/stats", nil, &st); code != 200 {
+			t.Fatalf("worker %d /v1/stats: status %d", i, code)
+		}
+		alice += st.Tenants["alice"].Admitted
+		if _, ok := st.Tenants["default"]; ok {
+			t.Errorf("worker %d admitted gateway traffic as default: tenants %+v", i, st.Tenants)
+		}
+	}
+	if alice < 3 {
+		t.Errorf("the workers admitted %d ranges as alice, want at least one per gateway request (3)", alice)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	// Per request: a probe of each of the two workers, then its ranges.
+	for _, id := range []string{"req-join", "req-topk"} {
+		if ids[id] < 2+1 {
+			t.Errorf("workers saw X-Request-ID %q on %d requests, want every probe and range (≥ 3): %v", id, ids[id], ids)
+		}
+	}
+	// The unnamed join and the test's own stats reads carry none.
+	if len(ids) != 3 || ids[""] == 0 {
+		t.Errorf("workers saw request IDs %v, want the two sent and none", ids)
 	}
 }

@@ -61,12 +61,20 @@ type statusError struct {
 
 func (e *statusError) Error() string { return e.msg }
 
-// fetch sends one request to a worker and decodes its 200 answer into
-// out. A worker's 409 — its corpus is no longer the one the gateway
+// forwardedHeaders are the client's request headers a gateway repeats on
+// every fan-out request it makes for that client: the tenant, so each
+// worker admits the traffic under the client's tenant and not under
+// "default", and the request ID, which names one client request across
+// the gateway and its workers.
+var forwardedHeaders = []string{"X-Tenant", "X-Request-ID"}
+
+// fetch sends one request to a worker, with the forwardedHeaders that
+// the client's headers hdr carry, and decodes its 200 answer into out.
+// A worker's 409 — its corpus is no longer the one the gateway
 // probed — comes back as a 502 *statusError, its other 4xx and its 503
 // as a *statusError with that status; a transport error, any other
 // status or a body cut short as a plain error.
-func (f *fleet) fetch(ctx context.Context, method, url string, in, out any) error {
+func (f *fleet) fetch(ctx context.Context, hdr http.Header, method, url string, in, out any) error {
 	var body bytes.Buffer
 	if in != nil {
 		if err := json.NewEncoder(&body).Encode(in); err != nil {
@@ -78,6 +86,11 @@ func (f *fleet) fetch(ctx context.Context, method, url string, in, out any) erro
 		return err
 	}
 	req.Header.Set("Content-Type", "application/json")
+	for _, k := range forwardedHeaders {
+		if v := hdr.Get(k); v != "" {
+			req.Header.Set(k, v)
+		}
+	}
 	resp, err := f.client.Do(req)
 	if err != nil {
 		return err
@@ -101,16 +114,16 @@ func (f *fleet) fetch(ctx context.Context, method, url string, in, out any) erro
 	return nil
 }
 
-// live reads /v1/stats from every worker at once, each under
-// probeTimeout, and returns those that answer and are not draining,
-// with the stats of the first of them, which the others agree with. A
-// worker that does not answer is down and skipped: its share of the
-// ranges goes to the others. Workers that answer with different corpora
-// are an error — dealing positions over diverging corpora would merge
-// garbage quietly — and so is a worker without a fingerprint, which
-// predates ranges and would answer each range with its whole corpus,
-// and a fleet of which no worker answers.
-func (f *fleet) live(ctx context.Context) ([]string, *StatsResponse, error) {
+// live reads /v1/stats from every worker at once for the client whose
+// headers are hdr, each under probeTimeout, and returns those that
+// answer and are not draining, with the stats of the first of them,
+// which the others agree with. A worker that does not answer is down
+// and skipped: its share of the ranges goes to the others. Workers that
+// answer with different corpora are an error — dealing positions over
+// diverging corpora would merge garbage quietly — and so is a worker
+// without a fingerprint, which predates ranges and would answer each
+// range with its whole corpus, and a fleet of which no worker answers.
+func (f *fleet) live(ctx context.Context, hdr http.Header) ([]string, *StatsResponse, error) {
 	sts := make([]StatsResponse, len(f.urls))
 	errs := make([]error, len(f.urls))
 	var wg sync.WaitGroup
@@ -120,7 +133,7 @@ func (f *fleet) live(ctx context.Context) ([]string, *StatsResponse, error) {
 			defer wg.Done()
 			pctx, cancel := context.WithTimeout(ctx, probeTimeout)
 			defer cancel()
-			errs[i] = f.fetch(pctx, http.MethodGet, u+"/v1/stats", nil, &sts[i])
+			errs[i] = f.fetch(pctx, hdr, http.MethodGet, u+"/v1/stats", nil, &sts[i])
 		}()
 	}
 	wg.Wait()
@@ -152,17 +165,18 @@ func (f *fleet) live(ctx context.Context) ([]string, *StatsResponse, error) {
 	return up, first, nil
 }
 
-// deal evaluates one request over the live workers: it splits the
-// positions into ranges, rangesPerWorker per worker, and posts each
-// range, pinned to the fingerprint the workers agreed on, to path on
-// some worker, body building the ranged request. A complete 200 commits
+// deal evaluates one request of the client whose headers are hdr over
+// the live workers: it splits the positions into ranges, rangesPerWorker
+// per worker, and posts each range, pinned to the fingerprint the
+// workers agreed on, to path on some worker, body building the ranged
+// request. A complete 200 commits
 // the range's answer. A transport error, a 5xx other than 503 or a body
 // cut short puts the range back in the queue and retires that worker
 // for this request; a *statusError (a worker's 4xx or 503, or a worker
 // whose corpus changed since the probe) ends the request. It fails when
 // ctx ends or no worker is left while ranges are outstanding.
-func deal[R any](ctx context.Context, f *fleet, path string, body func(Range) any) ([]R, error) {
-	up, st, err := f.live(ctx)
+func deal[R any](ctx context.Context, f *fleet, hdr http.Header, path string, body func(Range) any) ([]R, error) {
+	up, st, err := f.live(ctx, hdr)
 	if err != nil {
 		return nil, err
 	}
@@ -199,7 +213,7 @@ func deal[R any](ctx context.Context, f *fleet, path string, body func(Range) an
 					return
 				}
 				var r R
-				err := f.fetch(dctx, http.MethodPost, u+path, body(Range{Lo: i * n / nr, Hi: (i + 1) * n / nr, Fingerprint: st.Fingerprint}), &r)
+				err := f.fetch(dctx, hdr, http.MethodPost, u+path, body(Range{Lo: i * n / nr, Hi: (i + 1) * n / nr, Fingerprint: st.Fingerprint}), &r)
 				var se *statusError
 				mu.Lock()
 				switch {
@@ -234,15 +248,16 @@ func deal[R any](ctx context.Context, f *fleet, path string, body func(Range) an
 	return out, nil
 }
 
-// join evaluates req on the fleet. Each worker answers a range's first
+// join evaluates req, sent with the client's headers hdr, on the fleet.
+// Each worker answers a range's first
 // req.Limit matches in (I, J) order, its full count and its stats; the
 // merge passes the first req.Limit matches overall to emit, in (I, J)
 // order, and returns the summed stats and count. The merge is exact: a
 // match among the first req.Limit overall is among the first req.Limit
 // of its own range.
-func (f *fleet) join(ctx context.Context, req JoinRequest, emit func(corpus.Match)) (batch.JoinStats, int, error) {
+func (f *fleet) join(ctx context.Context, hdr http.Header, req JoinRequest, emit func(corpus.Match)) (batch.JoinStats, int, error) {
 	start := time.Now()
-	parts, err := deal[JoinResponse](ctx, f, "/v1/join", func(r Range) any {
+	parts, err := deal[JoinResponse](ctx, f, hdr, "/v1/join", func(r Range) any {
 		req := req
 		req.Range = &r
 		return req
@@ -270,11 +285,12 @@ func (f *fleet) join(ctx context.Context, req JoinRequest, emit func(corpus.Matc
 	return st, count, nil
 }
 
-// topK evaluates req on the fleet. Each worker answers its range's local
+// topK evaluates req, sent with the client's headers hdr, on the fleet.
+// Each worker answers its range's local
 // top k; the merge passes the k best overall to emit in result order and
 // returns the summed counters.
-func (f *fleet) topK(ctx context.Context, req TopKRequest, emit func(corpus.CrossMatch)) (batch.Stats, error) {
-	parts, err := deal[TopKResponse](ctx, f, "/v1/topk", func(r Range) any {
+func (f *fleet) topK(ctx context.Context, hdr http.Header, req TopKRequest, emit func(corpus.CrossMatch)) (batch.Stats, error) {
+	parts, err := deal[TopKResponse](ctx, f, hdr, "/v1/topk", func(r Range) any {
 		req := req
 		req.Range = &r
 		return req

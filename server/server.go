@@ -535,7 +535,7 @@ func (s *Server) handleJoin(stream bool) http.HandlerFunc {
 			}
 		}
 		if s.fleet != nil && req.Range == nil {
-			st, count, err = s.fleet.join(ctx, req, emit)
+			st, count, err = s.fleet.join(ctx, r.Header, req, emit)
 		} else {
 			st, err = s.c.JoinRangeStream(ctx, s.e, req.Tau, batch.JoinOptions{Mode: mode, Q: req.Q}, lo, hi, func(m corpus.Match) {
 				count++
@@ -615,7 +615,7 @@ func (s *Server) handleTopK(stream bool) http.HandlerFunc {
 			err error
 		)
 		if fan {
-			st, err = s.fleet.topK(ctx, req, emit)
+			st, err = s.fleet.topK(ctx, r.Header, req, emit)
 		} else {
 			st, err = s.c.TopKRangeStream(ctx, s.e, q, req.K, lo, hi, emit)
 			if err == nil {
