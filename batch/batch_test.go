@@ -451,8 +451,8 @@ func TestBoundedAllocFree(t *testing.T) {
 // and pooled strategy scratch, the steady state may allocate a few
 // fixed-size descriptors per pair but nothing DP-sized. The profiled
 // lower bound rejects the random pairs at tau 2 before any DP, so a
-// 2-rename copy of the query makes one pair run the strategy DP, the
-// depth-spectra build and GTED, and is measured on its own.
+// 2-rename copy of the query makes one pair run the strategy DP and
+// GTED, and is measured on its own.
 // TotalAlloc is cumulative so GC cannot skew the deltas. From warm-up
 // through measurement the test runs on one P with the collector off: a
 // GC empties the workspace pool, and sync.Pool keeps the warm workspace

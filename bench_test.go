@@ -14,6 +14,7 @@ import (
 	ted "repro"
 	"repro/batch"
 	"repro/gen"
+	"repro/internal/difftest"
 )
 
 // ---- Figure 8: subproblem counts per shape (analytic counting path) ----
@@ -200,6 +201,51 @@ func BenchmarkBoundsVsExact(b *testing.B) {
 			ted.Distance(f, g)
 		}
 	})
+}
+
+// ---- Bounded distances under non-unit costs ----
+
+// BenchmarkDistanceBoundedWeighted runs DistanceBounded over every pair
+// of difftest.Corpus(7, 30, 80) at cutoffs of a quarter, a half and 0.9
+// of each pair's distance, under the three non-unit models of
+// boundedModels. Non-unit models skip the bound prefilter, so the root
+// check of bounded GTED is all that refuses a pair before its DP:
+// refused/op counts the runs it refused and subproblems/op the DP cells
+// evaluated. A weaker check reads as fewer refusals, more subproblems
+// and more ns/op.
+func BenchmarkDistanceBoundedWeighted(b *testing.B) {
+	trees := difftest.Corpus(7, 30, 80)
+	for _, bm := range boundedModels {
+		if bm.m == ted.UnitCost {
+			continue
+		}
+		type pair struct {
+			f, g *ted.Tree
+			d    float64
+		}
+		var pairs []pair
+		for i := range trees {
+			for j := i + 1; j < len(trees); j++ {
+				pairs = append(pairs, pair{trees[i], trees[j], ted.Distance(trees[i], trees[j], ted.WithCost(bm.m))})
+			}
+		}
+		for _, frac := range []float64{0.25, 0.5, 0.9} {
+			b.Run(fmt.Sprintf("%s/tau=%gd", bm.name, frac), func(b *testing.B) {
+				var refused, subs int64
+				for i := 0; i < b.N; i++ {
+					refused, subs = 0, 0
+					for _, p := range pairs {
+						var st ted.Stats
+						ted.DistanceBounded(p.f, p.g, frac*p.d, ted.WithCost(bm.m), ted.WithStats(&st))
+						refused += st.PrunedKeyroots
+						subs += st.Subproblems
+					}
+				}
+				b.ReportMetric(float64(refused), "refused/op")
+				b.ReportMetric(float64(subs), "subproblems/op")
+			})
+		}
+	}
 }
 
 // ---- Filtered and parallel joins ----

@@ -196,7 +196,7 @@ func runBounded(f, g *ted.Tree, tau float64, alg ted.Algorithm, stats bool) {
 		fmt.Fprintf(os.Stderr, "algorithm    %s (bounded, tau=%g)\n", alg, tau)
 		fmt.Fprintf(os.Stderr, "sizes        |F|=%d |G|=%d\n", f.Len(), g.Len())
 		fmt.Fprintf(os.Stderr, "subproblems  %d evaluated, %d pruned\n", st.Subproblems, st.PrunedSubproblems)
-		fmt.Fprintf(os.Stderr, "band         %d cells skipped in ranges, %d keyroot DPs skipped\n",
+		fmt.Fprintf(os.Stderr, "band         %d cells skipped in ranges, %d refused at the root\n",
 			st.BandSkippedCells, st.PrunedKeyroots)
 		fmt.Fprintf(os.Stderr, "rows         %d band-compressed, %d cells materialized (%d bytes)\n",
 			st.CompressedRows, st.RowCells, 8*st.RowCells)

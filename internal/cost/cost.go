@@ -187,52 +187,39 @@ func (c *Compiled) renByID(a, b int32) float64 {
 	return r
 }
 
-// RenFloors returns the per-subtree rename floors of the forward
-// orientation: out[v] is the cheapest Rename(a, b) over any label a
-// present in the subtree of f rooted at v and any label b present
-// anywhere in G — a lower bound on the cost of any single rename whose
-// source node lies in F_v. The G-side floors of a pair (a lower bound on
-// renames whose target lands in G_w) are c.Transpose().RenFloors(g),
-// since the transposed orientation swaps the rename arguments.
-//
-// The floors feed the keyroot-level band of bounded GTED: under a model
-// that charges every available rename at least r > 0, matching nodes is
-// no longer free, so a pair's size bound tightens from |Δsize|·c_min to
-// a price on all max(|F_v|, |G_w|) nodes. Nil under the unit model,
-// where Rename(a, a) = 0 makes every floor 0 as soon as the trees share
-// one label — a structural question this per-label-pair pricing does
-// not answer. f must be the F tree the Compiled form was built for.
-func (c *Compiled) RenFloors(f *tree.Tree) []float64 {
+// MinRename returns the cheapest rename from any label of F to any label
+// of G: a lower bound on every single rename an edit script of the pair
+// can make. The root check of bounded GTED prices every matched node at
+// least this much, since under a model that charges every available
+// rename r > 0 matching is no longer free. It costs one model call per
+// distinct (F label, G label) pair, memoized for the DP that follows.
+// Under the unit model it returns 0 without looking: the floor there is
+// 0 as soon as the trees share a label, and bounded GTED does not ask.
+func (c *Compiled) MinRename() float64 {
 	if c.unit {
-		return nil
+		return 0
 	}
-	// Distinct G label ids, each priced once per distinct F label: the
-	// whole table costs O(distinct_F × distinct_G) model calls, all
-	// memoized for the DP that follows.
+	gids := distinctIDs(c.GID)
+	m := math.Inf(1)
+	for _, a := range distinctIDs(c.FID) {
+		for _, b := range gids {
+			m = min(m, c.renByID(a, b))
+		}
+	}
+	return m
+}
+
+// distinctIDs returns the distinct label ids of ids in first-seen order.
+func distinctIDs(ids []int32) []int32 {
 	seen := make(map[int32]struct{}, 16)
-	var gids []int32
-	for _, b := range c.GID {
-		if _, ok := seen[b]; !ok {
-			seen[b] = struct{}{}
-			gids = append(gids, b)
+	var out []int32
+	for _, id := range ids {
+		if _, ok := seen[id]; !ok {
+			seen[id] = struct{}{}
+			out = append(out, id)
 		}
 	}
-	fmin := make(map[int32]float64, 16)
-	per := make([]float64, len(c.FID))
-	for v, a := range c.FID {
-		m, ok := fmin[a]
-		if !ok {
-			m = math.Inf(1)
-			for _, b := range gids {
-				if r := c.renByID(a, b); r < m {
-					m = r
-				}
-			}
-			fmin[a] = m
-		}
-		per[v] = m
-	}
-	return subtreeMin(f, per)
+	return out
 }
 
 // Transpose returns the compiled costs for the swapped direction: the

@@ -20,17 +20,13 @@ type Arena struct {
 	rows     [][]float64
 	ch       chain
 	gs       gside
-	// Bounded runs: per-subtree height arrays (keyroot-level band) and
-	// the T2 path-chain coordinates of one ΔL/ΔR keyroot (saturating
-	// skipped whole-subtree cells).
-	hF, hG  []int32
+	// Bounded runs: the T2 path-chain coordinates of one ΔL/ΔR keyroot
+	// (saturating skipped whole-subtree cells) and the band-compressed
+	// ΔL/ΔR forest-distance slab (kept apart from fd so full-width rows
+	// never force it to row width).
 	chainDJ []int32
 	chainN2 []int32
-	// Bounded runs: the band-compressed ΔL/ΔR forest-distance slab (kept
-	// apart from fd so full-width rows never force it to row width) and
-	// the depth-spectra scratch.
-	fdB      []float64
-	spF, spG []int32
+	fdB     []float64
 }
 
 // NewArena returns an empty arena. The zero value is also ready to use.

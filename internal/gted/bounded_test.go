@@ -116,3 +116,42 @@ func TestBoundedPrunes(t *testing.T) {
 		t.Fatalf("bounded run evaluated %d subproblems, exact %d", st.Subproblems, exact.Stats().Subproblems)
 	}
 }
+
+// TestRootRefusalStructuralTerms pins each structural term of the root
+// check under a non-unit model: one pair whose size offset alone
+// exceeds tau and one whose height offset alone does (same size, a chain
+// against a full binary tree). Every label is shared, so the rename
+// floor is 0 and cannot be what refuses them. Each run must be refused
+// at its root before any DP.
+func TestRootRefusalStructuralTerms(t *testing.T) {
+	m := cost.Weighted{DeleteW: 1, InsertW: 1, RenameW: 1.5}
+	const tau = 3
+	for _, c := range []struct{ name, f, g string }{
+		{"size", "{a{a}{a}{a}{a}{a}{a}}", "{a{a}}"},
+		{"height", "{a{a{a{a{a{a{a}}}}}}}", "{a{a{a}{a}}{a{a}{a}}}"},
+	} {
+		f, g := mustParse(t, c.f), mustParse(t, c.g)
+		if ds, dh := abs(f.Len()-g.Len()), abs(f.Height()-g.Height()); (ds > tau) == (dh > tau) {
+			t.Fatalf("%s: size offset %d and height offset %d must straddle tau %v", c.name, ds, dh, tau)
+		}
+		if rf := cost.Compile(m, f, g).MinRename(); rf != 0 {
+			t.Fatalf("%s: rename floor %v, want 0 on shared labels", c.name, rf)
+		}
+		for _, s := range strategiesFor(f, g) {
+			if d := New(f, g, m, s).Run(); d <= tau {
+				t.Fatalf("%s %s: exact distance %v within tau %v", c.name, s.Name(), d, tau)
+			}
+			r := New(f, g, m, s)
+			if bd, ok := r.RunBounded(tau); ok || !math.IsInf(bd, 1) {
+				t.Fatalf("%s %s: RunBounded(%v) = (%v, %v), want (+Inf, false)", c.name, s.Name(), tau, bd, ok)
+			}
+			st := r.Stats()
+			if st.PrunedKeyroots != 1 || st.Subproblems != 0 || st.PrunedSubproblems != int64(f.Len()*g.Len()) {
+				t.Fatalf("%s %s: %+v, want a root refusal (1 pruned keyroot, 0 subproblems, %d pruned)",
+					c.name, s.Name(), st, f.Len()*g.Len())
+			}
+		}
+	}
+}
+
+func abs(x int) int { return max(x, -x) }

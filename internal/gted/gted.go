@@ -37,20 +37,18 @@ type Counters struct {
 	// PrunedSubproblems is the number of relevant subproblems a bounded
 	// run skipped: DP cells whose forest sizes alone prove the cell value
 	// exceeds the pair cutoff, skipped as whole loop ranges of the
-	// structural band instead of computed. It additionally includes, for
-	// every keyroot subproblem skipped wholesale by the keyroot-level
-	// band, the product of the two subtree sizes — a lower bound on the
-	// relevant cells that DP would have visited. Always zero for exact
-	// runs.
+	// structural band instead of computed. A run refused at its root
+	// (PrunedKeyroots) adds |F|·|G|, a lower bound on the relevant cells
+	// its DP would have visited. Always zero for exact runs.
 	PrunedSubproblems int64 `json:"pruned_subproblems"`
 	// BandSkippedCells counts the cells skipped as whole loop ranges by
 	// the structural band (never individually tested). Every in-loop
-	// pruned cell is a band skip, so BandSkippedCells plus the
-	// keyroot-level contributions equals PrunedSubproblems.
+	// pruned cell is a band skip, so BandSkippedCells plus |F|·|G| per
+	// root refusal equals PrunedSubproblems.
 	BandSkippedCells int64 `json:"band_skipped_cells"`
-	// PrunedKeyroots counts keyroot subproblem DPs skipped entirely by
-	// the keyroot-level band: subtree pairs whose size, height or depth-
-	// spectra offset alone prices the pair above its saturation cutoff.
+	// PrunedKeyroots counts aborting bounded runs refused at their root
+	// pair before any DP (0 or 1 per run): runs whose size, height or
+	// rename-floor offset alone prices the pair above tau (rootLower).
 	PrunedKeyroots int64 `json:"pruned_keyroots"`
 	// CompressedRows counts forest-distance DP rows materialized in
 	// band-compressed form: only the ≤ maxD+maxI+1 admissible cells of
@@ -118,21 +116,6 @@ type Runner struct {
 	abortEarly bool
 	exceeded   bool
 	cb, cbT    opCosts
-
-	// Per-subtree heights (leaf = 0) of the two trees, built lazily for
-	// the keyroot-level band; hReady guards the one-time fill.
-	hF, hG []int32
-	hReady bool
-	// Quantized per-subtree depth spectra (SpectraBuckets suffix counts
-	// per node) of the two trees, consumed by the keyroot-level band and
-	// built lazily into arena scratch; spReady guards the one-time fill.
-	spF, spG []int32
-	spReady  bool
-	// Per-subtree rename floors (cost.Compiled.RenFloors) of the two
-	// sides, built lazily for the keyroot-level band under non-unit
-	// models; nil under unit costs.
-	renF, renG []float64
-	renReady   bool
 }
 
 // opCosts holds the extrema of the per-node delete/insert costs of one
@@ -272,11 +255,7 @@ func (r *Runner) Run() float64 {
 // With abortEarly set the run additionally stops as soon as any subtree
 // pair proves the root distance greater than tau (RunBounded then
 // returns +Inf, false); the matrix is partial and only that verdict is
-// usable.
-// abortEarly runs also stop before a keyroot subproblem whose size,
-// height, depth-spectra or rename-floor offset alone prices the pair
-// above its saturation cutoff (subtreeLower, spectraHopeless) — the DP
-// for that pair never starts. A +Inf tau disables bounded mode.
+// usable. A +Inf tau disables bounded mode.
 func (r *Runner) SetCutoff(tau float64, abortEarly bool) {
 	r.tau = tau
 	r.bounded = !math.IsInf(tau, 1)
@@ -286,6 +265,9 @@ func (r *Runner) SetCutoff(tau float64, abortEarly bool) {
 // RunBounded is Run with cutoff tau: it returns (d, true) iff the exact
 // distance d is at most tau, and (+Inf, false) — typically after
 // abandoning most of the DP — when the distance provably exceeds tau.
+// A pair whose size, height or rename-floor offset alone (rootLower)
+// prices it above tau is refused before any DP: PrunedKeyroots reads 1
+// and PrunedSubproblems |F|·|G|.
 func (r *Runner) RunBounded(tau float64) (float64, bool) {
 	if math.IsNaN(tau) {
 		// No distance is ≤ NaN; don't let NaN comparisons (all false)
@@ -294,6 +276,12 @@ func (r *Runner) RunBounded(tau float64) (float64, bool) {
 		return math.Inf(1), false
 	}
 	r.SetCutoff(tau, true)
+	if r.bounded && r.rootLower() > tau+r.cutPad(tau) {
+		r.exceeded = true
+		r.stats.PrunedKeyroots = 1
+		r.stats.PrunedSubproblems = int64(r.f.Len()) * int64(r.g.Len())
+		return math.Inf(1), false
+	}
 	r.gted(r.f.Root(), r.g.Root())
 	if r.exceeded {
 		return math.Inf(1), false
@@ -345,166 +333,55 @@ func (r *Runner) regionMins(cm *cost.Compiled, v, w int) (dmin, imin float64) {
 	return dmin, imin
 }
 
-// subtreeLower returns a cheap lower bound on δ(F_v, G_w) from the size
-// and height offsets of the pair: an edit script needs at least |Δsize|
+// rootLower returns a lower bound on δ(F, G) from the size and height
+// offsets of the two trees: an edit script needs at least |Δsize|
 // deletions (or insertions), and — because a delete or insert changes
 // the height of a tree by at most one while a rename leaves it unchanged
 // — at least |Δheight| of them as well. Each is priced at the cheapest
-// per-node cost of its direction: the deleted nodes all come from F_v and
-// the inserted ones all land in G_w, so the floors are the pair's own
-// regional minima.
+// per-node cost of its direction.
 //
-// Under non-unit models the bound adds the per-label-pair rename floor: any mapping with m matched pairs pays at least
+// Under non-unit models the bound adds the rename floor rf, the cheapest
+// rename from any F label to any G label (cost.Compiled.MinRename): any
+// mapping with m matched pairs pays at least
 //
-//	(|F_v|−m)·dmin + (|G_w|−m)·imin + m·rf
+//	(|F|−m)·dmin + (|G|−m)·imin + m·rf.
 //
-// where rf = max(renF[v], renG[w]) bounds every single rename of the
-// pair from below (its source is in F_v and its target in G_w, so both
-// sides' floors apply). The expression is linear in m, so its minimum
-// over m ∈ [0, min] sits at an endpoint: when rf ≥ dmin+imin matching
-// never beats delete+insert and every node is priced; otherwise the
-// smaller side matches fully and still pays rf per pair. With rf = 0
-// (any shared-label region) this degenerates to the |Δsize| bound.
-func (r *Runner) subtreeLower(v, w int) float64 {
-	dmin, imin := r.regionMins(r.cm, v, w)
-	hf, hg := r.heights()
+// The expression is linear in m, so its minimum over m ∈ [0, min] sits
+// at an endpoint: when rf ≥ dmin+imin matching never beats delete+insert
+// and every node is priced; otherwise the smaller tree matches fully and
+// still pays rf per pair. With rf = 0 (as when the trees share a label)
+// this degenerates to the size and height bound.
+func (r *Runner) rootLower() float64 {
+	oc := r.opCostsFor(r.cm)
+	dmin, imin := oc.dmin, oc.imin
+	sf, sg := r.f.Len(), r.g.Len()
 	lb := 0.0
-	if ds := r.f.Size(v) - r.g.Size(w); ds > 0 {
+	if ds := sf - sg; ds > 0 {
 		lb = float64(ds) * dmin
 	} else if ds < 0 {
 		lb = float64(-ds) * imin
 	}
-	if dh := int(hf[v]) - int(hg[w]); dh > 0 {
-		if b := float64(dh) * dmin; b > lb {
-			lb = b
-		}
+	if dh := r.f.Height() - r.g.Height(); dh > 0 {
+		lb = max(lb, float64(dh)*dmin)
 	} else if dh < 0 {
-		if b := float64(-dh) * imin; b > lb {
-			lb = b
-		}
+		lb = max(lb, float64(-dh)*imin)
 	}
-	if !r.cm.IsUnit() {
-		if rnF, rnG := r.renFloors(); rnF != nil {
-			rf := rnF[v]
-			if g := rnG[w]; g > rf {
-				rf = g
-			}
-			if rf > 0 {
-				sf, sg := float64(r.f.Size(v)), float64(r.g.Size(w))
-				var b float64
-				switch {
-				case rf >= dmin+imin:
-					b = sf*dmin + sg*imin
-				case sf >= sg:
-					b = (sf-sg)*dmin + sg*rf
-				default:
-					b = (sg-sf)*imin + sf*rf
-				}
-				if b > lb {
-					lb = b
-				}
-			}
-		}
+	if r.cm.IsUnit() {
+		return lb
 	}
-	return lb
-}
-
-// renFloors lazily builds the pair's per-subtree rename floors: renF[v]
-// bounds any rename out of F_v from below, renG[w] any rename into G_w.
-// Nil under the unit model. The G-side floors come from the transposed
-// orientation, whose renames swap arguments.
-func (r *Runner) renFloors() ([]float64, []float64) {
-	if !r.renReady {
-		r.renF = r.cm.RenFloors(r.f)
-		if r.renF != nil {
-			if r.cmT == nil {
-				r.cmT = r.cm.Transpose()
-			}
-			r.renG = r.cmT.RenFloors(r.g)
-		}
-		r.renReady = true
+	rf := r.cm.MinRename()
+	if rf <= 0 {
+		return lb
 	}
-	return r.renF, r.renG
-}
-
-// spectraHopeless reports whether the quantized depth spectra of the
-// pair (v, w) prove δ(F_v, G_w) > tcut, given the band half-widths of the
-// pair's regional prices: maxD deletions and maxI insertions are the most
-// the cutoff can pay for. In any mapping, a mapped node at depth ≥ t
-// below v keeps at least t−d of its t ancestors, whose images are
-// distinct ancestors of its own image — so it maps at depth ≥ t−d below
-// w, where d is the mapping's deletion count. With n_F(t) nodes at depth
-// ≥ t below v and only n_G(t−d) slots at depth ≥ t−d below w, at least
-// n_F(t)−n_G(t−d) of them are deleted; if that already exceeds maxD at
-// d = maxD (n_G's argument is monotone, so maxD is the most forgiving
-// feasible d), every mapping needs more than maxD deletions and its cost
-// exceeds the cutoff. The symmetric test bounds insertions. Spectra
-// entries are exact suffix counts for every depth below SpectraBuckets
-// (see DepthSpectra), so each tested level is sound; deeper levels are
-// simply not tested.
-func (r *Runner) spectraHopeless(v, w, maxD, maxI int) bool {
-	const B = SpectraBuckets
-	sf, sg := r.spectra()
-	fr := sf[v*B : v*B+B]
-	gr := sg[w*B : w*B+B]
-	for t := 1; t < B; t++ {
-		tg := t - maxD
-		if tg < 0 {
-			tg = 0
-		}
-		if int(fr[t])-int(gr[tg]) > maxD {
-			return true
-		}
-		tf := t - maxI
-		if tf < 0 {
-			tf = 0
-		}
-		if int(gr[t])-int(fr[tf]) > maxI {
-			return true
-		}
+	fs, gs := float64(sf), float64(sg)
+	switch {
+	case rf >= dmin+imin:
+		return max(lb, fs*dmin+gs*imin)
+	case fs >= gs:
+		return max(lb, (fs-gs)*dmin+gs*rf)
+	default:
+		return max(lb, (gs-fs)*imin+fs*rf)
 	}
-	return false
-}
-
-// spectra lazily builds (into arena scratch) the per-subtree depth
-// spectra of the two trees. Only aborting bounded runs read them, and
-// building both costs O((|F|+|G|)·SpectraBuckets), far below the DP they
-// guard, so nothing caches them per tree.
-func (r *Runner) spectra() ([]int32, []int32) {
-	if !r.spReady {
-		r.spF = growI32(&r.ar.spF, r.f.Len()*SpectraBuckets)
-		depthSpectraInto(r.f, r.spF)
-		r.spG = growI32(&r.ar.spG, r.g.Len()*SpectraBuckets)
-		depthSpectraInto(r.g, r.spG)
-		r.spReady = true
-	}
-	return r.spF, r.spG
-}
-
-// heights lazily builds (into arena scratch) the per-subtree height
-// arrays of the two trees: h[v] is the edge count of the longest
-// root-leaf path of the subtree rooted at v (leaves are 0).
-func (r *Runner) heights() ([]int32, []int32) {
-	if !r.hReady {
-		r.hF = subtreeHeights(r.f, &r.ar.hF)
-		r.hG = subtreeHeights(r.g, &r.ar.hG)
-		r.hReady = true
-	}
-	return r.hF, r.hG
-}
-
-func subtreeHeights(t *tree.Tree, buf *[]int32) []int32 {
-	h := growI32(buf, t.Len())
-	for v := 0; v < t.Len(); v++ { // postorder: children precede parents
-		best := int32(0)
-		for _, c := range t.Children(v) {
-			if h[c]+1 > best {
-				best = h[c] + 1
-			}
-		}
-		h[v] = best
-	}
-	return h
 }
 
 // bandWidth returns the width of one side of the structural band: the
@@ -580,30 +457,6 @@ func (r *Runner) gted(v, w int) {
 	tcut := math.Inf(1)
 	if r.bounded {
 		tcut = r.pairCutoff(v, w)
-		// Keyroot-level band: if the size, height, rename-floor or
-		// depth-spectra offset of the pair alone prices δ(F_v, G_w) above
-		// the saturation cutoff, the root distance provably exceeds tau —
-		// skip the pair's entire DP (and the recursion feeding it) instead
-		// of computing cells that would all saturate. Only valid with
-		// abortEarly: without it the caller is owed the other pairs'
-		// matrix entries.
-		if r.abortEarly {
-			tp := tcut + r.cutPad(tcut)
-			hopeless := r.subtreeLower(v, w) > tp
-			if !hopeless {
-				dmin, imin := r.regionMins(r.cm, v, w)
-				maxD, maxI := bandWidth(tp, dmin), bandWidth(tp, imin)
-				if maxD < math.MaxInt32 || maxI < math.MaxInt32 {
-					hopeless = r.spectraHopeless(v, w, maxD, maxI)
-				}
-			}
-			if hopeless {
-				r.exceeded = true
-				r.stats.PrunedKeyroots++
-				r.stats.PrunedSubproblems += int64(r.f.Size(v)) * int64(r.g.Size(w))
-				return
-			}
-		}
 	}
 	if !ch.InG() {
 		strategy.ForEachHanging(r.f, v, ch.Type(), func(rt int) { r.gted(rt, w) })

@@ -74,11 +74,15 @@ func TestRenameFloorSharedLabelInert(t *testing.T) {
 	}
 }
 
-// TestRenFloors pins the cost-side computation on a hand-checked pair.
-func TestRenFloors(t *testing.T) {
+// TestMinRename pins the cost-side rename floor on a hand-checked pair:
+// the cheapest rename over every (F label, G label) pair, the same
+// rename in both orientations, and 0 under the unit model.
+func TestMinRename(t *testing.T) {
 	f := mustParse(t, "{a{b}}")
 	g := mustParse(t, "{x{y}}")
-	// Rename prices keyed by the label pair; everything else expensive.
+	// Rename prices keyed by the (from, to) label pair; the reverse
+	// direction and everything else is expensive, so a transposed form
+	// that forgot to swap the arguments back would read 100.
 	price := map[[2]string]float64{
 		{"a", "x"}: 4, {"a", "y"}: 7,
 		{"b", "x"}: 3, {"b", "y"}: 9,
@@ -93,26 +97,20 @@ func TestRenFloors(t *testing.T) {
 			if p, ok := price[[2]string{a, b}]; ok {
 				return p
 			}
-			if p, ok := price[[2]string{b, a}]; ok {
-				return p
-			}
 			return 100
 		},
 	}
 	cm := cost.Compile(m, f, g)
-	// Postorder of {a{b}}: b=0, a=1. min over {x, y}: b → 3, a → 4;
-	// subtree floors: leaf b keeps 3, root a folds min(4, 3) = 3.
-	renF := cm.RenFloors(f)
-	if renF[0] != 3 || renF[1] != 3 {
-		t.Fatalf("renF = %v, want [3 3]", renF)
+	if got := cm.MinRename(); got != 3 {
+		t.Fatalf("MinRename = %v, want 3 (b -> x)", got)
 	}
-	// Transposed side: renames into G nodes. Postorder of {x{y}}: y=0,
-	// x=1. min over {a, b}: y → 7, x → 3; root folds to 3.
-	renG := cm.Transpose().RenFloors(g)
-	if renG[0] != 7 || renG[1] != 3 {
-		t.Fatalf("renG = %v, want [7 3]", renG)
+	if got := cm.Transpose().MinRename(); got != 3 {
+		t.Fatalf("transposed MinRename = %v, want 3 (b -> x, arguments swapped back)", got)
 	}
-	if cost.Compile(cost.Unit{}, f, g).RenFloors(f) != nil {
-		t.Fatal("unit model must have nil rename floors")
+	if got := cost.Compile(m, f, mustParse(t, "{x{b}}")).MinRename(); got != 0 {
+		t.Fatalf("MinRename with a shared label = %v, want 0", got)
+	}
+	if got := cost.Compile(cost.Unit{}, f, g).MinRename(); got != 0 {
+		t.Fatalf("unit MinRename = %v, want 0", got)
 	}
 }

@@ -1,7 +1,6 @@
 package gted
 
 import (
-	"math/rand"
 	"runtime"
 	"testing"
 
@@ -114,43 +113,5 @@ func TestSparseRowsFreshArenaBytes(t *testing.T) {
 	narrow := bytesOf(d + 2)
 	if narrow >= wide {
 		t.Fatalf("cold narrow-band run allocated %d bytes, wide-band %d — compression saved nothing", narrow, wide)
-	}
-}
-
-// TestDepthSpectraExact cross-checks the shift-accumulate spectra
-// builder against a brute-force depth census on random trees.
-func TestDepthSpectraExact(t *testing.T) {
-	rng := rand.New(rand.NewSource(33))
-	const B = SpectraBuckets
-	for iter := 0; iter < 25; iter++ {
-		tr := treegen.Random(rng, treegen.RandomSpec{Size: 1 + rng.Intn(60), MaxDepth: 12, MaxFanout: 4, Labels: 2})
-		spec := make([]int32, tr.Len()*B)
-		depthSpectraInto(tr, spec)
-
-		// Brute force: for each root v, walk its subtree counting nodes
-		// per relative depth, then fold into suffix counts.
-		var walk func(v, depth int, counts []int32)
-		walk = func(v, depth int, counts []int32) {
-			d := depth
-			if d > B-1 {
-				d = B - 1
-			}
-			for t := 0; t <= d; t++ {
-				counts[t]++
-			}
-			for _, c := range tr.Children(v) {
-				walk(c, depth+1, counts)
-			}
-		}
-		for v := 0; v < tr.Len(); v++ {
-			want := make([]int32, B)
-			walk(v, 0, want)
-			for tt := 0; tt < B; tt++ {
-				if spec[v*B+tt] != want[tt] {
-					t.Fatalf("iter %d node %d bucket %d: spectra %d, brute force %d\nT=%s",
-						iter, v, tt, spec[v*B+tt], want[tt], tr)
-				}
-			}
-		}
 	}
 }

@@ -86,9 +86,10 @@ type JoinMatch struct {
 // JoinStats is the server-side accounting of one join call. The
 // embedded kernel counters of the exact stage (gted.Counters) appear in
 // the JSON object under their own names: subproblems, the DP cells the
-// threshold cutoff pruned (pruned_subproblems, band_skipped_cells,
-// pruned_keyroots), the rows and row cells materialized
-// (compressed_rows, row_cells), spf_calls and max_live_rows.
+// threshold cutoff pruned (pruned_subproblems, band_skipped_cells), the
+// pairs it refused at their root before any DP (pruned_keyroots), the
+// rows and row cells materialized (compressed_rows, row_cells),
+// spf_calls and max_live_rows.
 type JoinStats struct {
 	Candidates    int `json:"candidates"`
 	LowerPruned   int `json:"lower_pruned"`
@@ -127,8 +128,9 @@ type TopKMatch struct {
 }
 
 // TopKStats is the server-side accounting of one top-k call: the
-// kernel counters of the scan (as in JoinStats, including the cells and
-// keyroots its shrinking cutoff pruned) and its elapsed time.
+// kernel counters of the scan (as in JoinStats, including the cells its
+// shrinking cutoff pruned; a top-k scan never refuses a pair, so
+// pruned_keyroots reads 0) and its elapsed time.
 type TopKStats struct {
 	gted.Counters
 	ElapsedMS int64 `json:"elapsed_ms"`

@@ -103,9 +103,10 @@ var Algorithms = []Algorithm{RTED, ZhangL, ZhangR, KleinH, DemaineH}
 // WithStats: the kernel counters of its GTED runs, summed, and its
 // timings. The counters are Subproblems, the relevant subproblems
 // evaluated (the paper's cost measure, Figure 8 and Tables 1–2; bounded
-// calls count only the cells they computed); PrunedSubproblems,
-// BandSkippedCells and PrunedKeyroots, what a bounded call's cutoff
-// skipped (zero for exact calls); CompressedRows and RowCells, the DP
+// calls count only the cells they computed); PrunedSubproblems and
+// BandSkippedCells, what a bounded call's cutoff skipped, and
+// PrunedKeyroots, the runs it refused at the root pair before any DP
+// (all zero for exact calls); CompressedRows and RowCells, the DP
 // rows stored band-compressed and the row cells materialized (×8 the
 // bytes of row scratch streamed); SPFCalls, the single-path function
 // invocations; and MaxLiveRows, the peak number of retained heavy-path
@@ -210,12 +211,15 @@ func Distance(f, g *Tree, opts ...Option) float64 {
 //
 // Two mechanisms make it cheaper than Distance. Under the unit cost
 // model, the cheap lower bounds of LowerBound are consulted first: when
-// they already exceed tau the DP never launches. Otherwise GTED runs with
-// the cutoff threaded into its DP loops — cells whose forest sizes alone
-// prove them above the cutoff are skipped, and the run aborts as soon as
-// any subtree pair proves the final distance above tau. With WithStats,
-// Subproblems counts only the DP cells actually evaluated and
-// PrunedSubproblems the cells the cutoff skipped.
+// they already exceed tau the DP never launches. Otherwise GTED refuses
+// the pair outright when its size or height offset (and, under non-unit
+// models, the cheapest rename between the trees' labels) alone prices it
+// above tau, and else runs with the cutoff threaded into its DP loops —
+// cells whose forest sizes alone prove them above the cutoff are
+// skipped, and the run aborts as soon as any subtree pair proves the
+// final distance above tau. With WithStats, Subproblems counts only the
+// DP cells actually evaluated, PrunedSubproblems the cells the cutoff
+// skipped and PrunedKeyroots a refusal at the root.
 //
 // All cost models are supported (the bound prefilter only applies to
 // UnitCost). Under non-unit models the cutoff comparison carries a ~1e-9
