@@ -13,10 +13,10 @@
 // make the exponential-blowup-prone GTED phase minimal. The engine splits
 // the work accordingly:
 //
-//   - Prepare (once per tree): the ΔR mirror-leafmost array, label
-//     interning with per-node delete/insert cost vectors, and the
-//     lower-bound profile (label histogram, binary-branch histogram,
-//     serializations) used for pre-filtering.
+//   - Prepare (once per tree): the tree's labels on the engine's label
+//     table, per-node delete/insert cost vectors, and the lower-bound
+//     profile (label histogram, binary-branch histogram, serializations)
+//     used for pre-filtering.
 //   - Per pair (hot path): assemble the pair cost form by slice sharing,
 //     compute the pair's strategy (deriving both trees' decomposition
 //     cardinalities in O(|F|+|G|) beside the O(|F|·|G|) strategy DP) and
@@ -34,7 +34,8 @@
 //
 // Engines are safe for concurrent use; PreparedTrees are immutable and
 // shared freely across goroutines. A PreparedTree is bound to the engine
-// that prepared it (label ids come from the engine's interner).
+// that prepared it (its costs are priced under the engine's model, over
+// label ids on the engine's label table).
 //
 // Typical use:
 //
@@ -81,12 +82,12 @@ type Engine struct {
 	// subproblem count.
 	price strategy.Price
 
-	// in assigns the label ids shared by every PreparedTree. It is
+	// labels is the label table every PreparedTree's ids refer to. It is
 	// internally synchronized, and may be shared with other engines (a
-	// corpus attaches every engine it creates to one interner, which is
-	// what lets corpus-stored label ids hydrate PreparedTrees for any of
-	// them).
-	in *cost.Interner
+	// corpus attaches every engine it creates to its own table, on which
+	// it keeps every stored tree, so stored trees prepare for any of them
+	// without interning a label).
+	labels *tree.LabelTable
 }
 
 // Option configures New.
@@ -115,16 +116,15 @@ func WithStrategy(fn StrategyFunc) Option { return func(e *Engine) { e.strat = f
 // their subproblem counts are the paper's.
 func WithPaperStrategy() Option { return func(e *Engine) { e.price = strategy.CountPrice } }
 
-// WithInterner makes the engine assign label ids from a shared interner
-// instead of a private one. Engines sharing an interner agree on label
-// ids, which is the compatibility a corpus needs to hydrate its stored
-// trees into PreparedTrees for every engine it creates
-// (corpus.Corpus.Engine passes the corpus's interner here). The interner
-// is internally synchronized; nil is ignored.
-func WithInterner(in *cost.Interner) Option {
+// WithLabelTable makes the engine keep prepared trees' labels on a
+// shared label table instead of a private one. Engines sharing a table
+// agree on label ids, so a tree on it prepares for any of them without
+// interning a label (corpus.Corpus.Engine passes the corpus's table
+// here). The table is internally synchronized; nil is ignored.
+func WithLabelTable(tab *tree.LabelTable) Option {
 	return func(e *Engine) {
-		if in != nil {
-			e.in = in
+		if tab != nil {
+			e.labels = tab
 		}
 	}
 }
@@ -135,7 +135,7 @@ func New(opts ...Option) *Engine {
 		model:   cost.Unit{},
 		workers: runtime.GOMAXPROCS(0),
 		price:   strategy.TimePrice,
-		in:      cost.NewInterner(),
+		labels:  tree.NewLabelTable(),
 	}
 	for _, o := range opts {
 		o(e)
@@ -150,10 +150,10 @@ func New(opts ...Option) *Engine {
 // Workers returns the engine's worker-pool size.
 func (e *Engine) Workers() int { return e.workers }
 
-// Interner returns the engine's label interner. Two engines with the
-// same interner assign identical label ids, so PreparedTrees (and the
-// label ids a corpus stores) are portable between them.
-func (e *Engine) Interner() *cost.Interner { return e.in }
+// LabelTable returns the engine's label table. Two engines with the same
+// table assign identical label ids, so trees on it (every tree a corpus
+// stores is on the corpus's) prepare for either without interning.
+func (e *Engine) LabelTable() *tree.LabelTable { return e.labels }
 
 // UnitCost reports whether the engine runs the unit cost model — the
 // model required by every bound-based filter (filtered and indexed
@@ -229,20 +229,35 @@ func (e *Engine) putWS(w *workspace) {
 type Stats = gted.Counters
 
 // pairRunner assembles the arena-backed GTED runner for one pair: pair
-// cost form by slice sharing, strategy from the cached decompositions
-// (or the engine's StrategyFunc), all DP memory from the workspace.
+// cost form by slice sharing, the pair's strategy (or the engine's
+// StrategyFunc), all DP memory from the workspace.
 func (e *Engine) pairRunner(ws *workspace, f, g *PreparedTree) *gted.Runner {
 	e.check(f, g)
-	cm := cost.PairPreparedMemo(e.model, f.costs, g.costs, &ws.memo)
+	return e.runner(ws, f, g, cost.PairPreparedMemo(e.model, f.costs, g.costs, &ws.memo))
+}
+
+func (e *Engine) runner(ws *workspace, f, g *PreparedTree, cm *cost.Compiled) *gted.Runner {
 	var st strategy.Strategy
 	if e.strat != nil {
 		st = e.strat(f.t, g.t)
 	} else {
 		st, _ = ws.opt.Opt(f.t, g.t, e.price)
 	}
-	r := gted.NewInArena(f.t, g.t, cm, st, ws.arena)
-	r.SetMirrorLeafmost(f.lfm, g.lfm)
-	return r
+	return gted.NewInArena(f.t, g.t, cm, st, ws.arena)
+}
+
+// runBounded runs the pair with cutoff tau (gted.Runner.RunBounded),
+// making the root check (gted.Refuse) before the strategy DP, so a
+// refused pair pays for neither. It returns the run's counters.
+func (e *Engine) runBounded(ws *workspace, f, g *PreparedTree, tau float64) (float64, bool, Stats) {
+	e.check(f, g)
+	cm := cost.PairPreparedMemo(e.model, f.costs, g.costs, &ws.memo)
+	if st, refused := gted.Refuse(f.t, g.t, cm, tau); refused {
+		return math.Inf(1), false, st
+	}
+	r := e.runner(ws, f, g, cm)
+	d, ok := r.RunBounded(tau)
+	return d, ok, r.Stats()
 }
 
 func (e *Engine) check(ps ...*PreparedTree) {
@@ -250,9 +265,8 @@ func (e *Engine) check(ps ...*PreparedTree) {
 		if p.eng != e {
 			panic(fmt.Sprintf(
 				"batch: PreparedTree was prepared by engine %p but passed to engine %p; "+
-					"label ids are per-interner, so either use the preparing engine, or give both "+
-					"engines one interner (WithInterner / corpus.Corpus.Engine) and hydrate with "+
-					"PrepareHydrated", p.eng, e))
+					"costs are priced per engine, so prepare the tree with the engine that "+
+					"computes with it", p.eng, e))
 		}
 	}
 }
@@ -279,13 +293,13 @@ func (e *Engine) DistanceBounded(f, g *PreparedTree, tau float64) (float64, bool
 		return 0, false // no distance is ≤ NaN; 0 is a trivial lower bound
 	}
 	if e.unit {
-		if lb := bounds.LowerProfiled(f.profile(), g.profile()); lb > tau {
+		if lb := bounds.LowerProfiled(f.prof, g.prof); lb > tau {
 			return lb, false
 		}
 	}
 	ws := e.getWS()
 	defer e.putWS(ws)
-	if d, ok := e.pairRunner(ws, f, g).RunBounded(tau); ok {
+	if d, ok, _ := e.runBounded(ws, f, g, tau); ok {
 		return d, true
 	}
 	return tau, false

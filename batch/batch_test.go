@@ -85,7 +85,7 @@ func TestPutWSCapsArena(t *testing.T) {
 }
 
 // TestConcurrentDistance hammers one engine from many goroutines (race
-// detector coverage for the workspace pool and the shared interner).
+// detector coverage for the workspace pool and the shared label table).
 func TestConcurrentDistance(t *testing.T) {
 	trees := randomTrees(4, 8, 50)
 	e := batch.New(batch.WithWorkers(4))

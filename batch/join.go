@@ -262,7 +262,7 @@ func (e *Engine) filterPair(ws *workspace, st *JoinStats, f, g *PreparedTree, ca
 		st.LowerPruned++
 		return lb, false
 	}
-	if p := bounds.LabelHistogramProfiled(f.profile(), g.profile()); p > lb {
+	if p := bounds.LabelHistogramProfiled(f.prof, g.prof); p > lb {
 		lb = p
 	}
 	if lb >= tau {
@@ -273,7 +273,7 @@ func (e *Engine) filterPair(ws *workspace, st *JoinStats, f, g *PreparedTree, ca
 		st.UpperAccepted++
 		return ub, true
 	}
-	if p := bounds.LowerProfiled(f.profile(), g.profile()); p > lb {
+	if p := bounds.LowerProfiled(f.prof, g.prof); p > lb {
 		lb = p
 	}
 	if lb >= tau {
@@ -281,9 +281,8 @@ func (e *Engine) filterPair(ws *workspace, st *JoinStats, f, g *PreparedTree, ca
 		return lb, false
 	}
 	st.ExactComputed++
-	r := e.pairRunner(ws, f, g)
-	d, ok := r.RunBounded(tau)
-	st.Counters.Merge(r.Stats())
+	d, ok, rs := e.runBounded(ws, f, g, tau)
+	st.Counters.Merge(rs)
 	return d, ok && d < tau
 }
 

@@ -88,7 +88,7 @@ func (e *Engine) TopKAcrossStream(ctx context.Context, query *PreparedTree, data
 
 	q := query.t.Root()
 	if e.unit {
-		ws.euler.SetQuery(query.profile())
+		ws.euler.SetQuery(query.prof)
 	}
 	h := &crossHeap{}
 	heap.Init(h)
@@ -112,7 +112,7 @@ func (e *Engine) TopKAcrossStream(ctx context.Context, query *PreparedTree, data
 		// tree it places beyond the k-th best is skipped, not a stop.
 		// It never exceeds |Q|, so a cutoff at or above |Q| (or none,
 		// while the heap fills) leaves nothing to check.
-		if e.unit && tau < float64(query.Len()) && ws.euler.SubtreeEulerLower(d.profile(), tau) > tau {
+		if e.unit && tau < float64(query.Len()) && ws.euler.SubtreeEulerLower(d.prof, tau) > tau {
 			continue
 		}
 		r := e.pairRunner(ws, query, d)
@@ -161,9 +161,9 @@ func (e *Engine) topKOrder(query *PreparedTree, data []*PreparedTree) []topKVisi
 	if !e.unit {
 		return vs
 	}
-	qp := query.profile()
+	qp := query.prof
 	for i, d := range data {
-		vs[i].lb = bounds.SubtreeLowerProfiled(qp, d.profile())
+		vs[i].lb = bounds.SubtreeLowerProfiled(qp, d.prof)
 	}
 	sort.Slice(vs, func(a, b int) bool {
 		if vs[a].lb != vs[b].lb {

@@ -305,9 +305,8 @@ func corpusEngineOpts(alg ted.Algorithm, workers int) []batch.Option {
 
 // runCorpusJoin is the persistent-corpus join path: the collection comes
 // from a saved corpus (-corpus-load) or from a tree file that is then
-// persisted (-corpus-save), and the join runs on corpus-hydrated
-// prepared trees with the corpus's own maintained index generating
-// candidates.
+// persisted (-corpus-save), and the join runs on the corpus's prepared
+// trees with the corpus's own maintained index generating candidates.
 func runCorpusJoin(loadPath, savePath, treesPath string, tau float64, alg ted.Algorithm, workers int, indexMode string) error {
 	mode, err := batch.ParseIndexMode(indexMode)
 	if err != nil {

@@ -86,7 +86,7 @@ func run(ctx context.Context, args []string, logw io.Writer, ready chan<- string
 		maxLabels    = fs.Int("max-labels", 1<<20, "distinct-label cap; at capacity, ad-hoc trees are refused with 503")
 		maxBody      = fs.Int64("max-body", 1<<20, "largest accepted request body, in bytes")
 		readTimeout  = fs.Duration("read-timeout", time.Minute, "HTTP read deadline per request (headers + body)")
-		noWarm       = fs.Bool("no-warm", false, "skip hydrating stored trees at startup")
+		noWarm       = fs.Bool("no-warm", false, "skip preparing stored trees at startup")
 		noCheckpoint = fs.Bool("no-checkpoint", false, "skip folding the WAL into a snapshot on shutdown")
 		ckptEvery    = fs.Duration("checkpoint-interval", 5*time.Minute, "fold the WAL into the snapshot whenever it has grown after this interval (0 = shutdown only)")
 		drainWait    = fs.Duration("drain-timeout", 10*time.Second, "graceful shutdown budget for in-flight requests")

@@ -14,7 +14,6 @@ import (
 	"sort"
 
 	"repro/index"
-	"repro/internal/cost"
 	"repro/internal/tree"
 )
 
@@ -42,13 +41,15 @@ import (
 // rot anywhere in a section is detected at Load instead of surfacing as
 // a subtly wrong corpus. Version 3 requires the bit2 flag.
 //
-// A tree is stored as its labels and its shape, nothing else. The other
-// inputs of the distance machinery take linear time to derive, so no
-// stored value can disagree with its tree: batch.PrepareHydrated derives
-// the mirror-leafmost array and the bound profile whenever a
-// corpus-attached engine hydrates a stored tree, and the strategy
-// computation derives the decomposition cardinalities per pair. The indexes are stored because restoring them
-// is several times faster than rebuilding them.
+// A tree is stored as its label ids and its shape, nothing else, and a
+// loaded tree keeps the decoded ids as its own, on the decoded label
+// table. The other inputs of the distance machinery take linear time to
+// derive, so no stored value can disagree with its tree: a
+// corpus-attached engine prices the costs and derives the bound profile
+// whenever it prepares a stored tree (batch.Engine.Prepare), and the
+// strategy computation derives the decomposition cardinalities per pair.
+// The indexes are stored because restoring them is several times faster
+// than rebuilding them.
 //
 // Versions 1 and 2 also stored those per-tree inputs, after each tree's
 // child counts:
@@ -109,7 +110,7 @@ func (c *Corpus) saveLocked(w io.Writer) error {
 		ids = append(ids, id)
 	}
 	sortIDs(ids)
-	table := c.in.Table()
+	table := c.labels.Snapshot()
 
 	e := &encoder{w: bufio.NewWriter(w)}
 	e.raw([]byte(codecMagic))
@@ -135,7 +136,7 @@ func (c *Corpus) saveLocked(w io.Writer) error {
 		n := en.t.Len()
 		e.uv(uint64(id))
 		e.uv(uint64(n))
-		for _, lid := range en.ids {
+		for _, lid := range en.t.IDs() {
 			e.uv(uint64(lid))
 		}
 		for v := 0; v < n; v++ {
@@ -197,8 +198,8 @@ func samePath(a, b string) bool {
 // equivalent to the saved corpus: same IDs, trees and label ids decoded
 // in O(bytes), maintained indexes rebuilt from their persisted profiles
 // with plain appends — no re-parsing, no re-hashing of grams, no
-// re-sorting. What hydration derives from each tree is left to the
-// engine that hydrates it (see Warm).
+// re-sorting. What preparation derives from each tree is left to the
+// engine that prepares it (see Warm).
 func Load(r io.Reader) (*Corpus, error) {
 	d := &decoder{r: &crcReader{r: bufio.NewReader(r)}}
 
@@ -237,12 +238,16 @@ func Load(r io.Reader) (*Corpus, error) {
 	if err := d.sectionCheck("label table"); err != nil {
 		return nil, err
 	}
-	in, err := cost.NewInternerFromTable(table)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", errCorrupt, err)
+	// Interning the table in order gives label i id i, unless it repeats
+	// a label: two ids for one label would make interning ambiguous.
+	tab := tree.NewLabelTable()
+	for i, id := range tab.Intern(table...) {
+		if id != int32(i) {
+			return nil, fmt.Errorf("%w: label table entries %d and %d are both %q", errCorrupt, id, i, table[i])
+		}
 	}
 
-	c := &Corpus{in: in, entries: make(map[ID]*entry)}
+	c := &Corpus{labels: tab, entries: make(map[ID]*entry)}
 	next := d.count(math.MaxInt32, "next id")
 	nTrees := d.count(maxTrees, "tree count")
 	if nTrees > next {
@@ -259,11 +264,11 @@ func Load(r io.Reader) (*Corpus, error) {
 			return nil, fmt.Errorf("%w: tree id %d out of order or beyond next id %d", errCorrupt, id, next)
 		}
 		lastID = id
-		en, err := d.entry(table, version < 3)
+		t, err := d.storedTree(tab, version < 3)
 		if err != nil {
 			return nil, err
 		}
-		c.entries[ID(id)] = en
+		c.entries[ID(id)] = &entry{t: t}
 	}
 	if err := d.sectionCheck("tree store"); err != nil {
 		return nil, err
@@ -551,9 +556,10 @@ func capHint(n uint64) int {
 	return int(n)
 }
 
-// entry decodes one tree: its label ids and child counts, followed in a
-// legacy (version 1 or 2) stream by the per-tree inputs it stored.
-func (d *decoder) entry(table []string, legacy bool) (*entry, error) {
+// storedTree decodes one tree on tab, keeping the decoded label ids: its
+// label ids and child counts, followed in a legacy (version 1 or 2)
+// stream by the per-tree inputs it stored.
+func (d *decoder) storedTree(tab *tree.LabelTable, legacy bool) (*tree.Tree, error) {
 	n64 := d.count(maxNodes, "node count")
 	if d.err != nil {
 		return nil, d.fail("node count")
@@ -563,15 +569,14 @@ func (d *decoder) entry(table []string, legacy bool) (*entry, error) {
 	}
 	n := int(n64)
 
+	nLabels := uint64(tab.Len())
 	ids := make([]int32, 0, capHint(n64))
-	labels := make([]string, 0, capHint(n64))
 	for v := 0; v < n; v++ {
-		lid := d.idx(uint64(len(table)), "label id")
+		lid := d.idx(nLabels, "label id")
 		if d.err != nil {
 			return nil, d.fail("labels")
 		}
 		ids = append(ids, int32(lid))
-		labels = append(labels, table[lid])
 	}
 	counts := make([]int, 0, capHint(n64))
 	for v := 0; v < n; v++ {
@@ -581,22 +586,22 @@ func (d *decoder) entry(table []string, legacy bool) (*entry, error) {
 		}
 		counts = append(counts, int(k))
 	}
-	t, err := tree.FromPostorder(tree.PostorderForm{Labels: labels, ChildCounts: counts})
+	t, err := tree.FromIDs(tab, ids, counts)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", errCorrupt, err)
 	}
 	if legacy {
-		d.skipArtifacts(n64, uint64(len(table)))
+		d.skipArtifacts(n64, nLabels)
 		if d.err != nil {
 			return nil, d.fail("stored artifacts")
 		}
 	}
-	return &entry{t: t, ids: ids}, nil
+	return t, nil
 }
 
 // skipArtifacts reads past the per-tree inputs a legacy stream stores
 // after an n-node tree's child counts, range-checking every field.
-// Nothing reads their values: hydration derives them from the tree.
+// Nothing reads their values: preparation derives them from the tree.
 func (d *decoder) skipArtifacts(n, labels uint64) {
 	for i := uint64(0); i < n && d.err == nil; i++ {
 		d.idx(n, "mirror-leafmost id")

@@ -1,18 +1,18 @@
 // Package corpus is the persistence layer of the batch-TED stack: a
-// Corpus holds trees under stable IDs together with their interned label
-// ids and the inverted-index posting lists of the similarity-join
-// generators, and serializes them through a versioned binary codec
-// (Save/Load).
+// Corpus holds trees under stable IDs, their labels as ids into one
+// label table of the corpus's, together with the inverted-index posting
+// lists of the similarity-join generators, and serializes them through a
+// versioned binary codec (Save/Load).
 //
 // RTED's design front-loads per-tree work so it can be amortized across
 // many comparisons; a corpus extends the amortization across process
 // lifetimes. A server that restarts does not re-parse, re-intern or
-// re-index its collection: Load decodes the trees, their label ids and
-// the indexes in O(bytes). The per-tree inputs of the distance machinery
-// — mirror-leafmost array, bound profile — take linear time to derive,
-// so they are not stored: corpus-attached engines derive them when they
-// hydrate a stored tree into a PreparedTree (batch.PrepareHydrated), and
-// Warm does that for every tree before the first request.
+// re-index its collection: Load decodes the label table, the trees'
+// label ids and the indexes in O(bytes). The per-tree inputs of the
+// distance machinery — costs, bound profile — take linear time to
+// derive, so they are not stored: corpus-attached engines derive them
+// when they prepare a stored tree (batch.Engine.Prepare), and Warm does
+// that for every tree before the first request.
 //
 // # Durability
 //
@@ -38,11 +38,10 @@
 // # Engines
 //
 // A Corpus is model-free: it stores no costs, and per-node operation
-// costs are priced at hydration time. Engines are created through
-// Corpus.Engine, which attaches them to the corpus's label interner;
-// the engine-binding check of batch.PreparedTree thereby becomes a
-// corpus-compatibility check — any engine the corpus created can
-// hydrate any of its trees.
+// costs are priced when an engine prepares a tree. Engines are created
+// through Corpus.Engine, which attaches them to the corpus's label
+// table, so any engine the corpus created prepares any of its trees
+// without interning a label.
 //
 // Typical use:
 //
@@ -68,7 +67,6 @@ import (
 
 	"repro/batch"
 	"repro/index"
-	"repro/internal/cost"
 	"repro/internal/tree"
 )
 
@@ -78,22 +76,21 @@ import (
 // save/load round trip.
 type ID int64
 
-// entry is one stored tree with its interned label ids, both immutable
-// once built. prep caches the last hydration (built under c.mu), so
-// repeated joins through one engine prepare nothing.
+// entry is one stored tree, immutable and on the corpus's label table.
+// prep caches the last preparation (built under c.mu), so repeated joins
+// through one engine prepare nothing.
 type entry struct {
-	t   *tree.Tree
-	ids []int32 // interned label id per node (corpus interner)
+	t *tree.Tree
 
 	prep    *batch.PreparedTree
 	prepEng *batch.Engine
 }
 
-// Corpus is a persistent store of trees and their label ids.
+// Corpus is a persistent store of trees on one label table.
 // All methods are safe for concurrent use.
 type Corpus struct {
 	mu      sync.RWMutex
-	in      *cost.Interner
+	labels  *tree.LabelTable
 	entries map[ID]*entry
 	next    ID
 
@@ -153,7 +150,7 @@ func WithPQGramIndex(q int) Option {
 // New builds an empty corpus.
 func New(opts ...Option) *Corpus {
 	c := &Corpus{
-		in:      cost.NewInterner(),
+		labels:  tree.NewLabelTable(),
 		entries: make(map[ID]*entry),
 	}
 	for _, o := range opts {
@@ -175,26 +172,18 @@ func (c *Corpus) HasPQGramIndex() (q int, ok bool) {
 	return c.pq.Q(), true
 }
 
-// build interns the labels of t into a new entry.
-func (c *Corpus) build(t *tree.Tree) *entry {
-	n := t.Len()
-	ids := make([]int32, n)
-	for v := 0; v < n; v++ {
-		ids[v] = int32(c.in.Intern(t.Label(v)))
-	}
-	return &entry{t: t, ids: ids}
-}
-
-// Add stores t under a fresh ID and returns it. Its labels are interned
-// now, once; every later hydration — in this process or any process
-// that Loads a Save — reuses the ids.
+// Add stores t under a fresh ID and returns it. What is stored is t on
+// the corpus's label table (tree.Tree.Relabel): its labels are interned
+// now, once, and Tree returns that tree, equal to t. Every later
+// preparation — in this process or any process that Loads a Save —
+// reuses the ids.
 //
 // Mutations update the maintained indexes while still holding the
 // corpus lock (here and in Delete/Replace), so a concurrent Save — which
 // serializes store and index snapshots under the same lock — can never
 // persist a corpus whose index disagrees with its trees.
 func (c *Corpus) Add(t *tree.Tree) ID {
-	en := c.build(t)
+	t = t.Relabel(c.labels)
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	id := c.next
@@ -202,7 +191,7 @@ func (c *Corpus) Add(t *tree.Tree) ID {
 	if id > math.MaxInt32 {
 		panic("corpus: ID space exhausted (2^31 trees)")
 	}
-	c.entries[id] = en
+	c.entries[id] = &entry{t: t}
 	c.indexPut(id, t)
 	c.logMutation(walOpAdd, id, t)
 	return id
@@ -228,17 +217,18 @@ func (c *Corpus) Delete(id ID) bool {
 	return true
 }
 
-// Replace swaps the tree under an existing id for t, interning its
-// labels and re-indexing it under the same ID (the old postings
-// become tombstones). It reports whether id was present.
+// Replace swaps the tree under an existing id for t, stored on the
+// corpus's label table as Add stores it, and re-indexes it under the
+// same ID (the old postings become tombstones). It reports whether id
+// was present.
 func (c *Corpus) Replace(id ID, t *tree.Tree) bool {
-	en := c.build(t)
+	t = t.Relabel(c.labels)
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if _, ok := c.entries[id]; !ok {
 		return false
 	}
-	c.entries[id] = en
+	c.entries[id] = &entry{t: t}
 	c.indexPut(id, t)
 	c.logMutation(walOpReplace, id, t)
 	return true
@@ -254,7 +244,7 @@ func (c *Corpus) indexPut(id ID, t *tree.Tree) {
 	}
 }
 
-// Tree returns the tree stored under id.
+// Tree returns the tree stored under id, on the corpus's label table.
 func (c *Corpus) Tree(id ID) (*tree.Tree, bool) {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
@@ -325,40 +315,40 @@ func (c *Corpus) Fingerprint() (trees int, sum uint64) {
 }
 
 // Engine builds a batch engine attached to this corpus: it shares the
-// corpus's label interner, so stored trees hydrate from their label ids
-// directly into its PreparedTrees. Options are as for batch.New; a
-// WithInterner among them is overridden — attachment is the point of
-// this constructor.
+// corpus's label table, so stored trees prepare for it without
+// interning a label. Options are as for batch.New; a WithLabelTable
+// among them is overridden — attachment is the point of this
+// constructor.
 func (c *Corpus) Engine(opts ...batch.Option) *batch.Engine {
-	return batch.New(append(append([]batch.Option{}, opts...), batch.WithInterner(c.in))...)
+	return batch.New(append(append([]batch.Option{}, opts...), batch.WithLabelTable(c.labels))...)
 }
 
 // checkEngine panics unless e was attached to this corpus.
 func (c *Corpus) checkEngine(e *batch.Engine) {
-	if e.Interner() != c.in {
+	if e.LabelTable() != c.labels {
 		panic(fmt.Sprintf(
-			"corpus: engine %p is not attached to this corpus (its label ids come from a "+
-				"different interner); create engines with Corpus.Engine", e))
+			"corpus: engine %p is not attached to this corpus (its label ids refer to a "+
+				"different label table); create engines with Corpus.Engine", e))
 	}
 }
 
-// prepared returns the hydrated PreparedTree of en for engine e,
-// caching it on the entry. Callers hold c.mu for writing.
+// prepared returns the PreparedTree of en for engine e, caching it on
+// the entry. Callers hold c.mu for writing.
 func (c *Corpus) prepared(e *batch.Engine, en *entry) *batch.PreparedTree {
 	if en.prep != nil && en.prepEng == e {
 		return en.prep
 	}
-	en.prep = e.PrepareHydrated(en.t, batch.Hydration{In: c.in, IDs: en.ids})
+	en.prep = e.Prepare(en.t)
 	en.prepEng = e
 	return en.prep
 }
 
-// snapshotPrepared hydrates every stored tree for e and returns the IDs
+// snapshotPrepared prepares every stored tree for e and returns the IDs
 // (ascending) with their PreparedTrees, positions aligned. On a warm
 // corpus (after Warm, the serving steady state) the whole snapshot is
 // taken under the read lock, so concurrent joins, top-k calls and point
 // reads proceed in parallel; the exclusive lock is only taken when some
-// entry still needs hydration.
+// entry still needs preparing.
 //
 // If under is non-nil it runs on the captured snapshot while the lock
 // (read or write) is still held — the hook Join uses to probe the
@@ -411,11 +401,11 @@ func (c *Corpus) snapshotPrepared(e *batch.Engine, under func(ids []ID, ps []*ba
 }
 
 // Warm makes the corpus fully ready to serve engine e: every stored
-// tree is hydrated into a cached PreparedTree, which derives its
-// mirror-leafmost array and bound profile, so the first join after Warm
-// pays for nothing but the distance computations. After Load this is where the per-tree work of a
-// restart goes: decoding stored trees is O(bytes), and warming derives
-// the rest from their stored label ids.
+// tree is prepared into a cached PreparedTree, which prices its costs
+// and derives its bound profile, so the first join after Warm pays for
+// nothing but the distance computations. After Load this is where the
+// per-tree work of a restart goes: decoding stored trees is O(bytes),
+// and warming derives the rest from their stored label ids.
 func (c *Corpus) Warm(e *batch.Engine) {
 	c.checkEngine(e)
 	c.mu.Lock()
@@ -430,19 +420,18 @@ func (c *Corpus) Warm(e *batch.Engine) {
 // (corpus-attached): the request path of a server answering distance,
 // bounded-distance and top-k queries about trees that arrive over the
 // wire. Unlike Prepared, nothing is cached: the result lives exactly as
-// long as the caller keeps it. See batch.Engine.PrepareQuery for what
-// is prepared and interned.
+// long as the caller keeps it. Labels the corpus has not seen are
+// interned into its table for good (see batch.Engine.Prepare).
 func (c *Corpus) PrepareQuery(e *batch.Engine, t *tree.Tree) *batch.PreparedTree {
 	c.checkEngine(e)
-	return e.PrepareQuery(t)
+	return e.Prepare(t)
 }
 
-// Prepared returns the PreparedTree of id hydrated for engine e (from
-// the stored label ids, caching the result), for callers that drive
-// batch.Engine directly — streaming pair queues, top-k, bounded calls.
-// The warm case — the entry already hydrated for e, i.e. every request
-// after Warm — is a read-locked map lookup, so concurrent request
-// handlers do not serialize here.
+// Prepared returns the PreparedTree of id for engine e (caching the
+// result), for callers that drive batch.Engine directly — streaming pair
+// queues, top-k, bounded calls. The warm case — the entry already
+// prepared for e, i.e. every request after Warm — is a read-locked map
+// lookup, so concurrent request handlers do not serialize here.
 func (c *Corpus) Prepared(e *batch.Engine, id ID) (*batch.PreparedTree, bool) {
 	c.checkEngine(e)
 	c.mu.RLock()

@@ -42,7 +42,7 @@ func TestCorpusStoreSemantics(t *testing.T) {
 			t.Fatalf("Add assigned id %d, want %d", id, i)
 		}
 		got, ok := c.Tree(id)
-		if !ok || got != trees[i] {
+		if !ok || got.String() != trees[i].String() {
 			t.Fatalf("Tree(%d) lost the stored tree", id)
 		}
 	}
@@ -66,7 +66,7 @@ func TestCorpusStoreSemantics(t *testing.T) {
 	if !c.Replace(ids[2], trees[5]) {
 		t.Fatal("Replace of a live id should succeed")
 	}
-	if got, _ := c.Tree(ids[2]); got != trees[5] {
+	if got, _ := c.Tree(ids[2]); got.String() != trees[5].String() {
 		t.Fatal("Replace did not swap the tree")
 	}
 	want := []corpus.ID{0, 1, 2, 4, 5, 6, 7, 8, 9, 10}
@@ -201,9 +201,9 @@ func TestForeignEnginePanics(t *testing.T) {
 	c.Join(batch.New(), 3, batch.JoinOptions{})
 }
 
-// TestEnginesShareHydration: two engines attached to one corpus both
-// hydrate the same stored artifacts, and their distances agree.
-func TestEnginesShareHydration(t *testing.T) {
+// TestEnginesShareStoredTrees: two engines attached to one corpus both
+// prepare the same stored trees, and their distances agree.
+func TestEnginesShareStoredTrees(t *testing.T) {
 	trees := randomTrees(4, 6, 16)
 	c := corpus.New()
 	var ids []corpus.ID
@@ -220,6 +220,6 @@ func TestEnginesShareHydration(t *testing.T) {
 	d2 := e2.Distance(p20, p21)
 	want := ted.Distance(trees[0], trees[1])
 	if d1 != want || d2 != want {
-		t.Fatalf("hydrated distances %v/%v, want %v", d1, d2, want)
+		t.Fatalf("prepared distances %v/%v, want %v", d1, d2, want)
 	}
 }

@@ -22,7 +22,7 @@ type Match struct {
 
 // Join computes the similarity self-join of the corpus on engine e: all
 // unordered ID pairs at edit distance below tau. The engine must be
-// corpus-attached (Corpus.Engine); every stored tree is hydrated from
+// corpus-attached (Corpus.Engine); every stored tree is prepared from
 // its label ids, not re-interned.
 //
 // Candidate generation follows opts.Mode. An index mode probes the

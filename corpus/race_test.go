@@ -57,7 +57,7 @@ func TestCorpusContention(t *testing.T) {
 			ids[i] = c.Add(tr)
 		}
 		e := c.Engine(batch.WithWorkers(2))
-		query := e.PrepareQuery(trees[0])
+		query := e.Prepare(trees[0])
 
 		var wg sync.WaitGroup
 		// Writers own disjoint id stripes: the final state is

@@ -17,7 +17,7 @@ type CrossMatch struct {
 }
 
 // TopKAcross finds the k subtrees closest to query across every stored
-// tree, on engine e (corpus-attached). Stored trees hydrate from their
+// tree, on engine e (corpus-attached). Stored trees prepare from their
 // label ids; the query is prepared fresh. Semantics are those of
 // batch.Engine.TopKAcross: results sorted by distance, ties toward
 // smaller (Tree, Root), and each GTED run bounded by the running k-th

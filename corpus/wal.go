@@ -476,7 +476,8 @@ func (c *Corpus) applyRecord(body []byte) bool {
 		if !ok || r.Len() != 0 {
 			return false
 		}
-		c.entries[id] = c.build(t)
+		t = t.Relabel(c.labels)
+		c.entries[id] = &entry{t: t}
 		c.indexPut(id, t)
 		if id >= c.next {
 			c.next = id + 1

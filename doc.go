@@ -137,7 +137,7 @@
 //	├── one process, evolving        → corpus.New(WithHistogramIndex());
 //	│     (adds/deletes/replaces       Add/Delete/Replace keep the
 //	│      between joins)              posting lists in sync, and
-//	│                                   every join reuses the hydrated trees
+//	│                                   every join reuses the prepared trees
 //	├── many processes, read-mostly  → the same corpus, plus Save at
 //	│     (batch jobs, a fleet          build time and Load at start:
 //	│      that shares one build)       trees, label ids and posting

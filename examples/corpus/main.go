@@ -30,9 +30,9 @@ func main() {
 	}
 	tau := 8.0
 
-	// Build: every Add interns the tree's labels once and indexes it; the
-	// first join hydrates each tree for the engine, deriving its
-	// mirror-leafmost array and bound profile.
+	// Build: every Add interns the tree's labels once into the corpus's
+	// label table and indexes it; the first join prepares each tree for
+	// the engine, pricing its costs and deriving its bound profile.
 	buildStart := time.Now()
 	c := corpus.New(corpus.WithHistogramIndex())
 	for _, t := range trees {
@@ -58,9 +58,9 @@ func main() {
 	info, _ := os.Stat(path)
 	fmt.Printf("saved to %s: %d bytes (%d bytes/tree)\n", filepath.Base(path), info.Size(), info.Size()/int64(c.Len()))
 
-	// Reload — the "restarted server": Load decodes in O(bytes), and the
-	// corpus-attached engine hydrates PreparedTrees from the stored label
-	// ids instead of re-interning them.
+	// Reload — the "restarted server": Load decodes in O(bytes), each
+	// tree keeping its stored label ids, and the corpus-attached engine
+	// prepares the trees from those ids instead of re-interning labels.
 	loadStart := time.Now()
 	c2, err := corpus.LoadFile(path)
 	if err != nil {

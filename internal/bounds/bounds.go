@@ -54,19 +54,18 @@
 // # Profiles
 //
 // Batch callers compare each tree many times, so they cache its bound
-// inputs in a Profile, keyed by the label ids of one cost.Interner:
+// inputs in a Profile, keyed by the label ids of one tree.LabelTable:
 //
 //   - label histogram: (id, count) pairs sorted by id, 8 bytes each;
 //   - binary-branch histogram: (label, first child, next sibling, count)
 //     entries sorted by the id triple, 16 bytes each, −1 where a
 //     position has no node;
 //   - preorder and postorder label-id sequences, 4 bytes a node; the
-//     postorder one is the caller's id slice (a corpus's stored ids), not
-//     a copy.
+//     postorder one is the tree's own id slice, not a copy.
 //
 // The profiled bounds are merges of the sorted entries and an int DP over
 // the sequences, each bit-identical to its string-keyed counterpart here
-// (LabelHistogram, BinaryBranch, StringEdit, Lower) because the interner
+// (LabelHistogram, BinaryBranch, StringEdit, Lower) because interning
 // maps labels to ids one to one. The layout is what a stored tree keeps
 // resident: on the 20–60-node trees of the benchmark's point workload
 // (5,000 trees, 40 nodes on average) a profile holds about 1.0 KB beyond

@@ -54,7 +54,7 @@ func TestSubtreeLowerSandwich(t *testing.T) {
 			return treegen.RandomSpec{Size: 1 + rng.Intn(maxSize), MaxDepth: 6, MaxFanout: 4, Labels: 1 + rng.Intn(4)}
 		}
 		q, d := treegen.Random(rng, spec(12)), treegen.Random(rng, spec(30))
-		in := cost.NewInterner()
+		in := tree.NewLabelTable()
 		lb := SubtreeLowerProfiled(internedProfile(q, in), internedProfile(d, in))
 		if size := float64(q.Len() - d.Len()); lb < size {
 			t.Fatalf("subtree bound %v below the size bound %v\nQ=%s\nD=%s", lb, size, q, d)

@@ -3,13 +3,12 @@ package bounds
 import (
 	"testing"
 
-	"repro/internal/cost"
 	"repro/internal/tree"
 )
 
 // FuzzProfiledBounds fuzzes the interned-id profiles against the
 // string-keyed bounds they replace. Two bracket trees are profiled
-// through one interner — g's labels interned first when gFirst, so ids
+// through one label table — g's labels interned first when gFirst, so ids
 // and string order disagree in different ways — and every profiled
 // bound must equal its string-keyed counterpart in both orientations,
 // while SubtreeLowerProfiled and the Euler-string bound stay at or below
@@ -34,7 +33,7 @@ func FuzzProfiledBounds(f *testing.F) {
 		if err != nil || gt.Len() > 40 {
 			t.Skip()
 		}
-		in := cost.NewInterner()
+		in := tree.NewLabelTable()
 		if gFirst {
 			for v := gt.Len() - 1; v >= 0; v-- {
 				in.Intern(gt.Label(v))

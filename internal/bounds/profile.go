@@ -36,13 +36,14 @@ type branchCount struct {
 // bound-based pre-filtering worthwhile in batch joins, where every tree
 // participates in many pairs.
 //
-// Everything is keyed by label ids from one interner (cost.Interner):
-// sorted (id, count) label pairs, sorted branch entries and int32
-// serializations, so each bound is a merge of sorted ints or an int DP.
-// The interner maps labels to ids one to one, which makes every profiled
-// bound bit-identical to its string-based counterpart — provided both
-// profiles took their ids from the same interner. The batch engine's
-// binding check (one interner per engine or corpus) guarantees that.
+// Everything is keyed by label ids on one interning label table
+// (tree.LabelTable): sorted (id, count) label pairs, sorted branch
+// entries and int32 serializations, so each bound is a merge of sorted
+// ints or an int DP. Interning maps labels to ids one to one, which
+// makes every profiled bound bit-identical to its string-based
+// counterpart — provided both profiles took their ids from the same
+// table. The batch engine guarantees that: it profiles only trees on its
+// own table, which a corpus shares with every engine it creates.
 type Profile struct {
 	t        *tree.Tree
 	labels   []labelCount  // ascending ID
@@ -54,8 +55,8 @@ type Profile struct {
 // NewProfile precomputes the bound inputs of t in O(|t| log |t|) time
 // from ids, the interned label id of every node in postorder. The
 // profile keeps ids as its postorder sequence rather than copying it —
-// a corpus passes the ids it stores per tree anyway — so the caller must
-// not modify them afterwards.
+// a tree on an interning table passes its own (t.IDs()) — so the caller
+// must not modify them afterwards.
 func NewProfile(t *tree.Tree, ids []int32) *Profile {
 	n := t.Len()
 	if len(ids) != n {

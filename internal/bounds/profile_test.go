@@ -13,10 +13,10 @@ import (
 )
 
 // internedProfile profiles t with label ids assigned by in.
-func internedProfile(t *tree.Tree, in *cost.Interner) *Profile {
+func internedProfile(t *tree.Tree, in *tree.LabelTable) *Profile {
 	ids := make([]int32, t.Len())
 	for v := range ids {
-		ids[v] = int32(in.Intern(t.Label(v)))
+		ids[v] = in.Intern(t.Label(v))[0]
 	}
 	return NewProfile(t, ids)
 }
@@ -87,7 +87,7 @@ func subtreeEuler(q, d *tree.Tree) float64 {
 // The Euler-string bound cut at tau must also exceed tau exactly when
 // the full bound does, never exceed the full bound, and equal it when it
 // is at most tau.
-func checkProfiledBounds(t *testing.T, f, g *tree.Tree, in *cost.Interner) {
+func checkProfiledBounds(t *testing.T, f, g *tree.Tree, in *tree.LabelTable) {
 	t.Helper()
 	fp, gp := internedProfile(f, in), internedProfile(g, in)
 	var s EulerScratch
@@ -138,7 +138,7 @@ func TestProfiledBoundsMatchStringBounds(t *testing.T) {
 	for iter := 0; iter < 300; iter++ {
 		f := randomLabeled(rng, 1+rng.Intn(25), func(int) string { return fAlpha[rng.Intn(len(fAlpha))] })
 		g := randomLabeled(rng, 1+rng.Intn(25), func(int) string { return gAlpha[rng.Intn(len(gAlpha))] })
-		checkProfiledBounds(t, f, g, cost.NewInterner())
+		checkProfiledBounds(t, f, g, tree.NewLabelTable())
 	}
 }
 
@@ -152,7 +152,7 @@ func TestProfiledBoundsMatchStringBounds(t *testing.T) {
 func TestProfileRetainedSize(t *testing.T) {
 	rng := rand.New(rand.NewSource(35))
 	tr := randomLabeled(rng, 40, func(i int) string { return fmt.Sprintf("label-%02d", i) })
-	in := cost.NewInterner()
+	in := tree.NewLabelTable()
 	ids := internedProfile(tr, in).post
 
 	const copies = 1000
@@ -180,7 +180,7 @@ func TestProfileRetainedSize(t *testing.T) {
 // Euler-string bound, which a top-k scan pays for per visited tree once
 // its heap is full, reuses its scratch.
 func TestProfiledBoundsAllocFree(t *testing.T) {
-	in := cost.NewInterner()
+	in := tree.NewLabelTable()
 	f := internedProfile(tree.MustParseBracket("{a{b{c}{d}}{e}{b}}"), in)
 	g := internedProfile(tree.MustParseBracket("{a{c}{d{x}}{e{y}}}"), in)
 	var sink float64

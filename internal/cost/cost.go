@@ -81,37 +81,11 @@ type Compiled struct {
 	FID []int32   // interned label id per F-node
 	GID []int32   // interned label id per G-node
 
-	// DelSub[v] is the cheapest Del over the subtree rooted at F-node v,
-	// and InsSub[w] the cheapest Ins over the subtree rooted at G-node w —
-	// the per-region price floors that let bounded GTED width its
-	// structural band from the label set actually present in a subtree
-	// instead of the global minimum. Nil under the unit model, where every
-	// region floor equals the global 1.
-	DelSub []float64
-	InsSub []float64
-
 	labels []string // id -> label
 	unit   bool
 	model  Model
 	memo   map[[2]int32]float64
 	trans  *Compiled // prebuilt transposed form, if any (see PairPrepared)
-}
-
-// subtreeMin folds per-node costs into per-subtree minima: out[v] is the
-// cheapest cost among the nodes of the subtree rooted at v. Postorder
-// guarantees children precede parents, so one forward pass suffices.
-func subtreeMin(t *tree.Tree, costs []float64) []float64 {
-	out := make([]float64, len(costs))
-	for v := range costs {
-		m := costs[v]
-		for _, c := range t.Children(v) {
-			if out[c] < m {
-				m = out[c]
-			}
-		}
-		out[v] = m
-	}
-	return out
 }
 
 // Compile interns labels of f and g and precomputes per-node delete and
@@ -148,10 +122,6 @@ func Compile(m Model, f, g *tree.Tree) *Compiled {
 		l := g.Label(w)
 		c.GID[w] = intern(l)
 		c.Ins[w] = m.Insert(l)
-	}
-	if !c.unit {
-		c.DelSub = subtreeMin(f, c.Del)
-		c.InsSub = subtreeMin(g, c.Ins)
 	}
 	return c
 }
@@ -234,14 +204,10 @@ func (c *Compiled) Transpose() *Compiled {
 		return c.trans
 	}
 	t := &Compiled{
-		Del: make([]float64, len(c.Ins)),
-		Ins: make([]float64, len(c.Del)),
-		FID: c.GID,
-		GID: c.FID,
-		// Transposed deletions are original insertions and vice versa, so
-		// the per-subtree price floors swap roles unchanged.
-		DelSub: c.InsSub,
-		InsSub: c.DelSub,
+		Del:    make([]float64, len(c.Ins)),
+		Ins:    make([]float64, len(c.Del)),
+		FID:    c.GID,
+		GID:    c.FID,
 		labels: c.labels,
 		unit:   c.unit,
 		model:  transposed{c.model},

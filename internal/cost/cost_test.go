@@ -115,7 +115,7 @@ func TestRenameMemoReuse(t *testing.T) {
 		InsertF: func(string) float64 { return 1 },
 		RenameF: func(a, b string) float64 { calls++; return 2 },
 	}
-	in := NewInterner()
+	in := tree.NewLabelTable()
 	pf, pg := CompileTree(m, f, in), CompileTree(m, g, in)
 
 	var rm RenameMemo
@@ -150,7 +150,7 @@ func TestPairPreparedNilMemo(t *testing.T) {
 		InsertF: func(string) float64 { return 1 },
 		RenameF: func(a, b string) float64 { calls++; return 2 },
 	}
-	in := NewInterner()
+	in := tree.NewLabelTable()
 	c := PairPreparedMemo(m, CompileTree(m, f, in), CompileTree(m, g, in), nil)
 	c.Ren(0, 0)
 	c.Ren(0, 0)

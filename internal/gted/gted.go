@@ -48,7 +48,7 @@ type Counters struct {
 	BandSkippedCells int64 `json:"band_skipped_cells"`
 	// PrunedKeyroots counts aborting bounded runs refused at their root
 	// pair before any DP (0 or 1 per run): runs whose size, height or
-	// rename-floor offset alone prices the pair above tau (rootLower).
+	// rename-floor offset alone prices the pair above tau (Refuse).
 	PrunedKeyroots int64 `json:"pruned_keyroots"`
 	// CompressedRows counts forest-distance DP rows materialized in
 	// band-compressed form: only the ≤ maxD+maxI+1 admissible cells of
@@ -101,11 +101,6 @@ type Runner struct {
 	// private arena; batch workers share one arena across many runners.
 	ar       *Arena
 	liveRows int
-
-	// Mirror-coordinate leafmost arrays for ΔR: for a node with mirror
-	// postorder id c, lfm[c] is the mirror postorder id of its rightmost
-	// leaf descendant (the "leftmost leaf" of the mirrored tree).
-	lfmF, lfmG []int32
 
 	// Bounded mode (SetCutoff): tau is the caller's cutoff, abortEarly
 	// enables the global early exit, exceeded records that the run proved
@@ -198,13 +193,6 @@ func NewInArena(f, g *tree.Tree, cm *cost.Compiled, s strategy.Strategy, ar *Are
 	return r
 }
 
-// SetMirrorLeafmost supplies precomputed mirror-coordinate leafmost
-// arrays for the two trees (as cached by batch preparation); either may
-// be nil, in which case the runner computes it on first use by ΔR.
-func (r *Runner) SetMirrorLeafmost(lfmF, lfmG []int32) {
-	r.lfmF, r.lfmG = lfmF, lfmG
-}
-
 // Run computes the distance between the two trees (and, as GTED always
 // does, between every pair of their subtrees).
 func (r *Runner) Run() float64 {
@@ -242,16 +230,6 @@ func (r *Runner) Run() float64 {
 // exactly the same cells. Each keyroot picks its layout: compressed when
 // maxD+maxI+1 is below the row width, full-width otherwise.
 //
-// The band widths are priced not at the global cheapest delete/insert
-// but at the cheapest cost over the label set actually present in the
-// relevant subtree (cost.Compiled.DelSub/InsSub): the deletions that
-// shrink an F-side prefix all remove nodes of the current keyroot's
-// subtree, and the insertions that grow a G-side prefix all add nodes of
-// the G keyroot's subtree, so each is bounded below by its subtree's own
-// price floor. A regional floor is ≥ the global one (a subtree's label
-// set is a subset), so every skipped cell still satisfies the invariant:
-// its true value exceeds the cutoff under the region's own prices.
-//
 // With abortEarly set the run additionally stops as soon as any subtree
 // pair proves the root distance greater than tau (RunBounded then
 // returns +Inf, false); the matrix is partial and only that verdict is
@@ -265,9 +243,7 @@ func (r *Runner) SetCutoff(tau float64, abortEarly bool) {
 // RunBounded is Run with cutoff tau: it returns (d, true) iff the exact
 // distance d is at most tau, and (+Inf, false) — typically after
 // abandoning most of the DP — when the distance provably exceeds tau.
-// A pair whose size, height or rename-floor offset alone (rootLower)
-// prices it above tau is refused before any DP: PrunedKeyroots reads 1
-// and PrunedSubproblems |F|·|G|.
+// A pair the root check refuses (Refuse) runs no DP at all.
 func (r *Runner) RunBounded(tau float64) (float64, bool) {
 	if math.IsNaN(tau) {
 		// No distance is ≤ NaN; don't let NaN comparisons (all false)
@@ -276,10 +252,8 @@ func (r *Runner) RunBounded(tau float64) (float64, bool) {
 		return math.Inf(1), false
 	}
 	r.SetCutoff(tau, true)
-	if r.bounded && r.rootLower() > tau+r.cutPad(tau) {
-		r.exceeded = true
-		r.stats.PrunedKeyroots = 1
-		r.stats.PrunedSubproblems = int64(r.f.Len()) * int64(r.g.Len())
+	if st, refused := refuse(r.f, r.g, r.cm, r.opCostsFor(r.cm), tau); refused {
+		r.exceeded, r.stats = true, st
 		return math.Inf(1), false
 	}
 	r.gted(r.f.Root(), r.g.Root())
@@ -291,6 +265,26 @@ func (r *Runner) RunBounded(tau float64) (float64, bool) {
 		return math.Inf(1), false
 	}
 	return d, true
+}
+
+// Refuse is the root check of an aborting bounded run: it reports
+// whether the size and height offsets of F and G, and under non-unit
+// models the rename floor, price the pair (F, G) above the finite cutoff
+// tau under the compiled costs cm (rootLower), and returns the counters
+// of the refused run: PrunedKeyroots 1 and PrunedSubproblems |F|·|G|.
+// RunBounded makes this check before any DP. A caller that has to
+// compute a strategy before it can build a runner makes it before that,
+// so a refused pair pays for no strategy DP either.
+func Refuse(f, g *tree.Tree, cm *cost.Compiled, tau float64) (Counters, bool) {
+	oc := scanOpCosts(cm)
+	return refuse(f, g, cm, &oc, tau)
+}
+
+func refuse(f, g *tree.Tree, cm *cost.Compiled, oc *opCosts, tau float64) (Counters, bool) {
+	if !math.IsInf(tau, 1) && rootLower(f, g, cm, oc) > tau+cutPad(cm, tau) {
+		return Counters{PrunedKeyroots: 1, PrunedSubproblems: int64(f.Len()) * int64(g.Len())}, true
+	}
+	return Counters{}, false
 }
 
 // pairCutoff returns the saturation cutoff of the subtree pair (v, w): a
@@ -311,28 +305,6 @@ func (r *Runner) pairCutoff(v, w int) float64 {
 		float64(r.f.Len()-r.f.Size(v))*oc.imax
 }
 
-// regionMins returns the price floors of the subtree pair (v, w) under
-// the cost orientation cm (one of the runner's two compiled forms): the
-// cheapest delete over the first tree's subtree at v and the cheapest
-// insert over the second tree's subtree at w when the cost model carries
-// subtree floors, the global minima otherwise. A regional floor is never
-// below the global one.
-func (r *Runner) regionMins(cm *cost.Compiled, v, w int) (dmin, imin float64) {
-	oc := r.opCostsFor(cm)
-	dmin, imin = oc.dmin, oc.imin
-	if cm.DelSub != nil {
-		if m := cm.DelSub[v]; m > dmin {
-			dmin = m
-		}
-	}
-	if cm.InsSub != nil {
-		if m := cm.InsSub[w]; m > imin {
-			imin = m
-		}
-	}
-	return dmin, imin
-}
-
 // rootLower returns a lower bound on δ(F, G) from the size and height
 // offsets of the two trees: an edit script needs at least |Δsize|
 // deletions (or insertions), and — because a delete or insert changes
@@ -350,26 +322,26 @@ func (r *Runner) regionMins(cm *cost.Compiled, v, w int) (dmin, imin float64) {
 // at an endpoint: when rf ≥ dmin+imin matching never beats delete+insert
 // and every node is priced; otherwise the smaller tree matches fully and
 // still pays rf per pair. With rf = 0 (as when the trees share a label)
-// this degenerates to the size and height bound.
-func (r *Runner) rootLower() float64 {
-	oc := r.opCostsFor(r.cm)
+// this degenerates to the size and height bound. oc holds the extrema of
+// cm's costs.
+func rootLower(f, g *tree.Tree, cm *cost.Compiled, oc *opCosts) float64 {
 	dmin, imin := oc.dmin, oc.imin
-	sf, sg := r.f.Len(), r.g.Len()
+	sf, sg := f.Len(), g.Len()
 	lb := 0.0
 	if ds := sf - sg; ds > 0 {
 		lb = float64(ds) * dmin
 	} else if ds < 0 {
 		lb = float64(-ds) * imin
 	}
-	if dh := r.f.Height() - r.g.Height(); dh > 0 {
+	if dh := f.Height() - g.Height(); dh > 0 {
 		lb = max(lb, float64(dh)*dmin)
 	} else if dh < 0 {
 		lb = max(lb, float64(-dh)*imin)
 	}
-	if r.cm.IsUnit() {
+	if cm.IsUnit() {
 		return lb
 	}
-	rf := r.cm.MinRename()
+	rf := cm.MinRename()
 	if rf <= 0 {
 		return lb
 	}
@@ -420,8 +392,8 @@ func bandWidth(tcut, c float64) int {
 // contract is exact and the pad is zero. Arbitrary cost models accumulate
 // rounding along DP paths; the pad absorbs it so saturation never hides a
 // value the exact run would have computed at or below the cutoff.
-func (r *Runner) cutPad(tcut float64) float64 {
-	if r.cm.IsUnit() {
+func cutPad(cm *cost.Compiled, tcut float64) float64 {
+	if cm.IsUnit() {
 		return 0
 	}
 	return 1e-9 * (1 + math.Abs(tcut))
@@ -471,7 +443,7 @@ func (r *Runner) gted(v, w int) {
 		}
 		r.runSPF(r.g, w, r.f, v, ch.Type(), true, tcut)
 	}
-	if r.abortEarly && r.d[idx] > tcut+r.cutPad(tcut) {
+	if r.abortEarly && r.d[idx] > tcut+cutPad(r.cm, tcut) {
 		r.exceeded = true
 	}
 }
@@ -491,44 +463,12 @@ func (r *Runner) runSPF(t1 *tree.Tree, v1 int, t2 *tree.Tree, v2 int, pt strateg
 	dv := dview{d: r.d, ng: r.g.Len(), swap: swap}
 	switch pt {
 	case strategy.Left:
-		r.spfLR(leftView(t1, nil), v1, leftView(t2, nil), v2, cm, dv, tcut)
+		r.spfLR(zsview{t: t1}, v1, zsview{t: t2}, v2, cm, dv, tcut)
 	case strategy.Right:
-		r.spfLR(rightView(t1, r.mirrorLeafmost(t1)), v1, rightView(t2, r.mirrorLeafmost(t2)), v2, cm, dv, tcut)
+		r.spfLR(zsview{t: t1, mirror: true}, v1, zsview{t: t2, mirror: true}, v2, cm, dv, tcut)
 	default:
 		r.spfI(t1, v1, t2, v2, pt, cm, dv, tcut)
 	}
-}
-
-// mirrorLeafmost lazily builds (and caches) the mirror-coordinate
-// leafmost array for one of the runner's two trees.
-func (r *Runner) mirrorLeafmost(t *tree.Tree) []int32 {
-	var cache *[]int32
-	switch t {
-	case r.f:
-		cache = &r.lfmF
-	case r.g:
-		cache = &r.lfmG
-	default:
-		panic("gted: mirrorLeafmost on foreign tree")
-	}
-	if *cache == nil {
-		*cache = MirrorLeafmost(t)
-	}
-	return *cache
-}
-
-// MirrorLeafmost computes the mirror-coordinate leafmost array of t: for
-// a node with mirror postorder id c, the mirror postorder id of its
-// rightmost leaf descendant. It is the per-tree input of ΔR; batch
-// preparation computes it once per tree and injects it with
-// SetMirrorLeafmost.
-func MirrorLeafmost(t *tree.Tree) []int32 {
-	n := t.Len()
-	a := make([]int32, n)
-	for c := 0; c < n; c++ {
-		a[c] = int32(t.MPost(t.RightmostLeaf(t.ByMPost(c))))
-	}
-	return a
 }
 
 // dview provides orientation-aware access to the shared distance matrix:

@@ -274,12 +274,8 @@ func (r *Runner) spfI(t1 *tree.Tree, v1 int, t2 *tree.Tree, v2 int, pt strategy.
 	if bounded {
 		oc := r.opCostsFor(cm)
 		bounded = oc.dmin > 0 || oc.imin > 0
-		tcut += r.cutPad(tcut)
-		// Every deleted node lies in T1's subtree at v1 and every inserted
-		// one in T2's subtree at v2, so the band widths are priced at
-		// those regions' own floors instead of the global minima.
-		dminR, iminR := r.regionMins(cm, v1, v2)
-		maxD, maxI = bandWidth(tcut, dminR), bandWidth(tcut, iminR)
+		tcut += cutPad(cm, tcut)
+		maxD, maxI = bandWidth(tcut, oc.dmin), bandWidth(tcut, oc.imin)
 		// Widths beyond any possible size difference act identically;
 		// capping keeps the index arithmetic comfortably in range.
 		if n := t1.Len() + t2.Len(); maxD > n {

@@ -17,11 +17,7 @@ import (
 type zsview struct {
 	t      *tree.Tree
 	mirror bool
-	lfm    []int32 // mirror-coordinate leafmost, only set when mirror
 }
-
-func leftView(t *tree.Tree, _ []int32) zsview    { return zsview{t: t} }
-func rightView(t *tree.Tree, lfm []int32) zsview { return zsview{t: t, mirror: true, lfm: lfm} }
 
 // coordOf maps a postorder node id to the view coordinate.
 func (v zsview) coordOf(node int) int {
@@ -39,14 +35,11 @@ func (v zsview) nodeOf(c int) int {
 	return c
 }
 
-// leafmost returns the view coordinate of the view-leftmost leaf of the
-// node at coordinate c.
-func (v zsview) leafmost(c int) int {
-	if v.mirror {
-		return int(v.lfm[c])
-	}
-	return v.t.LeftmostLeaf(c)
-}
+// leafmost returns the view coordinate of the view-leftmost leaf of
+// node, the node at coordinate c. A subtree occupies a contiguous range
+// that ends at its root in postorder and in mirror postorder alike, so
+// its view-leftmost leaf is the range's first coordinate.
+func (v zsview) leafmost(c, node int) int { return c - v.t.Size(node) + 1 }
 
 // spfLR is the single-path function for left and right paths: it computes
 // δ(T1_x, T2_y) for every x on the view-left path of the subtree rooted
@@ -78,8 +71,9 @@ func (r *Runner) spfLR(view1 zsview, v1 int, view2 zsview, v2 int, cm *cost.Comp
 			ks = append(ks, c)
 			continue
 		}
-		pc := view2.coordOf(t2.Parent(view2.nodeOf(c)))
-		if view2.leafmost(pc) != view2.leafmost(c) {
+		n := view2.nodeOf(c)
+		p := t2.Parent(n)
+		if view2.leafmost(view2.coordOf(p), p) != view2.leafmost(c, n) {
 			ks = append(ks, c)
 		}
 	}
@@ -88,25 +82,15 @@ func (r *Runner) spfLR(view1 zsview, v1 int, view2 zsview, v2 int, cm *cost.Comp
 	// Band pruning: with both operation minima zero no size argument can
 	// prove a cell above the cutoff, so the exact path runs unchanged.
 	bounded := r.bounded && !math.IsInf(tcut, 1)
-	var imin float64
 	var maxD, maxI int
 	nCap := t1.Len() + t2.Len()
 	if bounded {
 		oc := r.opCostsFor(cm)
-		imin = oc.imin
-		bounded = oc.dmin > 0 || imin > 0
-		tcut += r.cutPad(tcut)
+		bounded = oc.dmin > 0 || oc.imin > 0
+		tcut += cutPad(cm, tcut)
 		// For prefix pair (di, dj) the admissible dj of a row form the
-		// contiguous range [di−maxD, di+maxI]. Widths are priced at the
-		// floors of the regions the operations draw from: every deleted
-		// prefix node lies in T1's subtree at v1 (fixed per call), every
-		// inserted one in the current keyroot's T2 subtree (per keyroot,
-		// below).
-		dminR := oc.dmin
-		if cm.DelSub != nil && cm.DelSub[v1] > dminR {
-			dminR = cm.DelSub[v1]
-		}
-		maxD, maxI = bandWidth(tcut, dminR), bandWidth(tcut, imin)
+		// contiguous range [di−maxD, di+maxI].
+		maxD, maxI = bandWidth(tcut, oc.dmin), bandWidth(tcut, oc.imin)
 		// Widths beyond any possible size difference act identically;
 		// capping keeps the index arithmetic comfortably in range.
 		if maxD > nCap {
@@ -118,28 +102,19 @@ func (r *Runner) spfLR(view1 zsview, v1 int, view2 zsview, v2 int, cm *cost.Comp
 	}
 
 	for _, kc := range ks {
-		jlo := view2.leafmost(kc)
+		jlo := view2.leafmost(kc, view2.nodeOf(kc))
 		s2k := kc - jlo + 1
 		w := s2k + 1 // scratch row width
 
-		maxIK := maxI
 		if bounded {
-			if cm.InsSub != nil {
-				if iminR := cm.InsSub[view2.nodeOf(kc)]; iminR > imin {
-					maxIK = bandWidth(tcut, iminR)
-					if maxIK > nCap {
-						maxIK = nCap
-					}
-				}
-			}
 			// Compressed rows when the band is narrower than the row,
 			// full-width rows otherwise: the two layouts compute the same
 			// cells, the compressed one streams only the band's memory.
-			if bw := maxD + maxIK + 1; bw < w {
+			if bw := maxD + maxI + 1; bw < w {
 				fdB := growF64(&r.ar.fdB, (s1+1)*bw)
 				r.stats.CompressedRows += int64(s1) + 1
 				r.stats.RowCells += int64(s1+1) * int64(bw)
-				r.spfLRSparseKeyroot(view1, lo1, s1, view2, jlo, kc, cm, dv, fdB, maxD, maxIK)
+				r.spfLRSparseKeyroot(view1, lo1, s1, view2, jlo, kc, cm, dv, fdB, maxD, maxI)
 				continue
 			}
 		}
@@ -150,7 +125,7 @@ func (r *Runner) spfLR(view1 zsview, v1 int, view2 zsview, v2 int, cm *cost.Comp
 			fd[dj] = fd[dj-1] + cm.Ins[view2.nodeOf(jlo+dj-1)]
 		}
 		if bounded {
-			r.spfLRBandedKeyroot(view1, lo1, s1, view2, jlo, kc, cm, dv, fd, maxD, maxIK)
+			r.spfLRBandedKeyroot(view1, lo1, s1, view2, jlo, kc, cm, dv, fd, maxD, maxI)
 			continue
 		}
 		r.stats.Subproblems += int64(s1) * int64(s2k)
@@ -159,12 +134,12 @@ func (r *Runner) spfLR(view1 zsview, v1 int, view2 zsview, v2 int, cm *cost.Comp
 			n1 := view1.nodeOf(i)
 			del1 := cm.Del[n1]
 			fd[di*w] = fd[(di-1)*w] + del1
-			fl1 := view1.leafmost(i)
+			fl1 := view1.leafmost(i, n1)
 			onPath1 := fl1 == lo1
 			for dj := 1; dj <= s2k; dj++ {
 				j := jlo + dj - 1
 				n2 := view2.nodeOf(j)
-				fl2 := view2.leafmost(j)
+				fl2 := view2.leafmost(j, n2)
 				tt := onPath1 && fl2 == jlo
 				del := fd[(di-1)*w+dj] + del1
 				ins := fd[di*w+dj-1] + cm.Ins[n2]
@@ -231,7 +206,7 @@ func (r *Runner) spfLRBandedKeyroot(view1 zsview, lo1, s1 int, view2 zsview, jlo
 		n1 := view1.nodeOf(i)
 		del1 := cm.Del[n1]
 		fd[di*w] = fd[(di-1)*w] + del1
-		fl1 := view1.leafmost(i)
+		fl1 := view1.leafmost(i, n1)
 		onPath1 := fl1 == lo1
 		lo := di - maxD
 		if lo < 1 {
@@ -262,7 +237,7 @@ func (r *Runner) spfLRBandedKeyroot(view1 zsview, lo1, s1 int, view2 zsview, jlo
 		for dj := lo; dj <= hi; dj++ {
 			j := jlo + dj - 1
 			n2 := view2.nodeOf(j)
-			fl2 := view2.leafmost(j)
+			fl2 := view2.leafmost(j, n2)
 			tt := onPath1 && fl2 == jlo
 			// Neighbour reads can cross the band edge by one on a single
 			// side each; the diagonal (di−1, dj−1) never leaves it.
@@ -336,7 +311,7 @@ func (r *Runner) spfLRSparseKeyroot(view1 zsview, lo1, s1 int, view2 zsview, jlo
 		if di <= maxD {
 			fd[row+maxD-di] = fd[prow+maxD-di+1] + del1
 		}
-		fl1 := view1.leafmost(i)
+		fl1 := view1.leafmost(i, n1)
 		onPath1 := fl1 == lo1
 		lo := di - maxD
 		if lo < 1 {
@@ -367,7 +342,7 @@ func (r *Runner) spfLRSparseKeyroot(view1 zsview, lo1, s1 int, view2 zsview, jlo
 		for dj := lo; dj <= hi; dj++ {
 			j := jlo + dj - 1
 			n2 := view2.nodeOf(j)
-			fl2 := view2.leafmost(j)
+			fl2 := view2.leafmost(j, n2)
 			tt := onPath1 && fl2 == jlo
 			off := dj - di + maxD // band offset of (di, dj)
 			// Neighbour cells sit at off±1 in the adjacent rows; the

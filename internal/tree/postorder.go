@@ -7,21 +7,23 @@ import (
 
 // PostorderForm is the minimal serializable description of a tree: the
 // label and child count of every node, both in postorder. It is the form
-// the corpus codec stores — two flat arrays instead of a pointer
-// structure — and FromPostorder rebuilds the full indexed Tree from it.
+// a write-ahead log record carries — two flat arrays instead of a
+// pointer structure — and FromPostorder rebuilds the full indexed Tree
+// from it. The corpus snapshot stores label ids in place of the labels
+// (FromIDs).
 type PostorderForm struct {
 	Labels      []string
 	ChildCounts []int
 }
 
-// Postorder returns the postorder form of t. The labels slice aliases the
-// tree's internal labels and must not be modified.
+// Postorder returns the postorder form of t.
 func (t *Tree) Postorder() PostorderForm {
-	counts := make([]int, t.Len())
-	for i := range counts {
-		counts[i] = t.NumChildren(i)
+	f := PostorderForm{Labels: make([]string, t.Len()), ChildCounts: make([]int, t.Len())}
+	for i := range f.Labels {
+		f.Labels[i] = t.Label(i)
+		f.ChildCounts[i] = t.NumChildren(i)
 	}
-	return PostorderForm{Labels: t.labels, ChildCounts: counts}
+	return f
 }
 
 // FromPostorder rebuilds the indexed Tree from its postorder form without
@@ -30,8 +32,8 @@ func (t *Tree) Postorder() PostorderForm {
 // fills the preorder and mirror postorder numbers. It returns an error —
 // never panics — on malformed input (mismatched lengths, more nodes than
 // an int32 id can name, child counts that do not stack up to a single
-// root), so decoders can feed it untrusted data directly. The tree keeps
-// a copy of f.Labels.
+// root), so decoders can feed it untrusted data directly. The tree is on
+// a label table of its own, a copy of f.Labels.
 func FromPostorder(f PostorderForm) (*Tree, error) {
 	if err := checkNodeCount(len(f.Labels)); err != nil {
 		return nil, err
@@ -39,7 +41,7 @@ func FromPostorder(f PostorderForm) (*Tree, error) {
 	if len(f.ChildCounts) != len(f.Labels) {
 		return nil, fmt.Errorf("tree: %d labels but %d child counts", len(f.Labels), len(f.ChildCounts))
 	}
-	return build(append([]string(nil), f.Labels...), f.ChildCounts)
+	return build(tableOf(append([]string(nil), f.Labels...)), identity(len(f.Labels)), f.ChildCounts)
 }
 
 // checkNodeCount rejects node counts a tree cannot hold: none, or more
@@ -54,10 +56,23 @@ func checkNodeCount(n int) error {
 	return nil
 }
 
-// build indexes a tree from its postorder labels and child counts, keeping
-// labels as the tree's own. Node counts must already be checked.
-func build(labels []string, counts []int) (*Tree, error) {
-	n := len(labels)
+// identity returns the label ids of a tree on a table of its own
+// postorder labels: node v has id v. They are an allocation apart from
+// the shape arrays, which a tree relabeled onto a shared table keeps and
+// the ids it drops.
+func identity(n int) []int32 {
+	ids := make([]int32, n)
+	for v := range ids {
+		ids[v] = int32(v)
+	}
+	return ids
+}
+
+// build indexes a tree on table tab from its postorder label ids and
+// child counts, keeping ids as the tree's own. Node counts must already
+// be checked.
+func build(tab *LabelTable, ids []int32, counts []int) (*Tree, error) {
+	n := len(counts)
 	// Eight per-node arrays in one allocation; first has n+1 entries.
 	arr := make([]int32, 8*n+1)
 	next := func(k int) []int32 {
@@ -65,7 +80,7 @@ func build(labels []string, counts []int) (*Tree, error) {
 		arr = arr[k:]
 		return a
 	}
-	t := &Tree{labels: labels}
+	t := &Tree{table: tab, ids: ids}
 	t.parent, t.size, t.heavy = next(n), next(n), next(n)
 	t.pre, t.byPre, t.mpost, t.byMPost = next(n), next(n), next(n), next(n)
 	t.first = next(n + 1)

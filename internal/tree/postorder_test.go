@@ -262,11 +262,13 @@ func TestFromPostorderRejectsMalformed(t *testing.T) {
 	}
 }
 
-// FuzzFromPostorder feeds arbitrary child-count arrays to FromPostorder.
-// The oracle decodes the same counts into a builder tree (each node
-// adopts the last k finished subtrees); either both reject the input, or
-// FromPostorder's tree matches the recursive oracle on every accessor and
-// its Postorder() returns the input.
+// FuzzFromPostorder feeds arbitrary child-count arrays to FromPostorder,
+// and the same counts with the labels interned into a table shared by
+// every input to FromIDs. The oracle decodes the counts into a builder
+// tree (each node adopts the last k finished subtrees); either all three
+// reject the input, or both trees match the recursive oracle on every
+// accessor, every Label(v) of the FromIDs tree round-trips through the
+// shared table, and FromPostorder's Postorder() returns the input.
 func FuzzFromPostorder(f *testing.F) {
 	for _, seed := range [][]byte{
 		{}, {0}, {1}, {0, 0}, {0, 1}, {0, 0, 2}, {0, 0, 1}, {0, 0, 3},
@@ -274,6 +276,7 @@ func FuzzFromPostorder(f *testing.F) {
 	} {
 		f.Add(seed)
 	}
+	shared := NewLabelTable()
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		form := PostorderForm{Labels: make([]string, len(raw)), ChildCounts: make([]int, len(raw))}
 		for i, b := range raw {
@@ -296,30 +299,46 @@ func FuzzFromPostorder(f *testing.F) {
 		if (err == nil) != valid {
 			t.Fatalf("counts %v: FromPostorder error %v, oracle says valid=%v", form.ChildCounts, err, valid)
 		}
+		ids := shared.Intern(form.Labels...)
+		onShared, errIDs := FromIDs(shared, ids, form.ChildCounts)
+		if (errIDs == nil) != valid {
+			t.Fatalf("counts %v: FromIDs error %v, oracle says valid=%v", form.ChildCounts, errIDs, valid)
+		}
 		if err != nil {
 			return
 		}
-		if err := newRefTree(stack[0]).check(tr); err != nil {
+		ref := newRefTree(stack[0])
+		if err := ref.check(tr); err != nil {
 			t.Fatalf("counts %v: %v", form.ChildCounts, err)
 		}
 		if err := roundTrips(tr, form); err != nil {
 			t.Fatal(err)
 		}
+		if err := ref.check(onShared); err != nil {
+			t.Fatalf("counts %v on the shared table: %v", form.ChildCounts, err)
+		}
+		for v, l := range form.Labels {
+			if got := onShared.Label(v); got != l || shared.Label(onShared.IDs()[v]) != l {
+				t.Fatalf("counts %v: node %d reads label %q through the shared table, want %q", form.ChildCounts, v, got, l)
+			}
+		}
 	})
 }
 
-// TestTreeRetainedSize pins what an indexed tree keeps resident: a
-// 40-node tree built from its postorder form, as a snapshot decoder
-// builds it (labels shared with the decoder's label table), retains its
-// label slice, one allocation of eight int32 arrays, the child lists and
-// the header: 2,688 bytes. The layout this replaced, eleven []int
-// arrays, an []int64 and one child slice per internal node, retained
-// 5,887 bytes for the same tree. Measured on one P with the collector
-// off, as the batch package's byte pins are.
+// TestTreeRetainedSize pins what a stored tree keeps resident: a
+// 40-node tree built from its label ids on a shared table and its child
+// counts, as the snapshot decoder builds it (FromIDs), retains its label
+// ids, one allocation of eight int32 arrays, the child lists and the
+// header: 2,142 bytes. It retained 2,688 while every tree kept its
+// labels as strings, and 5,887 in the layout before that: eleven []int
+// arrays, an []int64 and one child slice per internal node. Measured on
+// one P with the collector off, as the batch package's byte pins are.
 func TestTreeRetainedSize(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	form := Index(randomNode(rand.New(rand.NewSource(40)), 40)).Postorder()
+	tab := NewLabelTable()
+	ids := tab.Intern(form.Labels...)
 	const copies = 1000
 	keep := make([]*Tree, copies)
 	var before, after runtime.MemStats
@@ -329,14 +348,16 @@ func TestTreeRetainedSize(t *testing.T) {
 	runtime.GC()
 	runtime.ReadMemStats(&before)
 	for i := range keep {
-		keep[i], _ = FromPostorder(form)
+		// The decoder reads every tree's ids into a slice of its own,
+		// which the tree keeps.
+		keep[i], _ = FromIDs(tab, append([]int32(nil), ids...), form.ChildCounts)
 	}
 	runtime.GC()
 	runtime.ReadMemStats(&after)
 	per := (int64(after.HeapAlloc) - int64(before.HeapAlloc)) / copies
 	runtime.KeepAlive(keep)
 	t.Logf("retained %d bytes per 40-node tree", per)
-	if per > 2700 {
-		t.Fatalf("a 40-node tree retains %d bytes, want ≤ 2,700", per)
+	if per > 2150 {
+		t.Fatalf("a 40-node tree retains %d bytes, want ≤ 2,150", per)
 	}
 }

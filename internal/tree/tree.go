@@ -42,25 +42,28 @@ func (n *Node) Add(children ...*Node) *Node {
 // All per-node arrays are indexed by postorder id in [0, N); the root is
 // id N-1. They hold int32 values and share one allocation, and the child
 // lists of all nodes share one slice in compressed-row form: the
-// children of i are kids[first[i]:first[i+1]], left to right.
+// children of i are kids[first[i]:first[i+1]], left to right. A node's
+// label is an id into the tree's label table (see LabelTable).
 type Tree struct {
-	labels  []string // label of node i
-	parent  []int32  // parent postorder id, -1 for the root
-	size    []int32  // number of nodes in the subtree rooted at i
-	pre     []int32  // preorder number of node i
-	byPre   []int32  // inverse of pre: preorder number -> postorder id
-	mpost   []int32  // mirror postorder number of node i
-	byMPost []int32  // inverse of mpost
-	heavy   []int32  // heavy child postorder id, -1 for leaves
-	first   []int32  // N+1 offsets into kids
-	kids    []int    // every child list, concatenated in parent postorder
-	height  int      // maximum depth of any node (root depth 0)
+	table   *LabelTable
+	ids     []int32 // label id of node i in table
+	parent  []int32 // parent postorder id, -1 for the root
+	size    []int32 // number of nodes in the subtree rooted at i
+	pre     []int32 // preorder number of node i
+	byPre   []int32 // inverse of pre: preorder number -> postorder id
+	mpost   []int32 // mirror postorder number of node i
+	byMPost []int32 // inverse of mpost
+	heavy   []int32 // heavy child postorder id, -1 for leaves
+	first   []int32 // N+1 offsets into kids
+	kids    []int   // every child list, concatenated in parent postorder
+	height  int     // maximum depth of any node (root depth 0)
 }
 
 // Index converts a builder tree into its immutable indexed form. It
 // lists the builder's labels and child counts in postorder and builds
-// the tree from them as FromPostorder does. It panics if root or any
-// child is nil; trees always have at least one node.
+// the tree from them as FromPostorder does, on a label table of its own.
+// It panics if root or any child is nil; trees always have at least one
+// node.
 func Index(root *Node) *Tree {
 	if root == nil {
 		panic("tree: Index called with nil root")
@@ -87,7 +90,7 @@ func Index(root *Node) *Tree {
 		counts = append(counts, len(f.node.Children))
 		stack = stack[:len(stack)-1]
 	}
-	t, err := build(labels, counts)
+	t, err := build(tableOf(labels), identity(n), counts)
 	if err != nil {
 		panic(err)
 	}
@@ -112,13 +115,13 @@ func countNodes(root *Node) int {
 }
 
 // Len returns the number of nodes.
-func (t *Tree) Len() int { return len(t.labels) }
+func (t *Tree) Len() int { return len(t.ids) }
 
 // Root returns the postorder id of the root (always Len()-1).
 func (t *Tree) Root() int { return t.Len() - 1 }
 
 // Label returns the label of node i.
-func (t *Tree) Label(i int) string { return t.labels[i] }
+func (t *Tree) Label(i int) string { return t.table.Label(t.ids[i]) }
 
 // Parent returns the postorder id of i's parent, or -1 for the root.
 func (t *Tree) Parent(i int) int { return int(t.parent[i]) }
@@ -212,7 +215,7 @@ func (t *Tree) Leaves() int {
 
 // Builder returns a mutable deep copy of the subtree rooted at node i.
 func (t *Tree) Builder(i int) *Node {
-	nd := &Node{Label: t.labels[i]}
+	nd := &Node{Label: t.Label(i)}
 	for _, c := range t.Children(i) {
 		nd.Children = append(nd.Children, t.Builder(c))
 	}
@@ -223,7 +226,7 @@ func (t *Tree) Builder(i int) *Node {
 func (t *Tree) Mirror() *Tree {
 	var mirror func(i int) *Node
 	mirror = func(i int) *Node {
-		nd := &Node{Label: t.labels[i]}
+		nd := &Node{Label: t.Label(i)}
 		kids := t.Children(i)
 		for j := len(kids) - 1; j >= 0; j-- {
 			nd.Children = append(nd.Children, mirror(kids[j]))
@@ -239,7 +242,7 @@ func Equal(a, b *Tree) bool {
 		return false
 	}
 	for i := 0; i < a.Len(); i++ {
-		if a.labels[i] != b.labels[i] || a.parent[i] != b.parent[i] {
+		if a.Label(i) != b.Label(i) || a.parent[i] != b.parent[i] {
 			return false
 		}
 		if a.NumChildren(i) != b.NumChildren(i) {
@@ -264,7 +267,7 @@ func (t *Tree) SubtreeString(i int) string {
 
 func (t *Tree) writeBracket(sb *strings.Builder, i int) {
 	sb.WriteByte('{')
-	sb.WriteString(EscapeLabel(t.labels[i]))
+	sb.WriteString(EscapeLabel(t.Label(i)))
 	for _, c := range t.Children(i) {
 		t.writeBracket(sb, c)
 	}

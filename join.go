@@ -117,7 +117,7 @@ func Join(trees []*Tree, tau float64, opts ...Option) JoinResult {
 		// Indexed joins run on the corpus layer, which owns candidate
 		// generation: the collection becomes a transient corpus (Add
 		// assigns IDs 0..n−1, the collection indices) that builds the
-		// selected index per call, and the engine hydrates the corpus's
+		// selected index per call, and the engine prepares the corpus's
 		// trees — the same path a persisted corpus takes after Load.
 		cp := corpus.New()
 		for _, t := range trees {

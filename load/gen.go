@@ -142,7 +142,7 @@ func (g *Gen) storedRef() server.TreeRef {
 
 // eitherRef yields a stored-id reference half the time and an ad-hoc
 // tree the other half, so the mix exercises both resolution paths
-// (corpus hydration and request-scoped preparation).
+// (stored trees prepared once and request-scoped preparation).
 func (g *Gen) eitherRef() server.TreeRef {
 	if g.rng.Intn(2) == 0 {
 		return g.storedRef()

@@ -7,9 +7,9 @@
 // The startup path is the one the corpus layer was built for: Open (or
 // Load) the corpus, attach an engine with Corpus.Engine, Warm it so the
 // first request pays for nothing but distance computations. The request
-// path then runs entirely on prepared state: stored trees hydrate from
-// their label ids, ad-hoc query trees are prepared per request
-// (batch.Engine.PrepareQuery) and discarded.
+// path then runs entirely on prepared state: stored trees prepare once
+// from their label ids, ad-hoc query trees are prepared per request
+// (corpus.Corpus.PrepareQuery) and discarded.
 //
 // # API
 //

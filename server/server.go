@@ -151,7 +151,7 @@ func WithMaxNodes(n int) Option {
 
 // WithMaxLabels bounds the shared label table (default 1<<20 distinct
 // labels). Ad-hoc query labels are interned permanently (see
-// batch.Engine.PrepareQuery), so without a bound a client sending fresh
+// batch.Engine.Prepare), so without a bound a client sending fresh
 // random labels grows the process forever; at the cap, requests
 // carrying ad-hoc trees are refused with 503 (stored-id requests keep
 // working) instead of the daemon eventually dying of memory.
@@ -201,9 +201,9 @@ func WithClusterWorkers(urls []string) Option {
 }
 
 // New builds a server over c. The engine is corpus-attached
-// (corpus.Corpus.Engine), so every stored tree hydrates from its
-// stored label ids; call Warm before accepting traffic to hydrate them
-// all up front.
+// (corpus.Corpus.Engine), so every stored tree prepares from its stored
+// label ids; call Warm before accepting traffic to prepare them all up
+// front.
 func New(c *corpus.Corpus, opts ...Option) *Server {
 	s := &Server{
 		c:            c,
@@ -241,7 +241,7 @@ func New(c *corpus.Corpus, opts ...Option) *Server {
 // tests, and in-process cross-checks).
 func (s *Server) Engine() *batch.Engine { return s.e }
 
-// Warm hydrates every stored tree for the server's engine, so the first
+// Warm prepares every stored tree for the server's engine, so the first
 // request pays only for distance computations. Call once at startup,
 // before accepting traffic.
 func (s *Server) Warm() { s.c.Warm(s.e) }
@@ -382,7 +382,7 @@ func (s *Server) Stats() StatsResponse {
 	trees, fp := s.fingerprint()
 	st := StatsResponse{
 		Trees:       trees,
-		Labels:      s.e.Interner().Len(),
+		Labels:      s.e.LabelTable().Len(),
 		Workers:     s.e.Workers(),
 		InFlight:    s.gate.inFlight(),
 		MaxInFlight: s.maxInFlight,
@@ -739,8 +739,8 @@ func (s *Server) durable(w http.ResponseWriter) bool {
 	return true
 }
 
-// resolve turns a TreeRef into a PreparedTree: stored trees hydrate
-// through the corpus cache, ad-hoc trees prepare request-scoped.
+// resolve turns a TreeRef into a PreparedTree: stored trees prepare
+// through the corpus cache, ad-hoc trees request-scoped.
 func (s *Server) resolve(w http.ResponseWriter, ref TreeRef, field string) (*batch.PreparedTree, bool) {
 	switch {
 	case ref.ID != nil && ref.Tree != "":
@@ -769,7 +769,7 @@ func (s *Server) parseTree(w http.ResponseWriter, src, field string) (*tree.Tree
 	// so once the shared table reaches the cap, requests that could grow
 	// it are refused — a bounded, observable failure (watch "labels" in
 	// /v1/stats) instead of unbounded memory growth.
-	if s.e.Interner().Len() >= s.maxLabels {
+	if s.e.LabelTable().Len() >= s.maxLabels {
 		writeError(w, http.StatusServiceUnavailable, fmt.Sprintf(
 			"label table at capacity (%d distinct labels); ad-hoc trees refused — query by stored id, or restart with a higher label cap", s.maxLabels))
 		return nil, false

@@ -191,7 +191,7 @@ type TreeResponse struct {
 
 // StatsResponse is the GET /v1/stats payload. Labels is the size of the
 // shared label table: it grows with the union of distinct labels ever
-// served (stored and ad-hoc alike — see batch.Engine.PrepareQuery), so
+// served (stored and ad-hoc alike — see batch.Engine.Prepare), so
 // a steadily climbing value under high-cardinality query labels is the
 // signal to cap or normalize request labels upstream.
 type StatsResponse struct {

@@ -247,10 +247,18 @@ func DistanceBounded(f, g *Tree, tau float64, opts ...Option) (float64, bool) {
 	if alg == ZhangShashaClassic {
 		alg = ZhangL
 	}
-	run := gted.New(f, g, c.model, StrategyFor(alg, f, g))
-	d, ok := run.RunBounded(tau)
+	// The root check runs before the strategy computation, which a
+	// refused pair would never use.
+	cm := cost.Compile(c.model, f, g)
+	st, refused := gted.Refuse(f, g, cm, tau)
+	d, ok := math.Inf(1), false
+	if !refused {
+		run := gted.NewCompiled(f, g, cm, StrategyFor(alg, f, g))
+		d, ok = run.RunBounded(tau)
+		st = run.Stats()
+	}
 	if c.stats != nil {
-		*c.stats = Stats{Counters: run.Stats(), TotalTime: time.Since(start)}
+		*c.stats = Stats{Counters: st, TotalTime: time.Since(start)}
 	}
 	if !ok {
 		return tau, false
