@@ -99,6 +99,7 @@ func WithWorkers(n int) Option { return func(e *Engine) { e.workers = n } }
 
 // WithCost sets the cost model (default unit costs). Bound-based
 // filtering (DistanceBounded, filtered Join) requires the unit model.
+// The engine calls m from several goroutines at once (see cost.Model).
 func WithCost(m cost.Model) Option { return func(e *Engine) { e.model = m } }
 
 // WithStrategy overrides the per-pair decomposition strategy (default:

@@ -1,6 +1,10 @@
 package batch
 
-import "testing"
+import (
+	"testing"
+
+	"repro/internal/bounds"
+)
 
 // UpperAcceptAllocs runs the join's per-pair filter on f, g at tau on one
 // pooled workspace, reports whether the constrained upper bound accepted
@@ -41,4 +45,10 @@ func PooledArenaCells(e *Engine, f, g *PreparedTree) int {
 	e.pairRunner(ws, f, g).Run()
 	e.putWS(ws)
 	return ws.arena.Cells()
+}
+
+// ProfiledBounds returns the lower bounds the pair f, g reads off its
+// bound profiles: the label-histogram bound and the best of them all.
+func ProfiledBounds(f, g *PreparedTree) (label, lower float64) {
+	return bounds.LabelHistogramProfiled(f.prof, g.prof), bounds.LowerProfiled(f.prof, g.prof)
 }

@@ -1,6 +1,9 @@
 package batch
 
 import (
+	"sync"
+	"sync/atomic"
+
 	"repro/internal/bounds"
 	"repro/internal/cost"
 	"repro/internal/tree"
@@ -47,12 +50,26 @@ func (e *Engine) Prepare(t *tree.Tree) *PreparedTree {
 	}
 }
 
-// PrepareAll prepares every tree of a collection.
+// PrepareAll prepares every tree of a collection, out[i] from ts[i], on
+// the engine's workers (WithWorkers): like the pairs of a join, each
+// worker takes the next tree off a shared counter. It holds no lock of
+// its own (interning a label the table lacks takes the table's mutex)
+// and returns once every worker has exited.
 func (e *Engine) PrepareAll(ts []*tree.Tree) []*PreparedTree {
 	out := make([]*PreparedTree, len(ts))
-	for i, t := range ts {
-		out[i] = e.Prepare(t)
+	var next atomic.Int64
+	next.Store(-1)
+	var wg sync.WaitGroup
+	for range min(e.workers, len(ts)) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := int(next.Add(1)); i < len(ts); i = int(next.Add(1)) {
+				out[i] = e.Prepare(ts[i])
+			}
+		}()
 	}
+	wg.Wait()
 	return out
 }
 

@@ -198,7 +198,9 @@ func run(ctx context.Context, args []string, logw io.Writer, ready chan<- string
 	}
 	// The live server sits behind an atomic pointer so a follower's
 	// checkpoint ship — which replaces the corpus — swaps in a fresh
-	// warmed server without dropping a request.
+	// warmed server without dropping a request. The new server warms on
+	// its engine's workers, at most -workers goroutines, while the old
+	// one still serves.
 	var srvPtr atomic.Pointer[server.Server]
 	srvPtr.Store(mkServer(c))
 	srv := srvPtr.Load

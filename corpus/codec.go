@@ -11,7 +11,9 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sort"
+	"sync"
 
 	"repro/index"
 	"repro/internal/tree"
@@ -200,29 +202,70 @@ func samePath(a, b string) bool {
 // with plain appends — no re-parsing, no re-hashing of grams, no
 // re-sorting. What preparation derives from each tree is left to the
 // engine that prepares it (see Warm).
+//
+// Load builds the trees on GOMAXPROCS goroutines (tree.FromIDs) while it
+// decodes on, the index sections included: it hands each tree's label
+// ids and child counts to them through a bounded queue, so what it
+// holds beyond the corpus itself stays bounded whatever the corpus's
+// size. The index cross-checks run once the trees are built. Load
+// returns only after every builder has exited, and on a malformed
+// stream it reports the failure that comes first in the stream, as a
+// decoder building each tree in turn would.
 func Load(r io.Reader) (*Corpus, error) {
 	d := &decoder{r: &crcReader{r: bufio.NewReader(r)}}
+	var b builders
+	c, checks, err := d.corpus(&b)
+	// Stream order: a tree's build failure precedes every failure found
+	// after the tree was handed over, the index sections included, and
+	// an index's cross-check precedes the failures of later sections.
+	if berr := b.wait(); berr != nil {
+		return nil, berr
+	}
+	for _, ck := range checks {
+		if cerr := c.crossCheckIndex(ck.live, ck.snap, ck.kind); cerr != nil {
+			return nil, cerr
+		}
+	}
+	if err != nil {
+		return nil, err
+	}
+	return c, nil
+}
 
+// indexCheck is an index cross-check that waits for the trees to be
+// built: the restored index's live-tree count and the snapshot it was
+// restored from.
+type indexCheck struct {
+	kind string
+	live int
+	snap *index.Snapshot
+}
+
+// corpus decodes the whole stream into a corpus whose trees b builds,
+// and returns the index cross-checks to run once b is done, in stream
+// order. It reports the first failure it finds itself; from the first
+// cross-check on, it returns the corpus with the checks, failure or not.
+func (d *decoder) corpus(b *builders) (*Corpus, []indexCheck, error) {
 	head := d.raw(6)
 	if d.err != nil {
-		return nil, d.fail("header")
+		return nil, nil, d.fail("header")
 	}
 	if string(head[:4]) != codecMagic {
-		return nil, fmt.Errorf("%w: bad magic %q", errCorrupt, head[:4])
+		return nil, nil, fmt.Errorf("%w: bad magic %q", errCorrupt, head[:4])
 	}
 	version, flags := head[4], head[5]
 	if version < 1 || version > codecVersion {
-		return nil, fmt.Errorf("corpus: format version %d not supported (want 1 to %d)", version, codecVersion)
+		return nil, nil, fmt.Errorf("corpus: format version %d not supported (want 1 to %d)", version, codecVersion)
 	}
 	known := byte(flagHistogram | flagPQGram)
 	if version >= 2 {
 		known |= flagChecksums
 	}
 	if flags&^known != 0 {
-		return nil, fmt.Errorf("%w: unknown flags %#x", errCorrupt, flags)
+		return nil, nil, fmt.Errorf("%w: unknown flags %#x", errCorrupt, flags)
 	}
 	if version >= 3 && flags&flagChecksums == 0 {
-		return nil, fmt.Errorf("%w: version %d stream without section checksums", errCorrupt, version)
+		return nil, nil, fmt.Errorf("%w: version %d stream without section checksums", errCorrupt, version)
 	}
 	d.r.sums = flags&flagChecksums != 0
 	d.r.state = crcInit
@@ -232,18 +275,18 @@ func Load(r io.Reader) (*Corpus, error) {
 	for i := uint64(0); i < nLabels; i++ {
 		table = append(table, d.str(maxLabelLen))
 		if d.err != nil {
-			return nil, d.fail("label table")
+			return nil, nil, d.fail("label table")
 		}
 	}
 	if err := d.sectionCheck("label table"); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	// Interning the table in order gives label i id i, unless it repeats
 	// a label: two ids for one label would make interning ambiguous.
 	tab := tree.NewLabelTable()
 	for i, id := range tab.Intern(table...) {
 		if id != int32(i) {
-			return nil, fmt.Errorf("%w: label table entries %d and %d are both %q", errCorrupt, id, i, table[i])
+			return nil, nil, fmt.Errorf("%w: label table entries %d and %d are both %q", errCorrupt, id, i, table[i])
 		}
 	}
 
@@ -251,78 +294,158 @@ func Load(r io.Reader) (*Corpus, error) {
 	next := d.count(math.MaxInt32, "next id")
 	nTrees := d.count(maxTrees, "tree count")
 	if nTrees > next {
-		return nil, fmt.Errorf("%w: %d trees but next id %d", errCorrupt, nTrees, next)
+		return nil, nil, fmt.Errorf("%w: %d trees but next id %d", errCorrupt, nTrees, next)
 	}
 	c.next = ID(next)
+	b.start(tab, min(runtime.GOMAXPROCS(0), int(nTrees)))
 	lastID := int64(-1)
 	for ti := uint64(0); ti < nTrees; ti++ {
 		id := int64(d.count(uint64(next), "tree id"))
 		if d.err != nil {
-			return nil, d.fail("tree id")
+			return nil, nil, d.fail("tree id")
 		}
 		if id <= lastID || uint64(id) >= next {
-			return nil, fmt.Errorf("%w: tree id %d out of order or beyond next id %d", errCorrupt, id, next)
+			return nil, nil, fmt.Errorf("%w: tree id %d out of order or beyond next id %d", errCorrupt, id, next)
 		}
 		lastID = id
-		t, err := d.storedTree(tab, version < 3)
+		ids, counts, err := d.storedTree(uint64(tab.Len()))
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
-		c.entries[ID(id)] = &entry{t: t}
+		en := &entry{}
+		c.entries[ID(id)] = en
+		b.build(en, ids, counts)
+		if version < 3 {
+			d.skipArtifacts(uint64(len(ids)), uint64(tab.Len()))
+			if d.err != nil {
+				return nil, nil, d.fail("stored artifacts")
+			}
+		}
 	}
 	if err := d.sectionCheck("tree store"); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 
+	var checks []indexCheck
 	if flags&flagHistogram != 0 {
 		snap, err := d.indexSnapshot()
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		if err := d.sectionCheck("histogram index"); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		c.hist, err = index.RestoreHistogram(snap)
 		if err != nil {
-			return nil, fmt.Errorf("%w: %v", errCorrupt, err)
+			return nil, nil, fmt.Errorf("%w: %v", errCorrupt, err)
 		}
-		if err := c.crossCheckIndex(c.hist.Len(), snap, "histogram"); err != nil {
-			return nil, err
-		}
+		checks = append(checks, indexCheck{"histogram", c.hist.Len(), snap})
 	}
 	if flags&flagPQGram != 0 {
 		p := d.count(64, "pq-gram stem length")
 		q := d.count(64, "pq-gram base length")
 		snap, err := d.indexSnapshot()
 		if err != nil {
-			return nil, err
+			return c, checks, err
 		}
 		if err := d.sectionCheck("pq-gram index"); err != nil {
-			return nil, err
+			return c, checks, err
 		}
 		if p != 1 || q < 1 {
-			return nil, fmt.Errorf("%w: pq-gram parameters (%d, %d), want (1, q ≥ 1)", errCorrupt, p, q)
+			return c, checks, fmt.Errorf("%w: pq-gram parameters (%d, %d), want (1, q ≥ 1)", errCorrupt, p, q)
 		}
 		c.pq, err = index.RestorePQGram(int(q), snap)
 		if err != nil {
-			return nil, fmt.Errorf("%w: %v", errCorrupt, err)
+			return c, checks, fmt.Errorf("%w: %v", errCorrupt, err)
 		}
-		if err := c.crossCheckIndex(c.pq.Len(), snap, "pq-gram"); err != nil {
-			return nil, err
-		}
+		checks = append(checks, indexCheck{"pq-gram", c.pq.Len(), snap})
 	}
 	// A sticky decode error may have been swallowed structurally (a torn
 	// "next id" leaves zero trees to decode): nothing that poisoned the
 	// decoder may load as a smaller-but-valid corpus.
 	if d.err != nil {
-		return nil, d.fail("corpus")
+		return c, checks, d.fail("corpus")
 	}
 	// The stream must end exactly here: trailing garbage means the
 	// payload and the container disagree about what was written.
 	if _, err := d.r.ReadByte(); err != io.EOF {
-		return nil, fmt.Errorf("%w: trailing data after corpus", errCorrupt)
+		return c, checks, fmt.Errorf("%w: trailing data after corpus", errCorrupt)
 	}
-	return c, nil
+	return c, checks, nil
+}
+
+// builders build the trees Load decodes (tree.FromIDs) on goroutines of
+// their own while the decoder reads on. A tree's entry is in the corpus
+// from the moment it is decoded, in stream order, and gets its tree
+// when a builder is done with it; nothing reads the tree before wait.
+type builders struct {
+	jobs   chan buildJob
+	wg     sync.WaitGroup
+	queued int // trees handed over so far: the next one's stream position
+
+	mu     sync.Mutex
+	errPos int // stream position of the first tree that failed to build
+	err    error
+}
+
+// buildJob is one decoded tree: its stream position, the entry to store
+// it in, and the label ids (which the tree keeps) and child counts to
+// build it from.
+type buildJob struct {
+	pos    int
+	en     *entry
+	ids    []int32
+	counts []int
+}
+
+// buildQueue is how many decoded trees may wait for a builder. It bounds
+// the child counts Load holds at once, and it is deep enough that the
+// decoder need not stop while a builder finishes a large tree.
+const buildQueue = 64
+
+// start launches n builders for trees on tab.
+func (b *builders) start(tab *tree.LabelTable, n int) {
+	b.jobs, b.errPos = make(chan buildJob, buildQueue), math.MaxInt
+	for range n {
+		b.wg.Add(1)
+		go func() {
+			defer b.wg.Done()
+			for j := range b.jobs {
+				t, err := tree.FromIDs(tab, j.ids, j.counts)
+				if err != nil {
+					b.failed(j.pos, fmt.Errorf("%w: %v", errCorrupt, err))
+					continue
+				}
+				j.en.t = t
+			}
+		}()
+	}
+}
+
+// build hands the next tree of the stream to the builders.
+func (b *builders) build(en *entry, ids []int32, counts []int) {
+	b.jobs <- buildJob{pos: b.queued, en: en, ids: ids, counts: counts}
+	b.queued++
+}
+
+// failed records a tree's build failure unless an earlier tree failed.
+func (b *builders) failed(pos int, err error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if pos < b.errPos {
+		b.errPos, b.err = pos, err
+	}
+}
+
+// wait closes the queue and returns once every builder has exited, with
+// the failure of the first tree in stream order that did not build.
+func (b *builders) wait() error {
+	if b.jobs == nil {
+		return nil // never started
+	}
+	close(b.jobs)
+	b.wg.Wait()
+	return b.err
 }
 
 // LoadFile reads a corpus from path.
@@ -455,6 +578,29 @@ func (cr *crcReader) ReadByte() (byte, error) {
 	return b, err
 }
 
+// uvarints decodes whole varints from the buffered input into dst until
+// dst is full or the next one does not lie whole in the buffer, adds the
+// bytes it took to the checksum in one update, and returns how many it
+// decoded. A varint that straddles a refill, is cut short or overflows
+// is left to binary.ReadUvarint, which reads it a byte at a time and
+// words the error.
+func (cr *crcReader) uvarints(dst []uint64) int {
+	buf, _ := cr.r.Peek(cr.r.Buffered())
+	k, off := 0, 0
+	for ; k < len(dst); k++ {
+		v, n := binary.Uvarint(buf[off:])
+		if n <= 0 {
+			break
+		}
+		dst[k], off = v, off+n
+	}
+	if cr.sums {
+		cr.state = ^crc32.Update(^cr.state, crc32.IEEETable, buf[:off])
+	}
+	cr.r.Discard(off)
+	return k
+}
+
 // sectionCheck closes a checksummed section on the decode side: the four
 // stored CRC bytes are read outside the checksum stream and compared to
 // the accumulator. A no-op on v1 streams.
@@ -511,12 +657,42 @@ func (d *decoder) count(max uint64, what string) uint64 {
 func (d *decoder) idx(limit uint64, what string) uint64 {
 	v := d.uv()
 	if d.err == nil && v >= limit {
-		d.err = fmt.Errorf("%s %d outside [0, %d)", what, v, limit)
+		d.err = outside(what, v, limit)
 	}
 	if d.err != nil {
 		return 0
 	}
 	return v
+}
+
+func outside(what string, v, limit uint64) error {
+	return fmt.Errorf("%s %d outside [0, %d)", what, v, limit)
+}
+
+// idxs reads n values as idx does, each below limit, and hands them to
+// put in order: runs of them straight from the buffered input
+// (crcReader.uvarints), any other one through idx. The first failure
+// poisons the decoder as idx's does, and no value after it reaches put.
+func (d *decoder) idxs(n int, limit uint64, what string, put func(uint64)) {
+	var run [128]uint64
+	for n > 0 && d.err == nil {
+		k := d.r.uvarints(run[:min(n, len(run))])
+		if k == 0 {
+			if v := d.idx(limit, what); d.err == nil {
+				put(v)
+				n--
+			}
+			continue
+		}
+		for _, v := range run[:k] {
+			if v >= limit {
+				d.err = outside(what, v, limit)
+				return
+			}
+			put(v)
+		}
+		n -= k
+	}
 }
 
 // positive reads a count that must lie in [1, max].
@@ -556,47 +732,30 @@ func capHint(n uint64) int {
 	return int(n)
 }
 
-// storedTree decodes one tree on tab, keeping the decoded label ids: its
-// label ids and child counts, followed in a legacy (version 1 or 2)
-// stream by the per-tree inputs it stored.
-func (d *decoder) storedTree(tab *tree.LabelTable, legacy bool) (*tree.Tree, error) {
+// storedTree decodes one tree's label ids (each below nLabels) and child
+// counts. A legacy (version 1 or 2) stream stores per-tree inputs after
+// them, which the caller skips.
+func (d *decoder) storedTree(nLabels uint64) ([]int32, []int, error) {
 	n64 := d.count(maxNodes, "node count")
 	if d.err != nil {
-		return nil, d.fail("node count")
+		return nil, nil, d.fail("node count")
 	}
 	if n64 == 0 {
-		return nil, fmt.Errorf("%w: zero-node tree", errCorrupt)
+		return nil, nil, fmt.Errorf("%w: zero-node tree", errCorrupt)
 	}
 	n := int(n64)
 
-	nLabels := uint64(tab.Len())
 	ids := make([]int32, 0, capHint(n64))
-	for v := 0; v < n; v++ {
-		lid := d.idx(nLabels, "label id")
-		if d.err != nil {
-			return nil, d.fail("labels")
-		}
-		ids = append(ids, int32(lid))
+	d.idxs(n, nLabels, "label id", func(v uint64) { ids = append(ids, int32(v)) })
+	if d.err != nil {
+		return nil, nil, d.fail("labels")
 	}
 	counts := make([]int, 0, capHint(n64))
-	for v := 0; v < n; v++ {
-		k := d.idx(uint64(n), "child count")
-		if d.err != nil {
-			return nil, d.fail("child counts")
-		}
-		counts = append(counts, int(k))
+	d.idxs(n, uint64(n), "child count", func(v uint64) { counts = append(counts, int(v)) })
+	if d.err != nil {
+		return nil, nil, d.fail("child counts")
 	}
-	t, err := tree.FromIDs(tab, ids, counts)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", errCorrupt, err)
-	}
-	if legacy {
-		d.skipArtifacts(n64, nLabels)
-		if d.err != nil {
-			return nil, d.fail("stored artifacts")
-		}
-	}
-	return t, nil
+	return ids, counts, nil
 }
 
 // skipArtifacts reads past the per-tree inputs a legacy stream stores

@@ -2,10 +2,18 @@ package corpus_test
 
 import (
 	"bytes"
+	"encoding/binary"
+	"fmt"
+	"hash/crc32"
+	"io"
 	"math"
 	"os"
 	"path/filepath"
+	"runtime"
+	"slices"
 	"testing"
+	"testing/iotest"
+	"time"
 
 	ted "repro"
 	"repro/batch"
@@ -109,13 +117,26 @@ func TestLoadJoinEquivalence(t *testing.T) {
 
 // TestLoadErrorsNeverPanic feeds the decoder every truncation of a valid
 // stream plus assorted corruptions; each must produce an error, not a
-// panic and not a bogus corpus.
+// panic and not a bogus corpus. After each Load the goroutine count must
+// fall back to where it was: Load may not return before its builders
+// exit.
 func TestLoadErrorsNeverPanic(t *testing.T) {
 	c, _ := buildCorpus(t, corpus.WithHistogramIndex())
 	data := saveBytes(t, c)
+	base := runtime.NumGoroutine()
+	load := func(stream []byte) error {
+		t.Helper()
+		_, err := corpus.Load(bytes.NewReader(stream))
+		for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > base; runtime.Gosched() {
+			if time.Now().After(deadline) {
+				t.Fatalf("%d goroutines run after Load returned, %d before it", runtime.NumGoroutine(), base)
+			}
+		}
+		return err
+	}
 
 	for cut := 0; cut < len(data); cut++ {
-		if _, err := corpus.Load(bytes.NewReader(data[:cut])); err == nil {
+		if err := load(data[:cut]); err == nil {
 			t.Fatalf("truncation at %d bytes accepted", cut)
 		}
 	}
@@ -126,12 +147,12 @@ func TestLoadErrorsNeverPanic(t *testing.T) {
 	plain, _ := buildCorpus(t)
 	plainData := saveBytes(t, plain)
 	for cut := 0; cut < len(plainData); cut++ {
-		if _, err := corpus.Load(bytes.NewReader(plainData[:cut])); err == nil {
+		if err := load(plainData[:cut]); err == nil {
 			t.Fatalf("index-less truncation at %d bytes accepted", cut)
 		}
 	}
 	// Trailing garbage.
-	if _, err := corpus.Load(bytes.NewReader(append(append([]byte{}, data...), 0x00))); err == nil {
+	if err := load(append(append([]byte{}, data...), 0x00)); err == nil {
 		t.Fatal("trailing byte accepted")
 	}
 	// Bad magic / version / flags.
@@ -141,7 +162,7 @@ func TestLoadErrorsNeverPanic(t *testing.T) {
 	}{{0, 'X'}, {4, 99}, {5, 0xFF}} {
 		bad := append([]byte{}, data...)
 		bad[mut.off] = mut.val
-		if _, err := corpus.Load(bytes.NewReader(bad)); err == nil {
+		if err := load(bad); err == nil {
 			t.Fatalf("corruption at offset %d accepted", mut.off)
 		}
 	}
@@ -150,7 +171,7 @@ func TestLoadErrorsNeverPanic(t *testing.T) {
 	for off := 6; off < len(data); off += 7 {
 		bad := append([]byte{}, data...)
 		bad[off] ^= 0x55
-		corpus.Load(bytes.NewReader(bad))
+		load(bad)
 	}
 	// SaveFile/LoadFile round trip.
 	path := filepath.Join(t.TempDir(), "corpus.tedc")
@@ -202,5 +223,101 @@ func TestSaveFileReplacesAtomically(t *testing.T) {
 	}
 	if entries, _ := os.ReadDir(dir); len(entries) != 1 {
 		t.Fatalf("directory holds %d entries after SaveFile, want only the snapshot", len(entries))
+	}
+}
+
+// withForests returns a copy of a version-3 stream in which the trees at
+// the given stream positions claim no children at their roots, so their
+// child counts describe a forest, with the tree store's checksum
+// recomputed. Every root's child count must be a one-byte varint.
+func withForests(t *testing.T, data []byte, at ...int) []byte {
+	t.Helper()
+	out := slices.Clone(data)
+	off := 6 // magic, version, flags
+	uv := func() uint64 {
+		v, n := binary.Uvarint(out[off:])
+		if n <= 0 {
+			t.Fatalf("malformed varint at offset %d", off)
+		}
+		off += n
+		return v
+	}
+	for range uv() {
+		off += int(uv()) // a label's length, then its bytes
+	}
+	off += 4 // the label table's checksum
+	start := off
+	uv() // next id
+	for pos := range int(uv()) {
+		uv() // id
+		n := int(uv())
+		for range n {
+			uv() // label id
+		}
+		for v := range n {
+			root := off
+			if kids := uv(); v == n-1 && slices.Contains(at, pos) {
+				if kids == 0 || off != root+1 {
+					t.Fatalf("tree %d: root has %d children, want a one-byte count above 0", pos, kids)
+				}
+				out[root] = 0
+			}
+		}
+	}
+	binary.LittleEndian.PutUint32(out[off:], crc32.ChecksumIEEE(out[start:off]))
+	return out
+}
+
+// TestLoadReportsFirstForest: a stream whose trees at positions 3 and 6
+// describe forests fails on the tree at 3, with the error a decoder that
+// builds each tree in turn reports, also when the stream breaks again
+// further on, in a later tree or in the index section after the tree
+// store. Load builds trees on several goroutines, so a later failure may
+// be found first.
+func TestLoadReportsFirstForest(t *testing.T) {
+	c, _ := buildCorpus(t, corpus.WithHistogramIndex())
+	data := saveBytes(t, c)
+	root, _ := c.Tree(c.IDs()[3])
+	want := fmt.Sprintf("corpus: corrupt stream: tree: child counts describe a forest of %d trees, want 1",
+		root.NumChildren(root.Root())+1)
+	for _, tc := range []struct {
+		name   string
+		stream []byte
+	}{
+		{"one forest", withForests(t, data, 3)},
+		{"two forests", withForests(t, data, 3, 6)},
+		{"forest then a truncated index", withForests(t, data, 3)[:len(data)-9]},
+		{"forest then trailing data", append(withForests(t, data, 3, 6), 0)},
+	} {
+		if _, err := corpus.Load(bytes.NewReader(tc.stream)); err == nil || err.Error() != want {
+			t.Errorf("%s: Load error %v, want %q", tc.name, err, want)
+		}
+	}
+}
+
+// TestLoadThroughShortReads: a stream that arrives one byte at a time
+// loads to the corpus a whole read gives. Its label ids and child counts
+// run past 127, so they take two-byte varints, which then straddle every
+// refill of the decoder's buffer.
+func TestLoadThroughShortReads(t *testing.T) {
+	c, _ := buildCorpus(t, corpus.WithHistogramIndex())
+	wide := ted.NewNode("root")
+	for i := range 150 {
+		wide.Add(ted.NewNode(fmt.Sprintf("l%d", i), ted.NewNode(fmt.Sprintf("m%d", i))))
+	}
+	c.Add(ted.Build(wide))
+	data := saveBytes(t, c)
+	for name, r := range map[string]io.Reader{
+		"whole":    bytes.NewReader(data),
+		"one byte": iotest.OneByteReader(bytes.NewReader(data)),
+		"halves":   iotest.HalfReader(bytes.NewReader(data)),
+	} {
+		c2, err := corpus.Load(r)
+		if err != nil {
+			t.Fatalf("%s: Load: %v", name, err)
+		}
+		if !bytes.Equal(saveBytes(t, c2), data) {
+			t.Fatalf("%s: the loaded corpus re-saves to other bytes", name)
+		}
 	}
 }

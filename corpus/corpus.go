@@ -12,7 +12,10 @@
 // distance machinery — costs, bound profile — take linear time to
 // derive, so they are not stored: corpus-attached engines derive them
 // when they prepare a stored tree (batch.Engine.Prepare), and Warm does
-// that for every tree before the first request.
+// that for every tree before the first request. Both halves of a
+// restart run on every core: Load builds the decoded trees on GOMAXPROCS
+// goroutines while it reads on, and Warm prepares them on the engine's
+// workers.
 //
 // # Durability
 //
@@ -347,8 +350,11 @@ func (c *Corpus) prepared(e *batch.Engine, en *entry) *batch.PreparedTree {
 // (ascending) with their PreparedTrees, positions aligned. On a warm
 // corpus (after Warm, the serving steady state) the whole snapshot is
 // taken under the read lock, so concurrent joins, top-k calls and point
-// reads proceed in parallel; the exclusive lock is only taken when some
-// entry still needs preparing.
+// reads proceed in parallel. When some entry still needs preparing, it
+// takes the write lock instead, collects every entry without a current
+// preparation for e and prepares their trees at once on e's workers
+// (batch.Engine.PrepareAll), caching each result on its entry; that is
+// also all Warm does.
 //
 // If under is non-nil it runs on the captured snapshot while the lock
 // (read or write) is still held — the hook Join uses to probe the
@@ -384,15 +390,26 @@ func (c *Corpus) snapshotPrepared(e *batch.Engine, under func(ids []ID, ps []*ba
 
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	ps = ps[:0]
 	kept = kept[:0]
+	var cold []*entry
+	var ts []*tree.Tree
 	for _, id := range ids {
 		en, ok := c.entries[id]
 		if !ok {
 			continue
 		}
-		ps = append(ps, c.prepared(e, en))
 		kept = append(kept, id)
+		if en.prep == nil || en.prepEng != e {
+			cold = append(cold, en)
+			ts = append(ts, en.t)
+		}
+	}
+	for i, p := range e.PrepareAll(ts) {
+		cold[i].prep, cold[i].prepEng = p, e
+	}
+	ps = ps[:0]
+	for _, id := range kept {
+		ps = append(ps, c.entries[id].prep)
 	}
 	if under != nil {
 		under(kept, ps)
@@ -405,14 +422,13 @@ func (c *Corpus) snapshotPrepared(e *batch.Engine, under func(ids []ID, ps []*ba
 // and derives its bound profile, so the first join after Warm pays for
 // nothing but the distance computations. After Load this is where the
 // per-tree work of a restart goes: decoding stored trees is O(bytes),
-// and warming derives the rest from their stored label ids.
+// and warming derives the rest from their stored label ids. The trees
+// are prepared on e's workers (batch.WithWorkers) while Warm holds the
+// corpus's write lock; on a corpus already warm for e it takes only the
+// read lock.
 func (c *Corpus) Warm(e *batch.Engine) {
 	c.checkEngine(e)
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for _, en := range c.entries {
-		c.prepared(e, en)
-	}
+	c.snapshotPrepared(e, nil)
 }
 
 // PrepareQuery prepares an ad-hoc tree — one that is not stored in the

@@ -16,6 +16,12 @@ import (
 // Model assigns costs to the three edit operations based on node labels.
 // Implementations must return non-negative values; Rename(a, a) should be
 // 0 for the distance to satisfy the identity axiom.
+//
+// A batch engine calls a model's methods from several goroutines at
+// once: its workers price the trees they prepare (PrepareAll, and so a
+// corpus's Warm), request handlers prepare queries concurrently, and
+// join and top-k workers price renames concurrently. Implementations
+// must be safe for concurrent use; a pure function of its labels is.
 type Model interface {
 	// Delete returns the cost of deleting a node labeled label.
 	Delete(label string) float64
@@ -56,7 +62,8 @@ func (w Weighted) Rename(a, b string) float64 {
 	return w.RenameW
 }
 
-// Func adapts three closures to the Model interface.
+// Func adapts three closures to the Model interface. Like every Model,
+// the closures may be called from several goroutines at once.
 type Func struct {
 	DeleteF func(string) float64
 	InsertF func(string) float64

@@ -29,11 +29,11 @@ func (t *Tree) Postorder() PostorderForm {
 // FromPostorder rebuilds the indexed Tree from its postorder form without
 // going through the mutable builder representation: one stack pass wires
 // parents, children and all bottom-up quantities, and one reverse pass
-// fills the preorder and mirror postorder numbers. It returns an error —
-// never panics — on malformed input (mismatched lengths, more nodes than
-// an int32 id can name, child counts that do not stack up to a single
-// root), so decoders can feed it untrusted data directly. The tree is on
-// a label table of its own, a copy of f.Labels.
+// fills the preorder numbers. It returns an error — never panics — on
+// malformed input (mismatched lengths, more nodes than an int32 id can
+// name, child counts that do not stack up to a single root), so decoders
+// can feed it untrusted data directly. The tree is on a label table of
+// its own, a copy of f.Labels.
 func FromPostorder(f PostorderForm) (*Tree, error) {
 	if err := checkNodeCount(len(f.Labels)); err != nil {
 		return nil, err
@@ -73,8 +73,8 @@ func identity(n int) []int32 {
 // be checked.
 func build(tab *LabelTable, ids []int32, counts []int) (*Tree, error) {
 	n := len(counts)
-	// Eight per-node arrays in one allocation; first has n+1 entries.
-	arr := make([]int32, 8*n+1)
+	// Six per-node arrays in one allocation; first has n+1 entries.
+	arr := make([]int32, 6*n+1)
 	next := func(k int) []int32 {
 		a := arr[:k:k]
 		arr = arr[k:]
@@ -82,7 +82,7 @@ func build(tab *LabelTable, ids []int32, counts []int) (*Tree, error) {
 	}
 	t := &Tree{table: tab, ids: ids}
 	t.parent, t.size, t.heavy = next(n), next(n), next(n)
-	t.pre, t.byPre, t.mpost, t.byMPost = next(n), next(n), next(n), next(n)
+	t.pre, t.byPre = next(n), next(n)
 	t.first = next(n + 1)
 	t.kids = make([]int, 0, n-1)
 
@@ -130,23 +130,16 @@ func build(tab *LabelTable, ids []int32, counts []int) (*Tree, error) {
 
 	// Top-down pass: in reverse postorder every parent precedes its
 	// children. A subtree occupies a contiguous range in preorder, which
-	// starts at its root, and in mirror (right-to-left) postorder, which
-	// ends at its root; the children split the rest of their parent's
-	// range left to right in preorder and right to left in mirror
-	// postorder.
-	t.pre[n-1], t.mpost[n-1] = 0, int32(n-1)
+	// starts at its root; the children split the rest of their parent's
+	// range left to right. Mirror (right-to-left) postorder is preorder
+	// reversed, so the accessors derive it.
+	t.pre[n-1] = 0
 	for v := n - 1; v >= 0; v-- {
 		t.byPre[t.pre[v]] = int32(v)
-		t.byMPost[t.mpost[v]] = int32(v)
 		p := t.pre[v] + 1
-		m := t.mpost[v] - t.size[v] + 1
-		kids := t.Children(v)
-		for j, c := range kids {
+		for _, c := range t.Children(v) {
 			t.pre[c] = p
 			p += t.size[c]
-			r := kids[len(kids)-1-j]
-			m += t.size[r]
-			t.mpost[r] = m - 1
 		}
 	}
 	return t, nil

@@ -45,18 +45,16 @@ func (n *Node) Add(children ...*Node) *Node {
 // children of i are kids[first[i]:first[i+1]], left to right. A node's
 // label is an id into the tree's label table (see LabelTable).
 type Tree struct {
-	table   *LabelTable
-	ids     []int32 // label id of node i in table
-	parent  []int32 // parent postorder id, -1 for the root
-	size    []int32 // number of nodes in the subtree rooted at i
-	pre     []int32 // preorder number of node i
-	byPre   []int32 // inverse of pre: preorder number -> postorder id
-	mpost   []int32 // mirror postorder number of node i
-	byMPost []int32 // inverse of mpost
-	heavy   []int32 // heavy child postorder id, -1 for leaves
-	first   []int32 // N+1 offsets into kids
-	kids    []int   // every child list, concatenated in parent postorder
-	height  int     // maximum depth of any node (root depth 0)
+	table  *LabelTable
+	ids    []int32 // label id of node i in table
+	parent []int32 // parent postorder id, -1 for the root
+	size   []int32 // number of nodes in the subtree rooted at i
+	pre    []int32 // preorder number of node i
+	byPre  []int32 // inverse of pre: preorder number -> postorder id
+	heavy  []int32 // heavy child postorder id, -1 for leaves
+	first  []int32 // N+1 offsets into kids
+	kids   []int   // every child list, concatenated in parent postorder
+	height int     // maximum depth of any node (root depth 0)
 }
 
 // Index converts a builder tree into its immutable indexed form. It
@@ -148,10 +146,10 @@ func (t *Tree) Height() int { return t.height }
 func (t *Tree) LeftmostLeaf(i int) int { return t.SubtreeFirst(i) }
 
 // RightmostLeaf returns the postorder id of the rightmost leaf descendant
-// of i (i itself if i is a leaf): the first node of i's subtree in
-// mirror postorder.
+// of i (i itself if i is a leaf): the last node of i's subtree in
+// preorder.
 func (t *Tree) RightmostLeaf(i int) int {
-	return int(t.byMPost[t.mpost[i]-t.size[i]+1])
+	return int(t.byPre[t.pre[i]+t.size[i]-1])
 }
 
 // Pre returns the preorder number of node i.
@@ -161,11 +159,12 @@ func (t *Tree) Pre(i int) int { return int(t.pre[i]) }
 func (t *Tree) ByPre(p int) int { return int(t.byPre[p]) }
 
 // MPost returns the mirror (right-to-left) postorder number of node i.
-func (t *Tree) MPost(i int) int { return int(t.mpost[i]) }
+// Mirror postorder is preorder reversed, so it is not stored.
+func (t *Tree) MPost(i int) int { return len(t.pre) - 1 - int(t.pre[i]) }
 
 // ByMPost returns the postorder id of the node with mirror postorder
 // number m.
-func (t *Tree) ByMPost(m int) int { return int(t.byMPost[m]) }
+func (t *Tree) ByMPost(m int) int { return int(t.byPre[len(t.byPre)-1-m]) }
 
 // HeavyChild returns the postorder id of i's heavy child (the child with
 // the largest subtree, ties broken by the rightmost child), or -1 if i is
@@ -338,9 +337,6 @@ func (t *Tree) Validate() error {
 		}
 		if t.ByPre(t.Pre(i)) != i {
 			return fmt.Errorf("tree: preorder map inconsistent at %d", i)
-		}
-		if t.ByMPost(t.MPost(i)) != i {
-			return fmt.Errorf("tree: mirror postorder map inconsistent at %d", i)
 		}
 	}
 	return nil

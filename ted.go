@@ -36,7 +36,9 @@ func MustParse(s string) *Tree { return tree.MustParseBracket(s) }
 func ParseNewick(s string) (*Tree, error) { return tree.ParseNewick(s) }
 
 // CostModel assigns costs to the three node edit operations. Rename(a,a)
-// should be 0 for Distance to be a metric.
+// should be 0 for Distance to be a metric. The batch engine and the
+// joins call its methods from several goroutines at once, so it must be
+// safe for concurrent use.
 type CostModel = cost.Model
 
 // UnitCost is the standard model: insert/delete cost 1, rename costs 1
