@@ -48,9 +48,9 @@ func indexedCandidates(ps []*batch.PreparedTree, mode batch.IndexMode, tau float
 	}
 	switch mode {
 	case batch.IndexHistogram:
-		ix = index.NewHistogram()
+		ix = index.NewHistogram(tree.NewLabelTable())
 	case batch.IndexPQGram:
-		ix = index.NewPQGram(2)
+		ix = index.NewPQGram(tree.NewLabelTable(), 2)
 	default:
 		var all []batch.CandidatePair
 		for i := range ps {

@@ -33,6 +33,19 @@ func TestPublicPQGram(t *testing.T) {
 	}
 }
 
+// TestPQGramPaddingIsNoLabel: the null padding of a pq-gram equals no
+// label, "*" included, so a tree with a "*" child shares no gram with a
+// leaf that a real child does not share either.
+func TestPQGramPaddingIsNoLabel(t *testing.T) {
+	for _, pq := range [][2]int{{1, 2}, {2, 3}} {
+		for _, s := range []string{"{a{*}}", "{a{b}}"} {
+			if d := ted.PQGramDistance(ted.MustParse("{a}"), ted.MustParse(s), pq[0], pq[1]); d != 1 {
+				t.Errorf("(p, q) = %v: d({a}, %s) = %v, want 1", pq, s, d)
+			}
+		}
+	}
+}
+
 // TestDistanceBoundedSkipsDP pins the bound-prefilter path: when the
 // cheap lower bounds of the bounds.Profile pipeline already exceed tau,
 // DistanceBounded must answer without launching the DP at all — zero

@@ -21,10 +21,11 @@
 // the exact distance is printed when it is at most tau, and ">tau"
 // when it provably exceeds it (usually after skipping most of the DP).
 //
-// -corpus-save writes the join collection as a persistent corpus (trees,
-// their label ids, inverted-index posting lists; package corpus), and
-// -corpus-load joins such a corpus directly — a restart skips parsing,
-// label interning and index building.
+// -corpus-save writes the join collection as a persistent corpus (trees
+// as their label ids, and which indexes it maintains; package corpus),
+// and -corpus-load joins such a corpus directly — a restart skips
+// parsing and label interning, and rebuilds the indexes from the label
+// ids.
 //
 // Exit status 0; the distance (or join result) is printed to stdout.
 package main
@@ -61,7 +62,7 @@ func main() {
 		workers    = flag.Int("workers", 0, "join worker goroutines (0 = all CPU cores)")
 		filters    = flag.Bool("filters", false, "join: prune with lower/upper bounds (unit costs)")
 		indexMode  = flag.String("index", "", "join: generate candidates from an inverted index: auto | enumerate | histogram | pqgram (empty = off)")
-		corpusSave = flag.String("corpus-save", "", "join: persist the collection as a corpus (trees + label ids + indexes) to this path")
+		corpusSave = flag.String("corpus-save", "", "join: persist the collection as a corpus (trees as label ids, indexes rebuilt at load) to this path")
 		corpusLoad = flag.String("corpus-load", "", "join: load the collection from a saved corpus instead of a tree file")
 		exprs      literals
 	)

@@ -15,46 +15,59 @@ import (
 	"sort"
 	"sync"
 
-	"repro/index"
 	"repro/internal/tree"
 )
 
-// The corpus binary format, version 3. Everything multi-byte is an
+// The corpus binary format, version 4. Everything multi-byte is an
 // unsigned varint; strings are length-prefixed; label-valued fields
 // reference the shared label table by id.
 //
 //	"TEDC" | version u8 | flags u8 (bit0: histogram index, bit1: pq-gram
 //	                                index, bit2: section checksums)
-//	label table:  count, then per label: len, bytes          | crc32
+//	label table:  if bit1: q, the pq-gram index's base length
+//	              count, then per label: len, bytes          | crc32
 //	next ID, tree count
 //	per tree (ascending id):
 //	  id, n
 //	  n × label id           (the tree, with its postorder child counts:)
 //	  n × child count                                        | crc32
+//
+// Each section is followed by the IEEE CRC32 of its encoded bytes as
+// four little-endian raw bytes, so bit rot anywhere in a section is
+// detected at Load instead of surfacing as a subtly wrong corpus. The
+// label table's checksum also covers the header, so a flipped flag is
+// caught too. Versions 3 and 4 require the bit2 flag.
+//
+// The label table holds the labels the stored trees use, in the order
+// the corpus's table assigned them ids; labels that only queries or
+// since-removed trees brought in are not written. A tree is stored as
+// its label ids and its shape, nothing else, and a loaded tree keeps the
+// decoded ids as its own, on the decoded label table. Everything else
+// takes linear time to derive, so no stored value can disagree with its
+// tree: Load rebuilds the indexes the flags name from the trees, a
+// corpus-attached engine prices the costs and derives the bound profile
+// whenever it prepares a stored tree (batch.Engine.Prepare), and the
+// strategy computation derives the decomposition cardinalities per pair.
+// The indexes key on label ids, so rebuilding them costs about what
+// decoding and restoring a stored index did, while storing them made a
+// snapshot 1.5 (histogram) to 4.3 times (with a pq-gram index too) the
+// size of its trees: on the end-to-end benchmark's point corpus (5,000
+// trees, BenchmarkCorpusOpenWarm at -cpu 1, medians of 8 runs) opening
+// the snapshot took 25.4 ms with the histogram index rebuilt against
+// 28.6 ms with it restored, and 75.0 against 73.8 ms with both indexes.
+//
+// Versions 1 to 3 also stored the maintained indexes, after the tree
+// store, each in a section of its own (checksummed where the stream has
+// checksums):
+//
 //	per maintained index (histogram, then pq-gram; pq-gram leads with
 //	                      p, q, and p must be 1):
 //	  key table: count, then per key: len, bytes
 //	  next id, entry count
 //	  per entry: id, size, profile length, pairs of (key id, count)
-//	                                                         | crc32
 //
-// Every section (label table, tree store, each index) is followed by the
-// IEEE CRC32 of its encoded bytes as four little-endian raw bytes, so bit
-// rot anywhere in a section is detected at Load instead of surfacing as
-// a subtly wrong corpus. Version 3 requires the bit2 flag.
-//
-// A tree is stored as its label ids and its shape, nothing else, and a
-// loaded tree keeps the decoded ids as its own, on the decoded label
-// table. The other inputs of the distance machinery take linear time to
-// derive, so no stored value can disagree with its tree: a
-// corpus-attached engine prices the costs and derives the bound profile
-// whenever it prepares a stored tree (batch.Engine.Prepare), and the
-// strategy computation derives the decomposition cardinalities per pair.
-// The indexes are stored because restoring them is several times faster
-// than rebuilding them.
-//
-// Versions 1 and 2 also stored those per-tree inputs, after each tree's
-// child counts:
+// and versions 1 and 2 the per-tree inputs, after each tree's child
+// counts:
 //
 //	n × mirror-leafmost id
 //	3 × n × decomposition cardinality (A, FL, FR)
@@ -62,10 +75,11 @@ import (
 //	branch histogram entries of (label, first child, next sibling, each
 //	as label id + 1 or 0 for none; count)
 //
-// Load still reads both: it range-checks those fields and skips them.
-// Version 1 has no checksums, and in version 2 they are optional (the
-// bit2 flag). Golden streams of both versions pin that they keep
-// loading (TestCodecV1BackwardCompat, TestCodecV2BackwardCompat).
+// Load still reads them: it range-checks those fields and skips them,
+// taking only q from a pq-gram section. Version 1 has no checksums, and
+// in version 2 they are optional (the bit2 flag). Golden streams of
+// versions 1 to 3 pin that they keep loading (TestCodecV1BackwardCompat,
+// TestCodecV2BackwardCompat, TestCodecV3BackwardCompat).
 //
 // The decoder returns an error — never panics — on malformed input, and
 // allocates proportionally to bytes actually read (counts are sanity-
@@ -75,7 +89,7 @@ import (
 
 const (
 	codecMagic   = "TEDC"
-	codecVersion = 3
+	codecVersion = 4
 
 	flagHistogram = 1 << 0
 	flagPQGram    = 1 << 1
@@ -88,15 +102,19 @@ const (
 	maxTrees    = 1 << 24
 	maxNodes    = 1 << 26
 	maxPostings = 1 << 28
+	maxQ        = 64 // pq-gram stem and base lengths
 )
 
 // errCorrupt wraps a decode failure with stream position context.
 var errCorrupt = errors.New("corpus: corrupt stream")
 
-// Save writes the corpus — label table, trees with their label ids, and
-// any maintained indexes — to w in the versioned binary format (version
-// 3, with per-section checksums). A Load of the written bytes reproduces
-// the corpus exactly: same IDs, same trees, same candidate generation.
+// Save writes the corpus — label table and trees with their label ids,
+// and which indexes it maintains — to w in the versioned binary format
+// (version 4, with per-section checksums). A Load of the written bytes
+// reproduces the corpus exactly: same IDs, same trees, same candidate
+// generation. Only the labels the stored trees use are written, so
+// labels that only queries or since-removed trees brought into the
+// corpus's table are not persisted.
 func (c *Corpus) Save(w io.Writer) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -104,15 +122,30 @@ func (c *Corpus) Save(w io.Writer) error {
 }
 
 // saveLocked is Save without the locking. Callers hold c.mu, so the
-// store and the indexes are written as one consistent cut; Checkpoint
-// and SnapshotBytes encode mid-critical-section for that reason.
+// store is written as one consistent cut; Checkpoint and SnapshotBytes
+// encode mid-critical-section for that reason.
 func (c *Corpus) saveLocked(w io.Writer) error {
 	ids := make([]ID, 0, len(c.entries))
 	for id := range c.entries {
 		ids = append(ids, id)
 	}
 	sortIDs(ids)
+	// Renumber the labels the trees use in table order: first mark them,
+	// then give each its position among them.
 	table := c.labels.Snapshot()
+	renum := make([]int32, len(table))
+	for _, id := range ids {
+		for _, l := range c.entries[id].t.IDs() {
+			renum[l] = 1
+		}
+	}
+	var used []string
+	for l, mark := range renum {
+		if mark != 0 {
+			renum[l] = int32(len(used))
+			used = append(used, table[l])
+		}
+	}
 
 	e := &encoder{w: bufio.NewWriter(w)}
 	e.raw([]byte(codecMagic))
@@ -123,11 +156,12 @@ func (c *Corpus) saveLocked(w io.Writer) error {
 	if c.pq != nil {
 		flags |= flagPQGram
 	}
-	e.raw([]byte{codecVersion, flags})
-	e.crc = 0 // the header authenticates itself; sections start here
-
-	e.uv(uint64(len(table)))
-	for _, l := range table {
+	e.raw([]byte{codecVersion, flags}) // checksummed with the label table
+	if c.pq != nil {
+		e.uv(uint64(c.pq.Q()))
+	}
+	e.uv(uint64(len(used)))
+	for _, l := range used {
 		e.str(l)
 	}
 	e.sectionEnd()
@@ -138,24 +172,14 @@ func (c *Corpus) saveLocked(w io.Writer) error {
 		n := en.t.Len()
 		e.uv(uint64(id))
 		e.uv(uint64(n))
-		for _, lid := range en.t.IDs() {
-			e.uv(uint64(lid))
+		for _, l := range en.t.IDs() {
+			e.uv(uint64(renum[l]))
 		}
 		for v := 0; v < n; v++ {
 			e.uv(uint64(en.t.NumChildren(v)))
 		}
 	}
 	e.sectionEnd()
-	if c.hist != nil {
-		e.snapshot(c.hist.Snapshot())
-		e.sectionEnd()
-	}
-	if c.pq != nil {
-		e.uv(1) // stem length p: a pq-gram index is always a (1, q)-gram index
-		e.uv(uint64(c.pq.Q()))
-		e.snapshot(c.pq.Snapshot())
-		e.sectionEnd()
-	}
 	if e.err != nil {
 		return e.err
 	}
@@ -197,55 +221,39 @@ func samePath(a, b string) bool {
 }
 
 // Load reads a corpus in the binary format from r. The result is
-// equivalent to the saved corpus: same IDs, trees and label ids decoded
-// in O(bytes), maintained indexes rebuilt from their persisted profiles
-// with plain appends — no re-parsing, no re-hashing of grams, no
-// re-sorting. What preparation derives from each tree is left to the
-// engine that prepares it (see Warm).
+// equivalent to the saved corpus: same IDs, and the same trees, whose
+// label ids are decoded in O(bytes). The maintained indexes are rebuilt
+// from the trees once they are built (index.Histogram, index.PQGram);
+// what preparation derives from each tree is left to the engine that
+// prepares it (see Warm).
 //
 // Load builds the trees on GOMAXPROCS goroutines (tree.FromIDs) while it
-// decodes on, the index sections included: it hands each tree's label
-// ids and child counts to them through a bounded queue, so what it
-// holds beyond the corpus itself stays bounded whatever the corpus's
-// size. The index cross-checks run once the trees are built. Load
-// returns only after every builder has exited, and on a malformed
-// stream it reports the failure that comes first in the stream, as a
-// decoder building each tree in turn would.
+// decodes on: it hands each tree's label ids and child counts to them
+// through a bounded queue, so what it holds beyond the corpus itself
+// stays bounded whatever the corpus's size. Load returns only after
+// every builder has exited, and on a malformed stream it reports the
+// failure that comes first in the stream, as a decoder building each
+// tree in turn would.
 func Load(r io.Reader) (*Corpus, error) {
 	d := &decoder{r: &crcReader{r: bufio.NewReader(r)}}
 	var b builders
-	c, checks, err := d.corpus(&b)
+	c, opts, err := d.corpus(&b)
 	// Stream order: a tree's build failure precedes every failure found
-	// after the tree was handed over, the index sections included, and
-	// an index's cross-check precedes the failures of later sections.
+	// after the tree was handed over.
 	if berr := b.wait(); berr != nil {
 		return nil, berr
-	}
-	for _, ck := range checks {
-		if cerr := c.crossCheckIndex(ck.live, ck.snap, ck.kind); cerr != nil {
-			return nil, cerr
-		}
 	}
 	if err != nil {
 		return nil, err
 	}
+	c.maintain(opts)
 	return c, nil
 }
 
-// indexCheck is an index cross-check that waits for the trees to be
-// built: the restored index's live-tree count and the snapshot it was
-// restored from.
-type indexCheck struct {
-	kind string
-	live int
-	snap *index.Snapshot
-}
-
 // corpus decodes the whole stream into a corpus whose trees b builds,
-// and returns the index cross-checks to run once b is done, in stream
-// order. It reports the first failure it finds itself; from the first
-// cross-check on, it returns the corpus with the checks, failure or not.
-func (d *decoder) corpus(b *builders) (*Corpus, []indexCheck, error) {
+// and returns it with the options of the indexes the stream says it
+// maintains. It reports the first failure it finds itself.
+func (d *decoder) corpus(b *builders) (*Corpus, []Option, error) {
 	head := d.raw(6)
 	if d.err != nil {
 		return nil, nil, d.fail("header")
@@ -269,17 +277,30 @@ func (d *decoder) corpus(b *builders) (*Corpus, []indexCheck, error) {
 	}
 	d.r.sums = flags&flagChecksums != 0
 	d.r.state = crcInit
+	if version >= 4 {
+		d.r.state = ^crc32.ChecksumIEEE(head) // the label table's checksum covers the header
+	}
+	hist, pqgram := flags&flagHistogram != 0, flags&flagPQGram != 0
 
+	var q uint64
+	if version >= 4 && pqgram {
+		q = d.count(maxQ, "pq-gram base length")
+	}
 	nLabels := d.count(maxLabels, "label table size")
 	table := make([]string, 0, capHint(nLabels))
-	for i := uint64(0); i < nLabels; i++ {
+	for i := uint64(0); i < nLabels && d.err == nil; i++ {
 		table = append(table, d.str(maxLabelLen))
-		if d.err != nil {
-			return nil, nil, d.fail("label table")
-		}
+	}
+	if d.err != nil {
+		return nil, nil, d.fail("label table")
 	}
 	if err := d.sectionCheck("label table"); err != nil {
 		return nil, nil, err
+	}
+	if version >= 4 && pqgram {
+		if err := pqParams(1, q); err != nil {
+			return nil, nil, err
+		}
 	}
 	// Interning the table in order gives label i id i, unless it repeats
 	// a label: two ids for one label would make interning ambiguous.
@@ -326,52 +347,48 @@ func (d *decoder) corpus(b *builders) (*Corpus, []indexCheck, error) {
 		return nil, nil, err
 	}
 
-	var checks []indexCheck
-	if flags&flagHistogram != 0 {
-		snap, err := d.indexSnapshot()
-		if err != nil {
+	// Versions 1 to 3 store the maintained indexes; they are rebuilt
+	// from the trees instead, so only their checks are kept.
+	if version < 4 && hist {
+		if err := d.skipIndex(); err != nil {
 			return nil, nil, err
 		}
 		if err := d.sectionCheck("histogram index"); err != nil {
 			return nil, nil, err
 		}
-		c.hist, err = index.RestoreHistogram(snap)
-		if err != nil {
-			return nil, nil, fmt.Errorf("%w: %v", errCorrupt, err)
-		}
-		checks = append(checks, indexCheck{"histogram", c.hist.Len(), snap})
 	}
-	if flags&flagPQGram != 0 {
-		p := d.count(64, "pq-gram stem length")
-		q := d.count(64, "pq-gram base length")
-		snap, err := d.indexSnapshot()
-		if err != nil {
-			return c, checks, err
+	if version < 4 && pqgram {
+		p := d.count(maxQ, "pq-gram stem length")
+		q = d.count(maxQ, "pq-gram base length")
+		if err := d.skipIndex(); err != nil {
+			return nil, nil, err
 		}
 		if err := d.sectionCheck("pq-gram index"); err != nil {
-			return c, checks, err
+			return nil, nil, err
 		}
-		if p != 1 || q < 1 {
-			return c, checks, fmt.Errorf("%w: pq-gram parameters (%d, %d), want (1, q ≥ 1)", errCorrupt, p, q)
+		if err := pqParams(p, q); err != nil {
+			return nil, nil, err
 		}
-		c.pq, err = index.RestorePQGram(int(q), snap)
-		if err != nil {
-			return c, checks, fmt.Errorf("%w: %v", errCorrupt, err)
-		}
-		checks = append(checks, indexCheck{"pq-gram", c.pq.Len(), snap})
 	}
 	// A sticky decode error may have been swallowed structurally (a torn
 	// "next id" leaves zero trees to decode): nothing that poisoned the
 	// decoder may load as a smaller-but-valid corpus.
 	if d.err != nil {
-		return c, checks, d.fail("corpus")
+		return nil, nil, d.fail("corpus")
 	}
 	// The stream must end exactly here: trailing garbage means the
 	// payload and the container disagree about what was written.
 	if _, err := d.r.ReadByte(); err != io.EOF {
-		return c, checks, fmt.Errorf("%w: trailing data after corpus", errCorrupt)
+		return nil, nil, fmt.Errorf("%w: trailing data after corpus", errCorrupt)
 	}
-	return c, checks, nil
+	var opts []Option
+	if hist {
+		opts = append(opts, WithHistogramIndex())
+	}
+	if pqgram {
+		opts = append(opts, WithPQGramIndex(int(q)))
+	}
+	return c, opts, nil
 }
 
 // builders build the trees Load decodes (tree.FromIDs) on goroutines of
@@ -458,25 +475,6 @@ func LoadFile(path string) (*Corpus, error) {
 	return Load(f)
 }
 
-// crossCheckIndex verifies that a restored index covers exactly the
-// corpus's trees with the right sizes — an index drifting from its
-// store would silently produce wrong join candidates.
-func (c *Corpus) crossCheckIndex(liveCount int, snap *index.Snapshot, kind string) error {
-	if liveCount != len(c.entries) {
-		return fmt.Errorf("%w: %s index holds %d trees, corpus %d", errCorrupt, kind, liveCount, len(c.entries))
-	}
-	for _, se := range snap.Entries {
-		en, ok := c.entries[ID(se.ID)]
-		if !ok {
-			return fmt.Errorf("%w: %s index entry %d has no corpus tree", errCorrupt, kind, se.ID)
-		}
-		if en.t.Len() != se.Size {
-			return fmt.Errorf("%w: %s index entry %d has size %d, tree has %d nodes", errCorrupt, kind, se.ID, se.Size, en.t.Len())
-		}
-	}
-	return nil
-}
-
 // ---- encoding ----
 
 type encoder struct {
@@ -517,24 +515,6 @@ func (e *encoder) sectionEnd() {
 	binary.LittleEndian.PutUint32(b[:], e.crc)
 	_, e.err = e.w.Write(b[:])
 	e.crc = 0
-}
-
-func (e *encoder) snapshot(s *index.Snapshot) {
-	e.uv(uint64(len(s.Keys)))
-	for _, k := range s.Keys {
-		e.str(k)
-	}
-	e.uv(uint64(s.NextID))
-	e.uv(uint64(len(s.Entries)))
-	for _, se := range s.Entries {
-		e.uv(uint64(se.ID))
-		e.uv(uint64(se.Size))
-		e.uv(uint64(len(se.Prof)))
-		for _, kc := range se.Prof {
-			e.uv(uint64(kc.Key))
-			e.uv(uint64(kc.Count))
-		}
-	}
 }
 
 // ---- decoding ----
@@ -790,40 +770,35 @@ func (d *decoder) skipArtifacts(n, labels uint64) {
 	}
 }
 
-func (d *decoder) indexSnapshot() (*index.Snapshot, error) {
+// skipIndex reads past the key table and entries of an index section a
+// legacy (version 1 to 3) stream stores, range-checking every field.
+// Nothing reads their values: Load rebuilds the index from the trees.
+func (d *decoder) skipIndex() error {
 	nKeys := d.count(maxPostings, "index key count")
-	keys := make([]string, 0, capHint(nKeys))
-	for i := uint64(0); i < nKeys; i++ {
-		keys = append(keys, d.str(maxLabelLen))
-		if d.err != nil {
-			return nil, d.fail("index keys")
-		}
+	for i := uint64(0); i < nKeys && d.err == nil; i++ {
+		d.str(maxLabelLen)
 	}
-	nextID := d.count(math.MaxInt32, "index next id")
+	d.count(math.MaxInt32, "index next id")
 	nEntries := d.count(maxTrees, "index entry count")
-	if d.err != nil {
-		return nil, d.fail("index header")
-	}
-	s := &index.Snapshot{Keys: keys, NextID: int(nextID)}
-	for i := uint64(0); i < nEntries; i++ {
-		id := d.count(math.MaxInt32, "index entry id")
-		size := d.count(maxNodes, "index entry size")
+	for i := uint64(0); i < nEntries && d.err == nil; i++ {
+		d.count(math.MaxInt32, "index entry id")
+		d.count(maxNodes, "index entry size")
 		profLen := d.count(maxPostings, "index profile length")
-		if d.err != nil {
-			return nil, d.fail("index entry")
+		for k := uint64(0); k < profLen && d.err == nil; k++ {
+			d.count(math.MaxInt32, "index key id")
+			d.count(math.MaxInt32, "index key count")
 		}
-		prof := make([]index.KeyCount, 0, capHint(profLen))
-		for k := uint64(0); k < profLen; k++ {
-			key := d.count(math.MaxInt32, "index key id")
-			cnt := d.count(math.MaxInt32, "index key count")
-			if d.err != nil {
-				return nil, d.fail("index profile")
-			}
-			prof = append(prof, index.KeyCount{Key: int32(key), Count: int32(cnt)})
-		}
-		s.Entries = append(s.Entries, index.SnapshotEntry{ID: int(id), Size: int(size), Prof: prof})
 	}
-	return s, nil
+	return d.fail("index")
+}
+
+// pqParams checks the stem length p and base length q of a pq-gram
+// index: a (1, q)-gram index is the only complete one.
+func pqParams(p, q uint64) error {
+	if p != 1 || q < 1 {
+		return fmt.Errorf("%w: pq-gram parameters (%d, %d), want (1, q ≥ 1)", errCorrupt, p, q)
+	}
+	return nil
 }
 
 func sortIDs(ids []ID) {

@@ -3,6 +3,7 @@ package corpus_test
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/hex"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -226,10 +227,11 @@ func TestSaveFileReplacesAtomically(t *testing.T) {
 	}
 }
 
-// withForests returns a copy of a version-3 stream in which the trees at
-// the given stream positions claim no children at their roots, so their
-// child counts describe a forest, with the tree store's checksum
-// recomputed. Every root's child count must be a one-byte varint.
+// withForests returns a copy of a version-3 stream, or of a version-4
+// stream without a pq-gram index, in which the trees at the given stream
+// positions claim no children at their roots, so their child counts
+// describe a forest, with the tree store's checksum recomputed. Every
+// root's child count must be a one-byte varint.
 func withForests(t *testing.T, data []byte, at ...int) []byte {
 	t.Helper()
 	out := slices.Clone(data)
@@ -271,27 +273,51 @@ func withForests(t *testing.T, data []byte, at ...int) []byte {
 // TestLoadReportsFirstForest: a stream whose trees at positions 3 and 6
 // describe forests fails on the tree at 3, with the error a decoder that
 // builds each tree in turn reports, also when the stream breaks again
-// further on, in a later tree or in the index section after the tree
-// store. Load builds trees on several goroutines, so a later failure may
-// be found first.
+// further on, in a later tree or after the tree store: in the index
+// section of a version-3 stream, or in trailing data. Load builds trees
+// on several goroutines, so a later failure may be found first.
 func TestLoadReportsFirstForest(t *testing.T) {
+	forest := func(c *corpus.Corpus, pos int) string {
+		root, _ := c.Tree(c.IDs()[pos])
+		return fmt.Sprintf("corpus: corrupt stream: tree: child counts describe a forest of %d trees, want 1",
+			root.NumChildren(root.Root())+1)
+	}
 	c, _ := buildCorpus(t, corpus.WithHistogramIndex())
 	data := saveBytes(t, c)
-	root, _ := c.Tree(c.IDs()[3])
-	want := fmt.Sprintf("corpus: corrupt stream: tree: child counts describe a forest of %d trees, want 1",
-		root.NumChildren(root.Root())+1)
+	v3, err := hex.DecodeString(v3GoldenHex)
+	if err != nil {
+		t.Fatalf("bad fixture hex: %v", err)
+	}
 	for _, tc := range []struct {
 		name   string
 		stream []byte
+		want   string
 	}{
-		{"one forest", withForests(t, data, 3)},
-		{"two forests", withForests(t, data, 3, 6)},
-		{"forest then a truncated index", withForests(t, data, 3)[:len(data)-9]},
-		{"forest then trailing data", append(withForests(t, data, 3, 6), 0)},
+		{"one forest", withForests(t, data, 3), forest(c, 3)},
+		{"two forests", withForests(t, data, 3, 6), forest(c, 3)},
+		{"forest then a truncated index", withForests(t, v3, 1)[:len(v3)-9], forest(loadHex(t, v3GoldenHex), 1)},
+		{"forest then trailing data", append(withForests(t, data, 3, 6), 0), forest(c, 3)},
 	} {
-		if _, err := corpus.Load(bytes.NewReader(tc.stream)); err == nil || err.Error() != want {
-			t.Errorf("%s: Load error %v, want %q", tc.name, err, want)
+		if _, err := corpus.Load(bytes.NewReader(tc.stream)); err == nil || err.Error() != tc.want {
+			t.Errorf("%s: Load error %v, want %q", tc.name, err, tc.want)
 		}
+	}
+}
+
+// TestSaveWritesUsedLabelsOnly: labels that only ad-hoc queries brought
+// into the corpus's label table are not persisted, so a thousand
+// queries with fresh labels leave a one-tree corpus's snapshot as it
+// was, byte for byte.
+func TestSaveWritesUsedLabelsOnly(t *testing.T) {
+	c := corpus.New(corpus.WithHistogramIndex())
+	c.Add(ted.MustParse("{a{b}{c}}"))
+	before := saveBytes(t, c)
+	e := c.Engine()
+	for i := range 1000 {
+		c.PrepareQuery(e, ted.MustParse(fmt.Sprintf("{q%d{r%d}}", i, i)))
+	}
+	if after := saveBytes(t, c); !bytes.Equal(after, before) {
+		t.Fatalf("Save wrote %d bytes after the queries, %d before", len(after), len(before))
 	}
 }
 

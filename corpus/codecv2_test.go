@@ -25,7 +25,12 @@ const v1GoldenHex = "54454443010108016201630161017a01790178017201710302000300010
 // (histogram and pq-gram, q = 2).
 const v2GoldenHex = "54454443020708016201630161017a0179017801720171b9eddda3030200030001020000020001000101040101040101040103020100010101030301000101000201020000010202060700010000010201020102010207010601020807000107000001ea1a127508016201630161017a01790178017201710302000303000101010201020202060107011e8bfb6b01020e06611f2a1f621f06611f621f631f06611f631f2a1f06621f2a1f2a1f06631f2a1f2a1f06611f621f2a1f06781f2a1f791f06781f791f2a1f06791f2a1f7a1f06791f7a1f2a1f067a1f2a1f2a1f06711f2a1f721f06711f721f2a1f06721f2a1f2a1f0302000305000101010201030104010202030b010c010d0196bc9b7f"
 
-// goldenHistory replays the mutations both golden streams were written
+// v3GoldenHex is a version-3 stream, the last format that stored the
+// maintained indexes: the history of v1GoldenHex with both indexes
+// maintained (histogram and pq-gram, q = 2).
+const v3GoldenHex = "54454443030708016201630161017a0179017801720171b9eddda30302000300010200000202020607000188b7f0e208016201630161017a01790178017201710302000303000101010201020202060107011e8bfb6b01020e06611f2a1f621f06611f621f631f06611f631f2a1f06621f2a1f2a1f06631f2a1f2a1f06611f621f2a1f06781f2a1f791f06781f791f2a1f06791f2a1f7a1f06791f7a1f2a1f067a1f2a1f2a1f06711f2a1f721f06711f721f2a1f06721f2a1f2a1f0302000305000101010201030104010202030b010c010d0196bc9b7f"
+
+// goldenHistory replays the mutations the golden streams were written
 // after.
 func goldenHistory(c *corpus.Corpus) {
 	for _, s := range []string{"{a{b}{c}}", "{a{b}}", "{x{y{z}}}"} {
@@ -50,8 +55,8 @@ func loadHex(t *testing.T, s string) *corpus.Corpus {
 
 // checkLegacyGolden loads a legacy golden stream and compares it with a
 // cold build of the same history under the same index options: it must
-// hold the same IDs, trees, label ids and index contents (it re-saves
-// as version 3 to exactly the cold build's bytes, and those bytes load
+// hold the same IDs, trees, label ids and indexes (it re-saves as
+// version 4 to exactly the cold build's bytes, and those bytes load
 // again), and it must join and answer top-k exactly as the cold build
 // does.
 func checkLegacyGolden(t *testing.T, golden string, opts ...corpus.Option) {
@@ -70,8 +75,8 @@ func checkLegacyGolden(t *testing.T, golden string, opts ...corpus.Option) {
 		}
 	}
 	resaved := saveBytes(t, c)
-	if v := resaved[4]; v != 3 {
-		t.Fatalf("re-save wrote version %d, want 3", v)
+	if v := resaved[4]; v != 4 {
+		t.Fatalf("re-save wrote version %d, want 4", v)
 	}
 	if resaved[5]&(1<<2) == 0 {
 		t.Fatalf("re-save did not set the checksum flag (flags %#x)", resaved[5])
@@ -80,7 +85,7 @@ func checkLegacyGolden(t *testing.T, golden string, opts ...corpus.Option) {
 		t.Fatalf("re-saved legacy corpus differs from the cold build's stream")
 	}
 	if _, err := corpus.Load(bytes.NewReader(resaved)); err != nil {
-		t.Fatalf("version-3 re-load: %v", err)
+		t.Fatalf("version-4 re-load: %v", err)
 	}
 
 	e, ce := c.Engine(), cold.Engine()
@@ -107,6 +112,10 @@ func TestCodecV1BackwardCompat(t *testing.T) {
 
 func TestCodecV2BackwardCompat(t *testing.T) {
 	checkLegacyGolden(t, v2GoldenHex, corpus.WithHistogramIndex(), corpus.WithPQGramIndex(2))
+}
+
+func TestCodecV3BackwardCompat(t *testing.T) {
+	checkLegacyGolden(t, v3GoldenHex, corpus.WithHistogramIndex(), corpus.WithPQGramIndex(2))
 }
 
 // v1OneTree assembles the version-1 stream of a one-tree corpus,

@@ -1,21 +1,22 @@
 // Package corpus is the persistence layer of the batch-TED stack: a
 // Corpus holds trees under stable IDs, their labels as ids into one
 // label table of the corpus's, together with the inverted-index posting
-// lists of the similarity-join generators, and serializes them through a
-// versioned binary codec (Save/Load).
+// lists of the similarity-join generators, and serializes the trees
+// through a versioned binary codec (Save/Load).
 //
 // RTED's design front-loads per-tree work so it can be amortized across
 // many comparisons; a corpus extends the amortization across process
-// lifetimes. A server that restarts does not re-parse, re-intern or
-// re-index its collection: Load decodes the label table, the trees'
-// label ids and the indexes in O(bytes). The per-tree inputs of the
+// lifetimes. A server that restarts does not re-parse or re-intern its
+// collection: Load decodes the label table and the trees' label ids in
+// O(bytes). The maintained indexes, and the per-tree inputs of the
 // distance machinery — costs, bound profile — take linear time to
-// derive, so they are not stored: corpus-attached engines derive them
-// when they prepare a stored tree (batch.Engine.Prepare), and Warm does
-// that for every tree before the first request. Both halves of a
-// restart run on every core: Load builds the decoded trees on GOMAXPROCS
-// goroutines while it reads on, and Warm prepares them on the engine's
-// workers.
+// derive from the trees, so they are not stored: Load rebuilds the
+// indexes from the trees' label ids once it has built the trees, and
+// corpus-attached engines derive the per-tree inputs when they prepare
+// a stored tree (batch.Engine.Prepare), which Warm does for every tree
+// before the first request. Both halves of a restart run on every core:
+// Load builds the decoded trees on GOMAXPROCS goroutines while it reads
+// on, and Warm prepares them on the engine's workers.
 //
 // # Durability
 //
@@ -131,23 +132,31 @@ type Corpus struct {
 	replCh    chan struct{}
 }
 
-// Option configures New.
-type Option func(*Corpus)
+// Option configures New: which candidate indexes the corpus maintains.
+type Option func(*indexes)
+
+// indexes says which candidate indexes a corpus maintains: a histogram
+// index, and a pq-gram index of base length q.
+type indexes struct {
+	hist, pqgram bool
+	q            int
+}
 
 // WithHistogramIndex makes the corpus maintain a label-histogram
 // inverted index (index.Histogram) incrementally: Add, Delete and
-// Replace keep the posting lists in sync, Save persists them, and Join
-// uses them for candidate generation instead of building a throwaway
-// index per call.
+// Replace keep the posting lists in sync, Load rebuilds them from the
+// stored trees (a snapshot records only that the corpus keeps the
+// index), and Join uses them for candidate generation instead of
+// building a throwaway index per call.
 func WithHistogramIndex() Option {
-	return func(c *Corpus) { c.hist = index.NewHistogram() }
+	return func(ix *indexes) { ix.hist = true }
 }
 
 // WithPQGramIndex is WithHistogramIndex for the (1, q)-gram index
 // (index.PQGram with stem length 1, the provably complete
 // parameterization); q must be ≥ 1.
 func WithPQGramIndex(q int) Option {
-	return func(c *Corpus) { c.pq = index.NewPQGram(q) }
+	return func(ix *indexes) { ix.pqgram, ix.q = true, q }
 }
 
 // New builds an empty corpus.
@@ -156,10 +165,36 @@ func New(opts ...Option) *Corpus {
 		labels:  tree.NewLabelTable(),
 		entries: make(map[ID]*entry),
 	}
-	for _, o := range opts {
-		o(c)
-	}
+	c.maintain(opts)
 	return c
+}
+
+// maintain creates, on the corpus's label table, each index opts ask for
+// that the corpus lacks, and indexes every stored tree into it in ID
+// order. It is the one way a maintained index gets built: New, Load and
+// Open call it, on a corpus they do not share yet.
+func (c *Corpus) maintain(opts []Option) {
+	var ix indexes
+	for _, o := range opts {
+		o(&ix)
+	}
+	var fresh []interface{ Put(int, *tree.Tree) }
+	if ix.hist && c.hist == nil {
+		c.hist = index.NewHistogram(c.labels)
+		fresh = append(fresh, c.hist)
+	}
+	if ix.pqgram && c.pq == nil {
+		c.pq = index.NewPQGram(c.labels, ix.q)
+		fresh = append(fresh, c.pq)
+	}
+	if len(fresh) == 0 {
+		return
+	}
+	for _, id := range c.IDs() {
+		for _, f := range fresh {
+			f.Put(int(id), c.entries[id].t)
+		}
+	}
 }
 
 // HasHistogramIndex reports whether the corpus maintains a histogram
@@ -177,14 +212,14 @@ func (c *Corpus) HasPQGramIndex() (q int, ok bool) {
 
 // Add stores t under a fresh ID and returns it. What is stored is t on
 // the corpus's label table (tree.Tree.Relabel): its labels are interned
-// now, once, and Tree returns that tree, equal to t. Every later
-// preparation — in this process or any process that Loads a Save —
-// reuses the ids.
+// now, once, and Tree returns that tree, equal to t. No later
+// preparation of it interns a label, in this process or in any process
+// that Loads a Save.
 //
 // Mutations update the maintained indexes while still holding the
-// corpus lock (here and in Delete/Replace), so a concurrent Save — which
-// serializes store and index snapshots under the same lock — can never
-// persist a corpus whose index disagrees with its trees.
+// corpus lock (here and in Delete/Replace), so a join, which probes them
+// under the same lock, never sees an index that disagrees with the
+// trees.
 func (c *Corpus) Add(t *tree.Tree) ID {
 	t = t.Relabel(c.labels)
 	c.mu.Lock()

@@ -16,10 +16,10 @@ import (
 // count dies at the first missing byte). A successfully decoded corpus
 // must additionally survive a save/load round trip of its own: whatever
 // the fuzzer found, the invariants the rest of the stack relies on
-// (valid trees with in-range label ids, index/store agreement) hold.
-// The seeds cover version 3 with and without indexes, the version-1 and
-// version-2 goldens, and version-1 streams whose stored per-tree
-// artifacts disagree with their tree.
+// (valid trees with in-range label ids) hold. The seeds cover version 4
+// with and without indexes, the version-1, version-2 and version-3
+// goldens, and version-1 streams whose stored per-tree artifacts
+// disagree with their tree.
 func FuzzCorpusDecode(f *testing.F) {
 	seed := func(opts ...corpus.Option) []byte {
 		c := corpus.New(opts...)
@@ -40,7 +40,7 @@ func FuzzCorpusDecode(f *testing.F) {
 	for _, bad := range v1TamperedStreams(f) {
 		f.Add(bad)
 	}
-	for _, golden := range []string{v1GoldenHex, v2GoldenHex} {
+	for _, golden := range []string{v1GoldenHex, v2GoldenHex, v3GoldenHex} {
 		raw, err := hex.DecodeString(golden)
 		if err != nil {
 			f.Fatalf("bad fixture hex: %v", err)

@@ -27,7 +27,7 @@ type Match struct {
 //
 // Candidate generation follows opts.Mode. An index mode probes the
 // corpus's maintained index when it keeps the selected one
-// (WithHistogramIndex / WithPQGramIndex) — its persistent posting
+// (WithHistogramIndex / WithPQGramIndex) — its maintained posting
 // lists, no per-call build — and otherwise a throwaway index
 // built over this call's snapshot; IndexEnumerate visits every pair, and
 // IndexAuto picks (see resolveMode). The candidates run through
@@ -119,7 +119,7 @@ func (c *Corpus) join(ctx context.Context, e *batch.Engine, tau float64, opts ba
 		}
 	case ix == nil:
 		start := time.Now()
-		cands = probe(throwaway(ps, mode, opts.Q), tau, nil, lo, hi)
+		cands = probe(throwaway(c.labels, ps, mode, opts.Q), tau, nil, lo, hi)
 		indexTime = time.Since(start)
 	}
 	st, err := e.JoinCandidatesStream(ctx, ps, cands, tau, emitID)
@@ -182,11 +182,11 @@ func (c *Corpus) maintained(mode batch.IndexMode, opts batch.JoinOptions) candid
 }
 
 // throwaway builds the index mode selects over the snapshot, keyed by
-// snapshot position.
-func throwaway(ps []*batch.PreparedTree, mode batch.IndexMode, q int) candidateIndex {
-	var ix candidateIndex = index.NewHistogram()
+// snapshot position, on the label table the snapshot's trees are on.
+func throwaway(tab *tree.LabelTable, ps []*batch.PreparedTree, mode batch.IndexMode, q int) candidateIndex {
+	var ix candidateIndex = index.NewHistogram(tab)
 	if mode == batch.IndexPQGram {
-		ix = index.NewPQGram(pqBase(q))
+		ix = index.NewPQGram(tab, pqBase(q))
 	}
 	for _, p := range ps {
 		ix.Add(p.Tree())

@@ -201,7 +201,7 @@ func (w *wal) reset() error {
 // to the log before it returns. A missing snapshot starts an empty
 // corpus with opts (so the first Open of a path needs the index options;
 // later Opens take the configuration from the snapshot, and opts add any
-// maintained index the snapshot lacks, built by re-indexing).
+// maintained index the snapshot lacks, built from the stored trees).
 //
 // Durability: records reach the OS when the mutation returns and the
 // disk on Sync, Checkpoint or Close — a process crash between Saves
@@ -226,7 +226,10 @@ func Open(path string, opts ...Option) (*Corpus, error) {
 		if c, err = LoadFile(path); err != nil {
 			return nil, err
 		}
-		c.adoptOptions(opts)
+		// Build what opts ask for beyond the snapshot's indexes, so
+		// Open(path, WithHistogramIndex()) means the same thing whether
+		// or not the snapshot already existed.
+		c.maintain(opts)
 	case errors.Is(err, fs.ErrNotExist):
 		c = New(opts...)
 	default:
@@ -252,39 +255,6 @@ func Open(path string, opts ...Option) (*Corpus, error) {
 	c.snapPath = path
 	c.mu.Unlock()
 	return c, nil
-}
-
-// adoptOptions grafts option-requested maintained indexes a loaded
-// snapshot lacks, building their posting lists from the stored trees, so
-// Open(path, WithHistogramIndex()) means the same thing whether or not
-// the snapshot already existed.
-func (c *Corpus) adoptOptions(opts []Option) {
-	probe := &Corpus{}
-	for _, o := range opts {
-		o(probe)
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	grafted := false
-	if probe.hist != nil && c.hist == nil {
-		c.hist = probe.hist
-		grafted = true
-	}
-	if probe.pq != nil && c.pq == nil {
-		c.pq = probe.pq
-		grafted = true
-	}
-	if !grafted {
-		return
-	}
-	for id, en := range c.entries {
-		if probe.hist != nil && c.hist == probe.hist {
-			c.hist.Put(int(id), en.t)
-		}
-		if probe.pq != nil && c.pq == probe.pq {
-			c.pq.Put(int(id), en.t)
-		}
-	}
 }
 
 // recoverWAL replays the log in f over the corpus and leaves f

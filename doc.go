@@ -140,8 +140,9 @@
 //	│                                   every join reuses the prepared trees
 //	├── many processes, read-mostly  → the same corpus, plus Save at
 //	│     (batch jobs, a fleet          build time and Load at start:
-//	│      that shares one build)       trees, label ids and posting
-//	│                                    lists come back in O(bytes),
+//	│      that shares one build)       trees and label ids come back
+//	│                                    in O(bytes), the posting lists
+//	│                                    are rebuilt from the label ids,
 //	│                                    Corpus.Engine + Warm derive the
 //	│                                    rest, so the first join pays
 //	│                                    only GTED

@@ -90,3 +90,20 @@ func ExampleMapping() {
 	// delete c
 	// insert d
 }
+
+// The pq-gram distance: a fast structural pseudo-metric in [0, 1].
+// Identical trees score 0; trees sharing no local structure score 1. It
+// is not a lower bound of the tree edit distance — use it to rank
+// candidates, not to prune exactly.
+func ExamplePQGramDistance() {
+	f := ted.MustParse("{a{b}{c}}")
+	g := ted.MustParse("{a{b}{d}}")
+	h := ted.MustParse("{x{y}{z}}")
+	fmt.Printf("d(f,f) = %.2f\n", ted.PQGramDistance(f, f, 2, 3))
+	fmt.Printf("d(f,g) = %.2f\n", ted.PQGramDistance(f, g, 2, 3)) // c→d perturbs 2/3 of the grams
+	fmt.Printf("d(f,h) = %.2f\n", ted.PQGramDistance(f, h, 2, 3))
+	// Output:
+	// d(f,f) = 0.00
+	// d(f,g) = 0.67
+	// d(f,h) = 1.00
+}

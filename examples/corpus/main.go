@@ -3,9 +3,10 @@
 // incrementally maintained inverted index — saved to disk, reloaded in
 // what stands in for a fresh process, and joined again: the reloaded
 // join reproduces the original match set bit for bit while skipping
-// parsing, label interning and index construction entirely. The walkthrough
-// then mutates the corpus (Delete/Replace) and shows the index staying
-// in sync through its tombstoned posting lists.
+// parsing and label interning (the index is rebuilt from the stored
+// label ids). The walkthrough then mutates the corpus (Delete/Replace)
+// and shows the index staying in sync through its tombstoned posting
+// lists.
 package main
 
 import (
@@ -59,8 +60,9 @@ func main() {
 	fmt.Printf("saved to %s: %d bytes (%d bytes/tree)\n", filepath.Base(path), info.Size(), info.Size()/int64(c.Len()))
 
 	// Reload — the "restarted server": Load decodes in O(bytes), each
-	// tree keeping its stored label ids, and the corpus-attached engine
-	// prepares the trees from those ids instead of re-interning labels.
+	// tree keeping its stored label ids, rebuilds the index from those
+	// ids, and the corpus-attached engine prepares the trees from them
+	// instead of re-interning labels.
 	loadStart := time.Now()
 	c2, err := corpus.LoadFile(path)
 	if err != nil {

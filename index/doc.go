@@ -32,8 +32,8 @@
 // is the default of corpus.Corpus.Join: cheap to build, one posting per
 // distinct label per tree, and strongest when labels are diverse.
 //
-// [PQGram] keys trees by their pq-gram profile — serialized label tuples
-// that encode local structure, not just label content. It generates the
+// [PQGram] keys trees by their pq-gram profile — label tuples that
+// encode local structure, not just label content. It generates the
 // trees that share at least one gram with the query and whose gram-count
 // lower bound stays below τ. Its stems have length p = 1, so it carries
 // the same completeness guarantee (see the type comment for the
@@ -55,17 +55,22 @@
 // place — Delete and Put-replacement tombstone the superseded postings
 // through a per-tree generation counter, probes skip tombstones with
 // one comparison, and a compaction pass, run automatically once
-// tombstones dominate, rewrites the lists without them. Snapshot/Restore
-// serialize the whole structure by profile (the lists are rebuilt with
-// plain appends on restore), which is how package corpus persists its
-// indexes.
+// tombstones dominate, rewrites the lists without them.
+//
+// Both indexes key on the label ids of one label table, the one they
+// are built on: a histogram's keys are label ids, a pq-gram's are
+// tuples of them, so an index holds no label strings and tree labels
+// are never compared as strings. An index has no persistent form: an
+// index built from the same trees generates the same candidates, and
+// package corpus rebuilds its maintained indexes from the stored trees
+// when it loads a snapshot.
 //
 // An index's owner is its only synchronization. Mutations — Add, Put,
 // Delete and the compaction they trigger — must not overlap each other
-// or any other call. CandidatesBelow, Len and Snapshot only read, so
-// they may run concurrently with each other; each probe works on a
-// pooled accumulator, and the one structure probes rebuild lazily, the
-// size order of the small-tree sweep, carries a lock of its own.
+// or any other call. CandidatesBelow and Len only read, so they may run
+// concurrently with each other; each probe works on a pooled
+// accumulator, and the one structure probes rebuild lazily, the size
+// order of the small-tree sweep, carries a lock of its own.
 // corpus.Corpus meets the contract with its lock: every mutation of a
 // maintained index runs under the write lock and every probe under the
 // read lock, and a join's throwaway index is built and probed on one
@@ -76,11 +81,10 @@
 // The indexes are deliberately engine-agnostic: they know trees and
 // thresholds, not PreparedTrees or worker pools. Package corpus owns
 // candidate generation: corpus.Corpus maintains these indexes
-// incrementally across mutations and process restarts, or builds one
-// over a join's snapshot when it keeps none, probes them per query, and
+// incrementally across mutations, or builds one over a join's snapshot
+// when it keeps none, probes them per query, and
 // hands the pairs to batch.Engine.JoinCandidatesStream, where the bound
 // filters and arena-backed GTED runners finish the job on the worker
-// pool; ted.Join exposes the same path via ted.WithIndex. The
-// standalone [PQGramDistance] is exported for callers that want the
-// pq-gram pseudo-metric itself.
+// pool; ted.Join exposes the same path via ted.WithIndex. The pq-gram
+// pseudo-metric itself is ted.PQGramDistance.
 package index

@@ -5,30 +5,14 @@ import (
 
 	ted "repro"
 	"repro/index"
+	"repro/internal/tree"
 )
-
-// The standalone pq-gram distance: a fast structural pseudo-metric in
-// [0, 1]. Identical trees score 0; trees sharing no local structure
-// score 1. It is not a lower bound of the tree edit distance — use it to
-// rank candidates, not to prune exactly.
-func ExamplePQGramDistance() {
-	f := ted.MustParse("{a{b}{c}}")
-	g := ted.MustParse("{a{b}{d}}")
-	h := ted.MustParse("{x{y}{z}}")
-	fmt.Printf("d(f,f) = %.2f\n", index.PQGramDistance(f, f, 2, 3))
-	fmt.Printf("d(f,g) = %.2f\n", index.PQGramDistance(f, g, 2, 3)) // c→d perturbs 2/3 of the grams
-	fmt.Printf("d(f,h) = %.2f\n", index.PQGramDistance(f, h, 2, 3))
-	// Output:
-	// d(f,f) = 0.00
-	// d(f,g) = 0.67
-	// d(f,h) = 1.00
-}
 
 // Probe-below candidate generation: index the corpus once, then ask each
 // tree for the earlier trees it could possibly match. Unordered pairs
 // come out exactly once.
 func ExampleHistogram() {
-	ix := index.NewHistogram()
+	ix := index.NewHistogram(tree.NewLabelTable())
 	for _, s := range []string{"{a{b}{c}}", "{a{b}}", "{x{y}{z}}", "{a{b}{c}{d}}"} {
 		ix.Add(ted.MustParse(s))
 	}

@@ -8,6 +8,7 @@ import (
 	"repro/index"
 	"repro/internal/bounds"
 	"repro/internal/cost"
+	"repro/internal/tree"
 	"repro/internal/zs"
 )
 
@@ -58,7 +59,7 @@ func FuzzPQGramCountFilter(f *testing.F) {
 			}
 			trees = append(trees, tr)
 		}
-		ix := index.NewPQGram(q)
+		ix := index.NewPQGram(tree.NewLabelTable(), q)
 		for _, tr := range trees {
 			ix.Add(tr)
 		}

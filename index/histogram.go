@@ -1,10 +1,6 @@
 package index
 
-import (
-	"sort"
-
-	"repro/internal/tree"
-)
+import "repro/internal/tree"
 
 // Histogram is a label-histogram inverted index for threshold similarity
 // joins. Each indexed tree contributes its label multiset; an inverted
@@ -29,20 +25,26 @@ import (
 // generation check makes them invisible to probes) and a compaction pass
 // reclaims them once they dominate the lists.
 //
+// Keys are the label ids of the label table the index was built on,
+// which every indexed tree is relabeled onto (tree.Tree.Relabel).
+//
 // A Histogram has no lock of its own; its owner synchronizes. Add, Put
 // and Delete (and the compaction they trigger) must not overlap each
-// other or any other call. CandidatesBelow, Len and Snapshot only read,
-// so they may run concurrently with each other; each probe carries its
-// own pooled accumulator. corpus.Corpus meets this with its lock:
-// mutations under the write lock, probes under the read lock.
+// other or any other call. CandidatesBelow and Len only read, so they
+// may run concurrently with each other; each probe carries its own
+// pooled accumulator. corpus.Corpus meets this with its lock: mutations
+// under the write lock, probes under the read lock.
 type Histogram struct {
-	ids map[string]int32 // label interner
+	tab *tree.LabelTable
 	iv  inverted
 }
 
-// NewHistogram returns an empty label-histogram index.
-func NewHistogram() *Histogram {
-	return &Histogram{ids: make(map[string]int32)}
+// NewHistogram returns an empty label-histogram index keyed by the label
+// ids of tab. The table must give equal labels equal ids, as a table
+// built by interning does (tree.NewLabelTable: a corpus's or an
+// engine's); trees on it are indexed without interning a label.
+func NewHistogram(tab *tree.LabelTable) *Histogram {
+	return &Histogram{tab: tab}
 }
 
 // Len returns the number of live (not deleted) indexed trees.
@@ -59,41 +61,16 @@ func (ix *Histogram) Add(t *tree.Tree) int {
 // Put indexes t under the stable id of the caller's choosing, replacing
 // whatever tree was indexed there: the previous postings become
 // tombstones and t's postings are written under a fresh generation.
+// Labels of t that the index's table has not seen are interned into it.
 func (ix *Histogram) Put(id int, t *tree.Tree) {
-	n := t.Len()
-	ids := make([]int32, 0, n)
-	for v := 0; v < n; v++ {
-		l := t.Label(v)
-		kid, ok := ix.ids[l]
-		if !ok {
-			kid = int32(len(ix.ids))
-			ix.ids[l] = kid
-		}
-		ids = append(ids, kid)
-	}
-	ix.iv.put(id, n, runLength(ids))
+	t = t.Relabel(ix.tab)
+	ix.iv.put(id, t.Len(), t.IDs())
 }
 
 // Delete removes the tree id from the index (its postings become
 // tombstones, reclaimed by the next compaction). It reports whether a
 // live tree was indexed under id.
 func (ix *Histogram) Delete(id int) bool { return ix.iv.delete(id) }
-
-// runLength sorts a key-id buffer in place and collapses it into a
-// (id, count) profile.
-func runLength(ids []int32) []keyCount {
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	var prof []keyCount
-	for i := 0; i < len(ids); {
-		j := i
-		for j < len(ids) && ids[j] == ids[i] {
-			j++
-		}
-		prof = append(prof, keyCount{id: ids[i], count: int32(j - i)})
-		i = j
-	}
-	return prof
-}
 
 // CandidatesBelow appends to dst every live tree with id < q whose
 // label-histogram lower bound against tree q is strictly below tau, in

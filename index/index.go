@@ -2,6 +2,7 @@ package index
 
 import (
 	"math"
+	"slices"
 	"sort"
 	"sync"
 )
@@ -34,8 +35,8 @@ type posting struct {
 	count int32
 }
 
-// keyCount is one entry of a tree's profile: an interned key id and its
-// multiplicity, sorted by id within the profile.
+// keyCount is one entry of a tree's profile: a key id and its
+// multiplicity in the tree.
 type keyCount struct {
 	id    int32
 	count int32
@@ -63,7 +64,7 @@ type treeMeta struct {
 type inverted struct {
 	trees []treeMeta // indexed by stable id; ids should be dense
 	live  int
-	lists map[int32][]posting
+	lists [][]posting // indexed by key id, up to the largest key put
 
 	sizeMu    sync.Mutex
 	bySize    []int32 // live tree ids sorted by (size, id)
@@ -72,6 +73,8 @@ type inverted struct {
 	// Tombstone accounting for the compaction trigger: postings in the
 	// lists, and how many of them are tombstones.
 	total, dead int
+
+	prof []keyCount // put's scratch
 }
 
 // reserve hands out the next unused stable id (max id ever used, plus
@@ -81,10 +84,12 @@ func (iv *inverted) reserve() int {
 	return len(iv.trees) - 1
 }
 
-// put installs (or replaces) the tree id with the given size and
-// profile. The new postings carry a fresh generation, so the replaced
-// tree's postings become tombstones.
-func (iv *inverted) put(id int, size int, prof []keyCount) {
+// put installs (or replaces) the tree id with the given size and keys,
+// one key id per occurrence, in any order. The new postings carry a
+// fresh generation, so the replaced tree's postings become tombstones.
+// A key's postings for this tree are appended in one put, so the tail
+// of its list counts its repeats.
+func (iv *inverted) put(id int, size int, keys []int32) {
 	if id < 0 {
 		panic("index: negative tree id")
 	}
@@ -100,13 +105,24 @@ func (iv *inverted) put(id int, size int, prof []keyCount) {
 	m.gen++
 	m.size = int32(size)
 	m.alive = true
-	m.prof = prof
-	if iv.lists == nil {
-		iv.lists = make(map[int32][]posting)
+	prof := iv.prof[:0]
+	for _, k := range keys {
+		if n := int(k) + 1; n > len(iv.lists) {
+			iv.lists = append(iv.lists, make([][]posting, n-len(iv.lists))...)
+		}
+		list := iv.lists[k]
+		if n := len(list); n > 0 && list[n-1].tree == int32(id) && list[n-1].gen == m.gen {
+			list[n-1].count++
+			continue
+		}
+		iv.lists[k] = append(list, posting{tree: int32(id), gen: m.gen, count: 1})
+		prof = append(prof, keyCount{id: k})
 	}
-	for _, kc := range prof {
-		iv.lists[kc.id] = append(iv.lists[kc.id], posting{tree: int32(id), gen: m.gen, count: kc.count})
+	for i, kc := range prof {
+		list := iv.lists[kc.id]
+		prof[i].count = list[len(list)-1].count
 	}
+	iv.prof, m.prof = prof, slices.Clone(prof)
 	iv.total += len(prof)
 	iv.sizeDirty = true
 	iv.maybeCompact()
@@ -148,10 +164,9 @@ func (iv *inverted) compact() {
 			}
 		}
 		if w == 0 {
-			delete(iv.lists, key)
-		} else {
-			iv.lists[key] = list[:w]
+			list = nil
 		}
+		iv.lists[key] = list[:w]
 		kept += w
 	}
 	// Dead trees have no postings left anywhere, so their records can be
@@ -205,28 +220,24 @@ func (iv *inverted) accumulate(q int, sc *probeScratch, visit func(t int32, qm, 
 	if len(sc.common) < len(iv.trees) {
 		sc.common = make([]int32, len(iv.trees))
 	}
-	qm := &iv.trees[q]
-	for _, kc := range qm.prof {
+	trees, common := iv.trees, sc.common
+	for _, kc := range trees[q].prof {
 		for _, p := range iv.lists[kc.id] {
 			if int(p.tree) >= q {
 				continue
 			}
-			m := &iv.trees[p.tree]
-			if !m.alive || m.gen != p.gen {
+			if m := &trees[p.tree]; !m.alive || m.gen != p.gen {
 				continue // tombstone
 			}
-			if sc.common[p.tree] == 0 {
+			if common[p.tree] == 0 {
 				sc.touched = append(sc.touched, p.tree)
 			}
-			if p.count < kc.count {
-				sc.common[p.tree] += p.count
-			} else {
-				sc.common[p.tree] += kc.count
-			}
+			common[p.tree] += min(p.count, kc.count)
 		}
 	}
+	qm := &trees[q]
 	for _, t := range sc.touched {
-		visit(t, qm, &iv.trees[t])
+		visit(t, qm, &trees[t])
 	}
 	return qm.size, true
 }

@@ -8,6 +8,7 @@ import (
 	ted "repro"
 	"repro/gen"
 	"repro/index"
+	"repro/internal/tree"
 )
 
 // corpus draws a mixed-shape collection with a small label alphabet so
@@ -60,7 +61,7 @@ func labelLB(f, g *ted.Tree) float64 {
 // the right LB values.
 func TestHistogramMatchesBruteForce(t *testing.T) {
 	trees := corpus(1, 14, 30)
-	ix := index.NewHistogram()
+	ix := index.NewHistogram(tree.NewLabelTable())
 	for _, tr := range trees {
 		ix.Add(tr)
 	}
@@ -95,7 +96,7 @@ func TestHistogramMatchesBruteForce(t *testing.T) {
 // exact distance: every true match must be generated, at every threshold.
 func TestPQGramComplete(t *testing.T) {
 	trees := corpus(2, 14, 24)
-	ix := index.NewPQGram(2)
+	ix := index.NewPQGram(tree.NewLabelTable(), 2)
 	for _, tr := range trees {
 		ix.Add(tr)
 	}
@@ -141,7 +142,7 @@ func TestPQGramCompleteAdversarial(t *testing.T) {
 		ted.MustParse("{x}"),
 		ted.MustParse("{y}"), // (3,4) at distance 1 share no gram: fringe case
 	}
-	ix := index.NewPQGram(2)
+	ix := index.NewPQGram(tree.NewLabelTable(), 2)
 	for _, tr := range trees {
 		ix.Add(tr)
 	}
@@ -162,30 +163,13 @@ func TestPQGramCompleteAdversarial(t *testing.T) {
 	}
 }
 
-// TestPQGramDistanceBasics pins the standalone distance: 0 for identical
-// trees, 1 for fully disjoint profiles, symmetric in between.
-func TestPQGramDistanceBasics(t *testing.T) {
-	f := ted.MustParse("{a{b}{c}}")
-	g := ted.MustParse("{x{y}{z}}")
-	if d := index.PQGramDistance(f, f, 2, 3); d != 0 {
-		t.Fatalf("self distance %v, want 0", d)
-	}
-	if d := index.PQGramDistance(f, g, 2, 3); d != 1 {
-		t.Fatalf("disjoint distance %v, want 1", d)
-	}
-	h := ted.MustParse("{a{b}{z}}")
-	if d1, d2 := index.PQGramDistance(f, h, 2, 3), index.PQGramDistance(h, f, 2, 3); d1 != d2 || d1 <= 0 || d1 >= 1 {
-		t.Fatalf("partial-overlap distance %v/%v, want symmetric in (0,1)", d1, d2)
-	}
-}
-
 // TestCandidatesBelowEdgeCases covers q=0 (nothing below), tau=0 (nothing
 // matches), single-node trees and an exact duplicate.
 func TestCandidatesBelowEdgeCases(t *testing.T) {
 	trees := []*ted.Tree{ted.MustParse("{a}"), ted.MustParse("{a}"), ted.MustParse("{b}"),
 		ted.MustParse("{a{b{c}}{d}}"), ted.MustParse("{a{b{c}}{d}}")}
-	h := index.NewHistogram()
-	p := index.NewPQGram(2)
+	h := index.NewHistogram(tree.NewLabelTable())
+	p := index.NewPQGram(tree.NewLabelTable(), 2)
 	for _, tr := range trees {
 		h.Add(tr)
 		p.Add(tr)

@@ -3,6 +3,8 @@ package index
 import (
 	"math"
 	"testing"
+
+	"repro/internal/tree"
 )
 
 func TestMaxOpsBelow(t *testing.T) {
@@ -58,7 +60,16 @@ func TestSmallIDsOrderedAndBounded(t *testing.T) {
 // compaction physically drops their postings without changing the view.
 func TestTombstoneAndCompaction(t *testing.T) {
 	var iv inverted
-	prof := func(kcs ...keyCount) []keyCount { return kcs }
+	// prof lists the keys of a profile, each as often as it counts.
+	prof := func(kcs ...keyCount) []int32 {
+		var keys []int32
+		for _, kc := range kcs {
+			for range kc.count {
+				keys = append(keys, kc.id)
+			}
+		}
+		return keys
+	}
 	iv.put(0, 3, prof(keyCount{0, 2}, keyCount{1, 1}))
 	iv.put(1, 2, prof(keyCount{0, 1}, keyCount{2, 1}))
 	iv.put(2, 4, prof(keyCount{0, 4}))
@@ -99,5 +110,21 @@ func TestTombstoneAndCompaction(t *testing.T) {
 	}
 	if iv.live != 2 {
 		t.Fatalf("live count %d, want 2", iv.live)
+	}
+}
+
+// TestGramKeyCollision: two grams whose hashes collide still get keys of
+// their own, each found again on a later lookup.
+func TestGramKeyCollision(t *testing.T) {
+	ix := NewPQGram(tree.NewLabelTable(), 2)
+	a, b := []int32{1, 2, null}, []int32{3, null, 4}
+	ka := ix.key(a)
+	ix.byHash[gramHash(b)] = ka // b's hash now finds a's key, as a collision would
+	kb := ix.key(b)
+	if kb == ka {
+		t.Fatalf("colliding grams share key %d", ka)
+	}
+	if ix.key(a) != ka || ix.key(b) != kb || ix.key([]int32{1, 2, null}) != ka {
+		t.Fatalf("keys changed on a second lookup: %d %d, want %d %d", ix.key(a), ix.key(b), ka, kb)
 	}
 }

@@ -2,20 +2,20 @@ package index
 
 import (
 	"math"
+	"slices"
 
-	"repro/internal/bounds"
 	"repro/internal/tree"
 )
 
 // PQGram is a pq-gram inverted index for threshold similarity joins
 // (Augsten, Böhlen, Gamper — references [4,5] of the RTED paper), with
 // stem length p = 1. Each indexed tree contributes its (1, q)-gram
-// profile: the multiset of serialized label tuples obtained by sliding a
-// window of q consecutive children under each node. An inverted posting
-// list maps every gram to the trees containing it, so a query generates
-// exactly the trees sharing at least one gram — one posting-list merge
-// instead of a corpus scan — and counts each one's gram overlap
-// |P(F) ∩ P(G)| on the way.
+// profile: the multiset of label tuples obtained by sliding a window of
+// q consecutive children under each node. An inverted posting list maps
+// every gram to the trees containing it, so a query generates exactly
+// the trees sharing at least one gram — one posting-list merge instead
+// of a corpus scan — and counts each one's gram overlap |P(F) ∩ P(G)| on
+// the way.
 //
 // # Completeness
 //
@@ -42,24 +42,43 @@ import (
 // complete: the surviving gram-sharers plus the fringe provably contain
 // every true match.
 //
-// Like Histogram, a PQGram indexes trees under stable ids (Add/Put) and
-// supports Delete and Put-replacement through generation-tombstoned
-// postings with automatic compaction. It has the same synchronization
+// Like Histogram, a PQGram indexes trees under stable ids (Add/Put)
+// and supports Delete and Put-replacement through generation-tombstoned
+// postings with automatic compaction. Its grams are tuples of label ids
+// of the label table it was built on, with a null that no label id can
+// take, so it compares no strings. It has the same synchronization
 // contract: Add, Put and Delete must not overlap each other or any other
-// call; CandidatesBelow, Len and Snapshot may run concurrently with each
-// other.
+// call; CandidatesBelow and Len may run concurrently with each other.
 type PQGram struct {
 	q   int
-	ids map[string]int32 // gram interner
-	iv  inverted
+	tab *tree.LabelTable
+
+	// The gram interner: a gram's key is its position in grams, which
+	// holds each gram's q + 1 label ids in turn, and byHash finds the key
+	// by a hash of the ids (on a collision, by the next hash up).
+	grams  []int32
+	byHash map[uint64]int32
+
+	// Put's scratch, which only a mutation touches: the gram being
+	// interned and the keys of the tree being indexed.
+	gram []int32
+	keys []int32
+
+	iv inverted
 }
 
-// NewPQGram returns an empty (1, q)-gram index; q must be ≥ 1.
-func NewPQGram(q int) *PQGram {
+// null is the label id of the padding in a gram: no node's, since label
+// ids are never negative.
+const null = -1
+
+// NewPQGram returns an empty (1, q)-gram index keyed by the label ids of
+// tab, which must give equal labels equal ids (see NewHistogram); q must
+// be ≥ 1.
+func NewPQGram(tab *tree.LabelTable, q int) *PQGram {
 	if q < 1 {
 		panic("index: pq-gram base length must be positive")
 	}
-	return &PQGram{q: q, ids: make(map[string]int32)}
+	return &PQGram{q: q, tab: tab, byHash: make(map[uint64]int32)}
 }
 
 // Q returns the base length of the index's grams.
@@ -78,18 +97,65 @@ func (ix *PQGram) Add(t *tree.Tree) int {
 
 // Put indexes t under the stable id of the caller's choosing, replacing
 // whatever tree was indexed there (the old postings become tombstones).
+// Labels of t that the index's table has not seen are interned into it.
 func (ix *PQGram) Put(id int, t *tree.Tree) {
-	grams := bounds.PQGramProfile(t, 1, ix.q) // sorted, so ids run-length cleanly
-	ids := make([]int32, 0, len(grams))
-	for _, g := range grams {
-		kid, ok := ix.ids[g]
-		if !ok {
-			kid = int32(len(ix.ids))
-			ix.ids[g] = kid
+	t = t.Relabel(ix.tab)
+	ix.iv.put(id, t.Len(), ix.profile(t))
+}
+
+// profile returns the key of every (1, q)-gram of t, interning the new
+// ones: for each node, its label and each window of q consecutive
+// children in its child list padded with q − 1 nulls at both ends, and
+// for a leaf one window of q nulls.
+func (ix *PQGram) profile(t *tree.Tree) []int32 {
+	ids := t.IDs()
+	ix.keys = ix.keys[:0]
+	for v := range t.Len() {
+		kids := t.Children(v)
+		first, last := 1-ix.q, len(kids)-1
+		if len(kids) == 0 {
+			first, last = 0, 0
 		}
-		ids = append(ids, kid)
+		for i := first; i <= last; i++ {
+			g := append(ix.gram[:0], ids[v])
+			for j := i; j < i+ix.q; j++ {
+				l := int32(null)
+				if 0 <= j && j < len(kids) {
+					l = ids[kids[j]]
+				}
+				g = append(g, l)
+			}
+			ix.gram = g
+			ix.keys = append(ix.keys, ix.key(g))
+		}
 	}
-	ix.iv.put(id, t.Len(), runLength(ids))
+	return ix.keys
+}
+
+// key returns the key of gram g, interning it if it is new.
+func (ix *PQGram) key(g []int32) int32 {
+	n := len(g)
+	for h := gramHash(g); ; h++ {
+		k, ok := ix.byHash[h]
+		if !ok {
+			k = int32(len(ix.grams) / n)
+			ix.byHash[h] = k
+			ix.grams = append(ix.grams, g...)
+			return k
+		}
+		if slices.Equal(ix.grams[int(k)*n:int(k+1)*n], g) {
+			return k
+		}
+	}
+}
+
+// gramHash is the hash PQGram.key looks a gram up by.
+func gramHash(g []int32) uint64 {
+	h := uint64(0)
+	for _, l := range g {
+		h = (h ^ uint64(uint32(l))) * 0x9e3779b97f4a7c15
+	}
+	return h
 }
 
 // Delete removes the tree id from the index (its postings become
@@ -168,14 +234,4 @@ func (ix *PQGram) CandidatesBelow(q int, tau float64, dst []Candidate) []Candida
 	}
 	sortByID(dst)
 	return dst
-}
-
-// PQGramDistance is the standalone normalized pq-gram distance in [0, 1]
-// between two trees: 1 − 2·|P(F) ∩ P(G)| / (|P(F)| + |P(G)|) over their
-// (p, q)-gram profiles. It is a pseudo-metric — fast, and a faithful
-// proxy for tree similarity on many workloads — but NOT a lower bound of
-// the unit-cost tree edit distance, so use it for ranking and candidate
-// generation, never for exact pruning.
-func PQGramDistance(f, g *tree.Tree, p, q int) float64 {
-	return bounds.PQGram(f, g, p, q)
 }

@@ -8,6 +8,7 @@ import (
 	ted "repro"
 	"repro/gen"
 	"repro/index"
+	"repro/internal/tree"
 )
 
 // TestOwnerLockContention drives one index the way its owner does:
@@ -31,8 +32,8 @@ func TestOwnerLockContention(t *testing.T) {
 		alts = append(alts, gen.Random(rng.Int63(), spec))
 	}
 	for name, build := range map[string]func() mutableIndex{
-		"histogram": func() mutableIndex { return index.NewHistogram() },
-		"pqgram":    func() mutableIndex { return index.NewPQGram(2) },
+		"histogram": func() mutableIndex { return index.NewHistogram(tree.NewLabelTable()) },
+		"pqgram":    func() mutableIndex { return index.NewPQGram(tree.NewLabelTable(), 2) },
 	} {
 		t.Run(name, func(t *testing.T) {
 			ix := build()

@@ -8,6 +8,7 @@ import (
 	ted "repro"
 	"repro/gen"
 	"repro/index"
+	"repro/internal/tree"
 )
 
 // mutableIndex is the incremental-maintenance surface shared by both
@@ -51,8 +52,8 @@ func TestDeleteReplaceEquivalence(t *testing.T) {
 	initial, replacements := mk(), mk()
 
 	builders := map[string]func() mutableIndex{
-		"histogram": func() mutableIndex { return index.NewHistogram() },
-		"pqgram":    func() mutableIndex { return index.NewPQGram(2) },
+		"histogram": func() mutableIndex { return index.NewHistogram(tree.NewLabelTable()) },
+		"pqgram":    func() mutableIndex { return index.NewPQGram(tree.NewLabelTable(), 2) },
 	}
 	for name, build := range builders {
 		incr := build()
@@ -106,78 +107,5 @@ func TestDeleteReplaceEquivalence(t *testing.T) {
 				}
 			}
 		}
-	}
-}
-
-// TestSnapshotRestore pins the persistence contract: a restored index
-// generates bit-identical candidates (IDs and LBs) and keeps
-// allocating fresh ids above everything the snapshot's writer used.
-func TestSnapshotRestore(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	var trees []*ted.Tree
-	for i := 0; i < 16; i++ {
-		trees = append(trees, gen.Random(rng.Int63(), gen.RandomSpec{
-			Size: 1 + rng.Intn(20), MaxDepth: 6, MaxFanout: 4, Labels: 5,
-		}))
-	}
-	h := index.NewHistogram()
-	p := index.NewPQGram(3)
-	for _, tr := range trees {
-		h.Add(tr)
-		p.Add(tr)
-	}
-	h.Delete(4)
-	p.Delete(4)
-
-	h2, err := index.RestoreHistogram(h.Snapshot())
-	if err != nil {
-		t.Fatalf("RestoreHistogram: %v", err)
-	}
-	p2, err := index.RestorePQGram(3, p.Snapshot())
-	if err != nil {
-		t.Fatalf("RestorePQGram: %v", err)
-	}
-	if h2.Len() != h.Len() || p2.Len() != p.Len() {
-		t.Fatalf("restored live counts (%d, %d), want (%d, %d)", h2.Len(), p2.Len(), h.Len(), p.Len())
-	}
-	for _, tau := range []float64{2, 7.5, math.Inf(1)} {
-		for q := range trees {
-			a := h.CandidatesBelow(q, tau, nil)
-			b := h2.CandidatesBelow(q, tau, nil)
-			if len(a) != len(b) {
-				t.Fatalf("histogram q=%d tau=%v: %d vs %d candidates", q, tau, len(a), len(b))
-			}
-			for i := range a {
-				if a[i] != b[i] {
-					t.Fatalf("histogram q=%d tau=%v: candidate %d %+v vs %+v", q, tau, i, a[i], b[i])
-				}
-			}
-			c := p.CandidatesBelow(q, tau, nil)
-			d := p2.CandidatesBelow(q, tau, nil)
-			if len(c) != len(d) {
-				t.Fatalf("pqgram q=%d tau=%v: %d vs %d candidates", q, tau, len(c), len(d))
-			}
-			for i := range c {
-				if c[i] != d[i] {
-					t.Fatalf("pqgram q=%d tau=%v: candidate %d %+v vs %+v", q, tau, i, c[i], d[i])
-				}
-			}
-		}
-	}
-	// A deleted id stays burned after restore: the next Add must not
-	// alias it.
-	if id := h2.Add(trees[0]); id != len(trees) {
-		t.Fatalf("restored histogram Add assigned id %d, want %d", id, len(trees))
-	}
-	// Corrupt snapshots must error, not panic.
-	s := h.Snapshot()
-	s.Entries[0].Prof[0].Key = int32(len(s.Keys)) + 7
-	if _, err := index.RestoreHistogram(s); err == nil {
-		t.Fatal("out-of-range key accepted")
-	}
-	s = h.Snapshot()
-	s.Entries[0].ID = s.Entries[1].ID
-	if _, err := index.RestoreHistogram(s); err == nil {
-		t.Fatal("duplicate entry id accepted")
 	}
 }

@@ -10,32 +10,39 @@ import (
 // Gamper — cited as [4,5] in the RTED paper): the multiset of label
 // tuples obtained by sliding, for every node, a window of q consecutive
 // children under a stem of the node and its p−1 nearest ancestors. The
-// tree is conceptually extended with null labels ("*") so every node
-// yields at least one gram. Profiles are returned sorted so multiset
-// intersections are linear merges.
+// tree is conceptually extended with null nodes so every node yields at
+// least one gram; a null equals no label ("*" included). Profiles are
+// returned sorted so multiset intersections are linear merges.
 func PQGramProfile(t *tree.Tree, p, q int) []string {
 	if p < 1 || q < 1 {
 		panic("bounds: pq-gram parameters must be positive")
+	}
+	// A gram holds each label behind a one-byte prefix, so the null, the
+	// empty string, is no label's.
+	const null = ""
+	labels := make([]string, t.Len())
+	for v := range labels {
+		labels[v] = "l" + t.Label(v)
 	}
 	var grams []string
 	stem := make([]string, p) // stem[p-1] is the current node
 	var walk func(v int, anc []string)
 	walk = func(v int, anc []string) {
 		copy(stem, anc[1:])
-		stem[p-1] = t.Label(v)
+		stem[p-1] = labels[v]
 		kids := t.Children(v)
 		// Base window of q children over the null-extended child list:
 		// q−1 nulls, the children, q−1 nulls (a lone leaf yields one
 		// all-null base).
 		ext := make([]string, 0, len(kids)+2*(q-1))
 		for i := 0; i < q-1; i++ {
-			ext = append(ext, "*")
+			ext = append(ext, null)
 		}
 		for _, c := range kids {
-			ext = append(ext, t.Label(c))
+			ext = append(ext, labels[c])
 		}
 		for i := 0; i < q-1; i++ {
-			ext = append(ext, "*")
+			ext = append(ext, null)
 		}
 		if len(kids) == 0 && q > 1 {
 			ext = ext[:q] // single all-null window for leaves
@@ -43,21 +50,21 @@ func PQGramProfile(t *tree.Tree, p, q int) []string {
 		if len(ext) < q {
 			pad := make([]string, q-len(ext))
 			for i := range pad {
-				pad[i] = "*"
+				pad[i] = null
 			}
 			ext = append(ext, pad...)
 		}
 		for i := 0; i+q <= len(ext); i++ {
 			grams = append(grams, encodeGram(stem, ext[i:i+q]))
 		}
-		next := append(append([]string(nil), anc[1:]...), t.Label(v))
+		next := append(append([]string(nil), anc[1:]...), labels[v])
 		for _, c := range kids {
 			walk(c, next)
 		}
 	}
 	root := make([]string, p)
 	for i := range root {
-		root[i] = "*"
+		root[i] = null
 	}
 	walk(t.Root(), root)
 	sort.Strings(grams)

@@ -38,8 +38,7 @@ import (
 // contiguous span per la-run, so compressing it would need a per-(row,
 // la) offset table of the same order as the savings. Band-compressed
 // storage therefore applies to the rectangular ΔL/ΔR rows only; ΔI
-// contributes its full rows to Counters.RowCells and benefits from the
-// per-region band pricing below.
+// contributes its full rows to Counters.RowCells.
 
 // chain is the Definition 3 removal sequence for one subtree and path.
 type chain struct {
