@@ -46,7 +46,7 @@ func (e *Engine) Prepare(t *tree.Tree) *PreparedTree {
 		eng:   e,
 		t:     t,
 		costs: cost.CompileTree(e.model, t, e.labels),
-		prof:  bounds.NewProfile(t, t.IDs()),
+		prof:  bounds.NewProfile(t),
 	}
 }
 

@@ -12,7 +12,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
-	"sort"
+	"slices"
 	"sync"
 
 	"repro/internal/tree"
@@ -129,7 +129,7 @@ func (c *Corpus) saveLocked(w io.Writer) error {
 	for id := range c.entries {
 		ids = append(ids, id)
 	}
-	sortIDs(ids)
+	slices.Sort(ids)
 	// Renumber the labels the trees use in table order: first mark them,
 	// then give each its position among them.
 	table := c.labels.Snapshot()
@@ -311,13 +311,12 @@ func (d *decoder) corpus(b *builders) (*Corpus, []Option, error) {
 		}
 	}
 
-	c := &Corpus{labels: tab, entries: make(map[ID]*entry)}
 	next := d.count(math.MaxInt32, "next id")
 	nTrees := d.count(maxTrees, "tree count")
 	if nTrees > next {
 		return nil, nil, fmt.Errorf("%w: %d trees but next id %d", errCorrupt, nTrees, next)
 	}
-	c.next = ID(next)
+	c := &Corpus{labels: tab, entries: make(map[ID]*entry, capHint(nTrees)), next: ID(next)}
 	b.start(tab, min(runtime.GOMAXPROCS(0), int(nTrees)))
 	lastID := int64(-1)
 	for ti := uint64(0); ti < nTrees; ti++ {
@@ -703,8 +702,8 @@ func (d *decoder) str(maxLen uint64) string {
 }
 
 // capHint bounds an upfront allocation by what a short stream could
-// actually back: slices start at min(claimed, 4096) and grow by append,
-// so a hostile count allocates no faster than bytes arrive.
+// actually back: slices and maps start at min(claimed, 4096) and grow as
+// they fill, so a hostile count allocates no faster than bytes arrive.
 func capHint(n uint64) int {
 	if n > 4096 {
 		return 4096
@@ -799,8 +798,4 @@ func pqParams(p, q uint64) error {
 		return fmt.Errorf("%w: pq-gram parameters (%d, %d), want (1, q ≥ 1)", errCorrupt, p, q)
 	}
 	return nil
-}
-
-func sortIDs(ids []ID) {
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 }

@@ -66,7 +66,6 @@ import (
 	"hash/fnv"
 	"math"
 	"slices"
-	"sort"
 	"sync"
 
 	"repro/batch"
@@ -308,7 +307,7 @@ func (c *Corpus) IDs() []ID {
 		out = append(out, id)
 	}
 	c.mu.RUnlock()
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"slices"
 	"testing"
 
 	"repro/internal/cost"
@@ -12,13 +13,9 @@ import (
 	"repro/internal/zs"
 )
 
-// internedProfile profiles t with label ids assigned by in.
+// internedProfile profiles t relabeled onto in.
 func internedProfile(t *tree.Tree, in *tree.LabelTable) *Profile {
-	ids := make([]int32, t.Len())
-	for v := range ids {
-		ids[v] = in.Intern(t.Label(v))[0]
-	}
-	return NewProfile(t, ids)
+	return NewProfile(t.Relabel(in))
 }
 
 // randomLabeled grows a random n-node tree (each node hangs under a
@@ -142,18 +139,58 @@ func TestProfiledBoundsMatchStringBounds(t *testing.T) {
 	}
 }
 
+// TestPackedHistogramsMatchSorted: on random trees of 1 to 300 nodes
+// with repeated and empty labels, the histograms read off one sort of
+// packed branch keys equal those read off the comparison sort. With the
+// fields lowered to 6 bits, trees whose ids reach 62, the last packable
+// one, still pack and agree, and trees holding 63 or 64 take the
+// comparison sort.
+func TestPackedHistogramsMatchSorted(t *testing.T) {
+	const bits = 6
+	tab := tree.NewLabelTable()
+	for i := range 1<<bits + 1 { // label i has id i, but id 7 is the empty label
+		if i == 7 {
+			tab.Intern("")
+		} else {
+			tab.Intern(fmt.Sprint(i))
+		}
+	}
+	empty, _ := tab.ID("")
+	packable := []string{"", "0", "1", "5", "62"}
+	all := append(slices.Clone(packable), "63", "64")
+	rng := rand.New(rand.NewSource(36))
+	for iter := 0; iter < 400; iter++ {
+		alpha := packable
+		if iter%2 == 1 {
+			alpha = all
+		}
+		tr := randomLabeled(rng, 1+rng.Intn(300), func(int) string { return alpha[rng.Intn(len(alpha))] }).Relabel(tab)
+		want := newProfile(tr, 0) // no id packs into 0-bit fields
+		got := map[string]*Profile{"default width": NewProfile(tr), "6-bit fields": newProfile(tr, bits)}
+		if iter%2 == 0 {
+			branches := packedBranches(tr, empty, bits)
+			got["6-bit fields, packed"] = &Profile{labels: labelHistogram(branches), branches: branches}
+		}
+		for name, p := range got {
+			if !slices.Equal(p.labels, want.labels) || !slices.Equal(p.branches, want.branches) {
+				t.Fatalf("%s: labels %v, branches %v; the comparison sort gives %v, %v\nT=%s",
+					name, p.labels, p.branches, want.labels, want.branches, tr)
+			}
+		}
+	}
+}
+
 // TestProfileRetainedSize pins what a stored tree's profile keeps
 // resident: for a 40-node tree with 40 distinct labels (the worst case
 // for both histograms) under 1.5 KB — 40 label pairs (8 bytes each), 40
 // branch entries (16 bytes), the preorder ids (4 bytes a node) and the
-// header; the postorder sequence aliases the ids the caller holds. The
+// header; the postorder sequence aliases the tree's own ids. The
 // string-keyed maps and []string serializations this layout replaced
 // held about 7.5 KB for the same tree.
 func TestProfileRetainedSize(t *testing.T) {
 	rng := rand.New(rand.NewSource(35))
 	tr := randomLabeled(rng, 40, func(i int) string { return fmt.Sprintf("label-%02d", i) })
-	in := tree.NewLabelTable()
-	ids := internedProfile(tr, in).post
+	tr = tr.Relabel(tree.NewLabelTable())
 
 	const copies = 1000
 	keep := make([]*Profile, copies)
@@ -161,7 +198,7 @@ func TestProfileRetainedSize(t *testing.T) {
 	runtime.GC()
 	runtime.ReadMemStats(&before)
 	for i := range keep {
-		keep[i] = NewProfile(tr, ids)
+		keep[i] = NewProfile(tr)
 	}
 	runtime.GC()
 	runtime.ReadMemStats(&after)

@@ -15,8 +15,9 @@ import (
 // parsed or indexed gets a table of its own instead, one id per node in
 // postorder, which costs no map and no deduplication.
 //
-// A LabelTable is safe for concurrent use: Intern appends under a
-// mutex, and Label reads an atomically published slice without a lock.
+// A LabelTable is safe for concurrent use: Intern appends and ID looks a
+// label up under a mutex, and Label reads an atomically published slice
+// without a lock.
 // Ids are never reassigned, so an id once handed out names the same
 // label for the table's whole life.
 type LabelTable struct {
@@ -59,17 +60,33 @@ func (tab *LabelTable) Intern(ls ...string) []int32 {
 	return tab.intern(len(ls), func(i int) string { return ls[i] })
 }
 
+// ID returns the id of label l and whether tab holds it, assigning none.
+func (tab *LabelTable) ID(l string) (int32, bool) {
+	tab.mu.Lock()
+	defer tab.mu.Unlock()
+	tab.mapLocked()
+	id, ok := tab.ids[l]
+	return id, ok
+}
+
+// mapLocked builds the label-to-id map on first use; tab.mu is held.
+func (tab *LabelTable) mapLocked() {
+	if tab.ids != nil {
+		return
+	}
+	cur := *tab.labels.Load()
+	tab.ids = make(map[string]int32, len(cur))
+	for i := len(cur) - 1; i >= 0; i-- {
+		tab.ids[cur[i]] = int32(i) // the first id of a repeated label wins
+	}
+}
+
 // intern is Intern over the n labels label(0), …, label(n−1).
 func (tab *LabelTable) intern(n int, label func(i int) string) []int32 {
 	tab.mu.Lock()
 	defer tab.mu.Unlock()
+	tab.mapLocked()
 	cur := *tab.labels.Load() // unclipped, so that growing it amortizes
-	if tab.ids == nil {
-		tab.ids = make(map[string]int32, len(cur))
-		for i := len(cur) - 1; i >= 0; i-- {
-			tab.ids[cur[i]] = int32(i) // the first id of a repeated label wins
-		}
-	}
 	out := make([]int32, n)
 	grown := cur
 	for i := range out {
@@ -127,3 +144,6 @@ func (t *Tree) Relabel(tab *LabelTable) *Tree {
 // IDs returns the label id of every node in postorder. The slice must
 // not be modified.
 func (t *Tree) IDs() []int32 { return t.ids }
+
+// LabelTable returns the table t's label ids refer to.
+func (t *Tree) LabelTable() *LabelTable { return t.table }

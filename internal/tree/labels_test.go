@@ -77,3 +77,23 @@ func TestLabelTableConcurrent(t *testing.T) {
 		t.Fatal("FromIDs accepted a label id the table does not hold")
 	}
 }
+
+// TestLabelTableID: ID finds the id Intern gave a label, assigns none to
+// a label the table lacks, and on a parsed tree's table (one id per node)
+// returns a repeated label's first id, as interning into it would.
+func TestLabelTableID(t *testing.T) {
+	tab := NewLabelTable()
+	ids := tab.Intern("a", "", "b")
+	for i, l := range []string{"a", "", "b"} {
+		if id, ok := tab.ID(l); !ok || id != ids[i] {
+			t.Errorf("ID(%q) = %d, %v; Intern gave %d", l, id, ok, ids[i])
+		}
+	}
+	if id, ok := tab.ID("c"); ok || tab.Len() != 3 {
+		t.Errorf("ID of a missing label = %d, %v, table of %d labels; want not found, 3 labels", id, ok, tab.Len())
+	}
+	parsed := MustParseBracket("{x{}{y}{}}").LabelTable() // postorder: "", y, "", x
+	if id, ok := parsed.ID(""); !ok || id != 0 {
+		t.Errorf("ID(\"\") on a parsed tree's table = %d, %v; want its first id, 0", id, ok)
+	}
+}
