@@ -285,9 +285,10 @@ func (e *Engine) Distance(f, g *PreparedTree) float64 {
 // (lb, false) with lb a lower bound on the distance no smaller than tau.
 // Under the unit cost model the profiled lower bounds are consulted
 // first, skipping the DP entirely when they already exceed tau; otherwise
-// (and under any other model) GTED runs with tau threaded into its DP
-// loops, skipping provably-above-cutoff cells and aborting as soon as the
-// distance provably exceeds tau. Safe for concurrent use.
+// (and under any other model) GTED refuses the pair at its root when its
+// size or height offset alone prices it above tau (gted.Refuse), and
+// else runs once with every subproblem saturating at tau, skipping the
+// cells that provably exceed it. Safe for concurrent use.
 func (e *Engine) DistanceBounded(f, g *PreparedTree, tau float64) (float64, bool) {
 	e.check(f, g)
 	if math.IsNaN(tau) {

@@ -21,13 +21,13 @@ func UpperAcceptAllocs(e *Engine, f, g *PreparedTree, tau float64) (accepted boo
 }
 
 // TopKRun runs one top-k-style GTED pass of f against g on a pooled
-// workspace — cutoff tau, no early abort, as TopKAcrossStream runs each
+// workspace — cutoff tau, no root check, as TopKAcrossStream runs each
 // data tree — and returns its stats.
 func TopKRun(e *Engine, f, g *PreparedTree, tau float64) Stats {
 	ws := e.getWS()
 	defer e.putWS(ws)
 	r := e.pairRunner(ws, f, g)
-	r.SetCutoff(tau, false)
+	r.SetCutoff(tau)
 	r.Run()
 	return r.Stats()
 }

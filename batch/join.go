@@ -241,11 +241,13 @@ func candidatePairs(trees []*PreparedTree, cands []CandidatePair) []ij {
 // upper bound accepts skips the O(|F|·|G|) lower bounds and, on a warm
 // workspace, allocates nothing.
 //
-// The exact stage of a filtered join runs GTED with cutoff tau threaded
-// into its DP loops, so a pair whose distance provably reaches tau
-// abandons most of its DP instead of finishing it. The match set is
-// provably unchanged — a pair with distance < tau always completes
-// exactly, and any pair the cutoff abandons could not have matched.
+// The exact stage of a filtered join is a bounded run at tau
+// (runBounded): the root check refuses a pair whose size or height
+// offset alone prices it above tau, and any other pair's DP skips every
+// cell whose forest sizes prove it above tau. The match set is provably
+// unchanged — every value at most tau is computed exactly, so a pair
+// with distance < tau still comes out exact, and a pair the cutoff
+// saturates could not have matched.
 func (e *Engine) filterPair(ws *workspace, st *JoinStats, f, g *PreparedTree, candLB, tau float64, filtered bool) (float64, bool) {
 	st.Comparisons++
 	if !filtered {

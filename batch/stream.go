@@ -116,7 +116,7 @@ func (e *Engine) TopKAcrossStream(ctx context.Context, query *PreparedTree, data
 			continue
 		}
 		r := e.pairRunner(ws, query, d)
-		r.SetCutoff(tau, false)
+		r.SetCutoff(tau)
 		r.Run()
 		st.Merge(r.Stats())
 		for w := 0; w < d.t.Len(); w++ {

@@ -8,7 +8,9 @@ package ted_test
 
 import (
 	"fmt"
+	"math/rand"
 	"runtime"
+	"slices"
 	"testing"
 
 	ted "repro"
@@ -246,6 +248,82 @@ func BenchmarkDistanceBoundedWeighted(b *testing.B) {
 			})
 		}
 	}
+}
+
+// BenchmarkDistanceBoundedNear runs DistanceBounded on near-duplicate
+// pairs, the inputs whose bands stay thin: a TreeBank-like, a
+// SwissProt-like and a random (8 labels) tree at n = 150, 300 and 500,
+// each against a copy with 3 random renames, deletes or inserts, at
+// τ = d + 2. Every pair is within its cutoff, so no bound refuses it and
+// the run is the bounded kernel alone. subproblems/op counts the DP
+// cells evaluated and subproblems/ntau2 divides them by max(|F|,|G|)·τ²,
+// the O(n·τ²) cost of Jin et al.'s bounded tree edit distance: a kernel
+// whose cells grow faster than n·τ² reads as a rising ratio along n.
+func BenchmarkDistanceBoundedNear(b *testing.B) {
+	shapes := []struct {
+		name string
+		gen  func(n int) *ted.Tree
+	}{
+		{"TreeBank", func(n int) *ted.Tree { return gen.TreeBankLike(int64(n), n) }},
+		{"SwissProt", func(n int) *ted.Tree { return gen.SwissProtLike(int64(n), n) }},
+		{"Random", func(n int) *ted.Tree {
+			return gen.Random(int64(n), gen.RandomSpec{Size: n, MaxDepth: 15, MaxFanout: 6, Labels: 8})
+		}},
+	}
+	for _, sh := range shapes {
+		for _, n := range []int{150, 300, 500} {
+			f := sh.gen(n)
+			g := nearCopy(f, 3, int64(n))
+			tau := ted.Distance(f, g) + 2
+			b.Run(fmt.Sprintf("%s/n=%d", sh.name, n), func(b *testing.B) {
+				var st ted.Stats
+				for i := 0; i < b.N; i++ {
+					if _, ok := ted.DistanceBounded(f, g, tau, ted.WithStats(&st)); !ok {
+						b.Fatalf("near pair beyond its cutoff %v", tau)
+					}
+				}
+				ntau2 := float64(max(f.Len(), g.Len())) * tau * tau
+				b.ReportMetric(float64(st.Subproblems), "subproblems/op")
+				b.ReportMetric(float64(st.Subproblems)/ntau2, "subproblems/ntau2")
+			})
+		}
+	}
+}
+
+// nearCopy returns a copy of t after edits random edit operations, each a
+// rename, a delete (the node's children take its place) or an insert (a
+// new node adopts a run of a node's children); the root is renamed, never
+// deleted. Deterministic in seed.
+func nearCopy(t *ted.Tree, edits int, seed int64) *ted.Tree {
+	rng := rand.New(rand.NewSource(seed))
+	root := t.Builder(t.Root())
+	for e := 0; e < edits; e++ {
+		var nodes, parents []*ted.Node
+		var walk func(nd, p *ted.Node)
+		walk = func(nd, p *ted.Node) {
+			nodes, parents = append(nodes, nd), append(parents, p)
+			for _, c := range nd.Children {
+				walk(c, nd)
+			}
+		}
+		walk(root, nil)
+		k := rng.Intn(len(nodes))
+		nd, p := nodes[k], parents[k]
+		label := fmt.Sprintf("e%d", rng.Intn(50))
+		switch op := rng.Intn(3); {
+		case op == 0 || op == 1 && p == nil:
+			nd.Label = label
+		case op == 1:
+			j := slices.Index(p.Children, nd)
+			p.Children = slices.Replace(p.Children, j, j+1, nd.Children...)
+		default:
+			lo := rng.Intn(len(nd.Children) + 1)
+			hi := lo + rng.Intn(len(nd.Children)-lo+1)
+			ins := &ted.Node{Label: label, Children: slices.Clone(nd.Children[lo:hi])}
+			nd.Children = slices.Replace(nd.Children, lo, hi, ins)
+		}
+	}
+	return ted.Build(root)
 }
 
 // ---- Filtered and parallel joins ----

@@ -122,8 +122,8 @@
 //	                                   threshold is too large to prune
 //
 // All of it composes: an indexed join's candidates run the bound
-// filters, seed exact GTED with the threshold as a cutoff (so pairs that
-// provably exceed it abandon most of their DP), and fan out over
+// filters, seed exact GTED with the threshold as a cutoff (so the DP
+// skips every cell that provably exceeds it), and fan out over
 // WithWorkers goroutines.
 //
 // The last axis is the collection's lifetime — whether to rebuild the

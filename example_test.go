@@ -25,7 +25,7 @@ func ExampleDistance_weighted() {
 
 // The bounded distance answers "is the distance at most tau?" without
 // always paying for the full computation: cheap lower bounds run first,
-// and the DP itself abandons work once tau is provably exceeded. The
+// and the DP itself skips every cell that provably exceeds tau. The
 // distance is exact whenever it is within the cutoff.
 func ExampleDistanceBounded() {
 	f := ted.MustParse("{a{b}{c}}")

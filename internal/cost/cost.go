@@ -75,62 +75,32 @@ func (f Func) Insert(l string) float64    { return f.InsertF(l) }
 func (f Func) Rename(a, b string) float64 { return f.RenameF(a, b) }
 
 // Compiled is the per-tree-pair compiled form of a cost model: delete and
-// insert costs are precomputed per node, labels of both trees are interned
-// into shared integer ids so the hot rename path compares ints, and
-// rename costs between distinct labels go through a small memo keyed by
-// the label-id pair.
+// insert costs are precomputed per node, labels of both trees are ids on
+// one label table so the hot rename path compares ints, and rename costs
+// between distinct labels go through a small memo keyed by the label-id
+// pair. Every Compiled carries its transposed form (Transpose).
 //
 // Node indices follow the postorder ids of the two trees (F = left tree,
 // G = right tree).
 type Compiled struct {
 	Del []float64 // Del[v]: cost of deleting F-node v
 	Ins []float64 // Ins[w]: cost of inserting G-node w
-	FID []int32   // interned label id per F-node
-	GID []int32   // interned label id per G-node
+	FID []int32   // label id per F-node
+	GID []int32   // label id per G-node
 
 	labels []string // id -> label
 	unit   bool
 	model  Model
 	memo   map[[2]int32]float64
-	trans  *Compiled // prebuilt transposed form, if any (see PairPrepared)
+	trans  *Compiled // the transposed form (see PairPrepared)
 }
 
-// Compile interns labels of f and g and precomputes per-node delete and
-// insert costs for model m.
+// Compile precomputes per-node delete and insert costs of model m for the
+// pair (f, g), with the labels of both trees interned into one fresh label
+// table so that equal labels share an id.
 func Compile(m Model, f, g *tree.Tree) *Compiled {
-	c := &Compiled{
-		Del:   make([]float64, f.Len()),
-		Ins:   make([]float64, g.Len()),
-		FID:   make([]int32, f.Len()),
-		GID:   make([]int32, g.Len()),
-		model: m,
-	}
-	if _, ok := m.(Unit); ok {
-		c.unit = true
-	} else {
-		c.memo = make(map[[2]int32]float64)
-	}
-	ids := make(map[string]int32, f.Len()+g.Len())
-	intern := func(l string) int32 {
-		if id, ok := ids[l]; ok {
-			return id
-		}
-		id := int32(len(c.labels))
-		ids[l] = id
-		c.labels = append(c.labels, l)
-		return id
-	}
-	for v := 0; v < f.Len(); v++ {
-		l := f.Label(v)
-		c.FID[v] = intern(l)
-		c.Del[v] = m.Delete(l)
-	}
-	for w := 0; w < g.Len(); w++ {
-		l := g.Label(w)
-		c.GID[w] = intern(l)
-		c.Ins[w] = m.Insert(l)
-	}
-	return c
+	tab := tree.NewLabelTable()
+	return PairPrepared(m, CompileTree(m, f, tab), CompileTree(m, g, tab))
 }
 
 // IsUnit reports whether the compiled model is the unit cost model, whose
@@ -206,27 +176,7 @@ func distinctIDs(ids []int32) []int32 {
 // what inserting it cost originally, inserting an F-node costs its
 // original deletion, and renames swap their arguments. GTED uses the
 // transposed form when the strategy decomposes the right-hand tree.
-func (c *Compiled) Transpose() *Compiled {
-	if c.trans != nil {
-		return c.trans
-	}
-	t := &Compiled{
-		Del:    make([]float64, len(c.Ins)),
-		Ins:    make([]float64, len(c.Del)),
-		FID:    c.GID,
-		GID:    c.FID,
-		labels: c.labels,
-		unit:   c.unit,
-		model:  transposed{c.model},
-		memo:   nil,
-	}
-	if !t.unit {
-		t.memo = make(map[[2]int32]float64)
-	}
-	copy(t.Del, c.Ins)
-	copy(t.Ins, c.Del)
-	return t
-}
+func (c *Compiled) Transpose() *Compiled { return c.trans }
 
 // transposed swaps the rename arguments; deleting in the transposed
 // direction is inserting in the original one and vice versa.

@@ -6,13 +6,13 @@ import (
 	"repro/internal/tree"
 )
 
-// This file implements the per-tree half of cost compilation, used by the
-// batch engine: when many pairs over the same trees are computed, the
-// per-node delete/insert cost vectors are per-tree quantities and need
-// not be recomputed per pair. Trees on one label table (tree.LabelTable)
-// agree on label ids, so two PerTree halves compiled against the same
-// table can be assembled into a Compiled pair form without touching the
-// labels again.
+// This file implements the per-tree half of cost compilation: the
+// per-node delete/insert cost vectors are per-tree quantities, so the
+// batch engine compiles each tree once and need not recompute them per
+// pair, and Compile builds both halves of one pair on a fresh table.
+// Trees on one label table (tree.LabelTable) agree on label ids, so two
+// PerTree halves compiled against the same table can be assembled into a
+// Compiled pair form without touching the labels again.
 
 // PerTree is the per-tree half of a compiled cost model: the tree's
 // label ids on a shared table plus the delete and insert cost of every

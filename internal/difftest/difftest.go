@@ -52,13 +52,14 @@ func strategies(f, g *tree.Tree) []strategy.Named {
 //     honors the contract: (d, true) iff d ≤ τ, (+Inf, false) otherwise,
 //     with d bit-identical to the strategy's exact run under unit costs,
 //     and never evaluates more subproblems than the exact run;
-//   - at the same cutoffs the non-aborting (top-k) bounded run accounts
-//     for every cell of the exact run: each is either evaluated or
-//     skipped by the band (Subproblems + PrunedSubproblems equals the
-//     exact run's Subproblems), and no keyroot is refused wholesale
-//     (PrunedKeyroots is zero; only aborting runs may refuse one). The
-//     identity holds per row in ΔI and in both ΔL/ΔR row layouts, so it
-//     checks the band's accounting whichever layout a keyroot picked.
+//   - every bounded run its root check did not refuse accounts for every
+//     cell of the exact run: each is either evaluated or skipped by the
+//     band (Subproblems + PrunedSubproblems equals the exact run's
+//     Subproblems). At the same cutoffs the top-k mode (SetCutoff and
+//     Run, no root check) does too, and refuses nothing (PrunedKeyroots
+//     is zero). The identity holds per row in ΔI and in both ΔL/ΔR row
+//     layouts, so it checks the band's accounting whichever layout a
+//     keyroot picked.
 func Check(f, g *tree.Tree, m cost.Model) error {
 	want := zs.Dist(f, g, m)
 	if f.Len()*g.Len() <= naiveLimit {
@@ -95,10 +96,13 @@ func Check(f, g *tree.Tree, m cost.Model) error {
 			if st := b.Stats(); st.Subproblems > es.Subproblems {
 				return fmt.Errorf("%s bounded tau=%v: evaluated %d subproblems, exact %d",
 					s.Name(), tau, st.Subproblems, es.Subproblems)
+			} else if st.PrunedKeyroots == 0 && st.Subproblems+st.PrunedSubproblems != es.Subproblems {
+				return fmt.Errorf("%s bounded tau=%v: %d evaluated + %d pruned cells, exact run %d\nF=%s\nG=%s",
+					s.Name(), tau, st.Subproblems, st.PrunedSubproblems, es.Subproblems, f, g)
 			}
 
 			k := gted.New(f, g, m, s)
-			k.SetCutoff(tau, false)
+			k.SetCutoff(tau)
 			k.Run()
 			if st := k.Stats(); st.Subproblems+st.PrunedSubproblems != es.Subproblems || st.PrunedKeyroots != 0 {
 				return fmt.Errorf("%s top-k tau=%v: %d evaluated + %d pruned cells (%d keyroots refused), exact run %d\nF=%s\nG=%s",

@@ -56,7 +56,7 @@ func TestRunBoundedContract(t *testing.T) {
 }
 
 // TestBoundedMatrixSaturation checks the matrix contract of a bounded run
-// without early abort (the top-k mode): every subtree-pair entry is
+// without the root check (the top-k mode): every subtree-pair entry is
 // either exactly the unbounded run's value, or an overestimate that is
 // itself above the cutoff — never an underestimate, and never a stale
 // cell.
@@ -71,7 +71,7 @@ func TestBoundedMatrixSaturation(t *testing.T) {
 			want := exact.Matrix()
 			for _, tau := range []float64{0, 1, d / 2, d} {
 				b := New(f, g, cost.Unit{}, s)
-				b.SetCutoff(tau, false)
+				b.SetCutoff(tau)
 				b.Run()
 				got := b.Matrix()
 				for v := 0; v < f.Len(); v++ {

@@ -36,7 +36,7 @@ type Counters struct {
 	Subproblems int64 `json:"subproblems"`
 	// PrunedSubproblems is the number of relevant subproblems a bounded
 	// run skipped: DP cells whose forest sizes alone prove the cell value
-	// exceeds the pair cutoff, skipped as whole loop ranges of the
+	// exceeds the cutoff tau, skipped as whole loop ranges of the
 	// structural band instead of computed. A run refused at its root
 	// (PrunedKeyroots) adds |F|·|G|, a lower bound on the relevant cells
 	// its DP would have visited. Always zero for exact runs.
@@ -46,8 +46,8 @@ type Counters struct {
 	// pruned cell is a band skip, so BandSkippedCells plus |F|·|G| per
 	// root refusal equals PrunedSubproblems.
 	BandSkippedCells int64 `json:"band_skipped_cells"`
-	// PrunedKeyroots counts aborting bounded runs refused at their root
-	// pair before any DP (0 or 1 per run): runs whose size, height or
+	// PrunedKeyroots counts RunBounded runs refused at their root pair
+	// before any DP (0 or 1 per run): runs whose size, height or
 	// rename-floor offset alone prices the pair above tau (Refuse).
 	PrunedKeyroots int64 `json:"pruned_keyroots"`
 	// CompressedRows counts forest-distance DP rows materialized in
@@ -87,8 +87,7 @@ func (c *Counters) Merge(o Counters) {
 // single-use: create, call Run, then query distances and stats.
 type Runner struct {
 	f, g  *tree.Tree
-	cm    *cost.Compiled // oriented (f, g)
-	cmT   *cost.Compiled // transposed, built lazily
+	cm    *cost.Compiled // oriented (f, g); cm.Transpose() is (g, f)
 	strat strategy.Strategy
 
 	d    []float64 // |F|×|G| subtree-pair distances, row-major
@@ -102,61 +101,30 @@ type Runner struct {
 	ar       *Arena
 	liveRows int
 
-	// Bounded mode (SetCutoff): tau is the caller's cutoff, abortEarly
-	// enables the global early exit, exceeded records that the run proved
-	// the root distance greater than tau. cb/cbT cache the per-node cost
-	// extrema of the two cost orientations.
-	tau        float64
+	// Bounded mode (SetCutoff): the structural band of the (F, G)
+	// orientation, maxD deletions and maxI insertions wide (see band).
 	bounded    bool
-	abortEarly bool
-	exceeded   bool
-	cb, cbT    opCosts
+	maxD, maxI int
 }
 
-// opCosts holds the extrema of the per-node delete/insert costs of one
-// cost orientation: the cheapest operations drive the size-difference
-// band pruning, the costliest ones the subproblem-boundary slack.
-type opCosts struct {
-	dmin, imin float64
-	dmax, imax float64
-	set        bool
-}
-
-func scanOpCosts(cm *cost.Compiled) opCosts {
+// minOpCosts returns the cheapest per-node delete and insert costs of
+// the orientation cm: the price of one step away from the band diagonal.
+func minOpCosts(cm *cost.Compiled) (dmin, imin float64) {
 	if cm.IsUnit() {
-		return opCosts{dmin: 1, imin: 1, dmax: 1, imax: 1, set: true}
+		return 1, 1
 	}
-	oc := opCosts{dmin: math.Inf(1), imin: math.Inf(1), set: true}
+	dmin, imin = math.Inf(1), math.Inf(1)
 	for _, c := range cm.Del {
-		if c < oc.dmin {
-			oc.dmin = c
-		}
-		if c > oc.dmax {
-			oc.dmax = c
+		if c < dmin {
+			dmin = c
 		}
 	}
 	for _, c := range cm.Ins {
-		if c < oc.imin {
-			oc.imin = c
-		}
-		if c > oc.imax {
-			oc.imax = c
+		if c < imin {
+			imin = c
 		}
 	}
-	return oc
-}
-
-// opCostsFor returns (computing on first use) the cost extrema of the
-// orientation cm, which is always one of the runner's two compiled forms.
-func (r *Runner) opCostsFor(cm *cost.Compiled) *opCosts {
-	c := &r.cb
-	if cm != r.cm {
-		c = &r.cbT
-	}
-	if !c.set {
-		*c = scanOpCosts(cm)
-	}
-	return c
+	return dmin, imin
 }
 
 // New prepares a GTED runner for the pair (f, g) under cost model m and
@@ -200,26 +168,27 @@ func (r *Runner) Run() float64 {
 	return r.Dist(r.f.Root(), r.g.Root())
 }
 
-// SetCutoff puts the runner in bounded mode: DP cells whose forest sizes
-// alone prove their value greater than the pair's local cutoff (tau plus
-// the subproblem slack, see pairCutoff) are skipped instead of computed.
-// Every computed value at most its cutoff stays bit-identical to the
-// exact run's, so after Run the distance matrix holds, for each subtree
-// pair, either the exact distance or +Inf/an overestimate that is
-// provably above the pair cutoff.
+// SetCutoff puts the runner in bounded mode: every subproblem
+// saturates at tau. DP cells whose forest sizes alone prove their value
+// greater than tau are skipped instead of computed. Every DP transition
+// adds a nonnegative cost, so each cell on the derivation of a value at
+// most tau is itself at most tau and never skipped: after Run every
+// computed value at most tau is bit-identical to the exact run's, and
+// the distance matrix holds, for each subtree pair, either the exact
+// distance or +Inf/an overestimate above tau. Nothing is abandoned: the
+// run computes every subtree pair the strategy visits.
 //
 // The skipped cells form a structural band: for a fixed F-side forest
 // size the admissible G-side sizes form one contiguous interval
 // [fSz−maxD, fSz+maxI] (maxD/maxI are the most cheapest-cost
-// deletions/insertions the cutoff can pay for, bandWidth), so the DP
-// loops iterate only that interval and account the rest as whole
-// skipped spans. Any branch of an in-band cell that would read an
-// out-of-band cell is priced at +Inf instead — sound, since the
-// out-of-band forest pair needs more than maxD deletions or maxI
-// insertions, so its true value already exceeds the cutoff and the
-// branch using it cannot be the minimum of any value at most the
-// cutoff. Skipped cells that publish into the subtree-distance matrix
-// (tree×tree cells) are saturated there to +Inf.
+// deletions/insertions tau can pay for, bandWidth), so the DP loops
+// iterate only that interval and account the rest as whole skipped
+// spans. Any branch of an in-band cell that would read an out-of-band
+// cell is priced at +Inf instead — sound, since the out-of-band forest
+// pair needs more than maxD deletions or maxI insertions, so its true
+// value already exceeds tau and the branch using it cannot be the
+// minimum of any value at most tau. Skipped cells that publish into the
+// subtree-distance matrix (tree×tree cells) are saturated there to +Inf.
 //
 // When the band is narrower than the row, ΔL/ΔR rows store only their
 // admissible cells, offset-indexed by the band diagonal; a cell outside
@@ -230,79 +199,71 @@ func (r *Runner) Run() float64 {
 // exactly the same cells. Each keyroot picks its layout: compressed when
 // maxD+maxI+1 is below the row width, full-width otherwise.
 //
-// With abortEarly set the run additionally stops as soon as any subtree
-// pair proves the root distance greater than tau (RunBounded then
-// returns +Inf, false); the matrix is partial and only that verdict is
-// usable. A +Inf tau disables bounded mode.
-func (r *Runner) SetCutoff(tau float64, abortEarly bool) {
-	r.tau = tau
-	r.bounded = !math.IsInf(tau, 1)
-	r.abortEarly = abortEarly && r.bounded
+// A +Inf tau disables bounded mode.
+func (r *Runner) SetCutoff(tau float64) {
+	r.bounded = false
+	if math.IsInf(tau, 1) {
+		return
+	}
+	dmin, imin := minOpCosts(r.cm)
+	if dmin <= 0 && imin <= 0 {
+		return // no size argument can price a cell above tau
+	}
+	cut := tau + cutPad(r.cm, tau)
+	// Widths beyond any possible size difference act identically;
+	// capping keeps the index arithmetic comfortably in range.
+	n := r.f.Len() + r.g.Len()
+	r.maxD, r.maxI = min(bandWidth(cut, dmin), n), min(bandWidth(cut, imin), n)
+	r.bounded = true
+}
+
+// band returns the structural band of a single-path call, in the
+// orientation of its decomposed tree T1 (swap: T1 is G): for prefix pair
+// (di, dj) the admissible dj of a row form the contiguous range
+// [di−maxD, di+maxI]. ok is false outside bounded mode. A swapped call
+// runs on the transposed costs, whose deletions are G's insertions, so
+// its band is the (F, G) band mirrored.
+func (r *Runner) band(swap bool) (maxD, maxI int, ok bool) {
+	if swap {
+		return r.maxI, r.maxD, r.bounded
+	}
+	return r.maxD, r.maxI, r.bounded
 }
 
 // RunBounded is Run with cutoff tau: it returns (d, true) iff the exact
-// distance d is at most tau, and (+Inf, false) — typically after
-// abandoning most of the DP — when the distance provably exceeds tau.
-// A pair the root check refuses (Refuse) runs no DP at all.
+// distance d is at most tau, and (+Inf, false) when the distance
+// provably exceeds tau. A pair the root check refuses (Refuse) runs no
+// DP at all; any other pair runs once, saturating at tau (SetCutoff).
 func (r *Runner) RunBounded(tau float64) (float64, bool) {
 	if math.IsNaN(tau) {
 		// No distance is ≤ NaN; don't let NaN comparisons (all false)
 		// masquerade as an unbounded run.
-		r.exceeded = true
 		return math.Inf(1), false
 	}
-	r.SetCutoff(tau, true)
-	if st, refused := refuse(r.f, r.g, r.cm, r.opCostsFor(r.cm), tau); refused {
-		r.exceeded, r.stats = true, st
+	if st, refused := Refuse(r.f, r.g, r.cm, tau); refused {
+		r.stats = st
 		return math.Inf(1), false
 	}
-	r.gted(r.f.Root(), r.g.Root())
-	if r.exceeded {
-		return math.Inf(1), false
+	r.SetCutoff(tau)
+	if d := r.Run(); d <= tau {
+		return d, true
 	}
-	d := r.Dist(r.f.Root(), r.g.Root())
-	if d > tau {
-		return math.Inf(1), false
-	}
-	return d, true
+	return math.Inf(1), false
 }
 
-// Refuse is the root check of an aborting bounded run: it reports
-// whether the size and height offsets of F and G, and under non-unit
-// models the rename floor, price the pair (F, G) above the finite cutoff
-// tau under the compiled costs cm (rootLower), and returns the counters
-// of the refused run: PrunedKeyroots 1 and PrunedSubproblems |F|·|G|.
-// RunBounded makes this check before any DP. A caller that has to
-// compute a strategy before it can build a runner makes it before that,
-// so a refused pair pays for no strategy DP either.
+// Refuse is the root check of RunBounded: it reports whether the size
+// and height offsets of F and G, and under non-unit models the rename
+// floor, price the pair (F, G) above the finite cutoff tau under the
+// compiled costs cm (rootLower), and returns the counters of the refused
+// run: PrunedKeyroots 1 and PrunedSubproblems |F|·|G|. RunBounded makes
+// this check before any DP. A caller that has to compute a strategy
+// before it can build a runner makes it before that, so a refused pair
+// pays for no strategy DP either.
 func Refuse(f, g *tree.Tree, cm *cost.Compiled, tau float64) (Counters, bool) {
-	oc := scanOpCosts(cm)
-	return refuse(f, g, cm, &oc, tau)
-}
-
-func refuse(f, g *tree.Tree, cm *cost.Compiled, oc *opCosts, tau float64) (Counters, bool) {
-	if !math.IsInf(tau, 1) && rootLower(f, g, cm, oc) > tau+cutPad(cm, tau) {
+	if !math.IsInf(tau, 1) && rootLower(f, g, cm) > tau+cutPad(cm, tau) {
 		return Counters{PrunedKeyroots: 1, PrunedSubproblems: int64(f.Len()) * int64(g.Len())}, true
 	}
 	return Counters{}, false
-}
-
-// pairCutoff returns the saturation cutoff of the subtree pair (v, w): a
-// value that the true δ(F_v, G_w) must exceed before the root distance
-// provably exceeds tau. Restricting an optimal mapping of (F, G) to
-// F_v × G_w turns at most |G|−|G_w| matches into F_v deletions and at
-// most |F|−|F_v| matches into G_w insertions, so
-//
-//	δ(F_v, G_w) ≤ δ(F, G) + (|G|−|G_w|)·maxDel + (|F|−|F_v|)·maxIns.
-//
-// The slack shrinks as subtrees grow (it is zero at the root pair), so a
-// value saturated at its own pair cutoff is above the cutoff of every
-// pair that may consume it.
-func (r *Runner) pairCutoff(v, w int) float64 {
-	oc := r.opCostsFor(r.cm)
-	return r.tau +
-		float64(r.g.Len()-r.g.Size(w))*oc.dmax +
-		float64(r.f.Len()-r.f.Size(v))*oc.imax
 }
 
 // rootLower returns a lower bound on δ(F, G) from the size and height
@@ -322,10 +283,9 @@ func (r *Runner) pairCutoff(v, w int) float64 {
 // at an endpoint: when rf ≥ dmin+imin matching never beats delete+insert
 // and every node is priced; otherwise the smaller tree matches fully and
 // still pays rf per pair. With rf = 0 (as when the trees share a label)
-// this degenerates to the size and height bound. oc holds the extrema of
-// cm's costs.
-func rootLower(f, g *tree.Tree, cm *cost.Compiled, oc *opCosts) float64 {
-	dmin, imin := oc.dmin, oc.imin
+// this degenerates to the size and height bound.
+func rootLower(f, g *tree.Tree, cm *cost.Compiled) float64 {
+	dmin, imin := minOpCosts(cm)
 	sf, sg := f.Len(), g.Len()
 	lb := 0.0
 	if ds := sf - sg; ds > 0 {
@@ -358,30 +318,30 @@ func rootLower(f, g *tree.Tree, cm *cost.Compiled, oc *opCosts) float64 {
 
 // bandWidth returns the width of one side of the structural band: the
 // largest k ≥ 0 whose k cheapest operations of per-node cost c still fit
-// under tcut, i.e. the largest k with float64(k)*c ≤ tcut — evaluated
-// in exactly that float arithmetic, so a size offset d is in the band iff
-// float64(d)*c ≤ tcut holds, never by a rounded approximation of it. A
+// under cut, i.e. the largest k with float64(k)*c ≤ cut — evaluated in
+// exactly that float arithmetic, so a size offset d is in the band iff
+// float64(d)*c ≤ cut holds, never by a rounded approximation of it. A
 // non-positive c can never prove a cell hopeless (the side is unbounded)
 // and a negative cutoff admits nothing.
-func bandWidth(tcut, c float64) int {
-	if math.IsNaN(tcut) {
+func bandWidth(cut, c float64) int {
+	if math.IsNaN(cut) {
 		return math.MaxInt32 // NaN comparisons never prune; match that
 	}
-	if tcut < 0 {
+	if cut < 0 {
 		return 0
 	}
 	if c <= 0 {
 		return math.MaxInt32
 	}
-	q := tcut / c
+	q := cut / c
 	if q >= float64(math.MaxInt32) {
 		return math.MaxInt32
 	}
 	k := int(q)
-	for k > 0 && float64(k)*c > tcut {
+	for k > 0 && float64(k)*c > cut {
 		k--
 	}
-	for float64(k+1)*c <= tcut {
+	for float64(k+1)*c <= cut {
 		k++
 	}
 	return k
@@ -392,11 +352,11 @@ func bandWidth(tcut, c float64) int {
 // contract is exact and the pad is zero. Arbitrary cost models accumulate
 // rounding along DP paths; the pad absorbs it so saturation never hides a
 // value the exact run would have computed at or below the cutoff.
-func cutPad(cm *cost.Compiled, tcut float64) float64 {
+func cutPad(cm *cost.Compiled, tau float64) float64 {
 	if cm.IsUnit() {
 		return 0
 	}
-	return 1e-9 * (1 + math.Abs(tcut))
+	return 1e-9 * (1 + math.Abs(tau))
 }
 
 // Dist returns δ(F_v, G_w) after Run.
@@ -411,14 +371,8 @@ func (r *Runner) Stats() Counters { return r.stats }
 
 // gted is Algorithm 1: look up the strategy's path for the pair, recurse
 // into the relevant subtrees of the decomposed tree, then run the
-// single-path function matching the path type. In bounded mode each pair
-// runs its single-path function under the pair's saturation cutoff, and
-// with abortEarly a computed subtree distance above that cutoff ends the
-// whole run (the root distance is then provably above tau).
+// single-path function matching the path type.
 func (r *Runner) gted(v, w int) {
-	if r.exceeded {
-		return
-	}
 	idx := v*r.g.Len() + w
 	if r.seen[idx] {
 		return
@@ -426,48 +380,31 @@ func (r *Runner) gted(v, w int) {
 	r.seen[idx] = true
 	ch := r.strat.Choose(v, w)
 	r.stats.SPFCalls++
-	tcut := math.Inf(1)
-	if r.bounded {
-		tcut = r.pairCutoff(v, w)
-	}
 	if !ch.InG() {
 		strategy.ForEachHanging(r.f, v, ch.Type(), func(rt int) { r.gted(rt, w) })
-		if r.exceeded {
-			return
-		}
-		r.runSPF(r.f, v, r.g, w, ch.Type(), false, tcut)
+		r.runSPF(r.f, v, r.g, w, ch.Type(), false)
 	} else {
 		strategy.ForEachHanging(r.g, w, ch.Type(), func(rt int) { r.gted(v, rt) })
-		if r.exceeded {
-			return
-		}
-		r.runSPF(r.g, w, r.f, v, ch.Type(), true, tcut)
-	}
-	if r.abortEarly && r.d[idx] > tcut+cutPad(r.cm, tcut) {
-		r.exceeded = true
+		r.runSPF(r.g, w, r.f, v, ch.Type(), true)
 	}
 }
 
 // runSPF dispatches to the single-path function for a path of type pt in
 // the subtree t1/v1, with t2/v2 the other tree. swap records that t1 is
 // the original right-hand tree (the "transposition flag" of Algorithm 1).
-// tcut is the pair's saturation cutoff (+Inf outside bounded mode).
-func (r *Runner) runSPF(t1 *tree.Tree, v1 int, t2 *tree.Tree, v2 int, pt strategy.PathType, swap bool, tcut float64) {
+func (r *Runner) runSPF(t1 *tree.Tree, v1 int, t2 *tree.Tree, v2 int, pt strategy.PathType, swap bool) {
 	cm := r.cm
 	if swap {
-		if r.cmT == nil {
-			r.cmT = r.cm.Transpose()
-		}
-		cm = r.cmT
+		cm = r.cm.Transpose()
 	}
 	dv := dview{d: r.d, ng: r.g.Len(), swap: swap}
 	switch pt {
 	case strategy.Left:
-		r.spfLR(zsview{t: t1}, v1, zsview{t: t2}, v2, cm, dv, tcut)
+		r.spfLR(zsview{t: t1}, v1, zsview{t: t2}, v2, cm, dv)
 	case strategy.Right:
-		r.spfLR(zsview{t: t1, mirror: true}, v1, zsview{t: t2, mirror: true}, v2, cm, dv, tcut)
+		r.spfLR(zsview{t: t1, mirror: true}, v1, zsview{t: t2, mirror: true}, v2, cm, dv)
 	default:
-		r.spfI(t1, v1, t2, v2, pt, cm, dv, tcut)
+		r.spfI(t1, v1, t2, v2, pt, cm, dv)
 	}
 }
 

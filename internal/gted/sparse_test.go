@@ -33,16 +33,17 @@ func nearPairs(n int) []struct {
 // kernel with both row layouts): subproblems evaluated, row cells
 // materialized and rows stored band-compressed, at a tight cutoff (d+2,
 // where thin bands compress most rows) and a loose one (d+n/2, where
-// every band covers its row). Any change to the band, its pricing or the
-// per-keyroot layout rule moves one of these numbers.
+// every band covers its row). Any change to the band, its pricing, the
+// cutoff it saturates at or the per-keyroot layout rule moves one of
+// these numbers.
 func TestKernelCellsPinned(t *testing.T) {
 	const n = 120
 	type cells struct{ subs, rowCells, compressed int64 }
 	want := map[string][2]cells{
-		"chain":  {{13651, 46679, 121}, {27165, 59989, 0}},
-		"binary": {{143818, 228983, 484}, {177163, 250158, 0}},
-		"zigzag": {{2565353, 3316414, 21588}, {3773900, 4174333, 0}},
-		"mixed":  {{200247, 306421, 968}, {236760, 322998, 0}},
+		"chain":  {{6748, 33699, 239}, {23684, 59989, 0}},
+		"binary": {{69070, 165808, 1928}, {162373, 250158, 0}},
+		"zigzag": {{672112, 1110338, 53788}, {3439027, 4174333, 0}},
+		"mixed":  {{123130, 249977, 4264}, {218239, 322998, 0}},
 	}
 	s := strategy.ZhangL()
 	for _, p := range nearPairs(n) {

@@ -208,9 +208,9 @@ func (gs *gside) cell(la, lb int) int {
 // Precondition: the distance matrix holds δ(T1_x, T2_y) for every x in a
 // subtree hanging off the path and every y in T2_v2. Postcondition: it
 // additionally holds δ(T1_x, T2_y) for every x ON the path. In bounded
-// mode (tcut finite) cells whose forest sizes differ by more than the
-// cheapest operations allow under tcut are skipped, as in spfLR.
-func (r *Runner) spfI(t1 *tree.Tree, v1 int, t2 *tree.Tree, v2 int, pt strategy.PathType, cm *cost.Compiled, dv dview, tcut float64) {
+// mode cells whose forest sizes differ by more than the cheapest
+// operations allow under tau are skipped, as in spfLR.
+func (r *Runner) spfI(t1 *tree.Tree, v1 int, t2 *tree.Tree, v2 int, pt strategy.PathType, cm *cost.Compiled, dv dview) {
 	ch := &r.ar.ch
 	ch.build(t1, v1, pt, cm.Del)
 	gs := &r.ar.gs
@@ -260,30 +260,15 @@ func (r *Runner) spfI(t1 *tree.Tree, v1 int, t2 *tree.Tree, v2 int, pt strategy.
 		return rows[tt][c]
 	}
 
-	// Band pruning setup, as in spfLR: for a fixed chain state the
-	// admissible G-forest sizes form one interval, and within one la-run
-	// of the storage the forest size is nondecreasing in lb — so the
-	// admissible cells are a contiguous span found by binary search, and
-	// the spans outside are skipped (and counted) without per-cell tests.
-	// Skipped cells hold stale scratch; atB guards every read that can
-	// land on one and prices it +Inf, sound because an out-of-band forest
-	// pair needs more than maxD deletions or maxI insertions (SetCutoff).
-	bounded := r.bounded && !math.IsInf(tcut, 1)
-	var maxD, maxI int
-	if bounded {
-		oc := r.opCostsFor(cm)
-		bounded = oc.dmin > 0 || oc.imin > 0
-		tcut += cutPad(cm, tcut)
-		maxD, maxI = bandWidth(tcut, oc.dmin), bandWidth(tcut, oc.imin)
-		// Widths beyond any possible size difference act identically;
-		// capping keeps the index arithmetic comfortably in range.
-		if n := t1.Len() + t2.Len(); maxD > n {
-			maxD = n
-		}
-		if n := t1.Len() + t2.Len(); maxI > n {
-			maxI = n
-		}
-	}
+	// Band pruning, as in spfLR: for a fixed chain state the admissible
+	// G-forest sizes form one interval, and within one la-run of the
+	// storage the forest size is nondecreasing in lb — so the admissible
+	// cells are a contiguous span found by binary search, and the spans
+	// outside are skipped (and counted) without per-cell tests. Skipped
+	// cells hold stale scratch; atB guards every read that can land on
+	// one and prices it +Inf, sound because an out-of-band forest pair
+	// needs more than maxD deletions or maxI insertions (SetCutoff).
+	maxD, maxI, bounded := r.band(dv.swap)
 	inf := math.Inf(1)
 	inBand := func(tt, gsz int) bool {
 		d := (s1 - tt) - gsz

@@ -48,12 +48,12 @@ func (v zsview) leafmost(c, node int) int { return c - v.t.Size(node) + 1 }
 // already in the distance matrix.
 //
 // It evaluates |T1_v1| × |F(T2_v2, Γ_view(T2_v2))| relevant subproblems
-// (Lemma 4), counted into the runner's stats. In bounded mode (tcut
-// finite) each keyroot runs on the structural band instead: cells whose
-// prefix sizes differ by more than the cheapest operations allow under
-// tcut are skipped, since such a forest pair needs at least |di−dj|
-// deletions or insertions and its true value already exceeds the cutoff.
-func (r *Runner) spfLR(view1 zsview, v1 int, view2 zsview, v2 int, cm *cost.Compiled, dv dview, tcut float64) {
+// (Lemma 4), counted into the runner's stats. In bounded mode each
+// keyroot runs on the structural band instead: cells whose prefix sizes
+// differ by more than the cheapest operations allow under tau are
+// skipped, since such a forest pair needs at least |di−dj| deletions or
+// insertions and its true value already exceeds the cutoff.
+func (r *Runner) spfLR(view1 zsview, v1 int, view2 zsview, v2 int, cm *cost.Compiled, dv dview) {
 	t1, t2 := view1.t, view2.t
 	s1 := t1.Size(v1)
 	hi1 := view1.coordOf(v1)
@@ -79,27 +79,7 @@ func (r *Runner) spfLR(view1 zsview, v1 int, view2 zsview, v2 int, cm *cost.Comp
 	}
 	defer func() { r.ar.keyroots = ks[:0] }() // retain capacity for the next call
 
-	// Band pruning: with both operation minima zero no size argument can
-	// prove a cell above the cutoff, so the exact path runs unchanged.
-	bounded := r.bounded && !math.IsInf(tcut, 1)
-	var maxD, maxI int
-	nCap := t1.Len() + t2.Len()
-	if bounded {
-		oc := r.opCostsFor(cm)
-		bounded = oc.dmin > 0 || oc.imin > 0
-		tcut += cutPad(cm, tcut)
-		// For prefix pair (di, dj) the admissible dj of a row form the
-		// contiguous range [di−maxD, di+maxI].
-		maxD, maxI = bandWidth(tcut, oc.dmin), bandWidth(tcut, oc.imin)
-		// Widths beyond any possible size difference act identically;
-		// capping keeps the index arithmetic comfortably in range.
-		if maxD > nCap {
-			maxD = nCap
-		}
-		if maxI > nCap {
-			maxI = nCap
-		}
-	}
+	maxD, maxI, bounded := r.band(dv.swap)
 
 	for _, kc := range ks {
 		jlo := view2.leafmost(kc, view2.nodeOf(kc))

@@ -216,11 +216,10 @@ func Distance(f, g *Tree, opts ...Option) float64 {
 // they already exceed tau the DP never launches. Otherwise GTED refuses
 // the pair outright when its size or height offset (and, under non-unit
 // models, the cheapest rename between the trees' labels) alone prices it
-// above tau, and else runs with the cutoff threaded into its DP loops —
-// cells whose forest sizes alone prove them above the cutoff are
-// skipped, and the run aborts as soon as any subtree pair proves the
-// final distance above tau. With WithStats, Subproblems counts only the
-// DP cells actually evaluated, PrunedSubproblems the cells the cutoff
+// above tau, and else runs once with every subproblem saturating at tau:
+// cells whose forest sizes alone prove them above tau are skipped, so
+// the DP's work shrinks with tau. With WithStats, Subproblems counts only
+// the DP cells actually evaluated, PrunedSubproblems the cells the cutoff
 // skipped and PrunedKeyroots a refusal at the root.
 //
 // All cost models are supported (the bound prefilter only applies to
