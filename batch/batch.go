@@ -41,21 +41,28 @@
 //
 //	e := batch.New(batch.WithWorkers(8))
 //	ps := e.PrepareAll(trees)
-//	matches, stats := e.Join(ps, 12, true)
+//	stats, err := e.JoinStream(ctx, ps, 12, true, func(m batch.Match) { ... })
 //
-// The engine evaluates the pairs it is given: Join and JoinStream visit
-// every pair, JoinCandidatesStream the caller's candidates. Which pairs
-// a join needs is package corpus's decision: corpus.Corpus.Join
-// generates candidates from an inverted index (package index) for large
-// corpora with selective thresholds — same match set, candidate-driven
-// cost.
+// Each operation has one evaluator, run under its caller's context:
+// DistanceContext and DistanceBoundedContext for one pair, JoinStream
+// and JoinCandidatesStream for joins, TopKAcross for top-k. Once the
+// context is done, GTED stops inside the pair it is running, the pair's
+// result is discarded and the call returns the context's error.
+//
+// The engine evaluates the pairs it is given: JoinStream visits every
+// pair, JoinCandidatesStream the caller's candidates. Which pairs a join
+// needs is package corpus's decision: corpus.Corpus.Join generates
+// candidates from an inverted index (package index) for large corpora
+// with selective thresholds — same match set, candidate-driven cost.
 package batch
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/bounds"
 	"repro/internal/cost"
@@ -97,8 +104,9 @@ type Option func(*Engine)
 // (default runtime.GOMAXPROCS(0); values below 1 mean sequential).
 func WithWorkers(n int) Option { return func(e *Engine) { e.workers = n } }
 
-// WithCost sets the cost model (default unit costs). Bound-based
-// filtering (DistanceBounded, filtered Join) requires the unit model.
+// WithCost sets the cost model (default unit costs). The profiled lower
+// bounds of DistanceBoundedContext and filtered joins run only under the
+// unit model, and filtered joins require it.
 // The engine calls m from several goroutines at once (see cost.Model).
 func WithCost(m cost.Model) Option { return func(e *Engine) { e.model = m } }
 
@@ -172,6 +180,8 @@ type workspace struct {
 	constrained bounds.ConstrainedScratch
 	euler       bounds.EulerScratch
 
+	stop *atomic.Bool // the flag of the call holding the workspace (stopOn)
+
 	// memo caches rename costs by interned label-id pair. Label ids and
 	// models are per-engine, so the memo records which engine's ids it
 	// holds and is reset when the workspace migrates between engines.
@@ -189,13 +199,23 @@ var wsPool = sync.Pool{
 	New: func() any { return &workspace{arena: gted.NewArena()} },
 }
 
-func (e *Engine) getWS() *workspace {
+func (e *Engine) getWS(stop *atomic.Bool) *workspace {
 	ws := wsPool.Get().(*workspace)
 	if ws.memoOwner != e {
 		ws.memo.Reset()
 		ws.memoOwner = e
 	}
+	ws.stop = stop
 	return ws
+}
+
+// stopOn returns the stop flag of one call under ctx, set once ctx is
+// done (at once if it already is), which the call's runners poll inside
+// their pair (gted.Runner), and the func that stops watching ctx.
+func stopOn(ctx context.Context) (*atomic.Bool, func() bool) {
+	stop := new(atomic.Bool)
+	stop.Store(ctx.Err() != nil)
+	return stop, context.AfterFunc(ctx, func() { stop.Store(true) })
 }
 
 // maxPooledConstrainedCells caps the constrained-distance scratch a
@@ -217,6 +237,7 @@ const maxPooledStrategyCells = 1 << 18
 const maxPooledArenaCells = 1 << 18
 
 func (e *Engine) putWS(w *workspace) {
+	w.stop = nil
 	w.constrained.Shrink(maxPooledConstrainedCells)
 	w.opt.Shrink(maxPooledStrategyCells)
 	w.arena.Shrink(maxPooledArenaCells)
@@ -244,7 +265,7 @@ func (e *Engine) runner(ws *workspace, f, g *PreparedTree, cm *cost.Compiled) *g
 	} else {
 		st, _ = ws.opt.Opt(f.t, g.t, e.price)
 	}
-	return gted.NewInArena(f.t, g.t, cm, st, ws.arena)
+	return gted.NewInArena(f.t, g.t, cm, st, ws.arena, ws.stop)
 }
 
 // runBounded runs the pair with cutoff tau (gted.Runner.RunBounded),
@@ -272,37 +293,65 @@ func (e *Engine) check(ps ...*PreparedTree) {
 	}
 }
 
-// Distance computes the exact tree edit distance between two prepared
-// trees on a pooled workspace. Safe for concurrent use.
-func (e *Engine) Distance(f, g *PreparedTree) float64 {
-	ws := e.getWS()
+// DistanceContext computes the exact tree edit distance between two
+// prepared trees on a pooled workspace. Once ctx is done the run stops
+// inside the pair, and the call returns ctx's error. Safe for concurrent
+// use.
+func (e *Engine) DistanceContext(ctx context.Context, f, g *PreparedTree) (float64, error) {
+	stop, release := stopOn(ctx)
+	defer release()
+	ws := e.getWS(stop)
 	defer e.putWS(ws)
-	return e.pairRunner(ws, f, g).Run()
+	d := e.pairRunner(ws, f, g).Run()
+	if stop.Load() {
+		return 0, ctx.Err()
+	}
+	return d, nil
 }
 
-// DistanceBounded answers "is the distance at most tau?" cheaply: it
-// returns (d, true) — d exact — iff the distance is ≤ tau, and otherwise
-// (lb, false) with lb a lower bound on the distance no smaller than tau.
-// Under the unit cost model the profiled lower bounds are consulted
-// first, skipping the DP entirely when they already exceed tau; otherwise
-// (and under any other model) GTED refuses the pair at its root when its
-// size or height offset alone prices it above tau (gted.Refuse), and
-// else runs once with every subproblem saturating at tau, skipping the
-// cells that provably exceed it. Safe for concurrent use.
-func (e *Engine) DistanceBounded(f, g *PreparedTree, tau float64) (float64, bool) {
+// Distance is DistanceContext under context.Background().
+func (e *Engine) Distance(f, g *PreparedTree) float64 {
+	d, _ := e.DistanceContext(context.Background(), f, g)
+	return d
+}
+
+// DistanceBoundedContext answers "is the distance at most tau?" cheaply:
+// it returns (d, true) — d exact — iff the distance is ≤ tau, and
+// otherwise (lb, false) with lb a lower bound on the distance no smaller
+// than tau. Under the unit cost model the profiled lower bounds are
+// consulted first, skipping the DP entirely when they already exceed
+// tau; otherwise (and under any other model) GTED refuses the pair at
+// its root when its size or height offset alone prices it above tau
+// (gted.Refuse), and else runs once with every subproblem saturating at
+// tau, skipping the cells that provably exceed it. Once ctx is done the
+// run stops inside the pair, and the call returns ctx's error. Safe for
+// concurrent use.
+func (e *Engine) DistanceBoundedContext(ctx context.Context, f, g *PreparedTree, tau float64) (float64, bool, error) {
 	e.check(f, g)
 	if math.IsNaN(tau) {
-		return 0, false // no distance is ≤ NaN; 0 is a trivial lower bound
+		return 0, false, nil // no distance is ≤ NaN; 0 is a trivial lower bound
 	}
 	if e.unit {
 		if lb := bounds.LowerProfiled(f.prof, g.prof); lb > tau {
-			return lb, false
+			return lb, false, nil
 		}
 	}
-	ws := e.getWS()
+	stop, release := stopOn(ctx)
+	defer release()
+	ws := e.getWS(stop)
 	defer e.putWS(ws)
-	if d, ok, _ := e.runBounded(ws, f, g, tau); ok {
-		return d, true
+	d, ok, _ := e.runBounded(ws, f, g, tau)
+	switch {
+	case stop.Load():
+		return 0, false, ctx.Err()
+	case ok:
+		return d, true, nil
 	}
-	return tau, false
+	return tau, false, nil
+}
+
+// DistanceBounded is DistanceBoundedContext under context.Background().
+func (e *Engine) DistanceBounded(f, g *PreparedTree, tau float64) (float64, bool) {
+	d, ok, _ := e.DistanceBoundedContext(context.Background(), f, g, tau)
+	return d, ok
 }

@@ -1,6 +1,7 @@
 package batch_test
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"runtime"
@@ -124,8 +125,8 @@ func TestJoinFilteredEquivalence(t *testing.T) {
 	e := batch.New(batch.WithWorkers(4))
 	ps := e.PrepareAll(trees)
 	for _, tau := range []float64{3, 8, 15} {
-		plain, pst := e.Join(ps, tau, false)
-		filt, fst := e.Join(ps, tau, true)
+		plain, pst := joinSorted(e, ps, tau, false)
+		filt, fst := joinSorted(e, ps, tau, true)
 		if len(plain) != len(filt) {
 			t.Fatalf("tau=%v: filtered join found %d pairs, plain %d", tau, len(filt), len(plain))
 		}
@@ -150,27 +151,30 @@ func TestJoinFilteredEquivalence(t *testing.T) {
 	}
 }
 
-// TestTopKMatchesPublicAPI checks the engine's top-k against the public
-// TopKSubtrees (itself cross-checked against brute force in the root
-// package tests).
+// TestTopKMatchesPublicAPI checks the engine's scan over one data tree
+// against the public SubtreeDistances matrix, fully sorted: one exact
+// run, so every distance is the matrix's.
 func TestTopKMatchesPublicAPI(t *testing.T) {
 	query := gen.Random(70, gen.RandomSpec{Size: 9, MaxDepth: 4, MaxFanout: 3, Labels: 3})
 	data := gen.Random(71, gen.RandomSpec{Size: 60, MaxDepth: 8, MaxFanout: 4, Labels: 3})
 	e := batch.New()
 	q, d := e.Prepare(query), e.Prepare(data)
 	for _, k := range []int{1, 4, 100} {
-		want := ted.TopKSubtrees(query, data, k)
-		got, st := e.TopKSubtrees(q, d, k)
+		want := perTreeTopK(query, []*ted.Tree{data}, k)
+		got, st, err := e.TopKAcross(context.Background(), q, []*batch.PreparedTree{d}, k)
+		if err != nil {
+			t.Fatal(err)
+		}
 		if len(got) != len(want) {
 			t.Fatalf("k=%d: %d matches, want %d", k, len(got), len(want))
 		}
 		for i := range want {
-			if got[i].Root != want[i].Root || got[i].Dist != want[i].Dist {
+			if got[i] != want[i] {
 				t.Fatalf("k=%d match %d: got %+v want %+v", k, i, got[i], want[i])
 			}
 		}
-		if st.Subproblems <= 0 {
-			t.Fatalf("k=%d: no subproblems reported", k)
+		if st.Subproblems <= 0 || st.PrunedSubproblems != 0 {
+			t.Fatalf("k=%d: a one-tree scan is one exact run, got %+v", k, st)
 		}
 	}
 }
@@ -232,14 +236,16 @@ func TestDistanceBoundedContract(t *testing.T) {
 	}
 }
 
-// perTreeTopK is the reference for TopKAcross: exact per-tree top-k runs,
-// merged and re-sorted under the (Dist, Tree, Root) order.
-func perTreeTopK(e *batch.Engine, q *batch.PreparedTree, ps []*batch.PreparedTree, k int) []batch.CrossMatch {
+// perTreeTopK is the reference for TopKAcross, independent of the scan
+// it checks: every data tree's subtree distances from the public
+// SubtreeDistances matrix, merged, fully sorted under the
+// (Dist, Tree, Root) order and cut to k.
+func perTreeTopK(query *ted.Tree, data []*ted.Tree, k int) []batch.CrossMatch {
 	var want []batch.CrossMatch
-	for di, p := range ps {
-		ms, _ := e.TopKSubtrees(q, p, k)
-		for _, m := range ms {
-			want = append(want, batch.CrossMatch{Tree: di, Root: m.Root, Dist: m.Dist})
+	for di, d := range data {
+		m := ted.SubtreeDistances(query, d)
+		for w := 0; w < d.Len(); w++ {
+			want = append(want, batch.CrossMatch{Tree: di, Root: w, Dist: m.At(query.Root(), w)})
 		}
 	}
 	sort.Slice(want, func(i, j int) bool {
@@ -262,8 +268,15 @@ func perTreeTopK(e *batch.Engine, q *batch.PreparedTree, ps []*batch.PreparedTre
 // per-tree merge exactly.
 func checkTopKAcross(t *testing.T, e *batch.Engine, q *batch.PreparedTree, ps []*batch.PreparedTree, k int) batch.Stats {
 	t.Helper()
-	want := perTreeTopK(e, q, ps, k)
-	got, st := e.TopKAcross(q, ps, k)
+	data := make([]*ted.Tree, len(ps))
+	for i, p := range ps {
+		data[i] = p.Tree()
+	}
+	want := perTreeTopK(q.Tree(), data, k)
+	got, st, err := e.TopKAcross(context.Background(), q, ps, k)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(got) != len(want) {
 		t.Fatalf("k=%d: %d matches, want %d", k, len(got), len(want))
 	}
@@ -359,7 +372,7 @@ func TestTopKAcrossStopsAtBound(t *testing.T) {
 	ps := e.PrepareAll(data)
 	for _, k := range []int{1, 3} {
 		st := checkTopKAcross(t, e, q, ps, k)
-		_, alone := e.TopKSubtrees(q, ps[5], k)
+		_, alone, _ := e.TopKAcross(context.Background(), q, ps[5:6], k)
 		if st.Subproblems != alone.Subproblems {
 			t.Fatalf("k=%d: scan evaluated %d subproblems, the copy alone %d — trees past the bound ran DP",
 				k, st.Subproblems, alone.Subproblems)
@@ -513,7 +526,7 @@ func TestEngineStrategyPrice(t *testing.T) {
 		"default": batch.New(batch.WithWorkers(1)),
 		"paper":   batch.New(batch.WithWorkers(1), batch.WithPaperStrategy()),
 	} {
-		_, st := e.Join(e.PrepareAll([]*ted.Tree{f, g}), math.Inf(1), false)
+		_, st := joinSorted(e, e.PrepareAll([]*ted.Tree{f, g}), math.Inf(1), false)
 		if st.Comparisons != 1 || st.Subproblems != want[name] {
 			t.Errorf("%s engine evaluated %d subproblems over %d pairs, its strategy counts %d for 1",
 				name, st.Subproblems, st.Comparisons, want[name])

@@ -1,6 +1,7 @@
 package batch_test
 
 import (
+	"context"
 	"fmt"
 
 	ted "repro"
@@ -24,17 +25,20 @@ func ExampleEngine() {
 // A filtered similarity self-join on the worker pool: lower bounds
 // prune pairs that cannot match, the constrained upper bound accepts
 // pairs that must match, and only the undecided middle runs the exact
-// algorithm.
-func ExampleEngine_Join() {
+// algorithm. Matches arrive as their pairs resolve; cancelling the
+// context would stop the join inside the pair it is running.
+func ExampleEngine_JoinStream() {
 	e := batch.New(batch.WithWorkers(4))
 	ps := e.PrepareAll([]*ted.Tree{
 		ted.MustParse("{a{b}{c}}"),
 		ted.MustParse("{a{b}}"),
 		ted.MustParse("{x{y}{z}}"),
 	})
-	matches, stats := e.Join(ps, 2, true)
-	for _, m := range matches {
+	stats, err := e.JoinStream(context.Background(), ps, 2, true, func(m batch.Match) {
 		fmt.Printf("trees %d and %d match (distance %g)\n", m.I, m.J, m.Dist)
+	})
+	if err != nil {
+		panic(err)
 	}
 	fmt.Printf("%d of %d pairs pruned by bounds\n",
 		stats.LowerPruned+stats.UpperAccepted, stats.Comparisons)

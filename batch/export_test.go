@@ -1,6 +1,7 @@
 package batch
 
 import (
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/bounds"
@@ -11,7 +12,7 @@ import (
 // the pair, and measures the allocations of further runs of the same pair
 // on that now-warm workspace.
 func UpperAcceptAllocs(e *Engine, f, g *PreparedTree, tau float64) (accepted bool, allocs float64) {
-	ws := e.getWS()
+	ws := e.getWS(new(atomic.Bool))
 	defer e.putWS(ws)
 	var st JoinStats
 	e.filterPair(ws, &st, f, g, 0, tau, true)
@@ -21,10 +22,10 @@ func UpperAcceptAllocs(e *Engine, f, g *PreparedTree, tau float64) (accepted boo
 }
 
 // TopKRun runs one top-k-style GTED pass of f against g on a pooled
-// workspace — cutoff tau, no root check, as TopKAcrossStream runs each
+// workspace — cutoff tau, no root check, as TopKAcross runs each
 // data tree — and returns its stats.
 func TopKRun(e *Engine, f, g *PreparedTree, tau float64) Stats {
-	ws := e.getWS()
+	ws := e.getWS(new(atomic.Bool))
 	defer e.putWS(ws)
 	r := e.pairRunner(ws, f, g)
 	r.SetCutoff(tau)
@@ -41,7 +42,7 @@ const MaxPooledArenaCells = maxPooledArenaCells
 // matrix cells its arena still holds. It reads the workspace after it
 // is back in the pool, so only a test that runs alone may call it.
 func PooledArenaCells(e *Engine, f, g *PreparedTree) int {
-	ws := e.getWS()
+	ws := e.getWS(new(atomic.Bool))
 	e.pairRunner(ws, f, g).Run()
 	e.putWS(ws)
 	return ws.arena.Cells()

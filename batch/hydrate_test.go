@@ -54,8 +54,8 @@ func TestPrepareSharedTableEquivalence(t *testing.T) {
 			}
 		}
 	}
-	mc, _ := cold.Join(coldPs, 10, true)
-	mw, _ := warm.Join(warmPs, 10, true)
+	mc, _ := joinSorted(cold, coldPs, 10, true)
+	mw, _ := joinSorted(warm, warmPs, 10, true)
 	if len(mc) != len(mw) {
 		t.Fatalf("join: %d vs %d matches", len(mw), len(mc))
 	}

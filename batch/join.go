@@ -1,10 +1,8 @@
 package batch
 
 import (
-	"cmp"
 	"context"
 	"fmt"
-	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -25,8 +23,9 @@ type Match struct {
 }
 
 // IndexMode selects how a join generates candidate pairs. Engines
-// evaluate the pairs they are given (Join enumerates, JoinCandidatesStream
-// takes the caller's); package corpus decides which pairs a mode yields.
+// evaluate the pairs they are given (JoinStream enumerates,
+// JoinCandidatesStream takes the caller's); package corpus decides which
+// pairs a mode yields.
 type IndexMode int
 
 const (
@@ -36,7 +35,7 @@ const (
 	IndexAuto IndexMode = iota
 	// IndexEnumerate disables candidate generation: all pairs are
 	// visited and the bound filters do every rejection (the behavior of
-	// the filtered Join).
+	// the filtered JoinStream).
 	IndexEnumerate
 	// IndexHistogram generates candidates from the label-histogram
 	// inverted index (index.Histogram): only pairs whose label-multiset
@@ -148,30 +147,6 @@ func (s *JoinStats) Merge(o JoinStats) {
 type ij struct {
 	i, j int
 	lb   float64
-}
-
-// Join computes the similarity self-join of the collection: all pairs
-// with edit distance below tau. It is JoinStream followed by an (I, J)
-// sort, so the result is deterministic and ordered by (I, J).
-//
-// With filtered set, each pair runs the bound filters in cost order (see
-// filterPair): the size and label-histogram lower bounds reject, then
-// the constrained upper bound, banded by tau, accepts a pair whose bound
-// stays below tau (reported with that bound as its distance), then the
-// remaining profiled lower bounds reject; only the undecided middle runs
-// the exact algorithm. The match set is identical to the unfiltered
-// join's. Filtering requires the unit cost model.
-//
-// Join visits every pair. For large corpora with selective thresholds,
-// corpus.Corpus.Join generates candidate pairs from an inverted index
-// and evaluates them with JoinCandidatesStream.
-func (e *Engine) Join(trees []*PreparedTree, tau float64, filtered bool) ([]Match, JoinStats) {
-	var ms []Match
-	st, _ := e.JoinStream(context.Background(), trees, tau, filtered, func(m Match) { ms = append(ms, m) })
-	slices.SortFunc(ms, func(a, b Match) int {
-		return cmp.Or(cmp.Compare(a.I, b.I), cmp.Compare(a.J, b.J))
-	})
-	return ms, st
 }
 
 // allPairs enumerates the unordered pairs of an n-tree collection in
@@ -292,11 +267,15 @@ func (e *Engine) filterPair(ws *workspace, st *JoinStats, f, g *PreparedTree, ca
 // JoinCandidatesStream: workers pull pairs off a shared counter, resolve
 // each with filterPair into a JoinStats of their own, and send only the
 // matches to the calling goroutine, which passes them to emit in
-// completion order. Workers check ctx at every pair boundary, so
-// cancellation abandons the remaining pairs promptly; the call then
-// returns ctx's error. Either way the returned stats merge the workers'
-// tallies, so they cover exactly the pairs evaluated.
+// completion order. One stop flag (stopOn) serves the call: every
+// worker's runners poll it, and a worker reads it after each pair, so
+// cancellation stops each worker inside the pair it runs, discards that
+// pair unemitted and abandons the rest; the call then returns ctx's
+// error. Either way the returned stats merge the workers' tallies, so
+// they cover exactly the work done.
 func (e *Engine) joinPairs(ctx context.Context, trees []*PreparedTree, pairs []ij, tau float64, filtered bool, emit func(Match)) (JoinStats, error) {
+	stop, release := stopOn(ctx)
+	defer release()
 	w := min(e.workers, len(pairs))
 	if w < 1 {
 		w = 1
@@ -312,18 +291,18 @@ func (e *Engine) joinPairs(ctx context.Context, trees []*PreparedTree, pairs []i
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			ws := e.getWS()
+			ws := e.getWS(stop)
 			defer e.putWS(ws)
 			var st JoinStats
-			for ctx.Err() == nil {
+			for !stop.Load() {
 				n := int(next.Add(1))
 				if n >= len(pairs) {
 					break
 				}
 				p := pairs[n]
 				d, match := e.filterPair(ws, &st, trees[p.i], trees[p.j], p.lb, tau, filtered)
-				if !match {
-					continue
+				if !match || stop.Load() {
+					continue // a stopped pair's result is discarded
 				}
 				select {
 				case out <- Match{I: p.i, J: p.j, Dist: d}:

@@ -35,6 +35,20 @@ func joinCorpus(seed int64, n, size int) []*ted.Tree {
 	return out
 }
 
+// joinSorted runs JoinStream to completion and sorts its matches by
+// (I, J): the buffered join the tests compare against.
+func joinSorted(e *batch.Engine, ps []*batch.PreparedTree, tau float64, filtered bool) ([]batch.Match, batch.JoinStats) {
+	var ms []batch.Match
+	st, err := e.JoinStream(context.Background(), ps, tau, filtered, func(m batch.Match) { ms = append(ms, m) })
+	if err != nil {
+		panic(err) // no context to cancel
+	}
+	slices.SortFunc(ms, func(a, b batch.Match) int {
+		return cmp.Or(cmp.Compare(a.I, b.I), cmp.Compare(a.J, b.J))
+	})
+	return ms, st
+}
+
 // indexedCandidates returns the candidate pairs mode yields at tau over
 // the collection: every pair, without a carried bound, for
 // IndexEnumerate; otherwise the pairs a throwaway index of that mode,
@@ -90,7 +104,7 @@ func TestJoinIndexedEquivalence(t *testing.T) {
 		e := batch.New(batch.WithWorkers(4))
 		ps := e.PrepareAll(trees)
 		for _, tau := range []float64{0, 1, 3.5, 8, 20, 60, math.Inf(1)} {
-			want, wst := e.Join(ps, tau, true)
+			want, wst := joinSorted(e, ps, tau, true)
 			for _, mode := range modes {
 				var got []batch.Match
 				gst, err := e.JoinCandidatesStream(context.Background(), ps, indexedCandidates(ps, mode, tau), tau, func(m batch.Match) {
@@ -140,8 +154,8 @@ func TestJoinBoundedMatchSetsUnchanged(t *testing.T) {
 		ps := e.PrepareAll(trees)
 		var prunedSomewhere bool
 		for _, tau := range []float64{2, 5, 12, 40, math.Inf(1)} {
-			plain, pst := e.Join(ps, tau, false)
-			filt, fst := e.Join(ps, tau, true)
+			plain, pst := joinSorted(e, ps, tau, false)
+			filt, fst := joinSorted(e, ps, tau, true)
 			if len(plain) != len(filt) {
 				t.Fatalf("seed=%d tau=%v: bounded join found %d matches, plain %d",
 					seed, tau, len(filt), len(plain))

@@ -1,6 +1,7 @@
 package batch_test
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -101,7 +102,7 @@ func BenchmarkStrategyPrice(b *testing.B) {
 						calls: float64(c.SPFCalls), lr: float64(c.Total - heavy), heavy: float64(heavy)}
 					if mode == "bounded" {
 						cur = s
-						ms, _ := e.TopKSubtrees(f, g, 5)
+						ms, _, _ := e.TopKAcross(context.Background(), f, []*batch.PreparedTree{g}, 5)
 						sm.tau = ms[len(ms)-1].Dist
 					}
 					samples = append(samples, sm)

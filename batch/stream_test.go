@@ -44,12 +44,15 @@ func sortedKeys(ms []batch.Match) []string {
 }
 
 // TestJoinStreamMatchesJoin pins the streaming contract: run to
-// completion, JoinStream emits exactly the buffered Join's match
-// multiset, and the aggregate stats agree on everything order-free.
+// completion on four workers, JoinStream emits exactly the match
+// multiset of ted.Join, the public buffered join (one worker, the
+// paper's strategy), and the filter accounting agrees.
 func TestJoinStreamMatchesJoin(t *testing.T) {
 	e, ps := streamFixture(t, 12, 18)
+	trees := streamTrees(12, 18)
 	for _, tau := range []float64{2, 6, 12} {
-		want, wantSt := e.Join(ps, tau, true)
+		r := ted.Join(trees, tau, ted.WithFilters())
+		want, wantSt := r.Pairs, r.JoinStats
 		var got []batch.Match
 		gotSt, err := e.JoinStream(context.Background(), ps, tau, true, func(m batch.Match) {
 			got = append(got, m)
@@ -69,8 +72,7 @@ func TestJoinStreamMatchesJoin(t *testing.T) {
 		if gotSt.Comparisons != wantSt.Comparisons ||
 			gotSt.LowerPruned != wantSt.LowerPruned ||
 			gotSt.UpperAccepted != wantSt.UpperAccepted ||
-			gotSt.ExactComputed != wantSt.ExactComputed ||
-			gotSt.Subproblems != wantSt.Subproblems {
+			gotSt.ExactComputed != wantSt.ExactComputed {
 			t.Fatalf("tau %g: stream stats %+v diverge from buffered %+v", tau, gotSt, wantSt)
 		}
 	}
@@ -145,31 +147,22 @@ func TestJoinStreamCancel(t *testing.T) {
 	}
 }
 
-// TestTopKAcrossStreamMatchesTopKAcross: the ctx-aware scan returns the
-// exact TopKAcross answer when not cancelled, and aborts with partial
-// stats when cancelled up front.
-func TestTopKAcrossStreamMatchesTopKAcross(t *testing.T) {
+// TestTopKAcrossCancelled: a scan under a context cancelled up front
+// returns ctx's error and does no work, and the same scan under a live
+// context answers.
+func TestTopKAcrossCancelled(t *testing.T) {
 	e, ps := streamFixture(t, 8, 14)
 	q := ps[0]
-	want, wantSt := e.TopKAcross(q, ps[1:], 5)
-	got, gotSt, err := e.TopKAcrossStream(context.Background(), q, ps[1:], 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fmt.Sprint(want) != fmt.Sprint(got) {
-		t.Fatalf("stream %v, buffered %v", got, want)
-	}
-	if gotSt != wantSt {
-		t.Fatalf("stream stats %+v, buffered %+v", gotSt, wantSt)
-	}
-
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	ms, st, err := e.TopKAcrossStream(ctx, q, ps[1:], 5)
+	ms, st, err := e.TopKAcross(ctx, q, ps[1:], 5)
 	if err != context.Canceled {
 		t.Fatalf("pre-cancelled scan returned %v, want context.Canceled", err)
 	}
-	if len(ms) != 0 || st.Subproblems != 0 {
-		t.Fatalf("pre-cancelled scan did work: %d matches, %d subproblems", len(ms), st.Subproblems)
+	if len(ms) != 0 || st.Subproblems != 0 || st.SPFCalls != 0 {
+		t.Fatalf("pre-cancelled scan did work: %d matches, %+v", len(ms), st)
+	}
+	if ms, _, err := e.TopKAcross(context.Background(), q, ps[1:], 5); err != nil || len(ms) != 5 {
+		t.Fatalf("live scan: %d matches, %v", len(ms), err)
 	}
 }

@@ -7,6 +7,7 @@
 package ted_test
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"runtime"
@@ -405,7 +406,7 @@ func BenchmarkBatchJoinVsSequential(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				e := batch.New(batch.WithWorkers(w))
 				ps := e.PrepareAll(trees)
-				e.Join(ps, 1e18, false)
+				e.JoinStream(context.Background(), ps, 1e18, false, func(batch.Match) {})
 			}
 		})
 	}

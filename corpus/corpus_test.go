@@ -2,6 +2,7 @@ package corpus_test
 
 import (
 	"bytes"
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -105,7 +106,7 @@ func TestCorpusJoinMatchesBatch(t *testing.T) {
 	ref := batch.New()
 	refPs := ref.PrepareAll(live)
 	for _, tau := range []float64{0, 3, 9.5, math.Inf(1)} {
-		wantMs, _ := ref.Join(refPs, tau, true)
+		wantMs, _ := engineJoin(ref, refPs, tau, true)
 		for _, mode := range []batch.IndexMode{batch.IndexAuto, batch.IndexEnumerate, batch.IndexHistogram, batch.IndexPQGram} {
 			ms, st := c.Join(e, tau, batch.JoinOptions{Mode: mode})
 			if len(ms) != len(wantMs) {
@@ -135,7 +136,7 @@ func TestCorpusTopKAcross(t *testing.T) {
 	ms, _ := c.TopKAcross(e, e.Prepare(query), 5)
 
 	ref := batch.New()
-	wantMs, _ := ref.TopKAcross(ref.Prepare(query), ref.PrepareAll(trees[1:]), 5)
+	wantMs, _, _ := ref.TopKAcross(context.Background(), ref.Prepare(query), ref.PrepareAll(trees[1:]), 5)
 	if len(ms) != len(wantMs) {
 		t.Fatalf("%d results, want %d", len(ms), len(wantMs))
 	}

@@ -20,10 +20,10 @@ type Match struct {
 	Dist float64
 }
 
-// Join computes the similarity self-join of the corpus on engine e: all
-// unordered ID pairs at edit distance below tau. The engine must be
-// corpus-attached (Corpus.Engine); every stored tree is prepared from
-// its label ids, not re-interned.
+// Join computes the similarity self-join of the corpus on engine e, under
+// context.Background(): all unordered ID pairs at edit distance below
+// tau. The engine must be corpus-attached (Corpus.Engine); every stored
+// tree is prepared from its label ids, not re-interned.
 //
 // Candidate generation follows opts.Mode. An index mode probes the
 // corpus's maintained index when it keeps the selected one
@@ -59,11 +59,11 @@ func (c *Corpus) Join(e *batch.Engine, tau float64, opts batch.JoinOptions) ([]M
 // whole range [0, math.MaxInt) — the emitted matches, each Dist
 // included, are Join's result at every tau, enumerate and indexed modes
 // alike. emit runs on the calling goroutine, one invocation at a time,
-// in completion order. Cancelling ctx stops the engine work at the next
-// pair boundary and returns ctx's error; the returned stats then cover
-// only the pairs actually evaluated. It serves a server's join, ranged
-// (see server.Range) or whole, and requires the unit cost model, like
-// every filtered join.
+// in completion order. Cancelling ctx stops the engine work inside the
+// pair (a stopped pair emits nothing) and returns ctx's error; the
+// returned stats then cover only the work actually done. It serves a
+// server's join, ranged (see server.Range) or whole, and requires the
+// unit cost model, like every filtered join.
 //
 // Ranges computed elsewhere mean the same trees here only when both
 // corpora hold the same contents (see Fingerprint).

@@ -34,6 +34,20 @@ func indexSources(trees []*ted.Tree) map[string]*corpus.Corpus {
 	return out
 }
 
+// engineJoin is the batch engine's join sorted by (I, J), the reference
+// the corpus joins are checked against.
+func engineJoin(e *batch.Engine, ps []*batch.PreparedTree, tau float64, filtered bool) ([]batch.Match, batch.JoinStats) {
+	var ms []batch.Match
+	st, err := e.JoinStream(context.Background(), ps, tau, filtered, func(m batch.Match) { ms = append(ms, m) })
+	if err != nil {
+		panic(err) // no context to cancel
+	}
+	slices.SortFunc(ms, func(a, b batch.Match) int {
+		return cmp.Or(cmp.Compare(a.I, b.I), cmp.Compare(a.J, b.J))
+	})
+	return ms, st
+}
+
 // sortMatches orders ms by (I, J), the buffered joins' order.
 func sortMatches(ms []corpus.Match) {
 	slices.SortFunc(ms, func(a, b corpus.Match) int {
@@ -74,7 +88,7 @@ func TestJoinIndexedEquivalence(t *testing.T) {
 		for source, c := range indexSources(trees) {
 			e := c.Engine(batch.WithWorkers(4))
 			for _, tau := range []float64{0, 1, 3.5, 8, 20, 60, math.Inf(1)} {
-				want, wst := ref.Join(refPs, tau, true)
+				want, wst := engineJoin(ref, refPs, tau, true)
 				for _, mode := range allModes {
 					label := fmt.Sprintf("seed=%d %s tau=%v mode=%v", seed, source, tau, mode)
 					opts := batch.JoinOptions{Mode: mode}
@@ -171,7 +185,7 @@ func TestJoinNonUnitCost(t *testing.T) {
 	trees := randomTrees(5, 8, 12)
 	model := ted.WeightedCost(2, 2, 1)
 	ref := batch.New(batch.WithCost(model))
-	want, _ := ref.Join(ref.PrepareAll(trees), 3, false)
+	want, _ := engineJoin(ref, ref.PrepareAll(trees), 3, false)
 	c := indexSources(trees)["maintained"]
 	e := c.Engine(batch.WithCost(model))
 	for _, mode := range allModes {

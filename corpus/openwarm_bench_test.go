@@ -9,13 +9,11 @@ import (
 
 	ted "repro"
 	"repro/corpus"
-	"repro/gen"
 )
 
 // BenchmarkCorpusOpenWarm times a restart's set-up on the corpus of the
-// end-to-end benchmark's point workload: 5,000 trees of 20–60 nodes,
-// TreeBank-like, SwissProt-like and random shapes in equal shares, in a
-// snapshot of a corpus that maintains a histogram index (the point
+// end-to-end benchmark's point workload: 5,000 mixed trees (mixedTree)
+// in a snapshot of a corpus that maintains a histogram index (the point
 // workload's), or a histogram and a pq-gram index (q = 2). One op opens
 // the snapshot (corpus.Open: decode, build the trees, build the
 // indexes) and warms a corpus-attached engine on it (Corpus.Warm);
@@ -27,17 +25,9 @@ import (
 //	go test -run '^$' -bench CorpusOpenWarm -benchtime 20x -cpu 1,2 ./corpus
 func BenchmarkCorpusOpenWarm(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
-	var trees []*ted.Tree
-	for range 5000 {
-		size, seed := 20+rng.Intn(41), rng.Int63()
-		switch rng.Intn(3) {
-		case 0:
-			trees = append(trees, gen.TreeBankLike(seed, size))
-		case 1:
-			trees = append(trees, gen.SwissProtLike(seed, size))
-		default:
-			trees = append(trees, gen.Random(seed, gen.RandomSpec{Size: size, MaxDepth: 15, MaxFanout: 6, Labels: 20}))
-		}
+	trees := make([]*ted.Tree, 5000)
+	for i := range trees {
+		trees[i] = mixedTree(rng)
 	}
 	for _, bc := range []struct {
 		name string

@@ -1,6 +1,7 @@
 package corpus_test
 
 import (
+	"context"
 	"sync"
 	"testing"
 
@@ -40,11 +41,11 @@ func TestWarmThenWrites(t *testing.T) {
 		}
 		ref := batch.New(batch.WithWorkers(1))
 		refPs := ref.PrepareAll(live)
-		wantJoin, _ := ref.Join(refPs, 5, true)
+		wantJoin, _ := engineJoin(ref, refPs, 5, true)
 		if len(wantJoin) == 0 {
 			t.Fatalf("round %d: the reference join matches nothing, so the check is empty", round)
 		}
-		wantTop, _ := ref.TopKAcross(ref.Prepare(trees[5]), refPs, 6)
+		wantTop, _, _ := ref.TopKAcross(context.Background(), ref.Prepare(trees[5]), refPs, 6)
 
 		var wg sync.WaitGroup
 		for range 2 {

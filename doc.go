@@ -193,9 +193,11 @@
 //	│    progress UIs)                         flush as found, so
 //	│                                          time-to-first-match beats
 //	│                                          the buffered total
-//	└── caller may stop early or disconnect → the stream endpoints:
-//	                                           closing the connection
-//	                                           cancels the engine work
+//	└── caller may stop early or disconnect → the stream endpoints: take
+//	                                           the matches so far and
+//	                                           close; on every route,
+//	                                           disconnecting stops the
+//	                                           kernel inside its pair
 //
 // Whatever is served is also checked over HTTP: package load (and its
 // CLI cmd/tedload) drives a running tedd with a deterministic workload

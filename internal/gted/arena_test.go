@@ -3,6 +3,7 @@ package gted
 import (
 	"reflect"
 	"slices"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/cost"
@@ -21,7 +22,7 @@ func TestArenaShrink(t *testing.T) {
 	wd := want.Run()
 
 	ar := NewArena()
-	NewInArena(f, g, cm, s, ar).Run()
+	NewInArena(f, g, cm, s, ar, new(atomic.Bool)).Run()
 	ar.Shrink(1 << 20)
 	if ar.Cells() != 40*40 {
 		t.Fatalf("an arena under the cap kept %d matrix cells, want %d", ar.Cells(), 40*40)
@@ -30,7 +31,7 @@ func TestArenaShrink(t *testing.T) {
 	if !reflect.DeepEqual(*ar, Arena{}) {
 		t.Fatal("an arena over the cap kept buffers")
 	}
-	r := NewInArena(f, g, cm, s, ar)
+	r := NewInArena(f, g, cm, s, ar, new(atomic.Bool))
 	if d := r.Run(); d != wd || !slices.Equal(r.Matrix(), want.Matrix()) {
 		t.Fatalf("after Shrink: distance %g, want %g (or the subtree matrix differs)", d, wd)
 	}

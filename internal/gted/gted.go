@@ -16,6 +16,7 @@ package gted
 
 import (
 	"math"
+	"sync/atomic"
 
 	"repro/internal/cost"
 	"repro/internal/strategy"
@@ -85,10 +86,16 @@ func (c *Counters) Merge(o Counters) {
 
 // Runner executes GTED for one tree pair and one strategy. A Runner is
 // single-use: create, call Run, then query distances and stats.
+//
+// A run stops early once its stop flag (NewInArena) is set: GTED reads
+// the flag, one atomic load, before each single-path call, ΔL/ΔR keyroot
+// and ΔI chain state, never per cell. A stopped run's distances and
+// counters mean nothing, and its arena stays reusable.
 type Runner struct {
 	f, g  *tree.Tree
 	cm    *cost.Compiled // oriented (f, g); cm.Transpose() is (g, f)
 	strat strategy.Strategy
+	stop  *atomic.Bool
 
 	d    []float64 // |F|×|G| subtree-pair distances, row-major
 	seen []bool    // GTED pair memo
@@ -136,21 +143,23 @@ func New(f, g *tree.Tree, m cost.Model, s strategy.Strategy) *Runner {
 // NewCompiled is New with precompiled costs (for callers that reuse the
 // compilation across runs).
 func NewCompiled(f, g *tree.Tree, cm *cost.Compiled, s strategy.Strategy) *Runner {
-	return NewInArena(f, g, cm, s, NewArena())
+	return NewInArena(f, g, cm, s, NewArena(), new(atomic.Bool))
 }
 
-// NewInArena is NewCompiled with caller-owned scratch memory: all DP
-// tables are carved out of ar, which grows to the largest pair it has
-// served and is reused without further allocation. Creating a new runner
+// NewInArena is NewCompiled with caller-owned scratch memory and a stop
+// flag: all DP tables are carved out of ar, which grows to the largest
+// pair it has served and is reused without further allocation, and the
+// run stops early once stop is set (see Runner). Creating a new runner
 // on an arena invalidates the distance matrix of every earlier runner
 // backed by the same arena.
-func NewInArena(f, g *tree.Tree, cm *cost.Compiled, s strategy.Strategy, ar *Arena) *Runner {
+func NewInArena(f, g *tree.Tree, cm *cost.Compiled, s strategy.Strategy, ar *Arena, stop *atomic.Bool) *Runner {
 	n := f.Len() * g.Len()
 	r := &Runner{
 		f:     f,
 		g:     g,
 		cm:    cm,
 		strat: s,
+		stop:  stop,
 		ar:    ar,
 		d:     growF64(&ar.d, n),
 		seen:  growBool(&ar.seen, n),
@@ -374,7 +383,7 @@ func (r *Runner) Stats() Counters { return r.stats }
 // single-path function matching the path type.
 func (r *Runner) gted(v, w int) {
 	idx := v*r.g.Len() + w
-	if r.seen[idx] {
+	if r.seen[idx] || r.stop.Load() {
 		return
 	}
 	r.seen[idx] = true

@@ -281,7 +281,7 @@ func (r *Runner) spfI(t1 *tree.Tree, v1 int, t2 *tree.Tree, v2 int, pt strategy.
 		return at(tt, la, lb, gsz)
 	}
 
-	for t := s1 - 1; t >= 0; t-- {
+	for t := s1 - 1; t >= 0 && !r.stop.Load(); t-- {
 		row := alloc()
 		rows[t] = row
 		r.stats.RowCells += int64(rowLen)
@@ -500,8 +500,9 @@ func (r *Runner) spfI(t1 *tree.Tree, v1 int, t2 *tree.Tree, v2 int, pt strategy.
 		}
 	}
 	// Return surviving rows (row 0, plus any still-referenced rows when
-	// s1 == 0 edge cases) to the pool. This restores the invariant that
-	// every entry of the arena's rows slice is nil between SPF calls.
+	// s1 == 0 edge cases or a stop cut the chain short) to the pool. This
+	// restores the invariant that every entry of the arena's rows slice
+	// is nil between SPF calls.
 	for t, b := range rows {
 		if b != nil {
 			rows[t] = nil

@@ -82,6 +82,9 @@ func (r *Runner) spfLR(view1 zsview, v1 int, view2 zsview, v2 int, cm *cost.Comp
 	maxD, maxI, bounded := r.band(dv.swap)
 
 	for _, kc := range ks {
+		if r.stop.Load() {
+			return
+		}
 		jlo := view2.leafmost(kc, view2.nodeOf(kc))
 		s2k := kc - jlo + 1
 		w := s2k + 1 // scratch row width

@@ -1,6 +1,10 @@
 package ted
 
 import (
+	"cmp"
+	"context"
+	"slices"
+
 	"repro/batch"
 	"repro/corpus"
 	"repro/internal/strategy"
@@ -131,7 +135,10 @@ func Join(trees []*Tree, tau float64, opts ...Option) JoinResult {
 		}
 	} else {
 		e := c.batchEngine(workers)
-		ms, st = e.Join(e.PrepareAll(trees), tau, c.filters)
+		st, _ = e.JoinStream(context.Background(), e.PrepareAll(trees), tau, c.filters, func(m batch.Match) { ms = append(ms, m) })
+		slices.SortFunc(ms, func(a, b batch.Match) int {
+			return cmp.Or(cmp.Compare(a.I, b.I), cmp.Compare(a.J, b.J))
+		})
 	}
 	if c.stats != nil {
 		*c.stats = Stats{Counters: st.Counters, TotalTime: st.Elapsed}

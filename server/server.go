@@ -451,7 +451,9 @@ func (s *Server) handleDistance(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	writeJSON(w, http.StatusOK, DistanceResponse{Dist: s.e.Distance(f, g)})
+	if d, err := s.e.DistanceContext(r.Context(), f, g); !failed(r.Context(), w, nil, err) {
+		writeJSON(w, http.StatusOK, DistanceResponse{Dist: d})
+	}
 }
 
 func (s *Server) handleDistanceBounded(w http.ResponseWriter, r *http.Request) {
@@ -471,8 +473,9 @@ func (s *Server) handleDistanceBounded(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	d, within := s.e.DistanceBounded(f, g, req.Tau)
-	writeJSON(w, http.StatusOK, DistanceBoundedResponse{Dist: d, Within: within})
+	if d, within, err := s.e.DistanceBoundedContext(r.Context(), f, g, req.Tau); !failed(r.Context(), w, nil, err) {
+		writeJSON(w, http.StatusOK, DistanceBoundedResponse{Dist: d, Within: within})
+	}
 }
 
 // handleJoin serves POST /v1/join (buffered) and /v1/join/stream. Both
@@ -617,7 +620,11 @@ func (s *Server) handleTopK(stream bool) http.HandlerFunc {
 		if fan {
 			st, err = s.fleet.topK(ctx, r.Header, req, emit)
 		} else {
-			st, err = s.c.TopKRangeStream(ctx, s.e, q, req.K, lo, hi, emit)
+			var cms []corpus.CrossMatch
+			cms, st, err = s.c.TopKRange(ctx, s.e, q, req.K, lo, hi)
+			for _, m := range cms {
+				emit(m)
+			}
 			if err == nil {
 				err = s.holds(req.Range)
 			}

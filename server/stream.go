@@ -11,11 +11,11 @@ import (
 // seconds to accumulate gives the client nothing to work with until the
 // last pair resolves. Their /stream twins run the same handler
 // (handleJoin, handleTopK) and differ only in framing: each result is
-// one NDJSON line, flushed as it is found. On either route the request
-// context is threaded down through corpus.JoinRangeStream into the worker
-// pool, so a disconnected client stops the engine at the next pair
-// boundary instead of wasting the remaining work; a stream also stops
-// it when a write fails. On a gateway the same context carries the
+// one NDJSON line, flushed as it is found. On either route, as on the
+// point routes, the request context is threaded down through the corpus
+// and the worker pool into the kernel, so a disconnected client stops
+// the engine inside the pair instead of wasting the remaining work; a
+// stream also stops it when a write fails. On a gateway the same context carries the
 // fan-out's requests, so a client that hangs up ends the workers' ranges
 // too.
 //

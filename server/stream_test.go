@@ -5,11 +5,13 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -426,6 +428,87 @@ func TestJoinClientCancel(t *testing.T) {
 		after.BandSkippedCells != before.BandSkippedCells || after.PrunedKeyroots != before.PrunedKeyroots {
 		t.Fatalf("cancelled join still ran: pruned %d → %d, row cells %d → %d",
 			before.PrunedSubproblems, after.PrunedSubproblems, before.RowCells, after.RowCells)
+	}
+}
+
+// writeTracker records whether a handler wrote anything to w.
+type writeTracker struct {
+	http.ResponseWriter
+	wrote *atomic.Bool
+}
+
+func (w writeTracker) WriteHeader(code int) {
+	w.wrote.Store(true)
+	w.ResponseWriter.WriteHeader(code)
+}
+
+func (w writeTracker) Write(b []byte) (int, error) {
+	w.wrote.Store(true)
+	return w.ResponseWriter.Write(b)
+}
+
+func (w writeTracker) Unwrap() http.ResponseWriter { return w.ResponseWriter }
+
+// TestPointClientCancel: on each point route, a client that hangs up
+// while the server computes a pair that takes tens of seconds (a
+// 2,001-node zigzag against a 2,047-node full binary tree, under the
+// node cap) releases its slot within 5 s, because the kernel stops
+// inside the pair. The handler writes nothing, and the /v1/stats kernel
+// counters do not move.
+func TestPointClientCancel(t *testing.T) {
+	zz, fb := gen.ZigZag(2001).String(), gen.FullBinary(2047).String()
+	for _, route := range []struct{ path, body string }{
+		{"/v1/distance", fmt.Sprintf(`{"f":{"tree":%q},"g":{"tree":%q}}`, zz, fb)},
+		{"/v1/distance-bounded", fmt.Sprintf(`{"f":{"tree":%q},"g":{"tree":%q},"tau":1e6}`, zz, fb)},
+	} {
+		t.Run(strings.TrimPrefix(route.path, "/v1/"), func(t *testing.T) {
+			admitted := make(chan struct{})
+			s := server.New(corpus.New(), server.WithAdmitHook(func() { close(admitted) }))
+			var wrote atomic.Bool
+			hts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				s.ServeHTTP(writeTracker{w, &wrote}, r)
+			}))
+			t.Cleanup(hts.Close)
+			before := s.Stats()
+
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			req, err := http.NewRequestWithContext(ctx, "POST", hts.URL+route.path, strings.NewReader(route.body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			req.Header.Set("Content-Type", "application/json")
+			errc := make(chan error, 1)
+			go func() {
+				resp, err := http.DefaultClient.Do(req)
+				if err == nil {
+					resp.Body.Close()
+				}
+				errc <- err
+			}()
+			<-admitted
+			// Parsing, preparing and the strategy DP take a fraction of
+			// this; the pair itself runs for tens of seconds.
+			time.Sleep(time.Second)
+			cancel()
+			if err := <-errc; err == nil {
+				t.Fatal("cancelled request reported success")
+			}
+
+			deadline := time.Now().Add(5 * time.Second)
+			for s.Stats().InFlight != 0 {
+				if time.Now().After(deadline) {
+					t.Fatalf("in-flight slot not released after client cancel: %d held", s.Stats().InFlight)
+				}
+				time.Sleep(5 * time.Millisecond)
+			}
+			if wrote.Load() {
+				t.Fatal("the handler answered a client that hung up")
+			}
+			if after := s.Stats(); after.Counters != before.Counters {
+				t.Fatalf("kernel counters moved: %+v → %+v", before.Counters, after.Counters)
+			}
+		})
 	}
 }
 

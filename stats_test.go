@@ -1,6 +1,7 @@
 package ted_test
 
 import (
+	"context"
 	"runtime"
 	"testing"
 
@@ -16,20 +17,27 @@ import (
 // Stats, and the exact ones must report no pruning.
 func TestWithStatsFreshPerCall(t *testing.T) {
 	query, data := gen.LeftBranch(5), gen.ZigZag(66)
+	// none marks the calls that return before any run: their Stats must
+	// read all zero.
 	calls := []struct {
-		name  string
-		exact bool
-		run   func(*ted.Stats)
+		name        string
+		exact, none bool
+		run         func(*ted.Stats)
 	}{
-		{"Distance", true, func(st *ted.Stats) { ted.Distance(query, data, ted.WithStats(st)) }},
-		{"Distance ZhangL", true, func(st *ted.Stats) {
+		{"Distance", true, false, func(st *ted.Stats) { ted.Distance(query, data, ted.WithStats(st)) }},
+		{"Distance ZhangL", true, false, func(st *ted.Stats) {
 			ted.Distance(query, data, ted.WithAlgorithm(ted.ZhangL), ted.WithStats(st))
 		}},
-		{"TopKSubtrees", true, func(st *ted.Stats) { ted.TopKSubtrees(query, data, 3, ted.WithStats(st)) }},
-		{"TopKSubtreesAcross", false, func(st *ted.Stats) {
+		{"TopKSubtrees", true, false, func(st *ted.Stats) { ted.TopKSubtrees(query, data, 3, ted.WithStats(st)) }},
+		{"TopKSubtreesAcross", false, false, func(st *ted.Stats) {
 			ted.TopKSubtreesAcross(query, []*ted.Tree{data, gen.Mixed(40)}, 3, ted.WithStats(st))
 		}},
-		{"SubtreeDistances", true, func(st *ted.Stats) { ted.SubtreeDistances(query, data, ted.WithStats(st)) }},
+		{"SubtreeDistances", true, false, func(st *ted.Stats) { ted.SubtreeDistances(query, data, ted.WithStats(st)) }},
+		{"TopKSubtrees k=0", true, true, func(st *ted.Stats) { ted.TopKSubtrees(query, data, 0, ted.WithStats(st)) }},
+		{"TopKSubtreesAcross k=0", true, true, func(st *ted.Stats) {
+			ted.TopKSubtreesAcross(query, []*ted.Tree{data}, 0, ted.WithStats(st))
+		}},
+		{"TopKSubtreesAcross no data", true, true, func(st *ted.Stats) { ted.TopKSubtreesAcross(query, nil, 3, ted.WithStats(st)) }},
 	}
 	for _, c := range calls {
 		var st ted.Stats
@@ -44,13 +52,27 @@ func TestWithStatsFreshPerCall(t *testing.T) {
 		if st != fresh {
 			t.Errorf("%s after a bounded call reports %+v, on a fresh Stats %+v", c.name, st, fresh)
 		}
-		if st.Subproblems == 0 || st.RowCells == 0 {
+		if c.none && st != (ted.Stats{}) {
+			t.Errorf("%s runs nothing but reports %+v", c.name, st)
+		}
+		if !c.none && (st.Subproblems == 0 || st.RowCells == 0) {
 			t.Errorf("%s reports no work: %+v", c.name, st)
 		}
 		if c.exact && (st.PrunedSubproblems != 0 || st.BandSkippedCells != 0 || st.CompressedRows != 0) {
 			t.Errorf("%s is an exact run but reports pruning: %+v", c.name, st)
 		}
 	}
+}
+
+// engineJoin runs the engine's join to completion and collects its
+// matches.
+func engineJoin(e *batch.Engine, ps []*batch.PreparedTree, tau float64, filtered bool) ([]batch.Match, batch.JoinStats) {
+	var ms []batch.Match
+	st, err := e.JoinStream(context.Background(), ps, tau, filtered, func(m batch.Match) { ms = append(ms, m) })
+	if err != nil {
+		panic(err) // no context to cancel
+	}
+	return ms, st
 }
 
 // TestJoinStatsMatchEngine checks that a filtered ted.Join reports every
@@ -70,7 +92,7 @@ func TestJoinStatsMatchEngine(t *testing.T) {
 	r := ted.Join(trees, tau, ted.WithFilters(), ted.WithStats(&st))
 
 	e := batch.New(batch.WithWorkers(1), batch.WithPaperStrategy())
-	ms, js := e.Join(e.PrepareAll(trees), tau, true)
+	ms, js := engineJoin(e, e.PrepareAll(trees), tau, true)
 	if len(r.Pairs) != len(ms) {
 		t.Fatalf("ted.Join found %d matches, the engine %d", len(r.Pairs), len(ms))
 	}
@@ -93,7 +115,7 @@ func TestJoinStatsMatchEngine(t *testing.T) {
 		}
 	}
 	pe := batch.New(batch.WithWorkers(runtime.GOMAXPROCS(0)), batch.WithPaperStrategy())
-	pms, pst := pe.Join(pe.PrepareAll(trees), tau, false)
+	pms, pst := engineJoin(pe, pe.PrepareAll(trees), tau, false)
 	if len(pms) != matches || pst.Subproblems != subs {
 		t.Fatalf("engine on %d workers: %d matches, %d subproblems; per-pair ted.Distance: %d, %d",
 			runtime.GOMAXPROCS(0), len(pms), pst.Subproblems, matches, subs)

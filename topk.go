@@ -1,44 +1,36 @@
 package ted
 
 import (
+	"context"
 	"time"
 
 	"repro/batch"
-	"repro/corpus"
 	"repro/internal/gted"
 )
 
 // SubtreeMatch is one result of TopKSubtrees: the subtree of the data
 // tree rooted at postorder id Root, at edit distance Dist from the query.
-type SubtreeMatch = batch.SubtreeMatch
+type SubtreeMatch struct {
+	Root int
+	Dist float64
+}
 
 // TopKSubtrees finds the k subtrees of data with the smallest tree edit
 // distance to query (the top-k approximate subtree matching problem of
 // Augsten et al., discussed in Section 7 of the RTED paper). Ties are
 // broken toward smaller postorder ids; results are sorted by distance.
 //
-// The implementation runs one RTED computation on the batch engine,
-// which produces the distances between the query and every subtree of
-// data as a byproduct of GTED's distance matrix, then selects the k
-// smallest. This is the exact, unpruned baseline of TASM:
-// O(|query|·|data|) space and the full RTED time, robust to any tree
-// shape. To match one query against many data trees, use the batch
-// engine directly and Prepare the query once.
+// The implementation runs the batch engine's top-k scan over a one-tree
+// collection: one exact RTED computation, which produces the distances
+// between the query and every subtree of data as a byproduct of GTED's
+// distance matrix, from which the k smallest are kept. This is the
+// exact, unpruned baseline of TASM: O(|query|·|data|) space and the full
+// RTED time, robust to any tree shape. To match one query against many
+// data trees, use TopKSubtreesAcross.
 func TopKSubtrees(query, data *Tree, k int, opts ...Option) []SubtreeMatch {
-	if k <= 0 {
-		return nil
-	}
-	c := buildConfig(opts)
-	if c.alg == ZhangShashaClassic {
-		// ZS-classic has no strategy form; serve it with RTED, which
-		// dominates it anyway.
-		c.alg = RTED
-	}
-	start := time.Now()
-	e := c.batchEngine(1)
-	ms, st := e.TopKSubtrees(e.Prepare(query), e.Prepare(data), k)
-	if c.stats != nil {
-		*c.stats = Stats{Counters: st, TotalTime: time.Since(start)}
+	var ms []SubtreeMatch
+	for _, m := range TopKSubtreesAcross(query, []*Tree{data}, k, opts...) {
+		ms = append(ms, SubtreeMatch{Root: m.Root, Dist: m.Dist})
 	}
 	return ms
 }
@@ -61,30 +53,17 @@ type CrossSubtreeMatch = batch.CrossMatch
 // of the tree's) already exceeds the k-th best is skipped without DP.
 // Ties break toward smaller (Tree, Root); results are sorted by distance.
 //
-// The collection runs through the corpus layer (package corpus), so
-// repeated queries against a persistent collection amortize all per-tree
-// work: keep a corpus.Corpus (or Load one) and call Corpus.TopKAcross
-// with a corpus-attached engine.
+// Repeated queries against a persistent collection amortize all per-tree
+// work in the corpus layer: keep a corpus.Corpus (or Load one) and call
+// Corpus.TopKAcross with a corpus-attached engine.
 func TopKSubtreesAcross(query *Tree, data []*Tree, k int, opts ...Option) []CrossSubtreeMatch {
-	if k <= 0 || len(data) == 0 {
-		return nil
-	}
 	c := buildConfig(opts)
 	if c.alg == ZhangShashaClassic {
 		c.alg = RTED // no strategy form; RTED dominates it anyway
 	}
 	start := time.Now()
-	cp := corpus.New()
-	pos := make(map[corpus.ID]int, len(data))
-	for i, t := range data {
-		pos[cp.Add(t)] = i
-	}
-	e := cp.Engine(c.batchOpts(1)...)
-	cms, st := cp.TopKAcross(e, e.Prepare(query), k)
-	ms := make([]batch.CrossMatch, len(cms))
-	for i, m := range cms {
-		ms[i] = batch.CrossMatch{Tree: pos[m.Tree], Root: m.Root, Dist: m.Dist}
-	}
+	e := c.batchEngine(1)
+	ms, st, _ := e.TopKAcross(context.Background(), e.Prepare(query), e.PrepareAll(data), k)
 	if c.stats != nil {
 		*c.stats = Stats{Counters: st, TotalTime: time.Since(start)}
 	}

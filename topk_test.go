@@ -76,14 +76,16 @@ func TestTopKEdgeCases(t *testing.T) {
 	}
 }
 
-// perTreeMerge is the definition TopKSubtreesAcross must meet: the
-// per-tree TopKSubtrees results, merged and cut to k under the
-// (Dist, Tree, Root) order.
+// perTreeMerge is the definition TopKSubtreesAcross must meet, taken
+// independently of the scan it checks: every data tree's subtree
+// distances from SubtreeDistances, merged, fully sorted under the
+// (Dist, Tree, Root) order and cut to k.
 func perTreeMerge(query *ted.Tree, data []*ted.Tree, k int) []ted.CrossSubtreeMatch {
 	var want []ted.CrossSubtreeMatch
 	for di, d := range data {
-		for _, m := range ted.TopKSubtrees(query, d, k) {
-			want = append(want, ted.CrossSubtreeMatch{Tree: di, Root: m.Root, Dist: m.Dist})
+		m := ted.SubtreeDistances(query, d)
+		for w := 0; w < d.Len(); w++ {
+			want = append(want, ted.CrossSubtreeMatch{Tree: di, Root: w, Dist: m.At(query.Root(), w)})
 		}
 	}
 	sort.Slice(want, func(i, j int) bool {
@@ -103,7 +105,7 @@ func perTreeMerge(query *ted.Tree, data []*ted.Tree, k int) []ted.CrossSubtreeMa
 }
 
 // TestTopKSubtreesAcross cross-checks the multi-tree, cutoff-shrinking
-// top-k against per-tree TopKSubtrees merged by brute force.
+// top-k against every tree's subtree distances merged by brute force.
 func TestTopKSubtreesAcross(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	query := gen.Random(rng.Int63(), gen.RandomSpec{Size: 8, MaxDepth: 5, MaxFanout: 3, Labels: 3})
